@@ -122,28 +122,6 @@ func RunAblations(cfg Config) ([]AblationRow, error) {
 		Note:   fmt.Sprintf("%d nodes", n),
 	})
 
-	// Join scheduling: lazy (on first use) vs concurrent prefetch.
-	start = time.Now()
-	lazyOut, err := render.Render(doc, mutTgt.ComposedTarget(), nil)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, AblationRow{
-		Experiment: "join-schedule", Variant: "lazy",
-		Millis: ms(time.Since(start)),
-		Note:   fmt.Sprintf("%d nodes", lazyOut.Size()),
-	})
-	start = time.Now()
-	parOut, err := render.RenderParallel(doc, mutTgt.ComposedTarget(), nil)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, AblationRow{
-		Experiment: "join-schedule", Variant: "parallel-prefetch",
-		Millis: ms(time.Since(start)),
-		Note:   fmt.Sprintf("%d nodes", parOut.Size()),
-	})
-
 	// 4. Buffer-pool size (cold-cache stored transformation).
 	dir, cleanup, err := cfg.workdir()
 	if err != nil {

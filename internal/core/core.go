@@ -242,16 +242,14 @@ func Verify(src, out *xmltree.Document) closest.Result {
 	return closest.Compare(closest.Build(src), closest.Build(out))
 }
 
-// Stream renders the checked guard directly to w without materializing
+// StreamOn renders the checked guard directly to w without materializing
 // the output tree (Section VII's streaming evaluation); it returns the
-// number of elements and attributes written.
-// Under a non-nil parent span it opens a "stream" child annotated with
-// join statistics, nodes emitted, and bytes written.
-func (c *Checked) Stream(src render.Source, w io.Writer, parent *obs.Span) (int, error) {
-	ssp := parent.Child("stream")
+// number of elements and attributes written. Like RenderOn it annotates
+// the caller's span ssp directly — join statistics, nodes emitted, and
+// bytes written — so the caller can fold page I/O into the same span.
+func (c *Checked) StreamOn(src render.Source, w io.Writer, ssp *obs.Span) (int, error) {
 	start := time.Now()
 	n, err := render.Stream(src, c.Plan.ComposedTarget(), w, ssp)
-	ssp.End()
 	if err == nil {
 		metricTransforms.Inc()
 		metricRenderSeconds.Observe(time.Since(start).Seconds())

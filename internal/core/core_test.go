@@ -320,7 +320,7 @@ func TestCheckedStreamMatchesOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	n, err := checked.Stream(doc, &b, nil)
+	n, err := checked.StreamOn(doc, &b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

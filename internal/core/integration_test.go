@@ -125,7 +125,7 @@ func TestIntegrationStoredStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if _, err := checked.Stream(d, &b, nil); err != nil {
+	if _, err := checked.StreamOn(d, &b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.String() != res.Output.XML(false) {

@@ -50,7 +50,7 @@ var _ Backend = (*Engine)(nil)
 // opts are ignored — the store is configured.
 func New(st *store.Store, opts ...Option) *Engine {
 	cfg := newConfig(opts)
-	return &Engine{st: st, cache: newGuardCache(cfg.cacheSize), streamExec: cfg.streamExec}
+	return &Engine{st: st, cache: newGuardCache(cfg.cacheSize)}
 }
 
 // Store exposes the engine's underlying store — the cluster layer needs

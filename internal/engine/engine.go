@@ -81,9 +81,8 @@ var (
 type Option func(*config)
 
 type config struct {
-	storeOpts  []store.Option
-	cacheSize  int
-	streamExec bool
+	storeOpts []store.Option
+	cacheSize int
 }
 
 // WithCachePages sets the store's buffer pool size in pages.
@@ -115,21 +114,12 @@ func WithGuardCache(n int) Option {
 	return func(c *config) { c.cacheSize = n }
 }
 
-// WithStreamingExec toggles the one-pass streaming executor for guards
-// the planner marks streamable (default on). Off, every streamed Run
-// uses the join-backed renderer; RunOpts.Exec == ExecStream still forces
-// the one-pass path.
-func WithStreamingExec(on bool) Option {
-	return func(c *config) { c.streamExec = on }
-}
-
 // Engine is the unified pipeline handle. It is safe for concurrent use:
 // the store serializes writers against readers internally, and cached
 // Checked values are immutable after construction.
 type Engine struct {
-	st         *store.Store
-	cache      *guardCache
-	streamExec bool
+	st    *store.Store
+	cache *guardCache
 }
 
 // Open opens (or creates) a store file and wraps it in an Engine.
@@ -139,21 +129,17 @@ func Open(path string, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{st: st, cache: newGuardCache(cfg.cacheSize), streamExec: cfg.streamExec}, nil
+	return &Engine{st: st, cache: newGuardCache(cfg.cacheSize)}, nil
 }
 
 // OpenMemory builds an Engine over an in-memory store (tests, examples).
 func OpenMemory(opts ...Option) *Engine {
 	cfg := newConfig(opts)
-	return &Engine{
-		st:         store.OpenMemory(cfg.storeOpts...),
-		cache:      newGuardCache(cfg.cacheSize),
-		streamExec: cfg.streamExec,
-	}
+	return &Engine{st: store.OpenMemory(cfg.storeOpts...), cache: newGuardCache(cfg.cacheSize)}
 }
 
 func newConfig(opts []Option) *config {
-	cfg := &config{cacheSize: 64, streamExec: true}
+	cfg := &config{cacheSize: 64}
 	for _, o := range opts {
 		if o != nil {
 			o(cfg)
@@ -373,8 +359,8 @@ type ExecMode int
 
 const (
 	// ExecAuto (the default) picks the one-pass streaming executor when
-	// the planner marks the guard streamable and the engine has
-	// streaming enabled, falling back to the join-backed renderer.
+	// the planner marks the guard streamable, falling back to the
+	// join-backed renderer.
 	ExecAuto ExecMode = iota
 	// ExecStream forces the one-pass executor; Run fails with
 	// ErrNotStreamable for store-backed guards.
@@ -454,55 +440,55 @@ func (e *Engine) Run(ctx context.Context, name, guardSrc string, opts RunOpts) (
 		return nil, err
 	}
 
-	res := &RunResult{Checked: checked, CacheHit: hit, Plan: verdict}
-	start := time.Now()
+	onePass := false
 	if opts.StreamTo != nil {
-		useStream := false
 		switch opts.Exec {
 		case ExecStream:
 			if !verdict.Streamable {
 				return nil, fmt.Errorf("%w: %s", ErrNotStreamable, verdict.Reason)
 			}
-			useStream = true
+			onePass = true
 		case ExecStore:
 		default:
-			useStream = e.streamExec && verdict.Streamable
-			if e.streamExec && !verdict.Streamable {
+			onePass = verdict.Streamable
+			if !onePass {
 				metricStreamFallbacks.Inc()
 			}
 		}
-		if useStream {
-			ssp := sp.Child("stream")
-			ssp.Set("streamed", 1)
-			before = e.st.Stats()
-			n, err := stream.Execute(stream.FromDoc(doc), checked.Plan.ComposedTarget(), opts.StreamTo, ssp)
-			setPageIO(ssp, before, e.st.Stats())
-			ssp.End()
-			if err != nil {
-				return nil, err
-			}
-			res.Streamed = n
-			res.StreamExec = true
-			sp.Set("streamed", 1)
-			metricStreamRuns.Inc()
-			metricStreamNodes.Add(int64(n))
-		} else {
-			n, err := checked.Stream(doc, opts.StreamTo, sp)
-			if err != nil {
-				return nil, err
-			}
-			res.Streamed = n
+	}
+
+	// One span around the one emit call, whichever source and sink it
+	// pairs: every branch reports the pages its type sequences cost.
+	res := &RunResult{Checked: checked, CacheHit: hit, Plan: verdict}
+	spanName := "render"
+	if opts.StreamTo != nil {
+		spanName = "stream"
+	}
+	esp := sp.Child(spanName)
+	before = e.st.Stats()
+	start := time.Now()
+	switch {
+	case onePass:
+		esp.Set("streamed", 1)
+		res.Streamed, err = stream.Execute(stream.FromDoc(doc), checked.Plan.ComposedTarget(), opts.StreamTo, esp)
+	case opts.StreamTo != nil:
+		res.Streamed, err = checked.StreamOn(doc, opts.StreamTo, esp)
+	default:
+		var out *core.Result
+		if out, err = checked.RenderOn(doc, esp); err == nil {
+			res.Output = out.Output
 		}
-	} else {
-		rsp := sp.Child("render")
-		before = e.st.Stats()
-		out, err := checked.RenderOn(doc, rsp)
-		setPageIO(rsp, before, e.st.Stats())
-		rsp.End()
-		if err != nil {
-			return nil, err
-		}
-		res.Output = out.Output
+	}
+	setPageIO(esp, before, e.st.Stats())
+	esp.End()
+	if err != nil {
+		return nil, err
+	}
+	if onePass {
+		res.StreamExec = true
+		sp.Set("streamed", 1)
+		metricStreamRuns.Inc()
+		metricStreamNodes.Add(int64(res.Streamed))
 	}
 	res.RenderTime = time.Since(start)
 	res.PagesRead = e.st.Stats().BlocksRead - pagesBefore
@@ -581,13 +567,6 @@ func (e *Engine) Query(ctx context.Context, name, guardSrc, query string, opts Q
 		Plan:      verdict,
 		Exec:      "store",
 	}, nil
-}
-
-// QueryWithSpan is the pre-QueryOpts form.
-//
-// Deprecated: use Query with QueryOpts{Span: sp}.
-func (e *Engine) QueryWithSpan(ctx context.Context, name, guardSrc, query string, sp *obs.Span) (*QueryResult, error) {
-	return e.Query(ctx, name, guardSrc, query, QueryOpts{Span: sp})
 }
 
 // ctxErr reports a cancelled or expired context; a nil context never

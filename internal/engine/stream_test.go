@@ -51,6 +51,26 @@ func TestEngineStreamExecAuto(t *testing.T) {
 	if v, ok := sp.Attr("plan"); !ok || !strings.Contains(v, "streamable") {
 		t.Errorf("plan attr = %q, %v", v, ok)
 	}
+	wantPageIO(t, tr, "stream")
+}
+
+// wantPageIO asserts the named emit span of a traced Run carries both
+// page-I/O attributes: whichever executor ran, the span where the type
+// sequences are read must say what reading them cost.
+func wantPageIO(t *testing.T, tr *obs.Trace, span string) {
+	t.Helper()
+	for _, line := range strings.Split(tr.Text(), "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), span+" ") {
+			continue
+		}
+		for _, attr := range []string{"pages-read=", "page-hits="} {
+			if !strings.Contains(line, attr) {
+				t.Errorf("%q span lacks %s: %s", span, attr, line)
+			}
+		}
+		return
+	}
+	t.Fatalf("trace has no %q span:\n%s", span, tr.Text())
 }
 
 // TestEngineStreamExecFallback: a store-backed guard streamed in auto mode
@@ -60,15 +80,21 @@ func TestEngineStreamExecFallback(t *testing.T) {
 	eng := newEngine(t)
 	shredSample(t, eng, "books")
 
-	rendered, err := eng.Run(ctx, "books", sampleGuard, RunOpts{})
+	tr := obs.New("run")
+	rendered, err := eng.Run(ctx, "books", sampleGuard, RunOpts{Span: tr.Root()})
+	tr.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantPageIO(t, tr, "render")
+	tr = obs.New("run")
 	var out strings.Builder
-	res, err := eng.Run(ctx, "books", sampleGuard, RunOpts{StreamTo: &out})
+	res, err := eng.Run(ctx, "books", sampleGuard, RunOpts{Span: tr.Root(), StreamTo: &out})
+	tr.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantPageIO(t, tr, "stream")
 	if res.StreamExec {
 		t.Error("cross-axis guard took the one-pass path")
 	}
@@ -127,32 +153,6 @@ func TestEngineExecStoreForced(t *testing.T) {
 	}
 	if auto.String() != forced.String() {
 		t.Errorf("paths disagree:\n%q\nvs\n%q", auto.String(), forced.String())
-	}
-}
-
-// TestEngineStreamingExecDisabled: WithStreamingExec(false) turns auto
-// mode off engine-wide; an explicit ExecStream still forces it.
-func TestEngineStreamingExecDisabled(t *testing.T) {
-	ctx := context.Background()
-	eng := OpenMemory(WithStreamingExec(false))
-	defer eng.Close()
-	shredSample(t, eng, "books")
-
-	var out strings.Builder
-	res, err := eng.Run(ctx, "books", streamableGuard, RunOpts{StreamTo: &out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StreamExec {
-		t.Error("auto mode streamed with the executor disabled")
-	}
-	out.Reset()
-	res, err = eng.Run(ctx, "books", streamableGuard, RunOpts{StreamTo: &out, Exec: ExecStream})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.StreamExec {
-		t.Error("explicit ExecStream should override the engine toggle")
 	}
 }
 

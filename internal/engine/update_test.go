@@ -209,17 +209,9 @@ func TestQueryOptsExecHint(t *testing.T) {
 		t.Errorf("store-backed guard under ExecStream: %v, want ErrNotStreamable", err)
 	}
 
-	// The deprecated positional-span form still answers.
-	old, err := eng.QueryWithSpan(ctx, "books", sampleGuard, q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cur, err := eng.Query(ctx, "books", sampleGuard, q, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if old.Answer != cur.Answer {
-		t.Errorf("QueryWithSpan diverges: %q vs %q", old.Answer, cur.Answer)
 	}
 	if !cur.CacheHit {
 		t.Error("repeated query missed the guard cache")

@@ -1,8 +1,10 @@
-// Package plan classifies compiled guards for execution strategy: a
-// target shape is either streamable — renderable in one Dewey-ordered
-// pass over the source type sequences with constant memory — or
-// store-backed, needing the materialized sort-merge closest joins of
-// internal/render.
+// Package plan lays a compiled guard out for execution and classifies it
+// for execution strategy. Build turns a composed target into the
+// per-occurrence execution tree every output path walks (internal/render
+// holds the walk); Classify reads that tree's join axes: a target is
+// either streamable — renderable in one Dewey-ordered pass over the
+// source type sequences with constant memory — or store-backed, needing
+// materialized sort-merge closest joins.
 //
 // The classification rests on the axis of every closest join the target
 // asks for. For a join from parent source type J to node source type S
@@ -114,27 +116,185 @@ func (d Decision) String() string {
 	return "store-backed: " + d.Reason
 }
 
-// Classify derives the streamability verdict of a composed target. The
-// rules mirror the renderer exactly:
+// Node is one occurrence of a target node in the execution tree. The
+// tree mirrors the target with one Node per occurrence, not per TNode: a
+// TNode shared between two points of the target (label resolution and
+// CLONE reuse subtrees) joins along a different axis in each, so each
+// occurrence carries its own join and its own executor state.
+type Node struct {
+	TN *semantics.TNode
+	// Parent is the occurrence this one renders under (for a requirement
+	// probe, the occurrence it constrains); nil at a root.
+	Parent *Node
+	// ID indexes per-occurrence executor state (scan cursors, partner
+	// runs). IDs are dense over Tree.Nodes.
+	ID int
+	// Join is the source type whose vertices this occurrence's partners
+	// are closest to ("" at a root: every vertex of the type), and Axis
+	// the shape of that join. Both are unset on manufactured nodes.
+	Join string
+	Axis Axis
+	// Sourced reports that the occurrence is populated from a source type
+	// (TN.Source), as opposed to manufactured by NEW / TYPE-FILL. Like
+	// Anchor below it restates what the pointers already say, as a flag
+	// the walk can test once per emission without chasing them.
+	Sourced bool
+	// Attr marks a childless occurrence of an attribute type below a
+	// parent: it renders as an attribute of the parent's element. With
+	// no parent there is no element to carry it, so a root renders as an
+	// element whatever its type.
+	Attr bool
+	// First is a manufactured node's anchor: its first sourced child. The
+	// node materializes once per partner of First, each instance holding
+	// that partner's emission, and the other kids join from that partner.
+	// First is nil on sourced nodes and on static fill (a manufactured
+	// node with no sourced child, rendered once, manufactured kids only).
+	// Anchor marks the node that is its parent's First.
+	First  *Node
+	Anchor bool
+	// Kids are the rendered children in emission order: the
+	// attribute-rendering kids come first, then the rest in target order,
+	// the anchor (a member of Kids) ahead of its siblings.
+	Kids []*Node
+	// Reqs are the RESTRICT requirement probes: a candidate vertex is
+	// rendered only if each has a closest partner satisfying its own Reqs.
+	// A probe whose TNode has no source is vacuous.
+	Reqs []*Node
+}
+
+// Tree is the execution tree of one composed target.
+type Tree struct {
+	Roots []*Node
+	// Nodes lists every occurrence, requirement probes included, indexed
+	// by ID.
+	Nodes []*Node
+}
+
+// Build lays out the execution tree of a composed target. Every rule
+// about what renders where lives here, once: the walk that executes the
+// tree and the classifier below both only follow it.
+func Build(tgt *semantics.Target) *Tree {
+	t := &Tree{}
+	for _, root := range tgt.Roots {
+		t.Roots = append(t.Roots, t.node(root, nil, ""))
+	}
+	return t
+}
+
+func (t *Tree) add(tn *semantics.TNode, parent *Node, join string) *Node {
+	x := &Node{TN: tn, Parent: parent, ID: len(t.Nodes), Join: join, Sourced: tn.Source != ""}
+	t.Nodes = append(t.Nodes, x)
+	return x
+}
+
+// node builds the occurrence of tn below parent, joined from source type
+// join.
+func (t *Tree) node(tn *semantics.TNode, parent *Node, join string) *Node {
+	if tn.Source == "" {
+		return t.wrapper(tn, parent, join)
+	}
+	x := t.add(tn, parent, join)
+	x.Axis = AxisOf(join, tn.Source)
+	x.Attr = parent != nil && len(tn.Kids) == 0 && isAttrType(tn.Source)
+	for _, req := range tn.Require {
+		x.Reqs = append(x.Reqs, t.require(req, x, tn.Source))
+	}
+	for _, kid := range tn.Kids {
+		x.Kids = append(x.Kids, t.node(kid, x, tn.Source))
+	}
+	x.attrsFirst()
+	return x
+}
+
+// wrapper builds a manufactured occurrence. Requirements on manufactured
+// nodes are never checked, so none are built.
+func (t *Tree) wrapper(tn *semantics.TNode, parent *Node, join string) *Node {
+	first := firstSourced(tn)
+	if first == nil {
+		return t.fill(tn, parent)
+	}
+	x := t.add(tn, parent, "")
+	x.First = t.node(first, x, join)
+	x.First.Anchor = true
+	x.Kids = append(x.Kids, x.First)
+	for _, kid := range tn.Kids {
+		if kid != first {
+			x.Kids = append(x.Kids, t.node(kid, x, first.Source))
+		}
+	}
+	x.attrsFirst()
+	return x
+}
+
+// fill builds a static manufactured subtree: below a wrapper with no
+// sourced child only manufactured kids render, however deep.
+func (t *Tree) fill(tn *semantics.TNode, parent *Node) *Node {
+	x := t.add(tn, parent, "")
+	for _, kid := range tn.Kids {
+		if kid.Source == "" {
+			x.Kids = append(x.Kids, t.fill(kid, x))
+		}
+	}
+	return x
+}
+
+func (t *Tree) require(req *semantics.TNode, parent *Node, join string) *Node {
+	x := t.add(req, parent, join)
+	if req.Source == "" {
+		return x
+	}
+	x.Axis = AxisOf(join, req.Source)
+	for _, kid := range req.Kids {
+		x.Reqs = append(x.Reqs, t.require(kid, x, req.Source))
+	}
+	return x
+}
+
+// attrsFirst moves the attribute-rendering kids ahead of the others,
+// keeping each group's order: attributes belong in the start tag, which
+// a one-pass writer has finished by the time the first child arrives.
+func (x *Node) attrsFirst() {
+	attrs := 0
+	for i, k := range x.Kids {
+		if k.Attr {
+			copy(x.Kids[attrs+1:i+1], x.Kids[attrs:i])
+			x.Kids[attrs] = k
+			attrs++
+		}
+	}
+}
+
+// isAttrType reports whether a rooted type path names an attribute type.
+func isAttrType(t string) bool {
+	return strings.HasPrefix(t[strings.LastIndex(t, xmltree.TypeSep)+1:], "@")
+}
+
+func firstSourced(tn *semantics.TNode) *semantics.TNode {
+	for _, k := range tn.Kids {
+		if k.Source != "" {
+			return k
+		}
+	}
+	return nil
+}
+
+// Classify derives the streamability verdict of a composed target.
+func Classify(tgt *semantics.Target) Decision { return Build(tgt).Decision() }
+
+// Decision derives the tree's streamability verdict from its join axes:
 //
 //   - A sourced rendered node must join self or down from its parent's
 //     source, or up as a childless leaf (rendering an ancestor's
 //     children would re-emit one subtree under many parents).
-//   - A manufactured wrapper with no sourced child renders a static
-//     fill subtree (always streamable); otherwise its first sourced
-//     child must join self or down, and siblings join from that child.
+//   - A manufactured node's anchor must join self or down; static fill
+//     always streams.
 //   - RESTRICT requirements recurse over self/down/up joins (existence
-//     probes only); sourceless requirements are vacuous, as in the
-//     renderer.
+//     probes only).
 //   - Any cross-axis join anywhere makes the target store-backed.
-func Classify(tgt *semantics.Target) Decision {
+func (t *Tree) Decision() Decision {
 	c := &classifier{}
-	for _, root := range tgt.Roots {
-		if root.Source == "" {
-			c.wrapper(root, "")
-		} else {
-			c.sourced(root, "")
-		}
+	for _, root := range t.Roots {
+		c.node(root)
 	}
 	return Decision{Streamable: c.reason == "", Reason: c.reason, Scans: c.scans}
 }
@@ -150,103 +310,45 @@ func (c *classifier) fail(format string, args ...any) {
 	}
 }
 
-// sourced classifies a rendered node populated from tn.Source, joined
-// from the parent source type join.
-func (c *classifier) sourced(tn *semantics.TNode, join string) {
-	switch AxisOf(join, tn.Source) {
-	case AxisSelf:
-	case AxisDown:
-		c.scans++
-	case AxisUp:
-		c.scans++
-		if len(tn.Kids) > 0 {
-			c.fail("ancestor-axis type %q <- %s cannot stream children: the ancestor's subtree spans many %s parents", tn.Name, tn.Source, join)
+func (c *classifier) node(x *Node) {
+	switch {
+	case !x.Sourced:
+		if f := x.First; f != nil && f.Axis != AxisSelf && f.Axis != AxisDown {
+			c.fail("wrapper %q anchors on %s joined %s-axis from %s; streaming needs a self or descendant anchor", x.TN.Name, f.TN.Source, f.Axis, f.Join)
 			return
 		}
-		c.requires(tn)
-		return
-	case AxisCross:
-		c.fail("cross-axis closest join %s -> %s needs a sort-merge over both sequences", join, tn.Source)
-		return
-	}
-	c.requires(tn)
-	for _, kid := range tn.Kids {
-		if kid.Source == "" {
-			c.wrapper(kid, tn.Source)
-		} else {
-			c.sourced(kid, tn.Source)
-		}
-	}
-}
-
-// wrapper classifies a manufactured (NEW / TYPE-FILL) node. The
-// renderer emits one wrapper per instance of its first sourced child;
-// with none, a single static fill subtree. Requirements on manufactured
-// nodes are never checked by the renderer, so they do not constrain
-// streamability either.
-func (c *classifier) wrapper(tn *semantics.TNode, join string) {
-	first := firstSourced(tn)
-	if first == nil {
-		return // static fill subtree: manufactured kids only
-	}
-	switch AxisOf(join, first.Source) {
-	case AxisSelf:
-	case AxisDown:
+	case x.Axis == AxisDown:
 		c.scans++
-	default:
-		c.fail("wrapper %q anchors on %s joined %s-axis from %s; streaming needs a self or descendant anchor", tn.Name, first.Source, AxisOf(join, first.Source), join)
+	case x.Axis == AxisUp:
+		c.scans++
+		if len(x.Kids) > 0 {
+			c.fail("ancestor-axis type %q <- %s cannot stream children: the ancestor's subtree spans many %s parents", x.TN.Name, x.TN.Source, x.Join)
+			return
+		}
+	case x.Axis == AxisCross:
+		c.fail("cross-axis closest join %s -> %s needs a sort-merge over both sequences", x.Join, x.TN.Source)
 		return
 	}
-	c.requires(first)
-	for _, kid := range first.Kids {
-		if kid.Source == "" {
-			c.wrapper(kid, first.Source)
-		} else {
-			c.sourced(kid, first.Source)
-		}
+	for _, req := range x.Reqs {
+		c.require(req)
 	}
-	for _, kid := range tn.Kids {
-		if kid == first {
-			continue
-		}
-		if kid.Source == "" {
-			c.wrapper(kid, first.Source)
-		} else {
-			c.sourced(kid, first.Source)
-		}
+	for _, kid := range x.Kids {
+		c.node(kid)
 	}
 }
 
-// requires classifies tn's RESTRICT requirement chains, which join from
-// tn.Source.
-func (c *classifier) requires(tn *semantics.TNode) {
-	for _, req := range tn.Require {
-		c.require(req, tn.Source)
+func (c *classifier) require(req *Node) {
+	if !req.Sourced {
+		return
 	}
-}
-
-func (c *classifier) require(req *semantics.TNode, join string) {
-	if req.Source == "" {
-		return // vacuous, mirroring the renderer's satisfies
-	}
-	switch AxisOf(join, req.Source) {
-	case AxisSelf:
+	switch req.Axis {
 	case AxisDown, AxisUp:
 		c.scans++
 	case AxisCross:
-		c.fail("cross-axis RESTRICT probe %s -> %s needs a sort-merge over both sequences", join, req.Source)
+		c.fail("cross-axis RESTRICT probe %s -> %s needs a sort-merge over both sequences", req.Join, req.TN.Source)
 		return
 	}
-	for _, kid := range req.Kids {
-		c.require(kid, req.Source)
+	for _, kid := range req.Reqs {
+		c.require(kid)
 	}
-}
-
-func firstSourced(tn *semantics.TNode) *semantics.TNode {
-	for _, k := range tn.Kids {
-		if k.Source != "" {
-			return k
-		}
-	}
-	return nil
 }

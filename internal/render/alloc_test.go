@@ -17,7 +17,7 @@ import (
 // acceptance criterion.
 func TestClosestOfCachedEdgeZeroAllocs(t *testing.T) {
 	doc := xmltree.MustParse(fig1a)
-	r := &renderer{doc: doc, b: xmltree.NewBuilder(), joins: map[joinKey]*closest.Grouped{}}
+	r := &renderer{doc: doc, joins: map[joinKey]*closest.Grouped{}}
 	books := doc.NodesOfType("data.book")
 	// First call builds and caches the join.
 	if got := r.closestOf(books[0], "data.book.title"); len(got) != 1 {
@@ -39,7 +39,7 @@ func TestClosestOfCachedEdgeZeroAllocs(t *testing.T) {
 // allocs/op next to BenchmarkClosestOfMapCache's.
 func BenchmarkClosestOfCached(b *testing.B) {
 	doc := xmltree.MustParse(fig1a)
-	r := &renderer{doc: doc, b: xmltree.NewBuilder(), joins: map[joinKey]*closest.Grouped{}}
+	r := &renderer{doc: doc, joins: map[joinKey]*closest.Grouped{}}
 	books := doc.NodesOfType("data.book")
 	r.closestOf(books[0], "data.book.title")
 	b.ReportAllocs()
@@ -53,9 +53,8 @@ func BenchmarkClosestOfCached(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkRenderCachedJoins renders a target whose joins are prefetched
-// (so every closestOf hits the cache) — the cached-join render
-// benchmark of BENCH_hotpath.json.
+// BenchmarkRenderCachedJoins renders a small target end to end — the
+// cached-join render benchmark of BENCH_hotpath.json.
 func BenchmarkRenderCachedJoins(b *testing.B) {
 	doc := xmltree.MustParse(fig1a)
 	plan, err := semantics.Compile(guard.MustParse("MORPH author [ name book [ title ] ]"), shape.FromDocument(doc))
@@ -66,7 +65,7 @@ func BenchmarkRenderCachedJoins(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RenderParallel(doc, tgt, nil); err != nil {
+		if _, err := Render(doc, tgt, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

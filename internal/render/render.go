@@ -1,19 +1,29 @@
 // Package render implements the Render algorithm of Section VII: given a
-// target shape and a source document, it builds the output forest by
-// recursively descending the target and pairing closest nodes with
-// sort-merge closest joins over Dewey numbers.
+// target shape and a source document, it produces the output forest by
+// recursively descending the target and pairing closest nodes, emitting
+// in document order.
 //
-// The read cost is linear in the size of the source type sequences touched
-// (each closest join is a single merge); the write cost is bounded by the
-// size of the output, which may be quadratic in the source when the target
-// duplicates snippets (as the paper notes).
+// There is one walk (emit.go) over the target's execution tree
+// (plan.Build). It is parameterised by where closest partners come from —
+// a Partners — and where output goes — a tree builder or an XML byte
+// encoder. This package supplies the join-backed Partners (sort-merge
+// closest joins over whole type sequences, cached per type pair) and the
+// entry points that pair it with each sink; internal/stream supplies the
+// scan-backed Partners, internal/view a tree-local one.
+//
+// The join-backed read cost is linear in the size of the source type
+// sequences touched (each closest join is a single merge); the write cost
+// is bounded by the size of the output, which may be quadratic in the
+// source when the target duplicates snippets (as the paper notes).
 package render
 
 import (
 	"fmt"
+	"io"
 
 	"xmorph/internal/closest"
 	"xmorph/internal/obs"
+	"xmorph/internal/plan"
 	"xmorph/internal/semantics"
 	"xmorph/internal/xmltree"
 )
@@ -36,77 +46,68 @@ type Source interface {
 // on it. The span's lifetime belongs to the caller (Render neither
 // creates children nor ends it); a nil sp adds no allocations.
 func Render(doc Source, tgt *semantics.Target, sp *obs.Span) (*xmltree.Document, error) {
-	return render(doc, tgt, sp, nil)
+	return render(doc, plan.Build(tgt), sp, nil)
 }
 
-// RenderAnnotated is Render plus a provenance map from every output node
-// (wrappers and fill elements included) to the target type that emitted
-// it. The view layer uses the annotation to patch a materialized output
-// in place when the source changes.
-func RenderAnnotated(doc Source, tgt *semantics.Target, sp *obs.Span) (*xmltree.Document, map[*xmltree.Node]*semantics.TNode, error) {
-	prov := map[*xmltree.Node]*semantics.TNode{}
-	out, err := render(doc, tgt, sp, prov)
+// RenderAnnotated is Render of an already built execution tree plus a
+// provenance map from every output node (wrappers and fill elements
+// included) to the occurrence that emitted it. The view layer uses the
+// annotation to patch a materialized output in place when the source
+// changes.
+func RenderAnnotated(doc Source, t *plan.Tree, sp *obs.Span) (*xmltree.Document, map[*xmltree.Node]*plan.Node, error) {
+	prov := map[*xmltree.Node]*plan.Node{}
+	out, err := render(doc, t, sp, prov)
 	return out, prov, err
 }
 
-func render(doc Source, tgt *semantics.Target, sp *obs.Span, prov map[*xmltree.Node]*semantics.TNode) (*xmltree.Document, error) {
-	var rec *closest.Recorder
-	if sp != nil {
-		rec = &closest.Recorder{}
-	}
-	r := &renderer{
-		doc:   doc,
-		b:     xmltree.NewBuilder(),
-		joins: map[joinKey]*closest.Grouped{},
-		rec:   rec,
-		prov:  prov,
-	}
-	emitted := false
-	for _, root := range tgt.Roots {
-		if root.Source == "" {
-			if r.emitWrapperRoot(root) {
-				emitted = true
-			}
-			continue
-		}
-		for _, v := range doc.NodesOfType(root.Source) {
-			if !r.satisfies(v, root.Require) {
-				continue
-			}
-			r.emitNode(root, v)
-			emitted = true
+func render(doc Source, t *plan.Tree, sp *obs.Span, prov map[*xmltree.Node]*plan.Node) (*xmltree.Document, error) {
+	r := newRenderer(doc, sp)
+	b := xmltree.NewBuilder()
+	emit(t, r.partners(t), &treeSink{b: b, prov: prov})
+	// Legal: the target types may simply have no instances.
+	out := &xmltree.Document{}
+	if b.Last() != nil {
+		var err error
+		if out, err = b.Document(); err != nil {
+			return nil, fmt.Errorf("render: %w", err)
 		}
 	}
-	if !emitted {
-		// Legal: the target types may simply have no instances.
-		annotateJoins(sp, rec, 0)
-		return &xmltree.Document{}, nil
-	}
-	out, err := r.b.Document()
-	if err != nil {
-		return nil, fmt.Errorf("render: %w", err)
-	}
-	annotateJoins(sp, rec, out.Size())
+	r.annotate(sp, out.Size())
 	return out, nil
 }
 
-// annotateJoins writes the join statistics and output size onto sp.
-func annotateJoins(sp *obs.Span, rec *closest.Recorder, nodesOut int) {
-	if sp == nil {
-		return
+// Stream renders the transformation directly to w without materializing
+// the output tree — Section VII's observation that "a transformation can
+// immediately produce output, and stream the output node by node (in
+// document order)". Closest joins still run over whole type sequences
+// (sort-merge needs both sides), but output memory stays constant: nothing
+// of the result is retained. (internal/stream goes further for targets the
+// planner marks streamable, dropping the joins too.)
+//
+// The byte output equals Render(...).XML(false). Stream returns the number
+// of elements and attributes written. Write errors — including those the
+// final buffered flush surfaces — are returned after the count of nodes
+// written before the failure.
+//
+// When sp is non-nil it records join statistics, nodes emitted, and bytes
+// written on sp. The span's lifetime belongs to the caller; a nil sp
+// changes nothing.
+func Stream(doc Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int, error) {
+	t := plan.Build(tgt)
+	r := newRenderer(doc, sp)
+	n, bytes, err := EmitXML(t, r.partners(t), w)
+	if sp != nil {
+		r.annotate(sp, n)
+		sp.Set("bytes-out", bytes)
 	}
-	joins, candidates, pairs := rec.Snapshot()
-	sp.Set("joins", joins)
-	sp.Set("candidates", candidates)
-	sp.Set("closest-pairs", pairs)
-	sp.Set("nodes-out", int64(nodesOut))
+	return n, err
 }
 
 type joinKey struct{ parent, child string }
 
+// renderer is the join-backed partner source.
 type renderer struct {
 	doc Source
-	b   *xmltree.Builder
 	// joins caches the grouped closest join for each (parent type, child
 	// type) pair in closest.Grouped's CSR layout: one contiguous partner
 	// slice plus offsets indexed by the parent's Ord — no per-parent map
@@ -114,16 +115,23 @@ type renderer struct {
 	joins map[joinKey]*closest.Grouped
 	// rec accumulates join statistics for tracing; nil when untraced.
 	rec *closest.Recorder
-	// prov, when non-nil, records the target type behind each emitted
-	// node (RenderAnnotated).
-	prov map[*xmltree.Node]*semantics.TNode
 }
 
-// mark records provenance for the node just emitted.
-func (r *renderer) mark(tn *semantics.TNode) {
-	if r.prov != nil {
-		r.prov[r.b.Last()] = tn
+func newRenderer(doc Source, sp *obs.Span) *renderer {
+	r := &renderer{doc: doc, joins: map[joinKey]*closest.Grouped{}}
+	if sp != nil {
+		r.rec = &closest.Recorder{}
 	}
+	return r
+}
+
+func (r *renderer) partners(t *plan.Tree) Partners {
+	return NodePartners(t, func(v *xmltree.Node, typ string) []*xmltree.Node {
+		if v == nil {
+			return r.doc.NodesOfType(typ)
+		}
+		return r.closestOf(v, typ)
+	})
 }
 
 // closestOf returns the child-type nodes closest to v, from the cached
@@ -138,156 +146,14 @@ func (r *renderer) closestOf(v *xmltree.Node, childType string) []*xmltree.Node 
 	return g.Of(v)
 }
 
-// satisfies checks RESTRICT requirements: v must have a closest partner
-// chain for every requirement subtree.
-func (r *renderer) satisfies(v *xmltree.Node, reqs []*semantics.TNode) bool {
-	for _, req := range reqs {
-		if req.Source == "" {
-			continue
-		}
-		found := false
-		for _, w := range r.closestOf(v, req.Source) {
-			if r.satisfies(w, req.Kids) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// emitNode renders source vertex v as target type tn, then recursively
-// renders tn's children from v's closest partners.
-func (r *renderer) emitNode(tn *semantics.TNode, v *xmltree.Node) {
-	// A leaf rendered from an attribute vertex stays an attribute when it
-	// sits inside an element; everything else renders as an element.
-	if v.Attr && len(tn.Kids) == 0 && r.b.Open() {
-		r.b.Attr(tn.Name, v.Value)
-		r.b.Last().Src = v
-		r.mark(tn)
+// annotate writes the join statistics and output size onto sp.
+func (r *renderer) annotate(sp *obs.Span, nodesOut int) {
+	if sp == nil {
 		return
 	}
-	r.b.Elem(tn.Name)
-	r.b.Last().Src = v
-	r.mark(tn)
-	if v.Value != "" {
-		r.b.Text(v.Value)
-	}
-	r.emitKids(tn, v)
-	r.b.End()
-}
-
-// emitKids renders tn's children below the already-open output element,
-// joining from source vertex v.
-func (r *renderer) emitKids(tn *semantics.TNode, v *xmltree.Node) {
-	for _, kid := range tn.Kids {
-		if kid.Source == "" {
-			r.emitWrapper(kid, v)
-			continue
-		}
-		for _, w := range r.closestOf(v, kid.Source) {
-			if !r.satisfies(w, kid.Require) {
-				continue
-			}
-			r.emitNode(kid, w)
-		}
-	}
-}
-
-// emitWrapper renders a manufactured (NEW or TYPE-FILL) target type below
-// the current output element: one wrapper per instance of its first
-// sourced child, joined from parent vertex v; remaining children attach by
-// closeness to that instance. A childless wrapper renders as a single
-// empty element (DESIGN.md's documented choice).
-func (r *renderer) emitWrapper(tn *semantics.TNode, v *xmltree.Node) {
-	first := firstSourced(tn)
-	if first == nil {
-		r.b.Elem(tn.Name)
-		r.mark(tn)
-		r.emitFillKids(tn)
-		r.b.End()
-		return
-	}
-	for _, w := range r.closestOf(v, first.Source) {
-		if !r.satisfies(w, first.Require) {
-			continue
-		}
-		r.b.Elem(tn.Name)
-		r.mark(tn)
-		r.emitNode(first, w)
-		r.emitSiblingsOf(tn, first, w)
-		r.b.End()
-	}
-}
-
-// emitWrapperRoot renders a manufactured target root: one wrapper per
-// instance of its first sourced child, or a single empty element when it
-// has none. It reports whether anything was emitted.
-func (r *renderer) emitWrapperRoot(tn *semantics.TNode) bool {
-	first := firstSourced(tn)
-	if first == nil {
-		r.b.Elem(tn.Name)
-		r.mark(tn)
-		r.emitFillKids(tn)
-		r.b.End()
-		return true
-	}
-	emitted := false
-	for _, w := range r.doc.NodesOfType(first.Source) {
-		if !r.satisfies(w, first.Require) {
-			continue
-		}
-		r.b.Elem(tn.Name)
-		r.mark(tn)
-		r.emitNode(first, w)
-		r.emitSiblingsOf(tn, first, w)
-		r.b.End()
-		emitted = true
-	}
-	return emitted
-}
-
-// emitSiblingsOf renders the wrapper's remaining children, joined by
-// closeness to the first child's instance w.
-func (r *renderer) emitSiblingsOf(wrapper, first *semantics.TNode, w *xmltree.Node) {
-	for _, kid := range wrapper.Kids {
-		if kid == first {
-			continue
-		}
-		if kid.Source == "" {
-			r.emitWrapper(kid, w)
-			continue
-		}
-		for _, u := range r.closestOf(w, kid.Source) {
-			if !r.satisfies(u, kid.Require) {
-				continue
-			}
-			r.emitNode(kid, u)
-		}
-	}
-}
-
-// emitFillKids renders the manufactured children of a childless-sourced
-// wrapper (nested NEW / TYPE-FILL types with no data below them).
-func (r *renderer) emitFillKids(tn *semantics.TNode) {
-	for _, kid := range tn.Kids {
-		if kid.Source == "" {
-			r.b.Elem(kid.Name)
-			r.mark(kid)
-			r.emitFillKids(kid)
-			r.b.End()
-		}
-	}
-}
-
-func firstSourced(tn *semantics.TNode) *semantics.TNode {
-	for _, k := range tn.Kids {
-		if k.Source != "" {
-			return k
-		}
-	}
-	return nil
+	joins, candidates, pairs := r.rec.Snapshot()
+	sp.Set("joins", joins)
+	sp.Set("candidates", candidates)
+	sp.Set("closest-pairs", pairs)
+	sp.Set("nodes-out", int64(nodesOut))
 }

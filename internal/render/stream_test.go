@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"xmorph/internal/closest"
 	"xmorph/internal/guard"
 	"xmorph/internal/semantics"
 	"xmorph/internal/shape"
@@ -160,73 +159,6 @@ func TestStreamWrapperNested(t *testing.T) {
 	out := streamRun(t, "CAST-WIDENING MORPH (NEW outer) [ book (NEW inner) [ title ] ]", fig1a)
 	if strings.Count(out, "<outer>") != 2 || strings.Count(out, "<inner>") != 2 {
 		t.Errorf("nested wrappers:\n%s", out)
-	}
-}
-
-// TestRenderParallelMatchesSequential: the prefetching renderer must be
-// byte-identical to the lazy one for every guard in the battery.
-func TestRenderParallelMatchesSequential(t *testing.T) {
-	guards := []string{
-		"MORPH author [ name book [ title ] ]",
-		"MUTATE data",
-		"CAST-WIDENING MUTATE (NEW scribe) [ author ]",
-		"CAST MORPH (RESTRICT author [ name ]) [ title ]",
-		"CAST-WIDENING MORPH (NEW entry) [ book [ title ] author ]",
-	}
-	doc := xmltree.MustParse(fig1a)
-	for _, g := range guards {
-		plan, err := semantics.Compile(guard.MustParse(g), shape.FromDocument(doc))
-		if err != nil {
-			t.Fatalf("%s: %v", g, err)
-		}
-		tgt := plan.ComposedTarget()
-		seq, err := Render(doc, tgt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := RenderParallel(doc, tgt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.XML(false) != par.XML(false) {
-			t.Errorf("parallel differs for %q:\nseq: %s\npar: %s", g, seq.XML(false), par.XML(false))
-		}
-	}
-}
-
-// TestJoinEdgesCoverage: the prefetch collector must cover every join the
-// lazy renderer performs (no lazy fills left).
-func TestJoinEdgesCoverage(t *testing.T) {
-	doc := xmltree.MustParse(fig1a)
-	for _, g := range []string{
-		"MORPH author [ name book [ title ] ]",
-		"CAST-WIDENING MORPH (NEW entry) [ book [ title ] author ]",
-		"CAST MORPH (RESTRICT author [ name ]) [ title ]",
-	} {
-		plan, err := semantics.Compile(guard.MustParse(g), shape.FromDocument(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tgt := plan.ComposedTarget()
-		pre := prefetchJoins(doc, tgt, 2, nil)
-		// Run lazily and compare the key sets the renderer actually used.
-		lazy := &renderer{doc: doc, b: xmltree.NewBuilder(), joins: map[joinKey]*closest.Grouped{}}
-		for _, root := range tgt.Roots {
-			if root.Source == "" {
-				lazy.emitWrapperRoot(root)
-				continue
-			}
-			for _, v := range doc.NodesOfType(root.Source) {
-				if lazy.satisfies(v, root.Require) {
-					lazy.emitNode(root, v)
-				}
-			}
-		}
-		for k := range lazy.joins {
-			if _, ok := pre[k]; !ok {
-				t.Errorf("guard %q: prefetch missed join %v", g, k)
-			}
-		}
 	}
 }
 

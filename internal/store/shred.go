@@ -89,6 +89,8 @@ func (s *Store) ShredDocument(name string, d *xmltree.Document) (*ShredInfo, err
 }
 
 func (s *Store) nextDocID() (uint32, error) {
+	s.idMu.Lock()
+	defer s.idMu.Unlock()
 	v, ok, err := s.db.Get([]byte{'C'})
 	if err != nil {
 		return 0, err

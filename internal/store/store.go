@@ -41,6 +41,9 @@ const chunkSize = 1400
 // configuration races.
 type Store struct {
 	db *kvstore.DB
+	// idMu serializes document-ID allocation: concurrent shreds must not
+	// read the same counter value.
+	idMu sync.Mutex
 	// unbatchedShred forces Shred to issue one Put per chunk instead of
 	// accumulating per-type sorted runs for PutBatch — the pre-batching
 	// behaviour, kept for ablation benchmarks (WithUnbatchedShred).

@@ -16,6 +16,7 @@ import (
 	"xmorph/internal/semantics"
 	"xmorph/internal/shape"
 	"xmorph/internal/store"
+	"xmorph/internal/view"
 	"xmorph/internal/xmltree"
 )
 
@@ -82,9 +83,10 @@ func writeGolden(t *testing.T, path string, gc *goldenCase) {
 }
 
 // TestGoldenCorpus runs every testdata case through the planner, the tree
-// renderer, the join-backed streamer, and (when streamable) the one-pass
-// executor over both the in-memory and the shredded-store source — all
-// four must produce the committed bytes.
+// renderer, the join-backed streamer, a materialized view patched through
+// a delete and re-insert, and (when streamable) the one-pass executor
+// over both the in-memory and the shredded-store source — all must
+// produce the committed bytes.
 func TestGoldenCorpus(t *testing.T) {
 	paths, err := filepath.Glob("testdata/*.txt")
 	if err != nil {
@@ -134,6 +136,8 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Errorf("render.Stream differs:\ngot:  %q\nwant: %q", sb.String(), gc.output)
 			}
 
+			viewRoundTrip(t, gc)
+
 			if !d.Streamable {
 				var b strings.Builder
 				if _, err := Execute(FromNodes(doc), tgt, &b, nil); !errors.Is(err, ErrNotStreamable) {
@@ -173,5 +177,36 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Errorf("Execute(store) differs:\ngot:  %q\nwant: %q", b.String(), gc.output)
 			}
 		})
+	}
+}
+
+// viewRoundTrip materializes the case as a view, deletes the document
+// root's last child subtree and re-inserts it (restoring the source), and
+// requires the patched output to equal the golden bytes.
+func viewRoundTrip(t *testing.T, gc *goldenCase) {
+	t.Helper()
+	src := xmltree.MustParse(gc.input)
+	v, err := view.Materialize(gc.guard, src)
+	if err != nil {
+		t.Fatalf("materialize: %v", err)
+	}
+	kids := src.Root().Children
+	if len(kids) == 0 || kids[len(kids)-1].Attr {
+		t.Fatalf("input root has no last child element to cut")
+	}
+	cut := kids[len(kids)-1]
+	fragment := (&xmltree.Document{Roots: []*xmltree.Node{cut}}).XML(false)
+	if err := v.DeleteSubtree(cut.Dewey); err != nil {
+		t.Fatalf("view delete: %v", err)
+	}
+	if err := v.InsertSubtree(src.Root().Dewey, fragment); err != nil {
+		t.Fatalf("view insert: %v", err)
+	}
+	out, err := v.Output()
+	if err != nil {
+		t.Fatalf("view output: %v", err)
+	}
+	if got := out.XML(false); got != gc.output {
+		t.Errorf("view after delete+insert differs (%d patches, %d renders):\ngot:  %q\nwant: %q", v.Patches(), v.Renders(), got, gc.output)
 	}
 }

@@ -1,11 +1,12 @@
 // Package stream is the one-pass streaming executor for streamable
-// guards (see internal/plan): it renders a composed target straight
-// from Dewey-ordered node scans to a writer, holding only a bounded set
-// of forward cursors — one per down- or up-axis join — plus the current
-// ancestor chain of in-flight nodes. It never materializes type
-// sequences, closest.Grouped join graphs, or a result tree, so peak
-// memory is independent of document size and the first output byte
-// leaves before the first type sequence has been fully read.
+// guards (see internal/plan): the renderer's walk (internal/render) with
+// closest partners supplied by Dewey-ordered node scans instead of
+// joins, and output written straight to a writer. It holds only a
+// bounded set of forward cursors — one per down- or up-axis join — and
+// never materializes type sequences, closest.Grouped join graphs, or a
+// result tree, so peak memory is independent of document size and the
+// first output byte leaves before the first type sequence has been fully
+// read.
 //
 // The invariant that makes one pass suffice: every rendered node's
 // parent instances arrive in document order with pairwise-disjoint
@@ -17,19 +18,19 @@
 // without rereading.
 //
 // The byte output equals Render(...).XML(false) for every target the
-// planner marks streamable; the golden corpus in testdata pins that
-// oracle.
+// planner marks streamable: the walk and the XML encoder are the
+// renderer's own, and the golden corpus in testdata checks that the
+// scans find the partners the joins find.
 package stream
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"xmorph/internal/obs"
 	"xmorph/internal/plan"
+	"xmorph/internal/render"
 	"xmorph/internal/semantics"
 	"xmorph/internal/store"
 	"xmorph/internal/xmltree"
@@ -106,172 +107,129 @@ func (c *nodeCursor) Close()               {}
 // free. Write and storage errors — including the final buffered flush —
 // are surfaced on the returned error.
 func Execute(src Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int, error) {
-	if d := plan.Classify(tgt); !d.Streamable {
+	t := plan.Build(tgt)
+	if d := t.Decision(); !d.Streamable {
 		return 0, fmt.Errorf("%w: %s", ErrNotStreamable, d.Reason)
 	}
-	var cw *countingWriter
-	if sp != nil {
-		cw = &countingWriter{w: w}
-		w = cw
-	}
-	bw := bufio.NewWriter(w)
-	e := &exec{src: src, w: bw}
-	// The execution tree mirrors the target structure with one node per
-	// occurrence: a TNode shared between two points of the target (label
-	// resolution and CLONE reuse subtrees) joins along a different axis
-	// in each, so each occurrence carries its own cursor.
-	roots := make([]*xnode, len(tgt.Roots))
-	for i, root := range tgt.Roots {
-		roots[i] = e.prep(root, "")
-	}
-	defer func() {
-		for _, cu := range e.cursors {
-			cu.c.Close()
-		}
-	}()
-	e.run(roots)
-	err := e.err
-	if ferr := bw.Flush(); err == nil {
-		err = ferr
-	}
+	s := openScans(src, t)
+	defer s.close()
+	n, bytes, err := render.EmitXML(t, s, w)
 	if err == nil {
-		for _, cu := range e.cursors {
-			if cerr := cu.c.Err(); cerr != nil {
-				err = fmt.Errorf("stream: scan: %w", cerr)
-				break
-			}
-		}
+		err = s.err()
 	}
 	if sp != nil {
-		sp.Set("nodes-out", int64(e.count))
-		sp.Set("bytes-out", cw.n)
-		sp.Set("scans", int64(len(e.cursors)))
+		sp.Set("nodes-out", int64(n))
+		sp.Set("bytes-out", bytes)
+		sp.Set("scans", int64(s.opened))
 	}
-	return e.count, err
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
 	return n, err
 }
 
-// cursor wraps a Cursor with its primed/valid state.
-type cursor struct {
+// scans is the scan-backed render.Partners: per occurrence, one forward
+// cursor over the occurrence's type sequence (none on the self axis,
+// where the partner is the vertex joined from).
+type scans struct {
+	occ    []scan // indexed by plan.Node.ID
+	opened int
+}
+
+// scan is one occurrence's cursor and enumeration state.
+type scan struct {
 	c     Cursor
-	valid bool
+	valid bool // c is positioned on a node, which at mirrors
+	at    render.Vertex
+	// from is the vertex of the enumeration in progress; taken records
+	// that the cursor's current node (on the self axis, from itself) was
+	// handed out, so a down-axis Next steps past it before looking again.
+	// An abandoned enumeration therefore leaves the cursor parked on the
+	// partner last returned.
+	from  *render.Vertex
+	taken bool
 }
 
-func (cu *cursor) advance()         { cu.valid = cu.c.Next() }
-func (cu *cursor) d() xmltree.Dewey { return cu.c.Dewey() }
-func (cu *cursor) v() []byte        { return cu.c.Value() }
-
-// xnode is one occurrence of a target node in the execution tree: its
-// join axis, its scan cursor (nil for self-axis joins, which reuse the
-// parent's current vertex), and statically derived rendering facts.
-type xnode struct {
-	tn      *semantics.TNode
-	sourced bool
-	axis    plan.Axis
-	cur     *cursor
-	// attrLeaf marks a childless node of an attribute type: inside an
-	// open element it renders as an attribute (the type's Attr-ness is
-	// static, so the whole partner run is homogeneous).
-	attrLeaf bool
-	// kids are the rendered children, in target order; for a wrapper the
-	// anchor child is carried in first instead and excluded here.
-	kids []*xnode
-	// reqs are the RESTRICT requirement probes.
-	reqs []*xnode
-	// first is a wrapper's anchor child (nil for a static fill subtree).
-	first *xnode
+func (sc *scan) advance() {
+	if sc.valid = sc.c.Next(); sc.valid {
+		sc.at.Dewey, sc.at.Value = sc.c.Dewey(), sc.c.Value()
+	}
 }
 
-type exec struct {
-	src     Source
-	w       *bufio.Writer
-	cursors []*cursor
-	count   int
-	wrote   bool // forest separator state
-	err     error
-}
-
-// prep builds the execution tree: one xnode per target-node occurrence,
-// opening (and priming) a cursor wherever the axis needs its own scan.
-func (e *exec) prep(tn *semantics.TNode, join string) *xnode {
-	if tn.Source == "" {
-		x := &xnode{tn: tn}
-		ftn := firstSourced(tn)
-		if ftn == nil {
-			return x // static fill: rendered from the TNode alone
+// openScans opens (and primes) a cursor for every join that needs its
+// own scan.
+func openScans(src Source, t *plan.Tree) *scans {
+	s := &scans{occ: make([]scan, len(t.Nodes))}
+	for _, x := range t.Nodes {
+		if x.Sourced && x.Axis != plan.AxisSelf {
+			sc := &s.occ[x.ID]
+			sc.c = src.ScanType(x.TN.Source)
+			sc.advance()
+			s.opened++
 		}
-		x.first = e.prep(ftn, join)
-		for _, kid := range tn.Kids {
-			if kid != ftn {
-				x.kids = append(x.kids, e.prep(kid, ftn.Source))
-			}
+	}
+	return s
+}
+
+func (s *scans) close() {
+	for i := range s.occ {
+		if c := s.occ[i].c; c != nil {
+			c.Close()
 		}
-		return x
 	}
-	x := &xnode{
-		tn:       tn,
-		sourced:  true,
-		axis:     plan.AxisOf(join, tn.Source),
-		attrLeaf: len(tn.Kids) == 0 && typeIsAttr(tn.Source),
-	}
-	if x.axis != plan.AxisSelf {
-		x.cur = e.open(tn.Source)
-	}
-	for _, req := range tn.Require {
-		x.reqs = append(x.reqs, e.prepRequire(req, tn.Source))
-	}
-	for _, kid := range tn.Kids {
-		x.kids = append(x.kids, e.prep(kid, tn.Source))
-	}
-	return x
 }
 
-func (e *exec) prepRequire(req *semantics.TNode, join string) *xnode {
-	if req.Source == "" {
-		return &xnode{tn: req} // vacuous probe
-	}
-	x := &xnode{tn: req, sourced: true, axis: plan.AxisOf(join, req.Source)}
-	if x.axis != plan.AxisSelf {
-		x.cur = e.open(req.Source)
-	}
-	for _, kid := range req.Kids {
-		x.kids = append(x.kids, e.prepRequire(kid, req.Source))
-	}
-	return x
-}
-
-func (e *exec) open(t string) *cursor {
-	cu := &cursor{c: e.src.ScanType(t)}
-	cu.advance()
-	e.cursors = append(e.cursors, cu)
-	return cu
-}
-
-func typeIsAttr(t string) bool {
-	name := t
-	if i := strings.LastIndex(t, xmltree.TypeSep); i >= 0 {
-		name = t[i+1:]
-	}
-	return strings.HasPrefix(name, "@")
-}
-
-func firstSourced(tn *semantics.TNode) *semantics.TNode {
-	for _, k := range tn.Kids {
-		if k.Source != "" {
-			return k
+func (s *scans) err() error {
+	for i := range s.occ {
+		if c := s.occ[i].c; c != nil && c.Err() != nil {
+			return fmt.Errorf("stream: scan: %w", c.Err())
 		}
 	}
 	return nil
+}
+
+// Seek moves x's cursor up to v's partners. It only ever moves forward:
+// the vertices an occurrence is sought for arrive in document order with
+// disjoint subtrees, so down-axis runs are consumed in order and the
+// up-axis ancestor never precedes the previous one.
+func (s *scans) Seek(x *plan.Node, v *render.Vertex) *render.Vertex {
+	sc := &s.occ[x.ID]
+	sc.from, sc.taken = v, false
+	switch x.Axis {
+	case plan.AxisDown:
+		for sc.valid && cmpPrefix(sc.at.Dewey, v.Dewey) < 0 {
+			sc.advance()
+		}
+	case plan.AxisUp:
+		for sc.valid && cmpPrefix(v.Dewey, sc.at.Dewey) > 0 {
+			sc.advance()
+		}
+	}
+	return s.Next(x)
+}
+
+func (s *scans) Next(x *plan.Node) *render.Vertex {
+	sc := &s.occ[x.ID]
+	switch x.Axis {
+	case plan.AxisSelf:
+		if sc.taken {
+			return nil
+		}
+		sc.taken = true
+		return sc.from
+	case plan.AxisDown:
+		// Partners are the run of the sequence inside from's subtree.
+		if sc.taken {
+			sc.advance()
+		}
+		sc.taken = sc.valid && cmpPrefix(sc.at.Dewey, sc.from.Dewey) == 0
+	case plan.AxisUp:
+		// The unique partner is the ancestor at the type's depth: the
+		// vertex whose Dewey number prefixes from's. The cursor stays on
+		// it for from's siblings.
+		sc.taken = !sc.taken && sc.valid && cmpPrefix(sc.from.Dewey, sc.at.Dewey) == 0
+	}
+	if !sc.taken {
+		return nil
+	}
+	return &sc.at
 }
 
 // cmpPrefix compares d's first len(p) components against p: the result
@@ -287,372 +245,4 @@ func cmpPrefix(d, p xmltree.Dewey) int {
 		}
 	}
 	return 0
-}
-
-// --- write helpers (stick at the first error) ---
-
-func (e *exec) str(s string) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.WriteString(s)
-}
-
-func (e *exec) escape(b []byte, inAttr bool) {
-	if e.err != nil {
-		return
-	}
-	start := 0
-	for i := 0; i < len(b); i++ {
-		var rep string
-		switch b[i] {
-		case '&':
-			rep = "&amp;"
-		case '<':
-			rep = "&lt;"
-		case '>':
-			rep = "&gt;"
-		case '"':
-			if !inAttr {
-				continue
-			}
-			rep = "&quot;"
-		default:
-			continue
-		}
-		if _, e.err = e.w.Write(b[start:i]); e.err != nil {
-			return
-		}
-		if _, e.err = e.w.WriteString(rep); e.err != nil {
-			return
-		}
-		start = i + 1
-	}
-	_, e.err = e.w.Write(b[start:])
-}
-
-// openTag closes the pending open tag with ">" exactly once; an element
-// whose flag stays false self-closes.
-func (e *exec) openTag(closed *bool) {
-	if !*closed {
-		e.str(">")
-		*closed = true
-	}
-}
-
-func (e *exec) sep() {
-	if e.wrote {
-		e.str("\n")
-	}
-	e.wrote = true
-}
-
-// --- emission (mirrors render.Render node for node) ---
-
-func (e *exec) run(roots []*xnode) {
-	for _, root := range roots {
-		if e.err != nil {
-			return
-		}
-		if !root.sourced {
-			e.wrapperRoot(root)
-			continue
-		}
-		for cu := root.cur; cu.valid && e.err == nil; cu.advance() {
-			if !e.satisfies(root, cu.d()) {
-				continue
-			}
-			e.sep()
-			e.element(root, cu.d(), cu.v())
-		}
-	}
-}
-
-// element writes one element rendered from vertex (vd, vv): open tag
-// with attribute kids, own text, element kids, close tag or self-close.
-func (e *exec) element(x *xnode, vd xmltree.Dewey, vv []byte) {
-	e.count++
-	e.str("<")
-	e.str(x.tn.Name)
-	for _, kid := range x.kids {
-		if kid.sourced && kid.attrLeaf {
-			e.attrKid(kid, vd, vv)
-		}
-	}
-	closed := false
-	if len(vv) > 0 {
-		e.openTag(&closed)
-		e.escape(vv, false)
-	}
-	for _, kid := range x.kids {
-		if !kid.sourced {
-			e.wrapper(kid, vd, vv, &closed)
-			continue
-		}
-		if kid.attrLeaf {
-			continue
-		}
-		e.elemKid(kid, vd, vv, &closed)
-	}
-	if !closed {
-		e.str("/>")
-		return
-	}
-	e.str("</")
-	e.str(x.tn.Name)
-	e.str(">")
-}
-
-func (e *exec) writeAttr(name string, val []byte) {
-	e.count++
-	e.str(" ")
-	e.str(name)
-	e.str(`="`)
-	e.escape(val, true)
-	e.str(`"`)
-}
-
-// attrKid drains an attribute-leaf kid's partners into the open tag.
-func (e *exec) attrKid(kid *xnode, vd xmltree.Dewey, vv []byte) {
-	switch kid.axis {
-	case plan.AxisSelf:
-		if e.satisfies(kid, vd) {
-			e.writeAttr(kid.tn.Name, vv)
-		}
-	case plan.AxisDown:
-		cu := kid.cur
-		for cu.valid && cmpPrefix(cu.d(), vd) < 0 {
-			cu.advance()
-		}
-		for cu.valid && cmpPrefix(cu.d(), vd) == 0 {
-			if e.satisfies(kid, cu.d()) {
-				e.writeAttr(kid.tn.Name, cu.v())
-			}
-			cu.advance()
-		}
-	}
-}
-
-// elemKid emits an element-rendering sourced kid's partners.
-func (e *exec) elemKid(kid *xnode, vd xmltree.Dewey, vv []byte, closed *bool) {
-	switch kid.axis {
-	case plan.AxisSelf:
-		if e.satisfies(kid, vd) {
-			e.openTag(closed)
-			e.element(kid, vd, vv)
-		}
-	case plan.AxisUp:
-		// The unique partner is the ancestor at the kid type's depth:
-		// the vertex whose Dewey number prefixes vd. It always exists
-		// (type paths are rooted); the cursor advances monotonically
-		// because parent vertices ascend.
-		cu := kid.cur
-		for cu.valid && cmpPrefix(vd, cu.d()) > 0 {
-			cu.advance()
-		}
-		if cu.valid && cmpPrefix(vd, cu.d()) == 0 && e.satisfies(kid, cu.d()) {
-			e.openTag(closed)
-			e.leaf(kid, cu.v())
-		}
-	case plan.AxisDown:
-		cu := kid.cur
-		for cu.valid && cmpPrefix(cu.d(), vd) < 0 {
-			cu.advance()
-		}
-		for cu.valid && cmpPrefix(cu.d(), vd) == 0 {
-			if e.satisfies(kid, cu.d()) {
-				e.openTag(closed)
-				e.element(kid, cu.d(), cu.v())
-			}
-			cu.advance()
-		}
-	}
-}
-
-// leaf writes a childless element (the ancestor-axis case: the planner
-// guarantees up-axis kids have no children, and ancestor types are
-// never attributes).
-func (e *exec) leaf(x *xnode, vv []byte) {
-	e.count++
-	e.str("<")
-	e.str(x.tn.Name)
-	if len(vv) == 0 {
-		e.str("/>")
-		return
-	}
-	e.str(">")
-	e.escape(vv, false)
-	e.str("</")
-	e.str(x.tn.Name)
-	e.str(">")
-}
-
-// wrapper emits a manufactured node below an element rendered from
-// (vd, vv): one wrapper instance per anchor partner, or one static fill
-// subtree when it has no sourced child.
-func (e *exec) wrapper(x *xnode, vd xmltree.Dewey, vv []byte, closed *bool) {
-	first := x.first
-	if first == nil {
-		e.openTag(closed)
-		e.fill(x.tn)
-		return
-	}
-	switch first.axis {
-	case plan.AxisSelf:
-		if e.satisfies(first, vd) {
-			e.openTag(closed)
-			e.instance(x, vd, vv)
-		}
-	case plan.AxisDown:
-		cu := first.cur
-		for cu.valid && cmpPrefix(cu.d(), vd) < 0 {
-			cu.advance()
-		}
-		for cu.valid && cmpPrefix(cu.d(), vd) == 0 {
-			if e.satisfies(first, cu.d()) {
-				e.openTag(closed)
-				e.instance(x, cu.d(), cu.v())
-			}
-			cu.advance()
-		}
-	}
-}
-
-// wrapperRoot emits a manufactured root: the anchor scan runs over the
-// whole sequence.
-func (e *exec) wrapperRoot(x *xnode) {
-	first := x.first
-	if first == nil {
-		e.sep()
-		e.fill(x.tn)
-		return
-	}
-	for cu := first.cur; cu.valid && e.err == nil; cu.advance() {
-		if !e.satisfies(first, cu.d()) {
-			continue
-		}
-		e.sep()
-		e.instance(x, cu.d(), cu.v())
-	}
-}
-
-// instance writes one wrapper element around anchor vertex (wd, wv),
-// with sibling kids joined from the anchor.
-func (e *exec) instance(x *xnode, wd xmltree.Dewey, wv []byte) {
-	e.count++
-	e.str("<")
-	e.str(x.tn.Name)
-	first := x.first
-	if first.attrLeaf {
-		e.writeAttr(first.tn.Name, wv)
-	}
-	for _, kid := range x.kids {
-		if kid.sourced && kid.attrLeaf {
-			e.attrKid(kid, wd, wv)
-		}
-	}
-	closed := false
-	if !first.attrLeaf {
-		e.openTag(&closed)
-		e.element(first, wd, wv)
-	}
-	for _, kid := range x.kids {
-		if !kid.sourced {
-			e.wrapper(kid, wd, wv, &closed)
-			continue
-		}
-		if kid.attrLeaf {
-			continue
-		}
-		e.elemKid(kid, wd, wv, &closed)
-	}
-	if !closed {
-		e.str("/>")
-		return
-	}
-	e.str("</")
-	e.str(x.tn.Name)
-	e.str(">")
-}
-
-// fill writes a static manufactured subtree (manufactured kids only, as
-// the renderer's emitFillKids does).
-func (e *exec) fill(tn *semantics.TNode) {
-	e.count++
-	e.str("<")
-	e.str(tn.Name)
-	wrote := false
-	for _, kid := range tn.Kids {
-		if kid.Source != "" {
-			continue
-		}
-		if !wrote {
-			e.str(">")
-			wrote = true
-		}
-		e.fill(kid)
-	}
-	if !wrote {
-		e.str("/>")
-		return
-	}
-	e.str("</")
-	e.str(tn.Name)
-	e.str(">")
-}
-
-// satisfies checks x's RESTRICT requirements against the candidate
-// vertex at vd.
-func (e *exec) satisfies(x *xnode, vd xmltree.Dewey) bool {
-	for _, req := range x.reqs {
-		if !e.require(req, vd) {
-			return false
-		}
-	}
-	return true
-}
-
-// require probes one requirement against the candidate at vd. Probe
-// positions are globally non-decreasing per requirement occurrence, and
-// the cursor parks on its witness (or the ancestor), so a repeated
-// probe of the same vertex re-answers without rereading.
-func (e *exec) require(req *xnode, vd xmltree.Dewey) bool {
-	if !req.sourced {
-		return true // vacuous, as in the renderer
-	}
-	switch req.axis {
-	case plan.AxisSelf:
-		return e.requireKids(req, vd)
-	case plan.AxisUp:
-		cu := req.cur
-		for cu.valid && cmpPrefix(vd, cu.d()) > 0 {
-			cu.advance()
-		}
-		if !cu.valid || cmpPrefix(vd, cu.d()) != 0 {
-			return false
-		}
-		return e.requireKids(req, cu.d())
-	case plan.AxisDown:
-		cu := req.cur
-		for cu.valid && cmpPrefix(cu.d(), vd) < 0 {
-			cu.advance()
-		}
-		for cu.valid && cmpPrefix(cu.d(), vd) == 0 {
-			if e.requireKids(req, cu.d()) {
-				return true // park on the witness
-			}
-			cu.advance()
-		}
-		return false
-	}
-	return false
-}
-
-func (e *exec) requireKids(req *xnode, wd xmltree.Dewey) bool {
-	for _, kid := range req.kids {
-		if !e.require(kid, wd) {
-			return false
-		}
-	}
-	return true
 }

@@ -23,6 +23,7 @@ import (
 
 	"xmorph/internal/closest"
 	"xmorph/internal/core"
+	"xmorph/internal/plan"
 	"xmorph/internal/render"
 	"xmorph/internal/semantics"
 	"xmorph/internal/shape"
@@ -35,25 +36,30 @@ type View struct {
 	source  *xmltree.Document
 	checked *core.Checked
 	// target is the composed target the current output was rendered
-	// from; prov, rank and gens index into this exact tree.
+	// from and tree its execution tree; prov, rank and gens index into
+	// this exact tree.
 	target *semantics.Target
+	tree   *plan.Tree
 	output *xmltree.Document
 	// copies maps each source vertex to its rendered copies.
 	copies map[*xmltree.Node][]*xmltree.Node
-	// prov maps each output node to the target type that emitted it
-	// (the renderer's annotation, maintained across patches).
-	prov map[*xmltree.Node]*semantics.TNode
+	// prov maps each output node to the occurrence that emitted it (the
+	// renderer's annotation, maintained across patches).
+	prov map[*xmltree.Node]*plan.Node
 	// anchors maps a source vertex to the wrapper instances anchored on
 	// it (a manufactured element materializes once per instance of its
 	// first sourced child).
 	anchors map[*xmltree.Node][]*xmltree.Node
-	// rank is each target type's emission slot among its parent's
-	// children (roots: the slot in the output root list). A wrapper's
-	// first sourced child renders before its siblings and gets -1.
-	rank map[*semantics.TNode]int
-	// gens lists, per source type, the target types that materialize a
+	// rank is each occurrence's emission slot among its parent's kids
+	// (roots: the slot in the output root list).
+	rank map[*plan.Node]int
+	// gens lists, per source type, the occurrences that materialize a
 	// new emission when an instance of that type appears.
-	gens map[string][]*semantics.TNode
+	gens map[string][]*plan.Node
+	// local is the tree-local partner source units are rendered with;
+	// unlocal records that it met a join it could not localize.
+	local   render.Partners
+	unlocal bool
 	// incOK reports the target is patchable: no RESTRICT requirements.
 	incOK bool
 	stale bool
@@ -79,12 +85,18 @@ func Materialize(guardSrc string, source *xmltree.Document) (*View, error) {
 
 func (v *View) render() error {
 	v.target = v.checked.Plan.ComposedTarget()
-	out, prov, err := render.RenderAnnotated(v.source, v.target, nil)
+	v.tree = plan.Build(v.target)
+	out, prov, err := render.RenderAnnotated(v.source, v.tree, nil)
 	if err != nil {
 		return err
 	}
 	v.output = out
 	v.prov = prov
+	v.local = render.NodePartners(v.tree, func(x *xmltree.Node, typ string) []*xmltree.Node {
+		ps, ok := partnersOf(x, typ)
+		v.unlocal = v.unlocal || !ok
+		return ps
+	})
 	v.scanTarget()
 	v.reindexOutput()
 	v.stale = false
@@ -103,78 +115,46 @@ func (v *View) reindexOutput() {
 			src := n.Src.Origin()
 			v.copies[src] = append(v.copies[src], n)
 		}
-		if tn := v.prov[n]; tn != nil && tn.Source == "" && len(n.Children) > 0 && n.Children[0].Src != nil {
-			w := n.Children[0].Src.Origin()
-			v.anchors[w] = append(v.anchors[w], n)
+		if x := v.prov[n]; x != nil && x.First != nil {
+			if w := v.driverOf(n); w != nil {
+				v.anchors[w] = append(v.anchors[w], n)
+			}
 		}
 	}
 }
 
-// scanTarget indexes the composed target for incremental patching:
+// scanTarget indexes the execution tree for incremental patching:
 // emission slots, the generator list per driving source type, and
 // whether the target is patchable at all.
 func (v *View) scanTarget() {
-	v.rank = map[*semantics.TNode]int{}
-	v.gens = map[string][]*semantics.TNode{}
+	v.rank = map[*plan.Node]int{}
+	v.gens = map[string][]*plan.Node{}
 	v.incOK = true
-	for i, r := range v.target.Roots {
-		v.rank[r] = i
-		v.scanNode(r, true)
+	for _, x := range v.tree.Nodes {
+		if len(x.TN.Require) > 0 {
+			// RESTRICT probes the existence of other emissions; a local
+			// patch cannot re-evaluate which old emissions it flips.
+			v.incOK = false
+		}
 	}
+	v.scanKids(v.tree.Roots)
 }
 
-// scanNode indexes tn's subtree. live reports whether the renderer
-// emits instances below this point: sourced types inside a fill-only
-// wrapper subtree are dropped, so they must not register as generators.
-func (v *View) scanNode(tn *semantics.TNode, live bool) {
-	if len(tn.Require) > 0 {
-		// RESTRICT probes the existence of other emissions; a local
-		// patch cannot re-evaluate which old emissions it flips.
-		v.incOK = false
-	}
-	if tn.Source != "" {
-		// A wrapper's first sourced child is emitted as part of each
-		// wrapper instance; every other live sourced type generates
-		// emissions of its own.
-		p := tn.Parent()
-		anchor := p != nil && p.Source == "" && firstSourcedOf(p) == tn
-		if live && !anchor {
-			v.gens[tn.Source] = append(v.gens[tn.Source], tn)
+// scanKids indexes a kid (or root) list and the subtrees below it. Every
+// sourced occurrence generates an emission of its own per instance of
+// its type, except a wrapper's anchor, which is emitted as part of each
+// wrapper instance: there the wrapper is what the instance generates.
+func (v *View) scanKids(kids []*plan.Node) {
+	for i, x := range kids {
+		v.rank[x] = i
+		switch {
+		case x.First != nil:
+			v.gens[x.First.TN.Source] = append(v.gens[x.First.TN.Source], x)
+		case x.Sourced && (!x.Anchor):
+			v.gens[x.TN.Source] = append(v.gens[x.TN.Source], x)
 		}
-		for i, k := range tn.Kids {
-			v.rank[k] = i
-			v.scanNode(k, live)
-		}
-		return
+		v.scanKids(x.Kids)
 	}
-	first := firstSourcedOf(tn)
-	if first == nil || !live {
-		// Fill wrapper (or any wrapper under one): a static subtree of
-		// manufactured elements; sourced descendants never render.
-		for i, k := range tn.Kids {
-			v.rank[k] = i
-			v.scanNode(k, false)
-		}
-		return
-	}
-	v.gens[first.Source] = append(v.gens[first.Source], tn)
-	for i, k := range tn.Kids {
-		if k == first {
-			v.rank[k] = -1
-		} else {
-			v.rank[k] = i
-		}
-		v.scanNode(k, true)
-	}
-}
-
-func firstSourcedOf(tn *semantics.TNode) *semantics.TNode {
-	for _, k := range tn.Kids {
-		if k.Source != "" {
-			return k
-		}
-	}
-	return nil
 }
 
 // Output returns the materialized document, re-rendering first if a
@@ -339,7 +319,7 @@ func sameTNode(a, b *semantics.TNode) bool {
 // renderer's sort-merge closest join produces, computed locally). The
 // relation is symmetric, so this also enumerates the context vertices
 // whose emissions x newly joins.
-func (v *View) partnersOf(x *xmltree.Node, T string) ([]*xmltree.Node, bool) {
+func partnersOf(x *xmltree.Node, T string) ([]*xmltree.Node, bool) {
 	l := closest.TypeLCP(x.Type, T)
 	if l == 0 {
 		return nil, false
@@ -385,10 +365,10 @@ func (v *View) patchInsert(s *xmltree.Node) bool {
 // source vertex x, splicing one unit into every existing host. Emissions
 // whose context vertex lies inside the grafted subtree are skipped: the
 // unit built for the enclosing new emission renders them itself.
-func (v *View) insertEmissions(g *semantics.TNode, x *xmltree.Node, inS map[*xmltree.Node]bool) bool {
-	p := g.Parent()
+func (v *View) insertEmissions(g *plan.Node, x *xmltree.Node, inS map[*xmltree.Node]bool) bool {
+	p := g.Parent
 	if p == nil {
-		unit, ok := v.buildUnit(g, x, false)
+		unit, ok := v.buildUnit(g, x)
 		if !ok {
 			return false
 		}
@@ -396,24 +376,20 @@ func (v *View) insertEmissions(g *semantics.TNode, x *xmltree.Node, inS map[*xml
 		v.output.Roots = insertAt(v.output.Roots, idx, unit)
 		return true
 	}
-	ctxType := p.Source
-	if ctxType == "" {
-		f := firstSourcedOf(p)
-		if f == nil {
-			return true // static fill wrapper: no dynamic emissions below
-		}
-		ctxType = f.Source
+	ctx := p
+	if !p.Sourced {
+		ctx = p.First // kids of a wrapper instance join from its anchor
 	}
-	ctxs, ok := v.partnersOf(x, ctxType)
+	ctxs, ok := partnersOf(x, ctx.TN.Source)
 	if !ok {
 		return false
 	}
-	for _, ctx := range ctxs {
-		if inS[ctx] {
+	for _, c := range ctxs {
+		if inS[c] {
 			continue
 		}
-		for _, h := range v.hostsOf(p, ctx) {
-			unit, ok := v.buildUnit(g, x, true)
+		for _, h := range v.hostsOf(p, c) {
+			unit, ok := v.buildUnit(g, x)
 			if !ok {
 				return false
 			}
@@ -425,20 +401,16 @@ func (v *View) insertEmissions(g *semantics.TNode, x *xmltree.Node, inS map[*xml
 	return true
 }
 
-// hostsOf returns the output nodes that are emissions of target type p
-// driven by source vertex ctx (copies for sourced types, anchored
+// hostsOf returns the output nodes that are emissions of occurrence p
+// driven by source vertex ctx (copies for sourced occurrences, anchored
 // instances for wrappers).
-func (v *View) hostsOf(p *semantics.TNode, ctx *xmltree.Node) []*xmltree.Node {
-	var hosts []*xmltree.Node
-	if p.Source != "" {
-		for _, c := range v.copies[ctx] {
-			if v.prov[c] == p {
-				hosts = append(hosts, c)
-			}
-		}
-		return hosts
+func (v *View) hostsOf(p *plan.Node, ctx *xmltree.Node) []*xmltree.Node {
+	cands := v.copies[ctx]
+	if !p.Sourced {
+		cands = v.anchors[ctx]
 	}
-	for _, c := range v.anchors[ctx] {
+	var hosts []*xmltree.Node
+	for _, c := range cands {
 		if v.prov[c] == p {
 			hosts = append(hosts, c)
 		}
@@ -449,16 +421,16 @@ func (v *View) hostsOf(p *semantics.TNode, ctx *xmltree.Node) []*xmltree.Node {
 // spliceIndex finds the insertion point for a new emission of g driven
 // by x within an output child (or root) list: after every slot that
 // renders earlier, and after same-slot emissions with earlier drivers.
-func (v *View) spliceIndex(list []*xmltree.Node, g *semantics.TNode, x *xmltree.Node) int {
+func (v *View) spliceIndex(list []*xmltree.Node, g *plan.Node, x *xmltree.Node) int {
 	gr := v.rank[g]
 	idx := 0
 	for _, c := range list {
-		tn, known := v.prov[c]
+		o, known := v.prov[c]
 		if !known {
 			idx++ // foreign node: keep it where it is
 			continue
 		}
-		r := v.rank[tn]
+		r := v.rank[o]
 		d := v.driverOf(c)
 		if r < gr || (r == gr && d != nil && d.Dewey.Compare(x.Dewey) < 0) {
 			idx++
@@ -477,118 +449,23 @@ func (v *View) driverOf(c *xmltree.Node) *xmltree.Node {
 	if c.Src != nil {
 		return c.Src.Origin()
 	}
-	if tn := v.prov[c]; tn != nil && tn.Source == "" && len(c.Children) > 0 && c.Children[0].Src != nil {
-		return c.Children[0].Src.Origin()
+	if x := v.prov[c]; x != nil && x.First != nil {
+		for _, k := range c.Children {
+			if v.prov[k] == x.First {
+				return k.Src.Origin()
+			}
+		}
 	}
 	return nil
 }
 
 // buildUnit renders one new emission of generator g driven by x as a
-// detached subtree, mirroring the renderer's emit rules with the local
-// partner computation. open mirrors the builder's open-element state
-// (an attribute vertex renders as an attribute only inside an element).
-func (v *View) buildUnit(g *semantics.TNode, x *xmltree.Node, open bool) (*xmltree.Node, bool) {
-	if g.Source != "" {
-		return v.buildNode(g, x, open)
-	}
-	return v.buildWrapper(g, firstSourcedOf(g), x)
-}
-
-// buildNode mirrors the renderer's emitNode.
-func (v *View) buildNode(tn *semantics.TNode, x *xmltree.Node, open bool) (*xmltree.Node, bool) {
-	if x.Attr && len(tn.Kids) == 0 && open {
-		n := &xmltree.Node{Name: "@" + tn.Name, Value: x.Value, Attr: true, Src: x}
-		v.prov[n] = tn
-		return n, true
-	}
-	n := &xmltree.Node{Name: tn.Name, Value: x.Value, Src: x}
-	v.prov[n] = tn
-	ok := true
-	for _, kid := range tn.Kids {
-		if kid.Source == "" {
-			insts, kok := v.buildWrapperKid(kid, x)
-			ok = ok && kok
-			for _, inst := range insts {
-				appendKid(n, inst)
-			}
-			continue
-		}
-		ws, kok := v.partnersOf(x, kid.Source)
-		ok = ok && kok
-		for _, w := range ws {
-			c, cok := v.buildNode(kid, w, true)
-			ok = ok && cok
-			appendKid(n, c)
-		}
-	}
-	return n, ok
-}
-
-// buildWrapperKid mirrors the renderer's emitWrapper: one instance per
-// closest partner of the wrapper's first sourced child, or a single
-// static fill subtree when it has none.
-func (v *View) buildWrapperKid(tn *semantics.TNode, ctx *xmltree.Node) ([]*xmltree.Node, bool) {
-	first := firstSourcedOf(tn)
-	if first == nil {
-		return []*xmltree.Node{v.buildFill(tn)}, true
-	}
-	ws, ok := v.partnersOf(ctx, first.Source)
-	var out []*xmltree.Node
-	for _, w := range ws {
-		inst, iok := v.buildWrapper(tn, first, w)
-		ok = ok && iok
-		out = append(out, inst)
-	}
-	return out, ok
-}
-
-// buildWrapper renders one wrapper instance anchored at w: the first
-// sourced child's emission, then the remaining children joined by
-// closeness to w (the renderer's emitSiblingsOf).
-func (v *View) buildWrapper(tn, first *semantics.TNode, w *xmltree.Node) (*xmltree.Node, bool) {
-	n := &xmltree.Node{Name: tn.Name}
-	v.prov[n] = tn
-	c, ok := v.buildNode(first, w, true)
-	appendKid(n, c)
-	for _, kid := range tn.Kids {
-		if kid == first {
-			continue
-		}
-		if kid.Source == "" {
-			insts, kok := v.buildWrapperKid(kid, w)
-			ok = ok && kok
-			for _, inst := range insts {
-				appendKid(n, inst)
-			}
-			continue
-		}
-		us, kok := v.partnersOf(w, kid.Source)
-		ok = ok && kok
-		for _, u := range us {
-			cc, cok := v.buildNode(kid, u, true)
-			ok = ok && cok
-			appendKid(n, cc)
-		}
-	}
-	return n, ok
-}
-
-// buildFill mirrors the renderer's emitFillKids: a static subtree of
-// manufactured elements.
-func (v *View) buildFill(tn *semantics.TNode) *xmltree.Node {
-	n := &xmltree.Node{Name: tn.Name}
-	v.prov[n] = tn
-	for _, kid := range tn.Kids {
-		if kid.Source == "" {
-			appendKid(n, v.buildFill(kid))
-		}
-	}
-	return n
-}
-
-func appendKid(p, c *xmltree.Node) {
-	c.Parent = p
-	p.Children = append(p.Children, c)
+// detached subtree: the renderer's own walk, with closest partners
+// computed locally. It reports false when a join could not be localized.
+func (v *View) buildUnit(g *plan.Node, x *xmltree.Node) (*xmltree.Node, bool) {
+	v.unlocal = false
+	unit := render.Unit(g, x, v.local, v.prov)
+	return unit, !v.unlocal
 }
 
 func insertAt(list []*xmltree.Node, i int, n *xmltree.Node) []*xmltree.Node {

@@ -39,20 +39,26 @@ func TestIndentedSerialization(t *testing.T) {
 	}
 }
 
-func TestEscapeHelpers(t *testing.T) {
+// TestEncoderEscapes: string and byte values take the same escaper, and
+// only attribute values escape the double quote.
+func TestEncoderEscapes(t *testing.T) {
 	var b strings.Builder
-	if err := EscapeText(&b, `1 < 2 & "q"`); err != nil {
+	e := NewEncoder(&b, false)
+	e.Start("a")
+	e.Attr("k", `a"b<c`)
+	e.AttrBytes("j", []byte(`a"b<c`))
+	e.Text(`1 < 2 & "q"`)
+	e.TextBytes([]byte(`1 > 2 & "q"`))
+	e.End()
+	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if b.String() != `1 &lt; 2 &amp; "q"` {
-		t.Errorf("EscapeText = %q", b.String())
+	want := `<a k="a&quot;b&lt;c" j="a&quot;b&lt;c">1 &lt; 2 &amp; "q"1 &gt; 2 &amp; "q"</a>`
+	if b.String() != want {
+		t.Errorf("encoded %q, want %q", b.String(), want)
 	}
-	b.Reset()
-	if err := EscapeAttr(&b, `a"b<c`); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != `a&quot;b&lt;c` {
-		t.Errorf("EscapeAttr = %q", b.String())
+	if e.Nodes() != 3 {
+		t.Errorf("Nodes = %d, want 3", e.Nodes())
 	}
 }
 

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"bufio"
 	"io"
 	"strings"
 )
@@ -10,17 +11,11 @@ import (
 // compact. Attribute nodes become XML attributes on their parent element.
 // Forests serialize as a sequence of sibling trees (an XML fragment).
 func (d *Document) WriteXML(w io.Writer, indent bool) error {
-	sw := &errWriter{w: w}
-	for i, r := range d.Roots {
-		if i > 0 {
-			sw.writeString("\n")
-		}
-		writeNode(sw, r, 0, indent)
+	e := NewEncoder(w, indent)
+	for _, r := range d.Roots {
+		e.node(r)
 	}
-	if indent && len(d.Roots) > 0 {
-		sw.writeString("\n")
-	}
-	return sw.err
+	return e.Flush()
 }
 
 // XML returns the document serialized as a string.
@@ -30,50 +25,198 @@ func (d *Document) XML(indent bool) string {
 	return b.String()
 }
 
-func writeNode(w *errWriter, n *Node, depth int, indent bool) {
-	if indent && depth > 0 {
-		w.writeString("\n")
-		w.writeString(strings.Repeat("  ", depth))
-	}
-	w.writeString("<")
-	w.writeString(n.Name)
-	childElems := 0
+func (e *Encoder) node(n *Node) {
+	e.Start(n.Name)
 	for _, c := range n.Children {
 		if c.Attr {
-			w.writeString(" ")
-			w.writeString(c.LocalName())
-			w.writeString(`="`)
-			writeEscaped(w, c.Value, true)
-			w.writeString(`"`)
-		} else {
-			childElems++
+			e.Attr(c.LocalName(), c.Value)
 		}
 	}
-	if childElems == 0 && n.Value == "" {
-		w.writeString("/>")
-		return
-	}
-	w.writeString(">")
-	writeEscaped(w, n.Value, false)
+	e.Text(n.Value)
 	for _, c := range n.Children {
 		if !c.Attr {
-			writeNode(w, c, depth+1, indent)
+			e.node(c)
 		}
 	}
-	if indent && childElems > 0 {
-		w.writeString("\n")
-		w.writeString(strings.Repeat("  ", depth))
-	}
-	w.writeString("</")
-	w.writeString(n.Name)
-	w.writeString(">")
+	e.End()
 }
 
-func writeEscaped(w *errWriter, s string, inAttr bool) {
+// Encoder writes XML one event at a time and is the single definition of
+// the output layout: attributes sit in the start tag, whose ">" is
+// deferred until text or a child element follows, so an element with
+// neither self-closes; root trees of a forest are separated by "\n".
+// WriteXML drives it from a tree and the streaming renderers drive it
+// straight from the emit walk, which is why their bytes agree.
+//
+// Events must arrive in document order with an element's attributes
+// before its text and children. Write errors stick: after the first one
+// every event is a no-op, and Err and Flush report it.
+type Encoder struct {
+	w      *bufio.Writer
+	indent bool
+	open   []frame
+	// pending: the innermost open element's start tag still lacks its
+	// ">" — nothing but attributes has followed it.
+	pending bool
+	rooted  bool // a root tree was started: the next one needs a separator
+	nodes   int
+	buf     []byte // string values pass through it to reach the one escaper
+	err     error
+}
+
+// frame is one open element.
+type frame struct {
+	name  string
+	elems bool // it has child elements (an indented end tag gets its own line)
+}
+
+// NewEncoder returns an encoder writing to w through its own buffer;
+// call Flush when done.
+func NewEncoder(w io.Writer, indent bool) *Encoder {
+	return &Encoder{w: bufio.NewWriter(w), indent: indent, open: make([]frame, 0, 16)}
+}
+
+// Start opens an element.
+func (e *Encoder) Start(name string) {
+	e.nodes++
+	if depth := len(e.open); depth > 0 {
+		e.content()
+		e.open[depth-1].elems = true
+		if e.indent {
+			e.newline(depth)
+		}
+	} else if e.rooted {
+		e.ch('\n')
+	}
+	e.rooted = true
+	e.ch('<')
+	e.str(name)
+	e.open = append(e.open, frame{name: name})
+	e.pending = true
+}
+
+// Attr adds an attribute to the element just started.
+func (e *Encoder) Attr(name, value string) {
+	e.attrName(name)
+	e.escapeString(value, true)
+	e.ch('"')
+}
+
+// AttrBytes is Attr for a value held as bytes.
+func (e *Encoder) AttrBytes(name string, value []byte) {
+	e.attrName(name)
+	e.escape(value, true)
+	e.ch('"')
+}
+
+func (e *Encoder) attrName(name string) {
+	e.nodes++
+	e.ch(' ')
+	e.str(name)
+	e.str(`="`)
+}
+
+// Text writes the current element's character data; empty text writes
+// nothing (and leaves a childless element self-closing).
+func (e *Encoder) Text(s string) {
+	if s != "" {
+		e.content()
+		e.escapeString(s, false)
+	}
+}
+
+// TextBytes is Text for character data held as bytes.
+func (e *Encoder) TextBytes(b []byte) {
+	if len(b) > 0 {
+		e.content()
+		e.escape(b, false)
+	}
+}
+
+// End closes the current element.
+func (e *Encoder) End() {
+	depth := len(e.open) - 1
+	f := e.open[depth]
+	e.open = e.open[:depth]
+	if e.pending {
+		e.pending = false
+		e.str("/>")
+		return
+	}
+	if f.elems && e.indent {
+		e.newline(depth)
+	}
+	e.str("</")
+	e.str(f.name)
+	e.ch('>')
+}
+
+// Nodes returns the number of elements and attributes written so far.
+func (e *Encoder) Nodes() int { return e.nodes }
+
+// Err returns the first write error, if any.
+func (e *Encoder) Err() error { return e.err }
+
+// Flush ends the output (an indented document ends in a newline) and
+// drains the buffer. It returns the first error of the whole encoding,
+// including one only the final flush surfaces.
+func (e *Encoder) Flush() error {
+	if e.indent && e.rooted {
+		e.ch('\n')
+	}
+	if err := e.w.Flush(); e.err == nil {
+		e.err = err
+	}
+	return e.err
+}
+
+// content closes the current element's pending start tag, once.
+func (e *Encoder) content() {
+	if e.pending {
+		e.pending = false
+		e.ch('>')
+	}
+}
+
+// newline starts an indented line at the given depth.
+func (e *Encoder) newline(depth int) {
+	e.ch('\n')
+	for i := 0; i < depth; i++ {
+		e.str("  ")
+	}
+}
+
+func (e *Encoder) ch(c byte) {
+	if e.err == nil {
+		e.err = e.w.WriteByte(c)
+	}
+}
+
+func (e *Encoder) str(s string) {
+	if e.err == nil {
+		_, e.err = e.w.WriteString(s)
+	}
+}
+
+func (e *Encoder) escapeString(s string, inAttr bool) {
+	if !strings.ContainsAny(s, `&<>"`) {
+		e.str(s)
+		return
+	}
+	e.buf = append(e.buf[:0], s...)
+	e.escape(e.buf, inAttr)
+}
+
+// escape is the one XML escaper: character data escapes "&", "<" and
+// ">"; attribute values also escape the double quote.
+func (e *Encoder) escape(b []byte, inAttr bool) {
 	start := 0
-	for i := 0; i < len(s); i++ {
+	for i, c := range b {
+		if c > '>' {
+			continue // letters and most text: every escaped byte sorts at or below '>'
+		}
 		var rep string
-		switch s[i] {
+		switch c {
 		case '&':
 			rep = "&amp;"
 		case '<':
@@ -88,37 +231,15 @@ func writeEscaped(w *errWriter, s string, inAttr bool) {
 		default:
 			continue
 		}
-		w.writeString(s[start:i])
-		w.writeString(rep)
+		e.bytes(b[start:i])
+		e.str(rep)
 		start = i + 1
 	}
-	w.writeString(s[start:])
+	e.bytes(b[start:])
 }
 
-// EscapeText writes s with XML character-data escaping ("&", "<", ">").
-func EscapeText(w io.Writer, s string) error {
-	ew := &errWriter{w: w}
-	writeEscaped(ew, s, false)
-	return ew.err
-}
-
-// EscapeAttr writes s with XML attribute-value escaping (adds '"').
-func EscapeAttr(w io.Writer, s string) error {
-	ew := &errWriter{w: w}
-	writeEscaped(ew, s, true)
-	return ew.err
-}
-
-// errWriter sticks at the first write error so serialization code can stay
-// un-cluttered.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (w *errWriter) writeString(s string) {
-	if w.err != nil {
-		return
+func (e *Encoder) bytes(b []byte) {
+	if e.err == nil {
+		_, e.err = e.w.Write(b)
 	}
-	_, w.err = io.WriteString(w.w, s)
 }
