@@ -34,7 +34,7 @@ func prepare(b *testing.B, name string, doc *xmltree.Document) prepared {
 	b.Helper()
 	dir := b.TempDir()
 	path := filepath.Join(dir, name+".db")
-	st, err := store.Open(path, store.WithKVOptions(&kvstore.Options{CachePages: 256}))
+	st, err := store.Open(path, store.WithCachePages(256))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func prepare(b *testing.B, name string, doc *xmltree.Document) prepared {
 
 func (p prepared) open(b *testing.B) *store.Store {
 	b.Helper()
-	st, err := store.Open(p.path, store.WithKVOptions(&kvstore.Options{CachePages: 256}))
+	st, err := store.Open(p.path, store.WithCachePages(256))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,86 +243,58 @@ func BenchmarkClosestJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathShred compares the batched shredder (per-type sorted
-// runs flushed through PutBatch, B+tree sorted-insert fast path on)
-// against the per-chunk Put ablation — the before/after pair behind the
-// shred rows of BENCH_hotpath.json. Page writes are the headline metric.
+// BenchmarkHotpathShred measures the batched shredder (per-type sorted
+// runs flushed through PutBatch, B+tree sorted-insert fast path on). Page
+// writes are the headline metric.
 func BenchmarkHotpathShred(b *testing.B) {
 	doc := xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42})
 	xml := doc.XML(false)
-	for _, variant := range []string{"batched", "per-chunk-put"} {
-		b.Run(variant, func(b *testing.B) {
-			dir := b.TempDir()
-			b.SetBytes(int64(len(xml)))
-			var written, fastHits int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				path := filepath.Join(dir, fmt.Sprintf("s%d.db", i))
-				opts := &kvstore.Options{CachePages: 128}
-				if variant == "per-chunk-put" {
-					opts.DisableFastPath = true
-					opts.BalancedSplitOnly = true
-				}
-				sopts := []store.Option{store.WithKVOptions(opts)}
-				if variant == "per-chunk-put" {
-					sopts = append(sopts, store.WithUnbatchedShred())
-				}
-				st, err := store.Open(path, sopts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := st.Shred("d", strings.NewReader(xml), nil); err != nil {
-					b.Fatal(err)
-				}
-				stats := st.Stats()
-				written += stats.BlocksWritten
-				fastHits += stats.FastPathHits
-				st.Close()
-				os.Remove(path)
-			}
-			b.ReportMetric(float64(written)/float64(b.N), "pages-written/op")
-			b.ReportMetric(float64(fastHits)/float64(b.N), "fastpath-hits/op")
-		})
+	dir := b.TempDir()
+	b.SetBytes(int64(len(xml)))
+	var written, fastHits int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("s%d.db", i))
+		st, err := store.Open(path, store.WithCachePages(128))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Shred("d", strings.NewReader(xml), nil); err != nil {
+			b.Fatal(err)
+		}
+		stats := st.Stats()
+		written += stats.BlocksWritten
+		fastHits += stats.FastPathHits
+		st.Close()
+		os.Remove(path)
 	}
+	b.ReportMetric(float64(written)/float64(b.N), "pages-written/op")
+	b.ReportMetric(float64(fastHits)/float64(b.N), "fastpath-hits/op")
 }
 
-// BenchmarkHotpathCachedJoin compares the CSR grouped join cache against
-// the map[*Node][]*Node layout it replaced: build the grouping once,
-// then look up every parent's partners. Allocs/op is the headline — the
-// CSR layout allocates a couple of slices where the map allocates one
-// bucket chain plus a slice per parent.
+// BenchmarkHotpathCachedJoin measures the CSR grouped join cache: build
+// the grouping once, then look up every parent's partners. Allocs/op is
+// the headline — the CSR layout allocates a couple of slices however many
+// parents there are.
 func BenchmarkHotpathCachedJoin(b *testing.B) {
 	doc := xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42})
 	auctions := doc.NodesOfType("site.open_auctions.open_auction")
 	bidders := doc.NodesOfType("site.open_auctions.open_auction.bidder")
-	b.Run("csr", func(b *testing.B) {
-		b.ReportAllocs()
-		sink := 0
-		for i := 0; i < b.N; i++ {
-			g := closest.GroupJoin(auctions, bidders, nil)
-			for _, a := range auctions {
-				sink += len(g.Of(a))
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		g := closest.GroupJoin(auctions, bidders, nil)
+		for _, a := range auctions {
+			sink += len(g.Of(a))
 		}
-		_ = sink
-	})
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		sink := 0
-		for i := 0; i < b.N; i++ {
-			m := map[*xmltree.Node][]*xmltree.Node{}
-			closest.JoinWith(auctions, bidders, func(p, c *xmltree.Node) { m[p] = append(m[p], c) })
-			for _, a := range auctions {
-				sink += len(m[a])
-			}
-		}
-		_ = sink
-	})
+	}
+	_ = sink
 }
 
 // BenchmarkHotpathPutBatch compares one sorted PutBatch against the same
-// keys inserted with sequential Puts (fast path on) and with the fast
-// path disabled — isolating the kvstore layer of the hot-path overhaul.
+// keys inserted with sequential Puts — isolating the kvstore layer of the
+// hot-path overhaul.
 func BenchmarkHotpathPutBatch(b *testing.B) {
 	const n = 20000
 	keys := make([][]byte, n)
@@ -331,10 +303,10 @@ func BenchmarkHotpathPutBatch(b *testing.B) {
 		keys[i] = []byte(fmt.Sprintf("key-%08d", i))
 		vals[i] = []byte(fmt.Sprintf("val-%d", i))
 	}
-	run := func(b *testing.B, disableFast bool, batch bool) {
+	run := func(b *testing.B, batch bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			db := kvstore.OpenMemory(&kvstore.Options{CachePages: 1 << 16, DisableFastPath: disableFast})
+			db := kvstore.OpenMemory(&kvstore.Options{CachePages: 1 << 16})
 			if batch {
 				if err := db.PutBatch(keys, vals); err != nil {
 					b.Fatal(err)
@@ -349,9 +321,8 @@ func BenchmarkHotpathPutBatch(b *testing.B) {
 			db.Close()
 		}
 	}
-	b.Run("putbatch", func(b *testing.B) { run(b, false, true) })
-	b.Run("put-fastpath", func(b *testing.B) { run(b, false, false) })
-	b.Run("put-slowpath", func(b *testing.B) { run(b, true, false) })
+	b.Run("putbatch", func(b *testing.B) { run(b, true) })
+	b.Run("put-fastpath", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkShred measures the streaming shredder (the paper reports shred
@@ -364,7 +335,7 @@ func BenchmarkShred(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("s%d.db", i))
-		st, err := store.Open(path, store.WithKVOptions(nil))
+		st, err := store.Open(path)
 		if err != nil {
 			b.Fatal(err)
 		}

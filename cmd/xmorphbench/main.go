@@ -8,9 +8,9 @@
 //	xmorphbench -exp fig10       # one experiment
 //	xmorphbench -exp fig14 -dblp 2000,4000,8000,16000
 //	xmorphbench -factors 0.05,0.1 -exp fig10
-//	xmorphbench -exp hotpath -json BENCH_hotpath.json
-//	xmorphbench -exp concurrency -json BENCH_concurrency.json
-//	xmorphbench -exp concurrency -clients 1,4 -conc-factors 0.05 -conc-window 1s
+//
+// Performance of the system beyond the paper's figures is measured by the
+// benchmark in benchmark/ (see benchmark/README.md), not here.
 package main
 
 import (
@@ -19,6 +19,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -27,32 +28,12 @@ import (
 	"xmorph/internal/obs"
 )
 
+// experiments are the valid -exp values.
+var experiments = []string{"table1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "shred", "ablation", "all"}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig10, fig11, fig12, fig13, fig14, fig15, fig16, shred, ablation, hotpath, concurrency, cluster, serve, stream, update, all")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", "))
 	factors := flag.String("factors", "", "comma-separated XMark factors (default 0.01..0.05)")
-	hotFactors := flag.String("hotpath-factors", "", "comma-separated XMark factors for -exp hotpath (default 0.2,1.0)")
-	jsonOut := flag.String("json", "", "with -exp hotpath/concurrency/serve/stream: also write the report to this file (e.g. BENCH_stream.json)")
-	concFactors := flag.String("conc-factors", "", "comma-separated XMark factors for -exp concurrency (default 0.2,1.0)")
-	streamFactors := flag.String("stream-factors", "", "comma-separated XMark factors for -exp stream (default 0.2,1.0)")
-	updateFactors := flag.String("update-factors", "", "comma-separated XMark factors for -exp update (default 0.2,1.0)")
-	clients := flag.String("clients", "", "comma-separated client counts for -exp concurrency (default 1,2,4,8)")
-	concWindow := flag.Duration("conc-window", 0, "measurement window per concurrency cell (default 3s)")
-	concCache := flag.Int("conc-cache", 0, "buffer pool pages for -exp concurrency (default 4096)")
-	serveClients := flag.String("serve-clients", "", "comma-separated client counts for -exp serve (default 1,2,4,8)")
-	serveWindow := flag.Duration("serve-window", 0, "measurement window per serve cell (default 3s)")
-	serveFactor := flag.Float64("serve-factor", 0, "XMark factor for the -exp serve document (default 0.2)")
-	serveInflight := flag.Int("serve-inflight", 0, "daemon admission cap for -exp serve (default GOMAXPROCS)")
-	serveSample := flag.Int("serve-sample", 0, "trace 1 in N requests on the obs-on daemon for -exp serve (default 1 = every request; negative disables)")
-	serveSlowMS := flag.Int("serve-slow-ms", 0, "obs-on daemon slow-query threshold in ms for -exp serve (default 250; negative disables)")
-	serveWriters := flag.Int("serve-writers", 0, "dedicated shred-writer goroutines per serve cell; clients then run a pure query mix and query p99 during shreds is reported separately (default 0 = classic mixed workload)")
-	clusterShards := flag.String("cluster-shards", "", "comma-separated shard counts for -exp cluster (default 1,2,4)")
-	clusterReplicas := flag.Int("cluster-replicas", 0, "read replicas per shard for -exp cluster's replica variant (default 1)")
-	clusterDocs := flag.Int("cluster-docs", 0, "document count for -exp cluster (default 16)")
-	clusterFactor := flag.Float64("cluster-factor", 0, "XMark factor per -exp cluster document (default 0.01)")
-	clusterClients := flag.Int("cluster-clients", 0, "concurrent readers per -exp cluster cell (default 4)")
-	clusterWindow := flag.Duration("cluster-window", 0, "measurement window per -exp cluster cell (default 2s)")
-	clusterCache := flag.Int("cluster-cache", 0, "buffer pool pages per shard for -exp cluster (default 1024)")
-	clusterLatency := flag.Duration("cluster-latency", 0, "modeled device read latency per page for -exp cluster (default 100µs; negative disables)")
 	dblpSizes := flag.String("dblp", "", "comma-separated DBLP publication counts")
 	seed := flag.Int64("seed", 42, "generator seed")
 	cache := flag.Int("cache", 128, "store buffer pool pages")
@@ -60,6 +41,11 @@ func main() {
 	workdir := flag.String("workdir", "", "directory for store files (default: temp)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	flag.Parse()
+
+	if !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(os.Stderr, "xmorphbench: unknown experiment %q; valid: %s\n", *exp, strings.Join(experiments, ", "))
+		os.Exit(2)
+	}
 
 	if *debugAddr != "" {
 		// pprof registers itself on DefaultServeMux via the blank import.
@@ -90,70 +76,6 @@ func main() {
 		}
 		cfg.DBLPSizes = ns
 	}
-	if *hotFactors != "" {
-		fs, err := parseFloats(*hotFactors)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.HotpathFactors = fs
-	}
-	if *concFactors != "" {
-		fs, err := parseFloats(*concFactors)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.ConcFactors = fs
-	}
-	if *streamFactors != "" {
-		fs, err := parseFloats(*streamFactors)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.StreamFactors = fs
-	}
-	if *updateFactors != "" {
-		fs, err := parseFloats(*updateFactors)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.UpdateFactors = fs
-	}
-	if *clients != "" {
-		ns, err := parseInts(*clients)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.ConcClients = ns
-	}
-	cfg.ConcWindow = *concWindow
-	cfg.ConcCachePages = *concCache
-	if *serveClients != "" {
-		ns, err := parseInts(*serveClients)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.ServeClients = ns
-	}
-	cfg.ServeWindow = *serveWindow
-	cfg.ServeFactor = *serveFactor
-	cfg.ServeMaxInflight = *serveInflight
-	cfg.ServeSample = *serveSample
-	cfg.ServeSlowMS = *serveSlowMS
-	cfg.ServeWriters = *serveWriters
-	if *clusterShards != "" {
-		ns, err := parseInts(*clusterShards)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.ClusterShards = ns
-	}
-	cfg.ClusterReplicas = *clusterReplicas
-	cfg.ClusterDocs = *clusterDocs
-	cfg.ClusterFactor = *clusterFactor
-	cfg.ClusterClients = *clusterClients
-	cfg.ClusterWindow = *clusterWindow
-	cfg.ClusterCachePages = *clusterCache
-	cfg.ClusterReadLatency = *clusterLatency
 
 	run := func(name string) bool { return *exp == "all" || *exp == name }
 
@@ -213,115 +135,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(bench.AblationTable(rows))
-	}
-
-	// hotpath is opt-in (not part of "all"): its default factors shred an
-	// XMark factor-1 document twice and run for a couple of minutes.
-	if *exp == "hotpath" {
-		start := time.Now()
-		rows, err := bench.RunHotpath(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.HotpathTable(rows))
-		if *jsonOut != "" {
-			if err := bench.HotpathReportFor(cfg, rows).WriteJSON(*jsonOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-		}
-		fmt.Fprintf(os.Stderr, "hotpath suite took %v\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	// concurrency is opt-in (not part of "all"): its default factors shred
-	// an XMark factor-1 document and run fixed multi-second windows.
-	if *exp == "concurrency" {
-		start := time.Now()
-		rows, err := bench.RunConcurrency(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.ConcurrencyTable(rows))
-		if *jsonOut != "" {
-			if err := bench.ConcurrencyReportFor(cfg, rows).WriteJSON(*jsonOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-		}
-		fmt.Fprintf(os.Stderr, "concurrency suite took %v\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	// stream is opt-in (not part of "all"): its default factors shred an
-	// XMark factor-1 document and run the full transformation both ways.
-	if *exp == "stream" {
-		start := time.Now()
-		rows, err := bench.RunStream(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.StreamTable(rows))
-		if *jsonOut != "" {
-			if err := bench.StreamReportFor(cfg, rows).WriteJSON(*jsonOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-		}
-		fmt.Fprintf(os.Stderr, "stream suite took %v\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	// update is opt-in (not part of "all"): its default factors shred an
-	// XMark factor-1 document three times (patch setup, baseline setup,
-	// baseline re-shred).
-	if *exp == "update" {
-		start := time.Now()
-		rows, err := bench.RunUpdate(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.UpdateTable(rows))
-		if *jsonOut != "" {
-			if err := bench.UpdateReportFor(cfg, rows).WriteJSON(*jsonOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-		}
-		fmt.Fprintf(os.Stderr, "update suite took %v\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	// cluster is opt-in (not part of "all"): each cell builds a full
-	// sharded cluster and drives it for a fixed multi-second window.
-	if *exp == "cluster" {
-		start := time.Now()
-		rows, err := bench.RunCluster(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.ClusterTable(rows))
-		if *jsonOut != "" {
-			if err := bench.ClusterReportFor(cfg, rows).WriteJSON(*jsonOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-		}
-		fmt.Fprintf(os.Stderr, "cluster suite took %v\n", time.Since(start).Round(time.Millisecond))
-	}
-
-	// serve is opt-in (not part of "all"): it starts the xmorphd handler
-	// on a loopback listener and drives it for fixed multi-second windows.
-	if *exp == "serve" {
-		start := time.Now()
-		rows, err := bench.RunServe(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.ServeTable(rows))
-		if *jsonOut != "" {
-			if err := bench.ServeReportFor(cfg, rows).WriteJSON(*jsonOut); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-		}
-		fmt.Fprintf(os.Stderr, "serve suite took %v\n", time.Since(start).Round(time.Millisecond))
 	}
 }
 

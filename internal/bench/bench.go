@@ -30,97 +30,12 @@ type Config struct {
 	// XMarkFactors are the Figure 10 benchmark factors. The paper uses
 	// 0.1-0.5; the default is one tenth of that.
 	XMarkFactors []float64
-	// HotpathFactors are the RunHotpath scales; empty means {0.2, 1.0}
-	// (the committed BENCH_hotpath.json numbers — CI smoke overrides with
-	// smaller factors).
-	HotpathFactors []float64
 	// DBLPSizes are Figure 14 publication counts per slice.
 	DBLPSizes []int
-	// ConcFactors are the RunConcurrency scales; empty means {0.2, 1.0}
-	// (the committed BENCH_concurrency.json numbers).
-	ConcFactors []float64
-	// StreamFactors are the RunStream scales; empty means {0.2, 1.0}
-	// (the committed BENCH_stream.json numbers — CI smoke overrides with
-	// smaller factors).
-	StreamFactors []float64
-	// UpdateFactors are the RunUpdate scales; empty means {0.2, 1.0}
-	// (the committed BENCH_update.json numbers — CI smoke overrides with
-	// smaller factors).
-	UpdateFactors []float64
-	// ConcClients are the RunConcurrency client counts; empty means
-	// {1, 2, 4, 8}.
-	ConcClients []int
-	// ConcWindow is the fixed wall-clock measurement window per
-	// concurrency cell; zero means 3s.
-	ConcWindow time.Duration
-	// ConcCachePages sizes the shared buffer pool for RunConcurrency;
-	// zero means 512 (2 MiB) — sized so the default small factor runs
-	// fully cached (pure lock scaling) while the large factor keeps the
-	// pool under pressure (read-ahead and eviction active).
-	ConcCachePages int
-	// ServeClients are the RunServe client counts; empty means
-	// {1, 2, 4, 8}.
-	ServeClients []int
-	// ServeWindow is the fixed wall-clock window per RunServe cell; zero
-	// means 3s.
-	ServeWindow time.Duration
-	// ServeFactor is the XMark scale of RunServe's shared document; zero
-	// means 0.2.
-	ServeFactor float64
-	// ServeMaxInflight caps the daemon's admitted concurrent requests in
-	// RunServe; zero means GOMAXPROCS. Client counts above the cap
-	// exercise the 429 path.
-	ServeMaxInflight int
-	// ServeSample is the trace-sampling rate of RunServe's
-	// observability-on daemon: trace 1 in N requests. Zero means 1
-	// (every request, the xmorphd default); negative disables tracing,
-	// collapsing the on/off comparison.
-	ServeSample int
-	// ServeSlowMS is the observability-on daemon's slow-query retention
-	// threshold in milliseconds; zero means 250 (the xmorphd default),
-	// negative disables slow retention.
-	ServeSlowMS int
-	// ServeWriters adds N dedicated shred-writer goroutines to every
-	// RunServe cell, continuously shredding and dropping documents while
-	// the clients run a pure query mix. Query latencies sampled while at
-	// least one shred is in flight are reported separately
-	// (query_p99_during_shred_ms) — the MVCC claim under test is that
-	// they stay close to the no-writer baseline. Zero keeps the classic
-	// mixed workload (1 shred op in 10, no separate column).
-	ServeWriters int
-	// ClusterShards are the RunCluster shard counts; empty means
-	// {1, 2, 4} (the committed BENCH_cluster.json series).
-	ClusterShards []int
-	// ClusterReplicas is the read-replica count per shard for
-	// RunCluster's replica-read variant; zero means 1.
-	ClusterReplicas int
-	// ClusterDocs is the RunCluster document count; zero means 16 —
-	// sized with ClusterFactor and ClusterCachePages so the set thrashes
-	// one shard's pool but fits the 4-shard aggregate.
-	ClusterDocs int
-	// ClusterFactor is the XMark scale of each RunCluster document; zero
-	// means 0.01 (~213 store pages per document).
-	ClusterFactor float64
-	// ClusterClients is the concurrent reader count per RunCluster cell;
-	// zero means 4.
-	ClusterClients int
-	// ClusterWindow is the measured wall-clock window per RunCluster
-	// cell; zero means 2s.
-	ClusterWindow time.Duration
-	// ClusterCachePages is each shard leader's buffer pool budget; zero
-	// means 1024 (4 MiB per shard).
-	ClusterCachePages int
-	// ClusterReadLatency is the modeled device cost of one page read off
-	// a shard leader's store during the measured window; zero means
-	// 100µs. Negative disables the model (tmpfs-speed reads, which
-	// collapse the hit/miss distinction the benchmark is about).
-	ClusterReadLatency time.Duration
 	// Seed feeds the generators.
 	Seed int64
 	// Durability opens every store file with the write-ahead log enabled,
 	// measuring the crash-safe configuration instead of the default.
-	// RunHotpath additionally runs its own WAL ablation regardless of
-	// this setting.
 	Durability bool
 	// CachePages bounds the store's buffer pool, keeping runs I/O-bound
 	// like the paper's cold-cache setup.

@@ -3,11 +3,13 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
 
 	"xmorph/internal/engine"
+	"xmorph/internal/gen/xmark"
 )
 
 // The differential oracle: every cluster verb is checked against a
@@ -349,5 +351,51 @@ func TestRingDeterministicAndCovering(t *testing.T) {
 	}
 	if a.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4", a.Shards())
+	}
+}
+
+// TestShardsPoolCapacityAggregates is the read-scaling claim in pages,
+// not time: sixteen documents of ~100 pages each thrash one leader's
+// 768-page pool (a second pass re-reads everything) but fit the
+// four-shard aggregate (the fullest shard holds five), so the same
+// per-leader budget turns the second pass's device reads into pool hits.
+// Placement is fixed by the ring seed; the counts are deterministic.
+func TestShardsPoolCapacityAggregates(t *testing.T) {
+	const docs = 16
+	xmls := make([]string, docs)
+	for i := range xmls {
+		xmls[i] = xmark.Generate(xmark.Config{Factor: 0.005, Seed: int64(42 + i)}).XML(false)
+	}
+	ctx := context.Background()
+	secondPassReads := func(shards int) int64 {
+		c, err := New(Config{Shards: shards, Dir: t.TempDir(), CachePages: 768, VNodes: 64, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i, xml := range xmls {
+			if _, err := c.Shred(ctx, docName(i), strings.NewReader(xml), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		readAll := func() {
+			for i := range xmls {
+				if _, err := c.Run(ctx, docName(i), "CAST MUTATE site", engine.RunOpts{StreamTo: io.Discard}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		readAll()
+		before := c.Stats().BlocksRead
+		readAll()
+		return c.Stats().BlocksRead - before
+	}
+	one, four := secondPassReads(1), secondPassReads(4)
+	t.Logf("second-pass pages read: 1 shard %d, 4 shards %d", one, four)
+	if one == 0 {
+		t.Fatal("one shard re-read nothing: the document set no longer thrashes a 768-page pool")
+	}
+	if four*2 > one {
+		t.Errorf("4 shards re-read %d pages, 1 shard %d: want at most half", four, one)
 	}
 }

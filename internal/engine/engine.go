@@ -96,18 +96,6 @@ func WithDurability(on bool) Option {
 	return func(c *config) { c.storeOpts = append(c.storeOpts, store.WithDurability(on)) }
 }
 
-// WithUnbatchedShred makes shredding write node-at-a-time instead of in
-// sorted batches — the ablation baseline, not for production use.
-func WithUnbatchedShred() Option {
-	return func(c *config) { c.storeOpts = append(c.storeOpts, store.WithUnbatchedShred()) }
-}
-
-// WithKVOptions passes a full kvstore option block through to the store —
-// the escape hatch for benchmarks that toggle internals.
-func WithKVOptions(o *kvstore.Options) Option {
-	return func(c *config) { c.storeOpts = append(c.storeOpts, store.WithKVOptions(o)) }
-}
-
 // WithGuardCache sets the compiled-guard cache capacity in entries;
 // 0 disables caching. The default is 64.
 func WithGuardCache(n int) Option {

@@ -275,10 +275,10 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestServerGracefulDrain serves a burst of concurrent clients through a
-// real http.Server, shuts down mid-flight, and verifies every admitted
-// request completed and the store closed cleanly (reopening replays no
-// WAL).
+// TestServerGracefulDrain serves a burst of concurrent readers and
+// writers through a real http.Server, shuts down, and verifies every
+// admitted request completed and the store closed cleanly (reopening
+// replays no WAL).
 func TestServerGracefulDrain(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "drain.db")
 	eng, err := Open(path, WithCachePages(128), WithDurability(true))
@@ -298,9 +298,9 @@ func TestServerGracefulDrain(t *testing.T) {
 	go func() { done <- hs.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 
-	const clients = 8
+	const clients, writers = 8, 2
 	var wg sync.WaitGroup
-	errs := make(chan error, clients)
+	errs := make(chan error, clients+writers)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
@@ -322,6 +322,47 @@ func TestServerGracefulDrain(t *testing.T) {
 				}
 			}
 		}()
+	}
+	// Two writers beside the readers, each cycling its own documents
+	// through POST, PATCH and DELETE on the durable store. A shed write
+	// (429) is skipped; a shed POST skips the round, its document never
+	// having existed.
+	do := func(method, url, body string) (int, error) {
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, err
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK, http.StatusCreated, http.StatusNoContent, http.StatusTooManyRequests:
+			return resp.StatusCode, nil
+		}
+		return 0, fmt.Errorf("%s %s: status %d: %s", method, url, resp.StatusCode, msg)
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				url := fmt.Sprintf("%s/v1/docs/w%d-%d", base, w, i)
+				status, err := do(http.MethodPost, url, sampleXML)
+				if err == nil && status == http.StatusCreated {
+					_, err = do(http.MethodPatch, url, `insert <isbn>9</isbn> into data.book`)
+					if err == nil {
+						_, err = do(http.MethodDelete, url, "")
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
 	}
 	wg.Wait()
 	close(errs)

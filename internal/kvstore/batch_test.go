@@ -62,7 +62,8 @@ func TestFastPathTreeIdentical(t *testing.T) {
 	keys, vals := orderedKeys(n)
 	for name, order := range insertionOrders(n) {
 		fast := OpenMemory(nil)
-		slow := OpenMemory(&Options{DisableFastPath: true})
+		slow := OpenMemory(nil)
+		slow.noFastPath = true
 		for _, i := range order {
 			if err := fast.Put(keys[i], vals[i]); err != nil {
 				t.Fatal(err)
@@ -81,7 +82,7 @@ func TestFastPathTreeIdentical(t *testing.T) {
 			t.Error("sorted inserts never hit the fast path")
 		}
 		if slow.Stats().FastPathHits != 0 {
-			t.Errorf("%s: DisableFastPath still recorded %d hits", name, slow.Stats().FastPathHits)
+			t.Errorf("%s: noFastPath still recorded %d hits", name, slow.Stats().FastPathHits)
 		}
 	}
 }

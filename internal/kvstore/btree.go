@@ -65,8 +65,10 @@ type DB struct {
 	// w is the in-flight writer transaction (guarded by writerMu).
 	w writeTxn
 
-	// gc is the group-commit ticket state shared by Sync callers; gcWait
-	// is the leader's follower window (Options.GroupCommitWait).
+	// gc is the group-commit ticket state shared by Sync callers. gcWait
+	// is how long a leader with no follower holds its ticket open before
+	// flushing; always zero outside the in-package tests, which set it to
+	// widen the window a concurrent Close or Sync has to land in.
 	gc     groupCommit
 	gcWait time.Duration
 
@@ -98,15 +100,17 @@ type DB struct {
 	// separator bounds [fastLow, fastHigh) routing to it. When the next
 	// key still falls in that range and the insert cannot split, the
 	// root-to-leaf descent is skipped entirely. Guarded by writerMu.
-	fastValid     bool
-	fastLeaf      uint32
-	fastLow       []byte // nil = unbounded below
-	fastHigh      []byte // nil = unbounded above
-	noFastPath    bool   // Options.DisableFastPath (ablation benchmarks, tests)
-	balancedSplit bool   // Options.BalancedSplitOnly (ablation benchmarks)
-	readAhead     int    // leaf pages a scan prefetches; 0 disables
-	fastHits      int64
-	batchedPuts   int64
+	// noFastPath and readAhead = 0 select the reference paths (full
+	// descent, no prefetch) that in-package tests compare against; nothing
+	// outside the tests sets them.
+	fastValid   bool
+	fastLeaf    uint32
+	fastLow     []byte // nil = unbounded below
+	fastHigh    []byte // nil = unbounded above
+	noFastPath  bool
+	readAhead   int // leaf pages a scan prefetches; 0 disables
+	fastHits    int64
+	batchedPuts int64
 
 	// Operation counters, surfaced through Stats for the observability
 	// layer (updated atomically; the CLI may snapshot concurrently).
@@ -120,36 +124,6 @@ type DB struct {
 type Options struct {
 	// CachePages is the buffer-pool capacity in pages (default 256).
 	CachePages int
-	// DisableFastPath turns off the sorted-insert leaf cache, forcing
-	// every Put through the full root-to-leaf descent. The physical tree
-	// is identical either way (a test guards this); the knob exists for
-	// ablation benchmarks.
-	DisableFastPath bool
-	// BalancedSplitOnly reverts leaf splits to pure byte-balanced halves,
-	// disabling the append-aware split that packs leaves full under
-	// sorted insertion. Sequentially loaded trees occupy ~40% more pages
-	// with this set; the knob exists so ablation benchmarks can measure
-	// the pre-overhaul write amplification.
-	BalancedSplitOnly bool
-	// ReadAheadPages is how many leaf pages an ordered scan prefetches
-	// into the buffer pool ahead of its cursor, following leaf sibling
-	// pointers (default 8). Read-ahead triggers when a scan crosses from
-	// one leaf into the next, so point lookups and scans that end inside
-	// their first leaf never prefetch.
-	ReadAheadPages int
-	// DisableReadAhead turns scan read-ahead off entirely; the physical
-	// scan result is identical either way (a test guards this). The knob
-	// exists for ablation benchmarks, mirroring BalancedSplitOnly.
-	DisableReadAhead bool
-	// GroupCommitWait is how long a group-commit leader with no follower
-	// holds its ticket open before flushing, giving concurrent committers
-	// a window to share the WAL fsync; the wait ends early the moment one
-	// joins. Zero (the default) flushes immediately — right for
-	// single-writer workloads and for the crash-sweep tests, whose write
-	// sequences it leaves untouched either way (the window delays the
-	// flush, it never changes what is written). Only meaningful with
-	// Durability-style explicit Syncs under multiple writers.
-	GroupCommitWait time.Duration
 	// Durability enables the write-ahead-log commit protocol: Sync
 	// records every dirty page image plus a commit marker in <path>.wal
 	// (fsynced) before any in-place page write, and empties the log once
@@ -167,29 +141,20 @@ type Options struct {
 	FS VFS
 }
 
-// defaultReadAhead is the scan read-ahead depth when Options leave it
-// unset.
+// defaultReadAhead is how many leaf pages an ordered scan prefetches
+// into the buffer pool ahead of its cursor, following leaf sibling
+// pointers. Read-ahead triggers when a scan crosses from one leaf into the
+// next, so point lookups and scans that end inside their first leaf never
+// prefetch.
 const defaultReadAhead = 8
 
-// resolveOptions applies opts to the DB's tuning fields.
-func (db *DB) resolveOptions(opts *Options) {
+// initState sets up the DB's maps, channels and tuning defaults.
+func (db *DB) initState() {
 	db.readAhead = defaultReadAhead
 	db.pins = make(map[uint64]int)
 	db.retained = make(map[uint32][]pageVersion)
 	db.repDirty = make(map[uint32]struct{})
 	db.gc.wake = make(chan struct{})
-	if opts == nil {
-		return
-	}
-	db.noFastPath = opts.DisableFastPath
-	db.balancedSplit = opts.BalancedSplitOnly
-	db.gcWait = opts.GroupCommitWait
-	if opts.ReadAheadPages > 0 {
-		db.readAhead = opts.ReadAheadPages
-	}
-	if opts.DisableReadAhead {
-		db.readAhead = 0
-	}
 }
 
 // Open opens (or creates) a store file. Before anything is read, a
@@ -226,7 +191,7 @@ func Open(path string, opts *Options) (*DB, error) {
 		p.recoveries.Store(1)
 	}
 	db := &DB{pager: p, path: path}
-	db.resolveOptions(opts)
+	db.initState()
 	if p.npages.Load() == 0 {
 		if err := db.initialize(); err != nil {
 			f.Close()
@@ -248,7 +213,7 @@ func OpenMemory(opts *Options) *DB {
 	}
 	p, _ := newPager(nil, capacity)
 	db := &DB{pager: p}
-	db.resolveOptions(opts)
+	db.initState()
 	if err := db.initialize(); err != nil {
 		panic(err) // cannot fail in memory
 	}
@@ -674,14 +639,13 @@ func leafInsert(n *node, key, value []byte) int {
 // to, cutting the file's page count — and with it shred page writes —
 // by about a third. Random workloads are unaffected: a mid-leaf insert
 // below the midpoint still splits balanced, and the insertion-point rule
-// never yields a left half under half a page. Options.BalancedSplitOnly
-// restores the old policy for ablation runs.
+// never yields a left half under half a page.
 func (db *DB) finishInsert(id uint32, n *node, insertAt int) ([]byte, uint32, error) {
 	if n.size() <= PageSize {
 		return nil, 0, db.writeNodeW(id, n)
 	}
 	mid := n.splitPoint()
-	if !db.balancedSplit && n.typ == pageLeaf &&
+	if n.typ == pageLeaf &&
 		insertAt >= mid && insertAt > 0 && insertAt < len(n.keys) {
 		r := &node{typ: pageLeaf, keys: n.keys[insertAt:], vals: n.vals[insertAt:]}
 		if r.size() <= PageSize {
@@ -721,31 +685,41 @@ func (db *DB) finishInsert(id uint32, n *node, insertAt int) ([]byte, uint32, er
 }
 
 // splitPoint returns the index at which the serialized left half first
-// reaches half the node's bytes, clamped so both halves are non-empty. A
-// node only ever exceeds PageSize by one entry, so byte-balanced halves
-// always fit.
+// reaches half the node's bytes, clamped so both halves are non-empty.
+//
+// The right half is then under half the node and fits, but the left half
+// takes the entry that crosses the midpoint whole: a leaf holding two
+// large values side by side (the store's ~1.4 KB text chunks) can leave
+// it over a page. A leaf's split point therefore moves left until the
+// left half fits. The entry handed to the right half keeps it within a
+// page as long as no entry exceeds half a page's payload,
+// (PageSize-7)/2 = 2044 bytes; the store's entries stay under 1.6 KB.
+// (Put admits entries 8 bytes larger than that; a leaf of three such
+// entries still fails in serialize.) Internal entries are at most
+// MaxKeySize+6 bytes, so an internal node's halves always fit.
 func (n *node) splitPoint() int {
-	total := n.size()
-	acc := 3
-	if n.typ == pageLeaf {
-		acc = 7 // header + sibling pointer
-	}
-	for i, k := range n.keys {
-		entry := 2 + len(k)
-		if n.typ == pageLeaf {
-			entry += 2 + len(n.vals[i])
-		} else {
-			entry += 4
+	leaf := n.typ == pageLeaf
+	entry := func(i int) int {
+		if leaf {
+			return 4 + len(n.keys[i]) + len(n.vals[i])
 		}
-		acc += entry
-		if acc >= total/2 {
-			if i+1 >= len(n.keys) {
-				return len(n.keys) - 1
-			}
-			return i + 1
-		}
+		return 6 + len(n.keys[i])
 	}
-	return len(n.keys) / 2
+	half := n.size() / 2
+	left := 3 // serialized size of the left half: header + entries[:mid]
+	if leaf {
+		left = 7 // header + sibling pointer
+	}
+	mid := 0
+	for mid < len(n.keys)-1 && left < half {
+		left += entry(mid)
+		mid++
+	}
+	for leaf && left > PageSize && mid > 1 {
+		mid--
+		left -= entry(mid)
+	}
+	return mid
 }
 
 // Delete removes a key; deleting an absent key is a no-op (and publishes

@@ -22,10 +22,11 @@ func TestCloseDuringGroupCommit(t *testing.T) {
 		path := fmt.Sprintf("%s/c%d.db", t.TempDir(), iter)
 		// A generous follower window maximizes the chance Close lands
 		// while a leader is parked waiting for followers.
-		db, err := Open(path, &Options{Durability: true, GroupCommitWait: 5 * time.Millisecond})
+		db, err := Open(path, &Options{Durability: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		db.gcWait = 5 * time.Millisecond
 
 		sub, err := db.SubscribeCommits()
 		if err != nil {

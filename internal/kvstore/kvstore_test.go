@@ -410,6 +410,48 @@ func TestSplitPointHandlesSkewedEntries(t *testing.T) {
 	}
 }
 
+// TestSplitBesideLargeValue builds the leaf the shredder produced for
+// XMark sf 0.05 seeds 81, 116, 204 and 309: one 4,087-byte leaf with a
+// 1,400-byte entry in the middle, then a second 1,400-byte entry landing
+// directly before it. Neither large entry reaches the byte midpoint alone
+// and the second carries the left half to 4,107 bytes, so the midpoint
+// split failed with "node overflows page (4107 bytes)".
+func TestSplitBesideLargeValue(t *testing.T) {
+	db := OpenMemory(nil)
+	want := map[string]int{}
+	put := func(key string, valueLen int) {
+		t.Helper()
+		if err := db.Put([]byte(key), bytes.Repeat([]byte("v"), valueLen)); err != nil {
+			t.Fatalf("put %s (%d bytes): %v", key, valueLen, err)
+		}
+		want[key] = valueLen
+	}
+	// An entry costs 4 + len(key) + len(value) bytes; the leaf header 7.
+	for i := 0; i < 13; i++ {
+		put(fmt.Sprintf("a%02d", i), 93) // 13 × 100
+	}
+	put("m1", 1394) // 1400
+	for i := 0; i < 13; i++ {
+		put(fmt.Sprintf("z%02d", i), 93) // 13 × 100
+	}
+	put("z99", 73) // 80: the leaf is now 7+1300+1400+1380 = 4087 bytes
+	if n := db.pager.npages.Load(); n != 2 {
+		t.Fatalf("fixture spans %d pages, want header + one leaf", n)
+	}
+	put("m0", 1394) // splits: a00..a12, m0 | m1, z00..z99
+
+	got := 0
+	for it := db.First(); it.Valid(); it.Next() {
+		if len(it.Value()) != want[string(it.Key())] {
+			t.Errorf("%s: %d value bytes, want %d", it.Key(), len(it.Value()), want[string(it.Key())])
+		}
+		got++
+	}
+	if got != len(want) {
+		t.Errorf("scan saw %d entries, want %d", got, len(want))
+	}
+}
+
 func TestIterateEmptyStore(t *testing.T) {
 	db := OpenMemory(nil)
 	if it := db.First(); it.Valid() {

@@ -136,17 +136,21 @@ func readAheadFixture(t *testing.T, perPrefix int) string {
 	return path
 }
 
-// scanPrefix cold-opens the fixture with the given options, runs one
+// scanPrefix cold-opens the fixture with the given pool size (and, when
+// readAhead is false, scan prefetch switched off), runs one
 // AscendPrefix collecting the full key/value byte stream (stopping after
 // limit entries when limit > 0), and returns the stream plus the I/O
 // stats of just that scan.
-func scanPrefix(t *testing.T, path string, opts *Options, prefix string, limit int) ([]byte, Stats) {
+func scanPrefix(t *testing.T, path string, cachePages int, readAhead bool, prefix string, limit int) ([]byte, Stats) {
 	t.Helper()
-	db, err := Open(path, opts)
+	db, err := Open(path, &Options{CachePages: cachePages})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	if !readAhead {
+		db.readAhead = 0
+	}
 	before := db.Stats()
 	var stream []byte
 	seen := 0
@@ -173,8 +177,8 @@ func scanPrefix(t *testing.T, path string, opts *Options, prefix string, limit i
 // read-ahead only warms the pool, it never changes what a scan sees.
 func TestReadAheadScanIdentical(t *testing.T) {
 	path := readAheadFixture(t, 1500)
-	on, onStats := scanPrefix(t, path, &Options{CachePages: 16}, "b/", 0)
-	off, offStats := scanPrefix(t, path, &Options{CachePages: 16, DisableReadAhead: true}, "b/", 0)
+	on, onStats := scanPrefix(t, path, 16, true, "b/", 0)
+	off, offStats := scanPrefix(t, path, 16, false, "b/", 0)
 	if !bytes.Equal(on, off) {
 		t.Fatalf("scan differs with read-ahead: %d vs %d bytes", len(on), len(off))
 	}
@@ -182,7 +186,7 @@ func TestReadAheadScanIdentical(t *testing.T) {
 		t.Error("long scan with read-ahead enabled prefetched nothing")
 	}
 	if offStats.ReadAheads != 0 {
-		t.Errorf("DisableReadAhead still prefetched %d pages", offStats.ReadAheads)
+		t.Errorf("readAhead = 0 still prefetched %d pages", offStats.ReadAheads)
 	}
 }
 
@@ -194,17 +198,11 @@ func TestReadAheadBlocksReadBounds(t *testing.T) {
 	path := readAheadFixture(t, 1500)
 	// The pool is large enough that nothing is evicted mid-scan: every
 	// page is read at most once, so the block counts compare exactly.
-	_, off := scanPrefix(t, path, &Options{CachePages: 512, DisableReadAhead: true}, "b/", 0)
-	_, on := scanPrefix(t, path, &Options{CachePages: 512}, "b/", 0)
+	_, off := scanPrefix(t, path, 512, false, "b/", 0)
+	_, on := scanPrefix(t, path, 512, true, "b/", 0)
 	if on.BlocksRead > off.BlocksRead+defaultReadAhead {
 		t.Errorf("read-ahead scan read %d blocks, plain scan %d: overshoot > %d",
 			on.BlocksRead, off.BlocksRead, defaultReadAhead)
-	}
-	// A deeper knob prefetches more but stays bounded by its own depth.
-	_, deep := scanPrefix(t, path, &Options{CachePages: 512, ReadAheadPages: 32}, "b/", 0)
-	if deep.BlocksRead > off.BlocksRead+32 {
-		t.Errorf("depth-32 scan read %d blocks, plain scan %d: overshoot > 32",
-			deep.BlocksRead, off.BlocksRead)
 	}
 }
 
@@ -213,8 +211,8 @@ func TestReadAheadBlocksReadBounds(t *testing.T) {
 // point-ish lookups pay zero read-ahead cost.
 func TestReadAheadEarlyStop(t *testing.T) {
 	path := readAheadFixture(t, 1500)
-	on, onStats := scanPrefix(t, path, &Options{CachePages: 16}, "b/", 1)
-	off, offStats := scanPrefix(t, path, &Options{CachePages: 16, DisableReadAhead: true}, "b/", 1)
+	on, onStats := scanPrefix(t, path, 16, true, "b/", 1)
+	off, offStats := scanPrefix(t, path, 16, false, "b/", 1)
 	if !bytes.Equal(on, off) {
 		t.Fatal("early-stopped scan differs with read-ahead")
 	}

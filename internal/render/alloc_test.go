@@ -53,8 +53,8 @@ func BenchmarkClosestOfCached(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkRenderCachedJoins renders a small target end to end — the
-// cached-join render benchmark of BENCH_hotpath.json.
+// BenchmarkRenderCachedJoins renders a small target end to end through
+// the CSR join cache.
 func BenchmarkRenderCachedJoins(b *testing.B) {
 	doc := xmltree.MustParse(fig1a)
 	plan, err := semantics.Compile(guard.MustParse("MORPH author [ name book [ title ] ]"), shape.FromDocument(doc))

@@ -3,6 +3,8 @@ package store
 import (
 	"strings"
 	"testing"
+
+	"xmorph/internal/xmltree"
 )
 
 // TestMultiChunkValueReassembly is the regression test for the chunk
@@ -110,52 +112,40 @@ func TestSizeCountsWithoutCaching(t *testing.T) {
 	}
 }
 
-// TestBatchedShredEqualsUnbatched: the batched per-type runs must leave
-// exactly the same logical store behind as per-chunk Puts — same
-// documents, same sequences, same reconstruction.
-func TestBatchedShredEqualsUnbatched(t *testing.T) {
+// TestBatchedShredRoundTripsParse: the batched per-type runs, including a
+// value that spans several chunks, must leave behind exactly the document
+// the parser sees in the source — same node count, same reconstruction.
+func TestBatchedShredRoundTripsParse(t *testing.T) {
 	big := strings.Repeat("chunked-value ", 400)
 	src := `<site><regions><europe><item id="i1"><name>` + big + `</name></item>` +
 		`<item id="i2"><name>n2</name></item></europe></regions>` +
 		`<people><person id="p1"><name>ann</name></person></people></site>`
+	want, err := xmltree.ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	batched := OpenMemory()
-	defer batched.Close()
-	unbatched := OpenMemory(WithUnbatchedShred())
-	defer unbatched.Close()
-
-	for _, s := range []*Store{batched, unbatched} {
-		if _, err := s.Shred("d", strings.NewReader(src), nil); err != nil {
-			t.Fatal(err)
-		}
+	s := OpenMemory()
+	defer s.Close()
+	if _, err := s.Shred("d", strings.NewReader(src), nil); err != nil {
+		t.Fatal(err)
 	}
-	db, err := batched.Doc("d")
+	doc, err := s.Doc("d")
 	if err != nil {
 		t.Fatal(err)
 	}
-	du, err := unbatched.Doc("d")
+	if doc.Size() != want.Size() {
+		t.Fatalf("sizes differ: stored %d, parsed %d", doc.Size(), want.Size())
+	}
+	got, err := doc.Reconstruct()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Size() != du.Size() {
-		t.Fatalf("sizes differ: batched %d, unbatched %d", db.Size(), du.Size())
+	if got.XML(false) != want.XML(false) {
+		t.Errorf("reconstruction differs from the parsed source:\nstored: %s\nparsed: %s", got.XML(false), want.XML(false))
 	}
-	rb, err := db.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ru, err := du.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.XML(false) != ru.XML(false) {
-		t.Errorf("reconstructions differ:\nbatched:   %s\nunbatched: %s", rb.XML(false), ru.XML(false))
-	}
-	if batched.Stats().BatchedPuts == 0 {
-		t.Error("batched shred issued no batched puts")
-	}
-	if unbatched.Stats().BatchedPuts != 0 {
-		t.Error("unbatched shred issued batched puts")
+	if s.Stats().BatchedPuts == 0 {
+		t.Error("shred issued no batched puts")
 	}
 }
 

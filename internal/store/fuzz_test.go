@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"xmorph/internal/gen/xmark"
 	"xmorph/internal/store"
 )
 
@@ -46,4 +47,19 @@ func FuzzShred(f *testing.F) {
 			t.Fatalf("stored document does not reconstruct: %v", err)
 		}
 	})
+}
+
+// TestShredXMarkSeed81RoundTrip: XMark sf 0.05 seed 81 (as 116, 204 and
+// 309) lays two ~1.4 KB text chunks side by side in one leaf at the
+// moment it splits — the B+tree's byte-midpoint split used to leave the
+// left half over a page and the shred failed with "node overflows page
+// (4098 bytes)". The document must shred and read back as generated.
+func TestShredXMarkSeed81RoundTrip(t *testing.T) {
+	want := xmark.Generate(xmark.Config{Factor: 0.05, Seed: 81}).XML(false)
+	st := store.OpenMemory()
+	defer st.Close()
+	shredInto(t, st, "d", want)
+	if reconstructXML(t, st, "d") != want {
+		t.Error("reconstruction differs from the generated document")
+	}
 }

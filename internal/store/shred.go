@@ -265,9 +265,6 @@ func (sh *shredder) emit(typ string, dw xmltree.Dewey, value string) error {
 	for i, c := range dw {
 		binary.BigEndian.PutUint32(full[len(key)+4*i:], uint32(c))
 	}
-	if sh.store.unbatchedShred {
-		return sh.store.putBlob(full, []byte(value))
-	}
 	for int(tid) >= len(sh.runs) {
 		sh.runs = append(sh.runs, typeRun{})
 	}

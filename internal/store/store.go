@@ -44,74 +44,57 @@ type Store struct {
 	// idMu serializes document-ID allocation: concurrent shreds must not
 	// read the same counter value.
 	idMu sync.Mutex
-	// unbatchedShred forces Shred to issue one Put per chunk instead of
-	// accumulating per-type sorted runs for PutBatch — the pre-batching
-	// behaviour, kept for ablation benchmarks (WithUnbatchedShred).
-	unbatchedShred bool
 }
 
 // Option configures a Store at Open time.
-type Option func(*config)
-
-type config struct {
-	kv             kvstore.Options
-	unbatchedShred bool
-}
+type Option func(*kvstore.Options)
 
 // WithCachePages sizes the underlying buffer pool in pages.
 func WithCachePages(n int) Option {
-	return func(c *config) { c.kv.CachePages = n }
+	return func(kv *kvstore.Options) { kv.CachePages = n }
 }
 
 // WithDurability enables the write-ahead-log commit protocol (crash-safe
 // Syncs; see DESIGN.md Durability).
 func WithDurability(on bool) Option {
-	return func(c *config) { c.kv.Durability = on }
+	return func(kv *kvstore.Options) { kv.Durability = on }
 }
 
-// WithUnbatchedShred reverts Shred to the per-chunk Put path (one Put per
-// chunk, no per-type sorted runs) — the pre-batching behaviour, kept for
-// ablation benchmarks.
-func WithUnbatchedShred() Option {
-	return func(c *config) { c.unbatchedShred = true }
-}
-
-// WithKVOptions replaces the whole underlying kvstore configuration — the
-// escape hatch for ablation knobs (DisableFastPath, BalancedSplitOnly,
-// DisableReadAhead, FS fault injection) the named options don't cover.
-// Named options applied after it still take effect.
+// WithKVOptions replaces the whole underlying kvstore configuration; the
+// crash and chaos tests inject a fault-injecting FS through it. Named
+// options applied after it still take effect.
 func WithKVOptions(o *kvstore.Options) Option {
-	return func(c *config) {
+	return func(kv *kvstore.Options) {
 		if o != nil {
-			c.kv = *o
+			*kv = *o
 		}
 	}
 }
 
 // Open opens (or creates) a store file.
 func Open(path string, opts ...Option) (*Store, error) {
-	var c config
+	var kv kvstore.Options
 	for _, o := range opts {
 		if o != nil {
-			o(&c)
+			o(&kv)
 		}
 	}
-	db, err := kvstore.Open(path, &c.kv)
+	db, err := kvstore.Open(path, &kv)
 	if err != nil {
 		return nil, err
 	}
-	return &Store{db: db, unbatchedShred: c.unbatchedShred}, nil
+	return &Store{db: db}, nil
 }
 
 // OpenMemory returns an in-memory store (same code path, no file).
 func OpenMemory(opts ...Option) *Store {
-	var c config
+	var kv kvstore.Options
 	for _, o := range opts {
 		if o != nil {
-			o(&c)
+			o(&kv)
 		}
 	}
-	return &Store{db: kvstore.OpenMemory(&c.kv), unbatchedShred: c.unbatchedShred}
+	return &Store{db: kvstore.OpenMemory(&kv)}
 }
 
 // Close flushes and closes the underlying store.

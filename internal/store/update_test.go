@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"xmorph/internal/gen/xmark"
 	"xmorph/internal/kvstore"
 	"xmorph/internal/store"
 	"xmorph/internal/update"
@@ -564,4 +566,50 @@ func TestCrashSweepUpdateWorkload(t *testing.T) {
 			st.Close()
 		}
 	}
+}
+
+// TestUpdateWritesFewerPagesThanReshred prices dirty-subtree shredding in
+// pages, not time: a three-statement script touching O(1) regions of an
+// XMark document must write at least five times fewer pages than the
+// alternative a store without an update path has — drop the document and
+// shred the edited XML from scratch. Both stores start from the same
+// shred, and the baseline shreds exactly the document the patch produced.
+func TestUpdateWritesFewerPagesThanReshred(t *testing.T) {
+	const script = `insert <category id="newcat"><name>patched</name></category> into site.categories ;
+insert <person id="newperson"><name>New Person</name><emailaddress>new@example.com</emailaddress></person> into site.people ;
+replace site.catgraph with <catgraph><edge from="category0" to="category0"/></catgraph>`
+	xml := xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42}).XML(false)
+	openShredded := func(name string) *store.Store {
+		st, err := store.Open(filepath.Join(t.TempDir(), name), store.WithCachePages(128))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		shredInto(t, st, "d", xml)
+		return st
+	}
+
+	patched := openShredded("patch.db")
+	before := patched.Stats().BlocksWritten
+	if _, err := patched.Update("d", mustOps(t, script), nil); err != nil {
+		t.Fatal(err)
+	}
+	patchPages := patched.Stats().BlocksWritten - before
+	edited := reconstructXML(t, patched, "d")
+
+	reshredded := openShredded("reshred.db")
+	before = reshredded.Stats().BlocksWritten
+	if err := reshredded.Drop("d"); err != nil {
+		t.Fatal(err)
+	}
+	shredInto(t, reshredded, "d", edited)
+	reshredPages := reshredded.Stats().BlocksWritten - before
+
+	if patchPages == 0 {
+		t.Fatal("patch wrote no pages")
+	}
+	if patchPages*5 > reshredPages {
+		t.Errorf("patch wrote %d pages, drop + re-shred %d: want at least 5x fewer", patchPages, reshredPages)
+	}
+	t.Logf("patch %d pages, drop + re-shred %d pages", patchPages, reshredPages)
 }
