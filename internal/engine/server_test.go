@@ -246,6 +246,22 @@ func TestServerBodyCapIs413(t *testing.T) {
 	}
 }
 
+// TestServerDepthBombIs400: a body of unclosed nested tags, far under the
+// body cap, is refused as malformed input and leaves no document behind.
+func TestServerDepthBombIs400(t *testing.T) {
+	_, _, ts := newTestServer(t, ServerConfig{})
+	resp, err := http.Post(ts.URL+"/v1/docs/bomb", "application/xml", strings.NewReader(strings.Repeat("<a>", 1<<17)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("depth bomb status = %d, want 400", resp.StatusCode)
+	}
+	shredHTTP(t, ts.URL, "bomb") // the name is still free
+}
+
 func TestServerMetricsEndpoint(t *testing.T) {
 	_, _, ts := newTestServer(t, ServerConfig{})
 	shredHTTP(t, ts.URL, "books")

@@ -91,8 +91,9 @@ func (t *Trace) Finish() {
 
 // Span is one timed region of the pipeline with nested children and
 // key/value annotations. All methods are nil-safe and safe for
-// concurrent use (the parallel renderer annotates from worker
-// goroutines).
+// concurrent use: every layer writes into whatever span it is handed,
+// none of them can know which goroutines hold the same one, and the
+// contract is tested under -race (TestConcurrentCountersAndSpans).
 type Span struct {
 	name  string
 	start time.Time

@@ -80,56 +80,103 @@ func New() *Shape {
 	}
 }
 
+// Fold infers an adorned shape from one pass over a document's nodes in
+// document order: Open at each element or attribute, Close when its
+// subtree has been seen. It is the only statement of the inference
+// rule: an edge's range is the least and greatest number of child-type
+// children over all parent-type nodes — so a child type absent below
+// some parent has minimum 0 — and a parent's child types keep the order
+// in which the document first shows them (the model itself is
+// unordered, but identity transforms then render siblings in a familiar
+// order). The zero value is ready to use.
+//
+// Types are rooted type paths, which is what lets the fold keep its
+// counts per type instead of per open node: a type has one parent type,
+// and two nodes of one type are never ancestor and descendant, so at
+// most one node of a parent type is open at a time.
+type Fold struct {
+	types map[string]*foldType
+	order []*foldType // first-encounter order: parents ahead of their children
+	open  []*foldType
+}
+
+type foldType struct {
+	name   string
+	parent *foldType
+	kids   []*foldType
+	closed int  // nodes of this type seen through to their Close
+	n      int  // children of this type below the open node of the parent type
+	card   Card // over the parent nodes closed so far
+}
+
+// Open records a node of type typ below the innermost open node.
+func (f *Fold) Open(typ string) {
+	t := f.types[typ]
+	if t == nil {
+		t = &foldType{name: typ}
+		if len(f.open) > 0 {
+			t.parent = f.open[len(f.open)-1]
+			t.parent.kids = append(t.parent.kids, t)
+		}
+		if f.types == nil {
+			f.types = make(map[string]*foldType)
+		}
+		f.types[typ] = t
+		f.order = append(f.order, t)
+	}
+	t.n++
+	f.open = append(f.open, t)
+}
+
+// Close ends the innermost open node, folding its child counts into its
+// type's edges. A child type first met below a later node of the type
+// starts from the zero Card, whose minimum of 0 stands for the earlier
+// nodes that had none.
+func (f *Fold) Close() {
+	t := f.open[len(f.open)-1]
+	f.open = f.open[:len(f.open)-1]
+	for _, k := range t.kids {
+		if t.closed == 0 || k.n < k.card.Min {
+			k.card.Min = k.n
+		}
+		if k.n > k.card.Max {
+			k.card.Max = k.n
+		}
+		k.n = 0
+	}
+	t.closed++
+}
+
+// Shape returns the shape of the nodes folded so far.
+func (f *Fold) Shape() *Shape {
+	s := New()
+	for _, t := range f.order {
+		s.AddType(t.name)
+		if t.parent != nil {
+			s.setEdge(t.parent.name, t.name, t.card)
+		}
+	}
+	return s
+}
+
 // FromDocument extracts the adorned shape of a document: one type per
 // distinct rooted type path, an edge for each parent/child type pair, and
 // for each edge the min and max number of child-type children over all
 // parent-type nodes.
 func FromDocument(d *xmltree.Document) *Shape {
-	s := New()
-	if d.Root() == nil {
-		return s
-	}
-	for _, t := range d.Types() {
-		s.AddType(t)
-	}
-	// Count, per parent node, children of each child type. Child types are
-	// kept in first-encounter document order so that identity transforms
-	// render siblings in a familiar order (the model itself is unordered).
-	for _, t := range d.Types() {
-		parents := d.NodesOfType(t)
-		var childTypes []string
-		seen := map[string]bool{}
-		for _, p := range parents {
-			for _, c := range p.Children {
-				if !seen[c.Type] {
-					seen[c.Type] = true
-					childTypes = append(childTypes, c.Type)
-				}
-			}
+	var f Fold
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
+		f.Open(n.Type)
+		for _, c := range n.Children {
+			walk(c)
 		}
-		for _, ct := range childTypes {
-			min, max := -1, 0
-			for _, p := range parents {
-				n := 0
-				for _, c := range p.Children {
-					if c.Type == ct {
-						n++
-					}
-				}
-				if min < 0 || n < min {
-					min = n
-				}
-				if n > max {
-					max = n
-				}
-			}
-			if min < 0 {
-				min = 0
-			}
-			s.setEdge(t, ct, Card{Min: min, Max: max})
-		}
+		f.Close()
 	}
-	return s
+	for _, r := range d.Roots {
+		walk(r)
+	}
+	return f.Shape()
 }
 
 // AddType ensures t is a type of the shape (as a root until an edge is

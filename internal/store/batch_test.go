@@ -185,3 +185,50 @@ func TestShredFlushThreshold(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedShredLeavesNoRecords: a shred that fails after its runs began
+// to flush — here a ~1.5 MB body with its last end tag cut off, as a
+// client disconnect leaves it — must remove what it flushed: the records
+// sit under an id no registry entry names, so nothing else ever would.
+func TestFailedShredLeavesNoRecords(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<doc>")
+	filler := strings.Repeat("y", 2500)
+	for i := 0; i < 600; i++ { // ~1.5 MB, over shredFlushBytes
+		b.WriteString("<item><name>n</name><desc>" + filler + "</desc></item>")
+	}
+	good := b.String() + "</doc>"
+
+	s := OpenMemory()
+	defer s.Close()
+	if _, err := s.Shred("d", strings.NewReader(b.String()), nil); err == nil {
+		t.Fatal("truncated document shredded")
+	}
+	if s.Stats().BatchedPuts == 0 {
+		t.Fatal("the failed shred flushed nothing: the test does not reach the leak")
+	}
+	for _, table := range []byte{'N', 'S', 'T', 'H', 'D'} {
+		n := 0
+		if err := s.db.AscendPrefix([]byte{table}, func(k, v []byte) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if n != 0 {
+			t.Errorf("failed shred left %d records under %q", n, table)
+		}
+	}
+
+	if _, err := s.Shred("d", strings.NewReader(good), nil); err != nil {
+		t.Fatalf("good shred of the same name after the failed one: %v", err)
+	}
+	doc, err := s.Doc("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := doc.Reconstruct()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.XML(false) != good {
+		t.Error("reconstruction differs from the shredded document")
+	}
+}

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"strings"
 
 	"xmorph/internal/kvstore"
 	"xmorph/internal/xmltree"
@@ -37,12 +36,9 @@ func (d *Doc) ScanType(t string) *TypeScan {
 	if !ok {
 		return &TypeScan{done: true}
 	}
-	prefix := nodePrefix(d.id, tid)
+	prefix := nodePrefix(d.id, tid, nil)
 	depth := xmltree.TypeDepth(t)
-	name := t
-	if i := strings.LastIndex(t, xmltree.TypeSep); i >= 0 {
-		name = t[i+1:]
-	}
+	name := lastSegment(t)
 	return &TypeScan{
 		it:     d.r.Seek(prefix),
 		prefix: prefix,
@@ -66,22 +62,15 @@ func (s *TypeScan) Next() bool {
 			s.close()
 			return false
 		}
-		if len(k) != len(s.prefix)+4*s.depth+2 ||
-			binary.BigEndian.Uint16(k[len(k)-2:]) != 0 {
-			// Malformed key or a stray continuation chunk: skip, like
+		dw, chunk, _ := splitNodeKey(k)
+		v := s.it.Value()
+		if len(dw) != 4*s.depth || chunk != 0 || len(v) < 2 {
+			// Malformed record or a stray continuation chunk: skip, like
 			// NodesOfType.
 			s.it.Next()
 			continue
 		}
-		v := s.it.Value()
-		if len(v) < 2 {
-			s.it.Next()
-			continue
-		}
-		dw := k[len(s.prefix) : len(k)-2]
-		for i := 0; i < s.depth; i++ {
-			s.dewey[i] = int(binary.BigEndian.Uint32(dw[i*4:]))
-		}
+		decodeDewey(s.dewey, dw)
 		// The iterator's Value is only valid until Next, and multi-chunk
 		// values span records, so the value always lands in the reused
 		// buffer.
@@ -93,8 +82,8 @@ func (s *TypeScan) Next() bool {
 				break // truncated record; keep what was read
 			}
 			ck := s.it.Key()
-			if len(ck) != len(k) || !bytes.Equal(ck[:len(k)-2], k[:len(k)-2]) ||
-				int(binary.BigEndian.Uint16(ck[len(ck)-2:])) != c {
+			cdw, cchunk, _ := splitNodeKey(ck)
+			if !bytes.HasPrefix(ck, s.prefix) || !bytes.Equal(cdw, dw) || int(cchunk) != c {
 				break // chunk chain interrupted
 			}
 			s.val = append(s.val, s.it.Value()...)

@@ -2,11 +2,12 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 
+	"xmorph/internal/kvstore"
 	"xmorph/internal/obs"
 	"xmorph/internal/shape"
 	"xmorph/internal/xmltree"
@@ -41,51 +42,52 @@ func (s *Store) Shred(name string, r io.Reader, parent *obs.Span) (*ShredInfo, e
 	if err != nil {
 		return nil, err
 	}
-
-	sh := &shredder{store: s, docID: id, typeID: map[string]uint32{}, agg: map[edge]*cardAgg{}, parentCount: map[string]int{}}
-	if err := sh.run(r); err != nil {
-		return nil, err
-	}
-
-	// Type registry in typeID order.
-	if err := s.putBlob(blobKey('T', id), []byte(strings.Join(sh.typeOrder, "\n"))); err != nil {
-		return nil, err
-	}
-	// Adorned shape, plus its hash for shape-aware guard caches.
-	enc := encodeShape(sh.shape())
-	if err := s.putBlob(blobKey('S', id), []byte(enc)); err != nil {
-		return nil, err
-	}
-	hashBuf := make([]byte, 8)
-	binary.BigEndian.PutUint64(hashBuf, hashShapeEnc(enc))
-	if err := s.db.Put(blobKey('H', id), hashBuf); err != nil {
-		return nil, err
-	}
-	// Registry entry last: a crash mid-shred leaves no visible document.
-	idBuf := make([]byte, 4)
-	binary.BigEndian.PutUint32(idBuf, id)
-	if err := s.db.Put(docKey(name), idBuf); err != nil {
-		return nil, err
-	}
-	if err := s.db.Sync(); err != nil {
-		return nil, err
+	sh, err := s.shredAs(id, name, r)
+	if err != nil {
+		// Runs flushed before the input turned out malformed, cut short
+		// or too large sit under an id no registry entry will ever name.
+		return nil, errors.Join(err, s.removeID(id))
 	}
 	if sp != nil {
 		after := s.Stats()
 		sp.Set("nodes", int64(sh.nodes))
 		sp.Set("chars", int64(sh.chars))
-		sp.Set("types", int64(len(sh.typeOrder)))
+		sp.Set("types", int64(len(sh.types)))
 		sp.Set("pages-written", after.BlocksWritten-before.BlocksWritten)
 		sp.Set("batched-puts", after.BatchedPuts-before.BatchedPuts)
 		sp.Set("fastpath-hits", after.FastPathHits-before.FastPathHits)
 	}
-	return &ShredInfo{Name: name, Types: len(sh.typeOrder), Nodes: sh.nodes}, nil
+	return &ShredInfo{Name: name, Types: len(sh.types), Nodes: sh.nodes}, nil
 }
 
-// ShredDocument shreds an already-parsed document (used by generators that
-// build documents in memory).
-func (s *Store) ShredDocument(name string, d *xmltree.Document) (*ShredInfo, error) {
-	return s.Shred(name, strings.NewReader(d.XML(false)), nil)
+// shredAs scans r into the store under a freshly allocated id and
+// commits the document.
+func (s *Store) shredAs(id uint32, name string, r io.Reader) (*shredder, error) {
+	runs := &typeRuns{db: s.db}
+	sh := newShredder(id, newTypeRegistry(nil), runs.add, "", nil, 1)
+	if err := xmltree.Scan(r, sh); err != nil {
+		return nil, fmt.Errorf("store: shred: %w", err)
+	}
+	if err := runs.flush(); err != nil {
+		return nil, err
+	}
+	// Type registry in typeID order.
+	if err := s.putBlob(blobKey('T', id), []byte(strings.Join(sh.types, "\n"))); err != nil {
+		return nil, err
+	}
+	// Adorned shape, plus its hash for shape-aware guard caches.
+	enc := encodeShape(sh.fold.Shape())
+	if err := s.putBlob(blobKey('S', id), []byte(enc)); err != nil {
+		return nil, err
+	}
+	if err := s.db.Put(blobKey('H', id), binary.BigEndian.AppendUint64(nil, hashShapeEnc(enc))); err != nil {
+		return nil, err
+	}
+	// Registry entry last: a crash mid-shred leaves no visible document.
+	if err := s.db.Put(docKey(name), binary.BigEndian.AppendUint32(nil, id)); err != nil {
+		return nil, err
+	}
+	return sh, s.db.Sync()
 }
 
 func (s *Store) nextDocID() (uint32, error) {
@@ -99,227 +101,193 @@ func (s *Store) nextDocID() (uint32, error) {
 	if ok {
 		next = binary.BigEndian.Uint32(v)
 	}
-	buf := make([]byte, 4)
-	binary.BigEndian.PutUint32(buf, next+1)
-	if err := s.db.Put([]byte{'C'}, buf); err != nil {
+	if err := s.db.Put([]byte{'C'}, binary.BigEndian.AppendUint32(nil, next+1)); err != nil {
 		return 0, err
 	}
 	return next, nil
 }
 
-type edge struct{ parent, child string }
+// typeRegistry numbers a document's types: a type's typeID is its index
+// in types, the order of the 'T' record.
+type typeRegistry struct {
+	types  []string
+	typeID map[string]uint32
+}
 
-// cardAgg aggregates one shape edge's cardinality across parent instances.
-type cardAgg struct {
-	min, max   int
-	haveParent int // parents that had at least one such child
-	first      bool
+func newTypeRegistry(types []string) *typeRegistry {
+	r := &typeRegistry{types: types, typeID: make(map[string]uint32, len(types))}
+	for i, t := range types {
+		r.typeID[t] = uint32(i)
+	}
+	return r
+}
+
+// register returns t's typeID, entering t on first sight.
+func (r *typeRegistry) register(t string) uint32 {
+	id, ok := r.typeID[t]
+	if !ok {
+		id = uint32(len(r.types))
+		r.types = append(r.types, t)
+		r.typeID[t] = id
+	}
+	return id
+}
+
+// joinType extends the rooted type path parent ("" above a root) by rel.
+func joinType(parent, rel string) string {
+	if parent == "" {
+		return rel
+	}
+	return parent + xmltree.TypeSep + rel
+}
+
+// shredder is the xmltree.Handler that turns a document's events into
+// node records: it hands out child ordinals, attributes first as they
+// arrive, builds each node's rooted type path and Dewey number below
+// the position it was rooted at, registers types as their first record
+// is written — an attribute's at its event, an element's at its End,
+// when its text is complete — and passes every record to out. A whole
+// document is rooted above a root (type "", no Dewey number, ordinal 1);
+// an update's fragment at a child slot of an existing node.
+type shredder struct {
+	*typeRegistry
+	docID uint32
+	// out takes one node's record: its key without the chunk index, and
+	// its text value.
+	out func(tid uint32, key, value []byte) error
+	// fold infers the shape of what is shredded. An update ignores it: it
+	// recounts the types it touched from their stored sequences.
+	fold shape.Fold
+	// open holds the elements being read, innermost last, below the
+	// frame of the node the shredder was rooted at; path is the innermost
+	// one's Dewey number, one component per frame above that node's own.
+	open  []frame
+	path  xmltree.Dewey
+	nodes int
+	chars int
+	err   error
+}
+
+// frame is one open element.
+type frame struct {
+	typ   string
+	value []byte
+	kids  int // child ordinals handed out
+}
+
+// newShredder roots a shredder at child ordinal ord of the node of type
+// parentT at Dewey number pd.
+func newShredder(docID uint32, reg *typeRegistry, out func(tid uint32, key, value []byte) error,
+	parentT string, pd xmltree.Dewey, ord int) *shredder {
+	return &shredder{
+		typeRegistry: reg, docID: docID, out: out,
+		open: []frame{{typ: parentT, kids: ord - 1}},
+		path: append(xmltree.Dewey(nil), pd...),
+	}
+}
+
+func (sh *shredder) Start(name string) {
+	p := &sh.open[len(sh.open)-1]
+	p.kids++
+	sh.path = append(sh.path, p.kids)
+	typ := joinType(p.typ, name)
+	sh.open = append(sh.open, frame{typ: typ})
+	sh.fold.Open(typ)
+}
+
+func (sh *shredder) Attr(name, value string) {
+	f := &sh.open[len(sh.open)-1]
+	f.kids++
+	typ := f.typ + xmltree.TypeSep + "@" + name
+	sh.fold.Open(typ)
+	sh.fold.Close()
+	sh.emit(typ, append(sh.path, f.kids), []byte(value))
+}
+
+func (sh *shredder) Text(s string) {
+	f := &sh.open[len(sh.open)-1]
+	f.value = append(f.value, s...)
+}
+
+func (sh *shredder) End() {
+	f := sh.open[len(sh.open)-1]
+	sh.open = sh.open[:len(sh.open)-1]
+	sh.emit(f.typ, sh.path, f.value)
+	sh.path = sh.path[:len(sh.path)-1]
+	sh.fold.Close()
+}
+
+func (sh *shredder) Err() error { return sh.err }
+
+// emit writes one node's record. After a failure it writes nothing more:
+// the events that still arrive only keep the frames balanced.
+func (sh *shredder) emit(typ string, dw xmltree.Dewey, value []byte) {
+	if sh.err != nil {
+		return
+	}
+	if len(dw) > xmltree.MaxDepth {
+		// Only a fragment grafted deep into a document gets here: the scan
+		// bounds a whole document's depth itself.
+		sh.err = fmt.Errorf("store: node %s lies deeper than %d levels", typ, xmltree.MaxDepth)
+		return
+	}
+	tid := sh.register(typ)
+	sh.nodes++
+	sh.chars += len(value)
+	sh.err = sh.out(tid, nodePrefix(sh.docID, tid, dw), value)
 }
 
 // shredFlushBytes bounds the memory the shredder buffers before pushing
 // its per-type runs through PutBatch.
 const shredFlushBytes = 1 << 20
 
-// typeRun is one type's buffered node records. Per-type keys are
-// generated in document order — two nodes of one rooted type are never
-// ancestor and descendant, so element close order equals document order
-// — which means every run is already sorted when it reaches PutBatch.
+// typeRuns buffers a shred's node records per type (index = typeID).
+// Per-type keys are generated in document order — two nodes of one
+// rooted type are never ancestor and descendant, so element close order
+// equals document order — which means every run is already sorted when
+// it reaches PutBatch.
+type typeRuns struct {
+	db       *kvstore.DB
+	runs     []typeRun
+	buffered int // bytes held across all runs, for the flush threshold
+}
+
 type typeRun struct {
 	keys, vals [][]byte
 }
 
-type shredder struct {
-	store       *Store
-	docID       uint32
-	typeID      map[string]uint32
-	typeOrder   []string
-	agg         map[edge]*cardAgg
-	edgeOrder   []edge
-	parentCount map[string]int
-	nodes       int
-	chars       int
-	// runs buffers node records per type (index = typeID); buffered
-	// tracks their total bytes for the flush threshold.
-	runs     []typeRun
-	buffered int
-}
-
-// frame is one open element during the streaming parse.
-type frame struct {
-	dewey      xmltree.Dewey
-	typ        string
-	value      strings.Builder
-	childN     int
-	childTypes map[string]int
-	childOrder []string // first-encounter order, preserved in the shape
-}
-
-func (sh *shredder) run(r io.Reader) error {
-	dec := xml.NewDecoder(r)
-	var stack []*frame
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("store: shred: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			var f *frame
-			if len(stack) == 0 {
-				if sh.nodes > 0 {
-					return fmt.Errorf("store: shred: multiple root elements")
-				}
-				f = &frame{dewey: xmltree.Dewey{1}, typ: t.Name.Local}
-			} else {
-				p := stack[len(stack)-1]
-				p.childN++
-				f = &frame{
-					dewey: p.dewey.Child(p.childN),
-					typ:   p.typ + xmltree.TypeSep + t.Name.Local,
-				}
-				p.noteChild(f.typ)
-			}
-			f.childTypes = map[string]int{}
-			stack = append(stack, f)
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				f.childN++
-				at := f.typ + xmltree.TypeSep + "@" + a.Name.Local
-				f.noteChild(at)
-				if err := sh.emit(at, f.dewey.Child(f.childN), a.Value); err != nil {
-					return err
-				}
-			}
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return fmt.Errorf("store: shred: unbalanced end element %s", t.Name.Local)
-			}
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if err := sh.emit(f.typ, f.dewey, f.value.String()); err != nil {
-				return err
-			}
-			sh.foldFrame(f)
-		case xml.CharData:
-			if len(stack) > 0 {
-				s := string(t)
-				if strings.TrimSpace(s) != "" {
-					stack[len(stack)-1].value.WriteString(s)
-				}
-			}
-		}
+func (b *typeRuns) add(tid uint32, key, value []byte) error {
+	for int(tid) >= len(b.runs) {
+		b.runs = append(b.runs, typeRun{})
 	}
-	if sh.nodes == 0 {
-		return fmt.Errorf("store: shred: no root element")
+	r := &b.runs[tid]
+	var err error
+	r.keys, r.vals, err = appendBlobChunks(r.keys, r.vals, key, value)
+	if err != nil {
+		return err
 	}
-	if len(stack) != 0 {
-		return fmt.Errorf("store: shred: unexpected end of input inside <%s>", stack[len(stack)-1].typ)
+	b.buffered += len(key) + len(value)
+	if b.buffered >= shredFlushBytes {
+		return b.flush()
 	}
-	return sh.flush()
+	return nil
 }
 
 // flush pushes every buffered type run through PutBatch, in typeID
 // order. Node keys are prefixed by typeID, so consecutive runs extend
 // one globally ascending key sequence — nearly every insert lands on the
 // B+tree's cached leaf.
-func (sh *shredder) flush() error {
-	for tid := range sh.runs {
-		r := &sh.runs[tid]
+func (b *typeRuns) flush() error {
+	for tid := range b.runs {
+		r := &b.runs[tid]
 		if len(r.keys) == 0 {
 			continue
 		}
-		if err := sh.store.db.PutBatch(r.keys, r.vals); err != nil {
+		if err := b.db.PutBatch(r.keys, r.vals); err != nil {
 			return err
 		}
 		r.keys, r.vals = r.keys[:0], r.vals[:0]
 	}
-	sh.buffered = 0
+	b.buffered = 0
 	return nil
-}
-
-func (f *frame) noteChild(childType string) {
-	if _, seen := f.childTypes[childType]; !seen {
-		f.childOrder = append(f.childOrder, childType)
-	}
-	f.childTypes[childType]++
-}
-
-// emit writes one node record and registers its type.
-func (sh *shredder) emit(typ string, dw xmltree.Dewey, value string) error {
-	tid, ok := sh.typeID[typ]
-	if !ok {
-		tid = uint32(len(sh.typeOrder))
-		sh.typeID[typ] = tid
-		sh.typeOrder = append(sh.typeOrder, typ)
-	}
-	sh.nodes++
-	sh.chars += len(value)
-	key := nodePrefix(sh.docID, tid)
-	full := make([]byte, len(key)+4*len(dw))
-	copy(full, key)
-	for i, c := range dw {
-		binary.BigEndian.PutUint32(full[len(key)+4*i:], uint32(c))
-	}
-	for int(tid) >= len(sh.runs) {
-		sh.runs = append(sh.runs, typeRun{})
-	}
-	r := &sh.runs[tid]
-	var err error
-	r.keys, r.vals, err = appendBlobChunks(r.keys, r.vals, full, []byte(value))
-	if err != nil {
-		return err
-	}
-	sh.buffered += len(full) + len(value)
-	if sh.buffered >= shredFlushBytes {
-		return sh.flush()
-	}
-	return nil
-}
-
-// foldFrame folds one closed parent's child counts into the shape
-// aggregation.
-func (sh *shredder) foldFrame(f *frame) {
-	sh.parentCount[f.typ]++
-	for _, ct := range f.childOrder {
-		n := f.childTypes[ct]
-		e := edge{f.typ, ct}
-		a, ok := sh.agg[e]
-		if !ok {
-			a = &cardAgg{first: true}
-			sh.agg[e] = a
-			sh.edgeOrder = append(sh.edgeOrder, e)
-		}
-		if a.first || n < a.min {
-			a.min = n
-		}
-		if n > a.max {
-			a.max = n
-		}
-		a.first = false
-		a.haveParent++
-	}
-}
-
-// shape assembles the adorned shape from the aggregation: an edge whose
-// child type was absent under some parent instances has minimum 0.
-func (sh *shredder) shape() *shape.Shape {
-	out := shape.New()
-	for _, t := range sh.typeOrder {
-		out.AddType(t)
-	}
-	for _, e := range sh.edgeOrder {
-		a := sh.agg[e]
-		min := a.min
-		if a.haveParent < sh.parentCount[e.parent] {
-			min = 0
-		}
-		// Ignore impossible edge errors: shredding produces a tree.
-		_ = out.AddEdge(e.parent, e.child, shape.Card{Min: min, Max: a.max})
-	}
-	return out
 }

@@ -158,24 +158,62 @@ func blobKey(prefix byte, docID uint32) []byte {
 	return k
 }
 
-func nodePrefix(docID uint32, typeID uint32) []byte {
-	k := make([]byte, 9)
+// The 'N' key codec: 'N' docID typeID dewey… chunk. Every site that
+// builds or takes apart a node key goes through these functions.
+const (
+	nodeKeyHead  = 9 // 'N', docID, typeID
+	nodeKeyChunk = 2 // the chunk index appendBlobChunks appends
+
+	// A node at the deepest level the XML scan admits still fits a key.
+	_ = uint(kvstore.MaxKeySize - (nodeKeyHead + 4*xmltree.MaxDepth + nodeKeyChunk))
+)
+
+// nodePrefix builds 'N' docID typeID dewey…: with no Dewey number the
+// prefix of a type's whole sequence, with a node's the prefix of its
+// records and of its subtree's in a descendant type.
+func nodePrefix(docID, typeID uint32, dewey xmltree.Dewey) []byte {
+	k := make([]byte, nodeKeyHead, nodeKeyHead+4*len(dewey)+nodeKeyChunk)
 	k[0] = 'N'
 	binary.BigEndian.PutUint32(k[1:], docID)
 	binary.BigEndian.PutUint32(k[5:], typeID)
+	for _, c := range dewey {
+		k = binary.BigEndian.AppendUint32(k, uint32(c))
+	}
 	return k
 }
 
+// nodeKey builds the key of one chunk of a node's record.
 func nodeKey(docID, typeID uint32, dewey xmltree.Dewey, chunk uint16) []byte {
-	k := make([]byte, 9+4*len(dewey)+2)
-	copy(k, nodePrefix(docID, typeID))
-	off := 9
-	for _, c := range dewey {
-		binary.BigEndian.PutUint32(k[off:], uint32(c))
-		off += 4
+	return binary.BigEndian.AppendUint16(nodePrefix(docID, typeID, dewey), chunk)
+}
+
+// splitNodeKey takes a node key apart into its still-encoded Dewey
+// number (a view into k, four bytes per level) and its chunk index; ok
+// is false for a key too short to be a node key.
+func splitNodeKey(k []byte) (dewey []byte, chunk uint16, ok bool) {
+	if len(k) < nodeKeyHead+nodeKeyChunk {
+		return nil, 0, false
 	}
-	binary.BigEndian.PutUint16(k[off:], chunk)
-	return k
+	end := len(k) - nodeKeyChunk
+	return k[nodeKeyHead:end], binary.BigEndian.Uint16(k[end:]), true
+}
+
+// ordinalAt reads level i (0 = root) of an encoded Dewey number.
+func ordinalAt(dewey []byte, i int) int { return int(binary.BigEndian.Uint32(dewey[4*i:])) }
+
+// withOrdinal returns a copy of node key k with level i of its Dewey
+// number set to v.
+func withOrdinal(k []byte, i, v int) []byte {
+	nk := append([]byte(nil), k...)
+	binary.BigEndian.PutUint32(nk[nodeKeyHead+4*i:], uint32(v))
+	return nk
+}
+
+// decodeDewey fills dst from an encoded Dewey number of the same depth.
+func decodeDewey(dst xmltree.Dewey, dewey []byte) {
+	for i := range dst {
+		dst[i] = ordinalAt(dewey, i)
+	}
 }
 
 // appendBlobChunks appends the chunked records of one blob to the
@@ -396,13 +434,11 @@ func decodeShape(enc string) (*shape.Shape, error) {
 // state), View.Doc binds to the view's pinned snapshot (every lazy load
 // answers from the view's epoch, for as long as the View stays open).
 type Doc struct {
-	r      reader
-	id     uint32
-	name   string
-	typeID map[string]uint32
-	types  []string
-	mu     sync.Mutex
-	cache  map[string][]*xmltree.Node
+	*typeRegistry
+	r     reader
+	id    uint32
+	mu    sync.Mutex
+	cache map[string][]*xmltree.Node
 }
 
 // docIn opens a lazy document view reading through r.
@@ -418,13 +454,7 @@ func docIn(r reader, name string) (*Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Doc{r: r, id: id, name: name, types: types,
-		typeID: make(map[string]uint32, len(types)),
-		cache:  map[string][]*xmltree.Node{}}
-	for i, t := range types {
-		d.typeID[t] = uint32(i)
-	}
-	return d, nil
+	return &Doc{typeRegistry: newTypeRegistry(types), r: r, id: id, cache: map[string][]*xmltree.Node{}}, nil
 }
 
 // Doc opens a lazy view of a stored document over the live store.
@@ -434,93 +464,37 @@ func (s *Store) Doc(name string) (*Doc, error) { return docIn(s.db, name) }
 func (d *Doc) Types() []string { return d.types }
 
 // NodesOfType loads (and caches) the document-ordered node sequence of a
-// type. The nodes carry Dewey, Type, Name, Value, and Attr — everything
-// the closest join and renderer need; tree links are not reconstructed.
-// It is safe for concurrent use (the parallel renderer prefetches joins
-// from several goroutines).
+// type: one ScanType pass, materialized. The nodes carry Dewey, Type,
+// Name, Value, and Attr — everything the closest join and renderer need;
+// tree links are not reconstructed. The cache is locked because a Doc is
+// a handle its holder may render from on several goroutines; the engine
+// opens one per request, so the lock is uncontended there.
 func (d *Doc) NodesOfType(t string) []*xmltree.Node {
 	d.mu.Lock()
-	if ns, ok := d.cache[t]; ok {
-		d.mu.Unlock()
+	ns, ok := d.cache[t]
+	d.mu.Unlock()
+	if ok {
 		return ns
 	}
-	d.mu.Unlock()
-	tid, ok := d.typeID[t]
-	if !ok {
-		d.mu.Lock()
-		d.cache[t] = nil
-		d.mu.Unlock()
-		return nil
+	sc := d.ScanType(t)
+	for sc.Next() {
+		ns = append(ns, &xmltree.Node{Name: sc.name, Type: t, Dewey: sc.Dewey().Clone(),
+			Value: string(sc.Value()), Attr: sc.attr, Ord: len(ns)})
 	}
-	depth := xmltree.TypeDepth(t)
-	name := t[strings.LastIndex(t, xmltree.TypeSep)+1:]
-	attr := strings.HasPrefix(name, "@")
-	prefix := nodePrefix(d.id, tid)
-	var (
-		nodes []*xmltree.Node
-		cur   *xmltree.Node
-		curDw string
-		// Chunked values accumulate in one sized builder per node instead
-		// of repeated string concatenation (which is O(chunks²)).
-		vb      strings.Builder
-		pending bool
-	)
-	finish := func() {
-		if pending {
-			cur.Value = vb.String()
-			pending = false
-		}
-	}
-	_ = d.r.AscendPrefix(prefix, func(k, v []byte) bool {
-		if len(k) != len(prefix)+4*depth+2 {
-			return true // malformed; skip defensively
-		}
-		dwBytes := k[len(prefix) : len(prefix)+4*depth]
-		chunk := binary.BigEndian.Uint16(k[len(k)-2:])
-		if chunk == 0 {
-			finish()
-			if len(v) < 2 {
-				return true
-			}
-			dw := make(xmltree.Dewey, depth)
-			for i := 0; i < depth; i++ {
-				dw[i] = int(binary.BigEndian.Uint32(dwBytes[i*4:]))
-			}
-			cur = &xmltree.Node{Name: name, Type: t, Dewey: dw, Attr: attr, Ord: len(nodes)}
-			curDw = string(dwBytes)
-			nodes = append(nodes, cur)
-			if n := int(binary.BigEndian.Uint16(v)); n > 1 {
-				// Multi-chunk value: reserve for every full chunk plus the
-				// (possibly short) last one, then stream chunks in.
-				pending = true
-				vb.Reset()
-				vb.Grow((n-1)*chunkSize + len(v) - 2)
-				vb.Write(v[2:])
-			} else {
-				cur.Value = string(v[2:])
-			}
-		} else if pending && string(dwBytes) == curDw {
-			vb.Write(v)
-		}
-		return true
-	})
-	finish()
+	sc.Close()
 	d.mu.Lock()
-	d.cache[t] = nodes
+	d.cache[t] = ns
 	d.mu.Unlock()
-	return nodes
+	return ns
 }
 
 // Size returns the total number of stored vertices across all types. It
 // counts header chunks in one key scan over the document's node range —
 // no values are decoded and nothing is materialized or cached.
 func (d *Doc) Size() int {
-	prefix := make([]byte, 5)
-	prefix[0] = 'N'
-	binary.BigEndian.PutUint32(prefix[1:], d.id)
 	n := 0
-	_ = d.r.AscendPrefix(prefix, func(k, v []byte) bool {
-		if len(k) >= 2 && binary.BigEndian.Uint16(k[len(k)-2:]) == 0 {
+	_ = d.r.AscendPrefix(blobKey('N', d.id), func(k, v []byte) bool {
+		if _, chunk, ok := splitNodeKey(k); ok && chunk == 0 {
 			n++
 		}
 		return true
@@ -579,25 +553,27 @@ func (s *Store) Drop(name string) error {
 	if !ok {
 		return fmt.Errorf("store: document %q not found", name)
 	}
+	return s.removeID(id, docKey(name))
+}
+
+// removeID deletes every record keyed by a document id — shape, type
+// registry, shape hash, node sequences — then the given registry entry,
+// if any, and commits. Drop removes a document with it, and a failed
+// shred the runs it had already flushed under an id that no registry
+// entry will ever name.
+func (s *Store) removeID(id uint32, entry ...[]byte) error {
 	// Collect keys first: deleting while iterating would invalidate the
 	// iterator's view.
 	var keys [][]byte
-	collect := func(prefix []byte) error {
-		return s.db.AscendPrefix(prefix, func(k, v []byte) bool {
+	for _, table := range []byte{'S', 'T', 'H', 'N'} {
+		if err := s.db.AscendPrefix(blobKey(table, id), func(k, v []byte) bool {
 			keys = append(keys, append([]byte(nil), k...))
 			return true
-		})
-	}
-	nodesPrefix := make([]byte, 5)
-	nodesPrefix[0] = 'N'
-	binary.BigEndian.PutUint32(nodesPrefix[1:], id)
-	for _, p := range [][]byte{blobKey('S', id), blobKey('T', id), blobKey('H', id), nodesPrefix} {
-		if err := collect(p); err != nil {
+		}); err != nil {
 			return err
 		}
 	}
-	keys = append(keys, docKey(name))
-	for _, k := range keys {
+	for _, k := range append(keys, entry...) {
 		if err := s.db.Delete(k); err != nil {
 			return err
 		}

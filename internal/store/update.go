@@ -117,17 +117,13 @@ func (s *Store) Update(name string, ops []update.Op, parent *obs.Span) (*UpdateI
 	}
 
 	u := &updater{
-		base:     v.snap,
-		id:       id,
-		types:    append([]string(nil), types...),
-		typeID:   make(map[string]uint32, len(types)),
-		puts:     map[string][]byte{},
-		dels:     map[string]bool{},
-		touched:  map[string]bool{},
-		oldShape: oldShape,
-	}
-	for i, t := range u.types {
-		u.typeID[t] = uint32(i)
+		base:         v.snap,
+		id:           id,
+		typeRegistry: newTypeRegistry(types),
+		puts:         map[string][]byte{},
+		dels:         map[string]bool{},
+		touched:      map[string]bool{},
+		oldShape:     oldShape,
 	}
 
 	for i, op := range ops {
@@ -147,9 +143,7 @@ func (s *Store) Update(name string, ops []update.Op, parent *obs.Span) (*UpdateI
 	if err := u.rewriteBlob(blobKey('S', id), []byte(enc)); err != nil {
 		return nil, err
 	}
-	hb := make([]byte, 8)
-	binary.BigEndian.PutUint64(hb, hashShapeEnc(enc))
-	u.put(blobKey('H', id), hb)
+	u.put(blobKey('H', id), binary.BigEndian.AppendUint64(nil, hashShapeEnc(enc)))
 
 	// Phase 2: flush the overlay. Everything up to the Sync is visible to
 	// new readers as it lands but becomes durable only with the group
@@ -209,10 +203,9 @@ func (s *Store) Update(name string, ops []update.Op, parent *obs.Span) (*UpdateI
 // statements observe earlier ones, and nothing reaches the store until
 // the overlay commits wholesale.
 type updater struct {
+	*typeRegistry
 	base     reader
 	id       uint32
-	types    []string
-	typeID   map[string]uint32
 	puts     map[string][]byte
 	dels     map[string]bool
 	touched  map[string]bool
@@ -304,14 +297,6 @@ func lastSegment(path string) string {
 	return path[strings.LastIndex(path, xmltree.TypeSep)+1:]
 }
 
-func encodeDewey(d xmltree.Dewey) []byte {
-	b := make([]byte, 4*len(d))
-	for i, c := range d {
-		binary.BigEndian.PutUint32(b[4*i:], uint32(c))
-	}
-	return b
-}
-
 // instances returns a type's live Dewey numbers in document order.
 func (u *updater) instances(t string) ([]xmltree.Dewey, error) {
 	tid, ok := u.typeID[t]
@@ -319,20 +304,13 @@ func (u *updater) instances(t string) ([]xmltree.Dewey, error) {
 		return nil, nil
 	}
 	depth := xmltree.TypeDepth(t)
-	prefix := nodePrefix(u.id, tid)
 	var out []xmltree.Dewey
-	err := u.scanPrefix(prefix, func(k, v []byte) bool {
-		if len(k) != len(prefix)+4*depth+2 {
-			return true
+	err := u.scanPrefix(nodePrefix(u.id, tid, nil), func(k, v []byte) bool {
+		if enc, chunk, ok := splitNodeKey(k); ok && chunk == 0 && len(enc) == 4*depth {
+			dw := make(xmltree.Dewey, depth)
+			decodeDewey(dw, enc)
+			out = append(out, dw)
 		}
-		if binary.BigEndian.Uint16(k[len(k)-2:]) != 0 {
-			return true
-		}
-		dw := make(xmltree.Dewey, depth)
-		for i := range dw {
-			dw[i] = int(binary.BigEndian.Uint32(k[len(prefix)+4*i:]))
-		}
-		out = append(out, dw)
 		return true
 	})
 	return out, err
@@ -357,21 +335,11 @@ func (u *updater) hasInstances(t string) (bool, error) {
 		return false, nil
 	}
 	found := false
-	err := u.scanPrefix(nodePrefix(u.id, tid), func(k, v []byte) bool {
+	err := u.scanPrefix(nodePrefix(u.id, tid, nil), func(k, v []byte) bool {
 		found = true
 		return false
 	})
 	return found, err
-}
-
-func (u *updater) ensureType(t string) uint32 {
-	if id, ok := u.typeID[t]; ok {
-		return id
-	}
-	id := uint32(len(u.types))
-	u.types = append(u.types, t)
-	u.typeID[t] = id
-	return id
 }
 
 func (u *updater) applyDelete(op update.Op) error {
@@ -396,21 +364,19 @@ func (u *updater) applyDelete(op update.Op) error {
 // prefix. Sibling ordinals keep their gaps — only order matters.
 func (u *updater) deleteSubtree(rootT string, d xmltree.Dewey) error {
 	sub := rootT + xmltree.TypeSep
-	enc := encodeDewey(d)
 	for tid, t := range u.types {
 		if t != rootT && !strings.HasPrefix(t, sub) {
 			continue
 		}
-		prefix := append(nodePrefix(u.id, uint32(tid)), enc...)
 		var keys [][]byte
-		if err := u.scanPrefix(prefix, func(k, v []byte) bool {
+		if err := u.scanPrefix(nodePrefix(u.id, uint32(tid), d), func(k, v []byte) bool {
 			keys = append(keys, append([]byte(nil), k...))
 			return true
 		}); err != nil {
 			return err
 		}
 		for _, k := range keys {
-			if binary.BigEndian.Uint16(k[len(k)-2:]) == 0 {
+			if _, chunk, _ := splitNodeKey(k); chunk == 0 {
 				u.deleted++
 			}
 			u.del(k)
@@ -423,35 +389,41 @@ func (u *updater) deleteSubtree(rootT string, d xmltree.Dewey) error {
 }
 
 func (u *updater) applyInsert(op update.Op) error {
-	frag, err := xmltree.ParseString(op.XML)
-	if err != nil {
-		return err
-	}
 	if strings.HasPrefix(lastSegment(op.Path), "@") {
-		return fmt.Errorf("cannot insert %s attribute path %q", map[update.Pos]string{
-			update.Into: "into", update.Before: "before", update.After: "after"}[op.Pos], op.Path)
+		return fmt.Errorf("cannot insert %s attribute path %q", op.Pos, op.Path)
 	}
 	if op.Pos == update.Into {
+		frag, err := u.fragment(op.XML, op.Path)
+		if err != nil {
+			return err
+		}
 		ds, err := u.targets(op.Path)
 		if err != nil {
 			return err
 		}
 		for _, d := range ds {
-			ord, err := u.maxChildOrd(op.Path, d)
+			ords, err := u.childOrds(op.Path, d)
 			if err != nil {
 				return err
 			}
-			if err := u.insertFragment(op.Path, d, ord+1, frag); err != nil {
+			last := 0
+			if len(ords) > 0 {
+				last = ords[len(ords)-1]
+			}
+			if err := u.insertFragment(op.Path, d, last+1, frag); err != nil {
 				return err
 			}
 		}
-		u.touch(op.Path)
 		return nil
 	}
 
 	parent := xmltree.TypeParent(op.Path)
 	if parent == "" {
 		return fmt.Errorf("cannot insert beside the document root %q", op.Path)
+	}
+	frag, err := u.fragment(op.XML, parent)
+	if err != nil {
+		return err
 	}
 	ds, err := u.targets(op.Path)
 	if err != nil {
@@ -508,7 +480,6 @@ func (u *updater) applyInsert(op update.Op) error {
 			return err
 		}
 	}
-	u.touch(parent)
 	return nil
 }
 
@@ -516,11 +487,11 @@ func (u *updater) applyReplace(op update.Op) error {
 	if strings.HasPrefix(lastSegment(op.Path), "@") {
 		return fmt.Errorf("cannot replace attribute path %q with an element fragment", op.Path)
 	}
-	frag, err := xmltree.ParseString(op.XML)
+	parent := xmltree.TypeParent(op.Path)
+	frag, err := u.fragment(op.XML, parent)
 	if err != nil {
 		return err
 	}
-	parent := xmltree.TypeParent(op.Path)
 	ds, err := u.targets(op.Path)
 	if err != nil {
 		return err
@@ -534,50 +505,21 @@ func (u *updater) applyReplace(op update.Op) error {
 			return err
 		}
 	}
-	u.touch(parent)
 	return nil
-}
-
-// maxChildOrd returns the highest child ordinal in use under the parent
-// instance at (parentT, d), 0 when it has no children.
-func (u *updater) maxChildOrd(parentT string, d xmltree.Dewey) (int, error) {
-	max := 0
-	enc := encodeDewey(d)
-	for tid, t := range u.types {
-		if xmltree.TypeParent(t) != parentT {
-			continue
-		}
-		prefix := append(nodePrefix(u.id, uint32(tid)), enc...)
-		if err := u.scanPrefix(prefix, func(k, v []byte) bool {
-			if len(k) != len(prefix)+4+2 {
-				return true
-			}
-			if c := int(binary.BigEndian.Uint32(k[len(prefix):])); c > max {
-				max = c
-			}
-			return true
-		}); err != nil {
-			return 0, err
-		}
-	}
-	return max, nil
 }
 
 // childOrds returns the sorted distinct child ordinals in use under the
 // parent instance at (parentT, d).
 func (u *updater) childOrds(parentT string, d xmltree.Dewey) ([]int, error) {
 	seen := map[int]bool{}
-	enc := encodeDewey(d)
 	for tid, t := range u.types {
 		if xmltree.TypeParent(t) != parentT {
 			continue
 		}
-		prefix := append(nodePrefix(u.id, uint32(tid)), enc...)
-		if err := u.scanPrefix(prefix, func(k, v []byte) bool {
-			if len(k) != len(prefix)+4+2 {
-				return true
+		if err := u.scanPrefix(nodePrefix(u.id, uint32(tid), d), func(k, v []byte) bool {
+			if enc, _, ok := splitNodeKey(k); ok && len(enc) == 4*(len(d)+1) {
+				seen[ordinalAt(enc, len(d))] = true
 			}
-			seen[int(binary.BigEndian.Uint32(k[len(prefix):]))] = true
 			return true
 		}); err != nil {
 			return nil, err
@@ -596,9 +538,7 @@ func (u *updater) childOrds(parentT string, d xmltree.Dewey) ([]int, error) {
 // ordinal up by one. Values move verbatim; relative order is preserved,
 // so the shape is unaffected.
 func (u *updater) shiftSiblings(parentT string, pd xmltree.Dewey, from int) error {
-	idx := len(pd)
 	sub := parentT + xmltree.TypeSep
-	enc := encodeDewey(pd)
 	type move struct{ key, val []byte }
 	var olds [][]byte
 	var news []move
@@ -606,17 +546,12 @@ func (u *updater) shiftSiblings(parentT string, pd xmltree.Dewey, from int) erro
 		if !strings.HasPrefix(t, sub) {
 			continue
 		}
-		prefix := append(nodePrefix(u.id, uint32(tid)), enc...)
-		if err := u.scanPrefix(prefix, func(k, v []byte) bool {
-			off := 9 + 4*idx
-			c := int(binary.BigEndian.Uint32(k[off:]))
-			if c < from {
-				return true
+		if err := u.scanPrefix(nodePrefix(u.id, uint32(tid), pd), func(k, v []byte) bool {
+			enc, _, _ := splitNodeKey(k)
+			if c := ordinalAt(enc, len(pd)); c >= from {
+				olds = append(olds, append([]byte(nil), k...))
+				news = append(news, move{withOrdinal(k, len(pd), c+1), append([]byte(nil), v...)})
 			}
-			nk := append([]byte(nil), k...)
-			binary.BigEndian.PutUint32(nk[off:], uint32(c+1))
-			olds = append(olds, append([]byte(nil), k...))
-			news = append(news, move{nk, append([]byte(nil), v...)})
 			return true
 		}); err != nil {
 			return err
@@ -634,51 +569,44 @@ func (u *updater) shiftSiblings(parentT string, pd xmltree.Dewey, from int) erro
 	return nil
 }
 
+// fragment parses a statement's fragment, once for all of the
+// statement's targets, and marks its types — re-rooted below parentT —
+// touched. It enters them into the registry in document order, elements
+// ahead of their attributes: the numbering updates have always used,
+// where a shred numbers a type when its first record is written.
+func (u *updater) fragment(src, parentT string) (*xmltree.Node, error) {
+	frag, err := xmltree.ParseString(src)
+	if err != nil {
+		return nil, err
+	}
+	u.touch(parentT)
+	for _, n := range frag.Nodes() {
+		t := joinType(parentT, n.Type)
+		u.register(t)
+		u.touch(t)
+	}
+	return frag.Root(), nil
+}
+
 // insertFragment shreds a parsed fragment under the parent instance at
-// (parentT, pd), rooting the fragment at child ordinal ord. Fragment
-// types are re-rooted onto the parent's type path and registered;
-// Dewey numbers are pd ++ ord ++ (fragment Dewey below its root).
-func (u *updater) insertFragment(parentT string, pd xmltree.Dewey, ord int, frag *xmltree.Document) error {
-	if len(frag.Roots) != 1 {
-		return fmt.Errorf("fragment must have exactly one root element")
-	}
-	var keys, vals [][]byte
-	var failed error
-	frag.Roots[0].Walk(func(n *xmltree.Node) bool {
-		nt := n.Type
-		if parentT != "" {
-			nt = parentT + xmltree.TypeSep + n.Type
-		}
-		tid := u.ensureType(nt)
-		u.touch(nt)
-		nd := make(xmltree.Dewey, 0, len(pd)+len(n.Dewey))
-		nd = append(append(nd, pd...), ord)
-		nd = append(nd, n.Dewey[1:]...)
-		full := append(nodePrefix(u.id, tid), encodeDewey(nd)...)
-		var err error
-		keys, vals, err = appendBlobChunks(keys, vals, full, []byte(n.Value))
-		if err != nil {
-			failed = err
-			return false
-		}
-		u.inserted++
-		return true
-	})
-	if failed != nil {
-		return failed
-	}
-	for i := range keys {
-		u.put(keys[i], vals[i])
-	}
-	return nil
+// (parentT, pd), rooting the fragment at child ordinal ord: the
+// document shredder, replayed from the tree, with the overlay as its
+// output.
+func (u *updater) insertFragment(parentT string, pd xmltree.Dewey, ord int, frag *xmltree.Node) error {
+	sh := newShredder(u.id, u.typeRegistry, func(_ uint32, key, value []byte) error {
+		return u.putBlob(key, value)
+	}, parentT, pd, ord)
+	frag.Replay(sh)
+	u.inserted += sh.nodes
+	return sh.err
 }
 
 // recomputeShape re-infers the edited document's adorned shape exactly.
 // Untouched parents copy their old edges (their instance sets and child
 // orders cannot have changed); touched parents recount per-instance
 // child cardinalities by merging the Dewey-ordered sequences and order
-// their children by first-instance Dewey — the same order the streaming
-// shredder's frame folding produces, so the result is byte-identical to
+// their children by first-instance Dewey — the same order shape.Fold
+// produces during a shred, so the result is byte-identical to
 // re-shredding the edited document.
 func (u *updater) recomputeShape() (*shape.Shape, error) {
 	live := make(map[string]bool, len(u.types))
@@ -795,6 +723,11 @@ func (u *updater) rewriteBlob(key, val []byte) error {
 	for _, k := range olds {
 		u.del(k)
 	}
+	return u.putBlob(key, val)
+}
+
+// putBlob writes a value's chunked records into the overlay.
+func (u *updater) putBlob(key, val []byte) error {
 	keys, vals, err := appendBlobChunks(nil, nil, key, val)
 	if err != nil {
 		return err

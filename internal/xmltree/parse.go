@@ -1,78 +1,161 @@
 package xmltree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
 )
 
-// Parse reads an XML document into the data model. Every element and
-// attribute becomes a vertex; character data is accumulated into the
-// enclosing element's Value. Namespace prefixes are ignored (local names
-// only), matching the paper's untyped treatment of labels.
-func Parse(r io.Reader) (*Document, error) {
+// MaxDepth bounds the level of any node: a root is level 1, a child
+// element or an attribute sits one level below its element. Every open
+// element costs its reader a stack frame and a type path as long as its
+// depth, so without a bound an unclosed <a><a><a>… costs memory
+// quadratic in its length; the store needs the same bound for a node's
+// Dewey number to fit a key.
+const MaxDepth = 125
+
+// Handler receives a document as events in document order: per element
+// Start, its attributes, then its text and child elements, End. Names
+// are local names without an attribute marker. A handler that fails
+// keeps the failure, reports it from Err, and stays safe to send the
+// rest of a balanced event sequence to.
+type Handler interface {
+	Start(name string)
+	Attr(name, value string)
+	Text(s string)
+	End()
+	Err() error
+}
+
+// Scan reads one XML document from r and hands it to h. It is the
+// repository's only XML tokenizer loop, and the rules of ingest are
+// stated here and nowhere else:
+//
+//   - names are local names (namespace prefixes are ignored, matching the
+//     paper's untyped treatment of labels) and xmlns declarations are not
+//     attributes;
+//   - a name may not contain TypeSep, which would make the rooted type
+//     paths built from it ambiguous;
+//   - an element's attributes follow its Start in source order, ahead of
+//     everything else below it, so a handler that numbers children as
+//     they arrive numbers attributes first;
+//   - a run of character data that is all whitespace is dropped, any
+//     other is passed on verbatim; comments, processing instructions and
+//     directives are not part of the data model;
+//   - there is exactly one root element, every element is closed, and no
+//     node lies deeper than MaxDepth — the scan fails at the start tag
+//     that goes too deep, before anything is allocated for it.
+//
+// Scan stops at the first malformed token, broken rule or handler
+// failure and returns it.
+func Scan(r io.Reader, h Handler) error {
 	dec := xml.NewDecoder(r)
-	dec.Strict = true
-	var (
-		doc   = &Document{}
-		stack []*Node
-	)
+	depth, rooted := 0, false
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
+			return fmt.Errorf("xmltree: scan: %w", err)
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			n := &Node{Name: t.Name.Local}
-			if len(stack) == 0 {
-				if len(doc.Roots) > 0 {
-					return nil, fmt.Errorf("xmltree: parse: multiple root elements")
-				}
-				doc.Roots = append(doc.Roots, n)
-				n.Dewey = Dewey{1}
-				n.Type = n.Name
-			} else {
-				p := stack[len(stack)-1]
-				attach(p, n)
+			if depth == 0 && rooted {
+				return fmt.Errorf("xmltree: scan: multiple root elements")
 			}
+			if depth++; depth > MaxDepth {
+				return fmt.Errorf("xmltree: scan: <%s> is nested deeper than %d levels", t.Name.Local, MaxDepth)
+			}
+			if err := checkName(t.Name.Local); err != nil {
+				return err
+			}
+			rooted = true
+			h.Start(t.Name.Local)
 			for _, a := range t.Attr {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					continue
 				}
-				an := &Node{Name: "@" + a.Name.Local, Value: a.Value, Attr: true}
-				attach(n, an)
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %s", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) > 0 {
-				s := string(t)
-				if strings.TrimSpace(s) != "" {
-					stack[len(stack)-1].Value += s
+				if depth == MaxDepth {
+					return fmt.Errorf("xmltree: scan: attribute %s of <%s> lies deeper than %d levels", a.Name.Local, t.Name.Local, MaxDepth)
 				}
+				if err := checkName(a.Name.Local); err != nil {
+					return err
+				}
+				h.Attr(a.Name.Local, a.Value)
 			}
-		case xml.Comment, xml.ProcInst, xml.Directive:
-			// Not part of the data model.
+		case xml.EndElement:
+			if depth == 0 {
+				return fmt.Errorf("xmltree: scan: unbalanced end element %s", t.Name.Local)
+			}
+			depth--
+			h.End()
+		case xml.CharData:
+			if depth > 0 && len(bytes.TrimSpace(t)) > 0 {
+				h.Text(string(t))
+			}
+		}
+		if err := h.Err(); err != nil {
+			return err
 		}
 	}
-	if len(doc.Roots) == 0 {
-		return nil, fmt.Errorf("xmltree: parse: no root element")
+	if !rooted {
+		return fmt.Errorf("xmltree: scan: no root element")
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: parse: unexpected end of input inside <%s>", stack[len(stack)-1].Name)
+	if depth != 0 {
+		return fmt.Errorf("xmltree: scan: unexpected end of input with %d open element(s)", depth)
 	}
-	doc.index()
-	return doc, nil
+	return nil
 }
+
+func checkName(name string) error {
+	if strings.Contains(name, TypeSep) {
+		return fmt.Errorf("xmltree: scan: name %q contains the type-path separator %q", name, TypeSep)
+	}
+	return nil
+}
+
+// Replay hands the subtree rooted at n to h as the events a Scan of its
+// serialization produces: an element's attribute children first, then
+// its text, then its child elements.
+func (n *Node) Replay(h Handler) {
+	h.Start(n.Name)
+	for _, c := range n.Children {
+		if c.Attr {
+			h.Attr(c.LocalName(), c.Value)
+		}
+	}
+	h.Text(n.Value)
+	for _, c := range n.Children {
+		if !c.Attr {
+			c.Replay(h)
+		}
+	}
+	h.End()
+}
+
+// Parse reads an XML document into the data model: Scan into a Builder.
+// Every element and attribute becomes a vertex; character data is
+// accumulated into the enclosing element's Value.
+func Parse(r io.Reader) (*Document, error) {
+	b := NewBuilder()
+	if err := Scan(r, builderHandler{b}); err != nil {
+		return nil, err
+	}
+	return b.Document()
+}
+
+// builderHandler is Builder under the Handler signatures (Builder's own
+// methods return the builder, for chaining).
+type builderHandler struct{ b *Builder }
+
+func (h builderHandler) Start(name string)       { h.b.Elem(name) }
+func (h builderHandler) Attr(name, value string) { h.b.Attr(name, value) }
+func (h builderHandler) Text(s string)           { h.b.Text(s) }
+func (h builderHandler) End()                    { h.b.End() }
+func (h builderHandler) Err() error              { return h.b.err }
 
 // ParseString parses an XML document held in a string.
 func ParseString(s string) (*Document, error) {

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -275,6 +276,65 @@ func TestNodeDistanceMatchesTypeDistanceLowerBound(t *testing.T) {
 				t.Fatalf("distance(%s,%s)=%d < typeDistance(%s,%s)=%d",
 					v.Dewey, w.Dewey, v.Distance(w), v.Type, w.Type, TypeDistance(v.Type, w.Type))
 			}
+		}
+	}
+}
+
+// readCounter counts the bytes a parser pulled from its input.
+type readCounter struct {
+	r io.Reader
+	n int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// nested returns depth nested <a> elements, the innermost carrying the
+// given attributes.
+func nested(depth int, attrs string) string {
+	return strings.Repeat("<a>", depth-1) + "<a" + attrs + "/>" + strings.Repeat("</a>", depth-1)
+}
+
+// TestScanDepthBound: nesting is bounded by MaxDepth levels, attributes
+// counting as one level below their element, and an unclosed <a><a><a>…
+// is refused at the tag that goes too deep — after O(MaxDepth) tags of a
+// million-tag body, not after reading it.
+func TestScanDepthBound(t *testing.T) {
+	bomb := &readCounter{r: strings.NewReader(strings.Repeat("<a>", 1<<20))}
+	if _, err := Parse(bomb); err == nil {
+		t.Fatal("1M-deep document parsed")
+	}
+	if bomb.n > 64<<10 {
+		t.Errorf("depth bomb rejected only after %d bytes", bomb.n)
+	}
+
+	d, err := ParseString(nested(MaxDepth, ""))
+	if err != nil {
+		t.Fatalf("document at the depth limit: %v", err)
+	}
+	if deepest := d.Nodes()[d.Size()-1]; len(deepest.Dewey) != MaxDepth {
+		t.Errorf("deepest node at level %d, want %d", len(deepest.Dewey), MaxDepth)
+	}
+	if _, err := ParseString(nested(MaxDepth-1, ` k="v"`)); err != nil {
+		t.Errorf("attribute at the depth limit: %v", err)
+	}
+	for _, deep := range []string{nested(MaxDepth+1, ""), nested(MaxDepth, ` k="v"`)} {
+		if _, err := ParseString(deep); err == nil {
+			t.Errorf("document beyond the depth limit parsed (%d bytes)", len(deep))
+		}
+	}
+}
+
+// TestScanRejectsSeparatorInNames: a name holding the type-path separator
+// would alias the rooted type path of a deeper node (<a.b/> and <a><b/></a>
+// both type "a.b"), so it is not admitted.
+func TestScanRejectsSeparatorInNames(t *testing.T) {
+	for _, doc := range []string{`<a.b/>`, `<r><a.b/></r>`, `<r k.v="1"/>`} {
+		if _, err := ParseString(doc); err == nil {
+			t.Errorf("%s parsed", doc)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 func (d *Document) WriteXML(w io.Writer, indent bool) error {
 	e := NewEncoder(w, indent)
 	for _, r := range d.Roots {
-		e.node(r)
+		r.Replay(e)
 	}
 	return e.Flush()
 }
@@ -25,28 +25,13 @@ func (d *Document) XML(indent bool) string {
 	return b.String()
 }
 
-func (e *Encoder) node(n *Node) {
-	e.Start(n.Name)
-	for _, c := range n.Children {
-		if c.Attr {
-			e.Attr(c.LocalName(), c.Value)
-		}
-	}
-	e.Text(n.Value)
-	for _, c := range n.Children {
-		if !c.Attr {
-			e.node(c)
-		}
-	}
-	e.End()
-}
-
 // Encoder writes XML one event at a time and is the single definition of
 // the output layout: attributes sit in the start tag, whose ">" is
 // deferred until text or a child element follows, so an element with
 // neither self-closes; root trees of a forest are separated by "\n".
-// WriteXML drives it from a tree and the streaming renderers drive it
-// straight from the emit walk, which is why their bytes agree.
+// It is a Handler: WriteXML replays a tree into it and the streaming
+// renderers drive it straight from the emit walk, which is why their
+// bytes agree.
 //
 // Events must arrive in document order with an element's attributes
 // before its text and children. Write errors stick: after the first one
