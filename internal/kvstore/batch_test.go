@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -294,5 +296,154 @@ func TestPutBatchPersists(t *testing.T) {
 	})
 	if err != nil || i != len(keys) {
 		t.Fatalf("reopen scan saw %d entries (err %v)", i, err)
+	}
+}
+
+// TestPutBatchSplitHalvesDoNotAlias: a leaf that splits inside a batch
+// stays in the transaction's shadow set as two decoded halves cut from
+// one backing array, and a later key of the same batch can land in the
+// left half. Uncapped, that insert appends over the right half's first
+// entry. Batch one packs the leftmost leaf with two ~1.4 KB values;
+// batch two's dense small keys all sort before them, so the leaf
+// overflows with the insertion point below its byte midpoint (a
+// balanced split: left = smalls + first big value, right = the second)
+// and the next small key lands in the left half. The result must be
+// page-for-page the tree one Put per key builds on the plain descent.
+func TestPutBatchSplitHalvesDoNotAlias(t *testing.T) {
+	big := bytes.Repeat([]byte("x"), 1400)
+	var k1, v1, k2, v2 [][]byte
+	for i := 0; i < 10; i++ {
+		k1 = append(k1, []byte(fmt.Sprintf("k%04d", 100*i)))
+		v1 = append(v1, big)
+	}
+	for i := 0; i < 200; i++ {
+		k2 = append(k2, []byte(fmt.Sprintf("a%04d", i)))
+		v2 = append(v2, []byte(fmt.Sprintf("v%07d", i)))
+	}
+	batched := OpenMemory(nil)
+	ref := OpenMemory(nil)
+	ref.noFastPath = true
+	for _, b := range []struct{ keys, vals [][]byte }{{k1, v1}, {k2, v2}} {
+		if err := batched.PutBatch(b.keys, b.vals); err != nil {
+			t.Fatal(err)
+		}
+		for i := range b.keys {
+			if err := ref.Put(b.keys[i], b.vals[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !bytes.Equal(pageImage(t, batched), pageImage(t, ref)) {
+		t.Error("batched tree differs from one Put per key on the plain descent")
+	}
+	n := 0
+	err := batched.Ascend(nil, nil, func(k, v []byte) bool { n++; return true })
+	if err != nil || n != len(k1)+len(k2) {
+		t.Errorf("scan saw %d entries (err %v), want %d", n, err, len(k1)+len(k2))
+	}
+}
+
+// TestWriteTxnRandomizedModel: seeded transactions of every kind —
+// PutBatch with shuffled keys, single Puts, Deletes — over mixed value
+// sizes (empty to MaxValueSize-sized, so leaves split both balanced and
+// at the insertion point), checked against a map model after every
+// commit and again after a reopen.
+func TestWriteTxnRandomizedModel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.db")
+	db, err := Open(path, &Options{CachePages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	model := map[string]string{}
+	value := func() []byte {
+		switch rng.Intn(4) {
+		case 0:
+			return nil
+		case 1:
+			return bytes.Repeat([]byte{'L'}, 1000+rng.Intn(MaxValueSize-1000))
+		default:
+			return []byte(fmt.Sprintf("v%d", rng.Intn(1e6)))
+		}
+	}
+	key := func() []byte { return []byte(fmt.Sprintf("k%05d", rng.Intn(4000))) }
+	check := func(when string) {
+		t.Helper()
+		var want []string
+		for k := range model {
+			want = append(want, k)
+		}
+		sort.Strings(want)
+		i := 0
+		err := db.Ascend(nil, nil, func(k, v []byte) bool {
+			if i >= len(want) || string(k) != want[i] || string(v) != model[want[i]] {
+				t.Fatalf("%s: scan entry %d = %q (%d-byte value) disagrees with the model", when, i, k, len(v))
+			}
+			i++
+			return true
+		})
+		if err != nil || i != len(want) {
+			t.Fatalf("%s: scan saw %d of %d entries (err %v)", when, i, len(want), err)
+		}
+	}
+	for txn := 0; txn < 60; txn++ {
+		switch rng.Intn(3) {
+		case 0:
+			var keys, vals [][]byte
+			for i := rng.Intn(400); i >= 0; i-- {
+				k, v := key(), value()
+				keys, vals = append(keys, k), append(vals, v)
+				model[string(k)] = string(v)
+			}
+			if err := db.PutBatch(keys, vals); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			k, v := key(), value()
+			if err := db.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			model[string(k)] = string(v)
+		case 2:
+			for i := rng.Intn(50); i >= 0; i-- {
+				k := key()
+				if err := db.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+				delete(model, string(k))
+			}
+		}
+		check(fmt.Sprintf("after transaction %d", txn))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	check("after reopen")
+}
+
+// TestPutBatchAllocsPerKey guards the decoded write set: a sorted 20 k-key
+// PutBatch into a fresh store decodes and serializes each leaf once and
+// copies the batch into one arena, so it allocates a small constant per
+// leaf, not per key.
+func TestPutBatchAllocsPerKey(t *testing.T) {
+	const n = 20000
+	keys := make([][]byte, n)
+	vals := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%08d", i))
+		vals[i] = []byte(fmt.Sprintf("val-%d", i))
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := OpenMemory(nil).PutBatch(keys, vals); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.3f allocations per key", allocs/n)
+	if perKey := allocs / n; perKey > 4 {
+		t.Errorf("sorted PutBatch: %.2f allocations per key, want <= 4", perKey)
 	}
 }

@@ -230,7 +230,7 @@ func (db *DB) initialize() error {
 	}
 	root := db.walloc()
 	db.w.root = root
-	if err := db.writeNodeW(root, &node{typ: pageLeaf}); err != nil {
+	if err := db.writeNodeW(root, (&node{typ: pageLeaf}).measure()); err != nil {
 		return err
 	}
 	if err := db.writeHeaderW(); err != nil {
@@ -249,7 +249,7 @@ func (db *DB) writeHeaderW() error {
 	copy(buf, magic)
 	binary.BigEndian.PutUint32(buf[8:], db.w.root)
 	binary.BigEndian.PutUint32(buf[12:], db.w.npages)
-	db.w.set[0] = buf
+	db.w.hdr = buf
 	db.hdrValid, db.hdrRoot, db.hdrNpages = true, db.w.root, db.w.npages
 	return nil
 }
@@ -272,17 +272,24 @@ func (db *DB) loadHeader() error {
 	return nil
 }
 
-// node is the in-memory form of a tree page.
+// node is the in-memory form of a tree page. sz caches the serialized
+// size: leafInsert and Delete keep it current, so the fit checks on the
+// insert path cost O(1); a node built or restructured from slices gets
+// it from measure.
 type node struct {
 	typ      byte
 	next     uint32 // leaves only: right sibling page id, 0 = none
 	keys     [][]byte
 	vals     [][]byte // leaves only
 	children []uint32 // internal only, len(keys)+1
+	sz       int
 }
 
 // size returns the serialized byte size.
-func (n *node) size() int {
+func (n *node) size() int { return n.sz }
+
+// measure recomputes the serialized size from the entries and returns n.
+func (n *node) measure() *node {
 	sz := 3 // type + nkeys
 	if n.typ == pageLeaf {
 		sz += 4 // sibling pointer
@@ -296,12 +303,16 @@ func (n *node) size() int {
 	if n.typ == pageInternal {
 		sz += 4 * len(n.children)
 	}
-	return sz
+	n.sz = sz
+	return n
 }
 
+// serialize encodes the node into a fresh page image. It re-measures
+// rather than trust the cached size: this runs once per dirty node per
+// commit, and a page image is never written past its end.
 func (n *node) serialize() ([]byte, error) {
-	if n.size() > PageSize {
-		return nil, fmt.Errorf("kvstore: node overflows page (%d bytes)", n.size())
+	if sz := n.measure().size(); sz > PageSize {
+		return nil, fmt.Errorf("kvstore: node overflows page (%d bytes)", sz)
 	}
 	buf := make([]byte, PageSize)
 	buf[0] = n.typ
@@ -334,51 +345,64 @@ func (n *node) serialize() ([]byte, error) {
 	return buf, nil
 }
 
+// deserialize decodes a page image. The node may be mutated and outlive
+// the immutable pool buffer, so it never aliases buf: one pass checks the
+// entry bounds, then the entry bytes are copied once and every key and
+// value is a capped slice of that copy, with keys/vals sized from nkeys.
 func deserialize(buf []byte) (*node, error) {
 	n := &node{typ: buf[0]}
 	if n.typ != pageLeaf && n.typ != pageInternal {
 		return nil, fmt.Errorf("kvstore: corrupt page: type %d", n.typ)
 	}
+	leaf := n.typ == pageLeaf
 	nkeys := int(binary.BigEndian.Uint16(buf[1:]))
 	off := 3
-	if n.typ == pageLeaf {
+	if leaf {
 		n.next = binary.BigEndian.Uint32(buf[off:])
 		off += 4
-	}
-	if n.typ == pageInternal {
+	} else {
+		if off+4*(nkeys+1) > len(buf) {
+			return nil, fmt.Errorf("kvstore: corrupt internal page")
+		}
 		n.children = make([]uint32, nkeys+1)
 		for i := range n.children {
-			if off+4 > len(buf) {
-				return nil, fmt.Errorf("kvstore: corrupt internal page")
-			}
 			n.children[i] = binary.BigEndian.Uint32(buf[off:])
 			off += 4
 		}
 	}
-	for i := 0; i < nkeys; i++ {
+	// A leaf entry is two length-prefixed fields (key, value), an internal
+	// entry one (key).
+	fields := 1
+	if leaf {
+		fields = 2
+	}
+	start := off
+	for f := 0; f < nkeys*fields; f++ {
 		if off+2 > len(buf) {
-			return nil, fmt.Errorf("kvstore: corrupt page: key %d", i)
+			return nil, fmt.Errorf("kvstore: corrupt page: entry %d", f/fields)
 		}
-		kl := int(binary.BigEndian.Uint16(buf[off:]))
-		off += 2
-		if off+kl > len(buf) {
-			return nil, fmt.Errorf("kvstore: corrupt page: key %d length", i)
-		}
-		n.keys = append(n.keys, append([]byte(nil), buf[off:off+kl]...))
-		off += kl
-		if n.typ == pageLeaf {
-			if off+2 > len(buf) {
-				return nil, fmt.Errorf("kvstore: corrupt page: value %d", i)
-			}
-			vl := int(binary.BigEndian.Uint16(buf[off:]))
-			off += 2
-			if off+vl > len(buf) {
-				return nil, fmt.Errorf("kvstore: corrupt page: value %d length", i)
-			}
-			n.vals = append(n.vals, append([]byte(nil), buf[off:off+vl]...))
-			off += vl
+		off += 2 + int(binary.BigEndian.Uint16(buf[off:]))
+		if off > len(buf) {
+			return nil, fmt.Errorf("kvstore: corrupt page: entry %d length", f/fields)
 		}
 	}
+	entries := append([]byte(nil), buf[start:off]...)
+	n.keys = make([][]byte, nkeys)
+	if leaf {
+		n.vals = make([][]byte, nkeys)
+	}
+	for f, at := 0, 0; f < nkeys*fields; f++ {
+		l := int(binary.BigEndian.Uint16(entries[at:]))
+		at += 2
+		b := entries[at : at+l : at+l]
+		at += l
+		if f%fields == 1 {
+			n.vals[f/2] = b
+		} else {
+			n.keys[f/fields] = b
+		}
+	}
+	n.sz = off
 	return n, nil
 }
 
@@ -427,6 +451,7 @@ func (db *DB) Put(key, value []byte) error {
 		return err
 	}
 	atomic.AddInt64(&db.puts, 1)
+	_, key, value = own(make([]byte, 0, len(key)+len(value)), key, value)
 	lockTimed(&db.writerMu, writerLockWait)
 	defer db.writerMu.Unlock()
 	db.beginWrite()
@@ -445,17 +470,22 @@ func (db *DB) Put(key, value []byte) error {
 // sorted first (stably, so a later duplicate wins, matching sequential
 // Puts) and applied in key order, which drives almost every insert
 // through the cached-leaf fast path — leaves are walked once instead of
-// descending from the root per key. keys and vals must be parallel.
-// The whole batch commits as one transaction (one epoch): a concurrent
-// snapshot sees all of it or none of it.
+// descending from the root per key. keys and vals must be parallel; the
+// batch copies them into one arena, so the caller may reuse them on
+// return. The whole batch commits as one transaction (one epoch): a
+// concurrent snapshot sees all of it or none of it. Inside it each leaf
+// the batch touches is decoded once, on first touch, takes all its keys
+// as that one shadow node, and is serialized once, at commit.
 func (db *DB) PutBatch(keys, vals [][]byte) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("kvstore: PutBatch: %d keys but %d values", len(keys), len(vals))
 	}
+	total := 0
 	for i, k := range keys {
 		if err := validatePut(k, vals[i]); err != nil {
 			return err
 		}
+		total += len(k) + len(vals[i])
 	}
 	order := make([]int, len(keys))
 	for i := range order {
@@ -473,8 +503,11 @@ func (db *DB) PutBatch(keys, vals [][]byte) error {
 	lockTimed(&db.writerMu, writerLockWait)
 	defer db.writerMu.Unlock()
 	db.beginWrite()
+	arena := make([]byte, 0, total)
 	for _, i := range order {
-		if err := db.putTxn(keys[i], vals[i]); err != nil {
+		var k, v []byte
+		arena, k, v = own(arena, keys[i], vals[i])
+		if err := db.putTxn(k, v); err != nil {
 			db.abortWrite()
 			return err
 		}
@@ -484,6 +517,19 @@ func (db *DB) PutBatch(keys, vals [][]byte) error {
 		return err
 	}
 	return nil
+}
+
+// own appends key and value to arena and returns the grown arena and the
+// two copies, capped so neither can grow into its neighbour. The tree
+// keeps these bytes after the caller's slices are reused, so every put
+// hands putTxn owned copies; callers size the arena for the whole batch,
+// which makes that one allocation per PutBatch.
+func own(arena, key, value []byte) (grown, k, v []byte) {
+	at := len(arena)
+	arena = append(arena, key...)
+	mid := len(arena)
+	arena = append(arena, value...)
+	return arena, arena[at:mid:mid], arena[mid:len(arena):len(arena)]
 }
 
 func validatePut(key, value []byte) error {
@@ -505,11 +551,18 @@ type pathEntry struct {
 }
 
 // putTxn inserts one key into the transaction's shadow tree (writerMu
-// held, beginWrite done).
+// held, beginWrite done). The tree keeps key and value as given, so they
+// must be copies the caller will not reuse (see own).
 //
 // Fast path: when the previous Put cached a leaf whose separator range
 // still covers key and the insert cannot overflow the page, the new
-// entry goes straight into that leaf — no descent, no parent updates.
+// entry goes straight into that leaf — no descent, no parent updates,
+// and, once the leaf is in the shadow set, no decode or encode either:
+// readNodeW hands back the shadow node and writeNodeW only checks its
+// size. An overflowing insert has already landed in the leaf it read —
+// the shadow node itself when the leaf was dirty — and the slow path's
+// leafInsert then finds the key and replaces it in place, so the split
+// sees the same entries and insertion index either way.
 // Otherwise the slow path descends from the root recording the path, so
 // splits propagate iteratively; it re-caches the target leaf for the
 // next call. Both paths produce byte-identical trees to the pre-cache
@@ -576,6 +629,7 @@ func (db *DB) putTxn(key, value []byte) error {
 		p.n.children = append(p.n.children, 0)
 		copy(p.n.children[p.ci+2:], p.n.children[p.ci+1:])
 		p.n.children[p.ci+1] = right
+		p.n.measure()
 		promoted, right, err = db.finishInsert(p.id, p.n, -1)
 		if err != nil {
 			return err
@@ -584,7 +638,7 @@ func (db *DB) putTxn(key, value []byte) error {
 	if promoted != nil {
 		// Root split: grow the tree.
 		newRoot := db.walloc()
-		nr := &node{typ: pageInternal, keys: [][]byte{promoted}, children: []uint32{db.w.root, right}}
+		nr := (&node{typ: pageInternal, keys: [][]byte{promoted}, children: []uint32{db.w.root, right}}).measure()
 		if err := db.writeNodeW(newRoot, nr); err != nil {
 			return err
 		}
@@ -608,18 +662,21 @@ func (db *DB) fastCovers(key []byte) bool {
 
 // leafInsert puts key into the decoded leaf, replacing an existing entry,
 // and returns the index the key landed at (the split decision uses it).
+// The leaf keeps key and value themselves (putTxn's contract).
 func leafInsert(n *node, key, value []byte) int {
 	i, found := search(n.keys, key)
 	if found {
-		n.vals[i] = append([]byte(nil), value...)
+		n.sz += len(value) - len(n.vals[i])
+		n.vals[i] = value
 		return i
 	}
 	n.keys = append(n.keys, nil)
 	copy(n.keys[i+1:], n.keys[i:])
-	n.keys[i] = append([]byte(nil), key...)
+	n.keys[i] = key
 	n.vals = append(n.vals, nil)
 	copy(n.vals[i+1:], n.vals[i:])
-	n.vals[i] = append([]byte(nil), value...)
+	n.vals[i] = value
+	n.sz += 4 + len(key) + len(value)
 	return i
 }
 
@@ -648,26 +705,33 @@ func (db *DB) finishInsert(id uint32, n *node, insertAt int) ([]byte, uint32, er
 	if n.typ == pageLeaf &&
 		insertAt >= mid && insertAt > 0 && insertAt < len(n.keys) {
 		r := &node{typ: pageLeaf, keys: n.keys[insertAt:], vals: n.vals[insertAt:]}
-		if r.size() <= PageSize {
+		if r.measure().size() <= PageSize {
 			mid = insertAt
 		}
 	}
 	var promoted []byte
 	var left, rightN *node
 	if n.typ == pageLeaf {
-		// Right half starts at mid; its first key is promoted (copied).
+		// Right half starts at mid; its first key is promoted (copied, so
+		// the fast-path bounds that may keep it across transactions pin a
+		// key, not the batch arena it came from). The left half's slices
+		// are capped at mid: both halves stay in the shadow set as decoded
+		// nodes over one backing array, and a later insert into the left
+		// half must reallocate rather than append over the right half.
 		// The new right leaf inherits the sibling pointer and the left
 		// leaf links to it (below, once its page id exists), keeping the
 		// scan read-ahead chain intact across splits.
-		left = &node{typ: pageLeaf, keys: n.keys[:mid], vals: n.vals[:mid]}
+		left = &node{typ: pageLeaf, keys: n.keys[:mid:mid], vals: n.vals[:mid:mid]}
 		rightN = &node{typ: pageLeaf, next: n.next, keys: n.keys[mid:], vals: n.vals[mid:]}
 		promoted = append([]byte(nil), n.keys[mid]...)
 	} else {
-		// The middle key moves up.
+		// The middle key moves up; the left half is capped as above.
 		promoted = n.keys[mid]
-		left = &node{typ: pageInternal, keys: n.keys[:mid], children: n.children[:mid+1]}
+		left = &node{typ: pageInternal, keys: n.keys[:mid:mid], children: n.children[: mid+1 : mid+1]}
 		rightN = &node{typ: pageInternal, keys: n.keys[mid+1:], children: n.children[mid+1:]}
 	}
+	left.measure()
+	rightN.measure()
 	rightID := db.walloc()
 	if n.typ == pageLeaf {
 		left.next = rightID
@@ -722,10 +786,13 @@ func (n *node) splitPoint() int {
 	return mid
 }
 
-// Delete removes a key; deleting an absent key is a no-op (and publishes
-// no epoch). Leaves are not rebalanced (space is reclaimed on
-// compaction, which this store does not implement — deletions in the
-// XMorph workload are whole-store drops).
+// Delete removes a key as one transaction; deleting an absent key is a
+// no-op (and publishes no epoch). Leaves are never merged or rebalanced
+// and this store does not compact: a thinned leaf keeps its page and
+// separator range, and only later inserts into that range reuse its
+// space. The store deletes key by key — a Drop or failed shred removes
+// every record of a document id, an update deletes the records of the
+// subtrees it rewrites — so those pages stay allocated.
 func (db *DB) Delete(key []byte) error {
 	atomic.AddInt64(&db.deletes, 1)
 	lockTimed(&db.writerMu, writerLockWait)
@@ -745,6 +812,7 @@ func (db *DB) Delete(key []byte) error {
 			if !found {
 				return db.commitWrite() // empty set: no-op
 			}
+			n.sz -= 4 + len(n.keys[i]) + len(n.vals[i])
 			n.keys = append(n.keys[:i], n.keys[i+1:]...)
 			n.vals = append(n.vals[:i], n.vals[i+1:]...)
 			if err := db.writeNodeW(id, n); err != nil {

@@ -1,19 +1,20 @@
 package kvstore
 
 import (
+	"fmt"
 	"sync/atomic"
 )
 
 // MVCC snapshot reads over copy-on-write pages.
 //
 // Every committed state of the tree is numbered by an epoch. A writer
-// transaction (one Put, PutBatch, or Delete) mutates shadow copies of
-// the pages it touches in a private write set; commit publishes them all
-// at once — new root, new page count, epoch+1 — under the DB's
-// publishMu. Readers never take the tree-wide lock the pre-MVCC design
-// used: a Snapshot is just the committed (root, epoch) pair plus a pin
-// registered in DB.pins, and every page it reads resolves against that
-// epoch.
+// transaction (one Put, PutBatch, or Delete) mutates decoded shadow
+// copies of the pages it touches in a private write set; commit
+// serializes each once and publishes them all at once — new root, new
+// page count, epoch+1 — under the DB's publishMu. Readers never take the
+// tree-wide lock the pre-MVCC design used: a Snapshot is just the
+// committed (root, epoch) pair plus a pin registered in DB.pins, and
+// every page it reads resolves against that epoch.
 //
 // Resolution uses two facts. First, pool buffers are immutable and
 // epoch-stamped (pager.install replaces pointers, never bytes), so a
@@ -201,11 +202,22 @@ func (db *DB) pruneVersions(threshold uint64) {
 }
 
 // writeTxn is the shadow state of the in-flight writer transaction
-// (guarded by writerMu): the pages it has rewritten, its private page
-// count, and its root. Nothing in it is visible to readers until
-// commitWrite publishes the whole set.
+// (guarded by writerMu): the nodes it has rewritten, the header image
+// when it rewrote that, its private page count, and its root. Nothing in
+// it is visible to readers until commitWrite publishes the whole set.
+//
+// The shadow set holds decoded nodes, not page images: a page is decoded
+// on its first touch in the transaction (readNodeW), every later read
+// and write of it in the same transaction works on that one *node, and
+// commitWrite serializes each dirty node exactly once. A sorted PutBatch
+// therefore costs one decode and one serialization per leaf it fills,
+// not one of each per key. Because a shadow node lives on and is
+// mutated after it is recorded, no two nodes in the set may share a
+// backing array they can append into — see finishInsert's capped split
+// halves.
 type writeTxn struct {
-	set    map[uint32][]byte
+	set    map[uint32]*node
+	hdr    []byte // header page image, nil unless this transaction rewrote it
 	npages uint32
 	root   uint32
 }
@@ -214,10 +226,11 @@ type writeTxn struct {
 // writerMu.
 func (db *DB) beginWrite() {
 	if db.w.set == nil {
-		db.w.set = make(map[uint32][]byte, 8)
+		db.w.set = make(map[uint32]*node, 8)
 	} else {
 		clear(db.w.set)
 	}
+	db.w.hdr = nil
 	db.w.npages = db.pager.npages.Load()
 	db.w.root = db.root
 }
@@ -228,73 +241,98 @@ func (db *DB) beginWrite() {
 // caches may describe discarded work, so they reset.
 func (db *DB) abortWrite() {
 	clear(db.w.set)
+	db.w.hdr = nil
 	db.fastValid = false
 	db.hdrValid = false
 }
 
-// commitWrite atomically publishes the transaction: retained images
-// first (so a concurrent snapshot that observes a new stamp always finds
-// its version), then the shadow pages, the page count, and finally the
-// new root and epoch. An empty write set (e.g. deleting an absent key)
-// publishes nothing and keeps the epoch.
+// dirtyPage is one serialized page image of a committing transaction.
+type dirtyPage struct {
+	id  uint32
+	buf []byte
+}
+
+// commitWrite atomically publishes the transaction. Every dirty node is
+// serialized first, once, outside publishMu (writeNodeW already refused
+// any that overflow, so a failure here is a corrupt node and publishes
+// nothing). Then, under publishMu: retained images (so a concurrent
+// snapshot that observes a new stamp always finds its version), the
+// shadow pages, the page count, and finally the new root and epoch. An
+// empty write set (e.g. deleting an absent key) publishes nothing and
+// keeps the epoch.
 func (db *DB) commitWrite() error {
-	if len(db.w.set) == 0 {
+	if len(db.w.set) == 0 && db.w.hdr == nil {
 		return nil
+	}
+	pages := make([]dirtyPage, 0, len(db.w.set)+1)
+	if db.w.hdr != nil {
+		pages = append(pages, dirtyPage{id: 0, buf: db.w.hdr})
+	}
+	for id, n := range db.w.set {
+		buf, err := n.serialize()
+		if err != nil {
+			return err
+		}
+		pages = append(pages, dirtyPage{id: id, buf: buf})
 	}
 	newEpoch := db.epoch + 1
 	oldNpages := db.pager.npages.Load()
 	lockTimed(&db.publishMu, publishLockWait)
 	if len(db.pins) > 0 {
-		for id := range db.w.set {
-			if id >= oldNpages {
+		for _, pg := range pages {
+			if pg.id >= oldNpages {
 				continue // freshly allocated: no prior image to retain
 			}
-			img, err := db.pager.read(id)
+			img, err := db.pager.read(pg.id)
 			if err != nil {
 				db.publishMu.Unlock()
 				return err
 			}
-			db.retain(id, img, newEpoch)
+			db.retain(pg.id, img, newEpoch)
 		}
 	}
 	// Replication: while subscribers are attached, remember which pages
 	// this commit rewrote so the next flush cut can ship their images.
 	if len(db.repSubs) > 0 {
-		for id := range db.w.set {
-			db.repDirty[id] = struct{}{}
+		for _, pg := range pages {
+			db.repDirty[pg.id] = struct{}{}
 		}
 	}
 	// Grow the page count before installing: installing a fresh page can
 	// evict another fresh page of this same commit, and the memory
 	// backend's eviction flush needs the backing slice grown already.
 	db.pager.setNpages(db.w.npages)
-	for id, buf := range db.w.set {
-		db.pager.install(id, buf, newEpoch)
+	for _, pg := range pages {
+		db.pager.install(pg.id, pg.buf, newEpoch) // buffers now belong to the pool
 	}
 	db.root = db.w.root
 	db.epoch = newEpoch
 	db.pager.epoch.Store(newEpoch)
 	db.publishMu.Unlock()
-	clear(db.w.set) // buffers now belong to the pool
+	clear(db.w.set)
+	db.w.hdr = nil
 	return nil
 }
 
-// readNodeW reads a page through the transaction: shadow copy first,
-// committed image otherwise. Caller holds writerMu.
+// readNodeW reads a page through the transaction. A page already in the
+// shadow set comes back as the shadow node itself — callers mutate it in
+// place and record it with writeNodeW. Otherwise the committed image is
+// decoded into a fresh node the caller owns. Caller holds writerMu.
 func (db *DB) readNodeW(id uint32) (*node, error) {
-	if buf, ok := db.w.set[id]; ok {
-		return deserialize(buf)
+	if n, ok := db.w.set[id]; ok {
+		return n, nil
 	}
 	return db.readNode(id)
 }
 
-// writeNodeW serializes a node into the transaction's shadow set.
+// writeNodeW records a node in the transaction's shadow set. It refuses
+// a node that would overflow its page here, at the write that caused it;
+// serialization itself waits for commitWrite.
 func (db *DB) writeNodeW(id uint32, n *node) error {
-	buf, err := n.serialize()
-	if err != nil {
-		return err
+	if sz := n.size(); sz > PageSize {
+		return fmt.Errorf("kvstore: node overflows page (%d bytes)", sz)
 	}
-	db.w.set[id] = buf
+	db.w.set[id] = n
 	return nil
 }
 

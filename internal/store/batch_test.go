@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"xmorph/internal/gen/xmark"
 	"xmorph/internal/xmltree"
 )
 
@@ -230,5 +231,25 @@ func TestFailedShredLeavesNoRecords(t *testing.T) {
 	}
 	if re.XML(false) != good {
 		t.Error("reconstruction differs from the shredded document")
+	}
+}
+
+// TestShredAllocsPerNode guards the ingest path end to end on the XMark
+// sf 0.02 document: tokenizing, shredding and the PutBatch flushes must
+// stay under 20 allocations per shredded node.
+func TestShredAllocsPerNode(t *testing.T) {
+	xml := xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42}).XML(false)
+	var nodes int
+	allocs := testing.AllocsPerRun(1, func() {
+		info, err := OpenMemory().Shred("d", strings.NewReader(xml), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = info.Nodes
+	})
+	perNode := allocs / float64(nodes)
+	t.Logf("%d nodes, %.1f allocations per node", nodes, perNode)
+	if perNode > 20 {
+		t.Errorf("shred: %.1f allocations per node, want <= 20", perNode)
 	}
 }
