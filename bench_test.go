@@ -272,6 +272,20 @@ func BenchmarkHotpathShred(b *testing.B) {
 	b.ReportMetric(float64(fastHits)/float64(b.N), "fastpath-hits/op")
 }
 
+// BenchmarkHotpathParse measures xmltree.Parse — Scan into a Builder —
+// on the document BenchmarkHotpathShred stores.
+func BenchmarkHotpathParse(b *testing.B) {
+	xml := xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42}).XML(false)
+	b.SetBytes(int64(len(xml)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := xmltree.ParseString(xml); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHotpathCachedJoin measures the CSR grouped join cache: build
 // the grouping once, then look up every parent's partners. Allocs/op is
 // the headline — the CSR layout allocates a couple of slices however many

@@ -24,7 +24,7 @@ func TestClusterReplicaLagAndEpochFloor(t *testing.T) {
 	fallthroughs := obs.Default.Counter("cluster_fallthroughs_total").Value()
 
 	const writes = 120
-	var mu sync.Mutex
+	var mu sync.RWMutex
 	written := map[string]string{} // name -> expected Run output
 
 	var readerWG sync.WaitGroup
@@ -42,17 +42,20 @@ func TestClusterReplicaLagAndEpochFloor(t *testing.T) {
 					return
 				default:
 				}
-				mu.Lock()
+				// The read lock spans the read: a name is unlisted only once
+				// no read of it is in flight.
+				mu.RLock()
 				var name string
 				for n := range written {
 					name = n
 					break
 				}
-				mu.Unlock()
-				if name == "" {
-					continue
+				var err error
+				if name != "" {
+					_, err = c.Run(ctx, name, diffGuard, engine.RunOpts{})
 				}
-				if _, err := c.Run(ctx, name, diffGuard, engine.RunOpts{}); err != nil {
+				mu.RUnlock()
+				if err != nil {
 					readerErr <- fmt.Errorf("background read %s: %w", name, err)
 					return
 				}
@@ -78,7 +81,11 @@ func TestClusterReplicaLagAndEpochFloor(t *testing.T) {
 		mu.Unlock()
 	}
 	// Replace one document: a stale replica still holds the old bytes,
-	// so serving it post-floor would be visible as stale content.
+	// so serving it post-floor would be visible as stale content. It is
+	// unlisted while it is gone.
+	mu.Lock()
+	delete(written, docName(0))
+	mu.Unlock()
 	if err := c.Drop(ctx, docName(0), nil); err != nil {
 		t.Fatal(err)
 	}

@@ -236,7 +236,7 @@ func TestFailedShredLeavesNoRecords(t *testing.T) {
 
 // TestShredAllocsPerNode guards the ingest path end to end on the XMark
 // sf 0.02 document: tokenizing, shredding and the PutBatch flushes must
-// stay under 20 allocations per shredded node.
+// stay under 4 allocations per shredded node.
 func TestShredAllocsPerNode(t *testing.T) {
 	xml := xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42}).XML(false)
 	var nodes int
@@ -249,7 +249,7 @@ func TestShredAllocsPerNode(t *testing.T) {
 	})
 	perNode := allocs / float64(nodes)
 	t.Logf("%d nodes, %.1f allocations per node", nodes, perNode)
-	if perNode > 20 {
-		t.Errorf("shred: %.1f allocations per node, want <= 20", perNode)
+	if perNode > 4 {
+		t.Errorf("shred: %.1f allocations per node, want <= 4", perNode)
 	}
 }

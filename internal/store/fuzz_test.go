@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"xmorph/internal/gen/random"
 	"xmorph/internal/gen/xmark"
 	"xmorph/internal/shape"
 	"xmorph/internal/store"
@@ -95,7 +96,7 @@ func nestedDoc(depth int, attrs string) string {
 func TestShredAgainstParse(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 200; i++ {
-		checkShredAgainstParse(t, []byte(randDoc(rng).XML(false)))
+		checkShredAgainstParse(t, []byte(random.Doc(rng).XML(false)))
 	}
 	checkShredAgainstParse(t, []byte(xmark.Generate(xmark.Config{Factor: 0.02, Seed: 1}).XML(false)))
 }

@@ -149,28 +149,54 @@ func joinType(parent, rel string) string {
 // when its text is complete — and passes every record to out. A whole
 // document is rooted above a root (type "", no Dewey number, ordinal 1);
 // an update's fragment at a child slot of an existing node.
+//
+// Per node it allocates nothing: type paths are built once per (parent
+// type, child name), and a record's key and value are assembled in
+// buffers the next record reuses.
 type shredder struct {
 	*typeRegistry
 	docID uint32
 	// out takes one node's record: its key without the chunk index, and
-	// its text value.
+	// its text value. Both are valid only until out returns.
 	out func(tid uint32, key, value []byte) error
 	// fold infers the shape of what is shredded. An update ignores it: it
 	// recounts the types it touched from their stored sequences.
 	fold shape.Fold
+	// paths holds the rooted type paths met so far, paths[0] the one of
+	// the node the shredder was rooted at; childPath indexes them by
+	// parent path and child name.
+	paths     []typePath
+	childPath map[pathStep]int32
 	// open holds the elements being read, innermost last, below the
 	// frame of the node the shredder was rooted at; path is the innermost
 	// one's Dewey number, one component per frame above that node's own.
+	// A frame's value buffer is kept for the next element at its depth.
 	open  []frame
 	path  xmltree.Dewey
+	key   []byte // the record key being built
+	attr  []byte // the attribute value being written
 	nodes int
 	chars int
 	err   error
 }
 
+// typePath is one rooted type path, with its typeID once a record of the
+// type has been written.
+type typePath struct {
+	path       string
+	tid        uint32
+	registered bool
+}
+
+type pathStep struct {
+	parent int32
+	name   string
+	attr   bool
+}
+
 // frame is one open element.
 type frame struct {
-	typ   string
+	typ   int32 // index into paths
 	value []byte
 	kids  int // child ordinals handed out
 }
@@ -181,27 +207,51 @@ func newShredder(docID uint32, reg *typeRegistry, out func(tid uint32, key, valu
 	parentT string, pd xmltree.Dewey, ord int) *shredder {
 	return &shredder{
 		typeRegistry: reg, docID: docID, out: out,
-		open: []frame{{typ: parentT, kids: ord - 1}},
-		path: append(xmltree.Dewey(nil), pd...),
+		paths:     []typePath{{path: parentT}},
+		childPath: map[pathStep]int32{},
+		open:      []frame{{kids: ord - 1}},
+		path:      append(xmltree.Dewey(nil), pd...),
 	}
+}
+
+// child returns the index of the type path of a child named name (an
+// attribute if attr) below a node of path parent.
+func (sh *shredder) child(parent int32, name string, attr bool) int32 {
+	step := pathStep{parent, name, attr}
+	if i, ok := sh.childPath[step]; ok {
+		return i
+	}
+	if attr {
+		name = "@" + name
+	}
+	sh.paths = append(sh.paths, typePath{path: joinType(sh.paths[parent].path, name)})
+	i := int32(len(sh.paths) - 1)
+	sh.childPath[step] = i
+	return i
 }
 
 func (sh *shredder) Start(name string) {
 	p := &sh.open[len(sh.open)-1]
 	p.kids++
 	sh.path = append(sh.path, p.kids)
-	typ := joinType(p.typ, name)
-	sh.open = append(sh.open, frame{typ: typ})
-	sh.fold.Open(typ)
+	typ := sh.child(p.typ, name, false)
+	if n := len(sh.open); n < cap(sh.open) {
+		sh.open = sh.open[:n+1]
+		sh.open[n] = frame{typ: typ, value: sh.open[n].value[:0]}
+	} else {
+		sh.open = append(sh.open, frame{typ: typ})
+	}
+	sh.fold.Open(sh.paths[typ].path)
 }
 
 func (sh *shredder) Attr(name, value string) {
 	f := &sh.open[len(sh.open)-1]
 	f.kids++
-	typ := f.typ + xmltree.TypeSep + "@" + name
-	sh.fold.Open(typ)
+	typ := sh.child(f.typ, name, true)
+	sh.fold.Open(sh.paths[typ].path)
 	sh.fold.Close()
-	sh.emit(typ, append(sh.path, f.kids), []byte(value))
+	sh.attr = append(sh.attr[:0], value...)
+	sh.emit(typ, append(sh.path, f.kids), sh.attr)
 }
 
 func (sh *shredder) Text(s string) {
@@ -221,20 +271,24 @@ func (sh *shredder) Err() error { return sh.err }
 
 // emit writes one node's record. After a failure it writes nothing more:
 // the events that still arrive only keep the frames balanced.
-func (sh *shredder) emit(typ string, dw xmltree.Dewey, value []byte) {
+func (sh *shredder) emit(typ int32, dw xmltree.Dewey, value []byte) {
 	if sh.err != nil {
 		return
 	}
+	t := &sh.paths[typ]
 	if len(dw) > xmltree.MaxDepth {
 		// Only a fragment grafted deep into a document gets here: the scan
 		// bounds a whole document's depth itself.
-		sh.err = fmt.Errorf("store: node %s lies deeper than %d levels", typ, xmltree.MaxDepth)
+		sh.err = fmt.Errorf("store: node %s lies deeper than %d levels", t.path, xmltree.MaxDepth)
 		return
 	}
-	tid := sh.register(typ)
+	if !t.registered {
+		t.tid, t.registered = sh.register(t.path), true
+	}
 	sh.nodes++
 	sh.chars += len(value)
-	sh.err = sh.out(tid, nodePrefix(sh.docID, tid, dw), value)
+	sh.key = appendNodePrefix(sh.key[:0], sh.docID, t.tid, dw)
+	sh.err = sh.out(t.tid, sh.key, value)
 }
 
 // shredFlushBytes bounds the memory the shredder buffers before pushing
@@ -247,8 +301,11 @@ const shredFlushBytes = 1 << 20
 // equals document order — which means every run is already sorted when
 // it reaches PutBatch.
 type typeRuns struct {
-	db       *kvstore.DB
-	runs     []typeRun
+	db   *kvstore.DB
+	runs []typeRun
+	// arena holds the bytes of every buffered record. PutBatch copies
+	// what it is given, so each flush leaves the arena free for reuse.
+	arena    []byte
 	buffered int // bytes held across all runs, for the flush threshold
 }
 
@@ -262,7 +319,7 @@ func (b *typeRuns) add(tid uint32, key, value []byte) error {
 	}
 	r := &b.runs[tid]
 	var err error
-	r.keys, r.vals, err = appendBlobChunks(r.keys, r.vals, key, value)
+	b.arena, r.keys, r.vals, err = appendBlobChunks(b.arena, r.keys, r.vals, key, value)
 	if err != nil {
 		return err
 	}
@@ -288,6 +345,6 @@ func (b *typeRuns) flush() error {
 		}
 		r.keys, r.vals = r.keys[:0], r.vals[:0]
 	}
-	b.buffered = 0
+	b.arena, b.buffered = b.arena[:0], 0
 	return nil
 }

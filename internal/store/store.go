@@ -172,14 +172,17 @@ const (
 // prefix of a type's whole sequence, with a node's the prefix of its
 // records and of its subtree's in a descendant type.
 func nodePrefix(docID, typeID uint32, dewey xmltree.Dewey) []byte {
-	k := make([]byte, nodeKeyHead, nodeKeyHead+4*len(dewey)+nodeKeyChunk)
-	k[0] = 'N'
-	binary.BigEndian.PutUint32(k[1:], docID)
-	binary.BigEndian.PutUint32(k[5:], typeID)
+	return appendNodePrefix(make([]byte, 0, nodeKeyHead+4*len(dewey)+nodeKeyChunk), docID, typeID, dewey)
+}
+
+// appendNodePrefix appends nodePrefix(docID, typeID, dewey) to dst.
+func appendNodePrefix(dst []byte, docID, typeID uint32, dewey xmltree.Dewey) []byte {
+	dst = binary.BigEndian.AppendUint32(append(dst, 'N'), docID)
+	dst = binary.BigEndian.AppendUint32(dst, typeID)
 	for _, c := range dewey {
-		k = binary.BigEndian.AppendUint32(k, uint32(c))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(c))
 	}
-	return k
+	return dst
 }
 
 // nodeKey builds the key of one chunk of a node's record.
@@ -218,42 +221,42 @@ func decodeDewey(dst xmltree.Dewey, dewey []byte) {
 
 // appendBlobChunks appends the chunked records of one blob to the
 // parallel key/value slices: chunk i of a value lives under key+i, and
-// chunk 0 carries a 2-byte chunk-count header. putBlob writes the same
-// records individually; the shredder accumulates them into per-type
-// sorted runs for PutBatch.
-func appendBlobChunks(keys, vals [][]byte, key, val []byte) ([][]byte, [][]byte, error) {
+// chunk 0 carries a 2-byte chunk-count header. The records' bytes are
+// copied into arena — extended, or replaced by a block twice its size
+// once full — which is returned, so they outlive key and val. putBlob
+// writes the records individually, each blob in an arena of its own; the
+// shredder accumulates them into per-type sorted runs for PutBatch in
+// one arena it reuses after every flush.
+func appendBlobChunks(arena []byte, keys, vals [][]byte, key, val []byte) ([]byte, [][]byte, [][]byte, error) {
 	n := (len(val) + chunkSize - 1) / chunkSize
 	if n == 0 {
 		n = 1
 	}
 	if n > 1<<16-1 {
-		return keys, vals, fmt.Errorf("store: blob too large (%d bytes)", len(val))
+		return arena, keys, vals, fmt.Errorf("store: blob too large (%d bytes)", len(val))
+	}
+	if need := n*(len(key)+nodeKeyChunk) + 2 + len(val); cap(arena)-len(arena) < need {
+		// A fresh block, not a copy: records already taken from the old
+		// one keep it alive.
+		arena = make([]byte, 0, max(need, 2*cap(arena)))
 	}
 	for i := 0; i < n; i++ {
-		lo := i * chunkSize
-		hi := lo + chunkSize
-		if hi > len(val) {
-			hi = len(val)
-		}
-		ck := make([]byte, len(key)+2)
-		copy(ck, key)
-		binary.BigEndian.PutUint16(ck[len(key):], uint16(i))
-		chunk := val[lo:hi]
+		at := len(arena)
+		arena = binary.BigEndian.AppendUint16(append(arena, key...), uint16(i))
+		keys = append(keys, arena[at:len(arena):len(arena)])
+		at = len(arena)
 		if i == 0 {
-			hdr := make([]byte, 2+len(chunk))
-			binary.BigEndian.PutUint16(hdr, uint16(n))
-			copy(hdr[2:], chunk)
-			chunk = hdr
+			arena = binary.BigEndian.AppendUint16(arena, uint16(n))
 		}
-		keys = append(keys, ck)
-		vals = append(vals, chunk)
+		arena = append(arena, val[i*chunkSize:min((i+1)*chunkSize, len(val))]...)
+		vals = append(vals, arena[at:len(arena):len(arena)])
 	}
-	return keys, vals, nil
+	return arena, keys, vals, nil
 }
 
 // putBlob stores an arbitrarily large value across chunked keys.
 func (s *Store) putBlob(key []byte, val []byte) error {
-	keys, vals, err := appendBlobChunks(nil, nil, key, val)
+	_, keys, vals, err := appendBlobChunks(nil, nil, nil, key, val)
 	if err != nil {
 		return err
 	}

@@ -728,7 +728,7 @@ func (u *updater) rewriteBlob(key, val []byte) error {
 
 // putBlob writes a value's chunked records into the overlay.
 func (u *updater) putBlob(key, val []byte) error {
-	keys, vals, err := appendBlobChunks(nil, nil, key, val)
+	_, keys, vals, err := appendBlobChunks(nil, nil, nil, key, val)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"xmorph/internal/gen/random"
 	"xmorph/internal/gen/xmark"
 	"xmorph/internal/kvstore"
 	"xmorph/internal/store"
@@ -243,32 +244,6 @@ func TestUpdateShapeDeltaAndHash(t *testing.T) {
 
 // --- randomized differential sweep ---------------------------------
 
-// randDoc builds a random small document over a fixed name alphabet.
-func randDoc(rng *rand.Rand) *xmltree.Document {
-	b := xmltree.NewBuilder()
-	var build func(depth int)
-	names := []string{"a", "b", "c", "d"}
-	build = func(depth int) {
-		if rng.Intn(3) == 0 {
-			b.Attr(names[rng.Intn(len(names))], fmt.Sprintf("v%d", rng.Intn(10)))
-		}
-		if rng.Intn(2) == 0 {
-			b.Text(fmt.Sprintf("t%d", rng.Intn(100)))
-		}
-		if depth < 4 {
-			for i := rng.Intn(4); i > 0; i-- {
-				b.Elem(names[rng.Intn(len(names))])
-				build(depth + 1)
-				b.End()
-			}
-		}
-	}
-	b.Elem("r")
-	build(1)
-	b.End()
-	return b.MustDocument()
-}
-
 // randFragment builds a small random fragment.
 func randFragment(rng *rand.Rand) string {
 	b := xmltree.NewBuilder()
@@ -423,7 +398,7 @@ func TestUpdateDifferentialSweep(t *testing.T) {
 		iters = 15
 	}
 	for iter := 0; iter < iters; iter++ {
-		doc := randDoc(rng)
+		doc := random.Doc(rng)
 		st := store.OpenMemory()
 		shredInto(t, st, "d", doc.XML(false))
 

@@ -22,7 +22,6 @@
 package update
 
 import (
-	"encoding/xml"
 	"fmt"
 	"strings"
 
@@ -247,41 +246,18 @@ func (p *parser) path() (string, error) {
 	return w, nil
 }
 
-// fragment consumes one well-formed XML element, using the XML tokenizer
-// to find its end (so ";" and keywords inside the fragment are inert).
+// fragment consumes one well-formed XML element, parsed to find its end
+// (so ";" and keywords inside the fragment are inert).
 func (p *parser) fragment() (string, error) {
 	p.skipSpace()
 	if p.pos >= len(p.src) || p.src[p.pos] != '<' {
 		return "", p.errf("expected an XML fragment")
 	}
-	dec := xml.NewDecoder(strings.NewReader(p.src[p.pos:]))
-	depth, started := 0, false
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return "", p.errf("bad XML fragment: %v", err)
-		}
-		switch tok.(type) {
-		case xml.StartElement:
-			depth++
-			started = true
-		case xml.EndElement:
-			depth--
-		case xml.CharData:
-			if !started && strings.TrimSpace(string(tok.(xml.CharData))) != "" {
-				return "", p.errf("bad XML fragment: text before the root element")
-			}
-		}
-		if started && depth == 0 {
-			break
-		}
-	}
-	end := p.pos + int(dec.InputOffset())
-	frag := strings.TrimSpace(p.src[p.pos:end])
-	// Re-validate as a document: a single root with balanced structure.
-	if _, err := xmltree.ParseString(frag); err != nil {
+	_, n, err := xmltree.ParseElement(p.src[p.pos:])
+	if err != nil {
 		return "", p.errf("bad XML fragment: %v", err)
 	}
-	p.pos = end
+	frag := p.src[p.pos : p.pos+n]
+	p.pos += n
 	return frag, nil
 }

@@ -1,8 +1,6 @@
 package xmltree
 
 import (
-	"bytes"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strings"
@@ -30,8 +28,8 @@ type Handler interface {
 }
 
 // Scan reads one XML document from r and hands it to h. It is the
-// repository's only XML tokenizer loop, and the rules of ingest are
-// stated here and nowhere else:
+// repository's only XML tokenizer, and the rules of ingest are stated
+// here and nowhere else:
 //
 //   - names are local names (namespace prefixes are ignored, matching the
 //     paper's untyped treatment of labels) and xmlns declarations are not
@@ -48,66 +46,29 @@ type Handler interface {
 //     node lies deeper than MaxDepth — the scan fails at the start tag
 //     that goes too deep, before anything is allocated for it.
 //
+// The tokenizer is the byte scanner of scan.go. The language it accepts
+// is encoding/xml's in strict mode, and FuzzScan holds it to the
+// encoding/xml token loop it replaced.
+//
 // Scan stops at the first malformed token, broken rule or handler
-// failure and returns it.
+// failure and returns it; an error of r's is wrapped, not replaced.
 func Scan(r io.Reader, h Handler) error {
-	dec := xml.NewDecoder(r)
-	depth, rooted := 0, false
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("xmltree: scan: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if depth == 0 && rooted {
-				return fmt.Errorf("xmltree: scan: multiple root elements")
-			}
-			if depth++; depth > MaxDepth {
-				return fmt.Errorf("xmltree: scan: <%s> is nested deeper than %d levels", t.Name.Local, MaxDepth)
-			}
-			if err := checkName(t.Name.Local); err != nil {
-				return err
-			}
-			rooted = true
-			h.Start(t.Name.Local)
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				if depth == MaxDepth {
-					return fmt.Errorf("xmltree: scan: attribute %s of <%s> lies deeper than %d levels", a.Name.Local, t.Name.Local, MaxDepth)
-				}
-				if err := checkName(a.Name.Local); err != nil {
-					return err
-				}
-				h.Attr(a.Name.Local, a.Value)
-			}
-		case xml.EndElement:
-			if depth == 0 {
-				return fmt.Errorf("xmltree: scan: unbalanced end element %s", t.Name.Local)
-			}
-			depth--
-			h.End()
-		case xml.CharData:
-			if depth > 0 && len(bytes.TrimSpace(t)) > 0 {
-				h.Text(string(t))
-			}
-		}
-		if err := h.Err(); err != nil {
-			return err
-		}
+	return newScanner(r).document(h, false)
+}
+
+// ParseElement parses the one element s begins with — after any
+// whitespace, comments, processing instructions and directives, but no
+// other character data — under Scan's rules, and returns it with the
+// length of s up to the end of its end tag. Nothing after that is read:
+// the update language delimits its XML fragments with it.
+func ParseElement(s string) (*Document, int, error) {
+	sc := newScanner(strings.NewReader(s))
+	b := NewBuilder()
+	if err := sc.document(builderHandler{b}, true); err != nil {
+		return nil, 0, err
 	}
-	if !rooted {
-		return fmt.Errorf("xmltree: scan: no root element")
-	}
-	if depth != 0 {
-		return fmt.Errorf("xmltree: scan: unexpected end of input with %d open element(s)", depth)
-	}
-	return nil
+	d, err := b.Document()
+	return d, sc.off + sc.pos, err
 }
 
 func checkName(name string) error {

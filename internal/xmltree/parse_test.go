@@ -1,9 +1,15 @@
 package xmltree
 
 import (
+	"bytes"
+	"encoding/xml"
+	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // fig1a is data instance (a) of Figure 1 in the paper: titles group authors
@@ -336,5 +342,240 @@ func TestScanRejectsSeparatorInNames(t *testing.T) {
 		if _, err := ParseString(doc); err == nil {
 			t.Errorf("%s parsed", doc)
 		}
+	}
+}
+
+// scanReference is the encoding/xml token loop Scan ran before its byte
+// scanner, kept verbatim as the oracle FuzzScan holds Scan to.
+func scanReference(r io.Reader, h Handler) error {
+	dec := xml.NewDecoder(r)
+	depth, rooted := 0, false
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("xmltree: scan: %w", err)
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			if depth == 0 && rooted {
+				return fmt.Errorf("xmltree: scan: multiple root elements")
+			}
+			if depth++; depth > MaxDepth {
+				return fmt.Errorf("xmltree: scan: <%s> is nested deeper than %d levels", t.Name.Local, MaxDepth)
+			}
+			if err := checkName(t.Name.Local); err != nil {
+				return err
+			}
+			rooted = true
+			h.Start(t.Name.Local)
+			for _, a := range t.Attr {
+				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
+					continue
+				}
+				if depth == MaxDepth {
+					return fmt.Errorf("xmltree: scan: attribute %s of <%s> lies deeper than %d levels", a.Name.Local, t.Name.Local, MaxDepth)
+				}
+				if err := checkName(a.Name.Local); err != nil {
+					return err
+				}
+				h.Attr(a.Name.Local, a.Value)
+			}
+		case xml.EndElement:
+			if depth == 0 {
+				return fmt.Errorf("xmltree: scan: unbalanced end element %s", t.Name.Local)
+			}
+			depth--
+			h.End()
+		case xml.CharData:
+			if depth > 0 && len(bytes.TrimSpace(t)) > 0 {
+				h.Text(string(t))
+			}
+		}
+		if err := h.Err(); err != nil {
+			return err
+		}
+	}
+	if !rooted {
+		return fmt.Errorf("xmltree: scan: no root element")
+	}
+	if depth != 0 {
+		return fmt.Errorf("xmltree: scan: unexpected end of input with %d open element(s)", depth)
+	}
+	return nil
+}
+
+// elementReference is how the update language found the end of an XML
+// fragment before ParseElement: the encoding/xml token loop up to the
+// first element's end, refusing text ahead of it, then a parse of what it
+// spanned as a document.
+func elementReference(s string) (int, error) {
+	dec := xml.NewDecoder(strings.NewReader(s))
+	depth, started := 0, false
+	for !started || depth > 0 {
+		tok, err := dec.Token()
+		if err != nil {
+			return 0, err
+		}
+		switch tok.(type) {
+		case xml.StartElement:
+			depth++
+			started = true
+		case xml.EndElement:
+			depth--
+		case xml.CharData:
+			if !started && strings.TrimSpace(string(tok.(xml.CharData))) != "" {
+				return 0, fmt.Errorf("text before the root element")
+			}
+		}
+	}
+	end := int(dec.InputOffset())
+	return end, scanReference(strings.NewReader(s[:end]), &eventLog{})
+}
+
+// eventLog records the events a Handler receives.
+type eventLog struct{ events []string }
+
+func (l *eventLog) Start(name string)       { l.events = append(l.events, "<"+name) }
+func (l *eventLog) Attr(name, value string) { l.events = append(l.events, "@"+name+"="+value) }
+func (l *eventLog) Text(s string)           { l.events = append(l.events, "#"+s) }
+func (l *eventLog) End()                    { l.events = append(l.events, ">") }
+func (l *eventLog) Err() error              { return nil }
+
+// checkScan holds Scan to scanReference on one input: both accept it or
+// both reject it, and an accepted input gives both the same events —
+// read whole, and again a byte per Read so that every token crosses a
+// buffer boundary. An input that starts with '<' is also an update
+// fragment: ParseElement finds the same end as elementReference.
+func checkScan(t testing.TB, data []byte) {
+	t.Helper()
+	var want eventLog
+	wantErr := scanReference(bytes.NewReader(data), &want)
+	for _, r := range []io.Reader{bytes.NewReader(data), iotest.OneByteReader(bytes.NewReader(data))} {
+		var got eventLog
+		err := Scan(r, &got)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("Scan(%q) = %v, encoding/xml loop: %v", data, err, wantErr)
+		}
+		if err == nil && !slices.Equal(got.events, want.events) {
+			t.Fatalf("Scan(%q) events differ:\n got %q\nwant %q", data, got.events, want.events)
+		}
+	}
+	if len(data) == 0 || data[0] != '<' {
+		return
+	}
+	wantN, wantErr := elementReference(string(data))
+	_, n, err := ParseElement(string(data))
+	if (err == nil) != (wantErr == nil) || err == nil && n != wantN {
+		t.Fatalf("ParseElement(%q) = %d, %v; encoding/xml loop: %d, %v", data, n, err, wantN, wantErr)
+	}
+}
+
+// FuzzScan is the differential between Scan's byte scanner and the
+// encoding/xml loop it replaced; the seeds visit each rule of the
+// language they share.
+func FuzzScan(f *testing.F) {
+	for _, s := range []string{
+		fig1a,
+		`<catalog><item id="a"><name>x</name></item><item>y</item></catalog>`,
+		`abc<a/>`,                          // text outside the root is checked, then dropped
+		"<a>\r\n\rx\r</a>",                 // line ends
+		"<a k='\r\n\t'>\r</a>",             // in attribute values too
+		`<a>&lt;&gt;&amp;&apos;&quot;</a>`, // the five predefined entities
+		`<a>&#65;&#x42;&#X43;</a>`,         // upper-case X is no hex marker
+		`<a>&#0;</a>`,                      // not an XML character
+		`<a>&#xD800;</a>`,                  // a surrogate reads as U+FFFD
+		`<a>&#x110000;</a>`,
+		`<a>&#65</a>`, // no semicolon
+		`<a>&#;</a>`,
+		`<a>&nbsp;</a>`,
+		`<a>&lt</a>`,
+		`<a>&#xA0;</a>`,    // blank by unicode.IsSpace
+		"<a>\u2003</a>",    // likewise
+		"<a>\x01</a>",      // a control character
+		"<a>\xc3</a>",      // invalid UTF-8
+		"<a k='\xff'/>",    // in an attribute value
+		"\xef\xbb\xbf<a/>", // a byte-order mark is text outside the root
+		"\x00<a/>",
+		`<a><![CDATA[x]]y<&]]></a>`,
+		`<a> <![CDATA[ ]]> </a>`,
+		`<a><![CDATA[]]></a>`,
+		`<a><![CDATA[x</a>`,
+		`<a>]]></a>`,   // only a CDATA section may hold ]]>
+		`<a k="]]>"/>`, // an attribute value may
+		`<a>]>x]] ></a>`,
+		`<a>x<!--c-->y<?p q?>z</a>`, // three runs of text
+		`<!-- a - b --><a/>`,
+		`<!-- a -- b --><a/>`, // "--" must end a comment
+		`<!---><a/>-->`,
+		`<!----><a/>`,
+		`<?xml version="1.0" encoding="UTF-8"?><a/>`,
+		`<?xml version='1.1'?><a/>`,
+		`<?xml version="1.0" encoding="latin1"?><a/>`,
+		`<?xml encoding="utf-8"?><a/>`,
+		`<?xml-stylesheet href="s"?><a/>`,
+		`<??><a/>`,
+		`<?1x?><a/>`,
+		`<?é:a:b?><a/>`, // a target may hold two colons
+		`<?a??><a/>`,
+		`<!DOCTYPE a [<!ENTITY x 'y'>]><a/>`,
+		`<!DOCTYPE a [<!-- > --> '>' "<" <!ELEMENT a ANY>]><a/>`,
+		`<!DOCTYPE a <!- x >><a/>`,
+		`<!><a/>`,
+		`<!'><a/>`,
+		`<![CDAT[x]]><a/>`,
+		`<a:b:c/>`, // two colons in a name
+		`<:a/>`,
+		`<a:/>`,
+		`<p:a></q:a>`, // an end tag repeats the raw name
+		`<p:a></p:a>`,
+		`<p:a></a>`,
+		`<a></a >`,
+		`<a></a x>`,
+		`<é/>`,
+		"<a\u00b7/>",
+		"<\u00b7a/>",
+		`<a é="1" b·="2"/>`,
+		`<1a/>`,
+		`<a 1="x"/>`,
+		`<a x="1"y="2"/>`,
+		`<a x = '1' />`,
+		`<a x="1" x="2"/>`,
+		`<a x=1/>`,
+		`<a x/>`,
+		`<a x="<"/>`,
+		`<a/ >`,
+		`<a xmlns="u" xmlns:p="v" p:x="1" q:xmlns="2" xmlns:="3" :xmlns="4"/>`,
+		`<a xmlns:p='xmlns' p:x='1'/>`, // a prefix bound to the URI "xmlns"
+		`<a p:x='1' xmlns:p='xmlns'/>`, // declared anywhere in the tag
+		`<a xmlns:p='xmlns' xmlns:p='u' p:x='1'/>`,
+		`<r><a xmlns:p="xmlns"><b p:x="1"/></a><c p:x="2"/></r>`, // scoped to the element
+		`<a xmlns:xml="xmlns" xml:lang="en"/>`,                   // xml is never resolved
+		`<a.b/>`,
+		`<r k.v="1"/>`,
+		`<a/><b/>`,
+		`<a>`,
+		`</a>`,
+		``,
+		`   `,
+		`<a`,
+		`<a x="1`,
+		"<a>\n<b>\n</c>\n</a>",
+		nested(MaxDepth, ` k="v"`),
+		nested(MaxDepth+1, ""),
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkScan(t, data) })
+}
+
+// TestScanReadErrorWraps: an error of the reader surfaces wrapped, so
+// callers can still tell it apart from malformed input.
+func TestScanReadErrorWraps(t *testing.T) {
+	r := io.MultiReader(strings.NewReader("<a><b"), iotest.ErrReader(io.ErrUnexpectedEOF))
+	if err := Scan(r, &eventLog{}); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("Scan = %v, want it to wrap the read error", err)
 	}
 }
