@@ -5,6 +5,7 @@
 package xmorph_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"xmorph/internal/bench"
 	"xmorph/internal/closest"
 	"xmorph/internal/core"
+	"xmorph/internal/engine"
 	"xmorph/internal/gen/dblp"
 	"xmorph/internal/gen/nasa"
 	"xmorph/internal/gen/xmark"
@@ -61,7 +63,7 @@ func (p prepared) transform(b *testing.B, guard string) {
 	b.Helper()
 	st := p.open(b)
 	defer st.Close()
-	res, err := core.TransformStored(guard, st, p.name, nil)
+	res, err := engine.New(st).Run(context.Background(), p.name, guard, engine.RunOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 )
 
 // experiments are the valid -exp values.
-var experiments = []string{"table1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "shred", "ablation", "all"}
+var experiments = []string{"table1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "shred", "all"}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", "))
@@ -127,14 +127,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(bench.Fig16Table(rows))
-	}
-
-	if run("ablation") {
-		rows, err := bench.RunAblations(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.AblationTable(rows))
 	}
 }
 

@@ -62,7 +62,7 @@ func TestUnknownExperimentIsUsageError(t *testing.T) {
 		main()
 		os.Exit(0)
 	}
-	for _, exp := range []string{"nosuch", "hotpath"} {
+	for _, exp := range []string{"nosuch", "hotpath", "ablation"} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownExperimentIsUsageError$")
 		cmd.Env = append(os.Environ(), "XMORPHBENCH_TEST_EXP="+exp)
 		var stdout, stderr strings.Builder

@@ -7,12 +7,15 @@
 // the data into that shape can lose or manufacture information, and then
 // renders the data by preserving closest relationships.
 //
-// The entry point is internal/core:
+// Over an in-memory document the entry point is internal/core:
 //
 //	res, err := core.TransformString(
 //	    "MORPH author [ name book [ title ] ]", xmlText)
 //	fmt.Println(res.Loss)             // strongly-typed / narrowing / ...
 //	fmt.Println(res.Output.XML(true)) // the reshaped document
+//
+// Over shredded documents it is internal/engine, the one pipeline that
+// runs a guard against a store and the facade the CLI and daemon drive.
 //
 // See README.md for the architecture and EXPERIMENTS.md for the
 // reproduction of the paper's evaluation.

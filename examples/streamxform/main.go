@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -15,7 +16,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"xmorph/internal/core"
+	"xmorph/internal/engine"
 	"xmorph/internal/gen/xmark"
 	"xmorph/internal/store"
 )
@@ -47,7 +48,7 @@ func main() {
 	// A narrow guard: gather each person with the auctions they bid in.
 	const guard = "CAST MORPH person [ name emailaddress ]"
 	before := st.Stats()
-	res, err := core.TransformStored(guard, st, "xmark", nil)
+	res, err := engine.New(st).Run(context.Background(), "xmark", guard, engine.RunOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -18,7 +19,7 @@ import (
 	"strings"
 	"time"
 
-	"xmorph/internal/core"
+	"xmorph/internal/engine"
 	"xmorph/internal/store"
 	"xmorph/internal/xmltree"
 )
@@ -40,18 +41,15 @@ type Config struct {
 	// CachePages bounds the store's buffer pool, keeping runs I/O-bound
 	// like the paper's cold-cache setup.
 	CachePages int
-	// MonitorInterval is the sysmon sampling period for Figs. 11-13.
-	MonitorInterval time.Duration
 }
 
 // DefaultConfig returns the laptop-scale defaults.
 func DefaultConfig() Config {
 	return Config{
-		XMarkFactors:    []float64{0.01, 0.02, 0.03, 0.04, 0.05},
-		DBLPSizes:       []int{2000, 4000, 6000, 8000},
-		Seed:            42,
-		CachePages:      128,
-		MonitorInterval: 20 * time.Millisecond,
+		XMarkFactors: []float64{0.01, 0.02, 0.03, 0.04, 0.05},
+		DBLPSizes:    []int{2000, 4000, 6000, 8000},
+		Seed:         42,
+		CachePages:   128,
 	}
 }
 
@@ -70,12 +68,12 @@ func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // prepareStore generates a document, shreds it into a fresh store file,
 // and returns the store path plus shred time and raw XML size.
-func prepareStore(dir, name string, doc *xmltree.Document, cachePages int, durable bool) (path string, shred time.Duration, bytes int, err error) {
+func (c *Config) prepareStore(dir, name string, doc *xmltree.Document) (path string, shred time.Duration, bytes int, err error) {
 	xml := doc.XML(false)
 	path = filepath.Join(dir, name+".db")
 	os.Remove(path)
 	os.Remove(path + ".wal")
-	st, err := store.Open(path, store.WithCachePages(cachePages), store.WithDurability(durable))
+	st, err := c.coldOpen(path)
 	if err != nil {
 		return "", 0, 0, err
 	}
@@ -93,22 +91,35 @@ func prepareStore(dir, name string, doc *xmltree.Document, cachePages int, durab
 
 // coldOpen reopens a store with an empty buffer pool — the paper clears
 // the cache before every run.
-func coldOpen(path string, cachePages int, durable bool) (*store.Store, error) {
-	return store.Open(path, store.WithCachePages(cachePages), store.WithDurability(durable))
+func (c *Config) coldOpen(path string) (*store.Store, error) {
+	return store.Open(path, store.WithCachePages(c.CachePages), store.WithDurability(c.Durability))
 }
 
 // storedRun is one measured transformation.
 type storedRun struct {
-	compile time.Duration
-	render  time.Duration
-	nodes   int
+	compile, render time.Duration
+	nodes           int
+	// samples is the Figs. 11-13 timeline of a monitored run.
+	samples []sample
 }
 
-// transformStoredDiscard compiles and renders a guard against an open
-// store, serializing the output to io.Discard (producing output XML is
-// part of the measured render cost, as in the paper).
-func transformStoredDiscard(st *store.Store, name, guard string) (*storedRun, error) {
-	res, err := core.TransformStored(guard, st, name, nil)
+// runStored cold-opens the store at path and runs guard over the document
+// name through the engine, serializing the output to io.Discard
+// (producing output XML is part of the measured render cost, as in the
+// paper). With monitor set, the Figs. 11-13 sampler watches the store
+// for the whole run.
+func (c *Config) runStored(path, name, guard string, monitor bool) (*storedRun, error) {
+	st, err := c.coldOpen(path)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	run := &storedRun{}
+	if monitor {
+		stop := startMonitor(monitorInterval, st.Stats)
+		defer func() { run.samples = stop() }()
+	}
+	res, err := engine.New(st).Run(context.Background(), name, guard, engine.RunOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -116,34 +127,18 @@ func transformStoredDiscard(st *store.Store, name, guard string) (*storedRun, er
 	if err := res.Output.WriteXML(io.Discard, false); err != nil {
 		return nil, err
 	}
-	serialize := time.Since(start)
-	return &storedRun{
-		compile: res.CompileTime,
-		render:  res.RenderTime + serialize,
-		nodes:   res.Output.Size(),
-	}, nil
-}
-
-// runStored is transformStoredDiscard against a cold-opened store.
-func runStored(path, name, guard string, cachePages int, durable bool) (compile, renderT time.Duration, outNodes int, err error) {
-	st, err := coldOpen(path, cachePages, durable)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer st.Close()
-	r, err := transformStoredDiscard(st, name, guard)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return r.compile, r.render, r.nodes, nil
+	run.compile = res.CompileTime
+	run.render = res.RenderTime + time.Since(start)
+	run.nodes = res.Output.Size()
+	return run, nil
 }
 
 // runBaseline measures the eXist-equivalent operation: read the stored
 // document in document order and serialize it (the paper notes eXist's
 // timing "is essentially that of reading the document from disk to a
 // String object").
-func runBaseline(path, name string, cachePages int, durable bool) (time.Duration, error) {
-	st, err := coldOpen(path, cachePages, durable)
+func (c *Config) runBaseline(path, name string) (time.Duration, error) {
+	st, err := c.coldOpen(path)
 	if err != nil {
 		return 0, err
 	}

@@ -1,21 +1,24 @@
 package bench
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"xmorph/internal/kvstore"
 )
 
 // tinyConfig keeps unit-test runs fast; the real sweeps run from
 // cmd/xmorphbench and the repository benchmarks.
 func tinyConfig(t *testing.T) Config {
 	return Config{
-		WorkDir:         t.TempDir(),
-		XMarkFactors:    []float64{0.002, 0.004},
-		DBLPSizes:       []int{100, 200},
-		Seed:            7,
-		CachePages:      64,
-		MonitorInterval: 5 * time.Millisecond,
+		WorkDir:      t.TempDir(),
+		XMarkFactors: []float64{0.002, 0.004},
+		DBLPSizes:    []int{100, 200},
+		Seed:         7,
+		CachePages:   64,
 	}
 }
 
@@ -35,8 +38,8 @@ func TestRunFig10ShapesHold(t *testing.T) {
 		if r.RenderMS <= 0 || r.CompileMS <= 0 || r.BaselineMS <= 0 || r.ShredMS <= 0 {
 			t.Errorf("missing timings: %+v", r)
 		}
-		if len(r.Samples) == 0 {
-			t.Errorf("no sysmon samples at factor %g", r.Factor)
+		if len(r.samples) == 0 {
+			t.Errorf("no resource samples at factor %g", r.Factor)
 		}
 	}
 	// The paper's headline: compile cost is flat in the data size (it only
@@ -151,26 +154,47 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestRunAblations(t *testing.T) {
-	cfg := tinyConfig(t)
-	rows, err := RunAblations(cfg)
+func TestMonitorSamplesCumulativeIO(t *testing.T) {
+	db, err := kvstore.Open(filepath.Join(t.TempDir(), "m.db"), &kvstore.Options{CachePages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byExp := map[string]int{}
-	for _, r := range rows {
-		byExp[r.Experiment]++
-		if r.Millis < 0 {
-			t.Errorf("negative timing: %+v", r)
+	defer db.Close()
+
+	stop := startMonitor(2*time.Millisecond, db.Stats)
+	for i := 0; i < 5000; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%06d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, exp := range []string{"closest-join", "composition", "output", "buffer-pool"} {
-		if byExp[exp] < 2 {
-			t.Errorf("ablation %s has %d variants, want >= 2", exp, byExp[exp])
-		}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(AblationTable(rows).String(), "sort-merge") {
-		t.Error("ablation table missing variants")
+	time.Sleep(5 * time.Millisecond)
+	samples := stop()
+
+	if len(samples) < 2 {
+		t.Fatalf("samples = %d, want several", len(samples))
+	}
+	// Cumulative I/O must be monotone nondecreasing and end positive.
+	last := int64(-1)
+	for _, s := range samples {
+		c := s.blocksRead + s.blocksWritten
+		if c < last {
+			t.Fatalf("cumulative blocks decreased: %d -> %d", last, c)
+		}
+		last = c
+	}
+	if last == 0 {
+		t.Error("no block I/O recorded")
+	}
+	for _, s := range samples {
+		if s.waitPct < 0 || s.waitPct > 100 {
+			t.Errorf("wait%% out of range: %f", s.waitPct)
+		}
+		if s.heapSys == 0 {
+			t.Error("memory not sampled")
+		}
 	}
 }
 
@@ -184,7 +208,7 @@ func TestDefaultConfigSane(t *testing.T) {
 			t.Error("factors must increase")
 		}
 	}
-	if cfg.CachePages <= 0 || cfg.MonitorInterval <= 0 {
+	if cfg.CachePages <= 0 {
 		t.Error("default config missing knobs")
 	}
 	// Temp workdir is created and cleaned.

@@ -2,11 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"xmorph/internal/gen/xmark"
-	"xmorph/internal/store"
-	"xmorph/internal/sysmon"
+	"xmorph/internal/kvstore"
 )
 
 // Fig10Row is one XMark factor's measurements: the three plotted series
@@ -21,8 +21,8 @@ type Fig10Row struct {
 	CompileMS  float64
 	RenderMS   float64
 	BaselineMS float64
-	// Samples is the sysmon timeline of the render run (Figs. 11-13).
-	Samples []sysmon.Sample
+	// samples is the resource timeline of the render run (Figs. 11-13).
+	samples []sample
 }
 
 // Fig10Guard is the transformation the paper evaluates: mutate the entire
@@ -42,25 +42,15 @@ func RunFig10(cfg Config) ([]Fig10Row, error) {
 	for _, f := range cfg.XMarkFactors {
 		doc := xmark.Generate(xmark.Config{Factor: f, Seed: cfg.Seed})
 		name := fmt.Sprintf("xmark-%g", f)
-		path, shred, bytes, err := prepareStore(dir, name, doc, cfg.CachePages, cfg.Durability)
+		path, shred, bytes, err := cfg.prepareStore(dir, name, doc)
 		if err != nil {
 			return nil, err
 		}
-
-		// Monitored run: reopen cold, attach sysmon, transform.
-		st, err := coldOpen(path, cfg.CachePages, cfg.Durability)
+		run, err := cfg.runStored(path, name, Fig10Guard, true)
 		if err != nil {
 			return nil, err
 		}
-		mon := sysmon.Start(cfg.MonitorInterval, st.Stats)
-		compile, renderT, _, err := runStoredOn(st, name, Fig10Guard)
-		samples := mon.Stop()
-		st.Close()
-		if err != nil {
-			return nil, err
-		}
-
-		baseline, err := runBaseline(path, name, cfg.CachePages, cfg.Durability)
+		baseline, err := cfg.runBaseline(path, name)
 		if err != nil {
 			return nil, err
 		}
@@ -70,23 +60,69 @@ func RunFig10(cfg Config) ([]Fig10Row, error) {
 			Nodes:      doc.Size(),
 			Types:      len(doc.Types()),
 			ShredMS:    ms(shred),
-			CompileMS:  ms(compile),
-			RenderMS:   ms(renderT),
+			CompileMS:  ms(run.compile),
+			RenderMS:   ms(run.render),
 			BaselineMS: ms(baseline),
-			Samples:    samples,
+			samples:    run.samples,
 		})
 	}
 	return rows, nil
 }
 
-// runStoredOn is runStored against an already-open store (so a monitor can
-// watch its counters).
-func runStoredOn(st *store.Store, name, guard string) (compile, renderT time.Duration, outNodes int, err error) {
-	res, err := transformStoredDiscard(st, name, guard)
-	if err != nil {
-		return 0, 0, 0, err
+// monitorInterval is the sampling period of the Figs. 11-13 timelines.
+const monitorInterval = 20 * time.Millisecond
+
+// sample is one point on a run's resource timeline — the in-process
+// stand-in for the paper's vmstat methodology (Section IX).
+type sample struct {
+	elapsed time.Duration
+	// blocksRead and blocksWritten are the pager's cumulative page I/O.
+	blocksRead, blocksWritten int64
+	// waitPct is the share (0-100) of the sampling interval spent inside
+	// file reads and writes — the vmstat "wa" analogue.
+	waitPct float64
+	// heapAlloc is live heap bytes; heapSys is heap obtained from the OS.
+	heapAlloc, heapSys uint64
+}
+
+// startMonitor samples stats and runtime.MemStats every interval until
+// the returned stop is called; stop takes a final sample and returns the
+// timeline.
+func startMonitor(interval time.Duration, stats func() kvstore.Stats) (stop func() []sample) {
+	quit, done := make(chan struct{}), make(chan []sample)
+	go func() {
+		start := time.Now()
+		last, lastIO := start, int64(0)
+		var samples []sample
+		take := func() {
+			st := stats()
+			var mem runtime.MemStats
+			runtime.ReadMemStats(&mem)
+			now := time.Now()
+			wait := 0.0
+			if wall := now.Sub(last); wall > 0 {
+				wait = min(max(100*float64(st.IONanos-lastIO)/float64(wall), 0), 100)
+			}
+			last, lastIO = now, st.IONanos
+			samples = append(samples, sample{now.Sub(start), st.BlocksRead, st.BlocksWritten, wait, mem.HeapAlloc, mem.HeapSys})
+		}
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				take()
+				done <- samples
+				return
+			case <-tick.C:
+				take()
+			}
+		}
+	}()
+	return func() []sample {
+		close(quit)
+		return <-done
 	}
-	return res.compile, res.render, res.nodes, nil
 }
 
 // Fig10Table renders the Figure 10 series.
@@ -117,13 +153,13 @@ func Fig11Table(rows []Fig10Row) *Table {
 		Columns: []string{"factor", "elapsed-ms", "blocks-in", "blocks-out", "cumulative"},
 	}
 	for _, r := range rows {
-		for _, s := range r.Samples {
+		for _, s := range r.samples {
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%g", r.Factor),
-				fmt.Sprint(s.Elapsed.Milliseconds()),
-				fmt.Sprint(s.BlocksRead),
-				fmt.Sprint(s.BlocksWritten),
-				fmt.Sprint(s.CumulativeBlocks()),
+				fmt.Sprint(s.elapsed.Milliseconds()),
+				fmt.Sprint(s.blocksRead),
+				fmt.Sprint(s.blocksWritten),
+				fmt.Sprint(s.blocksRead + s.blocksWritten),
 			})
 		}
 	}
@@ -137,11 +173,11 @@ func Fig12Table(rows []Fig10Row) *Table {
 		Columns: []string{"factor", "elapsed-ms", "wait-pct"},
 	}
 	for _, r := range rows {
-		for _, s := range r.Samples {
+		for _, s := range r.samples {
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%g", r.Factor),
-				fmt.Sprint(s.Elapsed.Milliseconds()),
-				f1(s.WaitPct),
+				fmt.Sprint(s.elapsed.Milliseconds()),
+				f1(s.waitPct),
 			})
 		}
 	}
@@ -155,12 +191,12 @@ func Fig13Table(rows []Fig10Row) *Table {
 		Columns: []string{"factor", "elapsed-ms", "heap-alloc-MB", "heap-sys-MB"},
 	}
 	for _, r := range rows {
-		for _, s := range r.Samples {
+		for _, s := range r.samples {
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%g", r.Factor),
-				fmt.Sprint(s.Elapsed.Milliseconds()),
-				f1(float64(s.HeapAlloc) / (1 << 20)),
-				f1(float64(s.HeapSys) / (1 << 20)),
+				fmt.Sprint(s.elapsed.Milliseconds()),
+				f1(float64(s.heapAlloc) / (1 << 20)),
+				f1(float64(s.heapSys) / (1 << 20)),
 			})
 		}
 	}

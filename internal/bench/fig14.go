@@ -40,16 +40,16 @@ func RunFig14(cfg Config) ([]Fig14Row, error) {
 	for _, pubs := range cfg.DBLPSizes {
 		doc := dblp.Generate(dblp.Config{Publications: pubs, Seed: cfg.Seed})
 		name := fmt.Sprintf("dblp-%d", pubs)
-		path, _, bytes, err := prepareStore(dir, name, doc, cfg.CachePages, cfg.Durability)
+		path, _, bytes, err := cfg.prepareStore(dir, name, doc)
 		if err != nil {
 			return nil, err
 		}
-		baseline, err := runBaseline(path, name, cfg.CachePages, cfg.Durability)
+		baseline, err := cfg.runBaseline(path, name)
 		if err != nil {
 			return nil, err
 		}
 		for _, g := range Fig14Guards {
-			compile, renderT, outNodes, err := runStored(path, name, g.Guard, cfg.CachePages, cfg.Durability)
+			run, err := cfg.runStored(path, name, g.Guard, false)
 			if err != nil {
 				return nil, fmt.Errorf("fig14 %s on %d pubs: %w", g.Name, pubs, err)
 			}
@@ -57,10 +57,10 @@ func RunFig14(cfg Config) ([]Fig14Row, error) {
 				Publications: pubs,
 				XMLBytes:     bytes,
 				Transform:    g.Name,
-				CompileMS:    ms(compile),
-				RenderMS:     ms(renderT),
+				CompileMS:    ms(run.compile),
+				RenderMS:     ms(run.render),
 				BaselineMS:   ms(baseline),
-				OutputNodes:  outNodes,
+				OutputNodes:  run.nodes,
 			})
 		}
 	}

@@ -89,25 +89,25 @@ func RunFig15(cfg Config) ([]Fig15Row, error) {
 	var rows []Fig15Row
 	for _, ds := range fig15Datasets {
 		doc := ds.Build(cfg)
-		path, _, _, err := prepareStore(dir, "f15-"+ds.Name, doc, cfg.CachePages, cfg.Durability)
+		path, _, _, err := cfg.prepareStore(dir, "f15-"+ds.Name, doc)
 		if err != nil {
 			return nil, err
 		}
 		for _, sh := range ds.Shapes {
-			_, renderT, outNodes, err := runStored(path, "f15-"+ds.Name, sh.Guard, cfg.CachePages, cfg.Durability)
+			run, err := cfg.runStored(path, "f15-"+ds.Name, sh.Guard, false)
 			if err != nil {
 				return nil, fmt.Errorf("fig15 %s/%s: %w", ds.Name, sh.Name, err)
 			}
 			eps := 0.0
-			if renderT > 0 {
-				eps = float64(outNodes) / renderT.Seconds()
+			if run.render > 0 {
+				eps = float64(run.nodes) / run.render.Seconds()
 			}
 			rows = append(rows, Fig15Row{
 				Dataset:     ds.Name,
 				Shape:       sh.Name,
 				Labels:      sh.Labels,
-				OutputElems: outNodes,
-				RenderMS:    ms(renderT),
+				OutputElems: run.nodes,
+				RenderMS:    ms(run.render),
 				ElemsPerSec: eps,
 			})
 		}

@@ -43,21 +43,21 @@ func RunFig16(cfg Config) ([]Fig16Row, error) {
 	defer cleanup()
 
 	doc := xmark.Generate(xmark.Config{Factor: 0.03, Seed: cfg.Seed})
-	path, _, _, err := prepareStore(dir, "f16-xmark", doc, cfg.CachePages, cfg.Durability)
+	path, _, _, err := cfg.prepareStore(dir, "f16-xmark", doc)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Fig16Row
 	for _, op := range Fig16Ops {
-		compile, renderT, outNodes, err := runStored(path, "f16-xmark", op.Guard, cfg.CachePages, cfg.Durability)
+		run, err := cfg.runStored(path, "f16-xmark", op.Guard, false)
 		if err != nil {
 			return nil, fmt.Errorf("fig16 %s: %w", op.Name, err)
 		}
 		rows = append(rows, Fig16Row{
 			Op:          op.Name,
-			CompileMS:   ms(compile),
-			RenderMS:    ms(renderT),
-			OutputElems: outNodes,
+			CompileMS:   ms(run.compile),
+			RenderMS:    ms(run.render),
+			OutputElems: run.nodes,
 		})
 	}
 	return rows, nil

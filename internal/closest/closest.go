@@ -157,15 +157,10 @@ func join(vs, ws []*xmltree.Node) []Pair {
 	return out
 }
 
-// JoinWith streams the closest join, invoking fn for each pair grouped by
-// V in document order. It allocates no pair slice; the renderer uses it to
-// pipeline joins (Section VII's streaming evaluation).
-func JoinWith(vs, ws []*xmltree.Node, fn func(v, w *xmltree.Node)) {
-	joinWith(vs, ws, fn)
-}
-
-// JoinWithRec is JoinWith with optional statistics recording; rec may be
-// nil, in which case this is exactly JoinWith (no extra allocations).
+// JoinWithRec streams the closest join, invoking fn for each pair grouped
+// by V in document order. It allocates no pair slice; the renderer uses it
+// to pipeline joins (Section VII's streaming evaluation). rec optionally
+// records statistics; a nil rec costs no extra allocations.
 func JoinWithRec(vs, ws []*xmltree.Node, rec *Recorder, fn func(v, w *xmltree.Node)) {
 	if rec == nil {
 		joinWith(vs, ws, fn)

@@ -145,9 +145,9 @@ func TestJoinWithMatchesJoin(t *testing.T) {
 	ws := d.NodesOfType("data.book.title")
 	want := Join(vs, ws)
 	var got []Pair
-	JoinWith(vs, ws, func(v, w *xmltree.Node) { got = append(got, Pair{v, w}) })
+	JoinWithRec(vs, ws, nil, func(v, w *xmltree.Node) { got = append(got, Pair{v, w}) })
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("JoinWith = %v, want %v", got, want)
+		t.Errorf("JoinWithRec = %v, want %v", got, want)
 	}
 }
 

@@ -1,13 +1,17 @@
-// Package core is the XMorph 2.0 interpreter — the paper's primary
-// contribution assembled into one pipeline (Figure 8):
+// Package core holds the stateless steps of the XMorph 2.0 interpreter's
+// pipeline (Figure 8):
 //
 //	parse guard -> compile against the adorned shape (type analysis,
 //	label-to-type report) -> potential-information-loss check (CAST
 //	enforcement) -> shape generation -> render to XML.
 //
-// The compile phase never touches the data, only the adorned shape; the
-// render phase streams over the touched type sequences (Section VII). The
-// two phases are timed separately because Figure 10 plots them separately.
+// Check compiles a guard against a shape and Checked renders it over any
+// render.Source; Transform runs both over an in-memory document. Running
+// a guard against a store — loading its shape and type sequences, caching
+// the compilation — is internal/engine's job. The compile phase never
+// touches the data, only the adorned shape; the render phase streams over
+// the touched type sequences (Section VII). The two phases are timed
+// separately because Figure 10 plots them separately.
 package core
 
 import (
@@ -15,15 +19,12 @@ import (
 	"io"
 	"time"
 
-	"xmorph/internal/closest"
 	"xmorph/internal/guard"
-	"xmorph/internal/kvstore"
 	"xmorph/internal/loss"
 	"xmorph/internal/obs"
 	"xmorph/internal/render"
 	"xmorph/internal/semantics"
 	"xmorph/internal/shape"
-	"xmorph/internal/store"
 	"xmorph/internal/xmltree"
 )
 
@@ -149,8 +150,8 @@ func (c *Checked) Render(src render.Source, parent *obs.Span) (*Result, error) {
 }
 
 // RenderOn runs the render phase annotating rsp directly — for callers
-// (like the store-aware transform and the engine facade) that own the
-// render span and fold extra measurements (page I/O deltas) into it.
+// (the engine facade) that own the render span and fold extra
+// measurements (page I/O deltas) into it.
 func (c *Checked) RenderOn(src render.Source, rsp *obs.Span) (*Result, error) {
 	start := time.Now()
 	out, err := render.Render(src, c.Plan.ComposedTarget(), rsp)
@@ -188,58 +189,6 @@ func TransformString(guardSrc, xmlSrc string) (*Result, error) {
 		return nil, err
 	}
 	return Transform(guardSrc, doc, nil)
-}
-
-// TransformStored compiles a guard against the stored adorned shape of a
-// shredded document (the shape record is tiny relative to the data) and
-// renders from the store's lazy type sequences.
-//
-// Under a non-nil parent span each phase span additionally carries the
-// pages it read from the store, so a trace shows where the block I/O of
-// Figs. 11-12 actually happens: load-shape touches the tiny AdornedShapes
-// record, render drags in the type sequences.
-func TransformStored(guardSrc string, st *store.Store, docName string, parent *obs.Span) (*Result, error) {
-	pagesRead := func(before kvstore.Stats) int64 { return st.Stats().BlocksRead - before.BlocksRead }
-
-	ssp := parent.Child("load-shape")
-	before := st.Stats()
-	sh, err := st.Shape(docName)
-	ssp.Set("pages-read", pagesRead(before))
-	ssp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	checked, err := Check(guardSrc, sh, parent)
-	if err != nil {
-		return nil, err
-	}
-
-	dsp := parent.Child("load-doc")
-	before = st.Stats()
-	doc, err := st.Doc(docName)
-	dsp.Set("pages-read", pagesRead(before))
-	dsp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	rsp := parent.Child("render")
-	before = st.Stats()
-	res, rerr := checked.RenderOn(doc, rsp)
-	rsp.Set("pages-read", pagesRead(before))
-	rsp.End()
-	return res, rerr
-}
-
-// Verify empirically compares the closest graphs of a source document and
-// a rendered output (Definition 5, run literally over the instances) and
-// quantifies the loss — the "30% new information" refinement the paper's
-// Section X asks for. It materializes both closest graphs, so use it on
-// documents, not whole corpora; the static Loss report is the scalable
-// check.
-func Verify(src, out *xmltree.Document) closest.Result {
-	return closest.Compare(closest.Build(src), closest.Build(out))
 }
 
 // StreamOn renders the checked guard directly to w without materializing

@@ -9,7 +9,6 @@ import (
 
 	"xmorph/internal/closest"
 	"xmorph/internal/loss"
-	"xmorph/internal/obs"
 	"xmorph/internal/shape"
 	"xmorph/internal/store"
 	"xmorph/internal/xmltree"
@@ -107,37 +106,6 @@ func TestLabelReportText(t *testing.T) {
 	rep := res.LabelReport()
 	if !strings.Contains(rep, `label "name": ambiguous`) {
 		t.Errorf("label report missing ambiguity note:\n%s", rep)
-	}
-}
-
-func TestTransformStoredMatchesInMemory(t *testing.T) {
-	st := store.OpenMemory()
-	defer st.Close()
-	if _, err := st.Shred("d", strings.NewReader(fig1b), nil); err != nil {
-		t.Fatal(err)
-	}
-	// Moving publisher below book duplicates the shared publisher under
-	// each book, so the static check demands a widening cast.
-	const g = "CAST-WIDENING MUTATE book [ publisher [ name ] ]"
-	fromStore, err := TransformStored(g, st, "d", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inMem, err := TransformString(g, fig1b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromStore.Output.XML(false) != inMem.Output.XML(false) {
-		t.Errorf("stored and in-memory transforms differ:\n%s\n%s",
-			fromStore.Output.XML(false), inMem.Output.XML(false))
-	}
-}
-
-func TestTransformStoredMissingDoc(t *testing.T) {
-	st := store.OpenMemory()
-	defer st.Close()
-	if _, err := TransformStored("MUTATE a", st, "nope", nil); err == nil {
-		t.Error("missing document accepted")
 	}
 }
 
@@ -268,13 +236,16 @@ func TestVerifyQuantifiesLoss(t *testing.T) {
 	  <book><author><name>V</name><title>B</title></author></book>
 	</data>`
 	doc := xmltree.MustParse(src)
+	verify := func(out *xmltree.Document) closest.Result {
+		return closest.Compare(closest.Build(doc), closest.Build(out))
+	}
 
 	// Identity: nothing lost, nothing created.
 	id, err := Transform("MUTATE data", doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Verify(doc, id.Output)
+	r := verify(id.Output)
 	if !r.Reversible() || r.LossPct() != 0 || r.CreatedPct() != 0 {
 		t.Errorf("identity verify = %+v", r)
 	}
@@ -287,7 +258,7 @@ func TestVerifyQuantifiesLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r = Verify(doc, lossy.Output)
+	r = verify(lossy.Output)
 	if r.Inclusive {
 		t.Errorf("lossy transform verified as inclusive: %+v", r)
 	}
@@ -300,7 +271,7 @@ func TestVerifyQuantifiesLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r = Verify(doc, made.Output)
+	r = verify(made.Output)
 	if r.CreatedVertices != 2 {
 		t.Errorf("created vertices = %d, want one scribe per author", r.CreatedVertices)
 	}
@@ -332,43 +303,30 @@ func TestCheckedStreamMatchesOutput(t *testing.T) {
 	}
 }
 
-func TestTransformStoredSpans(t *testing.T) {
-	st := store.OpenMemory()
-	_, err := st.Shred("b", strings.NewReader(
-		`<data><book><title>X</title><author><name>V</name></author></book></data>`), nil)
-
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.New("run")
-	res, err := TransformStored("MORPH author [ name title ]", st, "b", tr.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output.Size() == 0 {
-		t.Fatal("empty output")
-	}
-	tr.Finish()
-	text := tr.Text()
-	for _, span := range []string{"load-shape", "compile", "parse-guard", "typecheck", "loss-check", "load-doc", "render"} {
-		if !strings.Contains(text, span) {
-			t.Errorf("trace missing span %q:\n%s", span, text)
-		}
-	}
-	for _, attr := range []string{"pages-read=", "labels=", "verdict=strongly-typed", "joins=", "closest-pairs=", "nodes-out="} {
-		if !strings.Contains(text, attr) {
-			t.Errorf("trace missing annotation %q:\n%s", attr, text)
-		}
-	}
-}
-
 func TestUntracedPathUnchanged(t *testing.T) {
-	// A nil parent span must not panic anywhere in the traced pipeline.
+	// A nil parent span must not panic anywhere in the traced pipeline,
+	// over an in-memory document or a store's lazy type sequences.
 	st := store.OpenMemory()
+	defer st.Close()
 	if _, err := st.Shred("b", strings.NewReader(`<data><t>x</t></data>`), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TransformStored("CAST MUTATE data", st, "b", nil); err != nil {
+	sh, err := st.Shape("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, err := Check("CAST MUTATE data", sh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := st.Doc("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checked.Render(d, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Transform("CAST MUTATE data", xmltree.MustParse(`<data><t>x</t></data>`), nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -50,9 +50,6 @@ var (
 	ErrNotFound = errors.New("engine: document not found")
 	// ErrExists reports a shred of a name that is already shredded.
 	ErrExists = errors.New("engine: document already shredded")
-	// ErrNotStreamable reports a Run forced onto the streaming executor
-	// (ExecStream) for a guard the planner classified store-backed.
-	ErrNotStreamable = stream.ErrNotStreamable
 )
 
 var (
@@ -342,21 +339,6 @@ func (e *Engine) compileIn(ctx context.Context, v *store.View, name, guardSrc st
 	return checked, verdict, false, nil
 }
 
-// ExecMode selects the execution strategy for a streamed Run.
-type ExecMode int
-
-const (
-	// ExecAuto (the default) picks the one-pass streaming executor when
-	// the planner marks the guard streamable, falling back to the
-	// join-backed renderer.
-	ExecAuto ExecMode = iota
-	// ExecStream forces the one-pass executor; Run fails with
-	// ErrNotStreamable for store-backed guards.
-	ExecStream
-	// ExecStore forces the join-backed path (bench comparisons).
-	ExecStore
-)
-
 // RunOpts tunes a single Run call.
 type RunOpts struct {
 	// Span receives the pipeline trace; nil is untraced and free.
@@ -365,8 +347,6 @@ type RunOpts struct {
 	// without materializing the output tree; RunResult.Output stays nil
 	// and Streamed counts the nodes written.
 	StreamTo io.Writer
-	// Exec selects the streamed execution strategy (needs StreamTo).
-	Exec ExecMode
 }
 
 // RunResult is a completed transformation with its provenance.
@@ -405,9 +385,6 @@ func (e *Engine) Run(ctx context.Context, name, guardSrc string, opts RunOpts) (
 	v := e.st.View()
 	defer v.Close()
 
-	if opts.Exec == ExecStream && opts.StreamTo == nil {
-		return nil, errors.New("engine: ExecStream requires RunOpts.StreamTo")
-	}
 	checked, verdict, hit, err := e.compileIn(ctx, v, name, guardSrc, sp)
 	if err != nil {
 		return nil, err
@@ -428,21 +405,12 @@ func (e *Engine) Run(ctx context.Context, name, guardSrc string, opts RunOpts) (
 		return nil, err
 	}
 
-	onePass := false
-	if opts.StreamTo != nil {
-		switch opts.Exec {
-		case ExecStream:
-			if !verdict.Streamable {
-				return nil, fmt.Errorf("%w: %s", ErrNotStreamable, verdict.Reason)
-			}
-			onePass = true
-		case ExecStore:
-		default:
-			onePass = verdict.Streamable
-			if !onePass {
-				metricStreamFallbacks.Inc()
-			}
-		}
+	// A streamed Run takes the one-pass executor iff the cached verdict
+	// says the guard is streamable; otherwise it falls back to the
+	// join-backed streamer.
+	onePass := opts.StreamTo != nil && verdict.Streamable
+	if opts.StreamTo != nil && !onePass {
+		metricStreamFallbacks.Inc()
 	}
 
 	// One span around the one emit call, whichever source and sink it
@@ -487,11 +455,6 @@ func (e *Engine) Run(ctx context.Context, name, guardSrc string, opts RunOpts) (
 type QueryOpts struct {
 	// Span receives the pipeline trace; nil is untraced and free.
 	Span *obs.Span
-	// Exec is an execution hint: ExecStream demands a guard the planner
-	// classifies streamable and fails with ErrNotStreamable otherwise
-	// (the projection evaluation itself always runs the join-backed
-	// path — the hint is a guard-shape assertion, not a code path).
-	Exec ExecMode
 }
 
 // QueryResult is a guarded query's answer plus the same provenance a Run
@@ -526,9 +489,6 @@ func (e *Engine) Query(ctx context.Context, name, guardSrc, query string, opts Q
 	checked, verdict, hit, err := e.compileIn(ctx, v, name, guardSrc, sp)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Exec == ExecStream && !verdict.Streamable {
-		return nil, fmt.Errorf("%w: %s", ErrNotStreamable, verdict.Reason)
 	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err

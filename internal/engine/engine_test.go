@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"xmorph/internal/core"
+	"xmorph/internal/obs"
 	"xmorph/internal/plan"
 	"xmorph/internal/store"
+	"xmorph/internal/xmltree"
 )
 
 const sampleXML = `<data>
@@ -34,24 +36,65 @@ func shredSample(t *testing.T, eng *Engine, name string) {
 	}
 }
 
+// TestEngineRunMatchesCore checks the store pipeline against the
+// in-memory oracle: core.Transform over the parsed document shares no
+// store path with Run, so byte-equal outputs and loss reports mean the
+// shape load, the lazy type sequences and the guard cache changed nothing.
 func TestEngineRunMatchesCore(t *testing.T) {
 	ctx := context.Background()
 	eng := newEngine(t)
 	shredSample(t, eng, "books")
+	doc := xmltree.MustParse(sampleXML)
 
-	res, err := eng.Run(ctx, "books", sampleGuard, RunOpts{})
+	for _, g := range []string{
+		sampleGuard,
+		// Moving author below title duplicates the shared author under each
+		// title, so the static check demands a widening cast.
+		"CAST-WIDENING MUTATE title [ author [ name ] ]",
+		"CAST MORPH book [ title ] | TRANSLATE book -> volume",
+	} {
+		res, err := eng.Run(ctx, "books", g, RunOpts{})
+		if err != nil {
+			t.Fatalf("%s: %v", g, err)
+		}
+		want, err := core.Transform(g, doc, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", g, err)
+		}
+		if got, exp := res.Output.XML(false), want.Output.XML(false); got != exp {
+			t.Errorf("%s: engine output diverges from the in-memory transform:\n%s\nvs\n%s", g, got, exp)
+		}
+		if got, exp := res.Loss.String(), want.Loss.String(); got != exp {
+			t.Errorf("%s: loss report diverges: %q vs %q", g, got, exp)
+		}
+	}
+}
+
+// TestEngineRunSpans: a cold traced Run carries every pipeline stage and
+// the annotations each stage owes — page I/O on the store phases, the
+// resolved label count, the loss verdict, and the render's join stats.
+func TestEngineRunSpans(t *testing.T) {
+	eng := newEngine(t)
+	shredSample(t, eng, "books")
+	tr := obs.New("run")
+	res, err := eng.Run(context.Background(), "books", sampleGuard, RunOpts{Span: tr.Root()})
+	tr.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.TransformStored(sampleGuard, eng.st, "books", nil)
-	if err != nil {
-		t.Fatal(err)
+	if res.Output.Size() == 0 {
+		t.Fatal("empty output")
 	}
-	if got, exp := res.Output.XML(false), want.Output.XML(false); got != exp {
-		t.Errorf("engine output diverges from core pipeline:\n%s\nvs\n%s", got, exp)
+	text := tr.Text()
+	for _, span := range []string{"load-shape", "compile", "parse-guard", "typecheck", "loss-check", "load-doc", "render"} {
+		if !strings.Contains(text, span) {
+			t.Errorf("trace missing span %q:\n%s", span, text)
+		}
 	}
-	if got, exp := res.Loss.String(), want.Loss.String(); got != exp {
-		t.Errorf("loss report diverges: %q vs %q", got, exp)
+	for _, attr := range []string{"pages-read=", "labels=", "verdict=strongly-typed", "joins=", "closest-pairs=", "nodes-out="} {
+		if !strings.Contains(text, attr) {
+			t.Errorf("trace missing annotation %q:\n%s", attr, text)
+		}
 	}
 }
 
@@ -174,6 +217,22 @@ func TestEngineQuery(t *testing.T) {
 	}
 	if res.KeptTypes == 0 || res.TotalTypes < res.KeptTypes {
 		t.Errorf("projection stats: kept=%d total=%d", res.KeptTypes, res.TotalTypes)
+	}
+	// The answer carries Run's provenance: a cold compile, the planner's
+	// verdict (sampleGuard hoists author above title: an up-join, not
+	// streamable), and the join-backed execution path.
+	if res.CacheHit {
+		t.Error("first query claims a warm cache")
+	}
+	if res.Plan.Streamable || res.Exec != "store" {
+		t.Errorf("result provenance = plan %v exec %q", res.Plan, res.Exec)
+	}
+	again, err := eng.Query(ctx, "books", sampleGuard, `for $a in doc("books")//author return $a`, QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit {
+		t.Error("repeated query missed the guard cache")
 	}
 }
 

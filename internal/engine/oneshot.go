@@ -3,7 +3,6 @@ package engine
 import (
 	"io"
 
-	"xmorph/internal/algebra"
 	"xmorph/internal/closest"
 	"xmorph/internal/core"
 	"xmorph/internal/guard"
@@ -49,9 +48,12 @@ func TransformReader(guardSrc string, r io.Reader, sp *obs.Span) (*FileResult, e
 
 // Verify empirically compares the closest graphs of a source document and
 // a rendered output and quantifies the loss (Definition 5 run literally
-// over the instances). It materializes both graphs: use it on documents,
-// not corpora.
-func Verify(src, out *xmltree.Document) closest.Result { return core.Verify(src, out) }
+// over the instances) — the "30% new information" refinement the paper's
+// Section X asks for. It materializes both graphs: use it on documents,
+// not corpora; the static loss report is the scalable check.
+func Verify(src, out *xmltree.Document) closest.Result {
+	return closest.Compare(closest.Build(src), closest.Build(out))
+}
 
 // Explain parses guardSrc and renders its algebra tree (Section VI's
 // operator composition) without touching any data.
@@ -60,7 +62,7 @@ func Explain(guardSrc string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return algebra.FromProgram(prog).String(), nil
+	return prog.Algebra(), nil
 }
 
 // InferGuard derives the MORPH guard an XQuery query needs from the

@@ -106,56 +106,6 @@ func TestEngineStreamExecFallback(t *testing.T) {
 	}
 }
 
-// TestEngineExecStreamForced: ExecStream demands the one-pass executor —
-// store-backed guards fail with ErrNotStreamable, and a missing sink is an
-// immediate error.
-func TestEngineExecStreamForced(t *testing.T) {
-	ctx := context.Background()
-	eng := newEngine(t)
-	shredSample(t, eng, "books")
-
-	var out strings.Builder
-	if _, err := eng.Run(ctx, "books", sampleGuard, RunOpts{StreamTo: &out, Exec: ExecStream}); !errors.Is(err, ErrNotStreamable) {
-		t.Errorf("forced stream on store-backed guard: err = %v, want ErrNotStreamable", err)
-	}
-	if _, err := eng.Run(ctx, "books", streamableGuard, RunOpts{Exec: ExecStream}); err == nil {
-		t.Error("ExecStream without StreamTo should fail")
-	}
-	res, err := eng.Run(ctx, "books", streamableGuard, RunOpts{StreamTo: &out, Exec: ExecStream})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.StreamExec {
-		t.Error("forced stream did not mark StreamExec")
-	}
-}
-
-// TestEngineExecStoreForced: ExecStore pins the join-backed path even for
-// streamable guards (the bench's comparison baseline).
-func TestEngineExecStoreForced(t *testing.T) {
-	ctx := context.Background()
-	eng := newEngine(t)
-	shredSample(t, eng, "books")
-
-	var auto, forced strings.Builder
-	if _, err := eng.Run(ctx, "books", streamableGuard, RunOpts{StreamTo: &auto}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(ctx, "books", streamableGuard, RunOpts{StreamTo: &forced, Exec: ExecStore})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StreamExec {
-		t.Error("ExecStore still took the one-pass path")
-	}
-	if !res.Plan.Streamable {
-		t.Error("verdict should still report streamable")
-	}
-	if auto.String() != forced.String() {
-		t.Errorf("paths disagree:\n%q\nvs\n%q", auto.String(), forced.String())
-	}
-}
-
 // TestEngineDocsCtxAndSpan: Docs honors cancellation and annotates a
 // list-docs child span — the same contract as every other facade verb.
 func TestEngineDocsCtxAndSpan(t *testing.T) {

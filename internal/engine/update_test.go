@@ -183,41 +183,6 @@ func TestEngineUpdateDifferential(t *testing.T) {
 	}
 }
 
-// TestQueryOptsExecHint: ExecStream is a streamability assertion — it
-// fails with ErrNotStreamable when the planner classifies the guard
-// store-backed, and passes through when streamable. The QueryResult
-// carries the Run-style provenance either way.
-func TestQueryOptsExecHint(t *testing.T) {
-	ctx := context.Background()
-	eng := newEngine(t)
-	shredSample(t, eng, "books")
-
-	q := `for $t in doc("books")//title return string($t)`
-	res, err := eng.Query(ctx, "books", "MORPH book [ title ]", q, QueryOpts{Exec: ExecStream})
-	if err != nil {
-		t.Fatalf("streamable guard under ExecStream: %v", err)
-	}
-	if !res.Plan.Streamable || res.Exec != "store" {
-		t.Errorf("result provenance = plan %v exec %q", res.Plan, res.Exec)
-	}
-	if res.PagesRead == 0 && res.CacheHit {
-		t.Error("first query claims a warm cache")
-	}
-
-	// sampleGuard hoists author above title: an up-join, not streamable.
-	if _, err := eng.Query(ctx, "books", sampleGuard, q, QueryOpts{Exec: ExecStream}); !errors.Is(err, ErrNotStreamable) {
-		t.Errorf("store-backed guard under ExecStream: %v, want ErrNotStreamable", err)
-	}
-
-	cur, err := eng.Query(ctx, "books", sampleGuard, q, QueryOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cur.CacheHit {
-		t.Error("repeated query missed the guard cache")
-	}
-}
-
 // TestLegacyDocShapeHashFallback: documents shredded before the 'H'
 // record existed (simulated by deleting it) still compile and cache.
 func TestLegacyDocShapeHashFallback(t *testing.T) {

@@ -232,3 +232,66 @@ func (p *Program) String() string {
 	}
 	return b.String()
 }
+
+// Algebra renders the program as Section VIII's operator tree (Figure 9),
+// one operator per line, indented two spaces per level. Stages fold into
+// a left-leaning compose chain; each bracketed child of a term adds one
+// closest(term-so-far, child) operator above it; labels become type
+// leaves. The CAST and TYPE-FILL modifiers are enforcement, not algebra,
+// and do not appear.
+func (p *Program) Algebra() string {
+	var b strings.Builder
+	line := func(depth int, op string) {
+		b.WriteString(strings.Repeat("  ", depth))
+		b.WriteString(op)
+		b.WriteString("\n")
+	}
+	// term prints t as if only its first kids children were bracketed.
+	var term func(t *Term, kids, depth int)
+	term = func(t *Term, kids, depth int) {
+		switch {
+		case t.Kind == TermChildren:
+			line(depth, "children")
+		case t.Kind == TermDescendants:
+			line(depth, "descendants")
+		case kids > 0:
+			line(depth, "closest")
+			term(t, kids-1, depth+1)
+			kid := t.Kids[kids-1]
+			term(kid, len(kid.Kids), depth+1)
+		case t.Kind == TermLabel:
+			line(depth, "type("+t.Label+")")
+		case t.Kind == TermNew:
+			line(depth, "new("+t.Label+")")
+		default: // DROP, CLONE and RESTRICT wrap their operand
+			line(depth, strings.ToLower(t.Kind.String()))
+			term(t.Operand, len(t.Operand.Kids), depth+1)
+		}
+	}
+	// chain prints the composition of the first n stages.
+	var chain func(n, depth int)
+	chain = func(n, depth int) {
+		if n > 1 {
+			line(depth, "compose")
+			chain(n-1, depth+1)
+			depth++
+		}
+		s := p.Stages[n-1]
+		if s.Kind == StageTranslate {
+			parts := make([]string, len(s.Renames))
+			for i, r := range s.Renames {
+				parts[i] = r.From + " -> " + r.To
+			}
+			line(depth, "translate("+strings.Join(parts, ", ")+")")
+			return
+		}
+		line(depth, strings.ToLower(s.Kind.String()))
+		for _, t := range s.Patterns {
+			term(t, len(t.Kids), depth+1)
+		}
+	}
+	if len(p.Stages) > 0 {
+		chain(len(p.Stages), 0)
+	}
+	return b.String()
+}

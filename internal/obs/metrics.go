@@ -4,8 +4,9 @@
 // (nested spans with durations and key/value annotations).
 //
 // The paper's evaluation (Sections VIII-IX) is entirely about seeing what
-// a guarded transformation costs — block I/O, wait time, memory. sysmon
-// reproduces the coarse vmstat view; obs adds the per-phase view: where
+// a guarded transformation costs — block I/O, wait time, memory.
+// internal/bench's resource sampler reproduces the coarse vmstat view
+// (Figs. 11-13); obs adds the per-phase view: where
 // time goes inside parse -> typecheck -> closest join -> render, and how
 // the buffer pool behaves while it happens.
 //

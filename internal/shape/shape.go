@@ -343,22 +343,6 @@ func (s *Shape) Edges() []Edge {
 	return es
 }
 
-// Descendants returns t and every type below it, in preorder.
-func (s *Shape) Descendants(t string) []string {
-	var out []string
-	var walk func(string)
-	walk = func(x string) {
-		out = append(out, x)
-		for _, c := range s.children[x] {
-			walk(c)
-		}
-	}
-	if s.types[t] {
-		walk(t)
-	}
-	return out
-}
-
 // LCA returns the least common ancestor of t and u in the forest, or ""
 // when they are in different trees. A type is its own ancestor. The walk
 // is allocation-free: the information-loss analysis calls this for every

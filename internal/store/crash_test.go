@@ -2,11 +2,12 @@ package store_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
-	"xmorph/internal/core"
+	"xmorph/internal/engine"
 	"xmorph/internal/kvstore"
 	"xmorph/internal/store"
 )
@@ -56,7 +57,7 @@ func runCrashWorkload(fs *kvstore.FaultFS, durable bool, commit func()) error {
 	commit()
 	// Stored morph render: read-only, but it drives the buffer pool (and
 	// in the control run, the eviction order) exactly as production does.
-	if _, err := core.TransformStored(crashSweepGuard, st, "doc1", nil); err != nil {
+	if _, err := engine.New(st).Run(context.Background(), "doc1", crashSweepGuard, engine.RunOpts{}); err != nil {
 		return err
 	}
 	if _, err := st.Shred("doc2", strings.NewReader(crashDoc2), nil); err != nil {

@@ -50,9 +50,6 @@ func (n *Node) Origin() *Node {
 	return n
 }
 
-// Depth is the node's depth in edges below the root.
-func (n *Node) Depth() int { return n.Dewey.Level() }
-
 // Distance returns the number of tree edges between n and o (Definition 2's
 // distance function). Both nodes must belong to the same document.
 func (n *Node) Distance(o *Node) int { return n.Dewey.Distance(o.Dewey) }

@@ -69,13 +69,6 @@ func Serialize(seq Sequence) string {
 	return b.String()
 }
 
-// Dump serializes a whole document in document order — the baseline
-// operation the paper measures against eXist ("essentially that of reading
-// the document from disk to a String object").
-func Dump(d *xmltree.Document) string {
-	return d.XML(false)
-}
-
 func writeNodeXML(b *strings.Builder, n *xmltree.Node) {
 	// Serialize the subtree via a single-node document wrapper.
 	if n.Attr {

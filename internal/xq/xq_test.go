@@ -201,13 +201,6 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestDumpMatchesSerialization(t *testing.T) {
-	d := xmltree.MustParse(library)
-	if Dump(d) != d.XML(false) {
-		t.Error("Dump should be the document-order serialization")
-	}
-}
-
 func TestWhereOnAttributes(t *testing.T) {
 	got := q(t, `for $b in doc("lib.xml")/book where $b/@year >= 2001 return string($b/title)`)
 	if got != "Alpha Gamma" {
