@@ -246,8 +246,8 @@ func BenchmarkClosestJoin(b *testing.B) {
 }
 
 // BenchmarkHotpathShred measures the batched shredder (per-type sorted
-// runs flushed through PutBatch, B+tree sorted-insert fast path on). Page
-// writes are the headline metric.
+// runs, each flush one transaction through the B+tree's leaf cursor).
+// Page writes are the headline metric.
 func BenchmarkHotpathShred(b *testing.B) {
 	doc := xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42})
 	xml := doc.XML(false)
@@ -272,6 +272,40 @@ func BenchmarkHotpathShred(b *testing.B) {
 	}
 	b.ReportMetric(float64(written)/float64(b.N), "pages-written/op")
 	b.ReportMetric(float64(fastHits)/float64(b.N), "fastpath-hits/op")
+}
+
+// BenchmarkHotpathDrop measures dropping the document BenchmarkHotpathShred
+// stores: collecting its records and deleting them. Only the Drop is
+// timed; epochs/op counts the commits it publishes.
+func BenchmarkHotpathDrop(b *testing.B) {
+	xml := xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42}).XML(false)
+	dir := b.TempDir()
+	var epochs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		path := filepath.Join(dir, fmt.Sprintf("d%d.db", i))
+		st, err := store.Open(path, store.WithCachePages(128))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Shred("d", strings.NewReader(xml), nil); err != nil {
+			b.Fatal(err)
+		}
+		before := st.Stats().Epoch
+		b.StartTimer()
+		if err := st.Drop("d"); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		epochs += st.Stats().Epoch - before
+		st.Close()
+		os.Remove(path)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+	b.ReportMetric(float64(epochs)/float64(b.N), "epochs/op")
 }
 
 // BenchmarkHotpathParse measures xmltree.Parse — Scan into a Builder —
@@ -309,8 +343,9 @@ func BenchmarkHotpathCachedJoin(b *testing.B) {
 }
 
 // BenchmarkHotpathPutBatch compares one sorted PutBatch against the same
-// keys inserted with sequential Puts — isolating the kvstore layer of the
-// hot-path overhaul.
+// keys inserted with sequential Puts — one transaction, walking leaves
+// through its cursor, against one transaction and root-to-leaf descent
+// per key.
 func BenchmarkHotpathPutBatch(b *testing.B) {
 	const n = 20000
 	keys := make([][]byte, n)
@@ -338,7 +373,7 @@ func BenchmarkHotpathPutBatch(b *testing.B) {
 		}
 	}
 	b.Run("putbatch", func(b *testing.B) { run(b, true) })
-	b.Run("put-fastpath", func(b *testing.B) { run(b, false) })
+	b.Run("put", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkShred measures the streaming shredder (the paper reports shred

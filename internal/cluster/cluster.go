@@ -406,7 +406,6 @@ func (c *Cluster) Stats() kvstore.Stats {
 		agg.Deletes += st.Deletes
 		agg.Seeks += st.Seeks
 		agg.FastPathHits += st.FastPathHits
-		agg.BatchedPuts += st.BatchedPuts
 		agg.SnapshotsOpen += st.SnapshotsOpen
 		agg.PagesRetained += st.PagesRetained
 		agg.PagesRetired += st.PagesRetired

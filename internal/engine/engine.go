@@ -12,7 +12,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -43,13 +42,14 @@ type (
 	Shape = shape.Shape
 )
 
-// Sentinel errors the service layer maps onto HTTP statuses.
+// Sentinel errors the service layer maps onto HTTP statuses: the store's
+// own, which its verbs return.
 var (
 	// ErrNotFound reports an operation against a document the store does
 	// not hold.
-	ErrNotFound = errors.New("engine: document not found")
+	ErrNotFound = store.ErrNotFound
 	// ErrExists reports a shred of a name that is already shredded.
-	ErrExists = errors.New("engine: document already shredded")
+	ErrExists = store.ErrExists
 )
 
 var (
@@ -153,11 +153,6 @@ func (e *Engine) Shred(ctx context.Context, name string, r io.Reader, sp *obs.Sp
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	if _, ok, err := e.st.DocVersion(name); err != nil {
-		return nil, err
-	} else if ok {
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
 	return e.st.Shred(name, r, sp)
 }
 
@@ -185,11 +180,6 @@ func (e *Engine) Shape(ctx context.Context, name string, sp *obs.Span) (*Shape, 
 	}
 	v := e.st.View()
 	defer v.Close()
-	if _, ok, err := v.DocVersion(name); err != nil {
-		return nil, err
-	} else if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
 	ssp := sp.Child("load-shape")
 	before := e.st.Stats()
 	sh, err := v.Shape(name)
@@ -216,11 +206,6 @@ func (e *Engine) Drop(ctx context.Context, name string, sp *obs.Span) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	if _, ok, err := e.st.DocVersion(name); err != nil {
-		return err
-	} else if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
 	dsp := sp.Child("drop")
 	before := e.st.Stats()
 	err := e.st.Drop(name)
@@ -245,11 +230,6 @@ func (e *Engine) Update(ctx context.Context, name, script string, sp *obs.Span) 
 	ops, err := update.Parse(script)
 	if err != nil {
 		return nil, err
-	}
-	if _, ok, err := e.st.DocVersion(name); err != nil {
-		return nil, err
-	} else if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	info, err := e.st.Update(name, ops, sp)
 	if err != nil {

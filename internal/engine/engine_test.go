@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -183,6 +185,39 @@ func TestEngineSentinelErrors(t *testing.T) {
 	}
 	if _, err := eng.Shape(ctx, "missing", nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("shape missing: %v, want ErrNotFound", err)
+	}
+}
+
+// TestEngineConcurrentShredOneName: of two shreds of one name racing
+// each other, one succeeds and the other fails with ErrExists, which the
+// server answers with 409.
+func TestEngineConcurrentShredOneName(t *testing.T) {
+	eng := newEngine(t)
+	errs := make([]error, 2)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			_, errs[i] = eng.Shred(context.Background(), "books", strings.NewReader(sampleXML), nil)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if (errs[0] == nil) == (errs[1] == nil) {
+		t.Fatalf("concurrent shreds of one name returned %v and %v, want one success", errs[0], errs[1])
+	}
+	loser := errors.Join(errs[0], errs[1])
+	if !errors.Is(loser, ErrExists) {
+		t.Fatalf("losing shred: %v, want ErrExists", loser)
+	}
+	if got := httpStatus(loser); got != http.StatusConflict {
+		t.Errorf("losing shred maps to %d, want 409", got)
+	}
+	if names, err := eng.Docs(context.Background(), nil); err != nil || len(names) != 1 {
+		t.Errorf("documents after the race: %v (err %v), want one", names, err)
 	}
 }
 

@@ -38,9 +38,8 @@ func pageImage(t *testing.T, db *DB) []byte {
 	return out
 }
 
-// insertionOrders yields the three orders the fast path must handle:
-// already sorted (every insert hits the cached right edge), reverse
-// sorted (every insert misses), and shuffled.
+// insertionOrders yields three orders a batch may arrive in: already
+// sorted, reverse sorted, and shuffled.
 func insertionOrders(n int) map[string][]int {
 	sorted := make([]int, n)
 	reverse := make([]int, n)
@@ -55,43 +54,12 @@ func insertionOrders(n int) map[string][]int {
 	return map[string][]int{"sorted": sorted, "reverse": reverse, "random": shuffled}
 }
 
-// TestFastPathTreeIdentical: for sorted, reverse-sorted, and random
-// insert orders, the sorted-insert fast path must produce a tree
-// byte-identical to the plain root-to-leaf descent — the cache is a pure
-// shortcut, never a different insertion.
-func TestFastPathTreeIdentical(t *testing.T) {
-	const n = 3000
-	keys, vals := orderedKeys(n)
-	for name, order := range insertionOrders(n) {
-		fast := OpenMemory(nil)
-		slow := OpenMemory(nil)
-		slow.noFastPath = true
-		for _, i := range order {
-			if err := fast.Put(keys[i], vals[i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := slow.Put(keys[i], vals[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if fast.pager.npages.Load() != slow.pager.npages.Load() {
-			t.Fatalf("%s: fast path grew %d pages, slow %d", name, fast.pager.npages.Load(), slow.pager.npages.Load())
-		}
-		if !bytes.Equal(pageImage(t, fast), pageImage(t, slow)) {
-			t.Errorf("%s: fast-path tree differs from plain descent", name)
-		}
-		if name == "sorted" && fast.Stats().FastPathHits == 0 {
-			t.Error("sorted inserts never hit the fast path")
-		}
-		if slow.Stats().FastPathHits != 0 {
-			t.Errorf("%s: noFastPath still recorded %d hits", name, slow.Stats().FastPathHits)
-		}
-	}
-}
-
 // TestPutBatchMatchesSortedPuts: a shuffled PutBatch must build the same
 // physical tree as sequential Puts in key order (PutBatch sorts), and
 // the same logical content as sequential Puts in the original order.
+// Each Put is a transaction of its own, so its leaf cursor never serves
+// a key: the sequential tree is the plain root-to-leaf descent, and the
+// batch's cursor must be a pure shortcut, never a different insertion.
 func TestPutBatchMatchesSortedPuts(t *testing.T) {
 	const n = 2500
 	keys, vals := orderedKeys(n)
@@ -127,8 +95,14 @@ func TestPutBatchMatchesSortedPuts(t *testing.T) {
 		if err != nil || i != n {
 			t.Fatalf("%s: scan saw %d of %d entries (err %v)", name, i, n, err)
 		}
-		if got := batched.Stats().BatchedPuts; got != int64(n) {
-			t.Errorf("%s: BatchedPuts = %d, want %d", name, got, n)
+		if got := batched.Stats().Puts; got != int64(n) {
+			t.Errorf("%s: Puts = %d, want %d", name, got, n)
+		}
+		if got := batched.Stats().FastPathHits; got < int64(n)*9/10 {
+			t.Errorf("%s: the leaf cursor served %d of %d puts", name, got, n)
+		}
+		if got := sequential.Stats().FastPathHits; got != 0 {
+			t.Errorf("%s: one-key transactions recorded %d cursor hits", name, got)
 		}
 	}
 }
@@ -181,9 +155,10 @@ func TestPutBatchValidation(t *testing.T) {
 	}
 }
 
-// TestDeleteKeepsFastPathCorrect: interleaving deletes with fast-path
-// inserts must not corrupt the tree (deletes never move separators, so
-// the cached leaf range stays valid).
+// TestDeleteKeepsFastPathCorrect: batches whose deletes move the leaf
+// cursor through the tree before their sorted puts reuse it must not
+// corrupt the tree (deletes never move separators, so the cursor's range
+// stays valid), and interleaved one-key Puts and Deletes must not either.
 func TestDeleteKeepsFastPathCorrect(t *testing.T) {
 	db := OpenMemory(nil)
 	keys, vals := orderedKeys(2000)
@@ -196,6 +171,23 @@ func TestDeleteKeepsFastPathCorrect(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+	more, moreVals := orderedKeys(3000)
+	for lo := 0; lo < 3000; lo += 500 {
+		var b Batch
+		for i := lo; i < lo+500; i += 7 {
+			b.Delete(more[i])
+		}
+		for i := lo; i < lo+500; i++ {
+			b.Put(more[i], moreVals[i])
+		}
+		if err := db.Apply(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	if err := db.Ascend(nil, nil, func(k, v []byte) bool { n++; return true }); err != nil || n != 3000 {
+		t.Fatalf("after the batches: %d entries (err %v), want 3000", n, err)
 	}
 	// Every key must be findable or verifiably deleted, in order.
 	var prev []byte
@@ -308,7 +300,8 @@ func TestPutBatchPersists(t *testing.T) {
 // overflows with the insertion point below its byte midpoint (a
 // balanced split: left = smalls + first big value, right = the second)
 // and the next small key lands in the left half. The result must be
-// page-for-page the tree one Put per key builds on the plain descent.
+// page-for-page the tree one Put per key builds; each Put is its own
+// transaction, so that tree comes from the plain descent.
 func TestPutBatchSplitHalvesDoNotAlias(t *testing.T) {
 	big := bytes.Repeat([]byte("x"), 1400)
 	var k1, v1, k2, v2 [][]byte
@@ -322,7 +315,6 @@ func TestPutBatchSplitHalvesDoNotAlias(t *testing.T) {
 	}
 	batched := OpenMemory(nil)
 	ref := OpenMemory(nil)
-	ref.noFastPath = true
 	for _, b := range []struct{ keys, vals [][]byte }{{k1, v1}, {k2, v2}} {
 		if err := batched.PutBatch(b.keys, b.vals); err != nil {
 			t.Fatal(err)
@@ -344,7 +336,8 @@ func TestPutBatchSplitHalvesDoNotAlias(t *testing.T) {
 }
 
 // TestWriteTxnRandomizedModel: seeded transactions of every kind —
-// PutBatch with shuffled keys, single Puts, Deletes — over mixed value
+// PutBatch with shuffled keys, single Puts, Deletes, and Applies mixing
+// puts and deletes — over mixed value
 // sizes (empty to MaxValueSize-sized, so leaves split both balanced and
 // at the insertion point), checked against a map model after every
 // commit and again after a reopen.
@@ -386,8 +379,8 @@ func TestWriteTxnRandomizedModel(t *testing.T) {
 			t.Fatalf("%s: scan saw %d of %d entries (err %v)", when, i, len(want), err)
 		}
 	}
-	for txn := 0; txn < 60; txn++ {
-		switch rng.Intn(3) {
+	for txn := 0; txn < 80; txn++ {
+		switch rng.Intn(4) {
 		case 0:
 			var keys, vals [][]byte
 			for i := rng.Intn(400); i >= 0; i-- {
@@ -411,6 +404,36 @@ func TestWriteTxnRandomizedModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				delete(model, string(k))
+			}
+		case 3:
+			// One Apply of puts and deletes: the deletes land first, so a
+			// key both deleted and put — here every fifth put — ends up put.
+			var b Batch
+			var dels []string
+			puts := map[string]string{}
+			for i := rng.Intn(300); i >= 0; i-- {
+				if rng.Intn(3) == 0 {
+					k := key()
+					b.Delete(k)
+					dels = append(dels, string(k))
+					continue
+				}
+				k, v := key(), value()
+				if i%5 == 0 {
+					b.Delete(k)
+					dels = append(dels, string(k))
+				}
+				b.Put(k, v)
+				puts[string(k)] = string(v)
+			}
+			if err := db.Apply(&b); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range dels {
+				delete(model, k)
+			}
+			for k, v := range puts {
+				model[k] = v
 			}
 		}
 		check(fmt.Sprintf("after transaction %d", txn))

@@ -23,8 +23,8 @@ const (
 	pageInternal = 2
 )
 
-// DB is a B+tree keyed by []byte in lexicographic order. Mutations
-// (Put, PutBatch, Delete) are serialized against each other; reads
+// DB is a B+tree keyed by []byte in lexicographic order. Every mutation
+// is one Apply of a Batch, serialized against the others; reads
 // (Get, Seek, First, Ascend, AscendPrefix, or an explicit OpenSnapshot)
 // run on MVCC snapshots of the last committed epoch and never wait for —
 // or block — a writer. Everything is safe for concurrent use.
@@ -96,28 +96,17 @@ type DB struct {
 	hdrRoot   uint32
 	hdrNpages uint32
 
-	// Sorted-insert fast path: the leaf that served the last Put plus the
-	// separator bounds [fastLow, fastHigh) routing to it. When the next
-	// key still falls in that range and the insert cannot split, the
-	// root-to-leaf descent is skipped entirely. Guarded by writerMu.
-	// noFastPath and readAhead = 0 select the reference paths (full
-	// descent, no prefetch) that in-package tests compare against; nothing
-	// outside the tests sets them.
-	fastValid   bool
-	fastLeaf    uint32
-	fastLow     []byte // nil = unbounded below
-	fastHigh    []byte // nil = unbounded above
-	noFastPath  bool
-	readAhead   int // leaf pages a scan prefetches; 0 disables
-	fastHits    int64
-	batchedPuts int64
+	// readAhead is how many leaf pages a scan prefetches; 0 selects the
+	// no-prefetch reference path the in-package tests compare against.
+	readAhead int
 
 	// Operation counters, surfaced through Stats for the observability
 	// layer (updated atomically; the CLI may snapshot concurrently).
-	gets    int64
-	puts    int64
-	deletes int64
-	seeks   int64
+	gets       int64
+	puts       int64
+	deletes    int64
+	seeks      int64
+	cursorHits int64
 }
 
 // Options configure Open.
@@ -444,86 +433,114 @@ func (s *Snapshot) Get(key []byte) ([]byte, bool, error) {
 	}
 }
 
-// Put inserts or replaces a key. The mutation is one transaction:
-// readers observe either none or all of it.
-func (db *DB) Put(key, value []byte) error {
-	if err := validatePut(key, value); err != nil {
-		return err
+// Batch is a set of puts and deletes that Apply commits as one
+// transaction. It keeps the slices it is given, which must stay unchanged
+// until Apply returns; Apply copies what the tree keeps, so afterwards
+// the caller may reuse them.
+type Batch struct {
+	keys, vals [][]byte // puts, parallel, in the order given
+	dels       [][]byte
+}
+
+// Put adds an insert-or-replace of key to the batch.
+func (b *Batch) Put(key, value []byte) {
+	b.keys = append(b.keys, key)
+	b.vals = append(b.vals, value)
+}
+
+// Delete adds the removal of key to the batch.
+func (b *Batch) Delete(key []byte) { b.dels = append(b.dels, key) }
+
+// Apply commits a batch as one transaction — one epoch: a concurrent
+// snapshot sees all of it or none of it, and a failed Apply leaves the
+// committed state untouched. The deletes go first, then the puts, each
+// in key order; the puts sort stably, so a later duplicate wins, as it
+// would in sequential Puts, and a key both deleted and put ends up put.
+// In key order almost every key lands through the transaction's leaf
+// cursor (see putTxn): each leaf the batch touches is decoded once, on
+// first touch, takes all its keys as that one shadow node, and is
+// serialized once, at commit. Deleting an absent key is a no-op, and a
+// batch that changes nothing publishes no epoch.
+//
+// Leaves are never merged or rebalanced and this store does not compact:
+// a leaf thinned by deletes keeps its page and separator range, and only
+// later inserts into that range reuse its space.
+func (db *DB) Apply(b *Batch) error {
+	if len(b.keys) != len(b.vals) {
+		return fmt.Errorf("kvstore: batch of %d keys but %d values", len(b.keys), len(b.vals))
 	}
-	atomic.AddInt64(&db.puts, 1)
-	_, key, value = own(make([]byte, 0, len(key)+len(value)), key, value)
+	total := 0
+	for i, k := range b.keys {
+		if err := validatePut(k, b.vals[i]); err != nil {
+			return err
+		}
+		total += len(k) + len(b.vals[i])
+	}
+	puts, dels := keyOrder(b.keys), keyOrder(b.dels)
+	atomic.AddInt64(&db.puts, int64(len(b.keys)))
+	atomic.AddInt64(&db.deletes, int64(len(b.dels)))
 	lockTimed(&db.writerMu, writerLockWait)
 	defer db.writerMu.Unlock()
 	db.beginWrite()
-	if err := db.putTxn(key, value); err != nil {
-		db.abortWrite()
-		return err
+	err := db.applyTxn(b, puts, dels, make([]byte, 0, total))
+	if err == nil {
+		err = db.commitWrite()
 	}
-	if err := db.commitWrite(); err != nil {
+	if err != nil {
 		db.abortWrite()
-		return err
+	}
+	return err
+}
+
+// applyTxn runs a batch's deletes, then its puts copied into arena, each
+// in the given index order (writerMu held, beginWrite done).
+func (db *DB) applyTxn(b *Batch, puts, dels []int, arena []byte) error {
+	for _, i := range dels {
+		if err := db.deleteTxn(b.dels[i]); err != nil {
+			return err
+		}
+	}
+	for _, i := range puts {
+		var k, v []byte
+		arena, k, v = own(arena, b.keys[i], b.vals[i])
+		if err := db.putTxn(k, v); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// PutBatch inserts (or replaces) many keys in one pass: the batch is
-// sorted first (stably, so a later duplicate wins, matching sequential
-// Puts) and applied in key order, which drives almost every insert
-// through the cached-leaf fast path — leaves are walked once instead of
-// descending from the root per key. keys and vals must be parallel; the
-// batch copies them into one arena, so the caller may reuse them on
-// return. The whole batch commits as one transaction (one epoch): a
-// concurrent snapshot sees all of it or none of it. Inside it each leaf
-// the batch touches is decoded once, on first touch, takes all its keys
-// as that one shadow node, and is serialized once, at commit.
-func (db *DB) PutBatch(keys, vals [][]byte) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("kvstore: PutBatch: %d keys but %d values", len(keys), len(vals))
-	}
-	total := 0
-	for i, k := range keys {
-		if err := validatePut(k, vals[i]); err != nil {
-			return err
-		}
-		total += len(k) + len(vals[i])
-	}
+// keyOrder returns the indices of keys in stable key order.
+func keyOrder(keys [][]byte) []int {
 	order := make([]int, len(keys))
 	for i := range order {
 		order[i] = i
 	}
-	if !sort.SliceIsSorted(order, func(a, b int) bool {
-		return bytes.Compare(keys[order[a]], keys[order[b]]) < 0
-	}) {
-		sort.SliceStable(order, func(a, b int) bool {
-			return bytes.Compare(keys[order[a]], keys[order[b]]) < 0
-		})
+	less := func(a, b int) bool { return bytes.Compare(keys[order[a]], keys[order[b]]) < 0 }
+	if !sort.SliceIsSorted(order, less) {
+		sort.SliceStable(order, less)
 	}
-	atomic.AddInt64(&db.puts, int64(len(keys)))
-	atomic.AddInt64(&db.batchedPuts, int64(len(keys)))
-	lockTimed(&db.writerMu, writerLockWait)
-	defer db.writerMu.Unlock()
-	db.beginWrite()
-	arena := make([]byte, 0, total)
-	for _, i := range order {
-		var k, v []byte
-		arena, k, v = own(arena, keys[i], vals[i])
-		if err := db.putTxn(k, v); err != nil {
-			db.abortWrite()
-			return err
-		}
-	}
-	if err := db.commitWrite(); err != nil {
-		db.abortWrite()
-		return err
-	}
-	return nil
+	return order
 }
+
+// Put inserts or replaces a key as one transaction.
+func (db *DB) Put(key, value []byte) error {
+	return db.Apply(&Batch{keys: [][]byte{key}, vals: [][]byte{value}})
+}
+
+// PutBatch inserts or replaces many keys as one transaction; keys and
+// vals are parallel.
+func (db *DB) PutBatch(keys, vals [][]byte) error { return db.Apply(&Batch{keys: keys, vals: vals}) }
+
+// Delete removes a key as one transaction; deleting an absent key is a
+// no-op and publishes no epoch.
+func (db *DB) Delete(key []byte) error { return db.Apply(&Batch{dels: [][]byte{key}}) }
 
 // own appends key and value to arena and returns the grown arena and the
 // two copies, capped so neither can grow into its neighbour. The tree
 // keeps these bytes after the caller's slices are reused, so every put
-// hands putTxn owned copies; callers size the arena for the whole batch,
-// which makes that one allocation per PutBatch.
+// hands putTxn owned copies; Apply sizes the arena for the whole batch,
+// which makes that one allocation per transaction.
 func own(arena, key, value []byte) (grown, k, v []byte) {
 	at := len(arena)
 	arena = append(arena, key...)
@@ -554,69 +571,37 @@ type pathEntry struct {
 // held, beginWrite done). The tree keeps key and value as given, so they
 // must be copies the caller will not reuse (see own).
 //
-// Fast path: when the previous Put cached a leaf whose separator range
-// still covers key and the insert cannot overflow the page, the new
-// entry goes straight into that leaf — no descent, no parent updates,
-// and, once the leaf is in the shadow set, no decode or encode either:
-// readNodeW hands back the shadow node and writeNodeW only checks its
-// size. An overflowing insert has already landed in the leaf it read —
-// the shadow node itself when the leaf was dirty — and the slow path's
-// leafInsert then finds the key and replaces it in place, so the split
-// sees the same entries and insertion index either way.
-// Otherwise the slow path descends from the root recording the path, so
-// splits propagate iteratively; it re-caches the target leaf for the
-// next call. Both paths produce byte-identical trees to the pre-cache
-// recursive insert (guarded by TestFastPathTreeIdentical).
+// Cursor path: when the transaction's leaf cursor still covers key and
+// the insert cannot overflow the page, the new entry goes straight into
+// that leaf — no descent, no parent updates, and, once the leaf is in
+// the shadow set, no decode or encode either: readNodeW hands back the
+// shadow node and writeNodeW only checks its size. An overflowing insert
+// has already landed in the leaf it read — the shadow node itself when
+// the leaf was dirty — and the descent's leafInsert then finds the key
+// and replaces it in place, so the split sees the same entries and
+// insertion index either way. Otherwise the descent records the path,
+// so splits propagate iteratively. Both paths build the tree one
+// transaction per key builds (guarded by TestPutBatchMatchesSortedPuts).
 func (db *DB) putTxn(key, value []byte) error {
-	if db.fastValid && !db.noFastPath && db.fastCovers(key) {
-		n, err := db.readNodeW(db.fastLeaf)
-		if err != nil {
-			return err
+	if n, err := db.cursorLeaf(key); err != nil {
+		return err
+	} else if n != nil {
+		leafInsert(n, key, value)
+		if n.size() <= PageSize {
+			atomic.AddInt64(&db.cursorHits, 1)
+			return db.writeNodeW(db.w.leaf, n)
 		}
-		if n.typ == pageLeaf {
-			leafInsert(n, key, value)
-			if n.size() <= PageSize {
-				atomic.AddInt64(&db.fastHits, 1)
-				return db.writeNodeW(db.fastLeaf, n)
-			}
-		}
-		// The leaf would split (or the cache is stale): fall back to the
-		// full descent, which needs the parent path.
-		db.fastValid = false
 	}
-
-	var (
-		path      []pathEntry
-		low, high []byte
-	)
-	id := db.w.root
-	var n *node
-	for {
-		var err error
-		n, err = db.readNodeW(id)
-		if err != nil {
-			return err
-		}
-		if n.typ == pageLeaf {
-			break
-		}
-		ci := childIndex(n.keys, key)
-		if ci > 0 {
-			low = n.keys[ci-1]
-		}
-		if ci < len(n.keys) {
-			high = n.keys[ci]
-		}
-		path = append(path, pathEntry{id: id, n: n, ci: ci})
-		id = n.children[ci]
+	id, n, path, err := db.descend(key)
+	if err != nil {
+		return err
 	}
 	at := leafInsert(n, key, value)
 	if n.size() <= PageSize {
-		db.fastValid, db.fastLeaf, db.fastLow, db.fastHigh = true, id, low, high
 		return db.writeNodeW(id, n)
 	}
-	// Split: the cached leaf's range is about to change.
-	db.fastValid = false
+	// Split: the cursor leaf's range is about to change.
+	db.w.leafOK = false
 	promoted, right, err := db.finishInsert(id, n, at)
 	if err != nil {
 		return err
@@ -648,16 +633,68 @@ func (db *DB) putTxn(key, value []byte) error {
 	return nil
 }
 
-// fastCovers reports whether key falls in the cached leaf's separator
-// range [fastLow, fastHigh); nil bounds are unbounded.
-func (db *DB) fastCovers(key []byte) bool {
-	if db.fastLow != nil && bytes.Compare(key, db.fastLow) < 0 {
-		return false
+// cursorLeaf returns the transaction's cursor leaf when its separator
+// range [low, high) covers key (nil bounds are unbounded), else nil.
+func (db *DB) cursorLeaf(key []byte) (*node, error) {
+	w := &db.w
+	if !w.leafOK ||
+		w.low != nil && bytes.Compare(key, w.low) < 0 ||
+		w.high != nil && bytes.Compare(key, w.high) >= 0 {
+		return nil, nil
 	}
-	if db.fastHigh != nil && bytes.Compare(key, db.fastHigh) >= 0 {
-		return false
+	return db.readNodeW(w.leaf)
+}
+
+// descend walks the transaction's tree from the root to the leaf whose
+// range covers key, returns it with the internal nodes on the way (a
+// split propagates up them), and leaves the cursor on it.
+func (db *DB) descend(key []byte) (uint32, *node, []pathEntry, error) {
+	var (
+		path      []pathEntry
+		low, high []byte
+	)
+	id := db.w.root
+	for {
+		n, err := db.readNodeW(id)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		if n.typ == pageLeaf {
+			db.w.leafOK, db.w.leaf, db.w.low, db.w.high = true, id, low, high
+			return id, n, path, nil
+		}
+		ci := childIndex(n.keys, key)
+		if ci > 0 {
+			low = n.keys[ci-1]
+		}
+		if ci < len(n.keys) {
+			high = n.keys[ci]
+		}
+		path = append(path, pathEntry{id: id, n: n, ci: ci})
+		id = n.children[ci]
 	}
-	return true
+}
+
+// deleteTxn removes one key from the transaction's shadow tree, through
+// the cursor leaf when it covers key (writerMu held, beginWrite done).
+// Deletes never move separators, so the cursor stays valid.
+func (db *DB) deleteTxn(key []byte) error {
+	id := db.w.leaf
+	n, err := db.cursorLeaf(key)
+	if err == nil && n == nil {
+		id, n, _, err = db.descend(key)
+	}
+	if err != nil {
+		return err
+	}
+	i, found := search(n.keys, key)
+	if !found {
+		return nil
+	}
+	n.sz -= 4 + len(n.keys[i]) + len(n.vals[i])
+	n.keys = append(n.keys[:i], n.keys[i+1:]...)
+	n.vals = append(n.vals[:i], n.vals[i+1:]...)
+	return db.writeNodeW(id, n)
 }
 
 // leafInsert puts key into the decoded leaf, replacing an existing entry,
@@ -712,18 +749,18 @@ func (db *DB) finishInsert(id uint32, n *node, insertAt int) ([]byte, uint32, er
 	var promoted []byte
 	var left, rightN *node
 	if n.typ == pageLeaf {
-		// Right half starts at mid; its first key is promoted (copied, so
-		// the fast-path bounds that may keep it across transactions pin a
-		// key, not the batch arena it came from). The left half's slices
-		// are capped at mid: both halves stay in the shadow set as decoded
-		// nodes over one backing array, and a later insert into the left
-		// half must reallocate rather than append over the right half.
-		// The new right leaf inherits the sibling pointer and the left
-		// leaf links to it (below, once its page id exists), keeping the
-		// scan read-ahead chain intact across splits.
+		// Right half starts at mid; its first key is promoted (keys are
+		// never written in place, so the separator may share its bytes).
+		// The left half's slices are capped at mid: both halves stay in
+		// the shadow set as decoded nodes over one backing array, and a
+		// later insert into the left half must reallocate rather than
+		// append over the right half. The new right leaf inherits the
+		// sibling pointer and the left leaf links to it (below, once its
+		// page id exists), keeping the scan read-ahead chain intact across
+		// splits.
 		left = &node{typ: pageLeaf, keys: n.keys[:mid:mid], vals: n.vals[:mid:mid]}
 		rightN = &node{typ: pageLeaf, next: n.next, keys: n.keys[mid:], vals: n.vals[mid:]}
-		promoted = append([]byte(nil), n.keys[mid]...)
+		promoted = n.keys[mid]
 	} else {
 		// The middle key moves up; the left half is capped as above.
 		promoted = n.keys[mid]
@@ -786,49 +823,6 @@ func (n *node) splitPoint() int {
 	return mid
 }
 
-// Delete removes a key as one transaction; deleting an absent key is a
-// no-op (and publishes no epoch). Leaves are never merged or rebalanced
-// and this store does not compact: a thinned leaf keeps its page and
-// separator range, and only later inserts into that range reuse its
-// space. The store deletes key by key — a Drop or failed shred removes
-// every record of a document id, an update deletes the records of the
-// subtrees it rewrites — so those pages stay allocated.
-func (db *DB) Delete(key []byte) error {
-	atomic.AddInt64(&db.deletes, 1)
-	lockTimed(&db.writerMu, writerLockWait)
-	defer db.writerMu.Unlock()
-	db.beginWrite()
-	// The cached fast-path leaf stays valid: deletion never merges pages,
-	// so separator ranges are unchanged.
-	id := db.w.root
-	for {
-		n, err := db.readNodeW(id)
-		if err != nil {
-			db.abortWrite()
-			return err
-		}
-		if n.typ == pageLeaf {
-			i, found := search(n.keys, key)
-			if !found {
-				return db.commitWrite() // empty set: no-op
-			}
-			n.sz -= 4 + len(n.keys[i]) + len(n.vals[i])
-			n.keys = append(n.keys[:i], n.keys[i+1:]...)
-			n.vals = append(n.vals[:i], n.vals[i+1:]...)
-			if err := db.writeNodeW(id, n); err != nil {
-				db.abortWrite()
-				return err
-			}
-			if err := db.commitWrite(); err != nil {
-				db.abortWrite()
-				return err
-			}
-			return nil
-		}
-		id = n.children[childIndex(n.keys, key)]
-	}
-}
-
 // Close syncs and releases the file handles (store and log). The pager
 // is closed even when the final sync fails — a failed flush must not
 // leak the descriptors — and both errors are reported.
@@ -858,8 +852,7 @@ func (db *DB) Stats() Stats {
 	s.Puts = atomic.LoadInt64(&db.puts)
 	s.Deletes = atomic.LoadInt64(&db.deletes)
 	s.Seeks = atomic.LoadInt64(&db.seeks)
-	s.FastPathHits = atomic.LoadInt64(&db.fastHits)
-	s.BatchedPuts = atomic.LoadInt64(&db.batchedPuts)
+	s.FastPathHits = atomic.LoadInt64(&db.cursorHits)
 	s.SnapshotsOpen = db.snapshotsOpen.Load()
 	s.PagesRetained = db.retainedCount.Load()
 	s.PagesRetired = db.retiredPages.Load()

@@ -2,13 +2,14 @@ package kvstore
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 )
 
 // MVCC snapshot reads over copy-on-write pages.
 //
 // Every committed state of the tree is numbered by an epoch. A writer
-// transaction (one Put, PutBatch, or Delete) mutates decoded shadow
+// transaction (one Apply of a Batch) mutates decoded shadow
 // copies of the pages it touches in a private write set; commit
 // serializes each once and publishes them all at once — new root, new
 // page count, epoch+1 — under the DB's publishMu. Readers never take the
@@ -209,17 +210,27 @@ func (db *DB) pruneVersions(threshold uint64) {
 // The shadow set holds decoded nodes, not page images: a page is decoded
 // on its first touch in the transaction (readNodeW), every later read
 // and write of it in the same transaction works on that one *node, and
-// commitWrite serializes each dirty node exactly once. A sorted PutBatch
+// commitWrite serializes each dirty node exactly once. A sorted batch
 // therefore costs one decode and one serialization per leaf it fills,
 // not one of each per key. Because a shadow node lives on and is
 // mutated after it is recorded, no two nodes in the set may share a
 // backing array they can append into — see finishInsert's capped split
 // halves.
+//
+// The leaf cursor is the sorted-insert shortcut: the leaf the
+// transaction's last descent reached, plus the separator bounds
+// [low, high) routing to it (nil = unbounded). A key still in that range
+// skips the root-to-leaf descent. Deletes never move separators, so only
+// a split invalidates it, and it starts empty with every transaction.
 type writeTxn struct {
 	set    map[uint32]*node
 	hdr    []byte // header page image, nil unless this transaction rewrote it
 	npages uint32
 	root   uint32
+
+	leafOK    bool
+	leaf      uint32
+	low, high []byte
 }
 
 // beginWrite opens a transaction over the committed state. Caller holds
@@ -233,16 +244,16 @@ func (db *DB) beginWrite() {
 	db.w.hdr = nil
 	db.w.npages = db.pager.npages.Load()
 	db.w.root = db.root
+	db.w.leafOK, db.w.low, db.w.high = false, nil, nil
 }
 
 // abortWrite discards the transaction's shadow pages, leaving the
 // committed state untouched (a failed mutation is now atomic, where the
-// pre-MVCC tree could be left half-written). The header and fast-path
-// caches may describe discarded work, so they reset.
+// pre-MVCC tree could be left half-written). The header cache may
+// describe discarded work, so it resets.
 func (db *DB) abortWrite() {
 	clear(db.w.set)
 	db.w.hdr = nil
-	db.fastValid = false
 	db.hdrValid = false
 }
 
@@ -275,6 +286,9 @@ func (db *DB) commitWrite() error {
 		}
 		pages = append(pages, dirtyPage{id: id, buf: buf})
 	}
+	// Install in page order, not map order: a commit larger than the pool
+	// then evicts its oldest pages, not a random half the next one re-dirties.
+	sort.Slice(pages, func(a, b int) bool { return pages[a].id < pages[b].id })
 	newEpoch := db.epoch + 1
 	oldNpages := db.pager.npages.Load()
 	lockTimed(&db.publishMu, publishLockWait)

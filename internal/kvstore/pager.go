@@ -75,11 +75,9 @@ type Stats struct {
 	Puts    int64
 	Deletes int64
 	Seeks   int64
-	// FastPathHits counts Puts served by the sorted-insert leaf cache
-	// (no root-to-leaf descent); BatchedPuts counts Puts that arrived
-	// through PutBatch. Both are subsets of Puts.
+	// FastPathHits counts the puts a transaction's leaf cursor served
+	// (no root-to-leaf descent), a subset of Puts.
 	FastPathHits int64
-	BatchedPuts  int64
 	// MVCC counters: SnapshotsOpen is the number of snapshots currently
 	// pinning an epoch; Epoch is the last committed epoch; PagesRetained
 	// is the number of superseded page images currently held for open

@@ -274,9 +274,8 @@ func (db *DB) ApplyCommitBatch(b CommitBatch) error {
 	db.epoch = epoch
 	db.pager.epoch.Store(epoch)
 	db.publishMu.Unlock()
-	// The header/fast-path caches may describe the pre-apply tree.
+	// The header cache may describe the pre-apply tree.
 	db.hdrValid = false
-	db.fastValid = false
 	db.appliedLSN.Store(b.LSN)
 	return nil
 }

@@ -145,7 +145,7 @@ func TestBatchedShredRoundTripsParse(t *testing.T) {
 	if got.XML(false) != want.XML(false) {
 		t.Errorf("reconstruction differs from the parsed source:\nstored: %s\nparsed: %s", got.XML(false), want.XML(false))
 	}
-	if s.Stats().BatchedPuts == 0 {
+	if s.Stats().Puts == 0 {
 		t.Error("shred issued no batched puts")
 	}
 }
@@ -205,7 +205,7 @@ func TestFailedShredLeavesNoRecords(t *testing.T) {
 	if _, err := s.Shred("d", strings.NewReader(b.String()), nil); err == nil {
 		t.Fatal("truncated document shredded")
 	}
-	if s.Stats().BatchedPuts == 0 {
+	if s.Stats().Puts == 0 {
 		t.Fatal("the failed shred flushed nothing: the test does not reach the leak")
 	}
 	for _, table := range []byte{'N', 'S', 'T', 'H', 'D'} {
@@ -231,6 +231,34 @@ func TestFailedShredLeavesNoRecords(t *testing.T) {
 	}
 	if re.XML(false) != good {
 		t.Error("reconstruction differs from the shredded document")
+	}
+}
+
+// TestShredEpochs: a shred commits its document-ID counter, one
+// transaction per flush of its type runs, and one for its tail — so the
+// XMark sf 0.02 document publishes at most flushes + 2 epochs, where a
+// flush commits at least shredFlushBytes of buffered records, except the
+// last.
+func TestShredEpochs(t *testing.T) {
+	xml := xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42}).XML(false)
+	s := OpenMemory()
+	defer s.Close()
+	before := s.Stats().Epoch
+	if _, err := s.Shred("d", strings.NewReader(xml), nil); err != nil {
+		t.Fatal(err)
+	}
+	epochs := s.Stats().Epoch - before
+	buffered := 0 // an upper bound: chunk keys and headers count too
+	if err := s.db.AscendPrefix([]byte{'N'}, func(k, v []byte) bool {
+		buffered += len(k) + len(v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	flushes := int64(1 + buffered/shredFlushBytes)
+	t.Logf("%d epochs, at most %d flushes", epochs, flushes)
+	if epochs > flushes+2 {
+		t.Errorf("shred published %d epochs, want at most %d flushes + 2", epochs, flushes)
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,6 +26,13 @@ type ShredInfo struct {
 // aggregates the adorned shape's cardinalities (Section VIII's data
 // shredder). Memory use is bounded by document depth, not size.
 //
+// The node records commit in flushes under a fresh document id that no
+// registry entry names yet; the tail — type registry, shape, shape hash
+// and the registry entry — commits as one transaction once the scan is
+// done, after checking under the writer lock that the name is still
+// free. Shredding a name the store holds fails with ErrExists, and a
+// failed shred removes what it flushed.
+//
 // Under a non-nil parent span it opens a "shred" child annotated with the
 // nodes and text characters shredded, the types discovered, and the pages
 // written to the store. A nil parent is free.
@@ -33,20 +41,16 @@ func (s *Store) Shred(name string, r io.Reader, parent *obs.Span) (*ShredInfo, e
 	defer sp.End()
 	before := s.Stats()
 
-	if _, exists, err := s.docID(name); err != nil {
-		return nil, err
-	} else if exists {
-		return nil, fmt.Errorf("store: document %q already shredded", name)
-	}
 	id, err := s.nextDocID()
 	if err != nil {
 		return nil, err
 	}
 	sh, err := s.shredAs(id, name, r)
 	if err != nil {
-		// Runs flushed before the input turned out malformed, cut short
-		// or too large sit under an id no registry entry will ever name.
-		return nil, errors.Join(err, s.removeID(id))
+		// Runs flushed before the input turned out malformed, cut short,
+		// too large or already shredded sit under an id no registry entry
+		// will ever name.
+		return nil, errors.Join(err, s.removeID(id), s.db.Sync())
 	}
 	if sp != nil {
 		after := s.Stats()
@@ -54,7 +58,6 @@ func (s *Store) Shred(name string, r io.Reader, parent *obs.Span) (*ShredInfo, e
 		sp.Set("chars", int64(sh.chars))
 		sp.Set("types", int64(len(sh.types)))
 		sp.Set("pages-written", after.BlocksWritten-before.BlocksWritten)
-		sp.Set("batched-puts", after.BatchedPuts-before.BatchedPuts)
 		sp.Set("fastpath-hits", after.FastPathHits-before.FastPathHits)
 	}
 	return &ShredInfo{Name: name, Types: len(sh.types), Nodes: sh.nodes}, nil
@@ -71,28 +74,30 @@ func (s *Store) shredAs(id uint32, name string, r io.Reader) (*shredder, error) 
 	if err := runs.flush(); err != nil {
 		return nil, err
 	}
-	// Type registry in typeID order.
-	if err := s.putBlob(blobKey('T', id), []byte(strings.Join(sh.types, "\n"))); err != nil {
-		return nil, err
-	}
-	// Adorned shape, plus its hash for shape-aware guard caches.
+	// The tail: type registry in typeID order, adorned shape, its hash
+	// for shape-aware guard caches, and the registry entry that names the
+	// document.
 	enc := encodeShape(sh.fold.Shape())
-	if err := s.putBlob(blobKey('S', id), []byte(enc)); err != nil {
+	arena, keys, vals, err := appendBlobChunks(nil, nil, nil, blobKey('T', id), []byte(strings.Join(sh.types, "\n")))
+	if err == nil {
+		_, keys, vals, err = appendBlobChunks(arena, keys, vals, blobKey('S', id), []byte(enc))
+	}
+	if err != nil {
 		return nil, err
 	}
-	if err := s.db.Put(blobKey('H', id), binary.BigEndian.AppendUint64(nil, hashShapeEnc(enc))); err != nil {
-		return nil, err
-	}
-	// Registry entry last: a crash mid-shred leaves no visible document.
-	if err := s.db.Put(docKey(name), binary.BigEndian.AppendUint32(nil, id)); err != nil {
-		return nil, err
-	}
-	return sh, s.db.Sync()
+	keys = append(keys, blobKey('H', id), docKey(name))
+	vals = append(vals, binary.BigEndian.AppendUint64(nil, hashShapeEnc(enc)), binary.BigEndian.AppendUint32(nil, id))
+	return sh, s.commit(func() error {
+		if _, exists, err := s.docID(name); err != nil || exists {
+			return cmp.Or(err, fmt.Errorf("%w: %q", ErrExists, name))
+		}
+		return s.db.PutBatch(keys, vals)
+	})
 }
 
 func (s *Store) nextDocID() (uint32, error) {
-	s.idMu.Lock()
-	defer s.idMu.Unlock()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	v, ok, err := s.db.Get([]byte{'C'})
 	if err != nil {
 		return 0, err
@@ -291,22 +296,23 @@ func (sh *shredder) emit(typ int32, dw xmltree.Dewey, value []byte) {
 	sh.err = sh.out(t.tid, sh.key, value)
 }
 
-// shredFlushBytes bounds the memory the shredder buffers before pushing
-// its per-type runs through PutBatch.
+// shredFlushBytes bounds the memory the shredder buffers before
+// committing its per-type runs.
 const shredFlushBytes = 1 << 20
 
 // typeRuns buffers a shred's node records per type (index = typeID).
 // Per-type keys are generated in document order — two nodes of one
 // rooted type are never ancestor and descendant, so element close order
-// equals document order — which means every run is already sorted when
-// it reaches PutBatch.
+// equals document order — which means every run is already sorted.
 type typeRuns struct {
 	db   *kvstore.DB
 	runs []typeRun
-	// arena holds the bytes of every buffered record. PutBatch copies
-	// what it is given, so each flush leaves the arena free for reuse.
+	// arena holds the bytes of every buffered record. The kvstore copies
+	// what it commits, so each flush leaves the arena free for reuse.
 	arena    []byte
 	buffered int // bytes held across all runs, for the flush threshold
+	// keys and vals are the flush's concatenation of the runs, reused.
+	keys, vals [][]byte
 }
 
 type typeRun struct {
@@ -330,20 +336,22 @@ func (b *typeRuns) add(tid uint32, key, value []byte) error {
 	return nil
 }
 
-// flush pushes every buffered type run through PutBatch, in typeID
-// order. Node keys are prefixed by typeID, so consecutive runs extend
-// one globally ascending key sequence — nearly every insert lands on the
-// B+tree's cached leaf.
+// flush commits every buffered type run as one transaction. Node keys
+// are prefixed by typeID, so the runs concatenated in typeID order are
+// one globally ascending key sequence: the kvstore needs no sort, and
+// nearly every insert lands on its transaction's leaf cursor.
 func (b *typeRuns) flush() error {
+	b.keys, b.vals = b.keys[:0], b.vals[:0]
 	for tid := range b.runs {
 		r := &b.runs[tid]
-		if len(r.keys) == 0 {
-			continue
-		}
-		if err := b.db.PutBatch(r.keys, r.vals); err != nil {
+		b.keys = append(b.keys, r.keys...)
+		b.vals = append(b.vals, r.vals...)
+		r.keys, r.vals = r.keys[:0], r.vals[:0]
+	}
+	if len(b.keys) > 0 {
+		if err := b.db.PutBatch(b.keys, b.vals); err != nil {
 			return err
 		}
-		r.keys, r.vals = r.keys[:0], r.vals[:0]
 	}
 	b.arena, b.buffered = b.arena[:0], 0
 	return nil

@@ -21,6 +21,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -39,11 +40,42 @@ const chunkSize = 1400
 // Open time (functional options); there are no mutable knobs after
 // construction, so one Store is safe to share across goroutines without
 // configuration races.
+//
+// Every verb that changes a document commits it as one kvstore
+// transaction: a reader sees the document before the verb or after it,
+// never between, and a flush — this verb's Sync or another writer's —
+// can make only those two states durable.
 type Store struct {
 	db *kvstore.DB
-	// idMu serializes document-ID allocation: concurrent shreds must not
-	// read the same counter value.
-	idMu sync.Mutex
+	// writeMu is the store's writer lock. It covers each verb's
+	// read-check-write — the document-ID counter, the shred's name check
+	// and commit, Drop's lookup and commit, Update's view, overlay and
+	// commit — so what a verb checked still holds when its transaction
+	// commits. Readers never take it, and Syncs run outside it so that
+	// concurrent verbs still share group commits.
+	writeMu sync.Mutex
+}
+
+// Sentinel errors, wrapped with the document's name by the verbs that
+// return them.
+var (
+	// ErrNotFound reports an operation on a document the store does not
+	// hold.
+	ErrNotFound = errors.New("store: document not found")
+	// ErrExists reports a shred of a name the store already holds.
+	ErrExists = errors.New("store: document already shredded")
+)
+
+// commit runs a verb's read-check-write under the writer lock and, when
+// it succeeds, Syncs after releasing the lock.
+func (s *Store) commit(verb func() error) error {
+	s.writeMu.Lock()
+	err := verb()
+	s.writeMu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.db.Sync()
 }
 
 // Option configures a Store at Open time.
@@ -223,10 +255,10 @@ func decodeDewey(dst xmltree.Dewey, dewey []byte) {
 // parallel key/value slices: chunk i of a value lives under key+i, and
 // chunk 0 carries a 2-byte chunk-count header. The records' bytes are
 // copied into arena — extended, or replaced by a block twice its size
-// once full — which is returned, so they outlive key and val. putBlob
-// writes the records individually, each blob in an arena of its own; the
-// shredder accumulates them into per-type sorted runs for PutBatch in
-// one arena it reuses after every flush.
+// once full — which is returned, so they outlive key and val. The
+// shredder accumulates them into per-type sorted runs in one arena it
+// reuses after every flush; the shred's tail and an update's overlay
+// take them one blob at a time.
 func appendBlobChunks(arena []byte, keys, vals [][]byte, key, val []byte) ([]byte, [][]byte, [][]byte, error) {
 	n := (len(val) + chunkSize - 1) / chunkSize
 	if n == 0 {
@@ -252,20 +284,6 @@ func appendBlobChunks(arena []byte, keys, vals [][]byte, key, val []byte) ([]byt
 		vals = append(vals, arena[at:len(arena):len(arena)])
 	}
 	return arena, keys, vals, nil
-}
-
-// putBlob stores an arbitrarily large value across chunked keys.
-func (s *Store) putBlob(key []byte, val []byte) error {
-	_, keys, vals, err := appendBlobChunks(nil, nil, nil, key, val)
-	if err != nil {
-		return err
-	}
-	for i := range keys {
-		if err := s.db.Put(keys[i], vals[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // getBlob reassembles a chunked value through r.
@@ -307,6 +325,16 @@ func docIDIn(r reader, name string) (uint32, bool, error) {
 	return binary.BigEndian.Uint32(v), true, nil
 }
 
+// docIDOf resolves a document's id through r, failing with ErrNotFound
+// when r holds no document of that name.
+func docIDOf(r reader, name string) (uint32, error) {
+	id, ok, err := docIDIn(r, name)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	return id, err
+}
+
 // docID resolves a stored document's id against the committed state.
 func (s *Store) docID(name string) (uint32, bool, error) { return docIDIn(s.db, name) }
 
@@ -332,12 +360,9 @@ func (s *Store) Documents() ([]string, error) { return documentsIn(s.db) }
 
 // shapeIn loads a document's adorned shape through r.
 func shapeIn(r reader, name string) (*shape.Shape, error) {
-	id, ok, err := docIDIn(r, name)
+	id, err := docIDOf(r, name)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("store: document %q not found", name)
 	}
 	blob, ok, err := getBlob(r, blobKey('S', id))
 	if err != nil {
@@ -446,12 +471,9 @@ type Doc struct {
 
 // docIn opens a lazy document view reading through r.
 func docIn(r reader, name string) (*Doc, error) {
-	id, ok, err := docIDIn(r, name)
+	id, err := docIDOf(r, name)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("store: document %q not found", name)
 	}
 	types, err := typesIn(r, id)
 	if err != nil {
@@ -545,41 +567,36 @@ func (d *Doc) Reconstruct() (*xmltree.Document, error) {
 	return b.Document()
 }
 
-// Drop removes a shredded document: its registry entry, shape, type
-// registry, and every node record. Space inside the store file is
-// reclaimed lazily by the B+tree (no compaction).
+// Drop removes a shredded document — its registry entry, shape, type
+// registry, and every node record — as one transaction. Space inside the
+// store file is reclaimed lazily by the B+tree (no compaction).
 func (s *Store) Drop(name string) error {
-	id, ok, err := s.docID(name)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("store: document %q not found", name)
-	}
-	return s.removeID(id, docKey(name))
+	return s.commit(func() error {
+		id, err := docIDOf(s.db, name)
+		if err != nil {
+			return err
+		}
+		return s.removeID(id, docKey(name))
+	})
 }
 
 // removeID deletes every record keyed by a document id — shape, type
-// registry, shape hash, node sequences — then the given registry entry,
-// if any, and commits. Drop removes a document with it, and a failed
-// shred the runs it had already flushed under an id that no registry
-// entry will ever name.
+// registry, shape hash, node sequences — and the given registry entry,
+// if any, in one transaction. Drop removes a document with it, and a
+// failed shred the runs it had already flushed under an id that no
+// registry entry will ever name.
 func (s *Store) removeID(id uint32, entry ...[]byte) error {
-	// Collect keys first: deleting while iterating would invalidate the
-	// iterator's view.
-	var keys [][]byte
+	var b kvstore.Batch
 	for _, table := range []byte{'S', 'T', 'H', 'N'} {
 		if err := s.db.AscendPrefix(blobKey(table, id), func(k, v []byte) bool {
-			keys = append(keys, append([]byte(nil), k...))
+			b.Delete(append([]byte(nil), k...))
 			return true
 		}); err != nil {
 			return err
 		}
 	}
-	for _, k := range append(keys, entry...) {
-		if err := s.db.Delete(k); err != nil {
-			return err
-		}
+	for _, k := range entry {
+		b.Delete(k)
 	}
-	return s.db.Sync()
+	return s.db.Apply(&b)
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"xmorph/internal/kvstore"
 	"xmorph/internal/obs"
 	"xmorph/internal/shape"
 	"xmorph/internal/update"
@@ -61,28 +62,25 @@ func (v *View) ShapeHash(name string) (uint64, bool, error) {
 // to the pre-hash on-disk format. Migration tests use it to exercise
 // the legacy-document fallback paths; nothing else should.
 func (s *Store) DeleteShapeHash(name string) error {
-	id, ok, err := s.docID(name)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("store: document %q not found", name)
-	}
-	if err := s.db.Delete(blobKey('H', id)); err != nil {
-		return err
-	}
-	return s.db.Sync()
+	return s.commit(func() error {
+		id, err := docIDOf(s.db, name)
+		if err != nil {
+			return err
+		}
+		return s.db.Delete(blobKey('H', id))
+	})
 }
 
 // Update applies a parsed update script to a shredded document by
 // re-shredding only the dirty subtrees: deleted Dewey ranges and
 // freshly shredded fragments accumulate in a write overlay (phase 1,
-// reads through one pinned snapshot, nothing written on error), then
-// the whole overlay commits as one group-committed, WAL-covered batch
-// (phase 2) — a crash recovers to either the old or the new document,
-// never between. Sibling slots reuse Dewey gaps when one exists and
-// fall back to suffix re-keying of the following sibling subtrees;
-// component values never matter to joins or rendering, only order.
+// reads through one pinned view, nothing written on error), then the
+// whole overlay commits as one kvstore transaction (phase 2). A reader
+// sees the old document or the new one, never a state between, and a
+// crash recovers to one of the two. Sibling slots reuse Dewey gaps when
+// one exists and fall back to suffix re-keying of the following sibling
+// subtrees; component values never matter to joins or rendering, only
+// order.
 //
 // The touched-subtree shape is re-inferred exactly (per-instance child
 // counts and first-instance sibling order, the same rules the shredder
@@ -91,21 +89,51 @@ func (s *Store) DeleteShapeHash(name string) error {
 // produced. The document keeps its docID: version-keyed caches stay
 // valid, and shape-aware ones invalidate only on a real shape change.
 //
-// Concurrent writers to the same document are the caller's
-// responsibility, as with Shred and Drop.
+// Both phases run under the store's writer lock, the view opened after
+// the lock is taken: concurrent Updates of one document apply one after
+// the other, each to the document the previous one left, and none of
+// them interleaves with a Drop or a re-shred of it.
 func (s *Store) Update(name string, ops []update.Op, parent *obs.Span) (*UpdateInfo, error) {
 	sp := parent.Child("update")
 	defer sp.End()
 	before := s.Stats()
 
-	v := s.View()
-	defer v.Close()
-	id, ok, err := docIDIn(v.snap, name)
-	if err != nil {
+	var u *updater
+	if err := s.commit(func() (err error) {
+		u, err = s.update(name, ops)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("store: document %q not found", name)
+	info := &UpdateInfo{
+		Name:          name,
+		Ops:           len(ops),
+		NodesInserted: u.inserted,
+		NodesDeleted:  u.deleted,
+		Delta:         u.delta,
+	}
+	after := s.Stats()
+	info.PagesWritten = after.BlocksWritten - before.BlocksWritten
+	if sp != nil {
+		sp.Set("ops", int64(len(ops)))
+		sp.Set("nodes-inserted", int64(u.inserted))
+		sp.Set("nodes-deleted", int64(u.deleted))
+		sp.Set("keys-put", int64(len(u.puts)))
+		sp.Set("keys-deleted", int64(len(u.dels)))
+		sp.Set("pages-written", info.PagesWritten)
+		sp.SetStr("shape-delta", u.delta.Kind.String())
+	}
+	return info, nil
+}
+
+// update is Update's read-check-write (writeMu held): it builds the
+// overlay on a view of the latest commit and applies it.
+func (s *Store) update(name string, ops []update.Op) (*updater, error) {
+	v := s.View()
+	defer v.Close()
+	id, err := docIDOf(v.snap, name)
+	if err != nil {
+		return nil, err
 	}
 	types, err := typesIn(v.snap, id)
 	if err != nil {
@@ -136,6 +164,7 @@ func (s *Store) Update(name string, ops []update.Op, parent *obs.Span) (*UpdateI
 	if err != nil {
 		return nil, err
 	}
+	u.delta = update.Compare(oldShape, newShape)
 	enc := encodeShape(newShape)
 	if err := u.rewriteBlob(blobKey('T', id), []byte(strings.Join(u.types, "\n"))); err != nil {
 		return nil, err
@@ -145,57 +174,16 @@ func (s *Store) Update(name string, ops []update.Op, parent *obs.Span) (*UpdateI
 	}
 	u.put(blobKey('H', id), binary.BigEndian.AppendUint64(nil, hashShapeEnc(enc)))
 
-	// Phase 2: flush the overlay. Everything up to the Sync is visible to
-	// new readers as it lands but becomes durable only with the group
-	// commit, exactly like a shred.
-	delKeys := make([]string, 0, len(u.dels))
+	// Phase 2: the overlay's deletes and puts commit as one transaction
+	// (the two key sets are disjoint; see put and del).
+	var b kvstore.Batch
 	for k := range u.dels {
-		delKeys = append(delKeys, k)
+		b.Delete([]byte(k))
 	}
-	sort.Strings(delKeys)
-	for _, k := range delKeys {
-		if err := s.db.Delete([]byte(k)); err != nil {
-			return nil, err
-		}
+	for k, val := range u.puts {
+		b.Put([]byte(k), val)
 	}
-	putKeys := make([]string, 0, len(u.puts))
-	for k := range u.puts {
-		putKeys = append(putKeys, k)
-	}
-	sort.Strings(putKeys)
-	keys := make([][]byte, len(putKeys))
-	vals := make([][]byte, len(putKeys))
-	for i, k := range putKeys {
-		keys[i] = []byte(k)
-		vals[i] = u.puts[k]
-	}
-	if err := s.db.PutBatch(keys, vals); err != nil {
-		return nil, err
-	}
-	if err := s.db.Sync(); err != nil {
-		return nil, err
-	}
-
-	delta := update.Compare(oldShape, newShape)
-	info := &UpdateInfo{
-		Name:          name,
-		Ops:           len(ops),
-		NodesInserted: u.inserted,
-		NodesDeleted:  u.deleted,
-		Delta:         delta,
-	}
-	after := s.Stats()
-	info.PagesWritten = after.BlocksWritten - before.BlocksWritten
-	if sp != nil {
-		sp.Set("ops", int64(len(ops)))
-		sp.Set("nodes-inserted", int64(u.inserted))
-		sp.Set("nodes-deleted", int64(u.deleted))
-		sp.Set("keys-put", int64(len(putKeys)))
-		sp.Set("keys-deleted", int64(len(delKeys)))
-		sp.Set("pages-written", info.PagesWritten)
-		sp.SetStr("shape-delta", delta.Kind.String())
-	}
-	return info, nil
+	return u, s.db.Apply(&b)
 }
 
 // updater accumulates an update script's effect as an overlay over one
@@ -210,6 +198,7 @@ type updater struct {
 	dels     map[string]bool
 	touched  map[string]bool
 	oldShape *shape.Shape
+	delta    update.Delta // oldShape to the recomputed shape
 	inserted int
 	deleted  int
 }
@@ -594,7 +583,7 @@ func (u *updater) fragment(src, parentT string) (*xmltree.Node, error) {
 // output.
 func (u *updater) insertFragment(parentT string, pd xmltree.Dewey, ord int, frag *xmltree.Node) error {
 	sh := newShredder(u.id, u.typeRegistry, func(_ uint32, key, value []byte) error {
-		return u.putBlob(key, value)
+		return u.putChunks(key, value)
 	}, parentT, pd, ord)
 	frag.Replay(sh)
 	u.inserted += sh.nodes
@@ -723,11 +712,11 @@ func (u *updater) rewriteBlob(key, val []byte) error {
 	for _, k := range olds {
 		u.del(k)
 	}
-	return u.putBlob(key, val)
+	return u.putChunks(key, val)
 }
 
-// putBlob writes a value's chunked records into the overlay.
-func (u *updater) putBlob(key, val []byte) error {
+// putChunks writes a value's chunked records into the overlay.
+func (u *updater) putChunks(key, val []byte) error {
 	_, keys, vals, err := appendBlobChunks(nil, nil, nil, key, val)
 	if err != nil {
 		return err
