@@ -342,6 +342,33 @@ func BenchmarkHotpathCachedJoin(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkHotpathLogical measures a guarded XQuery query over a stored
+// document: the people guard and the query of benchmark/'s logical class,
+// through engine.Query with the guard cache warm, so the op is the pruned
+// projection's emission plus the query.
+func BenchmarkHotpathLogical(b *testing.B) {
+	const (
+		guard = "CAST MORPH person [ name emailaddress ] | TRANSLATE person -> individual"
+		query = `for $p in doc("main")//individual return string($p/name)`
+	)
+	p := prepare(b, "main", xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42}))
+	st := p.open(b)
+	defer st.Close()
+	eng := engine.New(st)
+	ctx := context.Background()
+	if _, err := eng.Query(ctx, p.name, guard, query, engine.QueryOpts{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Query(ctx, p.name, guard, query, engine.QueryOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+}
+
 // BenchmarkHotpathPutBatch compares one sorted PutBatch against the same
 // keys inserted with sequential Puts — one transaction, walking leaves
 // through its cursor, against one transaction and root-to-leaf descent

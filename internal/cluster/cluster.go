@@ -329,16 +329,6 @@ func (c *Cluster) Shape(ctx context.Context, name string, sp *obs.Span) (*engine
 	return s.reader(c).Shape(ctx, name, sp)
 }
 
-// Check routes the compile to the owning shard's reader pick (each
-// engine keeps its own compiled-guard cache).
-func (c *Cluster) Check(ctx context.Context, name, guardSrc string, sp *obs.Span) (*engine.Checked, error) {
-	s := c.shardFor(name)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.requests.Inc()
-	return s.reader(c).Check(ctx, name, guardSrc, sp)
-}
-
 // Run routes the transformation to the owning shard's reader pick.
 func (c *Cluster) Run(ctx context.Context, name, guardSrc string, opts engine.RunOpts) (*engine.RunResult, error) {
 	s := c.shardFor(name)

@@ -80,21 +80,7 @@ func assertVerbsMatch(t *testing.T, c *Cluster, ctl *engine.Engine, name string)
 		t.Fatalf("shape diverges for %s:\n%s\nvs\n%s", name, cs, es)
 	}
 
-	// Check: loss report and verdict.
-	cc, err := c.Check(ctx, name, diffGuard, nil)
-	if err != nil {
-		t.Fatalf("cluster check %s: %v", name, err)
-	}
-	ec, err := ctl.Check(ctx, name, diffGuard, nil)
-	if err != nil {
-		t.Fatalf("control check %s: %v", name, err)
-	}
-	if cc.Loss.String() != ec.Loss.String() || cc.Loss.Verdict != ec.Loss.Verdict {
-		t.Fatalf("loss diverges for %s: %q/%v vs %q/%v",
-			name, cc.Loss, cc.Loss.Verdict, ec.Loss, ec.Loss.Verdict)
-	}
-
-	// Run, materialized and streamed.
+	// Run, materialized and streamed, with its loss report and verdict.
 	cr, err := c.Run(ctx, name, diffGuard, engine.RunOpts{})
 	if err != nil {
 		t.Fatalf("cluster run %s: %v", name, err)
@@ -102,6 +88,10 @@ func assertVerbsMatch(t *testing.T, c *Cluster, ctl *engine.Engine, name string)
 	er, err := ctl.Run(ctx, name, diffGuard, engine.RunOpts{})
 	if err != nil {
 		t.Fatalf("control run %s: %v", name, err)
+	}
+	if cr.Loss.String() != er.Loss.String() || cr.Loss.Verdict != er.Loss.Verdict {
+		t.Fatalf("loss diverges for %s: %q/%v vs %q/%v",
+			name, cr.Loss, cr.Loss.Verdict, er.Loss, er.Loss.Verdict)
 	}
 	if cr.Output.XML(false) != er.Output.XML(false) {
 		t.Fatalf("run output diverges for %s:\n%s\nvs\n%s",

@@ -26,8 +26,6 @@ type Backend interface {
 	// Update applies an edit script to a stored document in place,
 	// re-shredding only the dirty subtrees.
 	Update(ctx context.Context, name, script string, sp *obs.Span) (*UpdateInfo, error)
-	// Check compiles and loss-checks a guard against a document's shape.
-	Check(ctx context.Context, name, guardSrc string, sp *obs.Span) (*Checked, error)
 	// Run renders a guarded transformation (optionally streaming).
 	Run(ctx context.Context, name, guardSrc string, opts RunOpts) (*RunResult, error)
 	// Query evaluates a guarded XQuery query over the transformation.

@@ -449,8 +449,9 @@ type QueryResult struct {
 	PagesRead int64
 	// Plan is the streamability verdict cached with the compiled guard.
 	Plan plan.Decision
-	// Exec names the execution path that produced the answer (always
-	// "store": projections render through the join-backed path).
+	// Exec names the execution path that produced the answer: "stream"
+	// when the pruned projection was emitted from forward scans (its
+	// execution tree is streamable), "store" when from closest joins.
 	Exec string
 }
 
@@ -488,12 +489,16 @@ func (e *Engine) Query(ctx context.Context, name, guardSrc, query string, opts Q
 	if err != nil {
 		return nil, err
 	}
+	exec := "store"
+	if res.Scanned {
+		exec = "stream"
+	}
 	return &QueryResult{
 		Result:    res,
 		CacheHit:  hit,
 		PagesRead: e.st.Stats().BlocksRead - pagesBefore,
 		Plan:      verdict,
-		Exec:      "store",
+		Exec:      exec,
 	}, nil
 }
 

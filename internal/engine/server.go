@@ -555,14 +555,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.Stream && req.Format == "xml" {
-		// Compile before the first body byte so errors still carry their
-		// status; the stream itself renders directly into the response.
-		if _, err := s.eng.Check(ctx, req.Doc, req.Guard, sp); err != nil {
-			writeError(w, httpStatus(err), err)
-			return
-		}
+		// The stream renders directly into the response. Run compiles the
+		// guard and opens the document before its first write, so an error
+		// that leaves the body empty still carries its status.
 		w.Header().Set("Content-Type", "application/xml")
-		if _, err := s.eng.Run(ctx, req.Doc, req.Guard, RunOpts{Span: sp, StreamTo: w}); err != nil {
+		body := &sentCounter{w: w}
+		if _, err := s.eng.Run(ctx, req.Doc, req.Guard, RunOpts{Span: sp, StreamTo: body}); err != nil {
+			if body.n == 0 {
+				writeError(w, httpStatus(err), err)
+				return
+			}
 			// Headers are gone; the truncated body is the best signal left.
 			fmt.Fprintf(w, "\n<!-- stream aborted: %v -->\n", err)
 		}
@@ -716,3 +718,15 @@ func (b *bytesBuilder) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 func (b *bytesBuilder) String() string { return string(b.buf) }
+
+// sentCounter counts the bytes that reached w.
+type sentCounter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *sentCounter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}

@@ -200,6 +200,38 @@ func TestServerMalformedGuardIs400WithPosition(t *testing.T) {
 	}
 }
 
+// TestServerStreamedRouteCompilesOnce: the streamed XML route compiles
+// the guard once, inside Run — a fresh guard costs one cache miss and no
+// hit — and failures before the first body byte keep their status.
+func TestServerStreamedRouteCompilesOnce(t *testing.T) {
+	eng, _, ts := newTestServer(t, ServerConfig{})
+	shredHTTP(t, ts.URL, "books")
+	hits0, misses0 := eng.CacheStats()
+	resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": "books", "guard": sampleGuard, "format": "xml", "stream": true})
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("<name>V</name>")) {
+		t.Fatalf("streamed query: status %d body %q", resp.StatusCode, body)
+	}
+	if hits, misses := eng.CacheStats(); hits != hits0 || misses != misses0+1 {
+		t.Errorf("fresh guard on the streamed route: %d hits, %d misses; want 0 and 1", hits-hits0, misses-misses0)
+	}
+
+	for _, c := range []struct {
+		doc, guard string
+		status     int
+	}{
+		{"books", "MORPH [", http.StatusBadRequest},
+		{"missing", sampleGuard, http.StatusNotFound},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": c.doc, "guard": c.guard, "format": "xml", "stream": true})
+		if resp.StatusCode != c.status {
+			t.Errorf("streamed query of %q on %q: status %d, want %d (%s)", c.guard, c.doc, resp.StatusCode, c.status, body)
+		}
+		if bytes.Contains(body, []byte("stream aborted")) {
+			t.Errorf("failure before the first byte came back as an aborted stream: %s", body)
+		}
+	}
+}
+
 func TestServerDeadlineIs504(t *testing.T) {
 	// Two handlers over one engine: shred through a normal one, query
 	// through one whose per-request deadline has no chance of being met.

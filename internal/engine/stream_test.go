@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
 
+	"xmorph/internal/gen/xmark"
 	"xmorph/internal/obs"
 )
 
@@ -103,6 +105,42 @@ func TestEngineStreamExecFallback(t *testing.T) {
 	}
 	if out.String() != rendered.Output.XML(false) {
 		t.Errorf("fallback bytes differ from rendered")
+	}
+}
+
+// TestEngineQueryExec: a guarded query reports the partners its pruned
+// projection ran on — forward scans for the benchmark's people query,
+// whose projection is streamable; closest joins under an inverting guard —
+// and the server's JSON exec field says the same.
+func TestEngineQueryExec(t *testing.T) {
+	ctx := context.Background()
+	eng, _, ts := newTestServer(t, ServerConfig{})
+	xml := xmark.Generate(xmark.Config{Factor: 0.002, Seed: 1}).XML(false)
+	if _, err := eng.Shred(ctx, "main", strings.NewReader(xml), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ guard, query, exec string }{
+		{"CAST MORPH person [ name emailaddress ] | TRANSLATE person -> individual", `for $p in doc("main")//individual return string($p/name)`, "stream"},
+		{"CAST MORPH bidder [ open_auction [ itemref ] ]", `for $b in doc("main")//bidder return count($b/open_auction/itemref)`, "store"},
+	} {
+		res, err := eng.Query(ctx, "main", c.guard, c.query, QueryOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Exec != c.exec || res.Answer == "" {
+			t.Errorf("%s: exec %q (answer %.40q), want %q", c.guard, res.Exec, res.Answer, c.exec)
+		}
+		_, data := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": "main", "guard": c.guard, "query": c.query})
+		var qr struct {
+			Answer string `json:"answer"`
+			Exec   string `json:"exec"`
+		}
+		if err := json.Unmarshal(data, &qr); err != nil {
+			t.Fatal(err)
+		}
+		if qr.Exec != c.exec || qr.Answer != res.Answer {
+			t.Errorf("%s: served exec %q, want %q (answers equal: %v)", c.guard, qr.Exec, c.exec, qr.Answer == res.Answer)
+		}
 	}
 }
 

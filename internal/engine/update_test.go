@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xmorph/internal/update"
@@ -181,6 +183,84 @@ func TestEngineUpdateDifferential(t *testing.T) {
 			t.Errorf("script %d: shape diverges:\n%s\nvs\n%s", i, gs, ws)
 		}
 	}
+}
+
+// TestQueryDuringUpdate: queries racing edit scripts that widen and
+// narrow the shape each answer from one committed state — every answer
+// equals the answer before or after some write, never a mix. The pruned
+// projection's scan cursors stay open across its whole emission, so this
+// holds only because every cursor reads the query's one view.
+func TestQueryDuringUpdate(t *testing.T) {
+	ctx := context.Background()
+	eng := newEngine(t)
+	shredSample(t, eng, "d")
+	query := `for $b in doc("d")//book return concat(string($b/title), "/", string(count($b/author)), "/", string(count($b/author/name)))`
+	round := []string{
+		`insert <isbn>9</isbn> into data.book`,
+		`insert <author><name>N</name></author> into data.book`,
+		`delete data.book.isbn`,
+		`replace data.book with <book><title>R</title><author><name>M</name></author></book>`,
+		`insert <book><title>T</title><author><name>K</name><name>L</name></author></book> into data`,
+	}
+	answer := func() string {
+		t.Helper()
+		res, err := eng.Query(ctx, "d", streamableGuard, query, QueryOpts{})
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		if res.Exec != "stream" {
+			t.Errorf("query ran on %q partners, want the scans", res.Exec)
+		}
+		return res.Answer
+	}
+
+	states := map[string]bool{answer(): true}
+	var (
+		done    atomic.Bool
+		mu      sync.Mutex
+		seen    []string
+		started sync.WaitGroup
+		readers sync.WaitGroup
+	)
+	stop := func() {
+		done.Store(true)
+		readers.Wait()
+	}
+	for r := 0; r < 2; r++ {
+		started.Add(1)
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for first := true; first || !done.Load(); first = false {
+				a := answer()
+				mu.Lock()
+				seen = append(seen, a)
+				mu.Unlock()
+				if first {
+					started.Done()
+				}
+			}
+		}()
+	}
+	started.Wait() // both readers are querying before the first write
+	for i := 0; i < 3; i++ {
+		for _, script := range round {
+			if _, err := eng.Update(ctx, "d", script, nil); err != nil {
+				stop()
+				t.Fatalf("%q: %v", script, err)
+			}
+			states[answer()] = true
+		}
+	}
+	stop()
+
+	for _, a := range seen {
+		if !states[a] {
+			t.Fatalf("answer matches no committed state: %q", a)
+		}
+	}
+	t.Logf("%d racing answers over %d committed states", len(seen), len(states))
 }
 
 // TestLegacyDocShapeHashFallback: documents shredded before the 'H'

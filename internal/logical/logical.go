@@ -12,6 +12,12 @@
 // look at elements whose labels the query does not traverse (wildcard and
 // text() steps disable pruning below their chain, conservatively keeping
 // whole subtrees).
+//
+// The projection is emitted in one walk straight into the tree the query
+// reads — the renderer's walk and tree sink, below a wrapper element —
+// with no serialized bytes in between. A stored document whose pruned
+// projection the planner marks streamable supplies its partners from
+// forward scans (internal/stream's); any other source from closest joins.
 package logical
 
 import (
@@ -24,6 +30,8 @@ import (
 	"xmorph/internal/render"
 	"xmorph/internal/semantics"
 	"xmorph/internal/shape"
+	"xmorph/internal/store"
+	"xmorph/internal/stream"
 	"xmorph/internal/xmltree"
 	"xmorph/internal/xq"
 )
@@ -41,32 +49,27 @@ type Result struct {
 	// (unpruned) target; PlanReason carries the blocking join when not.
 	Streamable bool
 	PlanReason string
+	// Scanned reports that the projection's partners came from forward
+	// scans of a stored document rather than from closest joins.
+	Scanned bool
 }
 
 // Evaluate type-checks the guard, prunes its target to the query's paths,
 // renders the projection, and runs the query over it bound as docName.
 func Evaluate(query, guardSrc, docName string, doc *xmltree.Document) (*Result, error) {
-	return EvaluateSource(query, guardSrc, docName, shape.FromDocument(doc), doc, nil)
-}
-
-// EvaluateSource is Evaluate over any render source (e.g. a shredded
-// store's lazy type sequences) with its adorned shape supplied separately.
-// Only the type sequences the pruned projection mentions are read.
-//
-// Under a non-nil parent span the guard compile, the path-driven pruning
-// (annotated with kept/total types), the projected render, and the query
-// evaluation each get a child span.
-func EvaluateSource(query, guardSrc, docName string, sh *shape.Shape, doc render.Source, parent *obs.Span) (*Result, error) {
-	checked, err := core.Check(guardSrc, sh, parent)
+	checked, err := core.Check(guardSrc, shape.FromDocument(doc), nil)
 	if err != nil {
 		return nil, err
 	}
-	return EvaluateChecked(query, checked, docName, doc, parent)
+	return EvaluateChecked(query, checked, docName, doc, nil)
 }
 
-// EvaluateChecked is EvaluateSource with the guard already compiled —
-// the seam that lets the engine facade serve the compile phase from its
-// shape-aware guard cache and still run the pruned-projection pipeline.
+// EvaluateChecked is Evaluate with the guard already compiled, over any
+// render source (e.g. a shredded store's document, of which only the type
+// sequences the pruned projection mentions are read) — the seam that lets
+// the engine facade serve the compile phase from its shape-aware guard
+// cache. Under a non-nil parent span the pruning (annotated with kept and
+// total types), the projected render and the query each get a child span.
 func EvaluateChecked(query string, checked *core.Checked, docName string, doc render.Source, parent *obs.Span) (*Result, error) {
 	tgt := checked.Plan.ComposedTarget()
 	total := countTypes(tgt)
@@ -85,7 +88,7 @@ func EvaluateChecked(query string, checked *core.Checked, docName string, doc re
 	psp.End()
 
 	rsp := parent.Child("render")
-	out, err := render.Render(doc, pruned, rsp)
+	wrapped, scanned, err := project(doc, plan.Build(pruned), rsp)
 	rsp.End()
 	if err != nil {
 		return nil, err
@@ -93,12 +96,6 @@ func EvaluateChecked(query string, checked *core.Checked, docName string, doc re
 
 	qsp := parent.Child("query")
 	defer qsp.End()
-	// The query addresses doc(docName); results are forests, so wrap.
-	wrapped, err := xmltree.ParseString("<xmorph-result>" + out.XML(false) + "</xmorph-result>")
-	if err != nil {
-		// An empty projection still answers the query (over nothing).
-		wrapped = &xmltree.Document{}
-	}
 	eng := xq.New()
 	eng.Bind(docName, wrapped)
 	answer, err := eng.QueryXML(rebase(query, docName))
@@ -108,12 +105,40 @@ func EvaluateChecked(query string, checked *core.Checked, docName string, doc re
 	qsp.Set("answer-bytes", int64(len(answer)))
 	return &Result{
 		Answer:        answer,
-		RenderedNodes: out.Size(),
+		RenderedNodes: wrapped.Size() - 1,
 		KeptTypes:     kept,
 		TotalTypes:    total,
 		Streamable:    verdict.Streamable,
 		PlanReason:    verdict.Reason,
+		Scanned:       scanned,
 	}, nil
+}
+
+// project emits the projection t into the query's input: one
+// <xmorph-result> element holding the rendered forest, as the query
+// addresses doc(docName) and results are forests. The partners come from
+// forward scans when doc is stored and t streamable (scanned), from
+// closest joins otherwise.
+func project(doc render.Source, t *plan.Tree, sp *obs.Span) (wrapped *xmltree.Document, scanned bool, err error) {
+	b := xmltree.NewBuilder()
+	b.Elem("xmorph-result")
+	d, stored := doc.(*store.Doc)
+	if scanned = stored && t.Decision().Streamable; scanned {
+		s := stream.OpenScans(stream.FromDoc(d), t)
+		render.EmitTree(t, s, b)
+		err = s.Err()
+		s.Close()
+	} else {
+		render.EmitTree(t, render.JoinPartners(doc, t), b)
+	}
+	if err == nil {
+		wrapped, err = b.End().Document()
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	sp.Set("nodes-out", int64(wrapped.Size()-1))
+	return wrapped, scanned, nil
 }
 
 // rebase rewrites doc("name")/step to doc("name")//step so queries written

@@ -164,7 +164,8 @@ func (p *nodePartners) Next(x *plan.Node) *Vertex {
 	return &r.at
 }
 
-// treeSink builds the output tree. It takes vertices with a Node only.
+// treeSink builds the output tree. A vertex with a Node gives the output
+// node its Src; a scan-backed one gives only its text.
 type treeSink struct {
 	b *xmltree.Builder
 	// prov, when non-nil, records the occurrence behind each output node.
@@ -174,14 +175,22 @@ type treeSink struct {
 func (s *treeSink) Open(x *plan.Node, v *Vertex) {
 	s.b.Elem(x.TN.Name)
 	s.mark(x, v)
-	if v != nil && v.Node.Value != "" {
-		s.b.Text(v.Node.Value)
+	if v != nil {
+		s.b.Text(v.text())
 	}
 }
 
 func (s *treeSink) Attr(x *plan.Node, v *Vertex) {
-	s.b.Attr(x.TN.Name, v.Node.Value)
+	s.b.Attr(x.TN.Name, v.text())
 	s.mark(x, v)
+}
+
+// text is v's value, copied out of the scan's buffer when v is scan-backed.
+func (v *Vertex) text() string {
+	if v.Node != nil {
+		return v.Node.Value
+	}
+	return string(v.Value)
 }
 
 func (s *treeSink) mark(x *plan.Node, v *Vertex) {
@@ -255,6 +264,14 @@ func EmitXML(t *plan.Tree, src Partners, w io.Writer) (nodes int, bytes int64, e
 	emit(t, src, &byteSink{enc: enc})
 	err = enc.Flush()
 	return enc.Nodes(), cw.n, err
+}
+
+// EmitTree walks the tree with partners from src into b: each root tree
+// of the output becomes a child of the element b has open, or a root of
+// b's forest when none is. Nodes rendered from a materialized vertex get
+// their Src.
+func EmitTree(t *plan.Tree, src Partners, b *xmltree.Builder) {
+	emit(t, src, &treeSink{b: b})
 }
 
 // countingWriter counts bytes on their way to the destination (placed

@@ -103,6 +103,12 @@ func Stream(doc Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int, 
 	return n, err
 }
 
+// JoinPartners returns the join-backed Partners of doc for t, for callers
+// that pair it with a sink of their own (EmitTree).
+func JoinPartners(doc Source, t *plan.Tree) Partners {
+	return newRenderer(doc, nil).partners(t)
+}
+
 type joinKey struct{ parent, child string }
 
 // renderer is the join-backed partner source.

@@ -20,7 +20,8 @@
 // The byte output equals Render(...).XML(false) for every target the
 // planner marks streamable: the walk and the XML encoder are the
 // renderer's own, and the golden corpus in testdata checks that the
-// scans find the partners the joins find.
+// scans find the partners the joins find. OpenScans hands the same
+// partners to other sinks: internal/logical builds its query input with it.
 package stream
 
 import (
@@ -64,42 +65,6 @@ type docSource struct{ d *store.Doc }
 
 func (s docSource) ScanType(t string) Cursor { return s.d.ScanType(t) }
 
-// NodeSource supplies materialized type sequences (render.Source's
-// shape); FromNodes adapts it for tests and in-memory documents.
-type NodeSource interface {
-	NodesOfType(t string) []*xmltree.Node
-}
-
-// FromNodes adapts a materialized source (e.g. *xmltree.Document) to a
-// streaming Source. Values are copied into a per-cursor reused buffer
-// to honor the Cursor aliasing contract.
-func FromNodes(doc NodeSource) Source { return nodeSource{doc} }
-
-type nodeSource struct{ doc NodeSource }
-
-func (s nodeSource) ScanType(t string) Cursor {
-	return &nodeCursor{nodes: s.doc.NodesOfType(t), idx: -1}
-}
-
-type nodeCursor struct {
-	nodes []*xmltree.Node
-	idx   int
-	val   []byte
-}
-
-func (c *nodeCursor) Next() bool {
-	c.idx++
-	if c.idx >= len(c.nodes) {
-		return false
-	}
-	c.val = append(c.val[:0], c.nodes[c.idx].Value...)
-	return true
-}
-func (c *nodeCursor) Dewey() xmltree.Dewey { return c.nodes[c.idx].Dewey }
-func (c *nodeCursor) Value() []byte        { return c.val }
-func (c *nodeCursor) Err() error           { return nil }
-func (c *nodeCursor) Close()               {}
-
 // Execute streams the composed target from src to w in one pass,
 // returning the number of elements and attributes written. It fails
 // with ErrNotStreamable when the planner rejects the target. When sp is
@@ -111,11 +76,11 @@ func Execute(src Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int,
 	if d := t.Decision(); !d.Streamable {
 		return 0, fmt.Errorf("%w: %s", ErrNotStreamable, d.Reason)
 	}
-	s := openScans(src, t)
-	defer s.close()
+	s := OpenScans(src, t)
+	defer s.Close()
 	n, bytes, err := render.EmitXML(t, s, w)
 	if err == nil {
-		err = s.err()
+		err = s.Err()
 	}
 	if sp != nil {
 		sp.Set("nodes-out", int64(n))
@@ -125,10 +90,11 @@ func Execute(src Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int,
 	return n, err
 }
 
-// scans is the scan-backed render.Partners: per occurrence, one forward
+// Scans is the scan-backed render.Partners: per occurrence, one forward
 // cursor over the occurrence's type sequence (none on the self axis,
-// where the partner is the vertex joined from).
-type scans struct {
+// where the partner is the vertex joined from). It is sound only for a
+// tree whose Decision is streamable.
+type Scans struct {
 	occ    []scan // indexed by plan.Node.ID
 	opened int
 }
@@ -153,10 +119,10 @@ func (sc *scan) advance() {
 	}
 }
 
-// openScans opens (and primes) a cursor for every join that needs its
-// own scan.
-func openScans(src Source, t *plan.Tree) *scans {
-	s := &scans{occ: make([]scan, len(t.Nodes))}
+// OpenScans opens (and primes) a cursor for every join of t that needs
+// its own scan. The cursors stay open until Close.
+func OpenScans(src Source, t *plan.Tree) *Scans {
+	s := &Scans{occ: make([]scan, len(t.Nodes))}
 	for _, x := range t.Nodes {
 		if x.Sourced && x.Axis != plan.AxisSelf {
 			sc := &s.occ[x.ID]
@@ -168,7 +134,8 @@ func openScans(src Source, t *plan.Tree) *scans {
 	return s
 }
 
-func (s *scans) close() {
+// Close releases every cursor.
+func (s *Scans) Close() {
 	for i := range s.occ {
 		if c := s.occ[i].c; c != nil {
 			c.Close()
@@ -176,7 +143,8 @@ func (s *scans) close() {
 	}
 }
 
-func (s *scans) err() error {
+// Err reports the first storage error a cursor hit.
+func (s *Scans) Err() error {
 	for i := range s.occ {
 		if c := s.occ[i].c; c != nil && c.Err() != nil {
 			return fmt.Errorf("stream: scan: %w", c.Err())
@@ -189,7 +157,7 @@ func (s *scans) err() error {
 // the vertices an occurrence is sought for arrive in document order with
 // disjoint subtrees, so down-axis runs are consumed in order and the
 // up-axis ancestor never precedes the previous one.
-func (s *scans) Seek(x *plan.Node, v *render.Vertex) *render.Vertex {
+func (s *Scans) Seek(x *plan.Node, v *render.Vertex) *render.Vertex {
 	sc := &s.occ[x.ID]
 	sc.from, sc.taken = v, false
 	switch x.Axis {
@@ -205,7 +173,7 @@ func (s *scans) Seek(x *plan.Node, v *render.Vertex) *render.Vertex {
 	return s.Next(x)
 }
 
-func (s *scans) Next(x *plan.Node) *render.Vertex {
+func (s *Scans) Next(x *plan.Node) *render.Vertex {
 	sc := &s.occ[x.ID]
 	switch x.Axis {
 	case plan.AxisSelf:
