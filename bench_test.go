@@ -5,9 +5,13 @@
 package xmorph_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -367,6 +371,63 @@ func BenchmarkHotpathLogical(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+}
+
+// BenchmarkHotpathStream measures the streamed read path of a selective
+// and a whole-document guard (benchmark/'s bidders and identity classes)
+// over a stored XMark sf 0.05 document with an 8 192-page pool, guard
+// cache warm: through engine.Run into io.Discard, and as a streamed
+// format "xml" request to the xmorphd handler on a loopback server.
+func BenchmarkHotpathStream(b *testing.B) {
+	guards := []struct{ name, guard string }{
+		{"identity", "CAST MUTATE site"},
+		{"bidders", "CAST MORPH open_auction [ bidder [ increase ] ]"},
+	}
+	p := prepare(b, "main", xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42}))
+	eng, err := engine.Open(p.path, engine.WithCachePages(8192))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	srv := httptest.NewServer(engine.NewServer(eng, engine.ServerConfig{TraceSample: -1}).Handler())
+	defer srv.Close()
+	for _, g := range guards {
+		run := func() error {
+			_, err := eng.Run(ctx, p.name, g.guard, engine.RunOpts{StreamTo: io.Discard})
+			return err
+		}
+		body, _ := json.Marshal(map[string]any{"doc": p.name, "guard": g.guard, "format": "xml", "stream": true})
+		post := func() error {
+			resp, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("status %d, %v", resp.StatusCode, err)
+			}
+			return nil
+		}
+		for _, via := range []struct {
+			name string
+			op   func() error
+		}{{"run", run}, {"http", post}} {
+			b.Run(via.name+"/"+g.name, func(b *testing.B) {
+				if err := via.op(); err != nil { // warm the guard cache and the pool
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := via.op(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+			})
+		}
+	}
 }
 
 // BenchmarkHotpathPutBatch compares one sorted PutBatch against the same

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -554,42 +556,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if req.Stream && req.Format == "xml" {
-		// The stream renders directly into the response. Run compiles the
-		// guard and opens the document before its first write, so an error
-		// that leaves the body empty still carries its status.
-		w.Header().Set("Content-Type", "application/xml")
-		body := &sentCounter{w: w}
-		if _, err := s.eng.Run(ctx, req.Doc, req.Guard, RunOpts{Span: sp, StreamTo: body}); err != nil {
-			if body.n == 0 {
-				writeError(w, httpStatus(err), err)
-				return
-			}
-			// Headers are gone; the truncated body is the best signal left.
-			fmt.Fprintf(w, "\n<!-- stream aborted: %v -->\n", err)
-		}
+	if req.Format == "xml" {
+		s.queryXML(w, r, &req, sp)
 		return
 	}
 
 	// JSON responses render into a buffer anyway, so let the engine stream
 	// into it: streamable guards take the one-pass executor (no result
 	// tree), store-backed ones the join-backed streamer — bytes identical
-	// either way. Pretty-printing and raw-XML responses need the
-	// materialized tree.
+	// either way. Pretty-printing needs the materialized tree.
 	opts := RunOpts{Span: sp}
 	var xml bytesBuilder
-	streaming := req.Format != "xml" && !req.Indent
+	streaming := !req.Indent
 	if streaming {
 		opts.StreamTo = &xml
 	}
 	res, err := s.eng.Run(ctx, req.Doc, req.Guard, opts)
 	if err != nil {
 		writeError(w, httpStatus(err), err)
-		return
-	}
-	if req.Format == "xml" {
-		w.Header().Set("Content-Type", "application/xml")
-		res.Output.WriteXML(w, req.Indent)
 		return
 	}
 	if !streaming {
@@ -621,6 +605,41 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
+}
+
+// responseBlock is the size of the writes an XML body leaves in: one
+// chunk and one write syscall per 32 KB, not per 4 KB encoder flush.
+const responseBlock = 32 << 10
+
+var blockWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, responseBlock) }}
+
+// queryXML answers a format "xml" query, streamed or materialized, in
+// responseBlock writes. Until a block has reached w, a failed Run drops
+// what it buffered and answers with its status; a later failure ends the
+// truncated body in a comment.
+func (s *Server) queryXML(w http.ResponseWriter, r *http.Request, req *queryRequest, sp *obs.Span) {
+	w.Header().Set("Content-Type", "application/xml")
+	sent := &sentCounter{w: w}
+	bw := blockWriters.Get().(*bufio.Writer)
+	bw.Reset(sent)
+	defer func() { bw.Reset(nil); blockWriters.Put(bw) }()
+	opts := RunOpts{Span: sp}
+	if req.Stream {
+		opts.StreamTo = bw
+	}
+	res, err := s.eng.Run(r.Context(), req.Doc, req.Guard, opts)
+	if err != nil && sent.n == 0 {
+		writeError(w, httpStatus(err), err)
+		return
+	}
+	if err == nil && !req.Stream {
+		res.Output.WriteXML(bw, req.Indent)
+	}
+	bw.Flush()
+	if err != nil {
+		// Headers are gone; the truncated body is the best signal left.
+		fmt.Fprintf(w, "\n<!-- stream aborted: %v -->\n", err)
+	}
 }
 
 // handleTraces lists the retained traces: the recent ring and the

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"xmorph/internal/gen/xmark"
 	"xmorph/internal/store"
 )
 
@@ -438,5 +439,67 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 	if _, err := st.Shape("books"); err != nil {
 		t.Errorf("document lost across drain: %v", err)
+	}
+}
+
+// writeCounter is a ResponseWriter that counts the body writes reaching
+// it.
+type writeCounter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.ResponseRecorder.Write(p)
+}
+
+// failAfterWrite is a Backend whose Run writes the start of a document
+// into its sink and then fails, as a store error mid-render would.
+type failAfterWrite struct{ Backend }
+
+func (failAfterWrite) Run(_ context.Context, name, _ string, opts RunOpts) (*RunResult, error) {
+	io.WriteString(opts.StreamTo, "<site><regions>")
+	return nil, fmt.Errorf("%w: %q (injected)", ErrNotFound, name)
+}
+
+// TestStreamedResponseBlocks: an XML body reaches the ResponseWriter in
+// blocks of responseBlock bytes, not in the encoder's 4 KB pieces; the
+// streamed body equals the materialized one byte for byte; and a Run that
+// fails before its first block is flushed answers with its own status and
+// no XML.
+func TestStreamedResponseBlocks(t *testing.T) {
+	eng := newEngine(t)
+	xml := xmark.Generate(xmark.Config{Factor: 0.006, Seed: 28}).XML(false)
+	if _, err := eng.Shred(context.Background(), "site", strings.NewReader(xml), nil); err != nil {
+		t.Fatal(err)
+	}
+	query := func(b Backend, body map[string]any) *writeCounter {
+		raw, _ := json.Marshal(body)
+		w := &writeCounter{ResponseRecorder: httptest.NewRecorder()}
+		NewServer(b, ServerConfig{}).Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/query", bytes.NewReader(raw)))
+		return w
+	}
+	identity := map[string]any{"doc": "site", "guard": "CAST MUTATE site", "format": "xml", "stream": true}
+	streamed := query(eng, identity)
+	n := streamed.Body.Len()
+	if streamed.Code != http.StatusOK || n < 200<<10 {
+		t.Fatalf("streamed identity: status %d, %d bytes; want 200 and >= 200 KB", streamed.Code, n)
+	}
+	if max := (n+responseBlock-1)/responseBlock + 1; streamed.writes > max {
+		t.Errorf("%d-byte body reached the ResponseWriter in %d writes, want <= %d", n, streamed.writes, max)
+	}
+	identity["stream"] = false
+	if whole := query(eng, identity); !bytes.Equal(whole.Body.Bytes(), streamed.Body.Bytes()) {
+		t.Errorf("streamed body (%d bytes) differs from the format xml body (%d bytes)", n, whole.Body.Len())
+	}
+
+	identity["stream"] = true
+	failed := query(failAfterWrite{eng}, identity)
+	if failed.Code != http.StatusNotFound {
+		t.Errorf("failure before the first block: status %d, want 404 (%s)", failed.Code, failed.Body)
+	}
+	if b := failed.Body.String(); strings.Contains(b, "<site") || !strings.Contains(b, "injected") {
+		t.Errorf("failure before the first block: body %q, want the error and no XML", b)
 	}
 }

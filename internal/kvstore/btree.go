@@ -334,8 +334,10 @@ func (n *node) serialize() ([]byte, error) {
 	return buf, nil
 }
 
-// deserialize decodes a page image. The node may be mutated and outlive
-// the immutable pool buffer, so it never aliases buf: one pass checks the
+// deserialize decodes a page image for a write transaction — the write
+// path's decoder only; reads search page images in place with the same
+// bounds checks (indexPage). The node may be mutated and outlive the
+// immutable pool buffer, so it never aliases buf: one pass checks the
 // entry bounds, then the entry bytes are copied once and every key and
 // value is a capped slice of that copy, with keys/vals sized from nkeys.
 func deserialize(buf []byte) (*node, error) {
@@ -413,24 +415,35 @@ func (db *DB) Get(key []byte) ([]byte, bool, error) {
 	return snap.Get(key)
 }
 
-// Get returns the value for key as of the snapshot's epoch.
+// Get returns the value for key as of the snapshot's epoch. It reads
+// every page on the way in place, decoding none, and the value it returns
+// aliases the immutable page image, as Iterator.Value does: it stays
+// valid, but retaining it pins the page, and it must not be written to.
 func (s *Snapshot) Get(key []byte) ([]byte, bool, error) {
 	atomic.AddInt64(&s.db.gets, 1)
+	var index [maxEntries]uint16 // stays on the stack
 	id := s.root
-	for {
-		n, err := s.readNode(id)
+	for depth := 0; depth <= maxHeight; depth++ {
+		buf, err := s.readPage(id)
 		if err != nil {
 			return nil, false, err
 		}
-		if n.typ == pageLeaf {
-			i, found := search(n.keys, key)
-			if !found {
-				return nil, false, nil
-			}
-			return n.vals[i], true, nil
+		offs, err := indexPage(buf, index[:0])
+		if err != nil {
+			return nil, false, err
 		}
-		id = n.children[childIndex(n.keys, key)]
+		v := pageView{buf: buf, offs: offs}
+		if !v.isLeaf() {
+			id = childAt(buf, v.childIndex(key))
+			continue
+		}
+		i, found := v.search(key)
+		if !found {
+			return nil, false, nil
+		}
+		return valAt(buf, int(offs[i])), true, nil
 	}
+	return nil, false, errTooDeep
 }
 
 // Batch is a set of puts and deletes that Apply commits as one

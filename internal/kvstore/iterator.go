@@ -7,14 +7,15 @@ import (
 	"sync/atomic"
 )
 
-// Iterator walks keys in ascending order over one MVCC snapshot. Internal
-// pages are materialized as a stack of (page, index) frames; the leaf the
-// cursor is in is decoded *in place* — entries are parsed straight out of
-// the immutable page image, so a sequential scan allocates one small
-// offset index per leaf instead of two copies per entry. Pages are
-// re-read through the snapshot (buffer pool or retained versions), so
-// iteration plays well with eviction and never observes a concurrent
-// commit — the view is frozen at the snapshot's epoch for the whole scan.
+// Iterator walks keys in ascending order over one MVCC snapshot. No page
+// is decoded on the way: internal pages are kept as a stack of (page
+// image, child count, index) frames, and the leaf the cursor is in is
+// read *in place* — entries are parsed straight out of the immutable
+// page image into one offset index the iterator reuses, so a sequential
+// scan stops allocating after its first leaf. Pages are re-read through
+// the snapshot (buffer pool or retained versions), so iteration plays
+// well with eviction and never observes a concurrent commit — the view
+// is frozen at the snapshot's epoch for the whole scan.
 //
 // Iterators obtained from DB.Seek / DB.First own a private snapshot,
 // released automatically when the scan is exhausted or errors; call
@@ -25,80 +26,107 @@ type Iterator struct {
 	snap    *Snapshot
 	owned   bool // close snap when the scan ends
 	stack   []frame
-	leaf    leafView
+	leaf    pageView // the cursor's leaf; each page descended is parsed here first
 	leafIdx int
 	inLeaf  bool
 	err     error
 	key     []byte
 	val     []byte
 	valid   bool
+	// The read-ahead window: raAhead leaves past the cursor are prefetched;
+	// raNext follows the last of them (0: the chain ended or a walk stopped).
+	raAhead int
+	raNext  uint32
 }
 
+// frame is one internal page on the descent: its image, its child
+// count, and the index of the child the scan is in.
 type frame struct {
-	id  uint32
-	n   *node
-	idx int
+	buf    []byte
+	n, idx int
 }
 
-// leafView is a zero-copy decoding of one leaf page: offs indexes the
-// entries inside the immutable page buffer, and key/val return subslices
-// of it. Because committed page images are never mutated in place (the
-// pool swaps pointers), the subslices stay valid as long as the caller
-// holds them — retaining one merely pins the page image for the GC.
-type leafView struct {
+// childAt returns an internal page image's i-th child pointer.
+func childAt(buf []byte, i int) uint32 { return binary.BigEndian.Uint32(buf[3+4*i:]) }
+
+// maxEntries bounds a well-formed page's entry count: an entry takes at
+// least four bytes (a leaf's two length fields, or a key length and a
+// child pointer) after a header of at least seven.
+const maxEntries = (PageSize - 7) / 4
+
+// maxHeight bounds a descent: a tree of 2^32 pages is shallower, so a
+// deeper path can only be a cycle of corrupt child pointers.
+const maxHeight = 32
+
+var errTooDeep = fmt.Errorf("kvstore: corrupt tree: deeper than %d levels", maxHeight)
+
+// pageView reads one page image, leaf or internal, in place: offs
+// indexes its entries, and key/val return capped subslices of it. Pool
+// images are never mutated (commits swap pointers), so the subslices stay
+// valid while held; retaining one merely pins the page for the GC.
+type pageView struct {
 	buf  []byte
-	next uint32
-	offs []int32 // offset of entry i's key-length field
+	offs []uint16 // offset of entry i's key-length field
 }
 
-// parse indexes buf's entries, reusing the offs backing array across
-// leaves — after the first few leaves a sequential scan stops allocating.
-func (v *leafView) parse(buf []byte) error {
-	if len(buf) < 7 || buf[0] != pageLeaf {
-		return fmt.Errorf("kvstore: corrupt leaf page")
+// indexPage checks a page image with the bounds checks deserialize makes
+// and appends the offset of each entry's key-length field to offs.
+func indexPage(buf []byte, offs []uint16) ([]uint16, error) {
+	if len(buf) < 7 || buf[0] != pageLeaf && buf[0] != pageInternal {
+		return nil, fmt.Errorf("kvstore: corrupt page")
 	}
-	v.buf = buf
 	nkeys := int(binary.BigEndian.Uint16(buf[1:]))
-	v.next = binary.BigEndian.Uint32(buf[3:])
-	v.offs = v.offs[:0]
 	off := 7
-	for i := 0; i < nkeys; i++ {
-		if off+2 > len(buf) {
-			return fmt.Errorf("kvstore: corrupt leaf page: key %d", i)
-		}
-		kl := int(binary.BigEndian.Uint16(buf[off:]))
-		if off+2+kl+2 > len(buf) {
-			return fmt.Errorf("kvstore: corrupt leaf page: key %d length", i)
-		}
-		vl := int(binary.BigEndian.Uint16(buf[off+2+kl:]))
-		if off+2+kl+2+vl > len(buf) {
-			return fmt.Errorf("kvstore: corrupt leaf page: value %d length", i)
-		}
-		v.offs = append(v.offs, int32(off))
-		off += 2 + kl + 2 + vl
+	leaf := buf[0] == pageLeaf
+	if !leaf {
+		off = 3 + 4*(nkeys+1)
 	}
-	return nil
+	if nkeys > maxEntries || off > len(buf) {
+		return nil, fmt.Errorf("kvstore: corrupt page: %d keys", nkeys)
+	}
+	// A leaf entry is two length-prefixed fields (key, value), an internal
+	// entry one (key).
+	fields := 1
+	if leaf {
+		fields = 2
+	}
+	for f := 0; f < nkeys*fields; f++ {
+		if f%fields == 0 {
+			offs = append(offs, uint16(off))
+		}
+		if off+2 > len(buf) {
+			return nil, fmt.Errorf("kvstore: corrupt page: entry %d", f/fields)
+		}
+		if off += 2 + int(binary.BigEndian.Uint16(buf[off:])); off > len(buf) {
+			return nil, fmt.Errorf("kvstore: corrupt page: entry %d length", f/fields)
+		}
+	}
+	return offs, nil
 }
 
-func (v *leafView) count() int { return len(v.offs) }
+func (v *pageView) isLeaf() bool { return v.buf[0] == pageLeaf }
 
-func (v *leafView) key(i int) []byte {
-	off := int(v.offs[i])
-	kl := int(binary.BigEndian.Uint16(v.buf[off:]))
-	return v.buf[off+2 : off+2+kl]
+func (v *pageView) key(i int) []byte { return keyAt(v.buf, int(v.offs[i])) }
+
+func (v *pageView) val(i int) []byte { return valAt(v.buf, int(v.offs[i])) }
+
+// keyAt and valAt return the key and value of the entry whose key-length
+// field sits at off, capped so an append cannot write into the page.
+func keyAt(buf []byte, off int) []byte {
+	end := off + 2 + int(binary.BigEndian.Uint16(buf[off:]))
+	return buf[off+2 : end : end]
 }
 
-func (v *leafView) val(i int) []byte {
-	off := int(v.offs[i])
-	kl := int(binary.BigEndian.Uint16(v.buf[off:]))
-	vo := off + 2 + kl
-	vl := int(binary.BigEndian.Uint16(v.buf[vo:]))
-	return v.buf[vo+2 : vo+2+vl]
+func valAt(buf []byte, off int) []byte {
+	vo := off + 2 + int(binary.BigEndian.Uint16(buf[off:]))
+	end := vo + 2 + int(binary.BigEndian.Uint16(buf[vo:]))
+	return buf[vo+2 : end : end]
 }
 
-// search returns the index of the first key >= target.
-func (v *leafView) search(target []byte) int {
-	lo, hi := 0, v.count()
+// search returns the index of the first key >= target, and whether it is
+// an exact match.
+func (v *pageView) search(target []byte) (int, bool) {
+	lo, hi := 0, len(v.offs)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if bytes.Compare(v.key(mid), target) < 0 {
@@ -107,7 +135,17 @@ func (v *leafView) search(target []byte) int {
 			hi = mid
 		}
 	}
-	return lo
+	return lo, lo < len(v.offs) && bytes.Equal(v.key(lo), target)
+}
+
+// childIndex picks an internal page's child subtree for key, as the
+// write path's childIndex does on a decoded node.
+func (v *pageView) childIndex(key []byte) int {
+	i, found := v.search(key)
+	if found {
+		return i + 1
+	}
+	return i
 }
 
 // Seek positions a new iterator at the smallest key >= target, on a
@@ -132,41 +170,51 @@ func (s *Snapshot) Seek(target []byte) *Iterator {
 	it := &Iterator{snap: s}
 	id := s.root
 	for {
-		buf, err := s.readPage(id)
-		if err != nil {
-			it.err = err
+		if it.err = it.descend(id); it.err != nil {
 			return it
 		}
-		if len(buf) > 0 && buf[0] == pageLeaf {
-			if err := it.leaf.parse(buf); err != nil {
-				it.err = err
-				return it
-			}
-			it.inLeaf = true
-			it.leafIdx = it.leaf.search(target)
+		if it.inLeaf {
+			it.leafIdx, _ = it.leaf.search(target)
 			it.settle()
 			return it
 		}
-		n, err := deserialize(buf)
-		if err != nil {
-			it.err = err
-			return it
-		}
-		ci := childIndex(n.keys, target)
-		it.stack = append(it.stack, frame{id: id, n: n, idx: ci})
-		id = n.children[ci]
+		top := &it.stack[len(it.stack)-1]
+		top.idx = it.leaf.childIndex(target)
+		id = childAt(top.buf, top.idx)
 	}
 }
 
 // First positions an iterator at the snapshot's smallest key.
 func (s *Snapshot) First() *Iterator { return s.Seek(nil) }
 
+// descend reads page id in place: a leaf becomes the cursor's leaf, an
+// internal page a new frame at child 0.
+func (it *Iterator) descend(id uint32) error {
+	buf, err := it.snap.readPage(id)
+	if err != nil {
+		return err
+	}
+	it.leaf.buf = buf
+	if it.leaf.offs, err = indexPage(buf, it.leaf.offs[:0]); err != nil {
+		return err
+	}
+	if it.leaf.isLeaf() {
+		it.inLeaf, it.leafIdx = true, 0
+		return nil
+	}
+	if len(it.stack) == maxHeight {
+		return errTooDeep
+	}
+	it.stack = append(it.stack, frame{buf: buf, n: len(it.leaf.offs) + 1})
+	return nil
+}
+
 // settle loads the current entry, popping exhausted frames and descending
 // into following subtrees until it finds a leaf entry or the end.
 func (it *Iterator) settle() {
 	for {
 		if it.inLeaf {
-			if it.leafIdx < it.leaf.count() {
+			if it.leafIdx < len(it.leaf.offs) {
 				it.key = it.leaf.key(it.leafIdx)
 				it.val = it.leaf.val(it.leafIdx)
 				it.valid = true
@@ -183,31 +231,21 @@ func (it *Iterator) settle() {
 			return
 		}
 		top := &it.stack[len(it.stack)-1]
-		if top.idx >= len(top.n.children) {
+		if top.idx >= top.n {
 			it.stack = it.stack[:len(it.stack)-1]
 			if len(it.stack) > 0 {
 				it.stack[len(it.stack)-1].idx++
 			}
 			continue
 		}
-		id := top.n.children[top.idx]
-		buf, err := it.snap.readPage(id)
-		if err != nil {
-			it.err = err
+		if it.err = it.descend(childAt(top.buf, top.idx)); it.err != nil {
 			it.valid = false
 			return
 		}
-		if len(buf) > 0 && buf[0] == pageLeaf {
-			if err := it.leaf.parse(buf); err != nil {
-				it.err = err
-				it.valid = false
-				return
-			}
-			it.inLeaf = true
-			it.leafIdx = 0
+		if it.inLeaf {
 			// The scan just crossed into a new leaf, so it is provably
-			// sequential: prefetch the next leaves along the sibling
-			// chain into the buffer pool ahead of the cursor. Seek's
+			// sequential: keep the next leaves along the sibling chain
+			// prefetched into the buffer pool ahead of the cursor. Seek's
 			// initial leaf never prefetches — a scan that ends inside
 			// its first leaf (point-ish lookups, early callback stops)
 			// reads nothing beyond its own root-to-leaf path. The chain
@@ -215,26 +253,33 @@ func (it *Iterator) settle() {
 			// purely advisory (it only warms the pool), so a sibling
 			// pointer that moved since the snapshot's epoch costs at
 			// worst a useless prefetch, never a wrong result.
-			it.snap.db.maybeReadAhead(it.leaf.next)
-			continue
+			it.readAhead()
 		}
-		child, err := deserialize(buf)
-		if err != nil {
-			it.err = err
-			it.valid = false
-			return
-		}
-		it.stack = append(it.stack, frame{id: id, n: child, idx: 0})
 	}
 }
 
-// maybeReadAhead prefetches up to db.readAhead leaf pages following the
-// sibling chain starting at next into the buffer pool.
-func (db *DB) maybeReadAhead(next uint32) {
-	if db.readAhead <= 0 || next == 0 {
+// readAhead keeps db.readAhead leaves past the cursor's new leaf
+// prefetched. The window slides: the leaf just entered was its first, so
+// only the leaves past its old end are walked — one per crossing in a
+// long scan. The first crossing, or one after the window ran out, walks
+// it from the new leaf's sibling.
+func (it *Iterator) readAhead() {
+	k := it.snap.db.readAhead
+	if k <= 0 {
 		return
 	}
-	db.pager.readAhead(next, db.readAhead, pageLeaf)
+	from := it.raNext
+	if it.raAhead > 0 {
+		it.raAhead--
+	} else {
+		from = binary.BigEndian.Uint32(it.leaf.buf[3:]) // the new leaf's sibling
+	}
+	if from == 0 {
+		return
+	}
+	walked, next := it.snap.db.pager.readAhead(from, k-it.raAhead, pageLeaf)
+	it.raAhead += walked
+	it.raNext = next
 }
 
 // maybeAutoClose releases an owned snapshot once the scan can make no
@@ -262,7 +307,8 @@ func (it *Iterator) Valid() bool { return it.valid && it.err == nil }
 func (it *Iterator) Err() error { return it.err }
 
 // Key returns the current key. The slice aliases the immutable page
-// image: it stays valid after Next, but retaining it pins the page.
+// image: it stays valid after Next, but retaining it pins the page, and
+// it must never be written to.
 func (it *Iterator) Key() []byte { return it.key }
 
 // Value returns the current value (aliasing rules as for Key).

@@ -130,17 +130,8 @@ func (db *DB) snapRead(id uint32, epoch uint64) ([]byte, error) {
 	return buf, nil
 }
 
-// readNode decodes a page through the snapshot's epoch.
-func (s *Snapshot) readNode(id uint32) (*node, error) {
-	buf, err := s.db.snapRead(id, s.epoch)
-	if err != nil {
-		return nil, err
-	}
-	return deserialize(buf)
-}
-
 // readPage returns the raw immutable page image as of the snapshot's
-// epoch (zero-copy read paths decode it in place).
+// epoch; every read path searches it in place (pageView).
 func (s *Snapshot) readPage(id uint32) ([]byte, error) {
 	return s.db.snapRead(id, s.epoch)
 }

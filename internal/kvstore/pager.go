@@ -314,19 +314,20 @@ func (p *pager) fetchLocked(s *shard, id uint32) (*cached, error) {
 }
 
 // readAhead walks the leaf sibling chain starting at page id, pulling up
-// to k leaves into the pool ahead of a scan cursor. Pages already
-// resident cost one map lookup; absent pages are fetched and counted as
-// ReadAheads (plus the usual miss/block-read). The walk stops at the end
-// of the chain, at a non-leaf page (possible only on corruption), or on
-// any I/O error — read-ahead is advisory, so errors are left for the
-// scan itself to rediscover and report. It locks one shard at a time.
-// The chain it follows is the *current* committed one; a snapshot scan
-// over an older epoch still benefits for every leaf the two epochs
-// share, and a stray prefetch only warms the pool.
-func (p *pager) readAhead(id uint32, k int, leafType byte) {
-	for i := 0; i < k && id != 0; i++ {
+// to k leaves into the pool ahead of a scan cursor; it returns the leaves
+// walked and the sibling after the last (0 if the walk stopped early).
+// Resident pages cost one map lookup; absent pages are fetched and
+// counted as ReadAheads (plus the usual miss/block-read). The walk stops
+// at the end of the chain, at a non-leaf page (possible only on
+// corruption), or on any I/O error — read-ahead is advisory, so errors
+// are left for the scan to rediscover and report. It locks one shard at
+// a time. The chain it follows is the *current* committed one; a
+// snapshot scan over an older epoch still benefits for every leaf the
+// two epochs share, and a stray prefetch only warms the pool.
+func (p *pager) readAhead(id uint32, k int, leafType byte) (walked int, next uint32) {
+	for ; walked < k && id != 0; walked++ {
 		if id >= p.npages.Load() {
-			return
+			return walked, 0
 		}
 		s := p.shardOf(id)
 		lockTimed(&s.mu, shardLockWait)
@@ -337,17 +338,18 @@ func (p *pager) readAhead(id uint32, k int, leafType byte) {
 			c, err = p.fetchLocked(s, id)
 			if err != nil {
 				s.mu.Unlock()
-				return
+				return walked, 0
 			}
 			p.readAheads.Add(1)
 		}
 		if c.buf[0] != leafType {
 			s.mu.Unlock()
-			return
+			return walked, 0
 		}
 		id = binary.BigEndian.Uint32(c.buf[3:7])
 		s.mu.Unlock()
 	}
+	return walked, id
 }
 
 // install publishes a committed page image into the pool, marking it

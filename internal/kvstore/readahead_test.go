@@ -249,3 +249,55 @@ func TestReadAheadStatsSubset(t *testing.T) {
 		t.Errorf("CacheMisses %d != BlocksRead %d with read-ahead active", st.CacheMisses, st.BlocksRead)
 	}
 }
+
+// interleavedScans cold-opens the fixture with the given pool size and
+// read-ahead setting, advances one scan over "a/" and one over "c/" in
+// lockstep to their ends — as a query's cursors over several types do —
+// and returns the blocks read and the prefetched share.
+func interleavedScans(t *testing.T, path string, cachePages int, readAhead bool) Stats {
+	t.Helper()
+	db, err := Open(path, &Options{CachePages: cachePages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if !readAhead {
+		db.readAhead = 0
+	}
+	snap := db.OpenSnapshot()
+	defer snap.Close()
+	before := db.Stats()
+	a, c := snap.Seek([]byte("a/")), snap.Seek([]byte("c/"))
+	for a.Valid() && bytes.HasPrefix(a.Key(), []byte("a/")) || c.Valid() {
+		if a.Valid() && bytes.HasPrefix(a.Key(), []byte("a/")) {
+			a.Next()
+		}
+		if c.Valid() {
+			c.Next()
+		}
+	}
+	if a.Err() != nil || c.Err() != nil {
+		t.Fatal(a.Err(), c.Err())
+	}
+	after := db.Stats()
+	return Stats{BlocksRead: after.BlocksRead - before.BlocksRead, ReadAheads: after.ReadAheads - before.ReadAheads}
+}
+
+// TestReadAheadSlidesUnderEviction: two scans side by side on a pool far
+// smaller than their windows evict each other's prefetched leaves. The
+// read-ahead window slides — each crossing walks only the leaf entering
+// it — so every leaf is prefetched at most once: a leaf evicted before
+// its scan reached it is read again by the scan, not prefetched again by
+// every later crossing whose window still covers it. The prefetches
+// therefore stay within the pages the same scans read without
+// read-ahead, plus each scan's overshoot past its range.
+func TestReadAheadSlidesUnderEviction(t *testing.T) {
+	path := readAheadFixture(t, 1500)
+	off := interleavedScans(t, path, 16, false)
+	on := interleavedScans(t, path, 16, true)
+	t.Logf("blocks read: %d with read-ahead (%d prefetched), %d without", on.BlocksRead, on.ReadAheads, off.BlocksRead)
+	if on.ReadAheads > off.BlocksRead+2*defaultReadAhead {
+		t.Errorf("interleaved scans on a 16-page pool prefetched %d pages; without read-ahead they read %d: more than one prefetch per page plus an overshoot of %d",
+			on.ReadAheads, off.BlocksRead, 2*defaultReadAhead)
+	}
+}

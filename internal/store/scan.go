@@ -14,14 +14,15 @@ import (
 // only the current node, reusing one Dewey buffer and one value buffer
 // across the whole scan — the streaming executor's storage primitive.
 //
-// The Dewey and Value of the current position alias those buffers and
-// are valid only until the next call to Next.
+// The Dewey and Value of the current position alias those buffers, or
+// the page image itself, and are valid only until the next call to Next.
 type TypeScan struct {
 	it     *kvstore.Iterator
 	prefix []byte
 	depth  int
 	dewey  xmltree.Dewey
-	val    []byte
+	val    []byte // the reused buffer multi-chunk values are assembled in
+	cur    []byte // the current value: a page slice or val
 	attr   bool
 	name   string
 	done   bool
@@ -71,22 +72,24 @@ func (s *TypeScan) Next() bool {
 			continue
 		}
 		decodeDewey(s.dewey, dw)
-		// The iterator's Value is only valid until Next, and multi-chunk
-		// values span records, so the value always lands in the reused
-		// buffer.
-		chunks := int(binary.BigEndian.Uint16(v))
-		s.val = append(s.val[:0], v[2:]...)
-		for c := 1; c < chunks; c++ {
-			s.it.Next()
-			if !s.it.Valid() {
-				break // truncated record; keep what was read
+		// A single-chunk value is the page image's own bytes; a value
+		// spanning records is assembled in the reused buffer.
+		s.cur = v[2:]
+		if chunks := int(binary.BigEndian.Uint16(v)); chunks > 1 {
+			s.val = append(s.val[:0], s.cur...)
+			for c := 1; c < chunks; c++ {
+				s.it.Next()
+				if !s.it.Valid() {
+					break // truncated record; keep what was read
+				}
+				ck := s.it.Key()
+				cdw, cchunk, _ := splitNodeKey(ck)
+				if !bytes.HasPrefix(ck, s.prefix) || !bytes.Equal(cdw, dw) || int(cchunk) != c {
+					break // chunk chain interrupted
+				}
+				s.val = append(s.val, s.it.Value()...)
 			}
-			ck := s.it.Key()
-			cdw, cchunk, _ := splitNodeKey(ck)
-			if !bytes.HasPrefix(ck, s.prefix) || !bytes.Equal(cdw, dw) || int(cchunk) != c {
-				break // chunk chain interrupted
-			}
-			s.val = append(s.val, s.it.Value()...)
+			s.cur = s.val
 		}
 		s.it.Next()
 		return true
@@ -99,9 +102,11 @@ func (s *TypeScan) Next() bool {
 // scan's reused buffer and is valid only until Next.
 func (s *TypeScan) Dewey() xmltree.Dewey { return s.dewey }
 
-// Value returns the current node's text value; the slice aliases the
-// scan's reused buffer and is valid only until Next.
-func (s *TypeScan) Value() []byte { return s.val }
+// Value returns the current node's text value, valid only until Next:
+// a single-chunk value aliases the page image (retaining it pins the
+// page; it must never be written to), a longer one the scan's reused
+// buffer. Callers copy or encode it before advancing.
+func (s *TypeScan) Value() []byte { return s.cur }
 
 // Attr reports whether the scanned type is an attribute type.
 func (s *TypeScan) Attr() bool { return s.attr }

@@ -3,6 +3,8 @@ package store
 import (
 	"strings"
 	"testing"
+
+	"xmorph/internal/gen/xmark"
 )
 
 // collectScan drains a TypeScan, copying the aliased buffers.
@@ -156,5 +158,30 @@ func TestScanTypeViewIsolation(t *testing.T) {
 	got := collectScan(t, doc.ScanType("a.b"))
 	if len(got) != 2 {
 		t.Errorf("view scan after drop: %d nodes, want 2", len(got))
+	}
+}
+
+// TestViewDocAllocs guards the copy-free read path under View.Doc, which
+// every query pays: the document-id lookup and the type registry's
+// chunked reads search page images in place instead of decoding every
+// page on their paths. When Gets decoded pages, opening an XMark sf 0.005
+// document through a View took 90 allocations.
+func TestViewDocAllocs(t *testing.T) {
+	st := OpenMemory()
+	defer st.Close()
+	xml := xmark.Generate(xmark.Config{Factor: 0.005, Seed: 42}).XML(false)
+	if _, err := st.Shred("d", strings.NewReader(xml), nil); err != nil {
+		t.Fatal(err)
+	}
+	v := st.View()
+	defer v.Close()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := v.Doc("d"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("View.Doc: %.0f allocations", allocs)
+	if allocs > 45 {
+		t.Errorf("View.Doc allocates %.0f times, want <= 45 (half of the 90 it took when reads decoded pages)", allocs)
 	}
 }

@@ -42,7 +42,8 @@ import (
 var ErrNotStreamable = errors.New("stream: target is not streamable")
 
 // Cursor is a forward-only scan over one type's node sequence in Dewey
-// order. Dewey and Value may alias buffers reused across Next calls.
+// order. Dewey and Value may alias reused buffers or a store's immutable
+// page image: copy or encode them before Next, never write to them.
 type Cursor interface {
 	Next() bool
 	Dewey() xmltree.Dewey
