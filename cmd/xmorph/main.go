@@ -38,7 +38,6 @@ import (
 func main() {
 	storePath := flag.String("store", "xmorph.db", "store file for shredded documents")
 	cache := flag.Int("cache", 256, "buffer pool size in pages")
-	durability := flag.Bool("durability", false, "crash-safe commits: write-ahead log every Sync (see DESIGN.md Durability)")
 	indent := flag.Bool("indent", true, "pretty-print output XML")
 	quiet := flag.Bool("quiet", false, "suppress the reports, print only XML")
 	verify := flag.Bool("verify", false, "run-file: empirically compare closest graphs and quantify loss")
@@ -51,7 +50,7 @@ func main() {
 	flag.Usage = usage
 	flag.Parse()
 
-	o := options{store: *storePath, cache: *cache, durability: *durability,
+	o := options{store: *storePath, cache: *cache,
 		indent: *indent, quiet: *quiet,
 		verify: *verify, stream: *stream,
 		trace: *trace, explain: *explain, slowMS: *slowMS,
@@ -144,13 +143,12 @@ func extractTrailingFlags(args []string, o *options) ([]string, error) {
 
 // options carries the CLI flags into dispatch (kept testable).
 type options struct {
-	store      string
-	cache      int
-	durability bool
-	indent     bool
-	quiet      bool
-	verify     bool
-	stream     bool
+	store  string
+	cache  int
+	indent bool
+	quiet  bool
+	verify bool
+	stream bool
 
 	trace         bool
 	explain       bool
@@ -169,9 +167,7 @@ func dispatch(o options, args []string) error {
 	indent, quiet := o.indent, o.quiet
 	var opened *engine.Engine
 	open := func() (*engine.Engine, error) {
-		eng, err := engine.Open(o.store,
-			engine.WithCachePages(o.cache),
-			engine.WithDurability(o.durability))
+		eng, err := engine.Open(o.store, engine.WithCachePages(o.cache))
 		if err == nil {
 			opened = eng
 		}

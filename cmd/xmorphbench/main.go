@@ -37,7 +37,6 @@ func main() {
 	dblpSizes := flag.String("dblp", "", "comma-separated DBLP publication counts")
 	seed := flag.Int64("seed", 42, "generator seed")
 	cache := flag.Int("cache", 128, "store buffer pool pages")
-	durability := flag.Bool("durability", false, "open every store with the write-ahead log enabled (crash-safe configuration)")
 	workdir := flag.String("workdir", "", "directory for store files (default: temp)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	flag.Parse()
@@ -60,7 +59,6 @@ func main() {
 	cfg := bench.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.CachePages = *cache
-	cfg.Durability = *durability
 	cfg.WorkDir = *workdir
 	if *factors != "" {
 		fs, err := parseFloats(*factors)

@@ -47,10 +47,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	storePath := flag.String("store", "xmorph.db", "store file for shredded documents (a directory of per-shard files when -shards/-replicas select cluster mode)")
 	cache := flag.Int("cache", 256, "buffer pool size in pages (per shard in cluster mode)")
-	durability := flag.Bool("durability", false, "crash-safe commits: write-ahead log every sync")
 	shards := flag.Int("shards", 1, "shard the store across N engines on a consistent-hash ring (>1 selects cluster mode)")
 	replicas := flag.Int("replicas", 0, "read replicas per shard fed by WAL shipping (>0 selects cluster mode)")
-	guardCache := flag.Int("guard-cache", 64, "compiled-guard cache capacity in entries (0 disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
 	maxInflight := flag.Int("max-inflight", 0, "admitted concurrent requests (0 = GOMAXPROCS)")
 	maxBody := flag.Int64("max-body", 64<<20, "request body cap in bytes")
@@ -81,7 +79,7 @@ func main() {
 		SlowRingSize:       *slowRing,
 		AccessLog:          logger,
 	}
-	if err := run(*addr, *storePath, *cache, *guardCache, *shards, *replicas, *durability, *drain, cfg); err != nil {
+	if err := run(*addr, *storePath, *cache, *shards, *replicas, *drain, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "xmorphd:", err)
 		os.Exit(1)
 	}
@@ -112,12 +110,9 @@ func openAccessLog(dest string) (*slog.Logger, func() error, error) {
 // engine by default, a sharded cluster when -shards/-replicas ask for
 // one. The HTTP surface is identical either way — the handlers only
 // see engine.Backend.
-func openBackend(storePath string, cache, guardCache, shards, replicas int, durability bool) (engine.Backend, string, error) {
+func openBackend(storePath string, cache, shards, replicas int) (engine.Backend, string, error) {
 	if shards <= 1 && replicas <= 0 {
-		eng, err := engine.Open(storePath,
-			engine.WithCachePages(cache),
-			engine.WithDurability(durability),
-			engine.WithGuardCache(guardCache))
+		eng, err := engine.Open(storePath, engine.WithCachePages(cache))
 		if err != nil {
 			return nil, "", err
 		}
@@ -132,9 +127,7 @@ func openBackend(storePath string, cache, guardCache, shards, replicas int, dura
 		Shards:     shards,
 		Replicas:   replicas,
 		Dir:        storePath,
-		Durability: durability,
 		CachePages: cache,
-		EngineOpts: []engine.Option{engine.WithGuardCache(guardCache)},
 	})
 	if err != nil {
 		return nil, "", err
@@ -143,9 +136,9 @@ func openBackend(storePath string, cache, guardCache, shards, replicas int, dura
 	return cl, desc, nil
 }
 
-func run(addr, storePath string, cache, guardCache, shards, replicas int, durability bool,
+func run(addr, storePath string, cache, shards, replicas int,
 	drain time.Duration, cfg engine.ServerConfig) error {
-	eng, desc, err := openBackend(storePath, cache, guardCache, shards, replicas, durability)
+	eng, desc, err := openBackend(storePath, cache, shards, replicas)
 	if err != nil {
 		return err
 	}

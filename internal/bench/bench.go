@@ -35,9 +35,6 @@ type Config struct {
 	DBLPSizes []int
 	// Seed feeds the generators.
 	Seed int64
-	// Durability opens every store file with the write-ahead log enabled,
-	// measuring the crash-safe configuration instead of the default.
-	Durability bool
 	// CachePages bounds the store's buffer pool, keeping runs I/O-bound
 	// like the paper's cold-cache setup.
 	CachePages int
@@ -92,7 +89,7 @@ func (c *Config) prepareStore(dir, name string, doc *xmltree.Document) (path str
 // coldOpen reopens a store with an empty buffer pool — the paper clears
 // the cache before every run.
 func (c *Config) coldOpen(path string) (*store.Store, error) {
-	return store.Open(path, store.WithCachePages(c.CachePages), store.WithDurability(c.Durability))
+	return store.Open(path, store.WithCachePages(c.CachePages))
 }
 
 // storedRun is one measured transformation.

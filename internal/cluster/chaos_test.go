@@ -89,7 +89,7 @@ func chaosCluster(t *testing.T, fss []*kvstore.FaultFS, replicas int) *Cluster {
 			// reopen replays whatever WAL survived.
 			fss[i].ClearFaults()
 			return store.Open("shard.db", store.WithKVOptions(&kvstore.Options{
-				FS: fss[i], Durability: true, CachePages: 16,
+				FS: fss[i], CachePages: 16,
 			}))
 		},
 	})

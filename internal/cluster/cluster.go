@@ -44,7 +44,11 @@ type Config struct {
 	// Dir, when set, makes shard leaders file-backed at
 	// Dir/shard-<i>.db; empty keeps them in memory (tests).
 	Dir string
-	// Durability enables the WAL commit protocol on file-backed leaders.
+	// Durability is ignored: every file-backed leader commits through
+	// the write-ahead log.
+	//
+	// Deprecated: kept only until the benchmark module stops setting
+	// it.
 	Durability bool
 	// VNodes is the virtual-node count per shard on the ring (default 64).
 	VNodes int
@@ -53,10 +57,6 @@ type Config struct {
 	// CachePages sizes each shard leader's buffer pool (0: kvstore
 	// default). Replicas are memory-backed and unaffected.
 	CachePages int
-	// EngineOpts apply to every engine the cluster builds (leaders and
-	// replicas); store-level options inside them are ignored for
-	// replicas, which are always memory stores.
-	EngineOpts []engine.Option
 	// OpenLeader overrides shard-leader store construction — the chaos
 	// harness injects fault filesystems here. Called at New and again by
 	// RestartShard; when nil the cluster opens Dir-based (or memory)
@@ -113,7 +113,7 @@ type replica struct {
 // newReplica subscribes to leader's commit feed, applies the bootstrap
 // synchronously (the replica is query-consistent from birth), and
 // starts the applier.
-func newReplica(leader *store.Store, engOpts []engine.Option) (*replica, error) {
+func newReplica(leader *store.Store) (*replica, error) {
 	sub, err := leader.SubscribeCommits()
 	if err != nil {
 		return nil, err
@@ -128,7 +128,7 @@ func newReplica(leader *store.Store, engOpts []engine.Option) (*replica, error) 
 		sub.Close()
 		return nil, fmt.Errorf("cluster: replica bootstrap: %w", err)
 	}
-	r := &replica{eng: engine.New(st, engOpts...), sub: sub, done: make(chan struct{})}
+	r := &replica{eng: engine.New(st), sub: sub, done: make(chan struct{})}
 	go func() {
 		defer close(r.done)
 		for {
@@ -180,13 +180,13 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		s := &shardState{
 			idx:      i,
-			leader:   engine.New(st, cfg.EngineOpts...),
+			leader:   engine.New(st),
 			requests: obs.Default.Counter(fmt.Sprintf("cluster_shard_%d_requests_total", i)),
 			lagGauge: obs.Default.Gauge(fmt.Sprintf("cluster_shard_%d_replica_lag", i)),
 		}
 		s.floor.Store(st.CommitLSN())
 		for j := 0; j < cfg.Replicas; j++ {
-			r, err := newReplica(st, cfg.EngineOpts)
+			r, err := newReplica(st)
 			if err != nil {
 				s.leader.Close()
 				c.Close()
@@ -212,7 +212,6 @@ func (c *Cluster) openLeader(i int) (*store.Store, error) {
 	if c.cfg.Dir == "" {
 		return store.OpenMemory(opts...), nil
 	}
-	opts = append(opts, store.WithDurability(c.cfg.Durability))
 	return store.Open(filepath.Join(c.cfg.Dir, fmt.Sprintf("shard-%d.db", i)), opts...)
 }
 
@@ -435,7 +434,7 @@ func (c *Cluster) ReplicaLag(i int) uint64 {
 
 // RestartShard recovers shard i after a leader crash: the old leader
 // and its replicas are torn down, the leader store reopens (replaying
-// its WAL — a durable leader loses nothing that committed), and fresh
+// its WAL — a file-backed leader loses nothing that committed), and fresh
 // replicas bootstrap from the recovered state. In-flight verbs on the
 // shard finish first; verbs arriving during the restart wait for it.
 func (c *Cluster) RestartShard(i int) error {
@@ -458,10 +457,10 @@ func (c *Cluster) RestartShard(i int) error {
 		return errors.Join(append(errs, err)...)
 	}
 	s.recovered.Add(st.Stats().Recoveries)
-	s.leader = engine.New(st, c.cfg.EngineOpts...)
+	s.leader = engine.New(st)
 	s.floor.Store(st.CommitLSN())
 	for j := 0; j < c.cfg.Replicas; j++ {
-		r, err := newReplica(st, c.cfg.EngineOpts)
+		r, err := newReplica(st)
 		if err != nil {
 			return errors.Join(append(errs, err)...)
 		}

@@ -44,11 +44,9 @@ var _ Backend = (*Engine)(nil)
 
 // New wraps an already-open store in an Engine. The cluster layer uses
 // it to front stores it manages itself (shard leaders it can crash and
-// reopen, replica stores fed by replication); store-level options in
-// opts are ignored — the store is configured.
-func New(st *store.Store, opts ...Option) *Engine {
-	cfg := newConfig(opts)
-	return &Engine{st: st, cache: newGuardCache(cfg.cacheSize)}
+// reopen, replica stores fed by replication).
+func New(st *store.Store) *Engine {
+	return &Engine{st: st, cache: newGuardCache(guardCacheEntries)}
 }
 
 // Store exposes the engine's underlying store — the cluster layer needs

@@ -39,8 +39,10 @@ type cacheEntry struct {
 	verdict plan.Decision
 }
 
-// newGuardCache builds a cache holding up to capacity entries; a
-// capacity <= 0 disables caching (every get misses, puts are dropped).
+// guardCacheEntries is every engine's compiled-guard cache capacity.
+const guardCacheEntries = 64
+
+// newGuardCache builds a cache holding up to capacity entries.
 func newGuardCache(capacity int) *guardCache {
 	return &guardCache{
 		cap:     capacity,
@@ -66,9 +68,6 @@ func (c *guardCache) get(version uint32, shapeHash uint64, guard string) (*Check
 }
 
 func (c *guardCache) put(version uint32, shapeHash uint64, guard string, checked *Checked, verdict plan.Decision) {
-	if c.cap <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := cacheKey{version, shapeHash, guard}

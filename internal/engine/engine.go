@@ -79,7 +79,6 @@ type Option func(*config)
 
 type config struct {
 	storeOpts []store.Option
-	cacheSize int
 }
 
 // WithCachePages sets the store's buffer pool size in pages.
@@ -87,17 +86,12 @@ func WithCachePages(n int) Option {
 	return func(c *config) { c.storeOpts = append(c.storeOpts, store.WithCachePages(n)) }
 }
 
-// WithDurability toggles crash-safe commits (write-ahead logging on every
-// sync).
-func WithDurability(on bool) Option {
-	return func(c *config) { c.storeOpts = append(c.storeOpts, store.WithDurability(on)) }
-}
-
-// WithGuardCache sets the compiled-guard cache capacity in entries;
-// 0 disables caching. The default is 64.
-func WithGuardCache(n int) Option {
-	return func(c *config) { c.cacheSize = n }
-}
+// WithDurability is ignored: every file-backed store commits through
+// the write-ahead log.
+//
+// Deprecated: kept only until the benchmark module stops passing
+// it.
+func WithDurability(bool) Option { return nil }
 
 // Engine is the unified pipeline handle. It is safe for concurrent use:
 // the store serializes writers against readers internally, and cached
@@ -114,17 +108,17 @@ func Open(path string, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{st: st, cache: newGuardCache(cfg.cacheSize)}, nil
+	return New(st), nil
 }
 
 // OpenMemory builds an Engine over an in-memory store (tests, examples).
 func OpenMemory(opts ...Option) *Engine {
 	cfg := newConfig(opts)
-	return &Engine{st: store.OpenMemory(cfg.storeOpts...), cache: newGuardCache(cfg.cacheSize)}
+	return New(store.OpenMemory(cfg.storeOpts...))
 }
 
 func newConfig(opts []Option) *config {
-	cfg := &config{cacheSize: 64}
+	cfg := &config{}
 	for _, o := range opts {
 		if o != nil {
 			o(cfg)
@@ -136,7 +130,7 @@ func newConfig(opts []Option) *config {
 // Close syncs and closes the underlying store.
 func (e *Engine) Close() error { return e.st.Close() }
 
-// Sync flushes the store's dirty pages (and WAL, under durability).
+// Sync commits the store's dirty pages.
 func (e *Engine) Sync() error { return e.st.Sync() }
 
 // Stats exposes the store's block-I/O and buffer-pool counters.

@@ -274,7 +274,7 @@ func TestEngineQuery(t *testing.T) {
 func TestEnginePersistsAcrossOpen(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "e.db")
-	eng, err := Open(path, WithCachePages(64), WithDurability(true))
+	eng, err := Open(path, WithCachePages(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestEnginePersistsAcrossOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := store.Open(path, store.WithDurability(true))
+	st, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,6 +201,24 @@ func TestServerMalformedGuardIs400WithPosition(t *testing.T) {
 	}
 }
 
+// TestServerQueryArityIs400: a library function called with the wrong
+// number of arguments is the client's error, answered as JSON.
+func TestServerQueryArityIs400(t *testing.T) {
+	_, _, ts := newTestServer(t, ServerConfig{})
+	shredHTTP(t, ts.URL, "books")
+	for _, fn := range []string{"count", "string", "exists", "not", "number", "name", "distinct-values"} {
+		resp, data := postJSON(t, ts.URL+"/v1/query", map[string]any{
+			"doc": "books", "guard": sampleGuard, "query": fn + "()",
+		})
+		var e struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &e) != nil || e.Error == "" {
+			t.Errorf("%s(): status %d body %s, want a JSON 400", fn, resp.StatusCode, data)
+		}
+	}
+}
+
 // TestServerStreamedRouteCompilesOnce: the streamed XML route compiles
 // the guard once, inside Run — a fresh guard costs one cache miss and no
 // hit — and failures before the first body byte keep their status.
@@ -330,7 +348,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 // replays no WAL).
 func TestServerGracefulDrain(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "drain.db")
-	eng, err := Open(path, WithCachePages(128), WithDurability(true))
+	eng, err := Open(path, WithCachePages(128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +447,7 @@ func TestServerGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := store.Open(path, store.WithDurability(true))
+	st, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

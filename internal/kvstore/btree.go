@@ -113,16 +113,11 @@ type DB struct {
 type Options struct {
 	// CachePages is the buffer-pool capacity in pages (default 256).
 	CachePages int
-	// Durability enables the write-ahead-log commit protocol: Sync
-	// records every dirty page image plus a commit marker in <path>.wal
-	// (fsynced) before any in-place page write, and empties the log once
-	// the in-place writes are on stable storage, so a crash or torn
-	// write at any point leaves the store recoverable to its last
-	// committed state. Concurrent Syncs share one commit — see
-	// groupcommit.go. Between Syncs dirty pages are pinned in memory
-	// instead of being flushed on eviction. Ignored by OpenMemory.
-	// Independent of this flag, Open always replays (or discards) a
-	// leftover <path>.wal — see wal.go for the protocol.
+	// Durability is ignored: every file-backed store commits through
+	// the write-ahead log (see wal.go).
+	//
+	// Deprecated: kept only until the benchmark module stops setting
+	// it.
 	Durability bool
 	// FS overrides the filesystem the store and its log live on
 	// (default: the real OS filesystem). The fault-injection tests pass
@@ -147,9 +142,15 @@ func (db *DB) initState() {
 }
 
 // Open opens (or creates) a store file. Before anything is read, a
-// leftover write-ahead log from an interrupted durable commit is
-// replayed (complete) or discarded (incomplete), so the store always
-// reopens to its last committed state.
+// leftover write-ahead log from an interrupted commit is replayed
+// (complete) or discarded (incomplete), so the store always reopens to
+// its last committed state. Every Sync is a write-ahead-log commit:
+// page images and a commit record are fsynced to <path>.wal before any
+// in-place page write, and the log is emptied once the in-place writes
+// are on stable storage, so a crash or torn write at any point leaves
+// the store at its last committed state. Concurrent Syncs share one
+// commit (groupcommit.go). Between Syncs dirty pages are pinned in the
+// buffer pool; each commit evicts the pool back to CachePages.
 func Open(path string, opts *Options) (*DB, error) {
 	capacity := 256
 	if opts != nil && opts.CachePages > 0 {
@@ -175,7 +176,6 @@ func Open(path string, opts *Options) (*DB, error) {
 	}
 	p.fs = fs
 	p.walPath = walSuffix(path)
-	p.durable = opts != nil && opts.Durability
 	if replayed {
 		p.recoveries.Store(1)
 	}
@@ -335,65 +335,49 @@ func (n *node) serialize() ([]byte, error) {
 }
 
 // deserialize decodes a page image for a write transaction — the write
-// path's decoder only; reads search page images in place with the same
-// bounds checks (indexPage). The node may be mutated and outlive the
-// immutable pool buffer, so it never aliases buf: one pass checks the
-// entry bounds, then the entry bytes are copied once and every key and
-// value is a capped slice of that copy, with keys/vals sized from nkeys.
+// path's decoder only; reads search page images in place. Both check the
+// image with indexPage. The node may be mutated and outlive the
+// immutable pool buffer, so it never aliases buf: the entry bytes are
+// copied once and every key and value is a capped slice of that copy.
 func deserialize(buf []byte) (*node, error) {
-	n := &node{typ: buf[0]}
-	if n.typ != pageLeaf && n.typ != pageInternal {
-		return nil, fmt.Errorf("kvstore: corrupt page: type %d", n.typ)
+	var index [maxEntries]uint16 // stays on the stack
+	offs, err := indexPage(buf, index[:0])
+	if err != nil {
+		return nil, err
 	}
+	n := &node{typ: buf[0]}
 	leaf := n.typ == pageLeaf
-	nkeys := int(binary.BigEndian.Uint16(buf[1:]))
-	off := 3
+	nkeys := len(offs)
+	start := 7
 	if leaf {
-		n.next = binary.BigEndian.Uint32(buf[off:])
-		off += 4
+		n.next = binary.BigEndian.Uint32(buf[3:])
 	} else {
-		if off+4*(nkeys+1) > len(buf) {
-			return nil, fmt.Errorf("kvstore: corrupt internal page")
-		}
+		start = 3 + 4*(nkeys+1)
 		n.children = make([]uint32, nkeys+1)
 		for i := range n.children {
-			n.children[i] = binary.BigEndian.Uint32(buf[off:])
-			off += 4
+			n.children[i] = childAt(buf, i)
 		}
 	}
-	// A leaf entry is two length-prefixed fields (key, value), an internal
-	// entry one (key).
-	fields := 1
-	if leaf {
-		fields = 2
-	}
-	start := off
-	for f := 0; f < nkeys*fields; f++ {
-		if off+2 > len(buf) {
-			return nil, fmt.Errorf("kvstore: corrupt page: entry %d", f/fields)
-		}
-		off += 2 + int(binary.BigEndian.Uint16(buf[off:]))
-		if off > len(buf) {
-			return nil, fmt.Errorf("kvstore: corrupt page: entry %d length", f/fields)
+	end := start
+	if nkeys > 0 {
+		last := int(offs[nkeys-1])
+		end = last + 2 + len(keyAt(buf, last))
+		if leaf {
+			end += 2 + len(valAt(buf, last))
 		}
 	}
-	entries := append([]byte(nil), buf[start:off]...)
+	entries := append([]byte(nil), buf[start:end]...)
 	n.keys = make([][]byte, nkeys)
 	if leaf {
 		n.vals = make([][]byte, nkeys)
 	}
-	for f, at := 0, 0; f < nkeys*fields; f++ {
-		l := int(binary.BigEndian.Uint16(entries[at:]))
-		at += 2
-		b := entries[at : at+l : at+l]
-		at += l
-		if f%fields == 1 {
-			n.vals[f/2] = b
-		} else {
-			n.keys[f/fields] = b
+	for i, off := range offs {
+		n.keys[i] = keyAt(entries, int(off)-start)
+		if leaf {
+			n.vals[i] = valAt(entries, int(off)-start)
 		}
 	}
-	n.sz = off
+	n.sz = end
 	return n, nil
 }
 

@@ -22,7 +22,7 @@ func TestCloseDuringGroupCommit(t *testing.T) {
 		path := fmt.Sprintf("%s/c%d.db", t.TempDir(), iter)
 		// A generous follower window maximizes the chance Close lands
 		// while a leader is parked waiting for followers.
-		db, err := Open(path, &Options{Durability: true})
+		db, err := Open(path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestCloseDuringGroupCommit(t *testing.T) {
 // committed-but-unsynced data durable.
 func TestCloseFlushesPendingCommits(t *testing.T) {
 	path := t.TempDir() + "/flush.db"
-	db, err := Open(path, &Options{Durability: true})
+	db, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCloseFlushesPendingCommits(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(path, &Options{Durability: true})
+	db2, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

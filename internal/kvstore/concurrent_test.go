@@ -33,6 +33,9 @@ func stressDB(t *testing.T) (*DB, int) {
 	if err := db.PutBatch(ks, vs); err != nil {
 		t.Fatal(err)
 	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	return db, perPrefix
 }
 

@@ -46,27 +46,6 @@ func lockTimed(mu *sync.Mutex, h *obs.Histogram) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// wlockTimed write-locks mu, observing the wait only when contended.
-func wlockTimed(mu *sync.RWMutex, h *obs.Histogram) {
-	if mu.TryLock() {
-		return
-	}
-	start := time.Now()
-	mu.Lock()
-	h.Observe(time.Since(start).Seconds())
-}
-
-// rlockTimed read-locks mu, observing the wait only when contended —
-// i.e. when a writer holds or is waiting for the lock.
-func rlockTimed(mu *sync.RWMutex, h *obs.Histogram) {
-	if mu.TryRLock() {
-		return
-	}
-	start := time.Now()
-	mu.RLock()
-	h.Observe(time.Since(start).Seconds())
-}
-
 // fsyncTimed syncs f and always observes the latency: every fsync costs
 // a device round-trip, so there is no uncontended fast path to skip.
 func fsyncTimed(f File, h *obs.Histogram) error {

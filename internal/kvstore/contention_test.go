@@ -13,11 +13,6 @@ import (
 func TestLockTimedHelpers(t *testing.T) {
 	t.Run("uncontended observes nothing", func(t *testing.T) {
 		h := obs.NewHistogram(obs.WaitBuckets)
-		var rw sync.RWMutex
-		wlockTimed(&rw, h)
-		rw.Unlock()
-		rlockTimed(&rw, h)
-		rw.RUnlock()
 		var mu sync.Mutex
 		lockTimed(&mu, h)
 		mu.Unlock()
@@ -27,37 +22,21 @@ func TestLockTimedHelpers(t *testing.T) {
 	})
 
 	t.Run("contended wait is observed", func(t *testing.T) {
-		cases := []struct {
-			name string
-			hold func(mu *sync.RWMutex) // taken by the holder
-			rel  func(mu *sync.RWMutex) // released by the holder
-			acq  func(mu *sync.RWMutex, h *obs.Histogram)
-		}{
-			{"write blocked by reader",
-				(*sync.RWMutex).RLock, (*sync.RWMutex).RUnlock,
-				func(mu *sync.RWMutex, h *obs.Histogram) { wlockTimed(mu, h); mu.Unlock() }},
-			{"read blocked by writer",
-				(*sync.RWMutex).Lock, (*sync.RWMutex).Unlock,
-				func(mu *sync.RWMutex, h *obs.Histogram) { rlockTimed(mu, h); mu.RUnlock() }},
-		}
-		for _, tc := range cases {
-			t.Run(tc.name, func(t *testing.T) {
-				h := obs.NewHistogram(obs.WaitBuckets)
-				var mu sync.RWMutex
-				tc.hold(&mu)
-				done := make(chan struct{})
-				go func() {
-					tc.acq(&mu, h)
-					close(done)
-				}()
-				// Give the acquirer time to fail TryLock and block.
-				time.Sleep(5 * time.Millisecond)
-				tc.rel(&mu)
-				<-done
-				if got := h.Snapshot().Count; got != 1 {
-					t.Errorf("contended acquisition observed %d waits, want 1", got)
-				}
-			})
+		h := obs.NewHistogram(obs.WaitBuckets)
+		var mu sync.Mutex
+		mu.Lock()
+		done := make(chan struct{})
+		go func() {
+			lockTimed(&mu, h)
+			mu.Unlock()
+			close(done)
+		}()
+		// Give the acquirer time to fail TryLock and block.
+		time.Sleep(5 * time.Millisecond)
+		mu.Unlock()
+		<-done
+		if got := h.Snapshot().Count; got != 1 {
+			t.Errorf("contended acquisition observed %d waits, want 1", got)
 		}
 	})
 }
@@ -149,7 +128,7 @@ func TestDBContentionObserved(t *testing.T) {
 }
 
 func TestFsyncHistogramsObserved(t *testing.T) {
-	db, err := Open(filepath.Join(t.TempDir(), "fsync.db"), &Options{Durability: true})
+	db, err := Open(filepath.Join(t.TempDir(), "fsync.db"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

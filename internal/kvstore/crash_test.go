@@ -50,12 +50,12 @@ func cloneModel(m map[string]string) map[string]string {
 	return out
 }
 
-// runCrashWorkload applies ops to a durable store on fs, stopping at the
-// first error (the injected crash). Only Sync/Close touch the files in
-// durable mode, so the crash always fires inside a commit.
+// runCrashWorkload applies ops to a store on fs, stopping at the first
+// error (the injected crash). Only Sync/Close touch the files, so the
+// crash always fires inside a commit.
 func runCrashWorkload(t *testing.T, fs *FaultFS, ops []crashOp) crashRunResult {
 	t.Helper()
-	db, err := Open("p.db", &Options{FS: fs, Durability: true, CachePages: 16})
+	db, err := Open("p.db", &Options{FS: fs, CachePages: 16})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					t.Fatalf("idx %d: crash never fired", idx)
 				}
 				fs.ClearFaults()
-				db, err := Open("p.db", &Options{FS: fs, Durability: true, CachePages: 16})
+				db, err := Open("p.db", &Options{FS: fs, CachePages: 16})
 				if err != nil {
 					t.Fatalf("idx %d (tear %d, drop %v): reopen: %v", idx, tear, drop, err)
 				}

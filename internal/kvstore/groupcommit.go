@@ -166,61 +166,50 @@ func (db *DB) flushBatch() error {
 			s := p.shardOf(fp.id)
 			lockTimed(&s.mu, shardLockWait)
 			if c, ok := s.cache[fp.id]; ok && c.dirty {
-				_ = p.flushLocked(c) // memory backend cannot fail
+				p.flushLocked(c)
 			}
 			s.mu.Unlock()
 		}
 		return nil
 	}
 
-	if p.durable {
-		if len(batch) > 0 {
-			if err := p.walCommit(batch, npages); err != nil {
-				return err
-			}
+	if len(batch) > 0 {
+		if err := p.walCommit(batch, npages); err != nil {
+			return err
 		}
-		for _, fp := range batch {
-			start := time.Now()
-			_, err := p.file.WriteAt(fp.buf, int64(fp.id)*PageSize)
-			p.ioNanos.Add(int64(time.Since(start)))
-			if err != nil {
-				return fmt.Errorf("kvstore: sync page %d: %w", fp.id, err)
-			}
-			p.writes.Add(1)
-			// Clear dirty only while the entry still holds the buffer we
-			// just wrote; a commit that superseded it mid-flush must stay
-			// dirty for the next batch (its image is in neither the WAL nor
-			// the file yet).
-			s := p.shardOf(fp.id)
-			lockTimed(&s.mu, shardLockWait)
-			if &fp.c.buf[0] == &fp.buf[0] {
-				fp.c.dirty = false
-			}
-			s.mu.Unlock()
+	}
+	for _, fp := range batch {
+		start := time.Now()
+		_, err := p.file.WriteAt(fp.buf, int64(fp.id)*PageSize)
+		p.ioNanos.Add(int64(time.Since(start)))
+		if err != nil {
+			return fmt.Errorf("kvstore: sync page %d: %w", fp.id, err)
 		}
-	} else {
-		// Without the WAL there is no atomicity contract: flush whatever
-		// each page's current committed buffer is (evictions may already
-		// have written — or even dropped — some of them).
-		for _, fp := range batch {
-			s := p.shardOf(fp.id)
-			lockTimed(&s.mu, shardLockWait)
-			if c, ok := s.cache[fp.id]; ok && c.dirty {
-				if err := p.flushLocked(c); err != nil {
-					s.mu.Unlock()
-					return fmt.Errorf("kvstore: sync page %d: %w", fp.id, err)
-				}
-			}
-			s.mu.Unlock()
+		p.writes.Add(1)
+		// Clear dirty only while the entry still holds the buffer we just
+		// wrote; a commit that superseded it mid-flush must stay dirty for
+		// the next batch (its image is in neither the WAL nor the file yet).
+		s := p.shardOf(fp.id)
+		lockTimed(&s.mu, shardLockWait)
+		if &fp.c.buf[0] == &fp.buf[0] {
+			fp.c.dirty = false
 		}
+		s.mu.Unlock()
 	}
 	if err := fsyncTimed(p.file, fileFsyncTime); err != nil {
 		return err
 	}
-	if p.durable && len(batch) > 0 {
+	if len(batch) > 0 {
 		if err := p.walReset(); err != nil {
 			return err
 		}
 	}
-	return p.takeEvictErr()
+	// The commit unpinned its pages: bring every shard back to capacity.
+	for i := range p.shards {
+		s := &p.shards[i]
+		lockTimed(&s.mu, shardLockWait)
+		p.trimLocked(s)
+		s.mu.Unlock()
+	}
+	return nil
 }

@@ -16,7 +16,7 @@ import (
 // scheduler timing.
 func TestGroupCommitBatchesConcurrentSyncs(t *testing.T) {
 	fs := NewFaultFS()
-	db, err := Open("t.db", &Options{FS: fs, Durability: true})
+	db, err := Open("t.db", &Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestGroupCommitBatchesConcurrentSyncs(t *testing.T) {
 		t.Errorf("WALFsyncs delta = %d, want 1 (one commit-record fsync shared by %d Syncs)", got, members)
 	}
 	// And the shared flush really covered every member's pages.
-	db2, err := Open("t.db", &Options{FS: fs, Durability: true})
+	db2, err := Open("t.db", &Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestGroupedTxnsAtomicCrashSweep(t *testing.T) {
 		return db.Put([]byte("beta"), []byte("2"))
 	}
 	fs := NewFaultFS()
-	db, err := Open("t.db", &Options{FS: fs, Durability: true})
+	db, err := Open("t.db", &Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestGroupedTxnsAtomicCrashSweep(t *testing.T) {
 			name := fmt.Sprintf("crash@%d/tear=%d", crash, tear)
 			fs := NewFaultFS()
 			fs.CrashAfter(crash, tear, false)
-			db, err := Open("t.db", &Options{FS: fs, Durability: true})
+			db, err := Open("t.db", &Options{FS: fs})
 			if err != nil {
 				t.Fatalf("%s: open: %v", name, err)
 			}
@@ -144,7 +144,7 @@ func TestGroupedTxnsAtomicCrashSweep(t *testing.T) {
 				t.Fatalf("%s: Sync = %v, want ErrCrashed", name, err)
 			}
 			fs.ClearFaults()
-			db2, err := Open("t.db", &Options{FS: fs, Durability: true})
+			db2, err := Open("t.db", &Options{FS: fs})
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", name, err)
 			}
@@ -169,7 +169,7 @@ func TestGroupedTxnsAtomicCrashSweep(t *testing.T) {
 // TestGroupCommitBatchesConcurrentSyncs).
 func TestConcurrentDurableSyncs(t *testing.T) {
 	fs := NewFaultFS()
-	db, err := Open("t.db", &Options{FS: fs, Durability: true})
+	db, err := Open("t.db", &Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestConcurrentDurableSyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Open("t.db", &Options{FS: fs, Durability: true})
+	db2, err := Open("t.db", &Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,8 +69,8 @@ type pageView struct {
 	offs []uint16 // offset of entry i's key-length field
 }
 
-// indexPage checks a page image with the bounds checks deserialize makes
-// and appends the offset of each entry's key-length field to offs.
+// indexPage is the one page parser: it checks a page image's bounds and
+// appends the offset of each entry's key-length field to offs.
 func indexPage(buf []byte, offs []uint16) ([]uint16, error) {
 	if len(buf) < 7 || buf[0] != pageLeaf && buf[0] != pageInternal {
 		return nil, fmt.Errorf("kvstore: corrupt page")

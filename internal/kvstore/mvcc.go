@@ -37,8 +37,9 @@ import (
 // snapshot opens at a later epoch.
 //
 // Lock order (supersedes the PR-3 two-level order): writerMu -> publishMu
-// -> { shard mutex | versionMu | memMu | evictMu }; the four innermost
-// are never nested within each other. Snapshot reads take a shard mutex
+// -> { shard mutex | versionMu | memMu }; the three innermost are never
+// nested within each other, except that the memory backend copies a page
+// under its shard mutex (shard mutex -> memMu). Snapshot reads take a shard mutex
 // and, after releasing it, possibly versionMu — never publishMu.
 
 // pageVersion is one superseded committed page image. supersededAt is

@@ -32,7 +32,7 @@ const magic = "XMKV2\x00\x00\x00"
 // sizes while covering any realistic reader parallelism.
 const numShards = 16
 
-// evictScan bounds how far past a dirty LRU tail a durable-mode eviction
+// evictScan bounds how far past a dirty LRU tail a file-backed eviction
 // looks for a clean victim before giving up and letting the shard run
 // over capacity (dirty pages are pinned between commits; see
 // insertLocked).
@@ -61,7 +61,7 @@ type Stats struct {
 	// ReadAheads counts leaf pages fetched into the pool by scan
 	// read-ahead (a subset of CacheMisses/BlocksRead).
 	ReadAheads int64
-	// WALBytes counts bytes appended to the write-ahead log (durable
+	// WALBytes counts bytes appended to the write-ahead log (file-backed
 	// stores only); WALCommits counts flush batches that completed the
 	// full log-then-in-place commit protocol. Recoveries is 1 when Open
 	// found a complete log from an interrupted commit and replayed it,
@@ -154,19 +154,11 @@ type pager struct {
 	epoch  atomic.Uint64 // last committed epoch (mirror of DB.epoch)
 	shards [numShards]shard
 
-	// Durability state: fs opens the write-ahead log lazily at walPath
-	// (the full <path>.wal name); durable gates the commit protocol and
-	// the dirty-page pinning in insertLocked.
+	// Commit-protocol state: fs opens the write-ahead log lazily at
+	// walPath (the full <path>.wal name).
 	fs      VFS
 	walPath string
 	wal     File
-	durable bool
-
-	// evictErr records the first write error hit while evicting a dirty
-	// page (the page stays cached and dirty); the next sync surfaces it
-	// after re-flushing, so a torn eviction is never silently absorbed.
-	evictMu  sync.Mutex
-	evictErr error
 
 	reads        atomic.Int64
 	writes       atomic.Int64
@@ -222,25 +214,6 @@ func newPager(f File, capacity int) (*pager, error) {
 }
 
 func (p *pager) shardOf(id uint32) *shard { return &p.shards[id&(numShards-1)] }
-
-// alloc appends a fresh zeroed page and returns its id. It is only used
-// while initializing an empty store (before any concurrency exists);
-// writer transactions allocate privately and publish their page count at
-// commit (DB.walloc / commitWrite).
-func (p *pager) alloc() uint32 {
-	id := p.npages.Add(1) - 1
-	c := &cached{id: id, buf: make([]byte, PageSize), dirty: true}
-	if p.file == nil {
-		p.memMu.Lock()
-		p.mem = append(p.mem, nil)
-		p.memMu.Unlock()
-	}
-	s := p.shardOf(id)
-	lockTimed(&s.mu, shardLockWait)
-	p.insertLocked(s, c)
-	s.mu.Unlock()
-	return id
-}
 
 // setNpages publishes a committed page count, growing the memory
 // backend's slice to cover it. Called under the DB's publishMu.
@@ -377,16 +350,14 @@ func (p *pager) install(id uint32, buf []byte, epoch uint64) {
 // insertLocked adds a page at the shard's LRU head, evicting if over
 // capacity. Callers hold s.mu.
 //
-// Eviction policy: a clean victim is simply dropped. A dirty victim is
-// flushed in place first — except under the durability protocol, where
-// in-place writes are only legal inside a commit, so dirty pages are
-// pinned: the scan skips up to evictScan dirty tail entries looking for
-// a clean victim and otherwise lets the shard exceed capacity until the
-// next Sync unpins everything (memory is bounded by the volume of
-// mutations between commits). A dirty flush that fails keeps the page
-// cached and dirty, records the error for the next sync to surface, and
-// stops evicting — retrying the same doomed write once per insert is
-// wasted I/O.
+// Eviction policy: a clean victim is simply dropped. In a file-backed
+// store in-place writes are only legal inside a commit, so dirty pages
+// are pinned: the scan skips up to evictScan dirty tail entries looking
+// for a clean victim and otherwise lets the shard exceed capacity until
+// the next Sync unpins everything and trims the shard (trimLocked). The
+// memory backend has no commit to wait for: a dirty victim is copied
+// into p.mem and dropped, which is how replicas, which never Sync, stay
+// within their pool.
 func (p *pager) insertLocked(s *shard, c *cached) {
 	s.cache[c.id] = c
 	c.next = s.head
@@ -399,52 +370,37 @@ func (p *pager) insertLocked(s *shard, c *cached) {
 	}
 	for len(s.cache) > s.capacity {
 		victim := s.tail
-		if p.durable {
+		if p.file != nil {
 			for scanned := 0; victim != nil && victim.dirty && scanned < evictScan; scanned++ {
 				victim = victim.prev
 			}
 			if victim == nil || victim.dirty {
 				return
 			}
+		} else if victim.dirty {
+			p.flushLocked(victim)
 		}
-		if victim == nil {
-			break
-		}
-		if victim.dirty {
-			if err := p.flushLocked(victim); err != nil {
-				p.noteEvictErr(victim.id, err)
-				return
-			}
-		}
-		s.unlink(victim)
-		delete(s.cache, victim.id)
-		p.evictions.Add(1)
+		p.evictLocked(s, victim)
 	}
 }
 
-// noteEvictErr records the first eviction write failure for the next
-// sync to surface.
-func (p *pager) noteEvictErr(id uint32, err error) {
-	p.evictMu.Lock()
-	if p.evictErr == nil {
-		p.evictErr = fmt.Errorf("evict page %d: %w", id, err)
+// trimLocked evicts clean pages from the shard's LRU tail until it is
+// back at capacity, skipping the dirty pages of commits that landed
+// after the flush batch was collected. Callers hold s.mu.
+func (p *pager) trimLocked(s *shard) {
+	for victim := s.tail; victim != nil && len(s.cache) > s.capacity; {
+		prev := victim.prev
+		if !victim.dirty {
+			p.evictLocked(s, victim)
+		}
+		victim = prev
 	}
-	p.evictMu.Unlock()
 }
 
-// takeEvictErr returns and clears the recorded eviction failure, wrapped
-// for the Sync caller. The failed page has just been re-flushed and
-// fsynced by the caller, so the data is safe — but the caller still
-// learns the device misbehaved and can decide whether to trust it.
-func (p *pager) takeEvictErr() error {
-	p.evictMu.Lock()
-	err := p.evictErr
-	p.evictErr = nil
-	p.evictMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("kvstore: deferred eviction write error (page since rewritten and synced): %w", err)
-	}
-	return nil
+func (p *pager) evictLocked(s *shard, c *cached) {
+	s.unlink(c)
+	delete(s.cache, c.id)
+	p.evictions.Add(1)
 }
 
 func (p *pager) touchLocked(s *shard, c *cached) {
@@ -477,26 +433,17 @@ func (s *shard) unlink(c *cached) {
 	c.prev, c.next = nil, nil
 }
 
-// flushLocked writes one page's current buffer back to the backing store
-// (page stays cached; the caller decides whether to evict). Callers hold
-// the page's shard mutex, which pins the buffer pointer for the duration
-// of the write; the buffer itself is immutable.
-func (p *pager) flushLocked(c *cached) error {
-	if p.file != nil {
-		start := time.Now()
-		_, err := p.file.WriteAt(c.buf, int64(c.id)*PageSize)
-		p.ioNanos.Add(int64(time.Since(start)))
-		if err != nil {
-			return err
-		}
-	} else {
-		p.memMu.Lock()
-		p.mem[c.id] = append(make([]byte, 0, PageSize), c.buf...)
-		p.memMu.Unlock()
-	}
+// flushLocked copies one page's current buffer into the memory
+// backend's page slice (the page stays cached and clean; the caller
+// decides whether to evict). Callers hold the page's shard mutex, which
+// pins the buffer pointer for the duration of the copy; the buffer
+// itself is immutable.
+func (p *pager) flushLocked(c *cached) {
+	p.memMu.Lock()
+	p.mem[c.id] = append(make([]byte, 0, PageSize), c.buf...)
+	p.memMu.Unlock()
 	p.writes.Add(1)
 	c.dirty = false
-	return nil
 }
 
 // close releases the file handles (the DB syncs first).

@@ -28,8 +28,8 @@ import (
 // newer bytes, never older ones.
 //
 // The replication dirty set is tracked independently of the pager's
-// flush dirty flags on purpose: under the non-durable protocol an
-// evicted dirty page is flushed (and its flag cleared) outside any
+// flush dirty flags on purpose: a memory-backed leader copies an evicted
+// dirty page into its page slice (and clears its flag) outside any
 // commit, which would silently drop it from a dirty-flag-derived batch.
 // The replication set is only cleared when a batch carrying those pages
 // has been handed to every subscriber.

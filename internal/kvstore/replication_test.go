@@ -111,8 +111,8 @@ func TestReplicationBootstrapAndIncremental(t *testing.T) {
 }
 
 // TestReplicationSurvivesEviction pins the repDirty-vs-dirty-flag
-// distinction: under the non-durable protocol a tiny pool evicts (and
-// flushes) dirty pages between commits, clearing their flush flags — the
+// distinction: a memory-backed leader with a tiny pool evicts (and
+// copies) dirty pages between commits, clearing their flush flags — the
 // replication cut must still carry them.
 func TestReplicationSurvivesEviction(t *testing.T) {
 	leader := OpenMemory(&Options{CachePages: 16})
@@ -318,7 +318,7 @@ func TestReplicationStaleBatchRejected(t *testing.T) {
 // file-backed leader (the cluster's production shape).
 func TestReplicationFileBackedLeader(t *testing.T) {
 	path := t.TempDir() + "/leader.db"
-	leader, err := Open(path, &Options{Durability: true})
+	leader, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 
 // Write-ahead log: the commit protocol that makes Sync atomic.
 //
-// A durable store keeps a sidecar log at <path>.wal. Sync first appends
+// Every file-backed store keeps a sidecar log at <path>.wal. Sync first appends
 // every dirty page image to the log, each protected by a CRC, followed
 // by a commit record naming the batch size and the committed file length
 // — and fsyncs the log. Only then are the pages written in place in the
@@ -147,8 +147,8 @@ func parseWAL(data []byte, basePages int64) []walBatch {
 // phase writes the same bytes) and the file is truncated to each batch's
 // committed length; an incomplete tail is discarded. The log is emptied
 // afterwards in both cases. It returns whether any batch was replayed.
-// Recovery runs on every Open, durable or not, so a store crashed under
-// -durability reopens consistent even without the flag.
+// Open runs it before reading anything, so a store crashed mid-commit
+// reopens to its last committed state.
 func recoverWAL(fs VFS, path string, db File) (bool, error) {
 	w, err := fs.OpenFile(walSuffix(path), os.O_RDWR, 0o644)
 	if err != nil {

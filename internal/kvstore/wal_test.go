@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 )
 
-// TestDurableCommitProtocol checks the happy path: a durable Sync leaves
+// TestDurableCommitProtocol checks the happy path: a Sync leaves
 // an empty log behind, counts a commit, and the data survives reopen.
 func TestDurableCommitProtocol(t *testing.T) {
 	fs := NewFaultFS()
-	opts := &Options{FS: fs, Durability: true}
+	opts := &Options{FS: fs}
 	db, err := Open("t.db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -52,11 +51,11 @@ func TestDurableCommitProtocol(t *testing.T) {
 }
 
 // TestDurableNoInPlaceWritesBetweenSyncs checks the pinning invariant the
-// commit protocol relies on: with durability on, nothing touches the
-// files between Syncs, even when mutations overflow the buffer pool.
+// commit protocol relies on: nothing touches the files between Syncs,
+// even when mutations overflow the buffer pool.
 func TestDurableNoInPlaceWritesBetweenSyncs(t *testing.T) {
 	fs := NewFaultFS()
-	db, err := Open("t.db", &Options{FS: fs, Durability: true, CachePages: 16})
+	db, err := Open("t.db", &Options{FS: fs, CachePages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +86,58 @@ func TestDurableNoInPlaceWritesBetweenSyncs(t *testing.T) {
 	}
 }
 
+// TestPoolWithinCapacityAfterSync: dirty pages are pinned between
+// commits, so a large commit overruns the pool; the commit that unpins
+// them must bring every shard back to its capacity, and the trimmed
+// pages must read back from the file.
+func TestPoolWithinCapacityAfterSync(t *testing.T) {
+	const cachePages = 16
+	db, err := Open("t.db", &Options{FS: NewFaultFS(), CachePages: cachePages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	val := bytes.Repeat([]byte("v"), 1000)
+	var keys, vals [][]byte
+	for i := 0; i < 400; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("key-%04d", i)))
+		vals = append(vals, val)
+	}
+	if err := db.PutBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.pager.npages.Load(); n < 4*cachePages {
+		t.Fatalf("commit wrote %d pages, want at least %d", n, 4*cachePages)
+	}
+	for i := range db.pager.shards {
+		s := &db.pager.shards[i]
+		s.mu.Lock()
+		n, c := len(s.cache), s.capacity
+		s.mu.Unlock()
+		if n > c {
+			t.Errorf("shard %d holds %d pages after Sync, capacity %d", i, n, c)
+		}
+	}
+	i := 0
+	err = db.Ascend(nil, nil, func(k, v []byte) bool {
+		if i >= len(keys) || !bytes.Equal(k, keys[i]) || !bytes.Equal(v, vals[i]) {
+			t.Errorf("scan entry %d = %q, want %q", i, k, keys[min(i, len(keys)-1)])
+			return false
+		}
+		i++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != len(keys) {
+		t.Errorf("scan returned %d entries, want %d", i, len(keys))
+	}
+}
+
 // durableCommitScenario drives a two-commit workload and crashes at the
 // first in-place store write of the second commit — the moment the log
 // is complete but the store file untouched. It returns the store image
@@ -98,7 +149,7 @@ func durableCommitScenario(t testing.TB) (base, wal []byte) {
 		if crashAt >= 0 {
 			fs.CrashAfter(crashAt, 0, false)
 		}
-		db, err := Open("t.db", &Options{FS: fs, Durability: true})
+		db, err := Open("t.db", &Options{FS: fs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +184,7 @@ func durableCommitScenario(t testing.TB) (base, wal []byte) {
 	fs, img := run(-1)
 	_ = fs
 	rehearsal := NewFaultFS()
-	db, err := Open("t.db", &Options{FS: rehearsal, Durability: true})
+	db, err := Open("t.db", &Options{FS: rehearsal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,92 +282,5 @@ func TestWALCorruptionDiscarded(t *testing.T) {
 			t.Fatalf("flip @%d: committed key lost: %q %v %v", pos, v, ok, err)
 		}
 		db.Close()
-	}
-}
-
-// TestStaleWALRecoveredOnNonDurableOpen: recovery is unconditional — a
-// store crashed under -durability reopens consistent even when the next
-// open does not pass the flag.
-func TestStaleWALRecoveredOnNonDurableOpen(t *testing.T) {
-	base, wal := durableCommitScenario(t)
-	fs := NewFaultFS()
-	fs.WriteFile("t.db", base)
-	fs.WriteFile("t.db.wal", wal)
-	db, err := Open("t.db", &Options{FS: fs, Durability: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.Stats().Recoveries != 1 {
-		t.Fatal("non-durable open did not replay the complete log")
-	}
-	v, ok, err := db.Get([]byte("beta"))
-	if err != nil || !ok || string(v) != "2" {
-		t.Fatalf("recovered key: %q %v %v", v, ok, err)
-	}
-}
-
-// TestEvictionWriteErrorSurfacesOnSync is the regression test for the
-// deferred-eviction-error path: a transient write failure while evicting
-// a dirty page must not be absorbed — the next Sync re-flushes the page
-// and still reports the failure; the Sync after that is clean, and no
-// data is lost.
-func TestEvictionWriteErrorSurfacesOnSync(t *testing.T) {
-	workload := func(fs *FaultFS) (*DB, error) {
-		db, err := Open("t.db", &Options{FS: fs, CachePages: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		val := bytes.Repeat([]byte("v"), 1000)
-		for i := 0; i < 400; i++ {
-			if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), val); err != nil {
-				return db, err
-			}
-		}
-		return db, nil
-	}
-
-	// Rehearsal: without durability every pre-Sync mutation is an
-	// eviction flush; there must be some, or the scenario is vacuous.
-	fs := NewFaultFS()
-	db, err := workload(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Writes() == 0 {
-		t.Fatal("workload evicted nothing; grow it")
-	}
-	db.Close()
-
-	fs = NewFaultFS()
-	fs.FailWrite(0, nil) // first eviction flush fails, transiently
-	db, err = workload(fs)
-	if err != nil {
-		t.Fatalf("Put surfaced the eviction error eagerly: %v", err)
-	}
-	err = db.Sync()
-	if err == nil {
-		t.Fatal("Sync swallowed the eviction write error")
-	}
-	if !errors.Is(err, ErrInjected) || !strings.Contains(err.Error(), "eviction") {
-		t.Fatalf("Sync error = %v, want wrapped deferred eviction error", err)
-	}
-	if err := db.Sync(); err != nil {
-		t.Fatalf("second Sync after transient failure: %v", err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := Open("t.db", &Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	for i := 0; i < 400; i++ {
-		k := []byte(fmt.Sprintf("key-%04d", i))
-		if _, ok, err := db2.Get(k); err != nil || !ok {
-			t.Fatalf("key %s lost after deferred eviction error: ok=%v err=%v", k, ok, err)
-		}
 	}
 }

@@ -401,9 +401,9 @@ func TestComposeTranslate(t *testing.T) {
 }
 
 func TestOutputShapePredictedCards(t *testing.T) {
-	// MORPH author [ title ] on instance (c): each author gets its closest
-	// titles; an author with two books gets two titles (predicted card is
-	// the path cardinality 1..2 when authors have 1..2 books).
+	// Each author gets its closest titles; an author with two books gets
+	// two titles (predicted card is the path cardinality 1..2 when
+	// authors have 1..2 books), whether the target skips book or keeps it.
 	src := `<data>
 	  <author><name>V</name>
 	    <book><title>X</title></book>
@@ -413,11 +413,19 @@ func TestOutputShapePredictedCards(t *testing.T) {
 	    <book><title>Z</title></book>
 	  </author>
 	</data>`
-	p := compile(t, "MORPH author [ title ]", src)
-	out := p.Final().Output
-	c, ok := out.Card("author", "author.title")
-	if !ok || c != (shape.Card{Min: 1, Max: 2}) {
-		t.Errorf("predicted card = %v %v, want 1..2", c, ok)
+	for _, tc := range []struct {
+		guard, parent, child string
+		want                 shape.Card
+	}{
+		{"MORPH author [ title ]", "author", "author.title", shape.Card{Min: 1, Max: 2}},
+		{"MORPH author [ name book [ title ] ]", "author", "author.book", shape.Card{Min: 1, Max: 2}},
+		{"MORPH author [ name book [ title ] ]", "author.book", "author.book.title", shape.One},
+	} {
+		out := compile(t, tc.guard, src).Final().Output
+		c, ok := out.Card(tc.parent, tc.child)
+		if !ok || c != tc.want {
+			t.Errorf("%s: predicted card %s -> %s = %v %v, want %v", tc.guard, tc.parent, tc.child, c, ok, tc.want)
+		}
 	}
 }
 

@@ -329,59 +329,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestPredicted(t *testing.T) {
-	src := shapeOf(t, fig5e)
-	// Target: author [ name book [ title ] ] over source types.
-	target := New()
-	mustAdd := func(p, c string) {
-		t.Helper()
-		if err := target.AddEdge(p, c, One); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustAdd("data.author", "data.author.name")
-	mustAdd("data.author", "data.author.book")
-	mustAdd("data.author.book", "data.author.book.title")
-	p, err := Predicted(src, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, _ := p.Card("data.author", "data.author.book"); c != (Card{1, 2}) {
-		t.Errorf("predicted card author->book = %s, want 1..2", c)
-	}
-	if c, _ := p.Card("data.author.book", "data.author.book.title"); c != One {
-		t.Errorf("predicted card book->title = %s, want 1..1", c)
-	}
-}
-
-func TestPredictedRearranged(t *testing.T) {
-	src := shapeOf(t, fig5e)
-	// Target puts title below publisher name's sibling: author [ title ]
-	// directly — the path author ~> title in the source has card 1..2.
-	target := New()
-	if err := target.AddEdge("data.author", "data.author.book.title", One); err != nil {
-		t.Fatal(err)
-	}
-	p, err := Predicted(src, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, _ := p.Card("data.author", "data.author.book.title"); c != (Card{1, 2}) {
-		t.Errorf("predicted card = %s, want 1..2", c)
-	}
-}
-
-func TestPredictedUnknownType(t *testing.T) {
-	src := shapeOf(t, fig5e)
-	target := New()
-	if err := target.AddEdge("data.author", "made.up", One); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Predicted(src, target); err == nil {
-		t.Error("Predicted with unknown type should fail")
-	}
-}
-
 func TestShapeString(t *testing.T) {
 	s := shapeOf(t, fig5e)
 	out := s.String()

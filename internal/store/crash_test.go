@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -17,8 +18,8 @@ import (
 // simulates a crash at every write index, reopens, and checks the store
 // file is byte-identical to a commit-point oracle: the state before or
 // after the commit the crash interrupted, never anything in between. A
-// control sweep with durability off demonstrates the harness detects
-// what the WAL prevents.
+// control sweep that loses the write-ahead log at the crash demonstrates
+// the harness detects what the log prevents.
 
 const crashSweepGuard = "CAST MUTATE catalog"
 
@@ -46,8 +47,8 @@ var (
 // after each step that ends in a completed Sync — the oracle run uses it
 // to snapshot commit-point images, crash runs to count completed steps.
 // The first error (the injected crash) aborts the run.
-func runCrashWorkload(fs *kvstore.FaultFS, durable bool, commit func()) error {
-	st, err := store.Open("crash.db", store.WithKVOptions(&kvstore.Options{CachePages: 16, FS: fs, Durability: durable}))
+func runCrashWorkload(fs *kvstore.FaultFS, commit func()) error {
+	st, err := store.Open("crash.db", store.WithKVOptions(&kvstore.Options{CachePages: 16, FS: fs}))
 	if err != nil {
 		return err
 	}
@@ -55,8 +56,8 @@ func runCrashWorkload(fs *kvstore.FaultFS, durable bool, commit func()) error {
 		return err
 	}
 	commit()
-	// Stored morph render: read-only, but it drives the buffer pool (and
-	// in the control run, the eviction order) exactly as production does.
+	// Stored morph render: read-only, but it drives the buffer pool
+	// exactly as production does.
 	if _, err := engine.New(st).Run(context.Background(), "doc1", crashSweepGuard, engine.RunOpts{}); err != nil {
 		return err
 	}
@@ -83,11 +84,11 @@ type crashOracle struct {
 	writes int64
 }
 
-func recordCrashOracle(t *testing.T, durable bool) crashOracle {
+func recordCrashOracle(t *testing.T) crashOracle {
 	t.Helper()
 	fs := kvstore.NewFaultFS()
 	o := crashOracle{images: [][]byte{nil}} // nil = empty initial file
-	err := runCrashWorkload(fs, durable, func() {
+	err := runCrashWorkload(fs, func() {
 		o.images = append(o.images, fs.FileBytes("crash.db"))
 	})
 	if err != nil {
@@ -128,11 +129,11 @@ func readEverything(st *store.Store) error {
 	return nil
 }
 
-// TestCrashSweepDurable is the acceptance sweep: with the WAL on, every
-// crash point recovers to the adjacent pre- or post-commit image,
-// byte-for-byte, and everything on disk is readable.
+// TestCrashSweepDurable is the acceptance sweep: every crash point
+// recovers to the adjacent pre- or post-commit image, byte-for-byte, and
+// everything on disk is readable.
 func TestCrashSweepDurable(t *testing.T) {
-	oracle := recordCrashOracle(t, true)
+	oracle := recordCrashOracle(t)
 	variants := []struct {
 		tear int
 		drop bool
@@ -147,7 +148,7 @@ func TestCrashSweepDurable(t *testing.T) {
 			fs := kvstore.NewFaultFS()
 			fs.CrashAfter(idx, v.tear, v.drop)
 			completed := 0
-			err := runCrashWorkload(fs, true, func() { completed++ })
+			err := runCrashWorkload(fs, func() { completed++ })
 			if err == nil || !fs.Crashed() {
 				t.Fatalf("idx %d: crash never fired (err=%v)", idx, err)
 			}
@@ -180,22 +181,25 @@ func TestCrashSweepDurable(t *testing.T) {
 	}
 }
 
-// TestCrashSweepControlDetectsCorruption runs the same sweep with the
-// WAL disabled and requires that it catches at least one crash point
-// where committed data is corrupted or lost — proving the harness can
-// detect exactly the failures the WAL exists to prevent. (Without the
-// commit protocol, in-place page writes and eviction flushes land
-// between fsyncs, so a crash can expose half-written trees.)
+// TestCrashSweepControlDetectsCorruption runs the same sweep but loses
+// the write-ahead log with the crash, and requires that it catches at
+// least one crash point where committed data is corrupted or lost —
+// proving the harness can detect exactly the failures the log exists to
+// prevent. (Without the log, a crash inside the in-place phase leaves a
+// half-written tree that nothing replays.)
 func TestCrashSweepControlDetectsCorruption(t *testing.T) {
-	oracle := recordCrashOracle(t, false)
+	oracle := recordCrashOracle(t)
 	bad := 0
 	for idx := int64(0); idx < oracle.writes; idx++ {
 		fs := kvstore.NewFaultFS()
 		fs.CrashAfter(idx, 2048, false)
-		completed := 0
-		err := runCrashWorkload(fs, false, func() { completed++ })
+		err := runCrashWorkload(fs, func() {})
 		if err == nil || !fs.Crashed() {
 			t.Fatalf("idx %d: crash never fired (err=%v)", idx, err)
+		}
+		fs.ClearFaults()
+		if err := fs.Remove("crash.db.wal"); err != nil && !os.IsNotExist(err) {
+			t.Fatalf("idx %d: lose the log: %v", idx, err)
 		}
 		st, err := reopenAfterCrash(fs)
 		if err != nil {
@@ -216,7 +220,7 @@ func TestCrashSweepControlDetectsCorruption(t *testing.T) {
 		st.Close()
 	}
 	if bad == 0 {
-		t.Fatal("WAL-disabled sweep found no corrupting crash point; the harness cannot detect what the WAL prevents")
+		t.Fatal("lost-log sweep found no corrupting crash point; the harness cannot detect what the WAL prevents")
 	}
 	t.Logf("control sweep: %d/%d crash points corrupted or lost committed state", bad, oracle.writes)
 }

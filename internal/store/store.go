@@ -86,12 +86,6 @@ func WithCachePages(n int) Option {
 	return func(kv *kvstore.Options) { kv.CachePages = n }
 }
 
-// WithDurability enables the write-ahead-log commit protocol (crash-safe
-// Syncs; see DESIGN.md Durability).
-func WithDurability(on bool) Option {
-	return func(kv *kvstore.Options) { kv.Durability = on }
-}
-
 // WithKVOptions replaces the whole underlying kvstore configuration; the
 // crash and chaos tests inject a fault-injecting FS through it. Named
 // options applied after it still take effect.

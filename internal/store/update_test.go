@@ -459,7 +459,7 @@ func TestUpdateDifferentialSweep(t *testing.T) {
 // scripts (insert, delete+replace, sibling insert forcing re-keying),
 // each a separate commit.
 func runUpdateCrashWorkload(fs *kvstore.FaultFS, commit func()) error {
-	st, err := store.Open("crash.db", store.WithKVOptions(&kvstore.Options{CachePages: 16, FS: fs, Durability: true}))
+	st, err := store.Open("crash.db", store.WithKVOptions(&kvstore.Options{CachePages: 16, FS: fs}))
 	if err != nil {
 		return err
 	}

@@ -304,122 +304,22 @@ func cmpSatisfies(op string, c int) bool {
 }
 
 func (e *funcCall) eval(ctx *context) (Sequence, error) {
-	evalArgs := func() ([]Sequence, error) {
-		out := make([]Sequence, len(e.args))
-		for i, a := range e.args {
-			v, err := a.eval(ctx)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
+	f, ok := functions[e.name]
+	if !ok {
+		return nil, &Error{Message: fmt.Sprintf("unknown function %s()", e.name)}
 	}
-	switch e.name {
-	case "doc":
-		args, err := evalArgs()
-		if err != nil {
-			return nil, err
-		}
-		if len(args) != 1 {
-			return nil, &Error{Message: "doc() takes one argument"}
-		}
-		name, _ := atomize(one(args[0])).(string)
-		d, err := ctx.docs(name)
-		if err != nil {
-			return nil, err
-		}
-		var out Sequence
-		for _, r := range d.Roots {
-			out = append(out, r)
-		}
-		return out, nil
-	case "count":
-		args, err := evalArgs()
-		if err != nil {
-			return nil, err
-		}
-		return Sequence{float64(len(args[0]))}, nil
-	case "exists":
-		args, err := evalArgs()
-		if err != nil {
-			return nil, err
-		}
-		return Sequence{len(args[0]) > 0}, nil
-	case "not":
-		args, err := evalArgs()
-		if err != nil {
-			return nil, err
-		}
-		b, err := booleanValue(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return Sequence{!b}, nil
-	case "string":
-		args, err := evalArgs()
-		if err != nil {
-			return nil, err
-		}
-		if len(args[0]) == 0 {
-			return Sequence{""}, nil
-		}
-		return Sequence{stringValue(args[0][0])}, nil
-	case "number":
-		args, err := evalArgs()
-		if err != nil {
-			return nil, err
-		}
-		f, err := numberValue(args[0])
-		if err != nil {
-			return nil, err
-		}
-		return Sequence{f}, nil
-	case "name":
-		args, err := evalArgs()
-		if err != nil {
-			return nil, err
-		}
-		if n, ok := one(args[0]).(*xmltree.Node); ok {
-			return Sequence{n.LocalName()}, nil
-		}
-		return Sequence{""}, nil
-	case "concat":
-		args, err := evalArgs()
-		if err != nil {
-			return nil, err
-		}
-		var b strings.Builder
-		for _, a := range args {
-			for _, item := range a {
-				b.WriteString(stringValue(item))
-			}
-		}
-		return Sequence{b.String()}, nil
-	case "distinct-values":
-		args, err := evalArgs()
-		if err != nil {
-			return nil, err
-		}
-		seen := map[string]bool{}
-		var out Sequence
-		for _, item := range args[0] {
-			s := stringValue(item)
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-		return out, nil
+	if n := len(e.args); n < f.min || (f.max != variadic && n > f.max) {
+		return nil, &Error{Message: arityMessage(e.name, f, n)}
 	}
-	args, err := evalArgs()
-	if err != nil {
-		return nil, err
+	args := make([]Sequence, len(e.args))
+	for i, a := range e.args {
+		v, err := a.eval(ctx)
+		if err != nil {
+			return nil, err
+		}
+		args[i] = v
 	}
-	if out, ok, err := evalExtendedFunc(e.name, args); ok {
-		return out, err
-	}
-	return nil, &Error{Message: fmt.Sprintf("unknown function %s()", e.name)}
+	return f.call(ctx, args)
 }
 
 func (e *elemConstructor) eval(ctx *context) (Sequence, error) {

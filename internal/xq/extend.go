@@ -125,142 +125,207 @@ func (e *parentStep) eval(ctx *context) (Sequence, error) {
 	return out, nil
 }
 
-// arity for the extended functions (min required arguments).
-var extendedArity = map[string]int{
-	"sum": 1, "avg": 1, "min": 1, "max": 1,
-	"floor": 1, "ceiling": 1, "round": 1, "abs": 1,
-	"contains": 2, "starts-with": 2, "ends-with": 2,
-	"string-length": 1, "normalize-space": 1,
-	"upper-case": 1, "lower-case": 1, "substring": 2, "empty": 1,
-	"true": 0, "false": 0, "last": 0,
+// function is one entry of the function library: the argument counts it
+// accepts and its implementation over the evaluated arguments. funcCall
+// checks the count against [min, max] before any argument is evaluated,
+// so call may index args up to min-1 freely.
+type function struct {
+	min, max int
+	call     func(ctx *context, args []Sequence) (Sequence, error)
 }
 
-// evalExtendedFunc handles the function library beyond the core set; it
-// reports ok=false for names it does not know.
-func evalExtendedFunc(name string, args []Sequence) (Sequence, bool, error) {
-	want, known := extendedArity[name]
-	if !known {
-		return nil, false, nil
+// variadic as a function's max accepts any number of arguments.
+const variadic = -1
+
+func arityMessage(name string, f function, got int) string {
+	switch {
+	case f.min == f.max:
+		return fmt.Sprintf("%s() takes %d argument(s), got %d", name, f.min, got)
+	case f.max == variadic:
+		return fmt.Sprintf("%s() needs at least %d argument(s), got %d", name, f.min, got)
 	}
-	if len(args) < want {
-		return nil, true, &Error{Message: fmt.Sprintf("%s() needs at least %d argument(s), got %d", name, want, len(args))}
-	}
-	num := func(s Sequence) (float64, error) { return numberValue(s) }
-	switch name {
-	case "sum":
-		total := 0.0
-		for _, item := range args[0] {
+	return fmt.Sprintf("%s() takes %d to %d arguments, got %d", name, f.min, f.max, got)
+}
+
+// unary adapts a one-argument implementation that needs no context.
+func unary(call func(arg Sequence) (Sequence, error)) function {
+	return function{min: 1, max: 1, call: func(_ *context, args []Sequence) (Sequence, error) {
+		return call(args[0])
+	}}
+}
+
+// str1 adapts a string -> item function of one argument.
+func str1(call func(s string) Item) function {
+	return unary(func(arg Sequence) (Sequence, error) {
+		return Sequence{call(stringValue(atomize(one(arg))))}, nil
+	})
+}
+
+// num1 adapts a number -> number function of one argument.
+func num1(call func(f float64) float64) function {
+	return unary(func(arg Sequence) (Sequence, error) {
+		f, err := numberValue(arg)
+		if err != nil {
+			return nil, err
+		}
+		return Sequence{call(f)}, nil
+	})
+}
+
+// str2 adapts a (string, string) -> bool predicate.
+func str2(call func(a, b string) bool) function {
+	return function{min: 2, max: 2, call: func(_ *context, args []Sequence) (Sequence, error) {
+		return Sequence{call(stringValue(atomize(one(args[0]))), stringValue(atomize(one(args[1]))))}, nil
+	}}
+}
+
+// constant is a function of no arguments answering v.
+func constant(v Item) function {
+	return function{call: func(*context, []Sequence) (Sequence, error) { return Sequence{v}, nil }}
+}
+
+// extreme is min() or max(): the best numeric item under better, or the
+// empty sequence.
+func extreme(name string, better func(a, b float64) bool) function {
+	return unary(func(arg Sequence) (Sequence, error) {
+		var best float64
+		for i, item := range arg {
 			f, ok := toFloat(atomize(item))
 			if !ok {
-				return nil, true, &Error{Message: "sum(): non-numeric item"}
+				return nil, &Error{Message: name + "(): non-numeric item"}
 			}
-			total += f
-		}
-		return Sequence{total}, true, nil
-	case "avg":
-		if len(args[0]) == 0 {
-			return nil, true, nil
-		}
-		total := 0.0
-		for _, item := range args[0] {
-			f, ok := toFloat(atomize(item))
-			if !ok {
-				return nil, true, &Error{Message: "avg(): non-numeric item"}
-			}
-			total += f
-		}
-		return Sequence{total / float64(len(args[0]))}, true, nil
-	case "min", "max":
-		if len(args[0]) == 0 {
-			return nil, true, nil
-		}
-		best, ok := toFloat(atomize(args[0][0]))
-		if !ok {
-			return nil, true, &Error{Message: name + "(): non-numeric item"}
-		}
-		for _, item := range args[0][1:] {
-			f, fok := toFloat(atomize(item))
-			if !fok {
-				return nil, true, &Error{Message: name + "(): non-numeric item"}
-			}
-			if (name == "min" && f < best) || (name == "max" && f > best) {
+			if i == 0 || better(f, best) {
 				best = f
 			}
 		}
-		return Sequence{best}, true, nil
-	case "floor", "ceiling", "round", "abs":
-		f, err := num(args[0])
-		if err != nil {
-			return nil, true, err
+		if len(arg) == 0 {
+			return nil, nil
 		}
-		switch name {
-		case "floor":
-			f = math.Floor(f)
-		case "ceiling":
-			f = math.Ceil(f)
-		case "round":
-			f = math.Round(f)
-		case "abs":
-			f = math.Abs(f)
+		return Sequence{best}, nil
+	})
+}
+
+// sumOf adds the numeric items of a sequence.
+func sumOf(name string, arg Sequence) (float64, error) {
+	total := 0.0
+	for _, item := range arg {
+		f, ok := toFloat(atomize(item))
+		if !ok {
+			return 0, &Error{Message: name + "(): non-numeric item"}
 		}
-		return Sequence{f}, true, nil
-	case "contains", "starts-with", "ends-with":
-		a := stringValue(atomize(one(args[0])))
-		b := stringValue(atomize(one(args[1])))
-		var r bool
-		switch name {
-		case "contains":
-			r = strings.Contains(a, b)
-		case "starts-with":
-			r = strings.HasPrefix(a, b)
-		default:
-			r = strings.HasSuffix(a, b)
-		}
-		return Sequence{r}, true, nil
-	case "string-length":
-		return Sequence{float64(len(stringValue(atomize(one(args[0])))))}, true, nil
-	case "normalize-space":
-		return Sequence{strings.Join(strings.Fields(stringValue(atomize(one(args[0])))), " ")}, true, nil
-	case "upper-case":
-		return Sequence{strings.ToUpper(stringValue(atomize(one(args[0]))))}, true, nil
-	case "lower-case":
-		return Sequence{strings.ToLower(stringValue(atomize(one(args[0]))))}, true, nil
-	case "substring":
-		s := stringValue(atomize(one(args[0])))
-		start, err := num(args[1])
-		if err != nil {
-			return nil, true, err
-		}
-		from := int(start) - 1
-		if from < 0 {
-			from = 0
-		}
-		if from > len(s) {
-			from = len(s)
-		}
-		if len(args) >= 3 {
-			length, err := num(args[2])
-			if err != nil {
-				return nil, true, err
-			}
-			to := from + int(length)
-			if to > len(s) {
-				to = len(s)
-			}
-			if to < from {
-				to = from
-			}
-			return Sequence{s[from:to]}, true, nil
-		}
-		return Sequence{s[from:]}, true, nil
-	case "empty":
-		return Sequence{len(args[0]) == 0}, true, nil
-	case "true":
-		return Sequence{true}, true, nil
-	case "false":
-		return Sequence{false}, true, nil
-	case "last":
-		return nil, true, &Error{Message: "last() is not supported; use count() over a bound sequence"}
+		total += f
 	}
-	return nil, false, nil
+	return total, nil
+}
+
+// functions is the whole function library.
+var functions = map[string]function{
+	"doc": {min: 1, max: 1, call: func(ctx *context, args []Sequence) (Sequence, error) {
+		name, _ := atomize(one(args[0])).(string)
+		d, err := ctx.docs(name)
+		if err != nil {
+			return nil, err
+		}
+		var out Sequence
+		for _, r := range d.Roots {
+			out = append(out, r)
+		}
+		return out, nil
+	}},
+	"count":  unary(func(arg Sequence) (Sequence, error) { return Sequence{float64(len(arg))}, nil }),
+	"exists": unary(func(arg Sequence) (Sequence, error) { return Sequence{len(arg) > 0}, nil }),
+	"empty":  unary(func(arg Sequence) (Sequence, error) { return Sequence{len(arg) == 0}, nil }),
+	"not": unary(func(arg Sequence) (Sequence, error) {
+		b, err := booleanValue(arg)
+		if err != nil {
+			return nil, err
+		}
+		return Sequence{!b}, nil
+	}),
+	"string": unary(func(arg Sequence) (Sequence, error) {
+		if len(arg) == 0 {
+			return Sequence{""}, nil
+		}
+		return Sequence{stringValue(arg[0])}, nil
+	}),
+	"number": num1(func(f float64) float64 { return f }),
+	"name": unary(func(arg Sequence) (Sequence, error) {
+		if n, ok := one(arg).(*xmltree.Node); ok {
+			return Sequence{n.LocalName()}, nil
+		}
+		return Sequence{""}, nil
+	}),
+	"concat": {min: 0, max: variadic, call: func(_ *context, args []Sequence) (Sequence, error) {
+		var b strings.Builder
+		for _, a := range args {
+			for _, item := range a {
+				b.WriteString(stringValue(item))
+			}
+		}
+		return Sequence{b.String()}, nil
+	}},
+	"distinct-values": unary(func(arg Sequence) (Sequence, error) {
+		seen := map[string]bool{}
+		var out Sequence
+		for _, item := range arg {
+			s := stringValue(item)
+			if !seen[s] {
+				seen[s] = true
+				out = append(out, s)
+			}
+		}
+		return out, nil
+	}),
+	"sum": unary(func(arg Sequence) (Sequence, error) {
+		total, err := sumOf("sum", arg)
+		if err != nil {
+			return nil, err
+		}
+		return Sequence{total}, nil
+	}),
+	"avg": unary(func(arg Sequence) (Sequence, error) {
+		if len(arg) == 0 {
+			return nil, nil
+		}
+		total, err := sumOf("avg", arg)
+		if err != nil {
+			return nil, err
+		}
+		return Sequence{total / float64(len(arg))}, nil
+	}),
+	"min":             extreme("min", func(a, b float64) bool { return a < b }),
+	"max":             extreme("max", func(a, b float64) bool { return a > b }),
+	"floor":           num1(math.Floor),
+	"ceiling":         num1(math.Ceil),
+	"round":           num1(math.Round),
+	"abs":             num1(math.Abs),
+	"contains":        str2(strings.Contains),
+	"starts-with":     str2(strings.HasPrefix),
+	"ends-with":       str2(strings.HasSuffix),
+	"string-length":   str1(func(s string) Item { return float64(len(s)) }),
+	"normalize-space": str1(func(s string) Item { return strings.Join(strings.Fields(s), " ") }),
+	"upper-case":      str1(func(s string) Item { return strings.ToUpper(s) }),
+	"lower-case":      str1(func(s string) Item { return strings.ToLower(s) }),
+	"substring": {min: 2, max: 3, call: func(_ *context, args []Sequence) (Sequence, error) {
+		s := stringValue(atomize(one(args[0])))
+		start, err := numberValue(args[1])
+		if err != nil {
+			return nil, err
+		}
+		from := min(max(int(start)-1, 0), len(s))
+		if len(args) < 3 {
+			return Sequence{s[from:]}, nil
+		}
+		length, err := numberValue(args[2])
+		if err != nil {
+			return nil, err
+		}
+		to := max(min(from+int(length), len(s)), from)
+		return Sequence{s[from:to]}, nil
+	}},
+	"true":  constant(true),
+	"false": constant(false),
+	"last": {call: func(*context, []Sequence) (Sequence, error) {
+		return nil, &Error{Message: "last() is not supported; use count() over a bound sequence"}
+	}},
 }

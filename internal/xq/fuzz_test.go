@@ -3,6 +3,8 @@ package xq
 import (
 	"math/rand"
 	"testing"
+
+	"xmorph/internal/xmltree"
 )
 
 // TestQueryParserNeverPanics throws token soup at the XQuery parser.
@@ -29,4 +31,22 @@ func TestQueryParserNeverPanics(t *testing.T) {
 			_, _ = parse(src)
 		}()
 	}
+}
+
+// FuzzQuery parses and evaluates arbitrary query text against a small
+// fixed document: any outcome but a panic is acceptable.
+func FuzzQuery(f *testing.F) {
+	for _, seed := range []string{
+		`doc("lib.xml")/book/title`,
+		`for $b in doc("lib.xml")//book where $b/@year > 2000 order by $b/title return <t>{string($b/title)}</t>`,
+		`count()`, `substring("abc", 2, 1)`, `concat()`, `distinct-values(doc("lib.xml")//author)`,
+		`some $x in (1, 2) satisfies $x = 2`, `doc("lib.xml")/book[1]/..`,
+	} {
+		f.Add(seed)
+	}
+	e := New()
+	e.Bind("lib.xml", xmltree.MustParse(library))
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = e.QueryXML(src)
+	})
 }

@@ -696,6 +696,9 @@ func (p *parser) parseConstructor() (expr, error) {
 			e.content = append(e.content, contentPart{expr: inner})
 			continue
 		}
+		if p.i < len(p.src) && p.src[p.i] == '<' {
+			return nil, p.errorf("unexpected '<' in content of <%s>", name)
+		}
 		// Literal text run.
 		start := p.i
 		for p.i < len(p.src) && p.src[p.i] != '{' && p.src[p.i] != '<' {

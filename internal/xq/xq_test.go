@@ -1,6 +1,7 @@
 package xq
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -190,6 +191,7 @@ func TestErrors(t *testing.T) {
 		`$undefined`,
 		`unknownfn(1)`,
 		`<a>{1}</b>`,
+		`<t><4`,
 		`"unterminated`,
 		`for $b in doc("lib.xml")/book`,
 		`1 +`,
@@ -310,6 +312,36 @@ func TestExtendedErrors(t *testing.T) {
 	} {
 		if _, err := e.Query(src); err == nil {
 			t.Errorf("query %q succeeded, want error", src)
+		}
+	}
+}
+
+// TestFunctionArity calls every library function with one argument too
+// few and one too many: each must answer an *Error, never index a
+// missing argument.
+func TestFunctionArity(t *testing.T) {
+	e := engine(t)
+	call := func(name string, n int) string {
+		args := make([]string, n)
+		for i := range args {
+			args[i] = "1"
+		}
+		return name + "(" + strings.Join(args, ", ") + ")"
+	}
+	for name, f := range functions {
+		var srcs []string
+		if f.min > 0 {
+			srcs = append(srcs, call(name, f.min-1))
+		}
+		if f.max != variadic {
+			srcs = append(srcs, call(name, f.max+1))
+		}
+		for _, src := range srcs {
+			_, err := e.Query(src)
+			var xerr *Error
+			if !errors.As(err, &xerr) {
+				t.Errorf("query %q: err = %v, want *Error", src, err)
+			}
 		}
 	}
 }
