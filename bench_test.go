@@ -67,11 +67,28 @@ func (p prepared) transform(b *testing.B, guard string) {
 	b.Helper()
 	st := p.open(b)
 	defer st.Close()
-	res, err := engine.New(st).Run(context.Background(), p.name, guard, engine.RunOpts{})
+	if _, err := engine.New(st).Run(context.Background(), p.name, guard, engine.RunOpts{StreamTo: io.Discard}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// dump is the eXist-equivalent baseline: read the stored document in
+// document order and serialize it.
+func (p prepared) dump(b *testing.B) {
+	b.Helper()
+	st := p.open(b)
+	defer st.Close()
+	v := st.View()
+	defer v.Close()
+	d, err := v.Doc(p.name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := res.Output.WriteXML(io.Discard, false); err != nil {
+	re, err := d.Reconstruct()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := re.WriteXML(io.Discard, false); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -92,7 +109,9 @@ func BenchmarkFig10(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("compile/factor=%g", factor), func(b *testing.B) {
 			st := p.open(b)
-			sh, err := st.Shape(p.name)
+			v := st.View()
+			sh, err := v.Shape(p.name)
+			v.Close()
 			st.Close()
 			if err != nil {
 				b.Fatal(err)
@@ -106,19 +125,7 @@ func BenchmarkFig10(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("baseline-dump/factor=%g", factor), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st := p.open(b)
-				d, err := st.Doc(p.name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				re, err := d.Reconstruct()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := re.WriteXML(io.Discard, false); err != nil {
-					b.Fatal(err)
-				}
-				st.Close()
+				p.dump(b)
 			}
 		})
 	}
@@ -152,19 +159,7 @@ func BenchmarkFig14(b *testing.B) {
 	}
 	b.Run("baseline-dump", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st := p.open(b)
-			d, err := st.Doc(p.name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			re, err := d.Reconstruct()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := re.WriteXML(io.Discard, false); err != nil {
-				b.Fatal(err)
-			}
-			st.Close()
+			p.dump(b)
 		}
 	})
 }
@@ -397,7 +392,7 @@ func BenchmarkHotpathStream(b *testing.B) {
 			_, err := eng.Run(ctx, p.name, g.guard, engine.RunOpts{StreamTo: io.Discard})
 			return err
 		}
-		body, _ := json.Marshal(map[string]any{"doc": p.name, "guard": g.guard, "format": "xml", "stream": true})
+		body, _ := json.Marshal(map[string]any{"doc": p.name, "guard": g.guard, "format": "xml"})
 		post := func() error {
 			resp, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
 			if err != nil {

@@ -41,7 +41,6 @@ func main() {
 	indent := flag.Bool("indent", true, "pretty-print output XML")
 	quiet := flag.Bool("quiet", false, "suppress the reports, print only XML")
 	verify := flag.Bool("verify", false, "run-file: empirically compare closest graphs and quantify loss")
-	stream := flag.Bool("stream", false, "run: stream output without materializing the result tree")
 	trace := flag.Bool("trace", false, "print the pipeline span tree to stderr")
 	explain := flag.Bool("explain", false, "print the pipeline span tree as JSON to stderr")
 	slowMS := flag.Int("slow-query-ms", -1, "print the span tree only when the command takes at least this many ms (negative: always)")
@@ -51,8 +50,7 @@ func main() {
 	flag.Parse()
 
 	o := options{store: *storePath, cache: *cache,
-		indent: *indent, quiet: *quiet,
-		verify: *verify, stream: *stream,
+		indent: *indent, quiet: *quiet, verify: *verify,
 		trace: *trace, explain: *explain, slowMS: *slowMS,
 		metrics: *metrics, metricsFormat: *metricsFormat}
 	args, err := extractTrailingFlags(flag.Args(), &o)
@@ -148,7 +146,6 @@ type options struct {
 	indent bool
 	quiet  bool
 	verify bool
-	stream bool
 
 	trace         bool
 	explain       bool
@@ -270,38 +267,22 @@ func dispatch(o options, args []string) error {
 			return err
 		}
 		defer eng.Close()
-		if o.stream {
-			checked, err := eng.Check(ctx, args[1], args[2], root)
-			if err != nil {
-				return err
-			}
-			if !quiet {
-				fmt.Fprintf(os.Stderr, "-- information-loss report --\n%s\n", checked.Loss)
-			}
-			res, err := eng.Run(ctx, args[1], args[2], engine.RunOpts{Span: root, StreamTo: os.Stdout})
-			if err != nil {
-				return err
-			}
-			root.Set("pages-read", res.PagesRead)
-			if !quiet {
-				exec := "join-backed"
-				if res.StreamExec {
-					exec = "one-pass"
-				}
-				fmt.Fprintf(os.Stderr, "\n-- plan: %s; streamed %d nodes (%s) --\n", res.Plan, res.Streamed, exec)
-			}
-			return nil
-		}
-		res, err := eng.Run(ctx, args[1], args[2], engine.RunOpts{Span: root})
+		res, err := eng.Run(ctx, args[1], args[2], engine.RunOpts{Span: root, StreamTo: os.Stdout, Indent: indent})
 		if err != nil {
 			return err
 		}
+		root.Set("pages-read", res.PagesRead)
 		if !quiet {
+			exec := "join-backed"
+			if res.Plan.Streamable {
+				exec = "one-pass"
+			}
 			fmt.Fprintf(os.Stderr, "-- label-to-type report --\n%s", res.LabelReport())
 			fmt.Fprintf(os.Stderr, "-- information-loss report --\n%s\n", res.Loss)
+			fmt.Fprintf(os.Stderr, "-- plan: %s; streamed %d nodes (%s) --\n", res.Plan, res.Streamed, exec)
 			fmt.Fprintf(os.Stderr, "-- compile %v, render %v --\n", res.CompileTime, res.RenderTime)
 		}
-		return res.Output.WriteXML(os.Stdout, indent)
+		return nil
 
 	case "drop":
 		if len(args) != 2 {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"xmorph/internal/core"
 	"xmorph/internal/engine"
 )
 
@@ -161,10 +162,8 @@ func TestDispatchStreamAndDrop(t *testing.T) {
 	if _, err := capture(t, func() error { return dispatch(o, []string{"shred", "books", xml}) }); err != nil {
 		t.Fatal(err)
 	}
-	so := o
-	so.stream = true
 	out, err := capture(t, func() error {
-		return dispatch(so, []string{"run", "books", "MORPH title"})
+		return dispatch(o, []string{"run", "books", "MORPH title"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +177,34 @@ func TestDispatchStreamAndDrop(t *testing.T) {
 	}
 	if _, err := capture(t, func() error { return dispatch(o, []string{"run", "books", "MORPH title"}) }); err == nil {
 		t.Error("run after drop should fail")
+	}
+}
+
+// TestRunIndentMatchesTransform: run streams its XML to stdout honoring
+// -indent, for a streamable and a store-backed guard alike: the bytes
+// equal the in-memory transform's tree serialized with the same
+// indentation.
+func TestRunIndentMatchesTransform(t *testing.T) {
+	o := opts(t)
+	xml := tempXML(t)
+	if _, err := capture(t, func() error { return dispatch(o, []string{"shred", "books", xml}) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{"MORPH book [ title author [ name ] ]", "MORPH author [ name title ]"} {
+		want, err := core.TransformString(g, sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, indent := range []bool{false, true} {
+			o.indent = indent
+			out, err := capture(t, func() error { return dispatch(o, []string{"run", "books", g}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if exp := want.Output.XML(indent); out != exp {
+				t.Errorf("%s, -indent=%v:\n%q\nwant\n%q", g, indent, out, exp)
+			}
+		}
 	}
 }
 
@@ -389,7 +416,7 @@ func TestTracedStoredRun(t *testing.T) {
 	if !strings.HasPrefix(got, "run ") {
 		t.Errorf("trace root is not the run command:\n%s", got)
 	}
-	for _, want := range []string{"load-shape", "pages-read=", "compile", "typecheck", "loss-check", "render", "joins=", "nodes-out="} {
+	for _, want := range []string{"load-shape", "pages-read=", "compile", "typecheck", "loss-check", "stream", "joins=", "nodes-out="} {
 		if !strings.Contains(got, want) {
 			t.Errorf("stored-run trace missing %q:\n%s", want, got)
 		}

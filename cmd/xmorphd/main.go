@@ -12,7 +12,7 @@
 //	GET    /v1/docs               list shredded documents
 //	GET    /v1/docs/{name}/shape  print a document's adorned shape
 //	DELETE /v1/docs/{name}        drop a document
-//	POST   /v1/query              {"doc","guard"[,"query","format","stream","indent"]}
+//	POST   /v1/query              {"doc","guard"[,"query","format","indent"]}
 //	                              (?explain=1 embeds the span tree)
 //	GET    /metrics               obs registry snapshot (?format=json)
 //	GET    /debug/traces          retained request traces (/{id} for one tree)

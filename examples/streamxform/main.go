@@ -48,22 +48,21 @@ func main() {
 	// A narrow guard: gather each person with the auctions they bid in.
 	const guard = "CAST MORPH person [ name emailaddress ]"
 	before := st.Stats()
-	res, err := engine.New(st).Run(context.Background(), "xmark", guard, engine.RunOpts{})
+	res, err := engine.New(st).Run(context.Background(), "xmark", guard, engine.RunOpts{StreamTo: io.Discard})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := res.Output.WriteXML(io.Discard, false); err != nil {
 		log.Fatal(err)
 	}
 	after := st.Stats()
 	fmt.Printf("guard: %s\n", guard)
 	fmt.Printf("output: %d elements; compile %v, render %v\n",
-		res.Output.Size(), res.CompileTime, res.RenderTime)
+		res.Streamed, res.CompileTime, res.RenderTime)
 	fmt.Printf("blocks read for the narrow guard: %d\n\n", after.BlocksRead-before.BlocksRead)
 
 	// Compare: a full document dump reads every type sequence.
 	before = st.Stats()
-	d, err := st.Doc("xmark")
+	v := st.View()
+	defer v.Close()
+	d, err := v.Doc("xmark")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -101,7 +101,7 @@ type storedRun struct {
 }
 
 // runStored cold-opens the store at path and runs guard over the document
-// name through the engine, serializing the output to io.Discard
+// name through the engine, streaming the output XML to io.Discard
 // (producing output XML is part of the measured render cost, as in the
 // paper). With monitor set, the Figs. 11-13 sampler watches the store
 // for the whole run.
@@ -116,17 +116,13 @@ func (c *Config) runStored(path, name, guard string, monitor bool) (*storedRun, 
 		stop := startMonitor(monitorInterval, st.Stats)
 		defer func() { run.samples = stop() }()
 	}
-	res, err := engine.New(st).Run(context.Background(), name, guard, engine.RunOpts{})
+	res, err := engine.New(st).Run(context.Background(), name, guard, engine.RunOpts{StreamTo: io.Discard})
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	if err := res.Output.WriteXML(io.Discard, false); err != nil {
-		return nil, err
-	}
 	run.compile = res.CompileTime
-	run.render = res.RenderTime + time.Since(start)
-	run.nodes = res.Output.Size()
+	run.render = res.RenderTime
+	run.nodes = res.Streamed
 	return run, nil
 }
 
@@ -141,7 +137,9 @@ func (c *Config) runBaseline(path, name string) (time.Duration, error) {
 	}
 	defer st.Close()
 	start := time.Now()
-	doc, err := st.Doc(name)
+	v := st.View()
+	defer v.Close()
+	doc, err := v.Doc(name)
 	if err != nil {
 		return 0, err
 	}

@@ -116,11 +116,9 @@ func TestClusterChaosSweep(t *testing.T) {
 	}
 	wantXML := map[string]string{}
 	for _, name := range wantDocs {
-		res, err := ctl.Run(context.Background(), name, diffGuard, engine.RunOpts{})
-		if err != nil {
+		if wantXML[name], err = runXML(ctl, name, diffGuard); err != nil {
 			t.Fatal(err)
 		}
-		wantXML[name] = res.Output.XML(false)
 	}
 
 	// Rehearsal: the same workload on a fault-free cluster fixes the
@@ -195,13 +193,13 @@ func TestClusterChaosSweep(t *testing.T) {
 				t.Fatalf("doc set after recovery:\n%v\nwant\n%v", gotDocs, wantDocs)
 			}
 			for _, name := range wantDocs {
-				res, err := c.Run(context.Background(), name, diffGuard, engine.RunOpts{})
+				got, err := runXML(c, name, diffGuard)
 				if err != nil {
 					t.Fatalf("run %s after recovery: %v", name, err)
 				}
-				if res.Output.XML(false) != wantXML[name] {
+				if got != wantXML[name] {
 					t.Fatalf("output of %s after recovery diverges:\n%s\nwant\n%s",
-						name, res.Output.XML(false), wantXML[name])
+						name, got, wantXML[name])
 				}
 			}
 			recoveries += c.Recovered()

@@ -33,6 +33,13 @@ func docXML(i int) string {
 
 func docName(i int) string { return fmt.Sprintf("doc-%02d", i) }
 
+// runXML is the compact XML a Run of guard over name writes.
+func runXML(b engine.Backend, name, guard string) (string, error) {
+	var out strings.Builder
+	_, err := b.Run(context.Background(), name, guard, engine.RunOpts{StreamTo: &out})
+	return out.String(), err
+}
+
 func newTestCluster(t *testing.T, shards, replicas int) *Cluster {
 	t.Helper()
 	c, err := New(Config{Shards: shards, Replicas: replicas, VNodes: 32})
@@ -80,32 +87,24 @@ func assertVerbsMatch(t *testing.T, c *Cluster, ctl *engine.Engine, name string)
 		t.Fatalf("shape diverges for %s:\n%s\nvs\n%s", name, cs, es)
 	}
 
-	// Run, materialized and streamed, with its loss report and verdict.
-	cr, err := c.Run(ctx, name, diffGuard, engine.RunOpts{})
-	if err != nil {
-		t.Fatalf("cluster run %s: %v", name, err)
-	}
-	er, err := ctl.Run(ctx, name, diffGuard, engine.RunOpts{})
-	if err != nil {
-		t.Fatalf("control run %s: %v", name, err)
-	}
-	if cr.Loss.String() != er.Loss.String() || cr.Loss.Verdict != er.Loss.Verdict {
-		t.Fatalf("loss diverges for %s: %q/%v vs %q/%v",
-			name, cr.Loss, cr.Loss.Verdict, er.Loss, er.Loss.Verdict)
-	}
-	if cr.Output.XML(false) != er.Output.XML(false) {
-		t.Fatalf("run output diverges for %s:\n%s\nvs\n%s",
-			name, cr.Output.XML(false), er.Output.XML(false))
-	}
-	var cst, est strings.Builder
-	if _, err := c.Run(ctx, name, diffGuard, engine.RunOpts{StreamTo: &cst}); err != nil {
-		t.Fatalf("cluster stream %s: %v", name, err)
-	}
-	if _, err := ctl.Run(ctx, name, diffGuard, engine.RunOpts{StreamTo: &est}); err != nil {
-		t.Fatalf("control stream %s: %v", name, err)
-	}
-	if cst.String() != est.String() {
-		t.Fatalf("streamed output diverges for %s:\n%q\nvs\n%q", name, cst.String(), est.String())
+	// Run, compact and indented, with its loss report and verdict.
+	for _, indent := range []bool{false, true} {
+		var cst, est strings.Builder
+		cr, err := c.Run(ctx, name, diffGuard, engine.RunOpts{StreamTo: &cst, Indent: indent})
+		if err != nil {
+			t.Fatalf("cluster run %s: %v", name, err)
+		}
+		er, err := ctl.Run(ctx, name, diffGuard, engine.RunOpts{StreamTo: &est, Indent: indent})
+		if err != nil {
+			t.Fatalf("control run %s: %v", name, err)
+		}
+		if cr.Loss.String() != er.Loss.String() || cr.Loss.Verdict != er.Loss.Verdict {
+			t.Fatalf("loss diverges for %s: %q/%v vs %q/%v",
+				name, cr.Loss, cr.Loss.Verdict, er.Loss, er.Loss.Verdict)
+		}
+		if cst.String() != est.String() {
+			t.Fatalf("run output (indent %v) diverges for %s:\n%q\nvs\n%q", indent, name, cst.String(), est.String())
+		}
 	}
 
 	// Query.
@@ -168,7 +167,7 @@ func TestClusterDifferentialOracle(t *testing.T) {
 		}
 	}
 	assertDocsMatch(t, c, ctl)
-	if _, err := c.Run(ctx, docName(7), diffGuard, engine.RunOpts{}); err == nil {
+	if _, err := c.Run(ctx, docName(7), diffGuard, engine.RunOpts{StreamTo: io.Discard}); err == nil {
 		t.Fatal("cluster served a dropped document")
 	}
 
@@ -262,7 +261,7 @@ func TestClusterConcurrentDifferential(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 30; k++ {
 				name := docName((r + k) % base)
-				if _, err := c.Run(ctx, name, diffGuard, engine.RunOpts{}); err != nil {
+				if _, err := c.Run(ctx, name, diffGuard, engine.RunOpts{StreamTo: io.Discard}); err != nil {
 					errCh <- fmt.Errorf("read %s: %w", name, err)
 					return
 				}
@@ -284,7 +283,7 @@ func TestClusterConcurrentDifferential(t *testing.T) {
 					return
 				}
 				// Read-your-writes: the shred must be immediately visible.
-				if _, err := c.Run(ctx, docName(i), diffGuard, engine.RunOpts{}); err != nil {
+				if _, err := c.Run(ctx, docName(i), diffGuard, engine.RunOpts{StreamTo: io.Discard}); err != nil {
 					errCh <- fmt.Errorf("read-after-write %s: %w", docName(i), err)
 					return
 				}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"xmorph/internal/engine"
 	"xmorph/internal/obs"
 )
 
@@ -52,7 +51,7 @@ func TestClusterReplicaLagAndEpochFloor(t *testing.T) {
 				}
 				var err error
 				if name != "" {
-					_, err = c.Run(ctx, name, diffGuard, engine.RunOpts{})
+					_, err = runXML(c, name, diffGuard)
 				}
 				mu.RUnlock()
 				if err != nil {
@@ -72,12 +71,12 @@ func TestClusterReplicaLagAndEpochFloor(t *testing.T) {
 		if _, err := c.Shred(ctx, name, strings.NewReader(docXML(i)), nil); err != nil {
 			t.Fatalf("shred %s: %v", name, err)
 		}
-		res, err := c.Run(ctx, name, diffGuard, engine.RunOpts{})
+		got, err := runXML(c, name, diffGuard)
 		if err != nil {
 			t.Fatalf("read-after-write %s: %v", name, err)
 		}
 		mu.Lock()
-		written[name] = res.Output.XML(false)
+		written[name] = got
 		mu.Unlock()
 	}
 	// Replace one document: a stale replica still holds the old bytes,
@@ -93,15 +92,15 @@ func TestClusterReplicaLagAndEpochFloor(t *testing.T) {
 	if _, err := c.Shred(ctx, docName(0), strings.NewReader(v2), nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(ctx, docName(0), diffGuard, engine.RunOpts{})
+	got, err := runXML(c, docName(0), diffGuard)
 	if err != nil {
 		t.Fatalf("read-after-replace: %v", err)
 	}
-	if !strings.Contains(res.Output.XML(false), "V2") {
-		t.Fatalf("read after replace served stale bytes: %s", res.Output.XML(false))
+	if !strings.Contains(got, "V2") {
+		t.Fatalf("read after replace served stale bytes: %s", got)
 	}
 	mu.Lock()
-	written[docName(0)] = res.Output.XML(false)
+	written[docName(0)] = got
 	mu.Unlock()
 
 	close(stop)
@@ -131,11 +130,11 @@ func TestClusterReplicaLagAndEpochFloor(t *testing.T) {
 	// bytes are checked on each replica.
 	for name, want := range written {
 		for pass := 0; pass < 2; pass++ {
-			res, err := c.Run(ctx, name, diffGuard, engine.RunOpts{})
+			got, err := runXML(c, name, diffGuard)
 			if err != nil {
 				t.Fatalf("converged read %s: %v", name, err)
 			}
-			if got := res.Output.XML(false); got != want {
+			if got != want {
 				t.Fatalf("converged read %s diverges:\n%s\nwant\n%s", name, got, want)
 			}
 		}

@@ -5,18 +5,19 @@
 //	label-to-type report) -> potential-information-loss check (CAST
 //	enforcement) -> shape generation -> render to XML.
 //
-// Check compiles a guard against a shape and Checked renders it over any
-// render.Source; Transform runs both over an in-memory document. Running
-// a guard against a store — loading its shape and type sequences, caching
-// the compilation — is internal/engine's job. The compile phase never
-// touches the data, only the adorned shape; the render phase streams over
-// the touched type sequences (Section VII). The two phases are timed
-// separately because Figure 10 plots them separately.
+// This package is the stateless layer internal/engine wraps: Check
+// compiles a guard against a shape and Checked renders it over any
+// render.Source into a tree; Transform runs both over an in-memory
+// document. Running a guard against a store — loading its shape and type
+// sequences, caching the compilation, streaming the XML to a writer — is
+// internal/engine's job. The compile phase never touches the data, only
+// the adorned shape; the render phase streams over the touched type
+// sequences (Section VII). The two phases are timed separately because
+// Figure 10 plots them separately.
 package core
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"xmorph/internal/guard"
@@ -144,28 +145,28 @@ func (c *Checked) LabelReport() string {
 // the closest-join statistics and output node count.
 func (c *Checked) Render(src render.Source, parent *obs.Span) (*Result, error) {
 	rsp := parent.Child("render")
-	res, err := c.RenderOn(src, rsp)
-	rsp.End()
-	return res, err
-}
-
-// RenderOn runs the render phase annotating rsp directly — for callers
-// (the engine facade) that own the render span and fold extra
-// measurements (page I/O deltas) into it.
-func (c *Checked) RenderOn(src render.Source, rsp *obs.Span) (*Result, error) {
+	defer rsp.End()
 	start := time.Now()
 	out, err := render.Render(src, c.Plan.ComposedTarget(), rsp)
 	if err != nil {
 		return nil, err
 	}
 	renderTime := time.Since(start)
-	metricTransforms.Inc()
-	metricRenderSeconds.Observe(renderTime.Seconds())
+	ObserveTransform(renderTime)
 	return &Result{
 		Checked:    c,
 		Output:     out,
 		RenderTime: renderTime,
 	}, nil
+}
+
+// ObserveTransform records one successful transformation, and the time
+// its render phase took, in the pipeline metrics. Render calls it; so
+// does every other path that runs a checked guard (the engine's stored
+// Runs).
+func ObserveTransform(d time.Duration) {
+	metricTransforms.Inc()
+	metricRenderSeconds.Observe(d.Seconds())
 }
 
 // Transform compiles and runs a guard over an in-memory document. Under
@@ -189,19 +190,4 @@ func TransformString(guardSrc, xmlSrc string) (*Result, error) {
 		return nil, err
 	}
 	return Transform(guardSrc, doc, nil)
-}
-
-// StreamOn renders the checked guard directly to w without materializing
-// the output tree (Section VII's streaming evaluation); it returns the
-// number of elements and attributes written. Like RenderOn it annotates
-// the caller's span ssp directly — join statistics, nodes emitted, and
-// bytes written — so the caller can fold page I/O into the same span.
-func (c *Checked) StreamOn(src render.Source, w io.Writer, ssp *obs.Span) (int, error) {
-	start := time.Now()
-	n, err := render.Stream(src, c.Plan.ComposedTarget(), w, ssp)
-	if err == nil {
-		metricTransforms.Inc()
-		metricRenderSeconds.Observe(time.Since(start).Seconds())
-	}
-	return n, err
 }

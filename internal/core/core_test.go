@@ -280,29 +280,6 @@ func TestVerifyQuantifiesLoss(t *testing.T) {
 	}
 }
 
-func TestCheckedStreamMatchesOutput(t *testing.T) {
-	doc := xmltree.MustParse(fig1a)
-	checked, err := Check("MORPH author [ name book [ title ] ]", shapeOf(doc), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := checked.Render(doc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	n, err := checked.StreamOn(doc, &b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != res.Output.XML(false) {
-		t.Errorf("stream differs from render:\n%s\n%s", b.String(), res.Output.XML(false))
-	}
-	if n != res.Output.Size() {
-		t.Errorf("stream count %d, output size %d", n, res.Output.Size())
-	}
-}
-
 func TestUntracedPathUnchanged(t *testing.T) {
 	// A nil parent span must not panic anywhere in the traced pipeline,
 	// over an in-memory document or a store's lazy type sequences.
@@ -311,7 +288,9 @@ func TestUntracedPathUnchanged(t *testing.T) {
 	if _, err := st.Shred("b", strings.NewReader(`<data><t>x</t></data>`), nil); err != nil {
 		t.Fatal(err)
 	}
-	sh, err := st.Shape("b")
+	v := st.View()
+	defer v.Close()
+	sh, err := v.Shape("b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +298,7 @@ func TestUntracedPathUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := st.Doc("b")
+	d, err := v.Doc("b")
 	if err != nil {
 		t.Fatal(err)
 	}

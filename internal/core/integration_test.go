@@ -8,6 +8,7 @@ import (
 	"xmorph/internal/gen/dblp"
 	"xmorph/internal/gen/nasa"
 	"xmorph/internal/gen/xmark"
+	"xmorph/internal/render"
 	"xmorph/internal/store"
 	"xmorph/internal/xmltree"
 )
@@ -102,7 +103,9 @@ func TestIntegrationBattery(t *testing.T) {
 // renderStored compiles g against the stored shape of name and renders it
 // from the store's lazy type sequences.
 func renderStored(st *store.Store, name, g string) (*Result, error) {
-	sh, err := st.Shape(name)
+	v := st.View()
+	defer v.Close()
+	sh, err := v.Shape(name)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +113,7 @@ func renderStored(st *store.Store, name, g string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := st.Doc(name)
+	d, err := v.Doc(name)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +129,9 @@ func TestIntegrationStoredStreaming(t *testing.T) {
 	if _, err := st.Shred("x", strings.NewReader(doc.XML(false)), nil); err != nil {
 		t.Fatal(err)
 	}
-	sh, err := st.Shape("x")
+	v := st.View()
+	defer v.Close()
+	sh, err := v.Shape("x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +139,7 @@ func TestIntegrationStoredStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := st.Doc("x")
+	d, err := v.Doc("x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +148,7 @@ func TestIntegrationStoredStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if _, err := checked.StreamOn(d, &b, nil); err != nil {
+	if _, err := render.Stream(d, checked.Plan.ComposedTarget(), &b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.String() != res.Output.XML(false) {

@@ -12,6 +12,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -21,11 +22,11 @@ import (
 	"xmorph/internal/logical"
 	"xmorph/internal/obs"
 	"xmorph/internal/plan"
+	"xmorph/internal/render"
 	"xmorph/internal/shape"
 	"xmorph/internal/store"
 	"xmorph/internal/stream"
 	"xmorph/internal/update"
-	"xmorph/internal/xmltree"
 )
 
 // Re-exported result types: callers of the facade (cmd/xmorph, cmd/xmorphd)
@@ -58,8 +59,8 @@ var (
 	metricCacheEntries = obs.Default.Gauge("engine_guard_cache_entries")
 
 	// Streaming-executor metrics: runs that took the one-pass path, runs
-	// that wanted to stream but fell back to the join-backed renderer,
-	// and the nodes the one-pass path emitted.
+	// of store-backed guards (join-backed partners), and the nodes the
+	// one-pass path emitted.
 	metricStreamRuns      = obs.Default.Counter("engine_stream_runs_total")
 	metricStreamFallbacks = obs.Default.Counter("engine_stream_fallbacks_total")
 	metricStreamNodes     = obs.Default.Counter("engine_stream_nodes_total")
@@ -157,9 +158,11 @@ func (e *Engine) Docs(ctx context.Context, sp *obs.Span) ([]string, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
+	v := e.st.View()
+	defer v.Close()
 	dsp := sp.Child("list-docs")
 	before := e.st.Stats()
-	names, err := e.st.Documents()
+	names, err := v.Documents()
 	setPageIO(dsp, before, e.st.Stats())
 	dsp.End()
 	return names, err
@@ -317,45 +320,53 @@ func (e *Engine) compileIn(ctx context.Context, v *store.View, name, guardSrc st
 type RunOpts struct {
 	// Span receives the pipeline trace; nil is untraced and free.
 	Span *obs.Span
-	// StreamTo, when non-nil, streams the rendered XML into the writer
-	// without materializing the output tree; RunResult.Output stays nil
-	// and Streamed counts the nodes written.
+	// StreamTo receives the output XML, written as it is produced; Run
+	// fails without one.
 	StreamTo io.Writer
+	// Indent pretty-prints the XML with two-space indentation, as
+	// xmltree's WriteXML(w, true) would; otherwise it is compact.
+	Indent bool
 }
 
 // RunResult is a completed transformation with its provenance.
 type RunResult struct {
 	*Checked
-	// Output is the materialized result tree (nil when streamed).
-	Output *xmltree.Document
 	// Streamed counts elements and attributes written to StreamTo.
 	Streamed int
-	// RenderTime covers the render (or stream) phase only.
+	// RenderTime covers the phase that wrote the XML.
 	RenderTime time.Duration
 	// CacheHit reports whether the compile phase was served from the
 	// compiled-guard cache.
 	CacheHit bool
 	// PagesRead counts store pages read across the whole call.
 	PagesRead int64
-	// Plan is the streamability verdict cached with the compiled guard.
+	// Plan is the streamability verdict cached with the compiled guard;
+	// a streamable Plan means the one-pass executor produced the output
+	// (constant memory, no join graphs).
 	Plan plan.Decision
-	// StreamExec reports that the one-pass streaming executor produced
-	// the output (constant memory, no join graphs).
-	StreamExec bool
 }
 
+// errNoWriter reports a Run without a StreamTo writer.
+var errNoWriter = errors.New("engine: Run needs a StreamTo writer")
+
 // Run compiles guardSrc against the stored document name (cached) and
-// renders the transformation — the full Figure 8 pipeline over shredded
-// data. Cancellation is honored between stages; the span in opts traces
-// load-shape, compile, load-doc, and render/stream children, each
+// writes the transformation's XML to opts.StreamTo — the full Figure 8
+// pipeline over shredded data, streamed node by node in document order
+// (Section VII). Streamable guards (by the cached verdict) take the
+// one-pass scans, the rest the join-backed partners; the bytes are the
+// same either way. Cancellation is honored between stages; the span in
+// opts traces load-shape, compile, load-doc, and stream children, each
 // annotated with the pages it read.
 func (e *Engine) Run(ctx context.Context, name, guardSrc string, opts RunOpts) (*RunResult, error) {
+	if opts.StreamTo == nil {
+		return nil, errNoWriter
+	}
 	sp := opts.Span
 	pagesBefore := e.st.Stats().BlocksRead
 
 	// One view for the whole request: the compile phase, the document's
-	// lazy node loads, and the render all answer from a single committed
-	// epoch, and never wait behind a concurrent shred.
+	// lazy node loads, and the emit walk all answer from a single
+	// committed epoch, and never wait behind a concurrent shred.
 	v := e.st.View()
 	defer v.Close()
 
@@ -379,48 +390,32 @@ func (e *Engine) Run(ctx context.Context, name, guardSrc string, opts RunOpts) (
 		return nil, err
 	}
 
-	// A streamed Run takes the one-pass executor iff the cached verdict
-	// says the guard is streamable; otherwise it falls back to the
-	// join-backed streamer.
-	onePass := opts.StreamTo != nil && verdict.Streamable
-	if opts.StreamTo != nil && !onePass {
-		metricStreamFallbacks.Inc()
-	}
-
-	// One span around the one emit call, whichever source and sink it
-	// pairs: every branch reports the pages its type sequences cost.
+	// One span around the one emit call, whichever partners it pairs
+	// with the encoder: both report the pages their type sequences cost.
 	res := &RunResult{Checked: checked, CacheHit: hit, Plan: verdict}
-	spanName := "render"
-	if opts.StreamTo != nil {
-		spanName = "stream"
-	}
-	esp := sp.Child(spanName)
+	t := plan.Build(checked.Plan.ComposedTarget())
+	esp := sp.Child("stream")
 	before = e.st.Stats()
 	start := time.Now()
-	switch {
-	case onePass:
+	if verdict.Streamable {
 		esp.Set("streamed", 1)
-		res.Streamed, err = stream.Execute(stream.FromDoc(doc), checked.Plan.ComposedTarget(), opts.StreamTo, esp)
-	case opts.StreamTo != nil:
-		res.Streamed, err = checked.StreamOn(doc, opts.StreamTo, esp)
-	default:
-		var out *core.Result
-		if out, err = checked.RenderOn(doc, esp); err == nil {
-			res.Output = out.Output
-		}
+		res.Streamed, err = stream.ExecuteTree(stream.FromDoc(doc), t, opts.StreamTo, opts.Indent, esp)
+	} else {
+		metricStreamFallbacks.Inc()
+		res.Streamed, err = render.StreamTree(doc, t, opts.StreamTo, opts.Indent, esp)
 	}
 	setPageIO(esp, before, e.st.Stats())
 	esp.End()
 	if err != nil {
 		return nil, err
 	}
-	if onePass {
-		res.StreamExec = true
+	res.RenderTime = time.Since(start)
+	core.ObserveTransform(res.RenderTime)
+	if verdict.Streamable {
 		sp.Set("streamed", 1)
 		metricStreamRuns.Inc()
 		metricStreamNodes.Add(int64(res.Streamed))
 	}
-	res.RenderTime = time.Since(start)
 	res.PagesRead = e.st.Stats().BlocksRead - pagesBefore
 	return res, nil
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -38,36 +39,56 @@ func shredSample(t *testing.T, eng *Engine, name string) {
 	}
 }
 
+// runXML runs guard over the stored document name and returns the XML
+// the Run wrote along with its result.
+func runXML(t *testing.T, eng *Engine, name, guard string, opts RunOpts) (string, *RunResult) {
+	t.Helper()
+	var out strings.Builder
+	opts.StreamTo = &out
+	res, err := eng.Run(context.Background(), name, guard, opts)
+	if err != nil {
+		t.Fatalf("run %s: %v", guard, err)
+	}
+	return out.String(), res
+}
+
+// transformed is the in-memory oracle: core.Transform over the parsed
+// document, which shares no store path with Run.
+func transformed(t *testing.T, guard, xml string) *core.Result {
+	t.Helper()
+	res, err := core.Transform(guard, xmltree.MustParse(xml), nil)
+	if err != nil {
+		t.Fatalf("transform %s: %v", guard, err)
+	}
+	return res
+}
+
 // TestEngineRunMatchesCore checks the store pipeline against the
 // in-memory oracle: core.Transform over the parsed document shares no
-// store path with Run, so byte-equal outputs and loss reports mean the
-// shape load, the lazy type sequences and the guard cache changed nothing.
+// store path with Run, so byte-equal outputs, compact and indented, and
+// equal loss reports mean the shape load, the lazy type sequences, the
+// guard cache and the streamed emit changed nothing.
 func TestEngineRunMatchesCore(t *testing.T) {
-	ctx := context.Background()
 	eng := newEngine(t)
 	shredSample(t, eng, "books")
-	doc := xmltree.MustParse(sampleXML)
 
 	for _, g := range []string{
 		sampleGuard,
+		streamableGuard,
 		// Moving author below title duplicates the shared author under each
 		// title, so the static check demands a widening cast.
 		"CAST-WIDENING MUTATE title [ author [ name ] ]",
 		"CAST MORPH book [ title ] | TRANSLATE book -> volume",
 	} {
-		res, err := eng.Run(ctx, "books", g, RunOpts{})
-		if err != nil {
-			t.Fatalf("%s: %v", g, err)
-		}
-		want, err := core.Transform(g, doc, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", g, err)
-		}
-		if got, exp := res.Output.XML(false), want.Output.XML(false); got != exp {
-			t.Errorf("%s: engine output diverges from the in-memory transform:\n%s\nvs\n%s", g, got, exp)
-		}
-		if got, exp := res.Loss.String(), want.Loss.String(); got != exp {
-			t.Errorf("%s: loss report diverges: %q vs %q", g, got, exp)
+		want := transformed(t, g, sampleXML)
+		for _, indent := range []bool{false, true} {
+			got, res := runXML(t, eng, "books", g, RunOpts{Indent: indent})
+			if exp := want.Output.XML(indent); got != exp {
+				t.Errorf("%s (indent %v): engine output diverges from the in-memory transform:\n%s\nvs\n%s", g, indent, got, exp)
+			}
+			if got, exp := res.Loss.String(), want.Loss.String(); got != exp {
+				t.Errorf("%s: loss report diverges: %q vs %q", g, got, exp)
+			}
 		}
 	}
 }
@@ -79,46 +100,46 @@ func TestEngineRunSpans(t *testing.T) {
 	eng := newEngine(t)
 	shredSample(t, eng, "books")
 	tr := obs.New("run")
-	res, err := eng.Run(context.Background(), "books", sampleGuard, RunOpts{Span: tr.Root()})
+	res, err := eng.Run(context.Background(), "books", sampleGuard, RunOpts{Span: tr.Root(), StreamTo: io.Discard})
 	tr.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Output.Size() == 0 {
+	if res.Streamed == 0 {
 		t.Fatal("empty output")
 	}
 	text := tr.Text()
-	for _, span := range []string{"load-shape", "compile", "parse-guard", "typecheck", "loss-check", "load-doc", "render"} {
+	for _, span := range []string{"load-shape", "compile", "parse-guard", "typecheck", "loss-check", "load-doc", "stream"} {
 		if !strings.Contains(text, span) {
 			t.Errorf("trace missing span %q:\n%s", span, text)
 		}
 	}
-	for _, attr := range []string{"pages-read=", "labels=", "verdict=strongly-typed", "joins=", "closest-pairs=", "nodes-out="} {
+	for _, attr := range []string{"pages-read=", "labels=", "verdict=strongly-typed", "joins=", "closest-pairs=", "nodes-out=", "bytes-out="} {
 		if !strings.Contains(text, attr) {
 			t.Errorf("trace missing annotation %q:\n%s", attr, text)
 		}
 	}
 }
 
+// TestEngineStreamMatchesRender: a store-backed Run writes, compact and
+// indented, the bytes of serializing the in-memory transform's tree, and
+// counts its nodes; a Run without a writer is refused.
 func TestEngineStreamMatchesRender(t *testing.T) {
-	ctx := context.Background()
 	eng := newEngine(t)
 	shredSample(t, eng, "books")
 
-	rendered, err := eng.Run(ctx, "books", sampleGuard, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
+	want := transformed(t, sampleGuard, sampleXML).Output
+	for _, indent := range []bool{false, true} {
+		got, res := runXML(t, eng, "books", sampleGuard, RunOpts{Indent: indent})
+		if exp := want.XML(indent); got != exp {
+			t.Errorf("indent %v: streamed bytes differ from the serialized tree:\n%q\nvs\n%q", indent, got, exp)
+		}
+		if res.Streamed != want.Size() || res.Plan.Streamable {
+			t.Errorf("streamed run: nodes=%d (tree %d) one-pass=%v", res.Streamed, want.Size(), res.Plan.Streamable)
+		}
 	}
-	var out strings.Builder
-	streamed, err := eng.Run(ctx, "books", sampleGuard, RunOpts{StreamTo: &out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != rendered.Output.XML(false) {
-		t.Errorf("streamed bytes differ from rendered bytes:\n%q\nvs\n%q", out.String(), rendered.Output.XML(false))
-	}
-	if streamed.Streamed == 0 || streamed.Output != nil {
-		t.Errorf("streamed run: nodes=%d output=%v", streamed.Streamed, streamed.Output)
+	if _, err := eng.Run(context.Background(), "books", sampleGuard, RunOpts{}); !errors.Is(err, errNoWriter) {
+		t.Errorf("Run without StreamTo: err = %v, want errNoWriter", err)
 	}
 }
 
@@ -134,10 +155,7 @@ func TestGuardCacheHitsAndReshredInvalidation(t *testing.T) {
 	if hits, misses := eng.CacheStats(); hits != 0 || misses != 1 {
 		t.Fatalf("after first check: hits=%d misses=%d", hits, misses)
 	}
-	res, err := eng.Run(ctx, "books", sampleGuard, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runXML(t, eng, "books", sampleGuard, RunOpts{})
 	if !res.CacheHit {
 		t.Error("second compile of the same guard missed the cache")
 	}
@@ -154,17 +172,14 @@ func TestGuardCacheHitsAndReshredInvalidation(t *testing.T) {
 	if _, err := eng.Shred(ctx, "books", strings.NewReader(reshaped), nil); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := eng.Run(ctx, "books", sampleGuard, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, res2 := runXML(t, eng, "books", sampleGuard, RunOpts{})
 	if res2.CacheHit {
 		t.Error("compile after re-shred served the stale cached guard")
 	}
 	if res2.Checked == first {
 		t.Error("re-shredded document reused the old compilation")
 	}
-	if got := res2.Output.XML(false); !strings.Contains(got, "<name>W</name>") {
+	if !strings.Contains(got, "<name>W</name>") {
 		t.Errorf("post-reshred output not from the new document: %s", got)
 	}
 }
@@ -174,7 +189,7 @@ func TestEngineSentinelErrors(t *testing.T) {
 	eng := newEngine(t)
 	shredSample(t, eng, "books")
 
-	if _, err := eng.Run(ctx, "missing", sampleGuard, RunOpts{}); !errors.Is(err, ErrNotFound) {
+	if _, err := eng.Run(ctx, "missing", sampleGuard, RunOpts{StreamTo: io.Discard}); !errors.Is(err, ErrNotFound) {
 		t.Errorf("run on missing doc: %v, want ErrNotFound", err)
 	}
 	if _, err := eng.Shred(ctx, "books", strings.NewReader(sampleXML), nil); !errors.Is(err, ErrExists) {
@@ -227,7 +242,7 @@ func TestEngineHonorsContext(t *testing.T) {
 
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := eng.Run(expired, "books", sampleGuard, RunOpts{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := eng.Run(expired, "books", sampleGuard, RunOpts{StreamTo: io.Discard}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("run under expired context: %v", err)
 	}
 	cancelled, stop := context.WithCancel(context.Background())
@@ -272,7 +287,6 @@ func TestEngineQuery(t *testing.T) {
 }
 
 func TestEnginePersistsAcrossOpen(t *testing.T) {
-	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "e.db")
 	eng, err := Open(path, WithCachePages(64))
 	if err != nil {
@@ -297,12 +311,9 @@ func TestEnginePersistsAcrossOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	res, err := reopened.Run(ctx, "books", sampleGuard, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Output.XML(false), "<name>V</name>") {
-		t.Errorf("reopened run output: %s", res.Output.XML(false))
+	got, res := runXML(t, reopened, "books", sampleGuard, RunOpts{})
+	if !strings.Contains(got, "<name>V</name>") {
+		t.Errorf("reopened run output: %s", got)
 	}
 	if res.PagesRead == 0 {
 		t.Error("cold run read no pages")

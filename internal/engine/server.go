@@ -461,12 +461,10 @@ type queryRequest struct {
 	// instead of rendering the whole transformation.
 	Query string `json:"query,omitempty"`
 	// Format selects the response: "json" (default, XML + reports in one
-	// object) or "xml" (raw transformed XML only).
+	// object) or "xml" (raw transformed XML only, streamed in
+	// responseBlock writes).
 	Format string `json:"format,omitempty"`
-	// Stream, with Format "xml", streams the rendering straight to the
-	// response without materializing the output tree.
-	Stream bool `json:"stream,omitempty"`
-	// Indent pretty-prints materialized XML.
+	// Indent pretty-prints the XML in either format.
 	Indent bool `json:"indent,omitempty"`
 }
 
@@ -561,29 +559,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// JSON responses render into a buffer anyway, so let the engine stream
-	// into it: streamable guards take the one-pass executor (no result
-	// tree), store-backed ones the join-backed streamer — bytes identical
-	// either way. Pretty-printing needs the materialized tree.
-	opts := RunOpts{Span: sp}
-	var xml bytesBuilder
-	streaming := !req.Indent
-	if streaming {
-		opts.StreamTo = &xml
-	}
-	res, err := s.eng.Run(ctx, req.Doc, req.Guard, opts)
+	var xml strings.Builder
+	res, err := s.eng.Run(ctx, req.Doc, req.Guard, RunOpts{Span: sp, StreamTo: &xml, Indent: req.Indent})
 	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return
 	}
-	if !streaming {
-		if err := res.Output.WriteXML(&xml, req.Indent); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
 	exec := "store"
-	if res.StreamExec {
+	if res.Plan.Streamable {
 		exec = "stream"
 	}
 	resp := queryResponse{
@@ -613,9 +596,9 @@ const responseBlock = 32 << 10
 
 var blockWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, responseBlock) }}
 
-// queryXML answers a format "xml" query, streamed or materialized, in
-// responseBlock writes. Until a block has reached w, a failed Run drops
-// what it buffered and answers with its status; a later failure ends the
+// queryXML answers a format "xml" query, streamed in responseBlock
+// writes. Until a block has reached w, a failed Run drops what it
+// buffered and answers with its status; a later failure ends the
 // truncated body in a comment.
 func (s *Server) queryXML(w http.ResponseWriter, r *http.Request, req *queryRequest, sp *obs.Span) {
 	w.Header().Set("Content-Type", "application/xml")
@@ -623,17 +606,10 @@ func (s *Server) queryXML(w http.ResponseWriter, r *http.Request, req *queryRequ
 	bw := blockWriters.Get().(*bufio.Writer)
 	bw.Reset(sent)
 	defer func() { bw.Reset(nil); blockWriters.Put(bw) }()
-	opts := RunOpts{Span: sp}
-	if req.Stream {
-		opts.StreamTo = bw
-	}
-	res, err := s.eng.Run(r.Context(), req.Doc, req.Guard, opts)
+	_, err := s.eng.Run(r.Context(), req.Doc, req.Guard, RunOpts{Span: sp, StreamTo: bw, Indent: req.Indent})
 	if err != nil && sent.n == 0 {
 		writeError(w, httpStatus(err), err)
 		return
-	}
-	if err == nil && !req.Stream {
-		res.Output.WriteXML(bw, req.Indent)
 	}
 	bw.Flush()
 	if err != nil {
@@ -727,16 +703,6 @@ func MirrorStoreStats(reg *obs.Registry, s kvstore.Stats) {
 	reg.Gauge("kvstore_commit_lsn").Set(float64(s.CommitLSN))
 	reg.Gauge("kvstore_applied_lsn").Set(float64(s.AppliedLSN))
 }
-
-// bytesBuilder is a minimal strings.Builder-alike that implements
-// io.Writer for WriteXML without an extra copy at String time.
-type bytesBuilder struct{ buf []byte }
-
-func (b *bytesBuilder) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
-	return len(p), nil
-}
-func (b *bytesBuilder) String() string { return string(b.buf) }
 
 // sentCounter counts the bytes that reached w.
 type sentCounter struct {

@@ -119,16 +119,9 @@ func TestServerShredQueryShapePipeline(t *testing.T) {
 	if err := json.Unmarshal(data, &qr); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(nil, "books", sampleGuard, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytesBuilder
-	if err := res.Output.WriteXML(&want, false); err != nil {
-		t.Fatal(err)
-	}
-	if qr.XML != want.String() {
-		t.Errorf("served XML differs from engine run:\n%q\nvs\n%q", qr.XML, want.String())
+	want, res := runXML(t, eng, "books", sampleGuard, RunOpts{})
+	if qr.XML != want {
+		t.Errorf("served XML differs from engine run:\n%q\nvs\n%q", qr.XML, want)
 	}
 	if qr.Loss != res.Loss.String() {
 		t.Errorf("served loss report differs:\n%q\nvs\n%q", qr.Loss, res.Loss.String())
@@ -143,11 +136,12 @@ func TestServerShredQueryShapePipeline(t *testing.T) {
 		t.Error("repeat query missed the guard cache")
 	}
 
-	// Raw and streamed XML modes return the same bytes.
+	// The raw XML route returns the JSON answer's XML, and a body that
+	// still carries the retired "stream" field is accepted unchanged.
 	_, raw := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": "books", "guard": sampleGuard, "format": "xml"})
 	_, streamed := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": "books", "guard": sampleGuard, "format": "xml", "stream": true})
-	if !bytes.Equal(raw, streamed) {
-		t.Errorf("streamed bytes differ from rendered:\n%q\nvs\n%q", streamed, raw)
+	if string(raw) != want || !bytes.Equal(raw, streamed) {
+		t.Errorf("format xml bytes differ from the JSON xml:\n%q\n%q\nvs\n%q", raw, streamed, want)
 	}
 
 	// XQuery over the guard's output.
@@ -179,6 +173,32 @@ func TestServerShredQueryShapePipeline(t *testing.T) {
 	resp2, _ = postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": "books", "guard": sampleGuard})
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Errorf("query after drop status = %d, want 404", resp2.StatusCode)
+	}
+}
+
+// TestServerIndentBothFormats: the indent field applies to both
+// response formats, for a streamable and a store-backed guard alike: the
+// raw XML body and the JSON answer's XML equal the in-memory transform's
+// tree serialized with the same indentation.
+func TestServerIndentBothFormats(t *testing.T) {
+	_, _, ts := newTestServer(t, ServerConfig{})
+	shredHTTP(t, ts.URL, "books")
+	for _, g := range []string{streamableGuard, sampleGuard} {
+		want := transformed(t, g, sampleXML).Output
+		for _, indent := range []bool{false, true} {
+			exp := want.XML(indent)
+			resp, raw := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": "books", "guard": g, "format": "xml", "indent": indent})
+			if resp.StatusCode != http.StatusOK || string(raw) != exp {
+				t.Errorf("%s: format xml, indent %v: status %d\n%q\nwant\n%q", g, indent, resp.StatusCode, raw, exp)
+			}
+			_, data := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": "books", "guard": g, "indent": indent})
+			var qr struct {
+				XML string `json:"xml"`
+			}
+			if err := json.Unmarshal(data, &qr); err != nil || qr.XML != exp {
+				t.Errorf("%s: JSON xml, indent %v (err %v):\n%q\nwant\n%q", g, indent, err, qr.XML, exp)
+			}
+		}
 	}
 }
 
@@ -226,7 +246,7 @@ func TestServerStreamedRouteCompilesOnce(t *testing.T) {
 	eng, _, ts := newTestServer(t, ServerConfig{})
 	shredHTTP(t, ts.URL, "books")
 	hits0, misses0 := eng.CacheStats()
-	resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": "books", "guard": sampleGuard, "format": "xml", "stream": true})
+	resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": "books", "guard": sampleGuard, "format": "xml"})
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("<name>V</name>")) {
 		t.Fatalf("streamed query: status %d body %q", resp.StatusCode, body)
 	}
@@ -241,7 +261,7 @@ func TestServerStreamedRouteCompilesOnce(t *testing.T) {
 		{"books", "MORPH [", http.StatusBadRequest},
 		{"missing", sampleGuard, http.StatusNotFound},
 	} {
-		resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": c.doc, "guard": c.guard, "format": "xml", "stream": true})
+		resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": c.doc, "guard": c.guard, "format": "xml"})
 		if resp.StatusCode != c.status {
 			t.Errorf("streamed query of %q on %q: status %d, want %d (%s)", c.guard, c.doc, resp.StatusCode, c.status, body)
 		}
@@ -455,7 +475,9 @@ func TestServerGracefulDrain(t *testing.T) {
 	if got := st.Stats().Recoveries; got != 0 {
 		t.Errorf("drained store replayed the WAL on reopen: recoveries=%d", got)
 	}
-	if _, err := st.Shape("books"); err != nil {
+	v := st.View()
+	defer v.Close()
+	if _, err := v.Shape("books"); err != nil {
 		t.Errorf("document lost across drain: %v", err)
 	}
 }
@@ -482,10 +504,9 @@ func (failAfterWrite) Run(_ context.Context, name, _ string, opts RunOpts) (*Run
 }
 
 // TestStreamedResponseBlocks: an XML body reaches the ResponseWriter in
-// blocks of responseBlock bytes, not in the encoder's 4 KB pieces; the
-// streamed body equals the materialized one byte for byte; and a Run that
-// fails before its first block is flushed answers with its own status and
-// no XML.
+// blocks of responseBlock bytes, not in the encoder's 4 KB pieces; it
+// equals the JSON answer's XML byte for byte; and a Run that fails before
+// its first block is flushed answers with its own status and no XML.
 func TestStreamedResponseBlocks(t *testing.T) {
 	eng := newEngine(t)
 	xml := xmark.Generate(xmark.Config{Factor: 0.006, Seed: 28}).XML(false)
@@ -498,7 +519,7 @@ func TestStreamedResponseBlocks(t *testing.T) {
 		NewServer(b, ServerConfig{}).Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/query", bytes.NewReader(raw)))
 		return w
 	}
-	identity := map[string]any{"doc": "site", "guard": "CAST MUTATE site", "format": "xml", "stream": true}
+	identity := map[string]any{"doc": "site", "guard": "CAST MUTATE site", "format": "xml"}
 	streamed := query(eng, identity)
 	n := streamed.Body.Len()
 	if streamed.Code != http.StatusOK || n < 200<<10 {
@@ -507,12 +528,15 @@ func TestStreamedResponseBlocks(t *testing.T) {
 	if max := (n+responseBlock-1)/responseBlock + 1; streamed.writes > max {
 		t.Errorf("%d-byte body reached the ResponseWriter in %d writes, want <= %d", n, streamed.writes, max)
 	}
-	identity["stream"] = false
-	if whole := query(eng, identity); !bytes.Equal(whole.Body.Bytes(), streamed.Body.Bytes()) {
-		t.Errorf("streamed body (%d bytes) differs from the format xml body (%d bytes)", n, whole.Body.Len())
+	delete(identity, "format")
+	var whole struct {
+		XML string `json:"xml"`
+	}
+	if err := json.Unmarshal(query(eng, identity).Body.Bytes(), &whole); err != nil || whole.XML != streamed.Body.String() {
+		t.Errorf("streamed body (%d bytes) differs from the JSON xml (%d bytes, err %v)", n, len(whole.XML), err)
 	}
 
-	identity["stream"] = true
+	identity["format"] = "xml"
 	failed := query(failAfterWrite{eng}, identity)
 	if failed.Code != http.StatusNotFound {
 		t.Errorf("failure before the first block: status %d, want 404 (%s)", failed.Code, failed.Body)

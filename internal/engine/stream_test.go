@@ -15,45 +15,36 @@ import (
 // so the planner marks it streamable.
 const streamableGuard = "MORPH book [ title author [ name ] ]"
 
-// TestEngineStreamExecAuto: with a streamable guard and a StreamTo sink,
-// the engine auto-picks the one-pass executor and its bytes equal the
-// materialized rendering.
+// TestEngineStreamExecAuto: a streamable guard takes the one-pass
+// executor, and its bytes, compact and indented, equal the in-memory
+// transform's serialized tree.
 func TestEngineStreamExecAuto(t *testing.T) {
-	ctx := context.Background()
 	eng := newEngine(t)
 	shredSample(t, eng, "books")
 
-	rendered, err := eng.Run(ctx, "books", streamableGuard, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
+	want := transformed(t, streamableGuard, sampleXML).Output
+	for _, indent := range []bool{false, true} {
+		tr := obs.New("run")
+		sp := tr.Root()
+		got, res := runXML(t, eng, "books", streamableGuard, RunOpts{Span: sp, Indent: indent})
+		tr.Finish()
+		if !res.Plan.Streamable || res.Plan.Scans == 0 {
+			t.Errorf("plan verdict = %+v, want streamable with scans", res.Plan)
+		}
+		if exp := want.XML(indent); got != exp {
+			t.Errorf("indent %v: one-pass bytes differ from the serialized tree:\n%q\nvs\n%q", indent, got, exp)
+		}
+		if res.Streamed != want.Size() {
+			t.Errorf("streamed %d nodes, tree has %d", res.Streamed, want.Size())
+		}
+		if v, ok := sp.Attr("streamed"); !ok || v != "1" {
+			t.Errorf("streamed attr = %q, %v", v, ok)
+		}
+		if v, ok := sp.Attr("plan"); !ok || !strings.Contains(v, "streamable") {
+			t.Errorf("plan attr = %q, %v", v, ok)
+		}
+		wantPageIO(t, tr, "stream")
 	}
-	tr := obs.New("run")
-	sp := tr.Root()
-	var out strings.Builder
-	res, err := eng.Run(ctx, "books", streamableGuard, RunOpts{Span: sp, StreamTo: &out})
-	tr.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.StreamExec {
-		t.Fatalf("streamable guard did not take the one-pass path (plan: %s)", res.Plan)
-	}
-	if !res.Plan.Streamable || res.Plan.Scans == 0 {
-		t.Errorf("plan verdict = %+v, want streamable with scans", res.Plan)
-	}
-	if out.String() != rendered.Output.XML(false) {
-		t.Errorf("one-pass bytes differ from rendered:\n%q\nvs\n%q", out.String(), rendered.Output.XML(false))
-	}
-	if res.Streamed != rendered.Output.Size() {
-		t.Errorf("streamed %d nodes, tree has %d", res.Streamed, rendered.Output.Size())
-	}
-	if v, ok := sp.Attr("streamed"); !ok || v != "1" {
-		t.Errorf("streamed attr = %q, %v", v, ok)
-	}
-	if v, ok := sp.Attr("plan"); !ok || !strings.Contains(v, "streamable") {
-		t.Errorf("plan attr = %q, %v", v, ok)
-	}
-	wantPageIO(t, tr, "stream")
 }
 
 // wantPageIO asserts the named emit span of a traced Run carries both
@@ -75,36 +66,55 @@ func wantPageIO(t *testing.T, tr *obs.Trace, span string) {
 	t.Fatalf("trace has no %q span:\n%s", span, tr.Text())
 }
 
-// TestEngineStreamExecFallback: a store-backed guard streamed in auto mode
-// falls back to the join-backed streamer with identical bytes.
+// TestEngineStreamExecFallback: a store-backed guard takes the
+// join-backed partners, its stream span carries the page I/O, and its
+// bytes, compact and indented, equal the in-memory transform's.
 func TestEngineStreamExecFallback(t *testing.T) {
-	ctx := context.Background()
 	eng := newEngine(t)
 	shredSample(t, eng, "books")
 
-	tr := obs.New("run")
-	rendered, err := eng.Run(ctx, "books", sampleGuard, RunOpts{Span: tr.Root()})
-	tr.Finish()
-	if err != nil {
-		t.Fatal(err)
+	want := transformed(t, sampleGuard, sampleXML).Output
+	for _, indent := range []bool{false, true} {
+		tr := obs.New("run")
+		got, res := runXML(t, eng, "books", sampleGuard, RunOpts{Span: tr.Root(), Indent: indent})
+		tr.Finish()
+		wantPageIO(t, tr, "stream")
+		if _, ok := tr.Root().Attr("streamed"); ok {
+			t.Error("cross-axis guard took the one-pass path")
+		}
+		if res.Plan.Streamable || res.Plan.Reason == "" {
+			t.Errorf("plan verdict = %+v, want store-backed with reason", res.Plan)
+		}
+		if exp := want.XML(indent); got != exp {
+			t.Errorf("indent %v: fallback bytes differ from the serialized tree:\n%q\nvs\n%q", indent, got, exp)
+		}
 	}
-	wantPageIO(t, tr, "render")
-	tr = obs.New("run")
-	var out strings.Builder
-	res, err := eng.Run(ctx, "books", sampleGuard, RunOpts{Span: tr.Root(), StreamTo: &out})
-	tr.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPageIO(t, tr, "stream")
-	if res.StreamExec {
-		t.Error("cross-axis guard took the one-pass path")
-	}
-	if res.Plan.Streamable || res.Plan.Reason == "" {
-		t.Errorf("plan verdict = %+v, want store-backed with reason", res.Plan)
-	}
-	if out.String() != rendered.Output.XML(false) {
-		t.Errorf("fallback bytes differ from rendered")
+}
+
+// TestRunRecordsTransformMetrics: every successful stored Run, one-pass
+// or join-backed, adds one to the transform counter and one render-time
+// observation; every store-backed Run adds one to the fallback counter.
+func TestRunRecordsTransformMetrics(t *testing.T) {
+	eng := newEngine(t)
+	shredSample(t, eng, "books")
+	transforms := obs.Default.Counter("xmorph_transforms_total")
+	renders := obs.Default.Histogram("xmorph_render_seconds", obs.DurationBuckets)
+	fallbacks := obs.Default.Counter("engine_stream_fallbacks_total")
+	for _, c := range []struct {
+		guard    string
+		fallback int64
+	}{{streamableGuard, 0}, {sampleGuard, 1}} {
+		t0, r0, f0 := transforms.Value(), renders.Snapshot().Count, fallbacks.Value()
+		runXML(t, eng, "books", c.guard, RunOpts{})
+		if d := transforms.Value() - t0; d != 1 {
+			t.Errorf("%s: xmorph_transforms_total moved by %d, want 1", c.guard, d)
+		}
+		if d := renders.Snapshot().Count - r0; d != 1 {
+			t.Errorf("%s: xmorph_render_seconds observed %d times, want 1", c.guard, d)
+		}
+		if d := fallbacks.Value() - f0; d != c.fallback {
+			t.Errorf("%s: engine_stream_fallbacks_total moved by %d, want %d", c.guard, d, c.fallback)
+		}
 	}
 }
 

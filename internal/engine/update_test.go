@@ -43,11 +43,7 @@ func TestEngineUpdate(t *testing.T) {
 	if info.Delta.Kind != update.Widened {
 		t.Errorf("delta kind = %v, want Widened", info.Delta.Kind)
 	}
-	res, err := eng.Run(ctx, "books", "MORPH book [ isbn ]", RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Output.XML(false); strings.Count(got, "<isbn>9</isbn>") != 2 {
+	if got, _ := runXML(t, eng, "books", "MORPH book [ isbn ]", RunOpts{}); strings.Count(got, "<isbn>9</isbn>") != 2 {
 		t.Errorf("update not visible to Run: %s", got)
 	}
 
@@ -89,15 +85,12 @@ func TestGuardCacheAcrossUpdates(t *testing.T) {
 	if info.Delta.Kind != update.Unchanged {
 		t.Fatalf("shape-preserving update delta = %v", info.Delta)
 	}
-	res, err := eng.Run(ctx, "books", sampleGuard, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, res := runXML(t, eng, "books", sampleGuard, RunOpts{})
 	if !res.CacheHit {
 		t.Error("shape-preserving update evicted the compiled guard")
 	}
-	if !strings.Contains(res.Output.XML(false), "<name>W</name>") {
-		t.Errorf("run after update misses new content: %s", res.Output.XML(false))
+	if !strings.Contains(got, "<name>W</name>") {
+		t.Errorf("run after update misses new content: %s", got)
 	}
 
 	// Deleting every title narrows the shape: the hash moves and the
@@ -109,11 +102,7 @@ func TestGuardCacheAcrossUpdates(t *testing.T) {
 	if info.Delta.Kind == update.Unchanged {
 		t.Fatalf("delete title delta = %v, want a shape change", info.Delta)
 	}
-	res, err = eng.Run(ctx, "books", "MORPH author [ name ]", RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit {
+	if _, res = runXML(t, eng, "books", "MORPH author [ name ]", RunOpts{}); res.CacheHit {
 		t.Error("shape-changing update left a stale compilation serveable")
 	}
 }
@@ -145,15 +134,9 @@ func TestEngineUpdateDifferential(t *testing.T) {
 		if _, err := oracle.Shred(ctx, "d", strings.NewReader(cur.XML(false)), nil); err != nil {
 			t.Fatalf("script %d: oracle shred: %v", i, err)
 		}
-		got, err := eng.Run(ctx, "d", guard, RunOpts{})
-		if err != nil {
-			t.Fatalf("script %d: updated run: %v", i, err)
-		}
-		want, err := oracle.Run(ctx, "d", guard, RunOpts{})
-		if err != nil {
-			t.Fatalf("script %d: oracle run: %v", i, err)
-		}
-		if g, w := got.Output.XML(false), want.Output.XML(false); g != w {
+		g, _ := runXML(t, eng, "d", guard, RunOpts{})
+		w, _ := runXML(t, oracle, "d", guard, RunOpts{})
+		if g != w {
 			t.Errorf("script %d: Run diverges from re-shred:\n%s\nvs\n%s", i, g, w)
 		}
 		gq, err := eng.Query(ctx, "d", guard, query, QueryOpts{})
@@ -280,11 +263,7 @@ func TestLegacyDocShapeHashFallback(t *testing.T) {
 	if hits, _ := eng.CacheStats(); hits != 1 {
 		t.Errorf("legacy doc got %d cache hits, want 1", hits)
 	}
-	res, err := eng.Run(ctx, "books", sampleGuard, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CacheHit {
+	if _, res := runXML(t, eng, "books", sampleGuard, RunOpts{}); !res.CacheHit {
 		t.Error("legacy doc run missed the cache")
 	}
 }

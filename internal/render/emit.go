@@ -206,7 +206,7 @@ func (s *treeSink) mark(x *plan.Node, v *Vertex) {
 func (s *treeSink) Close()     { s.b.End() }
 func (s *treeSink) Err() error { return nil }
 
-// byteSink writes the output as compact XML, in the serializer's layout
+// byteSink writes the output as XML, in the serializer's layout
 // because it is the serializer's encoder. An element's text follows its
 // attributes in the bytes but precedes them in the walk, so Open holds
 // the text back until the next element event; only the innermost open
@@ -253,14 +253,14 @@ func (s *byteSink) flush() {
 func (s *byteSink) Err() error { return s.enc.Err() }
 
 // EmitXML walks the tree with partners from src and writes the output to
-// w as compact XML — byte for byte what serializing the rendered tree
-// with WriteXML(w, false) would write, without building it. It returns
-// the number of elements and attributes written and the bytes that
-// reached w; a write error, including one only the final flush surfaces,
-// comes back with the counts reached.
-func EmitXML(t *plan.Tree, src Partners, w io.Writer) (nodes int, bytes int64, err error) {
+// w as XML — byte for byte what serializing the rendered tree with
+// WriteXML(w, indent) would write, without building it. It returns the
+// number of elements and attributes written and the bytes that reached
+// w; a write error, including one only the final flush surfaces, comes
+// back with the counts reached.
+func EmitXML(t *plan.Tree, src Partners, w io.Writer, indent bool) (nodes int, bytes int64, err error) {
 	cw := &countingWriter{w: w}
-	enc := xmltree.NewEncoder(cw, false)
+	enc := xmltree.NewEncoder(cw, indent)
 	emit(t, src, &byteSink{enc: enc})
 	err = enc.Flush()
 	return enc.Nodes(), cw.n, err

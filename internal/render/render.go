@@ -76,26 +76,32 @@ func render(doc Source, t *plan.Tree, sp *obs.Span, prov map[*xmltree.Node]*plan
 	return out, nil
 }
 
-// Stream renders the transformation directly to w without materializing
-// the output tree — Section VII's observation that "a transformation can
-// immediately produce output, and stream the output node by node (in
-// document order)". Closest joins still run over whole type sequences
-// (sort-merge needs both sides), but output memory stays constant: nothing
-// of the result is retained. (internal/stream goes further for targets the
-// planner marks streamable, dropping the joins too.)
+// Stream renders the transformation directly to w as compact XML
+// without materializing the output tree — Section VII's observation that
+// "a transformation can immediately produce output, and stream the output
+// node by node (in document order)". It is StreamTree of tgt's execution
+// tree without indentation.
+func Stream(doc Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int, error) {
+	return StreamTree(doc, plan.Build(tgt), w, false, sp)
+}
+
+// StreamTree writes the rendering of execution tree t to w. Closest joins
+// still run over whole type sequences (sort-merge needs both sides), but
+// output memory stays constant: nothing of the result is retained.
+// (internal/stream goes further for trees the planner marks streamable,
+// dropping the joins too.)
 //
-// The byte output equals Render(...).XML(false). Stream returns the number
-// of elements and attributes written. Write errors — including those the
-// final buffered flush surfaces — are returned after the count of nodes
-// written before the failure.
+// The byte output equals Render(...).XML(indent). StreamTree returns the
+// number of elements and attributes written. Write errors — including
+// those the final buffered flush surfaces — are returned after the count
+// of nodes written before the failure.
 //
 // When sp is non-nil it records join statistics, nodes emitted, and bytes
 // written on sp. The span's lifetime belongs to the caller; a nil sp
 // changes nothing.
-func Stream(doc Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int, error) {
-	t := plan.Build(tgt)
+func StreamTree(doc Source, t *plan.Tree, w io.Writer, indent bool, sp *obs.Span) (int, error) {
 	r := newRenderer(doc, sp)
-	n, bytes, err := EmitXML(t, r.partners(t), w)
+	n, bytes, err := EmitXML(t, r.partners(t), w, indent)
 	if sp != nil {
 		r.annotate(sp, n)
 		sp.Set("bytes-out", bytes)

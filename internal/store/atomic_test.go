@@ -221,13 +221,15 @@ func TestAtomicConcurrentShreds(t *testing.T) {
 // counter, and checks that each one belongs to a named document.
 func records(t *testing.T, s *Store) string {
 	t.Helper()
-	names, err := s.Documents()
+	v := s.View()
+	defer v.Close()
+	names, err := v.Documents()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := map[uint32]bool{}
 	for _, name := range names {
-		id, _, err := s.docID(name)
+		id, _, err := v.DocVersion(name)
 		if err != nil {
 			t.Fatal(err)
 		}

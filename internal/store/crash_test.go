@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func runCrashWorkload(fs *kvstore.FaultFS, commit func()) error {
 	commit()
 	// Stored morph render: read-only, but it drives the buffer pool
 	// exactly as production does.
-	if _, err := engine.New(st).Run(context.Background(), "doc1", crashSweepGuard, engine.RunOpts{}); err != nil {
+	if _, err := engine.New(st).Run(context.Background(), "doc1", crashSweepGuard, engine.RunOpts{StreamTo: io.Discard}); err != nil {
 		return err
 	}
 	if _, err := st.Shred("doc2", strings.NewReader(crashDoc2), nil); err != nil {
@@ -110,12 +111,14 @@ func reopenAfterCrash(fs *kvstore.FaultFS) (*store.Store, error) {
 // readEverything walks every stored document's every type sequence,
 // returning the first corruption it hits.
 func readEverything(st *store.Store) error {
-	docs, err := st.Documents()
+	v := st.View()
+	defer v.Close()
+	docs, err := v.Documents()
 	if err != nil {
 		return err
 	}
 	for _, name := range docs {
-		d, err := st.Doc(name)
+		d, err := v.Doc(name)
 		if err != nil {
 			return err
 		}

@@ -88,7 +88,7 @@ func (s *Store) shredAs(id uint32, name string, r io.Reader) (*shredder, error) 
 	keys = append(keys, blobKey('H', id), docKey(name))
 	vals = append(vals, binary.BigEndian.AppendUint64(nil, hashShapeEnc(enc)), binary.BigEndian.AppendUint32(nil, id))
 	return sh, s.commit(func() error {
-		if _, exists, err := s.docID(name); err != nil || exists {
+		if _, exists, err := docIDIn(s.db, name); err != nil || exists {
 			return cmp.Or(err, fmt.Errorf("%w: %q", ErrExists, name))
 		}
 		return s.db.PutBatch(keys, vals)

@@ -161,7 +161,11 @@ func (v *View) Close() { v.snap.Close() }
 // Epoch identifies the committed state the view observes.
 func (v *View) Epoch() uint64 { return v.snap.Epoch() }
 
-// DocVersion returns a document's shred version as of the view.
+// DocVersion returns a document's shred version as of the view: its
+// internal docID, which the store never reuses (drop + re-shred assigns a
+// fresh id from a monotonic counter). Compiled-guard caches key on it so
+// a re-shredded document invalidates every cached compilation against
+// its old shape.
 func (v *View) DocVersion(name string) (uint32, bool, error) { return docIDIn(v.snap, name) }
 
 // Documents lists the view's document names, sorted.
@@ -329,15 +333,6 @@ func docIDOf(r reader, name string) (uint32, error) {
 	return id, err
 }
 
-// docID resolves a stored document's id against the committed state.
-func (s *Store) docID(name string) (uint32, bool, error) { return docIDIn(s.db, name) }
-
-// DocVersion returns a document's shred version: its internal docID,
-// which the store never reuses (drop + re-shred assigns a fresh id from a
-// monotonic counter). Compiled-guard caches key on it so a re-shredded
-// document invalidates every cached compilation against its old shape.
-func (s *Store) DocVersion(name string) (uint32, bool, error) { return s.docID(name) }
-
 // documentsIn lists the document names visible through r, sorted.
 func documentsIn(r reader) ([]string, error) {
 	var names []string
@@ -348,9 +343,6 @@ func documentsIn(r reader) ([]string, error) {
 	sort.Strings(names)
 	return names, err
 }
-
-// Documents lists the stored document names, sorted.
-func (s *Store) Documents() ([]string, error) { return documentsIn(s.db) }
 
 // shapeIn loads a document's adorned shape through r.
 func shapeIn(r reader, name string) (*shape.Shape, error) {
@@ -371,6 +363,9 @@ func shapeIn(r reader, name string) (*shape.Shape, error) {
 // Shape loads a document's adorned shape from the AdornedShapes record.
 // The chunked record is read through one view, so a concurrent drop +
 // re-shred cannot tear it.
+//
+// Deprecated: read through View, which every caller in this module
+// does; kept only while the benchmark module calls it.
 func (s *Store) Shape(name string) (*shape.Shape, error) {
 	v := s.View()
 	defer v.Close()
@@ -476,7 +471,12 @@ func docIn(r reader, name string) (*Doc, error) {
 	return &Doc{typeRegistry: newTypeRegistry(types), r: r, id: id, cache: map[string][]*xmltree.Node{}}, nil
 }
 
-// Doc opens a lazy view of a stored document over the live store.
+// Doc opens a lazy view of a stored document over the live store: each
+// type sequence is read at whatever epoch has committed when it loads,
+// so one Doc can mix states across types.
+//
+// Deprecated: use View.Doc, which every caller in this module does;
+// kept only while the benchmark module calls it.
 func (s *Store) Doc(name string) (*Doc, error) { return docIn(s.db, name) }
 
 // Types returns the document's type paths (typeID order).

@@ -137,7 +137,9 @@ func TestDocuments(t *testing.T) {
 	defer s.Close()
 	s.Shred("zeta", strings.NewReader("<a/>"), nil)
 	s.Shred("alpha", strings.NewReader("<b/>"), nil)
-	names, err := s.Documents()
+	v := s.View()
+	defer v.Close()
+	names, err := v.Documents()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +328,9 @@ func TestDropDocument(t *testing.T) {
 	if err := s.Drop("a"); err != nil {
 		t.Fatal(err)
 	}
-	names, _ := s.Documents()
+	v := s.View()
+	defer v.Close()
+	names, _ := v.Documents()
 	if len(names) != 1 || names[0] != "b" {
 		t.Errorf("documents after drop = %v", names)
 	}

@@ -35,7 +35,9 @@ func shredInto(t *testing.T, st *store.Store, name, xml string) {
 // reconstructXML reads the whole stored document back as XML bytes.
 func reconstructXML(t *testing.T, st *store.Store, name string) string {
 	t.Helper()
-	d, err := st.Doc(name)
+	v := st.View()
+	defer v.Close()
+	d, err := v.Doc(name)
 	if err != nil {
 		t.Fatalf("Doc(%q): %v", name, err)
 	}
@@ -44,6 +46,14 @@ func reconstructXML(t *testing.T, st *store.Store, name string) string {
 		t.Fatalf("Reconstruct(%q): %v", name, err)
 	}
 	return doc.XML(false)
+}
+
+// docVersion is name's shred version at the committed state.
+func docVersion(st *store.Store, name string) uint32 {
+	v := st.View()
+	defer v.Close()
+	ver, _, _ := v.DocVersion(name)
+	return ver
 }
 
 // assertMatchesReshred shreds the updated store's reconstruction into a
@@ -126,7 +136,7 @@ func TestUpdateBasicOps(t *testing.T) {
 			st := store.OpenMemory()
 			defer st.Close()
 			shredInto(t, st, "d", doc)
-			verBefore, _, _ := st.DocVersion("d")
+			verBefore := docVersion(st, "d")
 			info, err := st.Update("d", mustOps(t, c.script), nil)
 			if err != nil {
 				t.Fatalf("Update: %v", err)
@@ -134,7 +144,7 @@ func TestUpdateBasicOps(t *testing.T) {
 			if got := reconstructXML(t, st, "d"); got != c.want {
 				t.Fatalf("after %q:\n got %s\nwant %s", c.script, got, c.want)
 			}
-			verAfter, _, _ := st.DocVersion("d")
+			verAfter := docVersion(st, "d")
 			if verBefore != verAfter {
 				t.Errorf("Update changed the doc version %d -> %d; caches keyed on it would all miss", verBefore, verAfter)
 			}

@@ -234,7 +234,9 @@ func TestExecuteStoreAllocsSublinear(t *testing.T) {
 		if _, err := s.Shred("d", strings.NewReader(sb.String()), nil); err != nil {
 			t.Fatal(err)
 		}
-		doc, err := s.Doc("d")
+		v := s.View()
+		defer v.Close()
+		doc, err := v.Doc("d")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +265,9 @@ func TestExecuteChunkedValues(t *testing.T) {
 	if _, err := s.Shred("d", strings.NewReader(src), nil); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := s.Doc("d")
+	v := s.View()
+	defer v.Close()
+	doc, err := v.Doc("d")
 	if err != nil {
 		t.Fatal(err)
 	}

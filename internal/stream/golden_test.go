@@ -165,7 +165,9 @@ func TestGoldenCorpus(t *testing.T) {
 			if _, err := s.Shred(gc.name, strings.NewReader(gc.input), nil); err != nil {
 				t.Fatalf("shred: %v", err)
 			}
-			sd, err := s.Doc(gc.name)
+			v := s.View()
+			defer v.Close()
+			sd, err := v.Doc(gc.name)
 			if err != nil {
 				t.Fatal(err)
 			}

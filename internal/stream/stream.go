@@ -17,7 +17,7 @@
 // so a repeated probe of the same vertex re-answers consistently
 // without rereading.
 //
-// The byte output equals Render(...).XML(false) for every target the
+// The byte output equals Render(...).XML(indent) for every target the
 // planner marks streamable: the walk and the XML encoder are the
 // renderer's own, and the golden corpus in testdata checks that the
 // scans find the partners the joins find. OpenScans hands the same
@@ -38,7 +38,7 @@ import (
 )
 
 // ErrNotStreamable reports an Execute call on a target the planner
-// classified store-backed; callers should fall back to render.Stream.
+// classified store-backed; callers should fall back to render.StreamTree.
 var ErrNotStreamable = errors.New("stream: target is not streamable")
 
 // Cursor is a forward-only scan over one type's node sequence in Dewey
@@ -66,20 +66,25 @@ type docSource struct{ d *store.Doc }
 
 func (s docSource) ScanType(t string) Cursor { return s.d.ScanType(t) }
 
-// Execute streams the composed target from src to w in one pass,
+// Execute streams the composed target from src to w as compact XML: it
+// is ExecuteTree of tgt's execution tree without indentation.
+func Execute(src Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int, error) {
+	return ExecuteTree(src, plan.Build(tgt), w, false, sp)
+}
+
+// ExecuteTree streams execution tree t from src to w in one pass,
 // returning the number of elements and attributes written. It fails
-// with ErrNotStreamable when the planner rejects the target. When sp is
+// with ErrNotStreamable when the planner rejects the tree. When sp is
 // non-nil it records nodes, bytes, and cursor count; a nil span is
 // free. Write and storage errors — including the final buffered flush —
 // are surfaced on the returned error.
-func Execute(src Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int, error) {
-	t := plan.Build(tgt)
+func ExecuteTree(src Source, t *plan.Tree, w io.Writer, indent bool, sp *obs.Span) (int, error) {
 	if d := t.Decision(); !d.Streamable {
 		return 0, fmt.Errorf("%w: %s", ErrNotStreamable, d.Reason)
 	}
 	s := OpenScans(src, t)
 	defer s.Close()
-	n, bytes, err := render.EmitXML(t, s, w)
+	n, bytes, err := render.EmitXML(t, s, w, indent)
 	if err == nil {
 		err = s.Err()
 	}
