@@ -425,6 +425,21 @@ func BenchmarkHotpathStream(b *testing.B) {
 	}
 }
 
+// BenchmarkHotpathEncode serializes XMark sf 0.05 to io.Discard with
+// WriteXML: the encoder alone, without the scans that feed it in a
+// stored Run.
+func BenchmarkHotpathEncode(b *testing.B) {
+	doc := xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42})
+	b.SetBytes(int64(len(doc.XML(false))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := doc.WriteXML(io.Discard, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHotpathPutBatch compares one sorted PutBatch against the same
 // keys inserted with sequential Puts — one transaction, walking leaves
 // through its cursor, against one transaction and root-to-leaf descent

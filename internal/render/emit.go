@@ -259,11 +259,10 @@ func (s *byteSink) Err() error { return s.enc.Err() }
 // w; a write error, including one only the final flush surfaces, comes
 // back with the counts reached.
 func EmitXML(t *plan.Tree, src Partners, w io.Writer, indent bool) (nodes int, bytes int64, err error) {
-	cw := &countingWriter{w: w}
-	enc := xmltree.NewEncoder(cw, indent)
+	enc := xmltree.NewEncoder(w, indent)
 	emit(t, src, &byteSink{enc: enc})
 	err = enc.Flush()
-	return enc.Nodes(), cw.n, err
+	return enc.Nodes(), enc.Written(), err
 }
 
 // EmitTree walks the tree with partners from src into b: each root tree
@@ -272,19 +271,6 @@ func EmitXML(t *plan.Tree, src Partners, w io.Writer, indent bool) (nodes int, b
 // their Src.
 func EmitTree(t *plan.Tree, src Partners, b *xmltree.Builder) {
 	emit(t, src, &treeSink{b: b})
-}
-
-// countingWriter counts bytes on their way to the destination (placed
-// under the encoder's buffer, so it sees flushed output only).
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // Unit renders the single emission of occurrence x driven by source

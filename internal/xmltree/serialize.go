@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"bufio"
 	"io"
 	"strings"
 )
@@ -25,6 +24,9 @@ func (d *Document) XML(indent bool) string {
 	return b.String()
 }
 
+// block is the size at which the encoder hands its bytes to the writer.
+const block = 4 << 10
+
 // Encoder writes XML one event at a time and is the single definition of
 // the output layout: attributes sit in the start tag, whose ">" is
 // deferred until text or a child element follows, so an element with
@@ -33,11 +35,18 @@ func (d *Document) XML(indent bool) string {
 // renderers drive it straight from the emit walk, which is why their
 // bytes agree.
 //
+// Every event appends to the encoder's own block, which goes to the
+// writer in one Write once it holds 4 KB (a value longer than that goes
+// whole). Character data escapes "&", "<", ">" and "\r"; attribute
+// values also escape the double quote, "\n" and "\t", so every value
+// reads back unchanged.
+//
 // Events must arrive in document order with an element's attributes
 // before its text and children. Write errors stick: after the first one
-// every event is a no-op, and Err and Flush report it.
+// nothing more is written, and Err and Flush report it.
 type Encoder struct {
-	w      *bufio.Writer
+	w      io.Writer
+	b      []byte
 	indent bool
 	open   []frame
 	// pending: the innermost open element's start tag still lacks its
@@ -45,8 +54,9 @@ type Encoder struct {
 	pending bool
 	rooted  bool // a root tree was started: the next one needs a separator
 	nodes   int
-	buf     []byte // string values pass through it to reach the one escaper
+	written int64
 	err     error
+	stack   [16]frame // open's first backing array
 }
 
 // frame is one open element.
@@ -55,10 +65,12 @@ type frame struct {
 	elems bool // it has child elements (an indented end tag gets its own line)
 }
 
-// NewEncoder returns an encoder writing to w through its own buffer;
-// call Flush when done.
+// NewEncoder returns an encoder writing to w; call Flush when done.
 func NewEncoder(w io.Writer, indent bool) *Encoder {
-	return &Encoder{w: bufio.NewWriter(w), indent: indent, open: make([]frame, 0, 16)}
+	// Twice a block: the event that fills a block fits without regrowing it.
+	e := &Encoder{w: w, b: make([]byte, 0, 2*block), indent: indent}
+	e.open = e.stack[:0]
+	return e
 }
 
 // Start opens an element.
@@ -71,34 +83,32 @@ func (e *Encoder) Start(name string) {
 			e.newline(depth)
 		}
 	} else if e.rooted {
-		e.ch('\n')
+		e.b = append(e.b, '\n')
 	}
 	e.rooted = true
-	e.ch('<')
-	e.str(name)
+	e.b = append(append(e.b, '<'), name...)
 	e.open = append(e.open, frame{name: name})
 	e.pending = true
+	e.spill()
 }
 
 // Attr adds an attribute to the element just started.
 func (e *Encoder) Attr(name, value string) {
 	e.attrName(name)
-	e.escapeString(value, true)
-	e.ch('"')
+	e.b = append(escape(e.b, value, escAttr), '"')
+	e.spill()
 }
 
 // AttrBytes is Attr for a value held as bytes.
 func (e *Encoder) AttrBytes(name string, value []byte) {
 	e.attrName(name)
-	e.escape(value, true)
-	e.ch('"')
+	e.b = append(escape(e.b, value, escAttr), '"')
+	e.spill()
 }
 
 func (e *Encoder) attrName(name string) {
 	e.nodes++
-	e.ch(' ')
-	e.str(name)
-	e.str(`="`)
+	e.b = append(append(append(e.b, ' '), name...), `="`...)
 }
 
 // Text writes the current element's character data; empty text writes
@@ -106,7 +116,8 @@ func (e *Encoder) attrName(name string) {
 func (e *Encoder) Text(s string) {
 	if s != "" {
 		e.content()
-		e.escapeString(s, false)
+		e.b = escape(e.b, s, escText)
+		e.spill()
 	}
 }
 
@@ -114,7 +125,8 @@ func (e *Encoder) Text(s string) {
 func (e *Encoder) TextBytes(b []byte) {
 	if len(b) > 0 {
 		e.content()
-		e.escape(b, false)
+		e.b = escape(e.b, b, escText)
+		e.spill()
 	}
 }
 
@@ -125,32 +137,34 @@ func (e *Encoder) End() {
 	e.open = e.open[:depth]
 	if e.pending {
 		e.pending = false
-		e.str("/>")
-		return
+		e.b = append(e.b, "/>"...)
+	} else {
+		if f.elems && e.indent {
+			e.newline(depth)
+		}
+		e.b = append(append(append(e.b, "</"...), f.name...), '>')
 	}
-	if f.elems && e.indent {
-		e.newline(depth)
-	}
-	e.str("</")
-	e.str(f.name)
-	e.ch('>')
+	e.spill()
 }
 
 // Nodes returns the number of elements and attributes written so far.
 func (e *Encoder) Nodes() int { return e.nodes }
 
+// Written returns the number of bytes the writer has accepted so far.
+func (e *Encoder) Written() int64 { return e.written }
+
 // Err returns the first write error, if any.
 func (e *Encoder) Err() error { return e.err }
 
 // Flush ends the output (an indented document ends in a newline) and
-// drains the buffer. It returns the first error of the whole encoding,
-// including one only the final flush surfaces.
+// writes what the block still holds. It returns the first error of the
+// whole encoding, including one only the final write surfaces.
 func (e *Encoder) Flush() error {
 	if e.indent && e.rooted {
-		e.ch('\n')
+		e.b = append(e.b, '\n')
 	}
-	if err := e.w.Flush(); e.err == nil {
-		e.err = err
+	if len(e.b) > 0 {
+		e.write()
 	}
 	return e.err
 }
@@ -159,72 +173,67 @@ func (e *Encoder) Flush() error {
 func (e *Encoder) content() {
 	if e.pending {
 		e.pending = false
-		e.ch('>')
+		e.b = append(e.b, '>')
 	}
 }
 
 // newline starts an indented line at the given depth.
 func (e *Encoder) newline(depth int) {
-	e.ch('\n')
+	e.b = append(e.b, '\n')
 	for i := 0; i < depth; i++ {
-		e.str("  ")
+		e.b = append(e.b, "  "...)
 	}
 }
 
-func (e *Encoder) ch(c byte) {
+// spill writes the block once it is full.
+func (e *Encoder) spill() {
+	if len(e.b) >= block {
+		e.write()
+	}
+}
+
+// write hands the block to the writer and empties it; after an error it
+// only empties it. A short write without an error is io.ErrShortWrite.
+func (e *Encoder) write() {
 	if e.err == nil {
-		e.err = e.w.WriteByte(c)
+		n, err := e.w.Write(e.b)
+		e.written += int64(n)
+		if err == nil && n < len(e.b) {
+			err = io.ErrShortWrite
+		}
+		e.err = err
 	}
+	e.b = e.b[:0]
 }
 
-func (e *Encoder) str(s string) {
-	if e.err == nil {
-		_, e.err = e.w.WriteString(s)
-	}
-}
+// The contexts a byte is escaped in.
+const (
+	escText = 1 << iota // character data
+	escAttr             // attribute values
+)
 
-func (e *Encoder) escapeString(s string, inAttr bool) {
-	if !strings.ContainsAny(s, `&<>"`) {
-		e.str(s)
-		return
+// escClass gives the contexts each byte is escaped in, and entity its
+// replacement.
+var (
+	escClass = [256]uint8{
+		'&': escText | escAttr, '<': escText | escAttr, '>': escText | escAttr, '\r': escText | escAttr,
+		'"': escAttr, '\n': escAttr, '\t': escAttr,
 	}
-	e.buf = append(e.buf[:0], s...)
-	e.escape(e.buf, inAttr)
-}
+	entity = [256]string{
+		'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#xD;",
+		'"': "&quot;", '\n': "&#xA;", '\t': "&#x9;",
+	}
+)
 
-// escape is the one XML escaper: character data escapes "&", "<" and
-// ">"; attribute values also escape the double quote.
-func (e *Encoder) escape(b []byte, inAttr bool) {
+// escape is the one XML escaper: it appends s to b with every byte that
+// ctx escapes replaced by its entity, and the runs between them whole.
+func escape[S string | []byte](b []byte, s S, ctx uint8) []byte {
 	start := 0
-	for i, c := range b {
-		if c > '>' {
-			continue // letters and most text: every escaped byte sorts at or below '>'
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; escClass[c]&ctx != 0 {
+			b = append(append(b, s[start:i]...), entity[c]...)
+			start = i + 1
 		}
-		var rep string
-		switch c {
-		case '&':
-			rep = "&amp;"
-		case '<':
-			rep = "&lt;"
-		case '>':
-			rep = "&gt;"
-		case '"':
-			if !inAttr {
-				continue
-			}
-			rep = "&quot;"
-		default:
-			continue
-		}
-		e.bytes(b[start:i])
-		e.str(rep)
-		start = i + 1
 	}
-	e.bytes(b[start:])
-}
-
-func (e *Encoder) bytes(b []byte) {
-	if e.err == nil {
-		_, e.err = e.w.Write(b)
-	}
+	return append(b, s[start:]...)
 }
