@@ -342,30 +342,36 @@ func BenchmarkHotpathCachedJoin(b *testing.B) {
 }
 
 // BenchmarkHotpathLogical measures a guarded XQuery query over a stored
-// document: the people guard and the query of benchmark/'s logical class,
+// document: the people guard and the query of benchmark/'s logical class
+// (string), and the same query returning the name elements (node),
 // through engine.Query with the guard cache warm, so the op is the pruned
 // projection's emission plus the query.
 func BenchmarkHotpathLogical(b *testing.B) {
-	const (
-		guard = "CAST MORPH person [ name emailaddress ] | TRANSLATE person -> individual"
-		query = `for $p in doc("main")//individual return string($p/name)`
-	)
+	const guard = "CAST MORPH person [ name emailaddress ] | TRANSLATE person -> individual"
+	queries := []struct{ name, query string }{
+		{"string", `for $p in doc("main")//individual return string($p/name)`},
+		{"node", `for $p in doc("main")//individual return $p/name`},
+	}
 	p := prepare(b, "main", xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42}))
 	st := p.open(b)
 	defer st.Close()
 	eng := engine.New(st)
 	ctx := context.Background()
-	if _, err := eng.Query(ctx, p.name, guard, query, engine.QueryOpts{}); err != nil {
-		b.Fatal(err)
+	for _, q := range queries {
+		b.Run(q.name, func(b *testing.B) {
+			if _, err := eng.Query(ctx, p.name, guard, q.query, engine.QueryOpts{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Query(ctx, p.name, guard, q.query, engine.QueryOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query(ctx, p.name, guard, query, engine.QueryOpts{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 }
 
 // BenchmarkHotpathStream measures the streamed read path of a selective

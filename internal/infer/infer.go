@@ -39,16 +39,19 @@ func FromQuery(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if len(chains) == 0 {
-		return "", fmt.Errorf("infer: the query traverses no label paths")
-	}
-	// Merge chains into a forest.
+	// Merge chains into a forest, whether the query reads or navigates.
 	root := &node{}
 	for _, chain := range chains {
 		cur := root
 		for _, label := range chain {
+			if label == xq.Subtree {
+				break
+			}
 			cur = cur.kid(label)
 		}
+	}
+	if len(root.kids) == 0 {
+		return "", fmt.Errorf("infer: the query traverses no label paths")
 	}
 	sortKids(root)
 	var b strings.Builder

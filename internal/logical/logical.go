@@ -13,9 +13,10 @@
 // text() steps disable pruning below their chain, conservatively keeping
 // whole subtrees).
 //
-// The projection is emitted in one walk straight into the tree the query
-// reads — the renderer's walk and tree sink, below a wrapper element —
-// with no serialized bytes in between. A stored document whose pruned
+// The projection is emitted in one walk. A query answerable one `for`
+// binding at a time runs inside it, on each bound subtree as the walk
+// closes it; any other query reads the whole projection, emitted into one
+// tree below a wrapper element. A stored document whose pruned
 // projection the planner marks streamable supplies its partners from
 // forward scans (internal/stream's); any other source from closest joins.
 package logical
@@ -52,6 +53,10 @@ type Result struct {
 	// Scanned reports that the projection's partners came from forward
 	// scans of a stored document rather than from closest joins.
 	Scanned bool
+	// PerBinding reports that the query ran on each binding's subtree as
+	// the walk closed it; BindingReason says why not when it did not.
+	PerBinding    bool
+	BindingReason string
 }
 
 // Evaluate type-checks the guard, prunes its target to the query's paths,
@@ -69,76 +74,160 @@ func Evaluate(query, guardSrc, docName string, doc *xmltree.Document) (*Result, 
 // sequences the pruned projection mentions are read) — the seam that lets
 // the engine facade serve the compile phase from its shape-aware guard
 // cache. Under a non-nil parent span the pruning (annotated with kept and
-// total types), the projected render and the query each get a child span.
+// total types), the projected render and the query each get a child span
+// (the query's holds the render when it runs per binding).
 func EvaluateChecked(query string, checked *core.Checked, docName string, doc render.Source, parent *obs.Span) (*Result, error) {
-	tgt := checked.Plan.ComposedTarget()
-	total := countTypes(tgt)
-	verdict := plan.Classify(tgt)
-
-	psp := parent.Child("prune")
-	chains, err := xq.ExtractPaths(query)
-	if err != nil {
-		psp.End()
-		return nil, err
-	}
-	pruned := Prune(tgt, chains)
-	kept := countTypes(pruned)
-	psp.Set("kept-types", int64(kept))
-	psp.Set("total-types", int64(total))
-	psp.End()
-
-	rsp := parent.Child("render")
-	wrapped, scanned, err := project(doc, plan.Build(pruned), rsp)
-	rsp.End()
+	p, res, err := prepare(query, checked, docName, parent)
 	if err != nil {
 		return nil, err
 	}
-
-	qsp := parent.Child("query")
-	defer qsp.End()
-	eng := xq.New()
-	eng.Bind(docName, wrapped)
-	answer, err := eng.QueryXML(rebase(query, docName))
+	src, scanned, done := partners(doc, p.tree)
+	run := p.wholeTree
+	if res.PerBinding {
+		run = p.perBinding
+	}
+	err = run(src, res, parent)
+	if serr := done(); serr != nil {
+		err = serr
+	}
 	if err != nil {
 		return nil, err
 	}
-	qsp.Set("answer-bytes", int64(len(answer)))
-	return &Result{
-		Answer:        answer,
-		RenderedNodes: wrapped.Size() - 1,
-		KeptTypes:     kept,
-		TotalTypes:    total,
-		Streamable:    verdict.Streamable,
-		PlanReason:    verdict.Reason,
-		Scanned:       scanned,
-	}, nil
+	res.Scanned = scanned
+	return res, nil
 }
 
-// project emits the projection t into the query's input: one
-// <xmorph-result> element holding the rendered forest, as the query
-// addresses doc(docName) and results are forests. The partners come from
-// forward scans when doc is stored and t streamable (scanned), from
-// closest joins otherwise.
-func project(doc render.Source, t *plan.Tree, sp *obs.Span) (wrapped *xmltree.Document, scanned bool, err error) {
-	b := xmltree.NewBuilder()
-	b.Elem("xmorph-result")
-	d, stored := doc.(*store.Doc)
-	if scanned = stored && t.Decision().Streamable; scanned {
-		s := stream.OpenScans(stream.FromDoc(d), t)
-		render.EmitTree(t, s, b)
-		err = s.Err()
-		s.Close()
-	} else {
-		render.EmitTree(t, render.JoinPartners(doc, t), b)
-	}
-	if err == nil {
-		wrapped, err = b.End().Document()
-	}
+// projection is a query's pruned execution tree and the query; at marks
+// the occurrences its for clause binds when it runs per binding.
+type projection struct {
+	tree    *plan.Tree
+	query   string // rebased
+	docName string
+	bind    *xq.Binding
+	at      []bool
+}
+
+// prepare prunes the guard's target to the query's paths and decides,
+// from the query and the pruned tree alone, whether it runs per binding.
+func prepare(query string, checked *core.Checked, docName string, parent *obs.Span) (*projection, *Result, error) {
+	tgt := checked.Plan.ComposedTarget()
+	verdict := plan.Classify(tgt)
+	psp := parent.Child("prune")
+	defer psp.End()
+	chains, err := xq.ExtractPaths(query)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
-	sp.Set("nodes-out", int64(wrapped.Size()-1))
-	return wrapped, scanned, nil
+	pruned := Prune(tgt, chains)
+	res := &Result{KeptTypes: countTypes(pruned), TotalTypes: countTypes(tgt), Streamable: verdict.Streamable, PlanReason: verdict.Reason}
+	psp.Set("kept-types", int64(res.KeptTypes))
+	psp.Set("total-types", int64(res.TotalTypes))
+	p := &projection{tree: plan.Build(pruned), query: rebase(query, docName), docName: docName}
+	if p.bind, res.BindingReason, err = xq.ParseBinding(p.query, docName); err != nil {
+		return nil, nil, err
+	}
+	if p.bind != nil {
+		p.at, res.BindingReason = bound(p.tree, p.bind.Steps)
+	}
+	res.PerBinding = p.at != nil
+	return p, res, nil
+}
+
+// bound marks the occurrences a binding path reaches from the whole-tree
+// path's wrapper. None a step reaches may lie below another: then the
+// path binds each emission once, in the order the walk closes them.
+func bound(t *plan.Tree, steps []xq.Step) ([]bool, string) {
+	var marks []bool
+	from := [][]*plan.Node{t.Roots}
+	for _, st := range steps {
+		var reached []*plan.Node
+		for _, kids := range from {
+			reached = reach(kids, st, reached)
+		}
+		marks, from = make([]bool, len(t.Nodes)), from[:0]
+		for _, x := range reached {
+			marks[x.ID] = true
+		}
+		for _, x := range reached {
+			for y := x.Parent; y != nil; y = y.Parent {
+				if marks[y.ID] {
+					return nil, fmt.Sprintf("step %s reaches %s inside %s", st.Name, x.TN.Name, y.TN.Name)
+				}
+			}
+			from = append(from, x.Kids)
+		}
+	}
+	return marks, ""
+}
+
+// reach appends the element occurrences among kids, and below them for a
+// descendant step, whose name st tests.
+func reach(kids []*plan.Node, st xq.Step, out []*plan.Node) []*plan.Node {
+	for _, k := range kids {
+		if !k.Attr && strings.TrimPrefix(k.TN.Name, "@") == st.Name {
+			out = append(out, k)
+		}
+		if st.Descendant {
+			out = reach(k.Kids, st, out)
+		}
+	}
+	return out
+}
+
+// perBinding evaluates the query on each bound subtree as the walk closes it.
+func (p *projection) perBinding(src render.Partners, res *Result, parent *obs.Span) error {
+	qsp := parent.Child("query")
+	defer qsp.End()
+	qsp.Set("per-binding", 1)
+	var answer xq.Answer
+	nodes, err := render.EmitBindings(p.tree, src, p.at, func(n *xmltree.Node) error { return p.bind.Eval(n, &answer) })
+	if err != nil {
+		return err
+	}
+	res.Answer, res.RenderedNodes = answer.String(), nodes
+	qsp.Set("nodes-out", int64(nodes))
+	qsp.Set("answer-bytes", int64(len(res.Answer)))
+	return nil
+}
+
+// wholeTree emits the projection into one <xmorph-result> element (the
+// query addresses doc(docName), and results are forests) and queries it.
+func (p *projection) wholeTree(src render.Partners, res *Result, parent *obs.Span) error {
+	rsp := parent.Child("render")
+	b := xmltree.NewBuilder().Elem("xmorph-result")
+	render.EmitTree(p.tree, src, b)
+	wrapped, err := b.End().Document()
+	rsp.End()
+	if err != nil {
+		return err
+	}
+	rsp.Set("nodes-out", int64(wrapped.Size()-1))
+	qsp := parent.Child("query")
+	defer qsp.End()
+	qsp.Set("per-binding", 0)
+	qsp.SetStr("per-binding-refused", res.BindingReason)
+	eng := xq.New()
+	eng.Bind(p.docName, wrapped)
+	if res.Answer, err = eng.QueryXML(p.query); err != nil {
+		return err
+	}
+	res.RenderedNodes = wrapped.Size() - 1
+	qsp.Set("answer-bytes", int64(len(res.Answer)))
+	return nil
+}
+
+// partners opens t's partner source over doc: forward scans when doc is
+// stored and t streamable (scanned), closest joins otherwise. done
+// releases the scans and reports their error, which overrides any other.
+func partners(doc render.Source, t *plan.Tree) (src render.Partners, scanned bool, done func() error) {
+	if d, stored := doc.(*store.Doc); stored && t.Decision().Streamable {
+		s := stream.OpenScans(stream.FromDoc(d), t)
+		return s, true, func() error {
+			defer s.Close()
+			return s.Err()
+		}
+	}
+	return render.JoinPartners(doc, t), false, func() error { return nil }
 }
 
 // rebase rewrites doc("name")/step to doc("name")//step so queries written
@@ -158,19 +247,28 @@ func countTypes(t *semantics.Target) int {
 }
 
 // Prune keeps only the target types the query's label chains can reach:
-// a node survives when it completes a chain (the query selects it — its
-// whole subtree stays, atomization reads descendants), or when some
-// descendant survives (ancestors stay on the path to selected nodes).
-// Because ExtractPaths does not distinguish child from descendant steps,
-// every step is treated as a descendant step — strictly conservative.
-// A nil/empty chain set keeps everything (nothing to prune with).
+// a node survives when it completes a chain — with its whole subtree if
+// the query reads the chain's nodes (xq.ExtractPaths), as atomization
+// reads descendants — or when some descendant survives. Because
+// ExtractPaths does not distinguish child from descendant steps, every
+// step is treated as a descendant step — strictly conservative. A
+// nil/empty chain set, or a query reading the whole document, keeps
+// everything.
 func Prune(t *semantics.Target, chains [][]string) *semantics.Target {
-	if len(chains) == 0 {
-		return t
+	// Here each chain the query reads ends in xq.Subtree.
+	active := make([][]string, 0, len(chains))
+	for _, ch := range chains {
+		if len(ch) == 1 && ch[0] == xq.Subtree {
+			return t
+		}
+		if !xq.Continued(chains, ch) && ch[len(ch)-1] != xq.Subtree {
+			ch = append(ch[:len(ch):len(ch)], xq.Subtree)
+		}
+		active = append(active, ch)
 	}
 	out := &semantics.Target{}
 	for _, r := range t.Roots {
-		if kept := pruneNode(r, chains); kept != nil {
+		if kept := pruneNode(r, active); kept != nil {
 			out.Roots = append(out.Roots, kept)
 		}
 	}
@@ -187,15 +285,20 @@ func Prune(t *semantics.Target, chains [][]string) *semantics.Target {
 // suffixes. Chains remain active at every depth (descendant semantics);
 // consuming a step narrows a copy of the chain for the nodes below.
 func pruneNode(n *semantics.TNode, active [][]string) *semantics.TNode {
-	label := nodeLabel(n)
+	lbl := label(n.Name)
 	var consumed [][]string
+	survived := false
 	for _, ch := range active {
-		if len(ch) > 0 && stepLabel(ch[0]) == label {
-			if len(ch) == 1 {
-				// The query selects this node: keep its whole subtree.
-				return n.Copy()
-			}
-			consumed = append(consumed, ch[1:])
+		if label(ch[0]) != lbl {
+			continue
+		}
+		switch rest := ch[1:]; {
+		case len(rest) == 0:
+			survived = true // navigated through: the node itself stays
+		case rest[0] == xq.Subtree:
+			return n.Copy()
+		default:
+			consumed = append(consumed, rest)
 		}
 	}
 	next := active
@@ -206,7 +309,6 @@ func pruneNode(n *semantics.TNode, active [][]string) *semantics.TNode {
 	}
 	cp := n.Copy()
 	cp.Kids = nil
-	survived := false
 	for _, k := range n.Kids {
 		if kc := pruneNode(k, next); kc != nil {
 			cp.Attach(kc)
@@ -219,10 +321,6 @@ func pruneNode(n *semantics.TNode, active [][]string) *semantics.TNode {
 	return cp
 }
 
-func nodeLabel(n *semantics.TNode) string {
-	return strings.ToLower(strings.TrimPrefix(n.Name, "@"))
-}
-
-func stepLabel(s string) string {
-	return strings.ToLower(strings.TrimPrefix(s, "@"))
+func label(name string) string {
+	return strings.ToLower(strings.TrimPrefix(name, "@"))
 }

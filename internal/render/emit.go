@@ -273,6 +273,77 @@ func EmitTree(t *plan.Tree, src Partners, b *xmltree.Builder) {
 	emit(t, src, &treeSink{b: b})
 }
 
+// EmitBindings walks the tree with partners from src, handing each
+// emission of an occurrence marked in bind (by ID; none below another) to
+// each as the walk closes it: a subtree without Dewey, Type or Src, whose
+// nodes are recycled once each returns. It returns the elements and
+// attributes emitted and each's first error, which ends the walk at the
+// end of that root tree.
+func EmitBindings(t *plan.Tree, src Partners, bind []bool, each func(*xmltree.Node) error) (int, error) {
+	s := &bindSink{bind: bind, each: each, attrs: make([]string, len(t.Nodes))}
+	emit(t, src, s)
+	return s.nodes, s.err
+}
+
+// bindSink counts events, and builds a binding's subtree from its pool.
+type bindSink struct {
+	bind        []bool
+	each        func(*xmltree.Node) error
+	attrs       []string // attribute node names by occurrence, made once
+	nodes, used int
+	open, pool  []*xmltree.Node
+	err         error
+}
+
+func (s *bindSink) Open(x *plan.Node, v *Vertex) {
+	s.nodes++
+	if len(s.open) > 0 || s.bind[x.ID] {
+		s.open = append(s.open, s.node(x.TN.Name, false, v))
+	}
+}
+
+func (s *bindSink) Attr(x *plan.Node, v *Vertex) {
+	s.nodes++
+	if len(s.open) > 0 {
+		if s.attrs[x.ID] == "" {
+			s.attrs[x.ID] = "@" + x.TN.Name
+		}
+		s.node(s.attrs[x.ID], true, v)
+	}
+}
+
+// node takes a node from the pool, below the innermost open element.
+func (s *bindSink) node(name string, attr bool, v *Vertex) *xmltree.Node {
+	if s.used == len(s.pool) {
+		s.pool = append(s.pool, &xmltree.Node{})
+	}
+	n := s.pool[s.used]
+	s.used++
+	*n = xmltree.Node{Name: name, Attr: attr, Children: n.Children[:0]}
+	if v != nil {
+		n.Value = v.text()
+	}
+	if k := len(s.open); k > 0 {
+		n.Parent = s.open[k-1]
+		n.Parent.Children = append(n.Parent.Children, n)
+	}
+	return n
+}
+
+func (s *bindSink) Close() {
+	if len(s.open) == 0 {
+		return
+	}
+	if s.open = s.open[:len(s.open)-1]; len(s.open) == 0 {
+		if s.err == nil {
+			s.err = s.each(s.pool[0])
+		}
+		s.used = 0
+	}
+}
+
+func (s *bindSink) Err() error { return s.err }
+
 // Unit renders the single emission of occurrence x driven by source
 // vertex n as a detached subtree — what a full render would have put in
 // the output for that pair — recording provenance in prov. The view

@@ -321,28 +321,6 @@ func (s *Shape) Card(parent, child string) (Card, bool) {
 	return c, ok
 }
 
-// Edge is a cardinality-labelled shape edge.
-type Edge struct {
-	Parent string
-	Child  string
-	Card   Card
-}
-
-// Edges returns all edges sorted by (parent, child).
-func (s *Shape) Edges() []Edge {
-	es := make([]Edge, 0, len(s.card))
-	for k, c := range s.card {
-		es = append(es, Edge{Parent: k.parent, Child: k.child, Card: c})
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Parent != es[j].Parent {
-			return es[i].Parent < es[j].Parent
-		}
-		return es[i].Child < es[j].Child
-	})
-	return es
-}
-
 // LCA returns the least common ancestor of t and u in the forest, or ""
 // when they are in different trees. A type is its own ancestor. The walk
 // is allocation-free: the information-loss analysis calls this for every

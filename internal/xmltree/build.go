@@ -45,10 +45,6 @@ func (b *Builder) Elem(name string) *Builder {
 // element.
 func (b *Builder) Last() *Node { return b.last }
 
-// Open reports whether an element is currently open (attributes may only
-// be added inside an open element).
-func (b *Builder) Open() bool { return len(b.stack) > 0 }
-
 // Attr adds an attribute to the current element.
 func (b *Builder) Attr(name, value string) *Builder {
 	if b.err != nil {

@@ -147,6 +147,20 @@ func (e *Encoder) End() {
 	e.spill()
 }
 
+// Item writes n as an item of a query answer: with no separator before
+// it, and an attribute as name="value", escaped as in a start tag.
+func (e *Encoder) Item(n *Node) {
+	if !n.Attr {
+		e.rooted = false
+		n.Replay(e)
+		return
+	}
+	e.nodes++
+	e.b = append(append(e.b, n.LocalName()...), `="`...)
+	e.b = append(escape(e.b, n.Value, escAttr), '"')
+	e.spill()
+}
+
 // Nodes returns the number of elements and attributes written so far.
 func (e *Encoder) Nodes() int { return e.nodes }
 

@@ -102,18 +102,19 @@ type contentPart struct {
 // seqExpr is the comma operator.
 type seqExpr struct{ parts []expr }
 
-// context carries variable bindings and the document resolver.
+// context is one scope frame, linked to the enclosing one: a variable
+// binding, and with focus set the context item "." bound to it too.
 type context struct {
-	vars map[string]Sequence
-	docs func(name string) (*xmltree.Document, error)
+	name  string
+	val   Sequence
+	focus bool
+	up    *context
+	docs  func(name string) (*xmltree.Document, error)
 }
 
-func (c *context) child() *context {
-	vars := make(map[string]Sequence, len(c.vars)+1)
-	for k, v := range c.vars {
-		vars[k] = v
-	}
-	return &context{vars: vars, docs: c.docs}
+// bind opens a frame binding name to val, and "." too when focus is set.
+func (c *context) bind(name string, val Sequence, focus bool) *context {
+	return &context{name: name, val: val, focus: focus, up: c, docs: c.docs}
 }
 
 // Error is an evaluation or parse error.

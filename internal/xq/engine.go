@@ -29,17 +29,13 @@ func (e *Engine) Query(q string) (Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := &context{
-		vars: map[string]Sequence{},
-		docs: func(name string) (*xmltree.Document, error) {
-			d, ok := e.docs[name]
-			if !ok {
-				return nil, &Error{Message: fmt.Sprintf("doc(%q): no such document", name)}
-			}
-			return d, nil
-		},
-	}
-	return ast.eval(ctx)
+	return ast.eval(&context{docs: func(name string) (*xmltree.Document, error) {
+		d, ok := e.docs[name]
+		if !ok {
+			return nil, &Error{Message: fmt.Sprintf("doc(%q): no such document", name)}
+		}
+		return d, nil
+	}})
 }
 
 // QueryXML evaluates a query and serializes the result sequence: nodes as
@@ -54,30 +50,48 @@ func (e *Engine) QueryXML(q string) (string, error) {
 
 // Serialize renders a result sequence.
 func Serialize(seq Sequence) string {
-	var b strings.Builder
-	for i, item := range seq {
-		switch x := item.(type) {
-		case *xmltree.Node:
-			writeNodeXML(&b, x)
-		default:
-			if i > 0 {
-				b.WriteString(" ")
-			}
-			b.WriteString(stringValue(item))
-		}
-	}
-	return b.String()
+	var a Answer
+	a.Add(seq)
+	return a.String()
 }
 
-func writeNodeXML(b *strings.Builder, n *xmltree.Node) {
-	// Serialize the subtree via a single-node document wrapper.
-	if n.Attr {
-		b.WriteString(n.LocalName())
-		b.WriteString(`="`)
-		b.WriteString(n.Value)
-		b.WriteString(`"`)
-		return
+// Answer serializes a result sequence a part at a time, as Serialize
+// does: node items side by side through one encoder block, an atomic item
+// as text after a space unless it comes first. The zero value is empty.
+type Answer struct {
+	b     strings.Builder
+	enc   *xmltree.Encoder
+	items int
+}
+
+// Add appends the items of seq.
+func (a *Answer) Add(seq Sequence) {
+	for _, item := range seq {
+		if n, ok := item.(*xmltree.Node); ok {
+			if a.enc == nil {
+				a.enc = xmltree.NewEncoder(&a.b, false)
+			}
+			a.enc.Item(n)
+		} else {
+			a.flush()
+			if a.items > 0 {
+				a.b.WriteByte(' ')
+			}
+			a.b.WriteString(stringValue(item))
+		}
+		a.items++
 	}
-	d := &xmltree.Document{Roots: []*xmltree.Node{n}}
-	b.WriteString(d.XML(false))
+}
+
+// String returns the answer so far.
+func (a *Answer) String() string {
+	a.flush()
+	return a.b.String()
+}
+
+// flush moves the encoded node items into the answer.
+func (a *Answer) flush() {
+	if a.enc != nil {
+		_ = a.enc.Flush() // a strings.Builder write cannot fail
+	}
 }

@@ -20,34 +20,11 @@ func (e *flworExpr) eval(ctx *context) (Sequence, error) {
 	var iterate func(ctx *context, i int) error
 	iterate = func(ctx *context, i int) error {
 		if i == len(e.clauses) {
-			if e.where != nil {
-				cond, err := e.where.eval(ctx)
-				if err != nil {
-					return err
-				}
-				ok, err := booleanValue(cond)
-				if err != nil || !ok {
-					return err
-				}
+			keys, vals, ok, err := e.tuple(ctx)
+			if ok {
+				outs = append(outs, tupleOut{keys: keys, vals: vals})
 			}
-			var keys []Item
-			for _, spec := range e.orderBy {
-				kv, err := spec.key.eval(ctx)
-				if err != nil {
-					return err
-				}
-				if len(kv) == 0 {
-					keys = append(keys, "")
-				} else {
-					keys = append(keys, atomize(kv[0]))
-				}
-			}
-			val, err := e.ret.eval(ctx)
-			if err != nil {
-				return err
-			}
-			outs = append(outs, tupleOut{keys: keys, vals: val})
-			return nil
+			return err
 		}
 		cl := e.clauses[i]
 		seq, err := cl.in.eval(ctx)
@@ -55,15 +32,10 @@ func (e *flworExpr) eval(ctx *context) (Sequence, error) {
 			return err
 		}
 		if cl.isLet {
-			c := ctx.child()
-			c.vars[cl.name] = seq
-			return iterate(c, i+1)
+			return iterate(ctx.bind(cl.name, seq, false), i+1)
 		}
 		for _, item := range seq {
-			c := ctx.child()
-			c.vars[cl.name] = Sequence{item}
-			c.vars["."] = Sequence{item}
-			if err := iterate(c, i+1); err != nil {
+			if err := iterate(ctx.bind(cl.name, Sequence{item}, true), i+1); err != nil {
 				return err
 			}
 		}
@@ -93,6 +65,33 @@ func (e *flworExpr) eval(ctx *context) (Sequence, error) {
 		result = append(result, o.vals...)
 	}
 	return result, nil
+}
+
+// tuple evaluates the where clause, the order-by keys and the return
+// clause for one tuple of bindings; ok is false when where rejects it.
+func (e *flworExpr) tuple(ctx *context) (keys []Item, vals Sequence, ok bool, err error) {
+	if e.where != nil {
+		cond, err := e.where.eval(ctx)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		if ok, err := booleanValue(cond); err != nil || !ok {
+			return nil, nil, false, err
+		}
+	}
+	for _, spec := range e.orderBy {
+		kv, err := spec.key.eval(ctx)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		if len(kv) == 0 {
+			keys = append(keys, "")
+		} else {
+			keys = append(keys, atomize(kv[0]))
+		}
+	}
+	vals, err = e.ret.eval(ctx)
+	return keys, vals, err == nil, err
 }
 
 func (e *pathExpr) eval(ctx *context) (Sequence, error) {
@@ -144,9 +143,7 @@ func applyPredicates(ctx *context, seq Sequence, preds []expr) (Sequence, error)
 	for _, pred := range preds {
 		var kept Sequence
 		for pos, item := range seq {
-			c := ctx.child()
-			c.vars["."] = Sequence{item}
-			v, err := pred.eval(c)
+			v, err := pred.eval(ctx.bind(".", Sequence{item}, false))
 			if err != nil {
 				return nil, err
 			}
@@ -172,12 +169,14 @@ func applyPredicates(ctx *context, seq Sequence, preds []expr) (Sequence, error)
 	return seq, nil
 }
 
+// eval finds the innermost frame binding the variable.
 func (e *varRef) eval(ctx *context) (Sequence, error) {
-	v, ok := ctx.vars[e.name]
-	if !ok {
-		return nil, &Error{Message: fmt.Sprintf("undefined variable $%s", e.name)}
+	for f := ctx; f.up != nil; f = f.up {
+		if f.name == e.name || (f.focus && e.name == ".") {
+			return f.val, nil
+		}
 	}
-	return v, nil
+	return nil, &Error{Message: fmt.Sprintf("undefined variable $%s", e.name)}
 }
 
 func (e *literal) eval(ctx *context) (Sequence, error) {

@@ -44,10 +44,7 @@ func (e *quantExpr) eval(ctx *context) (Sequence, error) {
 		return nil, err
 	}
 	for _, item := range seq {
-		c := ctx.child()
-		c.vars[e.name] = Sequence{item}
-		c.vars["."] = Sequence{item}
-		v, err := e.sat.eval(c)
+		v, err := e.sat.eval(ctx.bind(e.name, Sequence{item}, true))
 		if err != nil {
 			return nil, err
 		}

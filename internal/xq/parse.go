@@ -397,7 +397,7 @@ func (p *parser) parseMul() (expr, error) {
 				return nil, err
 			}
 			left = &binaryExpr{op: "mod", left: left, right: r}
-		case p.peek("*") && !p.peekWildcardStep():
+		case p.peek("*"): // a "*" step only follows "/", which parsePath consumes
 			p.eat("*")
 			r, err := p.parseUnion()
 			if err != nil {
@@ -426,11 +426,6 @@ func (p *parser) parseUnion() (expr, error) {
 	}
 	return left, nil
 }
-
-// peekWildcardStep distinguishes multiplication from the rare standalone
-// "*" path step (only valid straight after / which parsePath consumes, so
-// here "*" is always multiplication).
-func (p *parser) peekWildcardStep() bool { return false }
 
 func (p *parser) parseUnary() (expr, error) {
 	if p.eat("-") {
