@@ -431,6 +431,46 @@ func BenchmarkHotpathStream(b *testing.B) {
 	}
 }
 
+// BenchmarkHotpathScan measures the storage primitive under every
+// streamed query on its own: one TypeScan over each type of a stored
+// XMark sf 0.05 document in turn, through one View with an 8 192-page
+// pool warmed by a first pass, reporting the cost per node scanned.
+func BenchmarkHotpathScan(b *testing.B) {
+	p := prepare(b, "main", xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42}))
+	st, err := store.Open(p.path, store.WithCachePages(8192))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	v := st.View()
+	defer v.Close()
+	doc, err := v.Doc(p.name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scanAll := func() int {
+		n := 0
+		for _, t := range doc.Types() {
+			sc := doc.ScanType(t)
+			for sc.Next() {
+				n++
+			}
+			if err := sc.Err(); err != nil {
+				b.Fatal(err)
+			}
+			sc.Close()
+		}
+		return n
+	}
+	nodes := scanAll() // warms the pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scanAll()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
+}
+
 // BenchmarkHotpathEncode serializes XMark sf 0.05 to io.Discard with
 // WriteXML: the encoder alone, without the scans that feed it in a
 // stored Run.

@@ -51,6 +51,9 @@ var (
 	ErrNotFound = store.ErrNotFound
 	// ErrExists reports a shred of a name that is already shredded.
 	ErrExists = store.ErrExists
+	// ErrStorage reports a read that failed in the store: a page that
+	// could not be read or is corrupt. No output built from it is served.
+	ErrStorage = store.ErrStorage
 )
 
 var (
@@ -402,7 +405,10 @@ func (e *Engine) Run(ctx context.Context, name, guardSrc string, opts RunOpts) (
 		res.Streamed, err = stream.ExecuteTree(stream.FromDoc(doc), t, opts.StreamTo, opts.Indent, esp)
 	} else {
 		metricStreamFallbacks.Inc()
-		res.Streamed, err = render.StreamTree(doc, t, opts.StreamTo, opts.Indent, esp)
+		res.Streamed, err = render.StreamTree(doc, t, untilLoadFails{opts.StreamTo, doc}, opts.Indent, esp)
+		if derr := doc.Err(); derr != nil {
+			err = derr
+		}
 	}
 	setPageIO(esp, before, e.st.Stats())
 	esp.End()
@@ -418,6 +424,21 @@ func (e *Engine) Run(ctx context.Context, name, guardSrc string, opts RunOpts) (
 	}
 	res.PagesRead = e.st.Stats().BlocksRead - pagesBefore
 	return res, nil
+}
+
+// untilLoadFails passes writes to w until one of doc's type sequence
+// loads has failed. The joins read whole sequences, and what they render
+// from one cut short is wrong, so none of it may leave after the failure.
+type untilLoadFails struct {
+	w   io.Writer
+	doc *store.Doc
+}
+
+func (u untilLoadFails) Write(p []byte) (int, error) {
+	if err := u.doc.Err(); err != nil {
+		return 0, err
+	}
+	return u.w.Write(p)
 }
 
 // QueryOpts tunes a single Query call, mirroring RunOpts.

@@ -339,6 +339,8 @@ func httpStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrExists):
 		return http.StatusConflict
+	case errors.Is(err, ErrStorage):
+		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
 	case errors.As(err, &big):

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -126,4 +127,125 @@ func TestReaderScalabilityStress(t *testing.T) {
 	if st.CacheHits == 0 {
 		t.Error("stress run never hit the pool")
 	}
+}
+
+// TestScanCrossingsUnderCommits: readers scan snapshots across many
+// leaves — every leaf past a scan's first is entered by a crossing and
+// walked unindexed — while a writer splits leaves with inserts and
+// empties runs of them with deletes (the tree never merges leaves, so an
+// emptied leaf stays for the walk to step over), syncing as it goes so
+// the small pool evicts. Run under -race this guards the crossing walk
+// against commits: every scan must be strictly ascending and equal its
+// own snapshot's Get of each key of the key space.
+func TestScanCrossingsUnderCommits(t *testing.T) {
+	const space, readers = 3000, 4
+	db, err := Open(t.TempDir()+"/crossings.db", &Options{CachePages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("c%05d", i)) }
+	val := func(round, i int) []byte {
+		return append([]byte(fmt.Sprintf("%d/%d/", round, i)), bytes.Repeat([]byte{'x'}, (round*7+i)%90)...)
+	}
+	var b Batch
+	for i := 0; i < space; i += 2 {
+		b.Put(key(i), val(0, i))
+	}
+	if err := db.Apply(&b); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the writer
+		defer wg.Done()
+		defer close(done)
+		rng := rand.New(rand.NewSource(34))
+		for round := 1; round <= 120; round++ {
+			var b Batch
+			if round%3 == 0 {
+				from := rng.Intn(space)
+				for i := from; i < from+400 && i < space; i++ {
+					b.Delete(key(i))
+				}
+			} else {
+				for n := 0; n < 250; n++ {
+					i := rng.Intn(space)
+					b.Put(key(i), val(round, i))
+				}
+			}
+			if err := db.Apply(&b); err != nil {
+				t.Error(err)
+				return
+			}
+			if round%10 == 0 {
+				if err := db.Sync(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	var scans [readers]int
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					if scans[g] > 0 {
+						return
+					}
+				default:
+				}
+				if err := checkSnapshotScan(db, space, key); err != nil {
+					t.Errorf("reader %d, scan %d: %v", g, scans[g], err)
+					return
+				}
+				scans[g]++
+			}
+		}(g)
+	}
+	wg.Wait()
+	t.Logf("scans per reader: %v", scans)
+}
+
+// checkSnapshotScan scans a fresh snapshot from its first key and checks
+// the scan against the snapshot's Get of every key of the key space.
+func checkSnapshotScan(db *DB, space int, key func(int) []byte) error {
+	snap := db.OpenSnapshot()
+	defer snap.Close()
+	scanned := map[string]string{}
+	var prev []byte
+	it := snap.First()
+	for ; it.Valid(); it.Next() {
+		if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
+			return fmt.Errorf("key %q after %q", it.Key(), prev)
+		}
+		prev = it.Key()
+		scanned[string(it.Key())] = string(it.Value())
+	}
+	if err := it.Err(); err != nil {
+		return err
+	}
+	found := 0
+	for i := 0; i < space; i++ {
+		v, ok, err := snap.Get(key(i))
+		if err != nil {
+			return err
+		}
+		if sv, in := scanned[string(key(i))]; in != ok || sv != string(v) {
+			return fmt.Errorf("%s: scan has %v %.12q…, Get has %v %.12q…", key(i), in, sv, ok, v)
+		}
+		if ok {
+			found++
+		}
+	}
+	if found != len(scanned) {
+		return fmt.Errorf("scan saw %d keys, Get finds %d", len(scanned), found)
+	}
+	return nil
 }

@@ -10,12 +10,15 @@ import (
 // Iterator walks keys in ascending order over one MVCC snapshot. No page
 // is decoded on the way: internal pages are kept as a stack of (page
 // image, child count, index) frames, and the leaf the cursor is in is
-// read *in place* — entries are parsed straight out of the immutable
-// page image into one offset index the iterator reuses, so a sequential
-// scan stops allocating after its first leaf. Pages are re-read through
-// the snapshot (buffer pool or retained versions), so iteration plays
-// well with eviction and never observes a concurrent commit — the view
-// is frozen at the snapshot's epoch for the whole scan.
+// read *in place*. Seek indexes each page on its root-to-leaf path to
+// binary-search it; every page a scan enters by crossing is walked
+// instead: a leaf entry by entry from its first, each entry's two length
+// fields checked against the image when the walk reaches it, and an
+// internal page by the child count in its header. So a sequential scan
+// reads each entry once and allocates nothing past its first leaf. Pages
+// are re-read through the snapshot (buffer pool or retained versions), so
+// iteration plays well with eviction and never observes a concurrent
+// commit — the view is frozen at the snapshot's epoch for the whole scan.
 //
 // Iterators obtained from DB.Seek / DB.First own a private snapshot,
 // released automatically when the scan is exhausted or errors; call
@@ -23,16 +26,17 @@ import (
 // Snapshot.Seek / Snapshot.First borrow the caller's snapshot and never
 // close it.
 type Iterator struct {
-	snap    *Snapshot
-	owned   bool // close snap when the scan ends
-	stack   []frame
-	leaf    pageView // the cursor's leaf; each page descended is parsed here first
-	leafIdx int
-	inLeaf  bool
-	err     error
-	key     []byte
-	val     []byte
-	valid   bool
+	snap   *Snapshot
+	owned  bool // close snap when the scan ends
+	stack  []frame
+	leaf   []byte // the image of the leaf the cursor is in
+	off    int    // the offset of the cursor entry's key-length field in leaf
+	left   int    // the entries from the cursor's to leaf's last
+	inLeaf bool
+	err    error
+	key    []byte
+	val    []byte
+	valid  bool
 	// The read-ahead window: raAhead leaves past the cursor are prefetched;
 	// raNext follows the last of them (0: the chain ended or a walk stopped).
 	raAhead int
@@ -69,25 +73,35 @@ type pageView struct {
 	offs []uint16 // offset of entry i's key-length field
 }
 
-// indexPage is the one page parser: it checks a page image's bounds and
-// appends the offset of each entry's key-length field to offs.
-func indexPage(buf []byte, offs []uint16) ([]uint16, error) {
+// pageHeader checks a page image's header: its type, and that its entry
+// count is plausible and an internal page's child area fits. It returns
+// the entry count and the offset of the first entry.
+func pageHeader(buf []byte) (nkeys, first int, err error) {
 	if len(buf) < 7 || buf[0] != pageLeaf && buf[0] != pageInternal {
-		return nil, fmt.Errorf("kvstore: corrupt page")
+		return 0, 0, fmt.Errorf("kvstore: corrupt page")
 	}
-	nkeys := int(binary.BigEndian.Uint16(buf[1:]))
-	off := 7
-	leaf := buf[0] == pageLeaf
-	if !leaf {
-		off = 3 + 4*(nkeys+1)
+	nkeys = int(binary.BigEndian.Uint16(buf[1:]))
+	first = 7
+	if buf[0] == pageInternal {
+		first = 3 + 4*(nkeys+1)
 	}
-	if nkeys > maxEntries || off > len(buf) {
-		return nil, fmt.Errorf("kvstore: corrupt page: %d keys", nkeys)
+	if nkeys > maxEntries || first > len(buf) {
+		return 0, 0, fmt.Errorf("kvstore: corrupt page: %d keys", nkeys)
+	}
+	return nkeys, first, nil
+}
+
+// indexPage is the one full-page parser: it checks a page image's bounds
+// and appends the offset of each entry's key-length field to offs.
+func indexPage(buf []byte, offs []uint16) ([]uint16, error) {
+	nkeys, off, err := pageHeader(buf)
+	if err != nil {
+		return nil, err
 	}
 	// A leaf entry is two length-prefixed fields (key, value), an internal
 	// entry one (key).
 	fields := 1
-	if leaf {
+	if buf[0] == pageLeaf {
 		fields = 2
 	}
 	for f := 0; f < nkeys*fields; f++ {
@@ -107,8 +121,6 @@ func indexPage(buf []byte, offs []uint16) ([]uint16, error) {
 func (v *pageView) isLeaf() bool { return v.buf[0] == pageLeaf }
 
 func (v *pageView) key(i int) []byte { return keyAt(v.buf, int(v.offs[i])) }
-
-func (v *pageView) val(i int) []byte { return valAt(v.buf, int(v.offs[i])) }
 
 // keyAt and valAt return the key and value of the entry whose key-length
 // field sits at off, capped so an append cannot write into the page.
@@ -168,56 +180,90 @@ func (db *DB) First() *Iterator { return db.Seek(nil) }
 func (s *Snapshot) Seek(target []byte) *Iterator {
 	atomic.AddInt64(&s.db.seeks, 1)
 	it := &Iterator{snap: s}
+	var index [maxEntries]uint16 // stays on the stack
 	id := s.root
 	for {
-		if it.err = it.descend(id); it.err != nil {
+		buf, err := s.readPage(id)
+		if err != nil {
+			it.err = err
 			return it
 		}
-		if it.inLeaf {
-			it.leafIdx, _ = it.leaf.search(target)
+		v := pageView{buf: buf}
+		if v.offs, it.err = indexPage(buf, index[:0]); it.err != nil {
+			return it
+		}
+		if v.isLeaf() {
+			i, _ := v.search(target)
+			it.leaf, it.inLeaf, it.left = buf, true, len(v.offs)-i
+			if i < len(v.offs) {
+				it.off = int(v.offs[i])
+			}
 			it.settle()
 			return it
 		}
-		top := &it.stack[len(it.stack)-1]
-		top.idx = it.leaf.childIndex(target)
-		id = childAt(top.buf, top.idx)
+		if len(it.stack) == maxHeight {
+			it.err = errTooDeep
+			return it
+		}
+		i := v.childIndex(target)
+		it.stack = append(it.stack, frame{buf: buf, n: len(v.offs) + 1, idx: i})
+		id = childAt(buf, i)
 	}
 }
 
 // First positions an iterator at the snapshot's smallest key.
 func (s *Snapshot) First() *Iterator { return s.Seek(nil) }
 
-// descend reads page id in place: a leaf becomes the cursor's leaf, an
+// cross reads page id, which the scan enters by crossing, without
+// indexing it: a leaf becomes the cursor's leaf at its first entry, an
 // internal page a new frame at child 0.
-func (it *Iterator) descend(id uint32) error {
+func (it *Iterator) cross(id uint32) error {
 	buf, err := it.snap.readPage(id)
 	if err != nil {
 		return err
 	}
-	it.leaf.buf = buf
-	if it.leaf.offs, err = indexPage(buf, it.leaf.offs[:0]); err != nil {
+	nkeys, first, err := pageHeader(buf)
+	if err != nil {
 		return err
 	}
-	if it.leaf.isLeaf() {
-		it.inLeaf, it.leafIdx = true, 0
+	if buf[0] == pageLeaf {
+		it.leaf, it.off, it.left, it.inLeaf = buf, first, nkeys, true
 		return nil
 	}
 	if len(it.stack) == maxHeight {
 		return errTooDeep
 	}
-	it.stack = append(it.stack, frame{buf: buf, n: len(it.leaf.offs) + 1})
+	it.stack = append(it.stack, frame{buf: buf, n: nkeys + 1})
 	return nil
 }
 
-// settle loads the current entry, popping exhausted frames and descending
+// entry loads the leaf entry at the cursor, checking its key-length and
+// value-length fields against the image as indexPage does.
+func (it *Iterator) entry() error {
+	buf, off := it.leaf, it.off
+	if off+2 > len(buf) {
+		return fmt.Errorf("kvstore: corrupt page: entry at %d", off)
+	}
+	ke := off + 2 + int(binary.BigEndian.Uint16(buf[off:]))
+	if ke+2 > len(buf) {
+		return fmt.Errorf("kvstore: corrupt page: entry at %d key length", off)
+	}
+	ve := ke + 2 + int(binary.BigEndian.Uint16(buf[ke:]))
+	if ve > len(buf) {
+		return fmt.Errorf("kvstore: corrupt page: entry at %d value length", off)
+	}
+	it.key, it.val = buf[off+2:ke:ke], buf[ke+2:ve:ve]
+	return nil
+}
+
+// settle loads the current entry, popping exhausted frames and crossing
 // into following subtrees until it finds a leaf entry or the end.
 func (it *Iterator) settle() {
 	for {
 		if it.inLeaf {
-			if it.leafIdx < len(it.leaf.offs) {
-				it.key = it.leaf.key(it.leafIdx)
-				it.val = it.leaf.val(it.leafIdx)
-				it.valid = true
+			if it.left > 0 {
+				it.err = it.entry()
+				it.valid = it.err == nil
 				return
 			}
 			it.inLeaf = false
@@ -238,7 +284,7 @@ func (it *Iterator) settle() {
 			}
 			continue
 		}
-		if it.err = it.descend(childAt(top.buf, top.idx)); it.err != nil {
+		if it.err = it.cross(childAt(top.buf, top.idx)); it.err != nil {
 			it.valid = false
 			return
 		}
@@ -272,7 +318,7 @@ func (it *Iterator) readAhead() {
 	if it.raAhead > 0 {
 		it.raAhead--
 	} else {
-		from = binary.BigEndian.Uint32(it.leaf.buf[3:]) // the new leaf's sibling
+		from = binary.BigEndian.Uint32(it.leaf[3:]) // the new leaf's sibling
 	}
 	if from == 0 {
 		return
@@ -319,7 +365,9 @@ func (it *Iterator) Next() {
 	if !it.Valid() {
 		return
 	}
-	it.leafIdx++ // a valid position is always inside a leaf
+	// A valid position is always inside a leaf: step past its entry.
+	it.off += 4 + len(it.key) + len(it.val)
+	it.left--
 	it.valid = false
 	it.settle()
 	it.maybeAutoClose()

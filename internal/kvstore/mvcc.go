@@ -132,7 +132,8 @@ func (db *DB) snapRead(id uint32, epoch uint64) ([]byte, error) {
 }
 
 // readPage returns the raw immutable page image as of the snapshot's
-// epoch; every read path searches it in place (pageView).
+// epoch; every read path reads it in place (pageView on a seek, the
+// forward walk on a crossing).
 func (s *Snapshot) readPage(id uint32) ([]byte, error) {
 	return s.db.snapRead(id, s.epoch)
 }

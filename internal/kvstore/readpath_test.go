@@ -248,11 +248,71 @@ func TestGetAllocs(t *testing.T) {
 	}
 }
 
-// FuzzPageImage hands the in-place page reader arbitrary page bytes as
-// the root of a store: Get, Seek and a full scan must fail cleanly or
-// answer, never panic or loop. When the image decodes as a leaf, the scan
-// must yield exactly the decoded entries, in page order, and a Get of a
-// key of a strictly ascending leaf must find its value.
+// twoLeafStore builds a memory store whose root is an internal page over
+// exactly two leaves, and returns it with the first leaf decoded.
+func twoLeafStore(t testing.TB) (*DB, *node) {
+	t.Helper()
+	db := OpenMemory(nil)
+	var b Batch
+	for i := 0; i < 50; i++ {
+		b.Put([]byte(fmt.Sprintf("k%03d", i)), bytes.Repeat([]byte{'v'}, 100))
+	}
+	if err := db.Apply(&b); err != nil {
+		t.Fatal(err)
+	}
+	root, err := db.readNode(db.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.typ != pageInternal || len(root.children) != 2 {
+		t.Fatalf("root: type %d with %d children, want an internal page over two leaves", root.typ, len(root.children))
+	}
+	first, err := db.readNode(root.children[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, first
+}
+
+// TestCrossingCorruptLeaf: a leaf a scan enters by a crossing is checked
+// entry by entry as the walk reaches it, so the scan yields the entries
+// before a corrupt one and then ends with an error — never a panic, and
+// never a silently short scan.
+func TestCrossingCorruptLeaf(t *testing.T) {
+	db, first := twoLeafStore(t)
+	defer db.Close()
+	root, err := db.pager.read(db.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := childAt(root, 1)
+	img, err := db.pager.read(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img = append([]byte(nil), img...)
+	offs, err := indexPage(img, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint16(img[offs[2]:], 0xffff) // entry 2's key runs past the page
+	db.pager.install(id, img, db.epoch)
+	keys, _, err := scanAll(db)
+	if err == nil || len(keys) != len(first.keys)+2 {
+		t.Fatalf("scan over a corrupt third entry: %d keys, err %v; want %d keys and an error", len(keys), err, len(first.keys)+2)
+	}
+}
+
+// FuzzPageImage hands the in-place page reader arbitrary page bytes,
+// reached both ways a scan reaches a page. As the root of a store, Seek
+// indexes it: Get, Seek and a full scan must fail cleanly or answer,
+// never panic or loop; when the image decodes as a leaf, the scan must
+// yield exactly the decoded entries, in page order, and a Get of a key of
+// a strictly ascending leaf must find its value. As the second leaf
+// behind a valid first one, the scan enters it by a crossing, which walks
+// it entry by entry without indexing it: the scan must never panic, and
+// when the image decodes as a leaf it must yield the first leaf's entries
+// and then exactly the image's, with no error.
 func FuzzPageImage(f *testing.F) {
 	db, img, _ := corruptRootStore(f)
 	leaf, err := db.pager.read(childAt(img, 0))
@@ -263,44 +323,89 @@ func FuzzPageImage(f *testing.F) {
 	f.Add(img)
 	f.Add(append([]byte(nil), leaf...))
 	f.Add([]byte{pageLeaf, 0, 1, 0, 0, 0, 0, 0, 1, 'k', 0, 1, 'v'})
+	f.Add([]byte{pageLeaf, 0, 2, 0, 0, 0, 0, 0, 1, 'k', 0, 1, 'v', 0, 1, 'l', 0xff, 0xff})
 	f.Add([]byte{pageInternal, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'k'})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		page := make([]byte, PageSize)
 		copy(page, raw)
-		db := OpenMemory(nil)
-		defer db.Close()
-		if err := db.Put([]byte("seed"), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		db.pager.install(db.root, page, db.epoch)
-		var keys, vals [][]byte
-		it := db.First()
-		for ; it.Valid(); it.Next() {
-			keys = append(keys, it.Key())
-			vals = append(vals, it.Value())
-		}
-		it.Close()
-		db.Get(page[7:9])
-		db.Seek(page[9:12]).Close()
-
 		n, err := deserialize(page)
 		if err != nil || n.typ != pageLeaf {
-			return
+			n = nil
 		}
-		if it.Err() != nil || len(keys) != len(n.keys) {
-			t.Fatalf("scan of a decodable leaf: %d keys (err %v), decoder %d", len(keys), it.Err(), len(n.keys))
-		}
-		ascending := true
-		for i := range keys {
-			if !bytes.Equal(keys[i], n.keys[i]) || !bytes.Equal(vals[i], n.vals[i]) {
-				t.Fatalf("scan entry %d differs from the decoded leaf", i)
-			}
-			ascending = ascending && (i == 0 || bytes.Compare(keys[i-1], keys[i]) < 0)
-		}
-		for i := 0; ascending && i < len(keys); i++ {
-			if v, ok, err := db.Get(keys[i]); err != nil || !ok || !bytes.Equal(v, vals[i]) {
-				t.Fatalf("Get of leaf key %d = %q %v %v, want %q", i, v, ok, err, vals[i])
-			}
-		}
+		fuzzRoot(t, page, n)
+		fuzzSecondLeaf(t, page, n)
 	})
+}
+
+// scanAll collects a full scan's entries and its error.
+func scanAll(db *DB) (keys, vals [][]byte, err error) {
+	it := db.First()
+	for ; it.Valid(); it.Next() {
+		keys = append(keys, it.Key())
+		vals = append(vals, it.Value())
+	}
+	it.Close()
+	return keys, vals, it.Err()
+}
+
+// fuzzRoot checks page installed as a store's root; n is its decoding
+// when it decodes as a leaf.
+func fuzzRoot(t *testing.T, page []byte, n *node) {
+	db := OpenMemory(nil)
+	defer db.Close()
+	if err := db.Put([]byte("seed"), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	db.pager.install(db.root, page, db.epoch)
+	keys, vals, err := scanAll(db)
+	db.Get(page[7:9])
+	db.Seek(page[9:12]).Close()
+	if n == nil {
+		return
+	}
+	if err != nil || len(keys) != len(n.keys) {
+		t.Fatalf("scan of a decodable leaf: %d keys (err %v), decoder %d", len(keys), err, len(n.keys))
+	}
+	ascending := true
+	for i := range keys {
+		if !bytes.Equal(keys[i], n.keys[i]) || !bytes.Equal(vals[i], n.vals[i]) {
+			t.Fatalf("scan entry %d differs from the decoded leaf", i)
+		}
+		ascending = ascending && (i == 0 || bytes.Compare(keys[i-1], keys[i]) < 0)
+	}
+	for i := 0; ascending && i < len(keys); i++ {
+		if v, ok, err := db.Get(keys[i]); err != nil || !ok || !bytes.Equal(v, vals[i]) {
+			t.Fatalf("Get of leaf key %d = %q %v %v, want %q", i, v, ok, err, vals[i])
+		}
+	}
+}
+
+// fuzzSecondLeaf checks page installed as the second of two leaves; n is
+// its decoding when it decodes as a leaf.
+func fuzzSecondLeaf(t *testing.T, page []byte, n *node) {
+	db, first := twoLeafStore(t)
+	defer db.Close()
+	root, err := db.pager.read(db.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.pager.install(childAt(root, 1), page, db.epoch)
+	keys, vals, err := scanAll(db)
+	if n == nil {
+		return
+	}
+	want := len(first.keys) + len(n.keys)
+	if err != nil || len(keys) != want {
+		t.Fatalf("scan crossing into a decodable leaf: %d keys (err %v), want %d", len(keys), err, want)
+	}
+	for i := range keys {
+		wk, wv := first.keys, first.vals
+		j := i
+		if i >= len(first.keys) {
+			wk, wv, j = n.keys, n.vals, i-len(first.keys)
+		}
+		if !bytes.Equal(keys[i], wk[j]) || !bytes.Equal(vals[i], wv[j]) {
+			t.Fatalf("scan entry %d differs from the decoded leaves", i)
+		}
+	}
 }

@@ -218,16 +218,23 @@ func (p *projection) wholeTree(src render.Partners, res *Result, parent *obs.Spa
 
 // partners opens t's partner source over doc: forward scans when doc is
 // stored and t streamable (scanned), closest joins otherwise. done
-// releases the scans and reports their error, which overrides any other.
+// releases the scans and reports the storage error the scans or the
+// stored document's loads hit, which overrides any other.
 func partners(doc render.Source, t *plan.Tree) (src render.Partners, scanned bool, done func() error) {
-	if d, stored := doc.(*store.Doc); stored && t.Decision().Streamable {
+	d, stored := doc.(*store.Doc)
+	if stored && t.Decision().Streamable {
 		s := stream.OpenScans(stream.FromDoc(d), t)
 		return s, true, func() error {
 			defer s.Close()
 			return s.Err()
 		}
 	}
-	return render.JoinPartners(doc, t), false, func() error { return nil }
+	return render.JoinPartners(doc, t), false, func() error {
+		if stored {
+			return d.Err()
+		}
+		return nil
+	}
 }
 
 // rebase rewrites doc("name")/step to doc("name")//step so queries written

@@ -9,10 +9,12 @@ import (
 
 // Vertex is a source vertex in flight through the walk. Sources that hold
 // materialized nodes set Node and nothing else; a scan-backed source sets
-// Dewey and Value, which alias the scan's buffers.
+// Dewey and Value, which alias the scan's buffers or page images. Dewey
+// is the number as the store keys it, four big-endian bytes per level,
+// which compare as bytes in document order.
 type Vertex struct {
 	Node  *xmltree.Node
-	Dewey xmltree.Dewey
+	Dewey []byte
 	Value []byte
 }
 

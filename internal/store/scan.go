@@ -3,29 +3,34 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 
 	"xmorph/internal/kvstore"
 	"xmorph/internal/xmltree"
 )
 
 // TypeScan is a forward-only pull cursor over one type's node sequence,
-// decoding nodes straight from the kvstore iterator in Dewey (document)
+// reading nodes straight from the kvstore iterator in Dewey (document)
 // order. Unlike NodesOfType it materializes nothing: the cursor holds
-// only the current node, reusing one Dewey buffer and one value buffer
-// across the whole scan — the streaming executor's storage primitive.
+// only the current node, its Dewey number as the key stores it and its
+// value in the page image or one reused buffer — the streaming
+// executor's storage primitive.
 //
-// The Dewey and Value of the current position alias those buffers, or
-// the page image itself, and are valid only until the next call to Next.
+// The DeweyKey, Dewey and Value of the current position alias the page
+// image or the scan's buffers, and are valid only until the next call to
+// Next.
 type TypeScan struct {
 	it     *kvstore.Iterator
 	prefix []byte
 	depth  int
-	dewey  xmltree.Dewey
-	val    []byte // the reused buffer multi-chunk values are assembled in
-	cur    []byte // the current value: a page slice or val
+	key    []byte        // the current node's encoded Dewey number, in the page image
+	dewey  xmltree.Dewey // the buffer Dewey decodes key into, made on first use
+	val    []byte        // the reused buffer multi-chunk values are assembled in
+	cur    []byte        // the current value: a page slice or val
 	attr   bool
 	name   string
 	done   bool
+	err    error // a broken chunk chain; the iterator keeps storage errors
 }
 
 // ScanType opens a Dewey-ordered scan of a type's node sequence. An
@@ -44,7 +49,6 @@ func (d *Doc) ScanType(t string) *TypeScan {
 		it:     d.r.Seek(prefix),
 		prefix: prefix,
 		depth:  depth,
-		dewey:  make(xmltree.Dewey, depth),
 		val:    make([]byte, 0, 64),
 		attr:   name[0] == '@',
 		name:   name,
@@ -66,26 +70,26 @@ func (s *TypeScan) Next() bool {
 		dw, chunk, _ := splitNodeKey(k)
 		v := s.it.Value()
 		if len(dw) != 4*s.depth || chunk != 0 || len(v) < 2 {
-			// Malformed record or a stray continuation chunk: skip, like
-			// NodesOfType.
+			// Malformed record or a stray continuation chunk: skip.
 			s.it.Next()
 			continue
 		}
-		decodeDewey(s.dewey, dw)
+		s.key = dw
 		// A single-chunk value is the page image's own bytes; a value
-		// spanning records is assembled in the reused buffer.
+		// spanning records is assembled in the reused buffer. Updates
+		// rewrite a value's chunks together, so a chain that breaks off
+		// is corruption, not a shorter value.
 		s.cur = v[2:]
 		if chunks := int(binary.BigEndian.Uint16(v)); chunks > 1 {
 			s.val = append(s.val[:0], s.cur...)
 			for c := 1; c < chunks; c++ {
 				s.it.Next()
-				if !s.it.Valid() {
-					break // truncated record; keep what was read
-				}
-				ck := s.it.Key()
-				cdw, cchunk, _ := splitNodeKey(ck)
-				if !bytes.HasPrefix(ck, s.prefix) || !bytes.Equal(cdw, dw) || int(cchunk) != c {
-					break // chunk chain interrupted
+				if !s.continues(dw, c) {
+					if s.it.Err() == nil {
+						s.err = fmt.Errorf("%w: node record: chunk %d of %d missing", ErrStorage, c, chunks)
+					}
+					s.close()
+					return false
 				}
 				s.val = append(s.val, s.it.Value()...)
 			}
@@ -98,9 +102,32 @@ func (s *TypeScan) Next() bool {
 	return false
 }
 
-// Dewey returns the current node's Dewey number; the slice aliases the
-// scan's reused buffer and is valid only until Next.
-func (s *TypeScan) Dewey() xmltree.Dewey { return s.dewey }
+// continues reports whether the iterator is on chunk c of the node whose
+// encoded Dewey number is dw.
+func (s *TypeScan) continues(dw []byte, c int) bool {
+	if !s.it.Valid() {
+		return false
+	}
+	k := s.it.Key()
+	cdw, chunk, _ := splitNodeKey(k)
+	return bytes.HasPrefix(k, s.prefix) && bytes.Equal(cdw, dw) && int(chunk) == c
+}
+
+// DeweyKey returns the current node's Dewey number as its key stores it:
+// four big-endian bytes per level, so comparing two as bytes orders them
+// as documents order nodes. It aliases the page image (retaining it pins
+// the page; it must never be written to).
+func (s *TypeScan) DeweyKey() []byte { return s.key }
+
+// Dewey decodes the current node's Dewey number into the scan's reused
+// buffer, valid only until Next.
+func (s *TypeScan) Dewey() xmltree.Dewey {
+	if s.dewey == nil {
+		s.dewey = make(xmltree.Dewey, s.depth)
+	}
+	decodeDewey(s.dewey, s.key)
+	return s.dewey
+}
 
 // Value returns the current node's text value, valid only until Next:
 // a single-chunk value aliases the page image (retaining it pins the
@@ -111,12 +138,17 @@ func (s *TypeScan) Value() []byte { return s.cur }
 // Attr reports whether the scanned type is an attribute type.
 func (s *TypeScan) Attr() bool { return s.attr }
 
-// Err returns the first storage error the scan hit, if any.
+// Err returns the first storage error the scan hit, if any: a failed page
+// read, a corrupt page, or a node value whose chunk chain breaks off.
+// Each is an ErrStorage.
 func (s *TypeScan) Err() error {
-	if s.it == nil {
-		return nil
+	if s.err != nil || s.it == nil {
+		return s.err
 	}
-	return s.it.Err()
+	if err := s.it.Err(); err != nil {
+		return fmt.Errorf("%w: %w", ErrStorage, err)
+	}
+	return nil
 }
 
 // Close releases the underlying iterator; it is safe to call more than

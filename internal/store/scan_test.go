@@ -1,10 +1,12 @@
 package store
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"xmorph/internal/gen/xmark"
+	"xmorph/internal/xmltree"
 )
 
 // collectScan drains a TypeScan, copying the aliased buffers.
@@ -81,6 +83,48 @@ func TestScanTypeChunkedValues(t *testing.T) {
 	}
 	if got[1].value != "small" {
 		t.Errorf("value after chunked record: %q", got[1].value)
+	}
+}
+
+// TestScanTypeBrokenChunkChain: a long value missing a continuation
+// chunk is corruption — updates rewrite a value's chunks together — so
+// the scan, the materialized load and Reconstruct all report an
+// ErrStorage instead of serving the value cut short.
+func TestScanTypeBrokenChunkChain(t *testing.T) {
+	for _, missing := range []uint16{1, 3} { // a middle chunk, the last
+		s := OpenMemory()
+		big := strings.Repeat("lorem ipsum ", 400) // 4 800 bytes: four chunks
+		src := "<doc><body>" + big + "</body><body>small</body></doc>"
+		if _, err := s.Shred("d", strings.NewReader(src), nil); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := s.Doc("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.db.Delete(nodeKey(doc.id, doc.typeID["doc.body"], xmltree.Dewey{1, 1}, missing)); err != nil {
+			t.Fatal(err)
+		}
+
+		sc := doc.ScanType("doc.body")
+		if sc.Next() {
+			t.Errorf("chunk %d deleted: the scan yielded a %d-byte value of %d", missing, len(sc.Value()), len(big))
+		}
+		if err := sc.Err(); !errors.Is(err, ErrStorage) {
+			t.Errorf("chunk %d deleted: scan error %v, want an ErrStorage", missing, err)
+		}
+		sc.Close()
+
+		if ns := doc.NodesOfType("doc.body"); len(ns) != 0 {
+			t.Errorf("chunk %d deleted: NodesOfType loaded %d nodes", missing, len(ns))
+		}
+		if err := doc.Err(); !errors.Is(err, ErrStorage) {
+			t.Errorf("chunk %d deleted: Doc.Err = %v, want an ErrStorage", missing, err)
+		}
+		if _, err := doc.Reconstruct(); !errors.Is(err, ErrStorage) {
+			t.Errorf("chunk %d deleted: Reconstruct err = %v, want an ErrStorage", missing, err)
+		}
+		s.Close()
 	}
 }
 

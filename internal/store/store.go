@@ -64,6 +64,11 @@ var (
 	ErrNotFound = errors.New("store: document not found")
 	// ErrExists reports a shred of a name the store already holds.
 	ErrExists = errors.New("store: document already shredded")
+	// ErrStorage marks a read that failed below the document model: a
+	// page that could not be read or is corrupt, or a node value whose
+	// chunk chain breaks off. What was read is incomplete, so nothing
+	// built from it may be served.
+	ErrStorage = errors.New("store: storage error")
 )
 
 // commit runs a verb's read-check-write under the writer lock and, when
@@ -456,6 +461,7 @@ type Doc struct {
 	id    uint32
 	mu    sync.Mutex
 	cache map[string][]*xmltree.Node
+	err   error // the first error a load hit
 }
 
 // docIn opens a lazy document view reading through r.
@@ -485,9 +491,11 @@ func (d *Doc) Types() []string { return d.types }
 // NodesOfType loads (and caches) the document-ordered node sequence of a
 // type: one ScanType pass, materialized. The nodes carry Dewey, Type,
 // Name, Value, and Attr — everything the closest join and renderer need;
-// tree links are not reconstructed. The cache is locked because a Doc is
-// a handle its holder may render from on several goroutines; the engine
-// opens one per request, so the lock is uncontended there.
+// tree links are not reconstructed. A load that hits a storage error
+// keeps the nodes read before it and records the error for Err. The
+// cache is locked because a Doc is a handle its holder may render from
+// on several goroutines; the engine opens one per request, so the lock
+// is uncontended there.
 func (d *Doc) NodesOfType(t string) []*xmltree.Node {
 	d.mu.Lock()
 	ns, ok := d.cache[t]
@@ -500,11 +508,24 @@ func (d *Doc) NodesOfType(t string) []*xmltree.Node {
 		ns = append(ns, &xmltree.Node{Name: sc.name, Type: t, Dewey: sc.Dewey().Clone(),
 			Value: string(sc.Value()), Attr: sc.attr, Ord: len(ns)})
 	}
+	err := sc.Err()
 	sc.Close()
 	d.mu.Lock()
 	d.cache[t] = ns
+	if err != nil && d.err == nil {
+		d.err = fmt.Errorf("store: loading type %s: %w", t, err)
+	}
 	d.mu.Unlock()
 	return ns
+}
+
+// Err returns the first storage error a NodesOfType load hit. Such a
+// load returns a short sequence, so whatever was built from the Doc's
+// sequences is wrong whenever Err is non-nil.
+func (d *Doc) Err() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.err
 }
 
 // Size returns the total number of stored vertices across all types. It
@@ -529,6 +550,9 @@ func (d *Doc) Reconstruct() (*xmltree.Document, error) {
 	var all []*xmltree.Node
 	for _, t := range d.types {
 		all = append(all, d.NodesOfType(t)...)
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if len(all) == 0 {
 		return &xmltree.Document{}, nil

@@ -1,6 +1,10 @@
 package stream
 
-import "xmorph/internal/xmltree"
+import (
+	"encoding/binary"
+
+	"xmorph/internal/xmltree"
+)
 
 // NodeSource supplies materialized type sequences (render.Source's
 // shape); FromNodes adapts it, so the tests can run the executor over
@@ -10,8 +14,9 @@ type NodeSource interface {
 }
 
 // FromNodes adapts a materialized source (e.g. *xmltree.Document) to a
-// streaming Source. Values are copied into a per-cursor reused buffer
-// to honor the Cursor aliasing contract.
+// streaming Source. Dewey numbers are encoded as the store keys them, and
+// they and the values go through per-cursor reused buffers, to honor the
+// Cursor aliasing contract.
 func FromNodes(doc NodeSource) Source { return nodeSource{doc} }
 
 type nodeSource struct{ doc NodeSource }
@@ -21,9 +26,9 @@ func (s nodeSource) ScanType(t string) Cursor {
 }
 
 type nodeCursor struct {
-	nodes []*xmltree.Node
-	idx   int
-	val   []byte
+	nodes    []*xmltree.Node
+	idx      int
+	key, val []byte
 }
 
 func (c *nodeCursor) Next() bool {
@@ -31,10 +36,20 @@ func (c *nodeCursor) Next() bool {
 	if c.idx >= len(c.nodes) {
 		return false
 	}
+	c.key = encodeDewey(c.key[:0], c.nodes[c.idx].Dewey)
 	c.val = append(c.val[:0], c.nodes[c.idx].Value...)
 	return true
 }
-func (c *nodeCursor) Dewey() xmltree.Dewey { return c.nodes[c.idx].Dewey }
-func (c *nodeCursor) Value() []byte        { return c.val }
-func (c *nodeCursor) Err() error           { return nil }
-func (c *nodeCursor) Close()               {}
+func (c *nodeCursor) DeweyKey() []byte { return c.key }
+func (c *nodeCursor) Value() []byte    { return c.val }
+func (c *nodeCursor) Err() error       { return nil }
+func (c *nodeCursor) Close()           {}
+
+// encodeDewey appends d to dst as the store keys it: each level a
+// big-endian uint32.
+func encodeDewey(dst []byte, d xmltree.Dewey) []byte {
+	for _, c := range d {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(c))
+	}
+	return dst
+}

@@ -25,6 +25,7 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -34,7 +35,6 @@ import (
 	"xmorph/internal/render"
 	"xmorph/internal/semantics"
 	"xmorph/internal/store"
-	"xmorph/internal/xmltree"
 )
 
 // ErrNotStreamable reports an Execute call on a target the planner
@@ -42,11 +42,13 @@ import (
 var ErrNotStreamable = errors.New("stream: target is not streamable")
 
 // Cursor is a forward-only scan over one type's node sequence in Dewey
-// order. Dewey and Value may alias reused buffers or a store's immutable
-// page image: copy or encode them before Next, never write to them.
+// order. DeweyKey is the current node's Dewey number as the store keys
+// it, four big-endian bytes per level, so byte order is document order.
+// DeweyKey and Value may alias reused buffers or a store's immutable page
+// image: copy or encode them before Next, never write to them.
 type Cursor interface {
 	Next() bool
-	Dewey() xmltree.Dewey
+	DeweyKey() []byte
 	Value() []byte
 	Err() error
 	Close()
@@ -121,7 +123,7 @@ type scan struct {
 
 func (sc *scan) advance() {
 	if sc.valid = sc.c.Next(); sc.valid {
-		sc.at.Dewey, sc.at.Value = sc.c.Dewey(), sc.c.Value()
+		sc.at.Dewey, sc.at.Value = sc.c.DeweyKey(), sc.c.Value()
 	}
 }
 
@@ -206,17 +208,9 @@ func (s *Scans) Next(x *plan.Node) *render.Vertex {
 	return &sc.at
 }
 
-// cmpPrefix compares d's first len(p) components against p: the result
-// orders d's position relative to p's subtree (-1 before, 0 inside or
-// at p, +1 past). d must be at least as deep as p.
-func cmpPrefix(d, p xmltree.Dewey) int {
-	for i, pc := range p {
-		if dc := d[i]; dc != pc {
-			if dc < pc {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
+// cmpPrefix compares encoded Dewey number d's first len(p) bytes against
+// encoded p: the result orders d's position relative to p's subtree (-1
+// before, 0 inside or at p, +1 past). d must be at least as deep as p.
+// Each level is a big-endian uint32, so byte order is numeric order and
+// nothing is decoded.
+func cmpPrefix(d, p []byte) int { return bytes.Compare(d[:len(p)], p) }
