@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -469,6 +470,67 @@ func BenchmarkHotpathScan(b *testing.B) {
 		scanAll()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
+}
+
+// BenchmarkHotpathUpdate measures the two shape-keeping PATCH scripts of
+// the serve benchmark's writer cycle through Engine.Update on a stored
+// XMark sf 0.05 document with an 8 192-page pool: catgraph replaces the
+// one category graph with as many random edges as there are categories,
+// catnames replaces every category's name. Each op commits and syncs;
+// pages/op counts the pages it wrote.
+func BenchmarkHotpathUpdate(b *testing.B) {
+	p := prepare(b, "main", xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42}))
+	st, err := store.Open(p.path, store.WithCachePages(8192))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	v := st.View()
+	doc, err := v.Doc(p.name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cats := len(doc.NodesOfType("site.categories.category"))
+	v.Close()
+	e := engine.New(st)
+	for _, c := range []struct {
+		name   string
+		script func(*rand.Rand) string
+	}{
+		{"catgraph", func(rng *rand.Rand) string {
+			var sb strings.Builder
+			sb.WriteString("replace site.catgraph with <catgraph>")
+			for i := 0; i < cats; i++ {
+				fmt.Fprintf(&sb, `<edge from="category%d" to="category%d"/>`, rng.Intn(cats), rng.Intn(cats))
+			}
+			sb.WriteString("</catgraph>")
+			return sb.String()
+		}},
+		{"catnames", func(rng *rand.Rand) string {
+			return fmt.Sprintf("replace site.categories.category.name with <name>lot %d</name>", rng.Intn(1000))
+		}},
+	} {
+		// A ring of scripts drawn up front keeps their building untimed.
+		rng := rand.New(rand.NewSource(7))
+		ring := make([]string, 8)
+		for i := range ring {
+			ring[i] = c.script(rng)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			var pages int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				info, err := e.Update(context.Background(), p.name, ring[i%len(ring)], nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pages += info.PagesWritten
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+		})
+	}
 }
 
 // BenchmarkHotpathEncode serializes XMark sf 0.05 to io.Discard with

@@ -71,12 +71,16 @@ type Shape struct {
 }
 
 // New returns an empty shape.
-func New() *Shape {
+func New() *Shape { return NewSized(0, 0) }
+
+// NewSized returns an empty shape with room for the given numbers of
+// types and edges.
+func NewSized(types, edges int) *Shape {
 	return &Shape{
-		types:    make(map[string]bool),
-		parent:   make(map[string]string),
+		types:    make(map[string]bool, types),
+		parent:   make(map[string]string, edges),
 		children: make(map[string][]string),
-		card:     make(map[edgeKey]Card),
+		card:     make(map[edgeKey]Card, edges),
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"xmorph/internal/gen/xmark"
 	"xmorph/internal/shape"
 	"xmorph/internal/store"
+	"xmorph/internal/update"
 	"xmorph/internal/xmltree"
 )
 
@@ -159,4 +160,76 @@ func TestShredXMarkSeed81RoundTrip(t *testing.T) {
 	if reconstructXML(t, st, "d") != want {
 		t.Error("reconstruction differs from the generated document")
 	}
+}
+
+// FuzzUpdateApply drives the update path end to end. The seed picks a
+// random document and a script of 1 to 8 random statements valid against
+// it; the updated store must match a fresh shred of the DOM-edited
+// document in its reconstructed XML, its shape, and its stored hash, and
+// report an Unchanged delta exactly when that shape is the one the
+// document had before the script.
+func FuzzUpdateApply(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		doc := random.Doc(rng)
+		edited := doc
+		var script []update.Op
+		for i := 0; i <= int(n%8); i++ {
+			op, ok := randOp(rng, edited)
+			if !ok {
+				break
+			}
+			script = append(script, op)
+			edited = domApply(t, edited, op)
+		}
+		if len(script) == 0 {
+			return
+		}
+		st := store.OpenMemory()
+		defer st.Close()
+		shredInto(t, st, "d", doc.XML(false))
+		before, _ := storedShape(t, st)
+		info, err := st.Update("d", script, nil)
+		if err != nil {
+			t.Fatalf("Update(%s): %v\ndoc: %s", update.Format(script), err, doc.XML(false))
+		}
+		oracle := store.OpenMemory()
+		defer oracle.Close()
+		shredInto(t, oracle, "d", edited.XML(false))
+
+		if got, want := reconstructXML(t, st, "d"), reconstructXML(t, oracle, "d"); got != want {
+			t.Fatalf("update diverges from re-shred\nscript: %s\n got: %s\nwant: %s", update.Format(script), got, want)
+		}
+		gotShape, gotHash := storedShape(t, st)
+		wantShape, wantHash := storedShape(t, oracle)
+		if gotShape != wantShape {
+			t.Fatalf("shape diverges\nscript: %s\n got:\n%s\nwant:\n%s", update.Format(script), gotShape, wantShape)
+		}
+		if gotHash != wantHash {
+			t.Fatalf("shape hash diverges: %x, re-shred %x", gotHash, wantHash)
+		}
+		if kept := before == wantShape; (info.Delta.Kind == update.Unchanged) != kept {
+			t.Fatalf("delta %v, but the shape was kept: %v\nscript: %s", info.Delta, kept, update.Format(script))
+		}
+	})
+}
+
+// storedShape reads document "d"'s stored shape, as a string, and its
+// stored hash.
+func storedShape(t *testing.T, st *store.Store) (string, uint64) {
+	t.Helper()
+	v := st.View()
+	defer v.Close()
+	sh, err := v.Shape("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, ok, err := v.ShapeHash("d")
+	if err != nil || !ok {
+		t.Fatalf("ShapeHash: ok=%v err=%v", ok, err)
+	}
+	return sh.String(), h
 }

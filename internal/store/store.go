@@ -27,6 +27,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"xmorph/internal/kvstore"
 	"xmorph/internal/shape"
@@ -415,29 +417,29 @@ func encodeShape(sh *shape.Shape) string {
 	return b.String()
 }
 
+// decodeShape parses encodeShape's lines in place: the fields are
+// substrings of enc, and the shape's maps are sized from a count of its
+// type and edge lines.
 func decodeShape(enc string) (*shape.Shape, error) {
-	sh := shape.New()
-	for _, line := range strings.Split(enc, "\n") {
+	sh := shape.NewSized(countLines(enc, "type "), countLines(enc, "edge "))
+	var f [6]string
+	for rest := enc; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		if line == "" {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "type":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("store: corrupt shape line %q", line)
-			}
-			sh.AddType(fields[1])
-		case "edge":
-			if len(fields) != 5 {
-				return nil, fmt.Errorf("store: corrupt shape line %q", line)
-			}
-			min, err1 := strconv.Atoi(fields[3])
-			max, err2 := strconv.Atoi(fields[4])
+		n := splitFields(line, f[:])
+		switch {
+		case n == 2 && f[0] == "type":
+			sh.AddType(f[1])
+		case n == 5 && f[0] == "edge":
+			min, err1 := strconv.Atoi(f[3])
+			max, err2 := strconv.Atoi(f[4])
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("store: corrupt shape cardinality %q", line)
 			}
-			if err := sh.AddEdge(fields[1], fields[2], shape.Card{Min: min, Max: max}); err != nil {
+			if err := sh.AddEdge(f[1], f[2], shape.Card{Min: min, Max: max}); err != nil {
 				return nil, err
 			}
 		default:
@@ -445,6 +447,53 @@ func decodeShape(enc string) (*shape.Shape, error) {
 		}
 	}
 	return sh, nil
+}
+
+// countLines counts the lines of enc that start with prefix.
+func countLines(enc, prefix string) int {
+	n := strings.Count(enc, "\n"+prefix)
+	if strings.HasPrefix(enc, prefix) {
+		n++
+	}
+	return n
+}
+
+// splitFields splits line around runs of white space, as strings.Fields
+// does, into dst, and returns the number of fields; fields beyond
+// len(dst) are counted but not stored.
+func splitFields(line string, dst []string) int {
+	n := 0
+	for i := skip(line, 0, true); i < len(line); i = skip(line, i, true) {
+		end := skip(line, i, false)
+		if n < len(dst) {
+			dst[n] = line[i:end]
+		}
+		n++
+		i = end
+	}
+	return n
+}
+
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// skip returns the index of the first character of s at or after i whose
+// being white space differs from space, or len(s).
+func skip(s string, i int, space bool) int {
+	for i < len(s) {
+		isSpace, size := false, 1
+		if c := s[i]; c < utf8.RuneSelf {
+			isSpace = asciiSpace[c]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			isSpace = unicode.IsSpace(r)
+		}
+		if isSpace != space {
+			return i
+		}
+		i += size
+	}
+	return i
 }
 
 // Doc is a lazy view over a stored document: type sequences load from the

@@ -86,8 +86,11 @@ func (s *Store) DeleteShapeHash(name string) error {
 // counts and first-instance sibling order, the same rules the shredder
 // folds), so the stored shape, its hash record, and the returned Delta
 // always match what a full re-shred of the edited document would have
-// produced. The document keeps its docID: version-keyed caches stay
-// valid, and shape-aware ones invalidate only on a real shape change.
+// produced. An edit that keeps the shape writes only its own keys: the
+// shape and hash records are rewritten only when the shape changed, and
+// the type registry only when the script entered a new type. The
+// document keeps its docID: version-keyed caches stay valid, and
+// shape-aware ones invalidate only on a real shape change.
 //
 // Both phases run under the store's writer lock, the view opened after
 // the lock is taken: concurrent Updates of one document apply one after
@@ -160,19 +163,29 @@ func (s *Store) update(name string, ops []update.Op) (*updater, error) {
 		}
 	}
 
-	newShape, err := u.recomputeShape()
-	if err != nil {
+	// The shape and hash records are rewritten only when the recount
+	// changed the shape, and the registry, which only ever gains types,
+	// only when the script entered one.
+	if err := u.recount(); err != nil {
 		return nil, err
 	}
-	u.delta = update.Compare(oldShape, newShape)
-	enc := encodeShape(newShape)
-	if err := u.rewriteBlob(blobKey('T', id), []byte(strings.Join(u.types, "\n"))); err != nil {
-		return nil, err
+	if !u.keepsShape() {
+		newShape, err := u.newShape()
+		if err != nil {
+			return nil, err
+		}
+		u.delta = update.Compare(oldShape, newShape)
+		enc := encodeShape(newShape)
+		if err := u.rewriteBlob(blobKey('S', id), []byte(enc)); err != nil {
+			return nil, err
+		}
+		u.put(blobKey('H', id), binary.BigEndian.AppendUint64(nil, hashShapeEnc(enc)))
 	}
-	if err := u.rewriteBlob(blobKey('S', id), []byte(enc)); err != nil {
-		return nil, err
+	if len(u.types) > len(types) {
+		if err := u.rewriteBlob(blobKey('T', id), []byte(strings.Join(u.types, "\n"))); err != nil {
+			return nil, err
+		}
 	}
-	u.put(blobKey('H', id), binary.BigEndian.AppendUint64(nil, hashShapeEnc(enc)))
 
 	// Phase 2: the overlay's deletes and puts commit as one transaction
 	// (the two key sets are disjoint; see put and del).
@@ -198,7 +211,11 @@ type updater struct {
 	dels     map[string]bool
 	touched  map[string]bool
 	oldShape *shape.Shape
-	delta    update.Delta // oldShape to the recomputed shape
+	// live and edges are the recount of the touched types: whether each
+	// still has instances, and each live one's edges to its children.
+	live     map[string]bool
+	edges    map[string][]childEdge
+	delta    update.Delta // oldShape to the recounted shape
 	inserted int
 	deleted  int
 }
@@ -590,54 +607,97 @@ func (u *updater) insertFragment(parentT string, pd xmltree.Dewey, ord int, frag
 	return sh.err
 }
 
-// recomputeShape re-infers the edited document's adorned shape exactly.
-// Untouched parents copy their old edges (their instance sets and child
-// orders cannot have changed); touched parents recount per-instance
-// child cardinalities by merging the Dewey-ordered sequences and order
-// their children by first-instance Dewey — the same order shape.Fold
-// produces during a shred, so the result is byte-identical to
-// re-shredding the edited document.
-func (u *updater) recomputeShape() (*shape.Shape, error) {
-	live := make(map[string]bool, len(u.types))
-	for _, t := range u.types {
-		if u.touched[t] {
-			ok, err := u.hasInstances(t)
-			if err != nil {
-				return nil, err
-			}
-			live[t] = ok
-		} else {
-			live[t] = u.oldShape.HasType(t)
+// recount re-infers what the edit can have changed in the shape: for
+// each touched type whether it still has instances, and for each touched
+// live parent its edges, with per-instance child cardinalities counted
+// by merging the Dewey-ordered sequences and children ordered by first-
+// instance Dewey — the same rules shape.Fold applies during a shred.
+// Untouched types keep their instance sets and child orders, so the old
+// shape answers for them (isLive).
+func (u *updater) recount() error {
+	u.live = make(map[string]bool, len(u.touched))
+	for t := range u.touched {
+		ok, err := u.hasInstances(t)
+		if err != nil {
+			return err
+		}
+		u.live[t] = ok
+	}
+	u.edges = make(map[string][]childEdge, len(u.touched))
+	for t, ok := range u.live {
+		if !ok {
+			continue
+		}
+		edges, err := u.computeEdges(t)
+		if err != nil {
+			return err
+		}
+		u.edges[t] = edges
+	}
+	return nil
+}
+
+// isLive reports whether type t has instances after the edit.
+func (u *updater) isLive(t string) bool {
+	if ok, touched := u.live[t]; touched {
+		return ok
+	}
+	return u.oldShape.HasType(t)
+}
+
+// keepsShape reports whether the recount leaves the old shape exactly as
+// it is: every touched type has instances exactly when the old shape has
+// it, and every touched live parent has the old children, in the old
+// order, with the old cards.
+func (u *updater) keepsShape() bool {
+	for t, ok := range u.live {
+		if ok != u.oldShape.HasType(t) {
+			return false
 		}
 	}
+	for pt, edges := range u.edges {
+		kids := u.oldShape.Children(pt)
+		if len(kids) != len(edges) {
+			return false
+		}
+		for i, e := range edges {
+			if card, _ := u.oldShape.Card(pt, e.child); e.child != kids[i] || e.card != card {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// newShape builds the edited document's shape from the recount:
+// untouched parents copy their old edges to live children, touched ones
+// take their recounted edges. The result is byte-identical to the shape
+// a re-shred of the edited document infers.
+func (u *updater) newShape() (*shape.Shape, error) {
 	out := shape.New()
 	for _, t := range u.types {
-		if live[t] {
+		if u.isLive(t) {
 			out.AddType(t)
 		}
 	}
 	for _, pt := range u.types {
-		if !live[pt] {
+		if !u.isLive(pt) {
 			continue
 		}
-		if !u.touched[pt] {
-			for _, ct := range u.oldShape.Children(pt) {
-				if !live[ct] {
-					continue
-				}
-				card, _ := u.oldShape.Card(pt, ct)
-				if err := out.AddEdge(pt, ct, card); err != nil {
+		if edges, touched := u.edges[pt]; touched {
+			for _, e := range edges {
+				if err := out.AddEdge(pt, e.child, e.card); err != nil {
 					return nil, err
 				}
 			}
 			continue
 		}
-		edges, err := u.computeEdges(pt, live)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range edges {
-			if err := out.AddEdge(pt, e.child, e.card); err != nil {
+		for _, ct := range u.oldShape.Children(pt) {
+			if !u.isLive(ct) {
+				continue
+			}
+			card, _ := u.oldShape.Card(pt, ct)
+			if err := out.AddEdge(pt, ct, card); err != nil {
 				return nil, err
 			}
 		}
@@ -653,14 +713,14 @@ type childEdge struct {
 
 // computeEdges recounts one parent type's edges from its live node
 // sequences, in first-instance sibling order.
-func (u *updater) computeEdges(pt string, live map[string]bool) ([]childEdge, error) {
+func (u *updater) computeEdges(pt string) ([]childEdge, error) {
 	parents, err := u.instances(pt)
 	if err != nil {
 		return nil, err
 	}
 	var out []childEdge
 	for _, ct := range u.types {
-		if !live[ct] || xmltree.TypeParent(ct) != pt {
+		if !u.isLive(ct) || xmltree.TypeParent(ct) != pt {
 			continue
 		}
 		kids, err := u.instances(ct)

@@ -427,7 +427,12 @@ func TestUpdateDifferentialSweep(t *testing.T) {
 			continue
 		}
 
-		if _, err := st.Update("d", script, nil); err != nil {
+		beforeShape, err := st.Shape("d")
+		if err != nil {
+			t.Fatalf("iter %d: shape before the update: %v", iter, err)
+		}
+		info, err := st.Update("d", script, nil)
+		if err != nil {
 			t.Fatalf("iter %d: Update(%s): %v\ndoc: %s", iter, update.Format(script), err, doc.XML(false))
 		}
 		got := reconstructXML(t, st, "d")
@@ -457,6 +462,12 @@ func TestUpdateDifferentialSweep(t *testing.T) {
 		v2.Close()
 		if !ok1 || !ok2 || h1 != h2 {
 			t.Fatalf("iter %d: shape hash diverges (%x ok=%v vs %x ok=%v)", iter, h1, ok1, h2, ok2)
+		}
+		// The delta is Unchanged exactly when the re-shred's shape is the
+		// shape the document had before the script.
+		if kept := beforeShape.String() == wantShape.String(); (info.Delta.Kind == update.Unchanged) != kept {
+			t.Fatalf("iter %d: delta %v, but the shape was kept: %v\nscript: %s\ndoc: %s",
+				iter, info.Delta, kept, update.Format(script), doc.XML(false))
 		}
 		st.Close()
 		oracle.Close()
