@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -450,8 +451,8 @@ func TestWriteTxnRandomizedModel(t *testing.T) {
 
 // TestPutBatchAllocsPerKey guards the decoded write set: a sorted 20 k-key
 // PutBatch into a fresh store decodes and serializes each leaf once and
-// copies the batch into one arena, so it allocates a small constant per
-// leaf, not per key.
+// keeps the batch's own key and value slices, so it allocates a small
+// constant per leaf, not per key.
 func TestPutBatchAllocsPerKey(t *testing.T) {
 	const n = 20000
 	keys := make([][]byte, n)
@@ -468,5 +469,145 @@ func TestPutBatchAllocsPerKey(t *testing.T) {
 	t.Logf("%.3f allocations per key", allocs/n)
 	if perKey := allocs / n; perKey > 4 {
 		t.Errorf("sorted PutBatch: %.2f allocations per key, want <= 4", perKey)
+	}
+}
+
+// TestApplyRetainsNoCallerBytes: the tree keeps a batch's own key and
+// value slices only until Apply returns. After every Apply the test
+// overwrites each byte of the keys, values and delete keys it passed —
+// for batches that commit and for one that fails validation — and then
+// Get, Ascend, a snapshot opened before the last commit, and, on the
+// file backend, the store reopened from its files must all still give
+// the original bytes.
+func TestApplyRetainsNoCallerBytes(t *testing.T) {
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
+	val := func(i, round int) []byte {
+		// Sizes from empty to over half a page, so leaves split both at
+		// the insertion point and balanced, and the root splits.
+		return bytes.Repeat([]byte{byte('a' + (i+round)%26)}, (i*37+round*11)%1100)
+	}
+	// scribble overwrites every byte the caller handed to Apply.
+	scribble := func(slices ...[][]byte) {
+		for _, s := range slices {
+			for _, b := range s {
+				for i := range b {
+					b[i] = 0xA5
+				}
+			}
+		}
+	}
+	check := func(label string, get func([]byte) ([]byte, bool, error),
+		ascend func(fn func(k, v []byte) bool) error, model map[string]string) {
+		t.Helper()
+		for k, v := range model {
+			got, ok, err := get([]byte(k))
+			if err != nil || !ok || string(got) != v {
+				t.Fatalf("%s: Get(%s) = %d bytes, %v, %v; want %d bytes", label, k, len(got), ok, err, len(v))
+			}
+		}
+		n := 0
+		err := ascend(func(k, v []byte) bool {
+			if want, ok := model[string(k)]; !ok || want != string(v) {
+				t.Errorf("%s: Ascend yields %q (%d bytes), not in the model", label, k, len(v))
+				return false
+			}
+			n++
+			return true
+		})
+		if err != nil || n != len(model) {
+			t.Fatalf("%s: Ascend saw %d entries (err %v), want %d", label, n, err, len(model))
+		}
+	}
+	fs := NewFaultFS()
+	backends := []struct {
+		name   string
+		open   func() (*DB, error)
+		reopen bool
+	}{
+		{"memory", func() (*DB, error) { return OpenMemory(&Options{CachePages: 16}), nil }, false},
+		{"file", func() (*DB, error) { return Open("retain.db", &Options{FS: fs, CachePages: 16}) }, true},
+	}
+	for _, be := range backends {
+		db, err := be.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := map[string]string{}
+		apply := func(round int, puts, dels []int) error {
+			var b Batch
+			var keys, vals, delKeys [][]byte
+			for _, i := range puts {
+				k, v := key(i), val(i, round)
+				keys, vals = append(keys, k), append(vals, v)
+				b.Put(k, v)
+			}
+			for _, i := range dels {
+				k := key(i)
+				delKeys = append(delKeys, k)
+				b.Delete(k)
+			}
+			err := db.Apply(&b)
+			if err == nil {
+				for _, k := range delKeys {
+					delete(model, string(k))
+				}
+				for j, k := range keys {
+					model[string(k)] = string(vals[j])
+				}
+				if be.reopen {
+					err = db.Sync()
+				}
+			}
+			scribble(keys, vals, delKeys)
+			return err
+		}
+		var base, next, gone []int
+		for i := 0; i < 3000; i += 2 {
+			base = append(base, i)
+		}
+		if err := apply(0, base, nil); err != nil {
+			t.Fatalf("%s: %v", be.name, err)
+		}
+		before := maps.Clone(model)
+		snap := db.OpenSnapshot()
+		// Odd keys inside the range, even ones replaced, keys past the
+		// end, in reverse so Apply has to sort; and a run of deletes.
+		for i := 3600; i > 1000; i-- {
+			if i%3 != 0 {
+				next = append(next, i)
+			}
+		}
+		for i := 0; i < 600; i += 6 {
+			gone = append(gone, i)
+		}
+		if err := apply(1, next, gone); err != nil {
+			t.Fatalf("%s: %v", be.name, err)
+		}
+		// Fails validation on its last put: nothing of it may land.
+		bad := Batch{}
+		k, v := key(5), val(5, 2)
+		bad.Put(k, v)
+		huge := make([]byte, MaxValueSize+1)
+		bad.Put(key(7), huge)
+		if err := db.Apply(&bad); err == nil {
+			t.Fatalf("%s: oversized value accepted", be.name)
+		}
+		scribble([][]byte{k, v, huge})
+
+		check(be.name+" snapshot before the commit", snap.Get,
+			func(fn func(k, v []byte) bool) error { return snap.Ascend(nil, nil, fn) }, before)
+		snap.Close()
+		check(be.name, db.Get, func(fn func(k, v []byte) bool) error { return db.Ascend(nil, nil, fn) }, model)
+		if !be.reopen {
+			continue
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if db, err = be.open(); err != nil {
+			t.Fatal(err)
+		}
+		check(be.name+" reopened", db.Get, func(fn func(k, v []byte) bool) error { return db.Ascend(nil, nil, fn) }, model)
+		db.Close()
 	}
 }

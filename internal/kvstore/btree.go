@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -234,8 +235,13 @@ func (db *DB) writeHeaderW() error {
 	if db.hdrValid && db.hdrRoot == db.w.root && db.hdrNpages == db.w.npages {
 		return nil
 	}
-	buf := make([]byte, PageSize)
-	copy(buf, magic)
+	// A transaction that splits many leaves rewrites its one image; the
+	// pool takes the buffer at commit, so the next transaction makes its own.
+	buf := db.w.hdr
+	if buf == nil {
+		buf = make([]byte, PageSize)
+		copy(buf, magic)
+	}
 	binary.BigEndian.PutUint32(buf[8:], db.w.root)
 	binary.BigEndian.PutUint32(buf[12:], db.w.npages)
 	db.w.hdr = buf
@@ -431,9 +437,10 @@ func (s *Snapshot) Get(key []byte) ([]byte, bool, error) {
 }
 
 // Batch is a set of puts and deletes that Apply commits as one
-// transaction. It keeps the slices it is given, which must stay unchanged
-// until Apply returns; Apply copies what the tree keeps, so afterwards
-// the caller may reuse them.
+// transaction. It keeps the slices it is given, and so does the tree:
+// they must stay unchanged until Apply returns. Apply serializes every
+// page it writes before returning and keeps none of the caller's bytes
+// past that, so afterwards the caller may reuse or overwrite them.
 type Batch struct {
 	keys, vals [][]byte // puts, parallel, in the order given
 	dels       [][]byte
@@ -456,8 +463,10 @@ func (b *Batch) Delete(key []byte) { b.dels = append(b.dels, key) }
 // In key order almost every key lands through the transaction's leaf
 // cursor (see putTxn): each leaf the batch touches is decoded once, on
 // first touch, takes all its keys as that one shadow node, and is
-// serialized once, at commit. Deleting an absent key is a no-op, and a
-// batch that changes nothing publishes no epoch.
+// serialized once, at commit. The shadow nodes hold the batch's own key
+// and value slices, uncopied, until that commit, which Apply runs before
+// it returns; after a failure they are dropped. Deleting an absent key is
+// a no-op, and a batch that changes nothing publishes no epoch.
 //
 // Leaves are never merged or rebalanced and this store does not compact:
 // a leaf thinned by deletes keeps its page and separator range, and only
@@ -466,12 +475,10 @@ func (db *DB) Apply(b *Batch) error {
 	if len(b.keys) != len(b.vals) {
 		return fmt.Errorf("kvstore: batch of %d keys but %d values", len(b.keys), len(b.vals))
 	}
-	total := 0
 	for i, k := range b.keys {
 		if err := validatePut(k, b.vals[i]); err != nil {
 			return err
 		}
-		total += len(k) + len(b.vals[i])
 	}
 	puts, dels := keyOrder(b.keys), keyOrder(b.dels)
 	atomic.AddInt64(&db.puts, int64(len(b.keys)))
@@ -479,7 +486,7 @@ func (db *DB) Apply(b *Batch) error {
 	lockTimed(&db.writerMu, writerLockWait)
 	defer db.writerMu.Unlock()
 	db.beginWrite()
-	err := db.applyTxn(b, puts, dels, make([]byte, 0, total))
+	err := db.applyTxn(b, puts, dels)
 	if err == nil {
 		err = db.commitWrite()
 	}
@@ -489,35 +496,45 @@ func (db *DB) Apply(b *Batch) error {
 	return err
 }
 
-// applyTxn runs a batch's deletes, then its puts copied into arena, each
-// in the given index order (writerMu held, beginWrite done).
-func (db *DB) applyTxn(b *Batch, puts, dels []int, arena []byte) error {
-	for _, i := range dels {
-		if err := db.deleteTxn(b.dels[i]); err != nil {
+// applyTxn runs a batch's deletes, then its puts, each in the given
+// index order (writerMu held, beginWrite done). The shadow tree keeps
+// the batch's own key and value slices; commitWrite serializes them
+// before Apply returns.
+func (db *DB) applyTxn(b *Batch, puts, dels []int) error {
+	for j := range b.dels {
+		if err := db.deleteTxn(b.dels[at(dels, j)]); err != nil {
 			return err
 		}
 	}
-	for _, i := range puts {
-		var k, v []byte
-		arena, k, v = own(arena, b.keys[i], b.vals[i])
-		if err := db.putTxn(k, v); err != nil {
+	for j := range b.keys {
+		i := at(puts, j)
+		if err := db.putTxn(b.keys[i], b.vals[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// keyOrder returns the indices of keys in stable key order.
+// keyOrder returns the indices of keys in stable key order, or nil when
+// keys are in order already, as every shred flush is.
 func keyOrder(keys [][]byte) []int {
+	if slices.IsSortedFunc(keys, bytes.Compare) {
+		return nil
+	}
 	order := make([]int, len(keys))
 	for i := range order {
 		order[i] = i
 	}
-	less := func(a, b int) bool { return bytes.Compare(keys[order[a]], keys[order[b]]) < 0 }
-	if !sort.SliceIsSorted(order, less) {
-		sort.SliceStable(order, less)
-	}
+	sort.SliceStable(order, func(a, b int) bool { return bytes.Compare(keys[order[a]], keys[order[b]]) < 0 })
 	return order
+}
+
+// at returns order[j], or j when order is nil (keyOrder's in-order case).
+func at(order []int, j int) int {
+	if order == nil {
+		return j
+	}
+	return order[j]
 }
 
 // Put inserts or replaces a key as one transaction.
@@ -532,19 +549,6 @@ func (db *DB) PutBatch(keys, vals [][]byte) error { return db.Apply(&Batch{keys:
 // Delete removes a key as one transaction; deleting an absent key is a
 // no-op and publishes no epoch.
 func (db *DB) Delete(key []byte) error { return db.Apply(&Batch{dels: [][]byte{key}}) }
-
-// own appends key and value to arena and returns the grown arena and the
-// two copies, capped so neither can grow into its neighbour. The tree
-// keeps these bytes after the caller's slices are reused, so every put
-// hands putTxn owned copies; Apply sizes the arena for the whole batch,
-// which makes that one allocation per transaction.
-func own(arena, key, value []byte) (grown, k, v []byte) {
-	at := len(arena)
-	arena = append(arena, key...)
-	mid := len(arena)
-	arena = append(arena, value...)
-	return arena, arena[at:mid:mid], arena[mid:len(arena):len(arena)]
-}
 
 func validatePut(key, value []byte) error {
 	if len(key) == 0 || len(key) > MaxKeySize {
@@ -566,7 +570,7 @@ type pathEntry struct {
 
 // putTxn inserts one key into the transaction's shadow tree (writerMu
 // held, beginWrite done). The tree keeps key and value as given, so they
-// must be copies the caller will not reuse (see own).
+// must stay unchanged until the transaction commits or aborts.
 //
 // Cursor path: when the transaction's leaf cursor still covers key and
 // the insert cannot overflow the page, the new entry goes straight into
@@ -696,8 +700,18 @@ func (db *DB) deleteTxn(key []byte) error {
 
 // leafInsert puts key into the decoded leaf, replacing an existing entry,
 // and returns the index the key landed at (the split decision uses it).
-// The leaf keeps key and value themselves (putTxn's contract).
+// The leaf keeps key and value themselves (putTxn's contract). A key past
+// the leaf's last one, every key of a sorted batch, appends unsearched.
 func leafInsert(n *node, key, value []byte) int {
+	if last := len(n.keys) - 1; last < 0 || bytes.Compare(key, n.keys[last]) > 0 {
+		if len(n.keys) == cap(n.keys) {
+			n.grow(4 + len(key) + len(value))
+		}
+		n.keys = append(n.keys, key)
+		n.vals = append(n.vals, value)
+		n.sz += 4 + len(key) + len(value)
+		return last + 1
+	}
 	i, found := search(n.keys, key)
 	if found {
 		n.sz += len(value) - len(n.vals[i])
@@ -712,6 +726,17 @@ func leafInsert(n *node, key, value []byte) int {
 	n.vals[i] = value
 	n.sz += 4 + len(key) + len(value)
 	return i
+}
+
+// grow makes room in a full leaf for as many more entries of entry
+// bytes as its page still holds, and at least a quarter more than it
+// has: a leaf filled by appends — a fresh right half, the tree's first
+// leaf, a leaf decoded at its exact length — reallocates about once, not
+// at every doubling.
+func (n *node) grow(entry int) {
+	c := len(n.keys) + max((PageSize-n.sz)/entry+1, len(n.keys)/4)
+	n.keys = append(make([][]byte, 0, c), n.keys...)
+	n.vals = append(make([][]byte, 0, c), n.vals...)
 }
 
 // finishInsert writes the node back into the transaction, splitting it

@@ -155,10 +155,12 @@ type pager struct {
 	shards [numShards]shard
 
 	// Commit-protocol state: fs opens the write-ahead log lazily at
-	// walPath (the full <path>.wal name).
+	// walPath (the full <path>.wal name); walRec is the buffer walCommit
+	// encodes each page record into (flushes are serialized).
 	fs      VFS
 	walPath string
 	wal     File
+	walRec  []byte
 
 	reads        atomic.Int64
 	writes       atomic.Int64
@@ -433,14 +435,13 @@ func (s *shard) unlink(c *cached) {
 	c.prev, c.next = nil, nil
 }
 
-// flushLocked copies one page's current buffer into the memory
-// backend's page slice (the page stays cached and clean; the caller
-// decides whether to evict). Callers hold the page's shard mutex, which
-// pins the buffer pointer for the duration of the copy; the buffer
-// itself is immutable.
+// flushLocked stores one page's current buffer in the memory backend's
+// page slice (the page stays cached and clean; the caller decides
+// whether to evict). The buffer is immutable, so the backend keeps it
+// rather than a copy; a miss copies it out again.
 func (p *pager) flushLocked(c *cached) {
 	p.memMu.Lock()
-	p.mem[c.id] = append(make([]byte, 0, PageSize), c.buf...)
+	p.mem[c.id] = c.buf
 	p.memMu.Unlock()
 	p.writes.Add(1)
 	c.dirty = false

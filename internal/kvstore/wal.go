@@ -47,10 +47,9 @@ var walTable = crc32.MakeTable(crc32.Castagnoli)
 // walSuffix turns a store path into its log path.
 func walSuffix(path string) string { return path + ".wal" }
 
-// walEncodePage builds one page record for page id holding data
-// (PageSize bytes).
-func walEncodePage(id uint32, data []byte) []byte {
-	rec := make([]byte, walPageRecSize)
+// walEncodePage encodes the page record for page id holding data
+// (PageSize bytes) into rec (walPageRecSize bytes) and returns rec.
+func walEncodePage(rec []byte, id uint32, data []byte) []byte {
 	rec[0] = walPageRec
 	binary.BigEndian.PutUint32(rec[1:], id)
 	copy(rec[9:], data)
@@ -228,8 +227,14 @@ func (p *pager) walCommit(batch []flushPage, npages uint32) error {
 	if err := put([]byte(walMagic)); err != nil {
 		return err
 	}
+	// Every page record is encoded into one buffer the pager keeps: the
+	// log is written one record per WriteAt, so each is done with before
+	// the next is encoded.
+	if p.walRec == nil {
+		p.walRec = make([]byte, walPageRecSize)
+	}
 	for _, fp := range batch {
-		if err := put(walEncodePage(fp.id, fp.buf)); err != nil {
+		if err := put(walEncodePage(p.walRec, fp.id, fp.buf)); err != nil {
 			return err
 		}
 	}

@@ -78,13 +78,14 @@ func (s *Store) shredAs(id uint32, name string, r io.Reader) (*shredder, error) 
 	// for shape-aware guard caches, and the registry entry that names the
 	// document.
 	enc := encodeShape(sh.fold.Shape())
-	arena, keys, vals, err := appendBlobChunks(nil, nil, nil, blobKey('T', id), []byte(strings.Join(sh.types, "\n")))
+	arena, recs, err := appendChunks(nil, nil, blobKey('T', id), []byte(strings.Join(sh.types, "\n")))
 	if err == nil {
-		_, keys, vals, err = appendBlobChunks(arena, keys, vals, blobKey('S', id), []byte(enc))
+		arena, recs, err = appendChunks(arena, recs, blobKey('S', id), []byte(enc))
 	}
 	if err != nil {
 		return nil, err
 	}
+	keys, vals := appendRecords(nil, nil, arena, recs)
 	keys = append(keys, blobKey('H', id), docKey(name))
 	vals = append(vals, binary.BigEndian.AppendUint64(nil, hashShapeEnc(enc)), binary.BigEndian.AppendUint32(nil, id))
 	return sh, s.commit(func() error {
@@ -305,27 +306,25 @@ const shredFlushBytes = 1 << 20
 // rooted type are never ancestor and descendant, so element close order
 // equals document order — which means every run is already sorted.
 type typeRuns struct {
-	db   *kvstore.DB
-	runs []typeRun
-	// arena holds the bytes of every buffered record. The kvstore copies
-	// what it commits, so each flush leaves the arena free for reuse.
+	db *kvstore.DB
+	// arena holds the bytes of every buffered record, and runs[tid] where
+	// type tid's records lie in it, in order. The kvstore keeps none of
+	// a batch's bytes once PutBatch returns, so each flush leaves the
+	// arena free for reuse.
 	arena    []byte
-	buffered int // bytes held across all runs, for the flush threshold
-	// keys and vals are the flush's concatenation of the runs, reused.
-	keys, vals [][]byte
-}
-
-type typeRun struct {
+	runs     [][]chunk
+	buffered int // key and value bytes added since the flush, for its threshold
+	// keys and vals are the flush's batch, every run in typeID order,
+	// reused.
 	keys, vals [][]byte
 }
 
 func (b *typeRuns) add(tid uint32, key, value []byte) error {
 	for int(tid) >= len(b.runs) {
-		b.runs = append(b.runs, typeRun{})
+		b.runs = append(b.runs, nil)
 	}
-	r := &b.runs[tid]
 	var err error
-	b.arena, r.keys, r.vals, err = appendBlobChunks(b.arena, r.keys, r.vals, key, value)
+	b.arena, b.runs[tid], err = appendChunks(b.arena, b.runs[tid], key, value)
 	if err != nil {
 		return err
 	}
@@ -337,16 +336,21 @@ func (b *typeRuns) add(tid uint32, key, value []byte) error {
 }
 
 // flush commits every buffered type run as one transaction. Node keys
-// are prefixed by typeID, so the runs concatenated in typeID order are
-// one globally ascending key sequence: the kvstore needs no sort, and
-// nearly every insert lands on its transaction's leaf cursor.
+// are prefixed by typeID, so the runs in typeID order are one globally
+// ascending key sequence: the kvstore needs no sort, and nearly every
+// insert lands on its transaction's leaf cursor.
 func (b *typeRuns) flush() error {
+	n := 0
+	for _, recs := range b.runs {
+		n += len(recs)
+	}
+	if cap(b.keys) < n {
+		b.keys, b.vals = make([][]byte, 0, n), make([][]byte, 0, n)
+	}
 	b.keys, b.vals = b.keys[:0], b.vals[:0]
-	for tid := range b.runs {
-		r := &b.runs[tid]
-		b.keys = append(b.keys, r.keys...)
-		b.vals = append(b.vals, r.vals...)
-		r.keys, r.vals = r.keys[:0], r.vals[:0]
+	for tid, recs := range b.runs {
+		b.keys, b.vals = appendRecords(b.keys, b.vals, b.arena, recs)
+		b.runs[tid] = recs[:0]
 	}
 	if len(b.keys) > 0 {
 		if err := b.db.PutBatch(b.keys, b.vals); err != nil {

@@ -199,7 +199,7 @@ func blobKey(prefix byte, docID uint32) []byte {
 // builds or takes apart a node key goes through these functions.
 const (
 	nodeKeyHead  = 9 // 'N', docID, typeID
-	nodeKeyChunk = 2 // the chunk index appendBlobChunks appends
+	nodeKeyChunk = 2 // the chunk index appendChunks appends
 
 	// A node at the deepest level the XML scan admits still fits a key.
 	_ = uint(kvstore.MaxKeySize - (nodeKeyHead + 4*xmltree.MaxDepth + nodeKeyChunk))
@@ -256,39 +256,51 @@ func decodeDewey(dst xmltree.Dewey, dewey []byte) {
 	}
 }
 
-// appendBlobChunks appends the chunked records of one blob to the
-// parallel key/value slices: chunk i of a value lives under key+i, and
-// chunk 0 carries a 2-byte chunk-count header. The records' bytes are
-// copied into arena — extended, or replaced by a block twice its size
-// once full — which is returned, so they outlive key and val. The
-// shredder accumulates them into per-type sorted runs in one arena it
-// reuses after every flush; the shred's tail and an update's overlay
-// take them one blob at a time.
-func appendBlobChunks(arena []byte, keys, vals [][]byte, key, val []byte) ([]byte, [][]byte, [][]byte, error) {
+// chunk is where one chunked record lies in an arena: its key at
+// arena[at:at+kl], its value in the vl bytes right after.
+type chunk struct{ at, kl, vl uint32 }
+
+// appendChunks appends the chunked records of one blob to arena and
+// their places to recs: chunk i of a value lives under key+i, and chunk
+// 0 carries a 2-byte chunk-count header. The records' bytes are copied,
+// so they outlive key and val. The shredder accumulates every type's
+// records in one arena it reuses after every flush; the shred's tail and
+// an update's overlay take them one blob at a time.
+func appendChunks(arena []byte, recs []chunk, key, val []byte) ([]byte, []chunk, error) {
 	n := (len(val) + chunkSize - 1) / chunkSize
 	if n == 0 {
 		n = 1
 	}
 	if n > 1<<16-1 {
-		return arena, keys, vals, fmt.Errorf("store: blob too large (%d bytes)", len(val))
+		return arena, recs, fmt.Errorf("store: blob too large (%d bytes)", len(val))
 	}
 	if need := n*(len(key)+nodeKeyChunk) + 2 + len(val); cap(arena)-len(arena) < need {
-		// A fresh block, not a copy: records already taken from the old
-		// one keep it alive.
-		arena = make([]byte, 0, max(need, 2*cap(arena)))
+		// Double: append grows a large slice by only a quarter, which
+		// would copy a flush-sized arena many times over.
+		arena = append(make([]byte, 0, len(arena)+max(need, cap(arena))), arena...)
 	}
 	for i := 0; i < n; i++ {
 		at := len(arena)
 		arena = binary.BigEndian.AppendUint16(append(arena, key...), uint16(i))
-		keys = append(keys, arena[at:len(arena):len(arena)])
-		at = len(arena)
+		kl := len(arena) - at
 		if i == 0 {
 			arena = binary.BigEndian.AppendUint16(arena, uint16(n))
 		}
 		arena = append(arena, val[i*chunkSize:min((i+1)*chunkSize, len(val))]...)
-		vals = append(vals, arena[at:len(arena):len(arena)])
+		recs = append(recs, chunk{uint32(at), uint32(kl), uint32(len(arena) - at - kl)})
 	}
-	return arena, keys, vals, nil
+	return arena, recs, nil
+}
+
+// appendRecords appends the keys and values recs places in arena to the
+// parallel keys and vals, each capped at its end.
+func appendRecords(keys, vals [][]byte, arena []byte, recs []chunk) ([][]byte, [][]byte) {
+	for _, r := range recs {
+		k, e := r.at+r.kl, r.at+r.kl+r.vl
+		keys = append(keys, arena[r.at:k:k])
+		vals = append(vals, arena[k:e:e])
+	}
+	return keys, vals
 }
 
 // getBlob reassembles a chunked value through r.

@@ -777,10 +777,11 @@ func (u *updater) rewriteBlob(key, val []byte) error {
 
 // putChunks writes a value's chunked records into the overlay.
 func (u *updater) putChunks(key, val []byte) error {
-	_, keys, vals, err := appendBlobChunks(nil, nil, nil, key, val)
+	arena, recs, err := appendChunks(nil, nil, key, val)
 	if err != nil {
 		return err
 	}
+	keys, vals := appendRecords(nil, nil, arena, recs)
 	for i := range keys {
 		u.put(keys[i], vals[i])
 	}
