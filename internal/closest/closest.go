@@ -50,11 +50,11 @@ func (r *Recorder) Snapshot() (joins, candidates, pairs int64) {
 	return atomic.LoadInt64(&r.Joins), atomic.LoadInt64(&r.Candidates), atomic.LoadInt64(&r.Pairs)
 }
 
-// TypeLCP returns the number of leading path components shared by the two
+// typeLCP returns the number of leading path components shared by the two
 // rooted type paths. The least common ancestor of a closest pair sits at
 // exactly this Dewey depth. It walks both strings component-wise without
 // allocating — it runs once per closest join, on the render hot path.
-func TypeLCP(t1, t2 string) int {
+func typeLCP(t1, t2 string) int {
 	l := 0
 	for {
 		s1, r1, more1 := cutComponent(t1)
@@ -98,62 +98,12 @@ type Pair struct {
 // closest pairs ordered by (V, W) document order.
 //
 // The join predicate is structural: a pair is closest when the Dewey
-// numbers share a prefix of exactly TypeLCP(typeof vs, typeof ws)
+// numbers share a prefix of exactly typeLCP(typeof vs, typeof ws)
 // components, so the join is a single merge over the two sorted sequences
 // with a cross product inside each shared-prefix group — O(input + output).
-func Join(vs, ws []*xmltree.Node) []Pair { return JoinRec(vs, ws, nil) }
-
-// JoinRec is Join with optional statistics recording; rec may be nil.
-func JoinRec(vs, ws []*xmltree.Node, rec *Recorder) []Pair {
-	out := join(vs, ws)
-	rec.record(len(vs), len(ws), len(out))
-	return out
-}
-
-func join(vs, ws []*xmltree.Node) []Pair {
-	if len(vs) == 0 || len(ws) == 0 {
-		return nil
-	}
-	l := TypeLCP(vs[0].Type, ws[0].Type)
-	if vs[0].Type == ws[0].Type {
-		// Same type: only reflexive pairs are closest (distance 0).
-		// The sequences enumerate the same nodes.
-		out := make([]Pair, 0, len(vs))
-		for _, v := range vs {
-			out = append(out, Pair{V: v, W: v})
-		}
-		return out
-	}
+func Join(vs, ws []*xmltree.Node) []Pair {
 	var out []Pair
-	i, j := 0, 0
-	for i < len(vs) && j < len(ws) {
-		ki := prefixKey(vs[i].Dewey, l)
-		kj := prefixKey(ws[j].Dewey, l)
-		c := ki.Compare(kj)
-		switch {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			// Collect the group of vs and ws sharing this prefix and
-			// emit the cross product.
-			i2 := i
-			for i2 < len(vs) && prefixKey(vs[i2].Dewey, l).Equal(ki) {
-				i2++
-			}
-			j2 := j
-			for j2 < len(ws) && prefixKey(ws[j2].Dewey, l).Equal(ki) {
-				j2++
-			}
-			for a := i; a < i2; a++ {
-				for b := j; b < j2; b++ {
-					out = append(out, Pair{V: vs[a], W: ws[b]})
-				}
-			}
-			i, j = i2, j2
-		}
-	}
+	joinWith(vs, ws, func(v, w *xmltree.Node) { out = append(out, Pair{V: v, W: w}) })
 	return out
 }
 
@@ -179,12 +129,14 @@ func joinWith(vs, ws []*xmltree.Node, fn func(v, w *xmltree.Node)) {
 		return
 	}
 	if vs[0].Type == ws[0].Type {
+		// Same type: only reflexive pairs are closest (distance 0).
+		// The sequences enumerate the same nodes.
 		for _, v := range vs {
 			fn(v, v)
 		}
 		return
 	}
-	l := TypeLCP(vs[0].Type, ws[0].Type)
+	l := typeLCP(vs[0].Type, ws[0].Type)
 	i, j := 0, 0
 	for i < len(vs) && j < len(ws) {
 		ki := prefixKey(vs[i].Dewey, l)
@@ -196,6 +148,8 @@ func joinWith(vs, ws []*xmltree.Node, fn func(v, w *xmltree.Node)) {
 		case c > 0:
 			j++
 		default:
+			// Collect the group of vs and ws sharing this prefix and
+			// emit the cross product.
 			i2 := i
 			for i2 < len(vs) && prefixKey(vs[i2].Dewey, l).Equal(ki) {
 				i2++

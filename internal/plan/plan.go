@@ -8,7 +8,7 @@
 //
 // The classification rests on the axis of every closest join the target
 // asks for. For a join from parent source type J to node source type S
-// (both rooted type paths), TypeLCP(J, S) makes the closest partners of
+// (both rooted type paths), their common prefix makes the closest partners of
 // a J-vertex v one of four shapes:
 //
 //   - self (J == S): the single partner is v itself.

@@ -131,52 +131,15 @@ func (w *walker) witness(req *plan.Node, v *Vertex) bool {
 	return false
 }
 
-// nodePartners adapts a function from (vertex, type) to the type's
-// closest nodes — a cached join, a local tree walk — to Partners.
-type nodePartners struct {
-	of  func(v *xmltree.Node, typ string) []*xmltree.Node
-	run []nodeRun
-}
-
-// nodeRun is one occurrence's enumeration: the partners still to come and
-// the one handed out.
-type nodeRun struct {
-	rest []*xmltree.Node
-	at   Vertex
-}
-
-// NodePartners returns the Partners of a source holding materialized
-// nodes. of(v, typ) returns the typ-nodes closest to v in document order;
-// v is nil for the root enumeration, which wants the whole sequence.
-func NodePartners(t *plan.Tree, of func(v *xmltree.Node, typ string) []*xmltree.Node) Partners {
-	return &nodePartners{of: of, run: make([]nodeRun, len(t.Nodes))}
-}
-
-func (p *nodePartners) Seek(x *plan.Node, v *Vertex) *Vertex {
-	p.run[x.ID].rest = p.of(v.Node, x.TN.Source)
-	return p.Next(x)
-}
-
-func (p *nodePartners) Next(x *plan.Node) *Vertex {
-	r := &p.run[x.ID]
-	if len(r.rest) == 0 {
-		return nil
-	}
-	r.at.Node, r.rest = r.rest[0], r.rest[1:]
-	return &r.at
-}
-
 // treeSink builds the output tree. A vertex with a Node gives the output
 // node its Src; a scan-backed one gives only its text.
 type treeSink struct {
 	b *xmltree.Builder
-	// prov, when non-nil, records the occurrence behind each output node.
-	prov map[*xmltree.Node]*plan.Node
 }
 
 func (s *treeSink) Open(x *plan.Node, v *Vertex) {
 	s.b.Elem(x.TN.Name)
-	s.mark(x, v)
+	s.mark(v)
 	if v != nil {
 		s.b.Text(v.text())
 	}
@@ -184,7 +147,7 @@ func (s *treeSink) Open(x *plan.Node, v *Vertex) {
 
 func (s *treeSink) Attr(x *plan.Node, v *Vertex) {
 	s.b.Attr(x.TN.Name, v.text())
-	s.mark(x, v)
+	s.mark(v)
 }
 
 // text is v's value, copied out of the scan's buffer when v is scan-backed.
@@ -195,13 +158,9 @@ func (v *Vertex) text() string {
 	return string(v.Value)
 }
 
-func (s *treeSink) mark(x *plan.Node, v *Vertex) {
-	n := s.b.Last()
+func (s *treeSink) mark(v *Vertex) {
 	if v != nil {
-		n.Src = v.Node
-	}
-	if s.prov != nil {
-		s.prov[n] = x
+		s.b.Last().Src = v.Node
 	}
 }
 
@@ -345,19 +304,3 @@ func (s *bindSink) Close() {
 }
 
 func (s *bindSink) Err() error { return s.err }
-
-// Unit renders the single emission of occurrence x driven by source
-// vertex n as a detached subtree — what a full render would have put in
-// the output for that pair — recording provenance in prov. The view
-// layer splices units into a materialized output.
-func Unit(x *plan.Node, n *xmltree.Node, src Partners, prov map[*xmltree.Node]*plan.Node) *xmltree.Node {
-	out := &treeSink{b: xmltree.NewBuilder(), prov: prov}
-	// A host element keeps the builder open, as it is wherever x has a
-	// parent: an attribute unit needs an element to attach to.
-	out.b.Elem(x.TN.Name)
-	host := out.b.Last()
-	(&walker{src, out}).emission(x, &Vertex{Node: n})
-	unit := host.Children[0]
-	unit.Parent = nil
-	return unit
-}

@@ -9,7 +9,7 @@
 // encoder. This package supplies the join-backed Partners (sort-merge
 // closest joins over whole type sequences, cached per type pair) and the
 // entry points that pair it with each sink; internal/stream supplies the
-// scan-backed Partners, internal/view a tree-local one.
+// scan-backed Partners.
 //
 // The join-backed read cost is linear in the size of the source type
 // sequences touched (each closest join is a single merge); the write cost
@@ -46,24 +46,10 @@ type Source interface {
 // on it. The span's lifetime belongs to the caller (Render neither
 // creates children nor ends it); a nil sp adds no allocations.
 func Render(doc Source, tgt *semantics.Target, sp *obs.Span) (*xmltree.Document, error) {
-	return render(doc, plan.Build(tgt), sp, nil)
-}
-
-// RenderAnnotated is Render of an already built execution tree plus a
-// provenance map from every output node (wrappers and fill elements
-// included) to the occurrence that emitted it. The view layer uses the
-// annotation to patch a materialized output in place when the source
-// changes.
-func RenderAnnotated(doc Source, t *plan.Tree, sp *obs.Span) (*xmltree.Document, map[*xmltree.Node]*plan.Node, error) {
-	prov := map[*xmltree.Node]*plan.Node{}
-	out, err := render(doc, t, sp, prov)
-	return out, prov, err
-}
-
-func render(doc Source, t *plan.Tree, sp *obs.Span, prov map[*xmltree.Node]*plan.Node) (*xmltree.Document, error) {
+	t := plan.Build(tgt)
 	r := newRenderer(doc, sp)
 	b := xmltree.NewBuilder()
-	emit(t, r.partners(t), &treeSink{b: b, prov: prov})
+	emit(t, r.partners(t), &treeSink{b: b})
 	// Legal: the target types may simply have no instances.
 	out := &xmltree.Document{}
 	if b.Last() != nil {
@@ -137,13 +123,41 @@ func newRenderer(doc Source, sp *obs.Span) *renderer {
 	return r
 }
 
+// partners returns the join-backed Partners of t's walk.
 func (r *renderer) partners(t *plan.Tree) Partners {
-	return NodePartners(t, func(v *xmltree.Node, typ string) []*xmltree.Node {
-		if v == nil {
-			return r.doc.NodesOfType(typ)
-		}
-		return r.closestOf(v, typ)
-	})
+	return &joinPartners{r: r, run: make([]nodeRun, len(t.Nodes))}
+}
+
+// joinPartners enumerates each occurrence's partners from the renderer:
+// the whole type sequence at a root, the cached closest join below one.
+type joinPartners struct {
+	r   *renderer
+	run []nodeRun
+}
+
+// nodeRun is one occurrence's enumeration: the partners still to come and
+// the one handed out.
+type nodeRun struct {
+	rest []*xmltree.Node
+	at   Vertex
+}
+
+func (p *joinPartners) Seek(x *plan.Node, v *Vertex) *Vertex {
+	if v.Node == nil {
+		p.run[x.ID].rest = p.r.doc.NodesOfType(x.TN.Source)
+	} else {
+		p.run[x.ID].rest = p.r.closestOf(v.Node, x.TN.Source)
+	}
+	return p.Next(x)
+}
+
+func (p *joinPartners) Next(x *plan.Node) *Vertex {
+	r := &p.run[x.ID]
+	if len(r.rest) == 0 {
+		return nil
+	}
+	r.at.Node, r.rest = r.rest[0], r.rest[1:]
+	return &r.at
 }
 
 // closestOf returns the child-type nodes closest to v, from the cached
