@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"xmorph/internal/gen/xmark"
@@ -29,8 +30,16 @@ type Fig10Row struct {
 // document (all types).
 const Fig10Guard = "CAST MUTATE site"
 
+// fig10Runs is how many times RunFig10 times each (factor, column)
+// cell. It reports the median: one timing swings nearly 2× from run to
+// run on a small host.
+const fig10Runs = 5
+
 // RunFig10 measures transformation cost versus data size on XMark
 // documents, also collecting the resource timelines behind Figs. 11-13.
+// Each factor is shredded, transformed and dumped fig10Runs times, every
+// time into a fresh store; a row holds each column's median and the last
+// run's timeline.
 func RunFig10(cfg Config) ([]Fig10Row, error) {
 	dir, cleanup, err := cfg.workdir()
 	if err != nil {
@@ -42,31 +51,35 @@ func RunFig10(cfg Config) ([]Fig10Row, error) {
 	for _, f := range cfg.XMarkFactors {
 		doc := xmark.Generate(xmark.Config{Factor: f, Seed: cfg.Seed})
 		name := fmt.Sprintf("xmark-%g", f)
-		path, shred, bytes, err := cfg.prepareStore(dir, name, doc)
-		if err != nil {
-			return nil, err
+		row := Fig10Row{Factor: f, Nodes: doc.Size(), Types: len(doc.Types())}
+		var shred, compile, render, baseline [fig10Runs]time.Duration
+		for i := range fig10Runs {
+			path, d, bytes, err := cfg.prepareStore(dir, name, doc)
+			if err != nil {
+				return nil, err
+			}
+			run, err := cfg.runStored(path, name, Fig10Guard, true)
+			if err != nil {
+				return nil, err
+			}
+			base, err := cfg.runBaseline(path, name)
+			if err != nil {
+				return nil, err
+			}
+			shred[i], compile[i], render[i], baseline[i] = d, run.compile, run.render, base
+			row.XMLBytes, row.samples = bytes, run.samples
 		}
-		run, err := cfg.runStored(path, name, Fig10Guard, true)
-		if err != nil {
-			return nil, err
-		}
-		baseline, err := cfg.runBaseline(path, name)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig10Row{
-			Factor:     f,
-			XMLBytes:   bytes,
-			Nodes:      doc.Size(),
-			Types:      len(doc.Types()),
-			ShredMS:    ms(shred),
-			CompileMS:  ms(run.compile),
-			RenderMS:   ms(run.render),
-			BaselineMS: ms(baseline),
-			samples:    run.samples,
-		})
+		row.ShredMS, row.CompileMS = medianMS(shred[:]), medianMS(compile[:])
+		row.RenderMS, row.BaselineMS = medianMS(render[:]), medianMS(baseline[:])
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// medianMS returns the median of ds in milliseconds, sorting ds.
+func medianMS(ds []time.Duration) float64 {
+	slices.Sort(ds)
+	return ms(ds[len(ds)/2])
 }
 
 // monitorInterval is the sampling period of the Figs. 11-13 timelines.

@@ -139,11 +139,21 @@ func TestJoinMissingPartner(t *testing.T) {
 	}
 }
 
+// nodeAt returns the node of d with Dewey number dw, or nil.
+func nodeAt(d *xmltree.Document, dw xmltree.Dewey) *xmltree.Node {
+	for _, n := range d.Nodes() {
+		if n.Dewey.Compare(dw) == 0 {
+			return n
+		}
+	}
+	return nil
+}
+
 func TestIsClosest(t *testing.T) {
 	d := xmltree.MustParse(fig1a)
-	pub := d.NodeAt(xmltree.Dewey{1, 1, 3})
-	t1 := d.NodeAt(xmltree.Dewey{1, 1, 1})
-	t2 := d.NodeAt(xmltree.Dewey{1, 2, 1})
+	pub := nodeAt(d, xmltree.Dewey{1, 1, 3})
+	t1 := nodeAt(d, xmltree.Dewey{1, 1, 1})
+	t2 := nodeAt(d, xmltree.Dewey{1, 2, 1})
 	if !IsClosest(pub, t1) {
 		t.Error("1.1.3 should be closest to 1.1.1")
 	}
@@ -228,9 +238,9 @@ func TestBuildGraphFig4a(t *testing.T) {
 	if g.NumVertices() != d.Size() {
 		t.Errorf("vertices = %d, want %d", g.NumVertices(), d.Size())
 	}
-	pub := d.NodeAt(xmltree.Dewey{1, 1, 3})
-	t1 := d.NodeAt(xmltree.Dewey{1, 1, 1})
-	t2 := d.NodeAt(xmltree.Dewey{1, 2, 1})
+	pub := nodeAt(d, xmltree.Dewey{1, 1, 3})
+	t1 := nodeAt(d, xmltree.Dewey{1, 1, 1})
+	t2 := nodeAt(d, xmltree.Dewey{1, 2, 1})
 	if !g.Closest(pub, t1) || g.Closest(pub, t2) {
 		t.Error("graph edges disagree with closest relation")
 	}

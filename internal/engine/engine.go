@@ -277,19 +277,10 @@ func (e *Engine) compileIn(ctx context.Context, v *store.View, name, guardSrc st
 		return nil, plan.Decision{}, false, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	// The shape hash is the update-aware half of the cache key: one small
-	// point read. Documents shredded before hashes were recorded fall back
-	// to hashing the decoded shape (costs the shape load even on a hit —
-	// still far cheaper than recompiling the guard).
-	hash, hashOK, err := v.ShapeHash(name)
+	// point read.
+	hash, _, err := v.ShapeHash(name)
 	if err != nil {
 		return nil, plan.Decision{}, false, err
-	}
-	var sh *Shape
-	if !hashOK {
-		if sh, err = v.Shape(name); err != nil {
-			return nil, plan.Decision{}, false, err
-		}
-		hash = store.HashShape(sh)
 	}
 	if checked, verdict := e.cache.get(ver, hash, guardSrc); checked != nil {
 		csp := sp.Child("compile")
@@ -299,15 +290,13 @@ func (e *Engine) compileIn(ctx context.Context, v *store.View, name, guardSrc st
 		return checked, verdict, true, nil
 	}
 
-	if sh == nil {
-		ssp := sp.Child("load-shape")
-		before := e.st.Stats()
-		sh, err = v.Shape(name)
-		setPageIO(ssp, before, e.st.Stats())
-		ssp.End()
-		if err != nil {
-			return nil, plan.Decision{}, false, err
-		}
+	ssp := sp.Child("load-shape")
+	before := e.st.Stats()
+	sh, err := v.Shape(name)
+	setPageIO(ssp, before, e.st.Stats())
+	ssp.End()
+	if err != nil {
+		return nil, plan.Decision{}, false, err
 	}
 	checked, err := core.Check(guardSrc, sh, sp)
 	if err != nil {

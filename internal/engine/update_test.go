@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -246,24 +248,79 @@ func TestQueryDuringUpdate(t *testing.T) {
 	t.Logf("%d racing answers over %d committed states", len(seen), len(states))
 }
 
-// TestLegacyDocShapeHashFallback: documents shredded before the 'H'
-// record existed (simulated by deleting it) still compile and cache.
-func TestLegacyDocShapeHashFallback(t *testing.T) {
+// TestOpenConvertsLegacyShapeRecords opens a store written before
+// shapes became rows: "books" as shredded, and "catalog" updated and then
+// stripped of its hash record, as a store from before hash records
+// holds its documents. The first Open converts both; each document's
+// shape and hash are then a re-shred's, its compilations cache, and a
+// second Open finds nothing left to convert.
+func TestOpenConvertsLegacyShapeRecords(t *testing.T) {
 	ctx := context.Background()
-	eng := newEngine(t)
-	shredSample(t, eng, "books")
-	if err := eng.st.DeleteShapeHash("books"); err != nil {
+	image, err := os.ReadFile(filepath.Join("..", "store", "testdata", "legacy_shape.db"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := eng.Check(ctx, "books", sampleGuard, nil); err != nil {
-			t.Fatalf("check %d without hash record: %v", i, err)
+	path := filepath.Join(t.TempDir(), "legacy.db")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := eng.Stats(); s.Puts == 0 || s.Deletes == 0 {
+		t.Errorf("the first Open made %d puts and %d deletes, want a conversion", s.Puts, s.Deletes)
+	}
+	for _, c := range []struct{ name, guard string }{
+		{"books", sampleGuard},
+		{"catalog", "MORPH item [ name stock ]"},
+	} {
+		oracle := newEngine(t)
+		if _, err := oracle.Shred(ctx, c.name, strings.NewReader(reconstruct(t, eng, c.name).XML(false)), nil); err != nil {
+			t.Fatal(err)
+		}
+		got, err1 := eng.Shape(ctx, c.name, nil)
+		want, err2 := oracle.Shape(ctx, c.name, nil)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: shapes: %v %v", c.name, err1, err2)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: converted shape\n%s\nwant a re-shred's\n%s", c.name, got, want)
+		}
+		if h, w := storedHash(t, eng, c.name), storedHash(t, oracle, c.name); h != w {
+			t.Errorf("%s: converted hash %x, want a re-shred's %x", c.name, h, w)
+		}
+		hits, _ := eng.CacheStats()
+		for i := 0; i < 2; i++ {
+			if _, err := eng.Check(ctx, c.name, c.guard, nil); err != nil {
+				t.Fatalf("%s: check %d: %v", c.name, i, err)
+			}
+		}
+		if now, _ := eng.CacheStats(); now != hits+1 {
+			t.Errorf("%s: %d cache hits over two checks, want 1", c.name, now-hits)
 		}
 	}
-	if hits, _ := eng.CacheStats(); hits != 1 {
-		t.Errorf("legacy doc got %d cache hits, want 1", hits)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, res := runXML(t, eng, "books", sampleGuard, RunOpts{}); !res.CacheHit {
-		t.Error("legacy doc run missed the cache")
+	again, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer again.Close()
+	if s := again.Stats(); s.Puts != 0 || s.Deletes != 0 {
+		t.Errorf("the second Open made %d puts and %d deletes, want none", s.Puts, s.Deletes)
+	}
+}
+
+// storedHash reads a document's stored shape hash.
+func storedHash(t *testing.T, eng *Engine, name string) uint64 {
+	t.Helper()
+	v := eng.st.View()
+	defer v.Close()
+	h, ok, err := v.ShapeHash(name)
+	if err != nil || !ok {
+		t.Fatalf("%s: shape hash: ok=%v err=%v", name, ok, err)
+	}
+	return h
 }

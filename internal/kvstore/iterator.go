@@ -311,7 +311,7 @@ func (it *Iterator) settle() {
 // it from the new leaf's sibling.
 func (it *Iterator) readAhead() {
 	k := it.snap.db.readAhead
-	if k <= 0 {
+	if k <= 0 || it.snap.peek {
 		return
 	}
 	from := it.raNext
@@ -408,6 +408,17 @@ func (db *DB) AscendPrefix(prefix []byte, fn func(k, v []byte) bool) error {
 	s := db.OpenSnapshot()
 	defer s.Close()
 	return s.AscendPrefix(prefix, fn)
+}
+
+// HasPrefix reports whether any key starts with prefix. It reads the
+// pages on its way without filling the buffer pool, so a check a store
+// makes as it opens leaves a cold store cold.
+func (db *DB) HasPrefix(prefix []byte) (bool, error) {
+	s := db.OpenSnapshot()
+	defer s.Close()
+	s.peek = true
+	it := s.Seek(prefix)
+	return it.Valid() && bytes.HasPrefix(it.Key(), prefix), it.Err()
 }
 
 // AscendPrefix calls fn for every key with the given prefix as of the

@@ -61,6 +61,8 @@ type Snapshot struct {
 	root   uint32
 	epoch  uint64
 	closed atomic.Bool
+	// peek reads pages without filling the pool (HasPrefix).
+	peek bool
 }
 
 // OpenSnapshot pins the current committed state and returns a read-only
@@ -117,9 +119,17 @@ func (s *Snapshot) Close() {
 
 // snapRead resolves page id as of epoch: the committed pool buffer when
 // its stamp is old enough, the retained version otherwise. The returned
-// buffer is immutable.
-func (db *DB) snapRead(id uint32, epoch uint64) ([]byte, error) {
-	buf, stamp, err := db.pager.readStamped(id)
+// buffer is immutable. With peek, a page the pool lacks is read without
+// being installed.
+func (db *DB) snapRead(id uint32, epoch uint64, peek bool) ([]byte, error) {
+	var buf []byte
+	var stamp uint64
+	var err error
+	if peek {
+		buf, stamp, err = db.pager.peekStamped(id)
+	} else {
+		buf, stamp, err = db.pager.readStamped(id)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +145,7 @@ func (db *DB) snapRead(id uint32, epoch uint64) ([]byte, error) {
 // epoch; every read path reads it in place (pageView on a seek, the
 // forward walk on a crossing).
 func (s *Snapshot) readPage(id uint32) ([]byte, error) {
-	return s.db.snapRead(id, s.epoch)
+	return s.db.snapRead(id, s.epoch, s.peek)
 }
 
 // retain parks a superseded committed image for the snapshots that still

@@ -259,9 +259,38 @@ func (p *pager) readStamped(id uint32) ([]byte, uint64, error) {
 	return c.buf, c.epoch, nil
 }
 
+// peekStamped is readStamped without filling the pool: a page the pool
+// does not hold is read into a private buffer that no one else sees.
+func (p *pager) peekStamped(id uint32) ([]byte, uint64, error) {
+	s := p.shardOf(id)
+	lockTimed(&s.mu, shardLockWait)
+	defer s.mu.Unlock()
+	if c, ok := s.cache[id]; ok {
+		p.hits.Add(1)
+		return c.buf, c.epoch, nil
+	}
+	p.misses.Add(1)
+	c, err := p.load(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	return c.buf, c.epoch, nil
+}
+
 // fetchLocked loads a page absent from the pool from the backing store
 // and inserts it. Callers hold s.mu and have counted the miss.
 func (p *pager) fetchLocked(s *shard, id uint32) (*cached, error) {
+	c, err := p.load(id)
+	if err != nil {
+		return nil, err
+	}
+	p.insertLocked(s, c)
+	return c, nil
+}
+
+// load reads a page from the backing store into a fresh buffer. Callers
+// hold the page's shard lock.
+func (p *pager) load(id uint32) (*cached, error) {
 	if id >= p.npages.Load() {
 		return nil, fmt.Errorf("kvstore: page %d out of range (%d pages)", id, p.npages.Load())
 	}
@@ -283,9 +312,7 @@ func (p *pager) fetchLocked(s *shard, id uint32) (*cached, error) {
 	p.reads.Add(1)
 	// Stamp after the backing read: the image on stable storage can be no
 	// newer than the committed epoch observed afterwards.
-	c := &cached{id: id, buf: buf, epoch: p.epoch.Load()}
-	p.insertLocked(s, c)
-	return c, nil
+	return &cached{id: id, buf: buf, epoch: p.epoch.Load()}, nil
 }
 
 // readAhead walks the leaf sibling chain starting at page id, pulling up

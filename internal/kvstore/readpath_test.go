@@ -409,3 +409,55 @@ func fuzzSecondLeaf(t *testing.T, page []byte, n *node) {
 		}
 	}
 }
+
+// TestHasPrefixLeavesPoolCold: HasPrefix answers for prefixes before,
+// among, between and after the keys of a reopened three-level tree, and
+// leaves the buffer pool as it found it — a Get of the key it found
+// still reads its whole root-to-leaf path.
+func TestHasPrefixLeavesPoolCold(t *testing.T) {
+	path := t.TempDir() + "/p.db"
+	db, err := Open(path, &Options{CachePages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Batch
+	for i := 0; i < 2000; i += 2 {
+		b.Put(tallKey(i), []byte("v"))
+	}
+	if err := db.Apply(&b); err != nil {
+		t.Fatal(err)
+	}
+	height := treeHeight(t, db)
+	if height < 3 {
+		t.Fatalf("tree of height %d, want at least 3", height)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(path, &Options{CachePages: 64}); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, c := range []struct {
+		prefix string
+		want   bool
+	}{
+		{"", true},
+		{string(tallKey(1000)), true},
+		{string(tallKey(1001)), false},
+		{string(tallKey(1998)[:190]), true},
+		{"1", false},
+		{"/", false},
+	} {
+		if got, err := db.HasPrefix([]byte(c.prefix)); err != nil || got != c.want {
+			t.Errorf("HasPrefix(%.12q…) = %v %v, want %v", c.prefix, got, err, c.want)
+		}
+	}
+	before := db.Stats().BlocksRead
+	if _, ok, err := db.Get(tallKey(1000)); err != nil || !ok {
+		t.Fatalf("Get: %v %v", ok, err)
+	}
+	if got := db.Stats().BlocksRead - before; got != int64(height) {
+		t.Errorf("Get after HasPrefix read %d pages, want its whole path of %d", got, height)
+	}
+}

@@ -74,12 +74,12 @@ type Shape struct {
 func New() *Shape { return NewSized(0, 0) }
 
 // NewSized returns an empty shape with room for the given numbers of
-// types and edges.
+// types and edges (and as many parent types as edges).
 func NewSized(types, edges int) *Shape {
 	return &Shape{
 		types:    make(map[string]bool, types),
 		parent:   make(map[string]string, edges),
-		children: make(map[string][]string),
+		children: make(map[string][]string, edges),
 		card:     make(map[edgeKey]Card, edges),
 	}
 }
@@ -151,6 +151,20 @@ func (f *Fold) Close() {
 	t.closed++
 }
 
+// Walk calls fn for each type folded so far in first-encounter order —
+// a parent ahead of its children, and a parent's children in sibling
+// order — with its parent type ("" for a root) and the card of the edge
+// from it. It builds nothing: the store writes a shape's rows from it.
+func (f *Fold) Walk(fn func(typ, parent string, card Card)) {
+	for _, t := range f.order {
+		parent := ""
+		if t.parent != nil {
+			parent = t.parent.name
+		}
+		fn(t.name, parent, t.card)
+	}
+}
+
 // Shape returns the shape of the nodes folded so far.
 func (f *Fold) Shape() *Shape {
 	s := New()
@@ -217,6 +231,14 @@ func (s *Shape) setEdge(parent, child string, c Card) {
 		s.children[parent] = append(s.children[parent], child)
 	}
 	s.card[edgeKey{parent, child}] = c
+}
+
+// ReserveChildren makes room for n more child types of parent, so that
+// adding their edges allocates parent's child list once.
+func (s *Shape) ReserveChildren(parent string, n int) {
+	if kids := s.children[parent]; cap(kids)-len(kids) < n {
+		s.children[parent] = append(make([]string, 0, len(kids)+n), kids...)
+	}
 }
 
 // RemoveSubtree deletes t and every descendant type from the shape.

@@ -236,7 +236,7 @@ func records(t *testing.T, s *Store) string {
 		ids[id] = true
 	}
 	var out []string
-	for _, table := range []byte{'D', 'H', 'N', 'S', 'T'} {
+	for _, table := range []byte{'D', 'H', 'N', 'A', 'T'} {
 		n := 0
 		if err := s.db.AscendPrefix([]byte{table}, func(k, v []byte) bool {
 			if table != 'D' && !ids[binary.BigEndian.Uint32(k[1:])] {

@@ -3,6 +3,7 @@ package store_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -226,4 +227,106 @@ func TestCrashSweepControlDetectsCorruption(t *testing.T) {
 		t.Fatal("lost-log sweep found no corrupting crash point; the harness cannot detect what the WAL prevents")
 	}
 	t.Logf("control sweep: %d/%d crash points corrupted or lost committed state", bad, oracle.writes)
+}
+
+// TestCrashSweepConversion crashes Open's conversion of a store written
+// before shapes became rows at every write index, whole, torn or with
+// everything unsynced lost: recovery finds the legacy image or the
+// converted one byte for byte — the text shape records or the rows,
+// never both or neither — and the store Open then serves reads every
+// document and has each one's shape and hash as the fault-free
+// conversion left them.
+func TestCrashSweepConversion(t *testing.T) {
+	legacy, err := os.ReadFile("testdata/legacy_shape.db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := func(fs *kvstore.FaultFS) store.Option {
+		return store.WithKVOptions(&kvstore.Options{CachePages: 16, FS: fs})
+	}
+	shapes := func(st *store.Store) string {
+		v := st.View()
+		defer v.Close()
+		docs, err := v.Documents()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, name := range docs {
+			sh, err := v.Shape(name)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			h, _, err := v.ShapeHash(name)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			fmt.Fprintf(&b, "%s %x\n%s", name, h, sh)
+		}
+		return b.String()
+	}
+
+	fs := kvstore.NewFaultFS()
+	fs.WriteFile("crash.db", legacy)
+	st, err := store.Open("crash.db", opts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	converted, writes := fs.FileBytes("crash.db"), fs.Writes()
+	want := shapes(st)
+	st.Close()
+	if writes == 0 || bytes.Equal(converted, legacy) {
+		t.Fatal("Open converted nothing")
+	}
+
+	seen := map[string]int{}
+	for idx := int64(0); idx < writes; idx++ {
+		for _, v := range []struct {
+			tear int
+			drop bool
+		}{{0, false}, {1234, false}, {0, true}} {
+			fs := kvstore.NewFaultFS()
+			fs.WriteFile("crash.db", legacy)
+			fs.CrashAfter(idx, v.tear, v.drop)
+			if st, err := store.Open("crash.db", opts(fs)); err == nil {
+				st.Close()
+				t.Fatalf("idx %d: the crash never fired", idx)
+			}
+			fs.ClearFaults()
+			db, err := kvstore.Open("crash.db", &kvstore.Options{CachePages: 16, FS: fs})
+			if err != nil {
+				t.Fatalf("idx %d (tear %d, drop %v): recovery: %v", idx, v.tear, v.drop, err)
+			}
+			text, err1 := db.HasPrefix([]byte{'S'})
+			rows, err2 := db.HasPrefix([]byte{'A'})
+			img := fs.FileBytes("crash.db")
+			if err := errors.Join(err1, err2, db.Close()); err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case bytes.Equal(img, legacy) && text && !rows:
+				seen["legacy"]++
+			case bytes.Equal(img, converted) && rows && !text:
+				seen["converted"]++
+			default:
+				t.Fatalf("idx %d (tear %d, drop %v): recovered store is neither the legacy nor the converted image (text records %v, rows %v)",
+					idx, v.tear, v.drop, text, rows)
+			}
+			st, err := store.Open("crash.db", opts(fs))
+			if err != nil {
+				t.Fatalf("idx %d: reopen: %v", idx, err)
+			}
+			if err := readEverything(st); err != nil {
+				t.Fatalf("idx %d: reopened store unreadable: %v", idx, err)
+			}
+			if got := shapes(st); got != want {
+				t.Fatalf("idx %d: shapes after reopen\n%s\nwant\n%s", idx, got, want)
+			}
+			st.Close()
+		}
+	}
+	t.Logf("%d write indexes: %v", writes, seen)
+	if seen["legacy"] == 0 || seen["converted"] == 0 {
+		t.Errorf("the sweep recovered %v: want crash points on both sides of the commit", seen)
+	}
 }

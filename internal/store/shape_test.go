@@ -1,72 +1,127 @@
 package store
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"xmorph/internal/gen/xmark"
+	"xmorph/internal/kvstore"
 	"xmorph/internal/shape"
 	"xmorph/internal/update"
 )
 
-// TestDecodeShapeAllocs bounds the allocations of decoding a stored
-// shape, which every update (the old shape) and every guard-cache miss
-// does. XMark sf 0.05's shape has 244 types; a decoder that splits the
-// record into lines and every line into a fields slice, and grows its
-// maps, makes 736 allocations for it. Parsing in place into presized
-// maps makes 215; the bound is 415.
-func TestDecodeShapeAllocs(t *testing.T) {
-	sh := shape.FromDocument(xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42}))
-	enc := encodeShape(sh)
-	got, err := decodeShape(enc)
+// TestLoadShapeAllocs bounds the allocations of loading a stored shape,
+// which every guard-cache miss does. XMark sf 0.05's shape has 244
+// types; parsing the chunked text record it was kept in before it became
+// rows took 229 allocations, registry included, and that is the bound.
+func TestLoadShapeAllocs(t *testing.T) {
+	doc := xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42})
+	st := OpenMemory()
+	defer st.Close()
+	if _, err := st.Shred("d", strings.NewReader(doc.XML(false)), nil); err != nil {
+		t.Fatal(err)
+	}
+	v := st.View()
+	defer v.Close()
+	sh, err := shapeIn(v.snap, "d")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if encodeShape(got) != enc {
-		t.Fatal("decodeShape does not round-trip the encoded shape")
+	if want := shape.FromDocument(doc); sh.String() != want.String() {
+		t.Fatal("the loaded shape is not the document's")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := decodeShape(enc); err != nil {
+		if _, err := shapeIn(v.snap, "d"); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("decodeShape: %d types, %.0f allocs", sh.NumTypes(), allocs)
-	if allocs > 415 {
-		t.Errorf("decodeShape made %.0f allocations for %d types, want at most 415", allocs, sh.NumTypes())
+	t.Logf("load shape: %d types, %.0f allocs", sh.NumTypes(), allocs)
+	if allocs > 229 {
+		t.Errorf("loading the shape made %.0f allocations for %d types, want at most 229", allocs, sh.NumTypes())
 	}
 }
 
-// TestDecodeShapeCorrupt pins the error each kind of corrupt shape line
-// returns.
-func TestDecodeShapeCorrupt(t *testing.T) {
-	cases := []struct{ enc, want string }{
-		{"type a b\n", `store: corrupt shape line "type a b"`},
-		{"type\n", `store: corrupt shape line "type"`},
-		{"edge a b 1\n", `store: corrupt shape line "edge a b 1"`},
-		{"edge a b 1 2 3\n", `store: corrupt shape line "edge a b 1 2 3"`},
-		{"edge a b x 2\n", `store: corrupt shape cardinality "edge a b x 2"`},
-		{"edge a b 1 y\n", `store: corrupt shape cardinality "edge a b 1 y"`},
-		{"node a\n", `store: corrupt shape line "node a"`},
-		{" \t\n", `store: corrupt shape line " \t"`},
-		{"type a\nedge a a 1 1\n", "shape: self edge on a"},
-		{"edge a b 1 1\nedge c b 1 1\n", "shape: type b already has parent a"},
-		{"edge a b 1 1\nedge b a 1 1\n", "shape: edge b -> a would create a cycle"},
+// TestLoadShapeCorrupt pins the error each kind of corrupt shape row
+// returns, every one an ErrStorage. The document is <r><p><q/></p></r>,
+// whose rows are r -> r.p, r.p -> r.p.q and the roots row.
+func TestLoadShapeCorrupt(t *testing.T) {
+	type rec struct {
+		key []byte // after 'A' docID
+		val []byte
 	}
-	for _, c := range cases {
-		_, err := decodeShape(c.enc)
-		if err == nil || err.Error() != c.want {
-			t.Errorf("decodeShape(%q) = %v, want %s", c.enc, err, c.want)
-		}
+	st := OpenMemory()
+	defer st.Close()
+	if _, err := st.Shred("d", strings.NewReader(`<r><p><q/></p></r>`), nil); err != nil {
+		t.Fatal(err)
 	}
-	// Blank lines and runs of spaces or tabs between fields are accepted.
-	sh, err := decodeShape("\ntype a\n\n  edge\ta  a.b 0\t 2 \n")
+	v := st.View()
+	id, err := docIDOf(v.snap, "d")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := sh.Card("a", "a.b"); !ok || c != (shape.Card{Min: 0, Max: 2}) || !strings.Contains(sh.String(), "a.b 0..2") {
-		t.Errorf("decoded %q, want a -> a.b 0..2", sh.String())
+	types, err := typesIn(v.snap, id)
+	v.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := newTypeRegistry(types)
+	r, p, q := reg.typeID["r"], reg.typeID["r.p"], reg.typeID["r.p.q"]
+	// row builds the one-chunk record of a row from uvarints.
+	row := func(ptid uint32, xs ...uint64) rec {
+		val := []byte{0, 1}
+		for _, x := range xs {
+			val = binary.AppendUvarint(val, x)
+		}
+		return rec{binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint32(nil, ptid), 0), val}
+	}
+	u := func(x uint32) uint64 { return uint64(x) }
+	roots, rp, pq := row(rootsRow, u(r)), row(r, u(p), 1, 1), row(p, u(q), 1, 1)
+	n := uint64(len(types))
+	cases := []struct {
+		name string
+		recs []rec
+		want string
+	}{
+		{"short key", []rec{{[]byte{0, 0, 0}, []byte{0, 1}}, roots}, "bad key"},
+		{"chunk without its first", []rec{{[]byte{0, 0, 0, byte(r), 0, 1}, []byte{0, 1}}, pq, roots}, "bad first chunk"},
+		{"empty first chunk", []rec{{[]byte{0, 0, 0, byte(r), 0, 0}, nil}, pq, roots}, "bad first chunk"},
+		{"chain cut off", []rec{{[]byte{0, 0, 0, byte(r), 0, 0}, []byte{0, 2, byte(p), 1, 1}}, pq, roots}, "chunk 1 of 2 missing"},
+		{"chain cut off at the end", []rec{rp, pq, {roots.key, []byte{0, 2, byte(r)}}}, "chunk 1 of 2 missing"},
+		{"child out of range", []rec{row(r, n, 1, 1), pq, roots}, "bad child typeID"},
+		{"card cut off", []rec{row(r, u(p), 1), pq, roots}, "bad card"},
+		{"min above max", []rec{row(r, u(p), 2, 1), pq, roots}, "bad card"},
+		{"parent out of range", []rec{rp, pq, row(uint32(n), u(q), 1, 1), roots}, "out of range"},
+		{"child under another parent", []rec{row(r, u(p), 1, 1, u(q), 1, 1), roots}, "r.p.q filed under r"},
+		{"root with a parent", []rec{rp, pq, row(rootsRow, u(p))}, "root r.p has a parent type"},
+		{"no roots row", []rec{rp, pq}, "no roots row"},
+		{"child listed twice", []rec{row(r, u(p), 1, 1, u(p), 1, 1), pq, roots}, "list 1 roots and 3 edges over 3 types"},
+		{"root listed twice", []rec{rp, pq, row(rootsRow, u(r), u(r))}, "list 2 roots and 2 edges over 3 types"},
+		{"row of an unlisted type", []rec{pq, roots}, "list 1 roots and 1 edges over 3 types"},
+	}
+	for _, c := range cases {
+		var b kvstore.Batch
+		if err := st.db.AscendPrefix(rowPrefix(id), func(k, _ []byte) bool {
+			b.Delete(append([]byte(nil), k...))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range c.recs {
+			b.Put(append(rowPrefix(id), r.key...), r.val)
+		}
+		if err := st.db.Apply(&b); err != nil {
+			t.Fatal(err)
+		}
+		v := st.View()
+		_, err := v.Shape("d")
+		v.Close()
+		if !errors.Is(err, ErrStorage) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want an ErrStorage containing %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -74,10 +129,11 @@ func TestDecodeShapeCorrupt(t *testing.T) {
 // document's shape to the pages of its own edit: the two shape-keeping
 // scripts of the serve benchmark's writer cycle each write at most four
 // pages of a file-backed XMark sf 0.02 store, report Unchanged, and leave
-// the shape, type registry and hash records byte for byte as they were.
-// Rewriting those three records alone costs 17 pages. A script that
-// widens the shape still rewrites the shape and hash records, and one
-// that narrows it rewrites them but not the registry, which only grows.
+// the shape rows, type registry and hash records byte for byte as they
+// were. A script that widens the shape rewrites the rows it changed and
+// the hash record, and one that narrows it rewrites them but not the
+// registry, which only grows. Each of those writes at most six pages:
+// when the shape was one 34 KB record they wrote 18 and 14.
 func TestShapeKeepingUpdateWritesOnlyItsEdit(t *testing.T) {
 	doc := xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42})
 	st, err := Open(filepath.Join(t.TempDir(), "d.db"), WithCachePages(1024))
@@ -119,7 +175,7 @@ func TestShapeKeepingUpdateWritesOnlyItsEdit(t *testing.T) {
 		{"catgraph", graph.String()},
 		{"catnames", "replace site.categories.category.name with <name>lot 7</name>"},
 	} {
-		s0, t0, h0 := records('S'), records('T'), records('H')
+		s0, t0, h0 := records('A'), records('T'), records('H')
 		info := run(c.script)
 		if info.Delta.Kind != update.Unchanged {
 			t.Errorf("%s: delta %v, want unchanged", c.name, info.Delta)
@@ -130,7 +186,7 @@ func TestShapeKeepingUpdateWritesOnlyItsEdit(t *testing.T) {
 		for _, r := range []struct {
 			table       byte
 			before, now string
-		}{{'S', s0, records('S')}, {'T', t0, records('T')}, {'H', h0, records('H')}} {
+		}{{'A', s0, records('A')}, {'T', t0, records('T')}, {'H', h0, records('H')}} {
 			if r.before != r.now {
 				t.Errorf("%s changed the %c record", c.name, r.table)
 			}
@@ -146,13 +202,18 @@ func TestShapeKeepingUpdateWritesOnlyItsEdit(t *testing.T) {
 		{"promo-in", "insert <promo><banner>sale 7</banner><until>12/31/2001</until></promo> into site.open_auctions", update.Widened, true},
 		{"promo-out", "delete site.open_auctions.promo", update.Narrowed, false},
 	} {
-		s0, t0, h0 := records('S'), records('T'), records('H')
+		s0, t0, h0 := records('A'), records('T'), records('H')
 		info := run(c.script)
 		if info.Delta.Kind != c.kind {
 			t.Errorf("%s: delta %v, want %v", c.name, info.Delta, c.kind)
 		}
-		if records('S') == s0 || records('H') == h0 {
-			t.Errorf("%s left the shape or hash record as it was", c.name)
+		// The rows of site.open_auctions and of site.open_auctions.promo
+		// change; no other row does.
+		if n := changedRecords(s0, records('A')); n != 2 || records('H') == h0 {
+			t.Errorf("%s changed %d shape rows and the hash record %v, want 2 and true", c.name, n, records('H') != h0)
+		}
+		if info.PagesWritten > 6 {
+			t.Errorf("%s wrote %d pages, want at most 6", c.name, info.PagesWritten)
 		}
 		if changed := records('T') != t0; changed != c.registry {
 			t.Errorf("%s: registry changed %v, want %v", c.name, changed, c.registry)
@@ -164,8 +225,8 @@ func TestShapeKeepingUpdateWritesOnlyItsEdit(t *testing.T) {
 
 // TestUpdateRewritesShapeRecordsOnlyOnChange runs scripts whose shape
 // change is only in cards, only in sibling order, or nothing at all,
-// on small documents: the shape and hash records are rewritten exactly
-// when the delta is not Unchanged, the registry exactly when the script
+// on small documents: the shape rows and hash record are rewritten
+// exactly when the delta is not Unchanged, the registry exactly when the script
 // entered a new type, and what is stored is a shred's of the result.
 func TestUpdateRewritesShapeRecordsOnlyOnChange(t *testing.T) {
 	cases := []struct {
@@ -188,7 +249,7 @@ func TestUpdateRewritesShapeRecordsOnlyOnChange(t *testing.T) {
 			if _, err := st.Shred("d", strings.NewReader(c.doc), nil); err != nil {
 				t.Fatal(err)
 			}
-			s0, t0, h0 := tableRecords(t, st, "d", 'S'), tableRecords(t, st, "d", 'T'), tableRecords(t, st, "d", 'H')
+			s0, t0, h0 := tableRecords(t, st, "d", 'A'), tableRecords(t, st, "d", 'T'), tableRecords(t, st, "d", 'H')
 			ops, err := update.Parse(c.script)
 			if err != nil {
 				t.Fatal(err)
@@ -201,8 +262,8 @@ func TestUpdateRewritesShapeRecordsOnlyOnChange(t *testing.T) {
 				t.Errorf("delta %v, want %v", info.Delta, c.kind)
 			}
 			changed := c.kind != update.Unchanged
-			if got := tableRecords(t, st, "d", 'S') != s0; got != changed {
-				t.Errorf("shape record rewritten %v, want %v", got, changed)
+			if got := tableRecords(t, st, "d", 'A') != s0; got != changed {
+				t.Errorf("shape rows rewritten %v, want %v", got, changed)
 			}
 			if got := tableRecords(t, st, "d", 'H') != h0; got != changed {
 				t.Errorf("hash record rewritten %v, want %v", got, changed)
@@ -235,8 +296,35 @@ func tableRecords(t *testing.T, st *Store, name string, table byte) string {
 	return b.String()
 }
 
-// checkStoredShape requires a document's stored shape and hash records
-// to be those a shred of its reconstruction writes.
+// changedRecords counts the keys whose records differ between two
+// tableRecords listings, present in one only included.
+func changedRecords(before, after string) int {
+	records := func(listing string) map[string]string {
+		m := map[string]string{}
+		for _, line := range strings.Split(strings.TrimSpace(listing), "\n") {
+			k, v, _ := strings.Cut(line, "=")
+			m[k] = v
+		}
+		return m
+	}
+	b, a := records(before), records(after)
+	n := 0
+	for k, v := range b {
+		if w, ok := a[k]; !ok || w != v {
+			n++
+		}
+	}
+	for k := range a {
+		if _, ok := b[k]; !ok {
+			n++
+		}
+	}
+	return n
+}
+
+// checkStoredShape requires a document's stored shape rows and hash
+// record to be those a shred of its reconstruction writes: the same
+// shape, and the same hash, which does not depend on typeIDs.
 func checkStoredShape(t *testing.T, st *Store, name string) {
 	t.Helper()
 	v := st.View()
@@ -249,46 +337,48 @@ func checkStoredShape(t *testing.T, st *Store, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, ok, err := getBlob(v.snap, blobKey('S', d.id))
-	if err != nil || !ok {
-		t.Fatalf("shape record: ok=%v err=%v", ok, err)
+	sh, err := v.Shape(name)
+	if err != nil {
+		t.Fatal(err)
 	}
 	h, ok, err := v.ShapeHash(name)
 	if err != nil || !ok {
 		t.Fatalf("ShapeHash: ok=%v err=%v", ok, err)
 	}
-	if want := encodeShape(shape.FromDocument(doc)); string(blob) != want || h != hashShapeEnc(want) {
-		t.Errorf("stored shape record or hash is not a shred's of the document:\n%s\nwant\n%s", blob, want)
+	oracle := OpenMemory()
+	defer oracle.Close()
+	if _, err := oracle.Shred(name, strings.NewReader(doc.XML(false)), nil); err != nil {
+		t.Fatal(err)
+	}
+	ov := oracle.View()
+	defer ov.Close()
+	want, err := ov.Shape(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh, _, err := ov.ShapeHash(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.String() != want.String() || h != wh || h != HashShape(want) {
+		t.Errorf("stored shape or hash (%x) is not a shred's of the document (%x):\n%s\nwant\n%s", h, wh, sh, want)
 	}
 }
 
-// TestSplitFieldsMatchesFields holds splitFields to strings.Fields,
-// Unicode white space and invalid UTF-8 included.
-func TestSplitFieldsMatchesFields(t *testing.T) {
-	for _, line := range []string{
-		"", " ", "a", " a  b\t", "edge a a.b 0 2", "a b", " x\u0085y ", "é ü", "\xffa b\xfe", "a\vb\fc\rd",
-	} {
-		var dst [8]string
-		n := splitFields(line, dst[:])
-		want := strings.Fields(line)
-		if n != len(want) || strings.Join(dst[:n], "|") != strings.Join(want, "|") {
-			t.Errorf("splitFields(%q) = %q, want %q", line, dst[:n], want)
-		}
+// BenchmarkLoadShape loads XMark sf 0.05's stored shape, registry
+// included: the load-shape step of a guard-cache miss.
+func BenchmarkLoadShape(b *testing.B) {
+	st := OpenMemory()
+	defer st.Close()
+	if _, err := st.Shred("d", strings.NewReader(xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42}).XML(false)), nil); err != nil {
+		b.Fatal(err)
 	}
-	var dst [2]string
-	if n := splitFields("a b c", dst[:]); n != 3 || dst != [2]string{"a", "b"} {
-		t.Errorf("splitFields into a short dst = %d %q, want 3 [a b]", n, dst)
-	}
-}
-
-// BenchmarkDecodeShape decodes XMark sf 0.05's stored shape.
-func BenchmarkDecodeShape(b *testing.B) {
-	enc := encodeShape(shape.FromDocument(xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42})))
+	v := st.View()
+	defer v.Close()
 	b.ReportAllocs()
-	b.SetBytes(int64(len(enc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeShape(enc); err != nil {
+		if _, err := shapeIn(v.snap, "d"); err != nil {
 			b.Fatal(err)
 		}
 	}

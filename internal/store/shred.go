@@ -27,7 +27,7 @@ type ShredInfo struct {
 // shredder). Memory use is bounded by document depth, not size.
 //
 // The node records commit in flushes under a fresh document id that no
-// registry entry names yet; the tail — type registry, shape, shape hash
+// registry entry names yet; the tail — type registry, shape rows, shape hash
 // and the registry entry — commits as one transaction once the scan is
 // done, after checking under the writer lock that the name is still
 // free. Shredding a name the store holds fails with ErrExists, and a
@@ -74,20 +74,20 @@ func (s *Store) shredAs(id uint32, name string, r io.Reader) (*shredder, error) 
 	if err := runs.flush(); err != nil {
 		return nil, err
 	}
-	// The tail: type registry in typeID order, adorned shape, its hash
-	// for shape-aware guard caches, and the registry entry that names the
-	// document.
-	enc := encodeShape(sh.fold.Shape())
+	// The tail: type registry in typeID order, the shape's rows, their
+	// hash for shape-aware guard caches, and the registry entry that
+	// names the document.
 	arena, recs, err := appendChunks(nil, nil, blobKey('T', id), []byte(strings.Join(sh.types, "\n")))
-	if err == nil {
-		arena, recs, err = appendChunks(arena, recs, blobKey('S', id), []byte(enc))
+	if err != nil {
+		return nil, err
 	}
+	arena, recs, hash, err := appendShapeRows(arena, recs, id, sh.typeRegistry, &sh.fold)
 	if err != nil {
 		return nil, err
 	}
 	keys, vals := appendRecords(nil, nil, arena, recs)
 	keys = append(keys, blobKey('H', id), docKey(name))
-	vals = append(vals, binary.BigEndian.AppendUint64(nil, hashShapeEnc(enc)), binary.BigEndian.AppendUint32(nil, id))
+	vals = append(vals, binary.BigEndian.AppendUint64(nil, hash), binary.BigEndian.AppendUint32(nil, id))
 	return sh, s.commit(func() error {
 		if _, exists, err := docIDIn(s.db, name); err != nil || exists {
 			return cmp.Or(err, fmt.Errorf("%w: %q", ErrExists, name))

@@ -1,17 +1,17 @@
 // Package store implements the shredded XML store of Section VIII (Figure
-// 8): documents are shredded into a B+tree holding, per document, an
-// adorned-shape record, a type registry, and one document-ordered node
-// sequence per type (the paper's AdornedShapes, Nodes, TypeToSequence, and
-// GroupedSequence tables collapse into key ranges of a single ordered
-// store).
+// 8): documents are shredded into a B+tree holding, per document, one
+// adorned-shape row per parent type, a type registry, and one
+// document-ordered node sequence per type (the paper's AdornedShapes,
+// Nodes, TypeToSequence, and GroupedSequence tables collapse into key
+// ranges of a single ordered store).
 //
 // Key layout (all integers big-endian, so lexicographic key order is
 // document order within a type):
 //
 //	'D' name                     -> docID (u32)
-//	'S' docID chunk              -> adorned shape blob
+//	'A' docID parentTypeID chunk -> one adorned-shape row (see rows.go)
 //	'T' docID chunk              -> type registry blob ("\n"-joined paths)
-//	'H' docID                    -> shape hash (u64, FNV-1a of the 'S' blob)
+//	'H' docID                    -> shape hash (u64, the sum of the rows' hashes)
 //	'N' docID typeID dewey chunk -> node text value
 //
 // A node's key embeds its Dewey number as a sequence of u32 components;
@@ -24,11 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"unicode"
-	"unicode/utf8"
 
 	"xmorph/internal/kvstore"
 	"xmorph/internal/shape"
@@ -104,7 +101,8 @@ func WithKVOptions(o *kvstore.Options) Option {
 	}
 }
 
-// Open opens (or creates) a store file.
+// Open opens (or creates) a store file, converting the shape records of
+// a store written before shapes became rows (convertShapes).
 func Open(path string, opts ...Option) (*Store, error) {
 	var kv kvstore.Options
 	for _, o := range opts {
@@ -116,7 +114,11 @@ func Open(path string, opts ...Option) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Store{db: db}, nil
+	s := &Store{db: db}
+	if err := s.convertShapes(); err != nil {
+		return nil, errors.Join(err, db.Close())
+	}
+	return s, nil
 }
 
 // OpenMemory returns an in-memory store (same code path, no file).
@@ -369,19 +371,16 @@ func shapeIn(r reader, name string) (*shape.Shape, error) {
 	if err != nil {
 		return nil, err
 	}
-	blob, ok, err := getBlob(r, blobKey('S', id))
+	types, err := typesIn(r, id)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("store: document %q has no shape record", name)
-	}
-	return decodeShape(string(blob))
+	return loadShape(r, id, types)
 }
 
-// Shape loads a document's adorned shape from the AdornedShapes record.
-// The chunked record is read through one view, so a concurrent drop +
-// re-shred cannot tear it.
+// Shape loads a document's adorned shape from its AdornedShapes rows.
+// The rows are read through one view, so a concurrent drop + re-shred
+// cannot tear them.
 //
 // Deprecated: read through View, which every caller in this module
 // does; kept only while the benchmark module calls it.
@@ -404,108 +403,6 @@ func typesIn(r reader, id uint32) ([]string, error) {
 		return nil, nil
 	}
 	return strings.Split(string(blob), "\n"), nil
-}
-
-// encodeShape serializes a shape as "edge parent child min max" and
-// "type t" lines.
-func encodeShape(sh *shape.Shape) string {
-	var b strings.Builder
-	for _, t := range sh.Types() {
-		b.WriteString("type ")
-		b.WriteString(t)
-		b.WriteString("\n")
-	}
-	for _, r := range sh.Roots() {
-		var walk func(t string)
-		walk = func(t string) {
-			for _, c := range sh.Children(t) {
-				card, _ := sh.Card(t, c)
-				fmt.Fprintf(&b, "edge %s %s %d %d\n", t, c, card.Min, card.Max)
-				walk(c)
-			}
-		}
-		walk(r)
-	}
-	return b.String()
-}
-
-// decodeShape parses encodeShape's lines in place: the fields are
-// substrings of enc, and the shape's maps are sized from a count of its
-// type and edge lines.
-func decodeShape(enc string) (*shape.Shape, error) {
-	sh := shape.NewSized(countLines(enc, "type "), countLines(enc, "edge "))
-	var f [6]string
-	for rest := enc; rest != ""; {
-		var line string
-		line, rest, _ = strings.Cut(rest, "\n")
-		if line == "" {
-			continue
-		}
-		n := splitFields(line, f[:])
-		switch {
-		case n == 2 && f[0] == "type":
-			sh.AddType(f[1])
-		case n == 5 && f[0] == "edge":
-			min, err1 := strconv.Atoi(f[3])
-			max, err2 := strconv.Atoi(f[4])
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("store: corrupt shape cardinality %q", line)
-			}
-			if err := sh.AddEdge(f[1], f[2], shape.Card{Min: min, Max: max}); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("store: corrupt shape line %q", line)
-		}
-	}
-	return sh, nil
-}
-
-// countLines counts the lines of enc that start with prefix.
-func countLines(enc, prefix string) int {
-	n := strings.Count(enc, "\n"+prefix)
-	if strings.HasPrefix(enc, prefix) {
-		n++
-	}
-	return n
-}
-
-// splitFields splits line around runs of white space, as strings.Fields
-// does, into dst, and returns the number of fields; fields beyond
-// len(dst) are counted but not stored.
-func splitFields(line string, dst []string) int {
-	n := 0
-	for i := skip(line, 0, true); i < len(line); i = skip(line, i, true) {
-		end := skip(line, i, false)
-		if n < len(dst) {
-			dst[n] = line[i:end]
-		}
-		n++
-		i = end
-	}
-	return n
-}
-
-var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
-
-// skip returns the index of the first character of s at or after i whose
-// being white space differs from space, or len(s).
-func skip(s string, i int, space bool) int {
-	for i < len(s) {
-		isSpace, size := false, 1
-		if c := s[i]; c < utf8.RuneSelf {
-			isSpace = asciiSpace[c]
-		} else {
-			var r rune
-			r, size = utf8.DecodeRuneInString(s[i:])
-			isSpace = unicode.IsSpace(r)
-		}
-		if isSpace != space {
-			return i
-		}
-		i += size
-	}
-	return i
 }
 
 // Doc is a lazy view over a stored document: type sequences load from the
@@ -666,7 +563,7 @@ func (s *Store) Drop(name string) error {
 // registry entry will ever name.
 func (s *Store) removeID(id uint32, entry ...[]byte) error {
 	var b kvstore.Batch
-	for _, table := range []byte{'S', 'T', 'H', 'N'} {
+	for _, table := range []byte{'A', 'T', 'H', 'N'} {
 		if err := s.db.AscendPrefix(blobKey(table, id), func(k, v []byte) bool {
 			b.Delete(append([]byte(nil), k...))
 			return true

@@ -1,9 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,51 +25,6 @@ type UpdateInfo struct {
 	// Delta reports how the script moved the document's shape —
 	// unchanged deltas leave shape-hash-keyed guard caches warm.
 	Delta update.Delta
-}
-
-// HashShape returns the 64-bit FNV-1a hash of a shape's canonical store
-// encoding. Equal hashes ⇒ identical shapes (modulo hash collisions),
-// including sibling order, so guard caches can key compilations on
-// (docID, shape hash) and survive shape-preserving updates.
-func HashShape(sh *shape.Shape) uint64 {
-	return hashShapeEnc(encodeShape(sh))
-}
-
-func hashShapeEnc(enc string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(enc))
-	return h.Sum64()
-}
-
-// ShapeHash returns the document's stored shape hash as of the view.
-// ok is false for documents shredded before hash records existed (the
-// caller falls back to hashing the loaded shape).
-func (v *View) ShapeHash(name string) (uint64, bool, error) {
-	id, ok, err := docIDIn(v.snap, name)
-	if err != nil || !ok {
-		return 0, false, err
-	}
-	b, ok, err := v.snap.Get(blobKey('H', id))
-	if err != nil || !ok {
-		return 0, false, err
-	}
-	if len(b) != 8 {
-		return 0, false, fmt.Errorf("store: corrupt shape hash for %q", name)
-	}
-	return binary.BigEndian.Uint64(b), true, nil
-}
-
-// DeleteShapeHash removes a document's shape-hash record, reverting it
-// to the pre-hash on-disk format. Migration tests use it to exercise
-// the legacy-document fallback paths; nothing else should.
-func (s *Store) DeleteShapeHash(name string) error {
-	return s.commit(func() error {
-		id, err := docIDOf(s.db, name)
-		if err != nil {
-			return err
-		}
-		return s.db.Delete(blobKey('H', id))
-	})
 }
 
 // Update applies a parsed update script to a shredded document by
@@ -142,19 +98,15 @@ func (s *Store) update(name string, ops []update.Op) (*updater, error) {
 	if err != nil {
 		return nil, err
 	}
-	oldShape, err := shapeIn(v.snap, name)
-	if err != nil {
-		return nil, err
-	}
-
 	u := &updater{
 		base:         v.snap,
 		id:           id,
 		typeRegistry: newTypeRegistry(types),
+		oldTypes:     len(types),
 		puts:         map[string][]byte{},
 		dels:         map[string]bool{},
 		touched:      map[string]bool{},
-		oldShape:     oldShape,
+		rows:         map[uint32][]rowEdge{},
 	}
 
 	for i, op := range ops {
@@ -163,23 +115,14 @@ func (s *Store) update(name string, ops []update.Op) (*updater, error) {
 		}
 	}
 
-	// The shape and hash records are rewritten only when the recount
-	// changed the shape, and the registry, which only ever gains types,
-	// only when the script entered one.
+	// Only the rows the recount changed are rewritten, with the hash
+	// record, and the registry, which only ever gains types, only when
+	// the script entered one.
 	if err := u.recount(); err != nil {
 		return nil, err
 	}
-	if !u.keepsShape() {
-		newShape, err := u.newShape()
-		if err != nil {
-			return nil, err
-		}
-		u.delta = update.Compare(oldShape, newShape)
-		enc := encodeShape(newShape)
-		if err := u.rewriteBlob(blobKey('S', id), []byte(enc)); err != nil {
-			return nil, err
-		}
-		u.put(blobKey('H', id), binary.BigEndian.AppendUint64(nil, hashShapeEnc(enc)))
+	if err := u.rewriteRows(); err != nil {
+		return nil, err
 	}
 	if len(u.types) > len(types) {
 		if err := u.rewriteBlob(blobKey('T', id), []byte(strings.Join(u.types, "\n"))); err != nil {
@@ -207,15 +150,19 @@ type updater struct {
 	*typeRegistry
 	base     reader
 	id       uint32
+	oldTypes int // the registry's length before the script
 	puts     map[string][]byte
 	dels     map[string]bool
 	touched  map[string]bool
-	oldShape *shape.Shape
+	// rows holds the shape rows the recount read, as they were before
+	// the script, by parent typeID: the touched types' own and their
+	// parents'. A row absent from the store is empty.
+	rows map[uint32][]rowEdge
 	// live and edges are the recount of the touched types: whether each
 	// still has instances, and each live one's edges to its children.
 	live     map[string]bool
 	edges    map[string][]childEdge
-	delta    update.Delta // oldShape to the recounted shape
+	delta    update.Delta // the old shape to the recounted one
 	inserted int
 	deleted  int
 }
@@ -613,8 +560,17 @@ func (u *updater) insertFragment(parentT string, pd xmltree.Dewey, ord int, frag
 // by merging the Dewey-ordered sequences and children ordered by first-
 // instance Dewey — the same rules shape.Fold applies during a shred.
 // Untouched types keep their instance sets and child orders, so the old
-// shape answers for them (isLive).
+// rows answer for them (isLive): it reads the rows of the touched types
+// and of their parents, and no other.
 func (u *updater) recount() error {
+	for t := range u.touched {
+		if err := u.readRow(u.listingRow(t)); err != nil {
+			return err
+		}
+		if err := u.readRow(u.typeID[t]); err != nil {
+			return err
+		}
+	}
 	u.live = make(map[string]bool, len(u.touched))
 	for t := range u.touched {
 		ok, err := u.hasInstances(t)
@@ -637,72 +593,129 @@ func (u *updater) recount() error {
 	return nil
 }
 
+// listingRow returns the typeID of the row that lists type t: its
+// parent's row, or the roots row.
+func (u *updater) listingRow(t string) uint32 {
+	if p := xmltree.TypeParent(t); p != "" {
+		return u.typeID[p]
+	}
+	return rootsRow
+}
+
+// readRow reads the old row of a parent typeID into u.rows, once. A type
+// the script entered has none.
+func (u *updater) readRow(ptid uint32) error {
+	if _, ok := u.rows[ptid]; ok || ptid != rootsRow && int(ptid) >= u.oldTypes {
+		return nil
+	}
+	val, ok, err := getBlob(u.base, rowKey(u.id, ptid))
+	var row []rowEdge
+	if err == nil && ok {
+		row, err = decodeRow(nil, ptid, val, u.oldTypes)
+	}
+	u.rows[ptid] = row
+	return err
+}
+
 // isLive reports whether type t has instances after the edit.
 func (u *updater) isLive(t string) bool {
 	if ok, touched := u.live[t]; touched {
 		return ok
 	}
-	return u.oldShape.HasType(t)
+	tid, ok := u.typeID[t]
+	return ok && slices.ContainsFunc(u.rows[u.listingRow(t)], func(e rowEdge) bool { return e.tid == tid })
 }
 
-// keepsShape reports whether the recount leaves the old shape exactly as
-// it is: every touched type has instances exactly when the old shape has
-// it, and every touched live parent has the old children, in the old
-// order, with the old cards.
-func (u *updater) keepsShape() bool {
-	for t, ok := range u.live {
-		if ok != u.oldShape.HasType(t) {
-			return false
+// newRow returns a row as the edit leaves it: a touched parent's from
+// its recount, another's (the roots row included) as its old row less
+// the children that lost their last instance, plus, for the roots row,
+// any touched root that gained its first.
+func (u *updater) newRow(ptid uint32) []rowEdge {
+	if ptid != rootsRow {
+		if pt := u.types[ptid]; u.touched[pt] {
+			var row []rowEdge
+			for _, e := range u.edges[pt] {
+				row = append(row, rowEdge{u.typeID[e.child], e.card})
+			}
+			return row
 		}
 	}
-	for pt, edges := range u.edges {
-		kids := u.oldShape.Children(pt)
-		if len(kids) != len(edges) {
-			return false
+	var row []rowEdge
+	for _, e := range u.rows[ptid] {
+		if u.isLive(u.types[e.tid]) {
+			row = append(row, e)
 		}
-		for i, e := range edges {
-			if card, _ := u.oldShape.Card(pt, e.child); e.child != kids[i] || e.card != card {
-				return false
+	}
+	if ptid == rootsRow {
+		for t, ok := range u.live {
+			tid := u.typeID[t]
+			if ok && xmltree.TypeParent(t) == "" && !slices.Contains(row, rowEdge{tid: tid}) {
+				row = append(row, rowEdge{tid: tid})
 			}
 		}
+		slices.SortFunc(row, func(a, b rowEdge) int { return int(a.tid) - int(b.tid) })
 	}
-	return true
+	return row
 }
 
-// newShape builds the edited document's shape from the recount:
-// untouched parents copy their old edges to live children, touched ones
-// take their recounted edges. The result is byte-identical to the shape
-// a re-shred of the edited document infers.
-func (u *updater) newShape() (*shape.Shape, error) {
-	out := shape.New()
-	for _, t := range u.types {
-		if u.isLive(t) {
-			out.AddType(t)
-		}
+// rewriteRows writes the rows the edit changed — of the touched types,
+// and of the rows that list them — and moves the hash record by the
+// changed rows' hashes, old out and new in, so it stays the sum a shred
+// of the edited document writes. It computes the delta from the same
+// rows. An edit that keeps the shape changes no row and writes nothing.
+func (u *updater) rewriteRows() error {
+	affected := make(map[uint32]bool, 2*len(u.touched))
+	for t := range u.touched {
+		affected[u.typeID[t]] = true
+		affected[u.listingRow(t)] = true
 	}
-	for _, pt := range u.types {
-		if !u.isLive(pt) {
+	var changes []update.RowChange
+	var move uint64 // added to the hash, mod 2^64
+	for ptid := range affected {
+		old, row := u.rows[ptid], u.newRow(ptid)
+		if slices.Equal(old, row) {
 			continue
 		}
-		if edges, touched := u.edges[pt]; touched {
-			for _, e := range edges {
-				if err := out.AddEdge(pt, e.child, e.card); err != nil {
-					return nil, err
-				}
-			}
-			continue
+		changes = append(changes, update.RowChange{Parent: u.parentName(ptid), Old: u.named(old), New: u.named(row)})
+		var val []byte // nil deletes an emptied row
+		if len(old) > 0 {
+			move -= rowHash(u.types, ptid, old)
 		}
-		for _, ct := range u.oldShape.Children(pt) {
-			if !u.isLive(ct) {
-				continue
-			}
-			card, _ := u.oldShape.Card(pt, ct)
-			if err := out.AddEdge(pt, ct, card); err != nil {
-				return nil, err
-			}
+		if len(row) > 0 {
+			move += rowHash(u.types, ptid, row)
+			val = appendRow(nil, ptid, row)
+		}
+		if err := u.rewriteBlob(rowKey(u.id, ptid), val); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	if len(changes) == 0 {
+		return nil
+	}
+	h, err := shapeHashIn(u.base, u.id)
+	if err != nil {
+		return err
+	}
+	u.put(blobKey('H', u.id), binary.BigEndian.AppendUint64(nil, h+move))
+	u.delta = update.CompareRows(changes)
+	return nil
+}
+
+// parentName names a row's parent type, "" for the roots row.
+func (u *updater) parentName(ptid uint32) string {
+	if ptid == rootsRow {
+		return ""
+	}
+	return u.types[ptid]
+}
+
+// named spells out a row's edges with their children's names.
+func (u *updater) named(row []rowEdge) []update.Edge {
+	out := make([]update.Edge, len(row))
+	for i, e := range row {
+		out[i] = update.Edge{Child: u.types[e.tid], Card: e.card}
+	}
+	return out
 }
 
 type childEdge struct {
@@ -720,7 +733,7 @@ func (u *updater) computeEdges(pt string) ([]childEdge, error) {
 	}
 	var out []childEdge
 	for _, ct := range u.types {
-		if !u.isLive(ct) || xmltree.TypeParent(ct) != pt {
+		if xmltree.TypeParent(ct) != pt || !u.isLive(ct) {
 			continue
 		}
 		kids, err := u.instances(ct)
@@ -759,20 +772,37 @@ func (u *updater) computeEdges(pt string) ([]childEdge, error) {
 	return out, nil
 }
 
-// rewriteBlob replaces a chunked blob wholesale, deleting stale chunks
-// beyond the new chunk count.
+// rewriteBlob replaces a chunked blob, a nil val deleting it: it puts
+// the chunks whose bytes changed and deletes the stale ones beyond the
+// new chunk count. A registry that only gained types rewrites its last
+// chunks and its first, whose header counts them.
 func (u *updater) rewriteBlob(key, val []byte) error {
-	var olds [][]byte
+	olds := map[string][]byte{}
 	if err := u.scanPrefix(key, func(k, v []byte) bool {
-		olds = append(olds, append([]byte(nil), k...))
+		olds[string(k)] = append([]byte(nil), v...)
 		return true
 	}); err != nil {
 		return err
 	}
-	for _, k := range olds {
-		u.del(k)
+	var keys, vals [][]byte
+	if val != nil {
+		arena, recs, err := appendChunks(nil, nil, key, val)
+		if err != nil {
+			return err
+		}
+		keys, vals = appendRecords(nil, nil, arena, recs)
 	}
-	return u.putChunks(key, val)
+	for i, k := range keys {
+		old, ok := olds[string(k)]
+		delete(olds, string(k))
+		if !ok || !bytes.Equal(old, vals[i]) {
+			u.put(k, vals[i])
+		}
+	}
+	for k := range olds {
+		u.del([]byte(k))
+	}
+	return nil
 }
 
 // putChunks writes a value's chunked records into the overlay.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -471,6 +472,59 @@ func TestUpdateDifferentialSweep(t *testing.T) {
 		}
 		st.Close()
 		oracle.Close()
+	}
+}
+
+// TestUpdateDeltaMatchesCompare replays TestUpdateDifferentialSweep's
+// cases and requires the delta an update computes from the rows it
+// changed to be update.Compare of the whole shapes before and after.
+func TestUpdateDeltaMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	iters := 60
+	if testing.Short() {
+		iters = 15
+	}
+	changed := 0
+	for iter := 0; iter < iters; iter++ {
+		doc := random.Doc(rng)
+		st := store.OpenMemory()
+		shredInto(t, st, "d", doc.XML(false))
+		edited := doc
+		var script []update.Op
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			op, ok := randOp(rng, edited)
+			if !ok {
+				break
+			}
+			script = append(script, op)
+			edited = domApply(t, edited, op)
+		}
+		if len(script) == 0 {
+			st.Close()
+			continue
+		}
+		before, err := st.Shape("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := st.Update("d", script, nil)
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		after, err := st.Shape("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := update.Compare(before, after); !reflect.DeepEqual(info.Delta, want) {
+			t.Fatalf("iter %d: delta %+v, want %+v\nscript: %s", iter, info.Delta, want, update.Format(script))
+		}
+		if info.Delta.Kind != update.Unchanged {
+			changed++
+		}
+		st.Close()
+	}
+	if changed == 0 {
+		t.Error("no case changed the shape")
 	}
 }
 

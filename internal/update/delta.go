@@ -142,6 +142,12 @@ func Compare(old, new *shape.Shape) Delta {
 		}
 	}
 
+	d.classify()
+	return d
+}
+
+// classify sets the delta's Kind from its parts.
+func (d *Delta) classify() {
 	widening := len(d.TypesAdded) > 0 || d.EdgesWidened > 0
 	narrowing := len(d.TypesRemoved) > 0 || d.EdgesNarrowed > 0
 	switch {
@@ -154,7 +160,89 @@ func Compare(old, new *shape.Shape) Delta {
 	default:
 		d.Kind = Unchanged
 	}
+}
+
+// Edge is one child edge of a shape row: a child type and its card.
+type Edge struct {
+	Child string
+	Card  shape.Card
+}
+
+// RowChange is one row of a shape — a parent type's child edges in
+// sibling order — before and after a change. A parent the shape lacks,
+// or holds as a leaf, has an empty row. Parent "" is the row of the
+// roots, whose cards and order do not count.
+type RowChange struct {
+	Parent   string
+	Old, New []Edge
+}
+
+// CompareRows computes the delta of a shape change from the rows it
+// changed; every row it is not given must be the same in both shapes.
+// A type's parent is fixed by its rooted path, so a child is in a shape
+// exactly when that shape's row of its parent lists it, and the result
+// equals Compare(old, new).
+func CompareRows(rows []RowChange) Delta {
+	var d Delta
+	for _, r := range rows {
+		for _, e := range r.New {
+			if !hasChild(r.Old, e.Child) {
+				d.TypesAdded = append(d.TypesAdded, e.Child)
+			}
+		}
+		var oldKids []string
+		for _, e := range r.Old {
+			n, ok := childCard(r.New, e.Child)
+			if !ok {
+				d.TypesRemoved = append(d.TypesRemoved, e.Child)
+				continue
+			}
+			oldKids = append(oldKids, e.Child)
+			if r.Parent == "" {
+				continue
+			}
+			if n.Min > e.Card.Min || n.Max < e.Card.Max {
+				d.EdgesNarrowed++
+			}
+			if n.Min < e.Card.Min || n.Max > e.Card.Max {
+				d.EdgesWidened++
+			}
+		}
+		if r.Parent == "" {
+			continue
+		}
+		// The surviving children, in the new row's order, must be the old
+		// row's survivors in the old order.
+		i := 0
+		for _, e := range r.New {
+			if hasChild(r.Old, e.Child) {
+				if oldKids[i] != e.Child {
+					d.Reordered = true
+				}
+				i++
+			}
+		}
+	}
+	sort.Strings(d.TypesAdded)
+	sort.Strings(d.TypesRemoved)
+	d.classify()
 	return d
+}
+
+// childCard returns the card of child's edge in row, and whether row
+// lists child.
+func childCard(row []Edge, child string) (shape.Card, bool) {
+	for _, e := range row {
+		if e.Child == child {
+			return e.Card, true
+		}
+	}
+	return shape.Card{}, false
+}
+
+func hasChild(row []Edge, child string) bool {
+	_, ok := childCard(row, child)
+	return ok
 }
 
 // surviving filters kids to those that exist as types in other.

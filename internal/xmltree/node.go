@@ -135,21 +135,6 @@ func (d *Document) NodesOfType(t string) []*Node { return d.byType[t] }
 // HasType reports whether any vertex has type path t.
 func (d *Document) HasType(t string) bool { return len(d.byType[t]) > 0 }
 
-// NodeAt returns the node with the given Dewey number, or nil.
-func (d *Document) NodeAt(dw Dewey) *Node {
-	if len(dw) == 0 || dw[0] < 1 || dw[0] > len(d.Roots) {
-		return nil
-	}
-	n := d.Roots[dw[0]-1]
-	for _, step := range dw[1:] {
-		if step < 1 || step > len(n.Children) {
-			return nil
-		}
-		n = n.Children[step-1]
-	}
-	return n
-}
-
 // TypeDistance returns the minimal tree distance between vertices of the
 // two rooted type paths (Section IV's typeDistance). Because every node of
 // a rooted type lies on the same label path, the minimum is achieved at the

@@ -159,21 +159,6 @@ func TestParseMixedContentText(t *testing.T) {
 	}
 }
 
-func TestNodeAt(t *testing.T) {
-	d := MustParse(fig1a)
-	dw, _ := ParseDewey("1.1.2.1")
-	n := d.NodeAt(dw)
-	if n == nil || n.Name != "name" || n.Value != "V" {
-		t.Fatalf("NodeAt(1.1.2.1) = %+v, want author name V", n)
-	}
-	if d.NodeAt(Dewey{1, 9}) != nil {
-		t.Error("NodeAt out of range should be nil")
-	}
-	if d.NodeAt(Dewey{2}) != nil {
-		t.Error("NodeAt with wrong root should be nil")
-	}
-}
-
 func TestSerializeRoundTrip(t *testing.T) {
 	for _, src := range []string{fig1a, fig1b, fig1c} {
 		d := MustParse(src)
