@@ -479,7 +479,10 @@ func BenchmarkHotpathScan(b *testing.B) {
 // the serve benchmark's writer cycle through Engine.Update on a stored
 // XMark sf 0.05 document with an 8 192-page pool: catgraph replaces the
 // one category graph with as many random edges as there are categories,
-// catnames replaces every category's name. Each op commits and syncs;
+// catnames replaces every category's name. bigfrag inserts one generated
+// fragment of 5 001 nodes into site.open_auctions and deletes it again,
+// op by op, so the document's size stays steady: an update whose cost
+// grows faster than its fragment shows there. Each op commits and syncs;
 // pages/op counts the pages it wrote.
 func BenchmarkHotpathUpdate(b *testing.B) {
 	p := prepare(b, "main", xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42}))
@@ -498,9 +501,9 @@ func BenchmarkHotpathUpdate(b *testing.B) {
 	e := engine.New(st)
 	for _, c := range []struct {
 		name   string
-		script func(*rand.Rand) string
+		script func(rng *rand.Rand, i int) string
 	}{
-		{"catgraph", func(rng *rand.Rand) string {
+		{"catgraph", func(rng *rand.Rand, _ int) string {
 			var sb strings.Builder
 			sb.WriteString("replace site.catgraph with <catgraph>")
 			for i := 0; i < cats; i++ {
@@ -509,15 +512,27 @@ func BenchmarkHotpathUpdate(b *testing.B) {
 			sb.WriteString("</catgraph>")
 			return sb.String()
 		}},
-		{"catnames", func(rng *rand.Rand) string {
+		{"catnames", func(rng *rand.Rand, _ int) string {
 			return fmt.Sprintf("replace site.categories.category.name with <name>lot %d</name>", rng.Intn(1000))
+		}},
+		{"bigfrag", func(rng *rand.Rand, i int) string {
+			if i%2 == 1 {
+				return "delete site.open_auctions.bigfrag"
+			}
+			var sb strings.Builder
+			sb.WriteString("insert <bigfrag>")
+			for j := 0; j < 1250; j++ {
+				fmt.Fprintf(&sb, `<lot n="%d"><bid>%d</bid><note>lot %d</note></lot>`, j, rng.Intn(1000), j)
+			}
+			sb.WriteString("</bigfrag> into site.open_auctions")
+			return sb.String()
 		}},
 	} {
 		// A ring of scripts drawn up front keeps their building untimed.
 		rng := rand.New(rand.NewSource(7))
 		ring := make([]string, 8)
 		for i := range ring {
-			ring[i] = c.script(rng)
+			ring[i] = c.script(rng, i)
 		}
 		b.Run(c.name, func(b *testing.B) {
 			var pages int64

@@ -220,6 +220,18 @@ func newShredder(docID uint32, reg *typeRegistry, out func(tid uint32, key, valu
 	}
 }
 
+// reroot moves a shredder that has written a whole fragment to child
+// ordinal ord of another node of the type it was rooted below, pd being
+// that node's encoded Dewey number: the type paths it built, and their
+// typeIDs, stay valid.
+func (sh *shredder) reroot(pd []byte, ord int) {
+	sh.open = append(sh.open[:0], frame{kids: ord - 1})
+	sh.path = sh.path[:0]
+	for i := 0; i < len(pd)/4; i++ {
+		sh.path = append(sh.path, ordinalAt(pd, i))
+	}
+}
+
 // child returns the index of the type path of a child named name (an
 // attribute if attr) below a node of path parent.
 func (sh *shredder) child(parent int32, name string, attr bool) int32 {

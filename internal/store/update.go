@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"xmorph/internal/kvstore"
@@ -77,8 +76,8 @@ func (s *Store) Update(name string, ops []update.Op, parent *obs.Span) (*UpdateI
 		sp.Set("ops", int64(len(ops)))
 		sp.Set("nodes-inserted", int64(u.inserted))
 		sp.Set("nodes-deleted", int64(u.deleted))
-		sp.Set("keys-put", int64(len(u.puts)))
-		sp.Set("keys-deleted", int64(len(u.dels)))
+		sp.Set("keys-put", int64(u.keysPut))
+		sp.Set("keys-deleted", int64(u.keysDeleted))
 		sp.Set("pages-written", info.PagesWritten)
 		sp.SetStr("shape-delta", u.delta.Kind.String())
 	}
@@ -103,8 +102,6 @@ func (s *Store) update(name string, ops []update.Op) (*updater, error) {
 		id:           id,
 		typeRegistry: newTypeRegistry(types),
 		oldTypes:     len(types),
-		puts:         map[string][]byte{},
-		dels:         map[string]bool{},
 		touched:      map[string]bool{},
 		rows:         map[uint32][]rowEdge{},
 	}
@@ -130,14 +127,18 @@ func (s *Store) update(name string, ops []update.Op) (*updater, error) {
 		}
 	}
 
-	// Phase 2: the overlay's deletes and puts commit as one transaction
-	// (the two key sets are disjoint; see put and del).
+	// Phase 2: the overlay commits as one transaction, its deletes and its
+	// puts each in the key order the overlay holds them in.
 	var b kvstore.Batch
-	for k := range u.dels {
-		b.Delete([]byte(k))
-	}
-	for k, val := range u.puts {
-		b.Put([]byte(k), val)
+	c := u.pending.seek(nil)
+	for rec, ok := c.next(); ok; rec, ok = c.next() {
+		if rec.vl == tombstone {
+			b.Delete(u.pending.key(rec))
+			u.keysDeleted++
+		} else {
+			b.Put(u.pending.key(rec), u.pending.val(rec))
+			u.keysPut++
+		}
 	}
 	return u, s.db.Apply(&b)
 }
@@ -151,13 +152,15 @@ type updater struct {
 	base     reader
 	id       uint32
 	oldTypes int // the registry's length before the script
-	puts     map[string][]byte
-	dels     map[string]bool
+	pending  overlay
 	touched  map[string]bool
 	// rows holds the shape rows the recount read, as they were before
 	// the script, by parent typeID: the touched types' own and their
 	// parents'. A row absent from the store is empty.
 	rows map[uint32][]rowEdge
+	// seqs holds, during the recount, the live Dewey numbers of every type
+	// it has read, so that it reads no sequence twice.
+	seqs map[string][]byte
 	// live and edges are the recount of the touched types: whether each
 	// still has instances, and each live one's edges to its children.
 	live     map[string]bool
@@ -165,18 +168,10 @@ type updater struct {
 	delta    update.Delta // the old shape to the recounted one
 	inserted int
 	deleted  int
-}
-
-func (u *updater) put(k, v []byte) {
-	ks := string(k)
-	delete(u.dels, ks)
-	u.puts[ks] = v
-}
-
-func (u *updater) del(k []byte) {
-	ks := string(k)
-	delete(u.puts, ks)
-	u.dels[ks] = true
+	// keysPut and keysDeleted count the committed batch's puts and
+	// deletes.
+	keysPut     int
+	keysDeleted int
 }
 
 func (u *updater) touch(t string) {
@@ -186,36 +181,27 @@ func (u *updater) touch(t string) {
 }
 
 // scanPrefix iterates base ∪ overlay in key order, skipping overlay
-// deletions and preferring overlay values.
+// deletions and preferring overlay values. fn may write to the overlay;
+// the scan does not see those writes.
 func (u *updater) scanPrefix(prefix []byte, fn func(k, v []byte) bool) error {
-	var adds []string
-	for k := range u.puts {
-		if strings.HasPrefix(k, string(prefix)) {
-			adds = append(adds, k)
-		}
-	}
-	sort.Strings(adds)
-	i := 0
+	o := &u.pending
+	c := o.seek(prefix)
+	rec, ok := c.next()
 	stopped := false
 	err := u.base.AscendPrefix(prefix, func(k, v []byte) bool {
-		ks := string(k)
-		for i < len(adds) && adds[i] < ks {
-			if !fn([]byte(adds[i]), u.puts[adds[i]]) {
+		for ok {
+			order := bytes.Compare(o.key(rec), k)
+			if order > 0 {
+				break
+			}
+			if rec.vl != tombstone && !fn(o.key(rec), o.val(rec)) {
 				stopped = true
 				return false
 			}
-			i++
-		}
-		if i < len(adds) && adds[i] == ks {
-			ok := fn(k, u.puts[adds[i]])
-			i++
-			if !ok {
-				stopped = true
+			rec, ok = c.next()
+			if order == 0 {
+				return true // the overlay's record replaces the base's
 			}
-			return ok
-		}
-		if u.dels[ks] {
-			return true
 		}
 		if !fn(k, v) {
 			stopped = true
@@ -223,16 +209,12 @@ func (u *updater) scanPrefix(prefix []byte, fn func(k, v []byte) bool) error {
 		}
 		return true
 	})
-	if err != nil || stopped {
-		return err
-	}
-	for i < len(adds) {
-		if !fn([]byte(adds[i]), u.puts[adds[i]]) {
+	for ; ok && err == nil && !stopped; rec, ok = c.next() {
+		if rec.vl != tombstone && !fn(o.key(rec), o.val(rec)) {
 			break
 		}
-		i++
 	}
-	return nil
+	return err
 }
 
 func (u *updater) apply(op update.Op) error {
@@ -250,95 +232,113 @@ func lastSegment(path string) string {
 	return path[strings.LastIndex(path, xmltree.TypeSep)+1:]
 }
 
-// instances returns a type's live Dewey numbers in document order.
-func (u *updater) instances(t string) ([]xmltree.Dewey, error) {
+// instances returns a type's live Dewey numbers in document order, each
+// encoded as in its node keys (four bytes a level), back to back.
+func (u *updater) instances(t string) ([]byte, error) {
+	if enc, ok := u.seqs[t]; ok {
+		return enc, nil
+	}
 	tid, ok := u.typeID[t]
 	if !ok {
 		return nil, nil
 	}
-	depth := xmltree.TypeDepth(t)
-	var out []xmltree.Dewey
-	err := u.scanPrefix(nodePrefix(u.id, tid, nil), func(k, v []byte) bool {
-		if enc, chunk, ok := splitNodeKey(k); ok && chunk == 0 && len(enc) == 4*depth {
-			dw := make(xmltree.Dewey, depth)
-			decodeDewey(dw, enc)
-			out = append(out, dw)
+	size := 4 * xmltree.TypeDepth(t)
+	var out []byte
+	err := u.scanPrefix(u.under(tid, nil), func(k, v []byte) bool {
+		if enc, chunk, ok := splitNodeKey(k); ok && chunk == 0 && len(enc) == size {
+			out = append(out, enc...)
 		}
 		return true
 	})
+	if u.seqs != nil {
+		u.seqs[t] = out
+	}
 	return out, err
 }
 
 // targets resolves a statement's path to its node set, requiring it to
-// be non-empty.
-func (u *updater) targets(path string) ([]xmltree.Dewey, error) {
-	ds, err := u.instances(path)
+// be non-empty: each node's encoded Dewey number, in document order.
+func (u *updater) targets(path string) ([][]byte, error) {
+	enc, err := u.instances(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(ds) == 0 {
+	if len(enc) == 0 {
 		return nil, fmt.Errorf("path %q resolves to no nodes", path)
+	}
+	size := 4 * xmltree.TypeDepth(path)
+	ds := make([][]byte, 0, len(enc)/size)
+	for at := 0; at < len(enc); at += size {
+		ds = append(ds, enc[at:at+size:at+size])
 	}
 	return ds, nil
 }
 
-func (u *updater) hasInstances(t string) (bool, error) {
-	tid, ok := u.typeID[t]
-	if !ok {
-		return false, nil
+// below returns the typeIDs of the types under type t, in typeID order:
+// its children, or with all set every descendant.
+func (u *updater) below(t string, all bool) []uint32 {
+	sub := t + xmltree.TypeSep
+	var out []uint32
+	for tid, s := range u.types {
+		if strings.HasPrefix(s, sub) && (all || !strings.Contains(s[len(sub):], xmltree.TypeSep)) {
+			out = append(out, uint32(tid))
+		}
 	}
-	found := false
-	err := u.scanPrefix(nodePrefix(u.id, tid, nil), func(k, v []byte) bool {
-		found = true
-		return false
-	})
-	return found, err
+	return out
+}
+
+// under returns the key prefix of the records of type tid at or below
+// the node whose encoded Dewey number is d; with no d, of the type's
+// whole sequence.
+func (u *updater) under(tid uint32, d []byte) []byte {
+	return append(appendNodePrefix(make([]byte, 0, nodeKeyHead+len(d)+4+nodeKeyChunk), u.id, tid, nil), d...)
 }
 
 func (u *updater) applyDelete(op update.Op) error {
 	if xmltree.TypeParent(op.Path) == "" {
 		return fmt.Errorf("cannot delete the document root %q", op.Path)
 	}
-	ds, err := u.targets(op.Path)
-	if err != nil {
-		return err
-	}
-	for _, d := range ds {
-		if err := u.deleteSubtree(op.Path, d); err != nil {
-			return err
-		}
+	n, err := u.deleteAll(op.Path)
+	if err == nil && n == 0 {
+		err = fmt.Errorf("path %q resolves to no nodes", op.Path)
 	}
 	u.touch(xmltree.TypeParent(op.Path))
-	return nil
+	return err
 }
 
-// deleteSubtree removes the node at (rootT, d) and every descendant: in
-// each descendant-or-self type sequence, the keys under d's Dewey
-// prefix. Sibling ordinals keep their gaps — only order matters.
-func (u *updater) deleteSubtree(rootT string, d xmltree.Dewey) error {
-	sub := rootT + xmltree.TypeSep
-	for tid, t := range u.types {
-		if t != rootT && !strings.HasPrefix(t, sub) {
-			continue
-		}
-		var keys [][]byte
-		if err := u.scanPrefix(nodePrefix(u.id, uint32(tid), d), func(k, v []byte) bool {
-			keys = append(keys, append([]byte(nil), k...))
+// deleteAll removes every node of type rootT — a statement's targets are
+// all of them — with its subtree: each descendant-or-self type's whole
+// sequence, one pass apiece, as every node of a descendant type lies
+// below a node of rootT. Sibling ordinals keep their gaps — only order
+// matters. It returns how many nodes of rootT it removed.
+func (u *updater) deleteAll(rootT string) (int, error) {
+	tids := u.below(rootT, true)
+	root, ok := u.typeID[rootT]
+	if ok {
+		tids = append(tids, root)
+	}
+	roots := 0
+	for _, tid := range tids {
+		nodes, keys := 0, 0
+		if err := u.scanPrefix(u.under(tid, nil), func(k, v []byte) bool {
+			if _, chunk, _ := splitNodeKey(k); chunk == 0 {
+				nodes++
+			}
+			keys++
+			u.pending.del(k)
 			return true
 		}); err != nil {
-			return err
+			return 0, err
 		}
-		for _, k := range keys {
-			if _, chunk, _ := splitNodeKey(k); chunk == 0 {
-				u.deleted++
-			}
-			u.del(k)
+		u.deleted += nodes
+		if keys > 0 {
+			u.touch(u.types[tid])
 		}
-		if len(keys) > 0 {
-			u.touch(t)
+		if ok && tid == root {
+			roots = nodes
 		}
 	}
-	return nil
+	return roots, nil
 }
 
 func (u *updater) applyInsert(op update.Op) error {
@@ -346,16 +346,14 @@ func (u *updater) applyInsert(op update.Op) error {
 		return fmt.Errorf("cannot insert %s attribute path %q", op.Pos, op.Path)
 	}
 	if op.Pos == update.Into {
-		frag, err := u.fragment(op.XML, op.Path)
-		if err != nil {
-			return err
-		}
+		frag := u.fragment(op.XML, op.Path)
 		ds, err := u.targets(op.Path)
 		if err != nil {
 			return err
 		}
+		kids := u.below(op.Path, false)
 		for _, d := range ds {
-			ords, err := u.childOrds(op.Path, d)
+			ords, err := u.childOrds(kids, d)
 			if err != nil {
 				return err
 			}
@@ -363,7 +361,7 @@ func (u *updater) applyInsert(op update.Op) error {
 			if len(ords) > 0 {
 				last = ords[len(ords)-1]
 			}
-			if err := u.insertFragment(op.Path, d, last+1, frag); err != nil {
+			if err := frag.insert(d, last+1); err != nil {
 				return err
 			}
 		}
@@ -374,22 +372,26 @@ func (u *updater) applyInsert(op update.Op) error {
 	if parent == "" {
 		return fmt.Errorf("cannot insert beside the document root %q", op.Path)
 	}
-	frag, err := u.fragment(op.XML, parent)
-	if err != nil {
-		return err
-	}
+	frag := u.fragment(op.XML, parent)
 	ds, err := u.targets(op.Path)
 	if err != nil {
 		return err
 	}
+	var kids, desc []uint32
+	types := -1
 	// Descending document order: when a slot needs suffix re-keying, the
 	// shift only moves ordinals at or after the slot, so pending targets
 	// (all earlier in document order) keep their Dewey numbers.
 	for i := len(ds) - 1; i >= 0; i-- {
+		if types != len(u.types) {
+			// Targets can share a parent, below which the first insert may
+			// have entered the fragment's types.
+			kids, desc, types = u.below(parent, false), u.below(parent, true), len(u.types)
+		}
 		d := ds[i]
-		pd := d[:len(d)-1]
-		k := d[len(d)-1]
-		ords, err := u.childOrds(parent, pd)
+		pd := d[:len(d)-4]
+		k := ordinalAt(d, len(pd)/4)
+		ords, err := u.childOrds(kids, pd)
 		if err != nil {
 			return err
 		}
@@ -404,7 +406,7 @@ func (u *updater) applyInsert(op update.Op) error {
 			if k-l >= 2 {
 				ord = l + (k-l)/2
 			} else {
-				if err := u.shiftSiblings(parent, pd, k); err != nil {
+				if err := u.shiftSiblings(desc, pd, k); err != nil {
 					return err
 				}
 				ord = k
@@ -423,13 +425,13 @@ func (u *updater) applyInsert(op update.Op) error {
 			case r-k >= 2:
 				ord = k + (r-k)/2
 			default:
-				if err := u.shiftSiblings(parent, pd, r); err != nil {
+				if err := u.shiftSiblings(desc, pd, r); err != nil {
 					return err
 				}
 				ord = r
 			}
 		}
-		if err := u.insertFragment(parent, pd, ord, frag); err != nil {
+		if err := frag.insert(pd, ord); err != nil {
 			return err
 		}
 	}
@@ -440,21 +442,18 @@ func (u *updater) applyReplace(op update.Op) error {
 	if strings.HasPrefix(lastSegment(op.Path), "@") {
 		return fmt.Errorf("cannot replace attribute path %q with an element fragment", op.Path)
 	}
-	parent := xmltree.TypeParent(op.Path)
-	frag, err := u.fragment(op.XML, parent)
-	if err != nil {
-		return err
-	}
+	frag := u.fragment(op.XML, xmltree.TypeParent(op.Path))
 	ds, err := u.targets(op.Path)
 	if err != nil {
 		return err
 	}
+	if _, err := u.deleteAll(op.Path); err != nil {
+		return err
+	}
+	// A fragment takes each vacated slot: same parent, same ordinal.
 	for _, d := range ds {
-		if err := u.deleteSubtree(op.Path, d); err != nil {
-			return err
-		}
-		// The fragment takes the vacated slot: same parent, same ordinal.
-		if err := u.insertFragment(parent, d[:len(d)-1], d[len(d)-1], frag); err != nil {
+		pd := d[:len(d)-4]
+		if err := frag.insert(pd, ordinalAt(d, len(pd)/4)); err != nil {
 			return err
 		}
 	}
@@ -462,96 +461,113 @@ func (u *updater) applyReplace(op update.Op) error {
 }
 
 // childOrds returns the sorted distinct child ordinals in use under the
-// parent instance at (parentT, d).
-func (u *updater) childOrds(parentT string, d xmltree.Dewey) ([]int, error) {
-	seen := map[int]bool{}
-	for tid, t := range u.types {
-		if xmltree.TypeParent(t) != parentT {
-			continue
-		}
-		if err := u.scanPrefix(nodePrefix(u.id, uint32(tid), d), func(k, v []byte) bool {
-			if enc, _, ok := splitNodeKey(k); ok && len(enc) == 4*(len(d)+1) {
-				seen[ordinalAt(enc, len(d))] = true
+// node whose encoded Dewey number is d, kids being its type's child
+// types.
+func (u *updater) childOrds(kids []uint32, d []byte) ([]int, error) {
+	var out []int
+	for _, tid := range kids {
+		if err := u.scanPrefix(u.under(tid, d), func(k, v []byte) bool {
+			if enc, _, ok := splitNodeKey(k); ok && len(enc) == len(d)+4 {
+				out = append(out, ordinalAt(enc, len(d)/4))
 			}
 			return true
 		}); err != nil {
 			return nil, err
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for o := range seen {
-		out = append(out, o)
-	}
-	sort.Ints(out)
-	return out, nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
-// shiftSiblings suffix-re-keys every child subtree of the parent
-// instance at (parentT, pd) whose child ordinal is >= from, moving each
-// ordinal up by one. Values move verbatim; relative order is preserved,
-// so the shape is unaffected.
-func (u *updater) shiftSiblings(parentT string, pd xmltree.Dewey, from int) error {
-	sub := parentT + xmltree.TypeSep
+// shiftSiblings suffix-re-keys every child subtree of the node whose
+// encoded Dewey number is pd whose child ordinal is >= from, moving each
+// ordinal up by one; desc are the typeIDs of every type below the node's.
+// Values move verbatim; relative order is preserved, so the shape is
+// unaffected.
+func (u *updater) shiftSiblings(desc []uint32, pd []byte, from int) error {
+	level := len(pd) / 4
 	type move struct{ key, val []byte }
-	var olds [][]byte
 	var news []move
-	for tid, t := range u.types {
-		if !strings.HasPrefix(t, sub) {
-			continue
-		}
-		if err := u.scanPrefix(nodePrefix(u.id, uint32(tid), pd), func(k, v []byte) bool {
+	// Every old key is deleted before any new one is written: the two key
+	// sets overlap when consecutive ordinals shift, and the overlay keeps
+	// each key's last write.
+	for _, tid := range desc {
+		if err := u.scanPrefix(u.under(tid, pd), func(k, v []byte) bool {
 			enc, _, _ := splitNodeKey(k)
-			if c := ordinalAt(enc, len(pd)); c >= from {
-				olds = append(olds, append([]byte(nil), k...))
-				news = append(news, move{withOrdinal(k, len(pd), c+1), append([]byte(nil), v...)})
+			if c := ordinalAt(enc, level); c >= from {
+				news = append(news, move{withOrdinal(k, level, c+1), append([]byte(nil), v...)})
+				u.pending.del(k)
 			}
 			return true
 		}); err != nil {
 			return err
 		}
 	}
-	// Delete every old key before writing any new one: the two key sets
-	// overlap when consecutive ordinals shift, and the overlay resolves
-	// each key to its final state only in this order.
-	for _, k := range olds {
-		u.del(k)
-	}
 	for _, m := range news {
-		u.put(m.key, m.val)
+		u.pending.put(m.key, m.val)
 	}
 	return nil
 }
 
-// fragment parses a statement's fragment, once for all of the
-// statement's targets, and marks its types — re-rooted below parentT —
-// touched. It enters them into the registry in document order, elements
-// ahead of their attributes: the numbering updates have always used,
-// where a shred numbers a type when its first record is written.
-func (u *updater) fragment(src, parentT string) (*xmltree.Node, error) {
-	frag, err := xmltree.ParseString(src)
-	if err != nil {
-		return nil, err
-	}
-	u.touch(parentT)
-	for _, n := range frag.Nodes() {
-		t := joinType(parentT, n.Type)
-		u.register(t)
-		u.touch(t)
-	}
-	return frag.Root(), nil
+// fragment is a statement's fragment, shredded at each of its targets
+// in turn, every time from a scan of its source, by one shredder that
+// keeps the type paths it has built.
+//
+// On the first shred the fragment itself is the scan's handler: it
+// enters each type, re-rooted below the statement's parent type, into
+// the registry on first sight and marks it touched, then passes the
+// event on. The types thus enter in the scan's event order, elements
+// ahead of their attributes — the numbering updates have always used,
+// where a shred numbers a type when its first record is written — and
+// before the shredder writes a record of them.
+type fragment struct {
+	u       *updater
+	src     string
+	sh      *shredder
+	entered bool // the first shred has run
 }
 
-// insertFragment shreds a parsed fragment under the parent instance at
-// (parentT, pd), rooting the fragment at child ordinal ord: the
-// document shredder, replayed from the tree, with the overlay as its
-// output.
-func (u *updater) insertFragment(parentT string, pd xmltree.Dewey, ord int, frag *xmltree.Node) error {
-	sh := newShredder(u.id, u.typeRegistry, func(_ uint32, key, value []byte) error {
-		return u.putChunks(key, value)
-	}, parentT, pd, ord)
-	frag.Replay(sh)
-	u.inserted += sh.nodes
-	return sh.err
+func (u *updater) fragment(src, parentT string) *fragment {
+	u.touch(parentT)
+	return &fragment{u: u, src: src, sh: newShredder(u.id, u.typeRegistry, func(_ uint32, key, value []byte) error {
+		return u.pending.putChunks(key, value)
+	}, parentT, nil, 1)}
+}
+
+// insert shreds the fragment under the node whose encoded Dewey number
+// is pd, rooting it at child ordinal ord, with the overlay as the
+// shredder's output.
+func (f *fragment) insert(pd []byte, ord int) error {
+	f.sh.reroot(pd, ord)
+	var h xmltree.Handler = f.sh
+	if !f.entered {
+		h, f.entered = f, true
+	}
+	nodes := f.sh.nodes
+	err := xmltree.Scan(strings.NewReader(f.src), h)
+	f.u.inserted += f.sh.nodes - nodes
+	return err
+}
+
+func (f *fragment) Start(name string) {
+	f.enter(f.sh.child(f.sh.open[len(f.sh.open)-1].typ, name, false))
+	f.sh.Start(name)
+}
+
+func (f *fragment) Attr(name, value string) {
+	f.enter(f.sh.child(f.sh.open[len(f.sh.open)-1].typ, name, true))
+	f.sh.Attr(name, value)
+}
+
+func (f *fragment) Text(s string) { f.sh.Text(s) }
+func (f *fragment) End()          { f.sh.End() }
+func (f *fragment) Err() error    { return f.sh.Err() }
+
+func (f *fragment) enter(typ int32) {
+	if t := &f.sh.paths[typ]; !t.registered {
+		t.tid, t.registered = f.u.register(t.path), true
+		f.u.touch(t.path)
+	}
 }
 
 // recount re-infers what the edit can have changed in the shape: for
@@ -571,13 +587,14 @@ func (u *updater) recount() error {
 			return err
 		}
 	}
+	u.seqs = map[string][]byte{}
 	u.live = make(map[string]bool, len(u.touched))
 	for t := range u.touched {
-		ok, err := u.hasInstances(t)
+		enc, err := u.instances(t)
 		if err != nil {
 			return err
 		}
-		u.live[t] = ok
+		u.live[t] = len(enc) > 0
 	}
 	u.edges = make(map[string][]childEdge, len(u.touched))
 	for t, ok := range u.live {
@@ -696,7 +713,7 @@ func (u *updater) rewriteRows() error {
 	if err != nil {
 		return err
 	}
-	u.put(blobKey('H', u.id), binary.BigEndian.AppendUint64(nil, h+move))
+	u.pending.put(blobKey('H', u.id), binary.BigEndian.AppendUint64(nil, h+move))
 	u.delta = update.CompareRows(changes)
 	return nil
 }
@@ -720,7 +737,7 @@ func (u *updater) named(row []rowEdge) []update.Edge {
 
 type childEdge struct {
 	child string
-	first xmltree.Dewey
+	first []byte // the first instance's encoded Dewey number
 	card  shape.Card
 }
 
@@ -731,9 +748,11 @@ func (u *updater) computeEdges(pt string) ([]childEdge, error) {
 	if err != nil {
 		return nil, err
 	}
+	size := 4 * xmltree.TypeDepth(pt)
 	var out []childEdge
-	for _, ct := range u.types {
-		if xmltree.TypeParent(ct) != pt || !u.isLive(ct) {
+	for _, tid := range u.below(pt, false) {
+		ct := u.types[tid]
+		if !u.isLive(ct) {
 			continue
 		}
 		kids, err := u.instances(ct)
@@ -743,15 +762,16 @@ func (u *updater) computeEdges(pt string) ([]childEdge, error) {
 		if len(kids) == 0 {
 			continue
 		}
-		// Both sequences are in document order and children group under
-		// their parents, so one merge pass counts per-parent children.
+		// Both sequences are in document order and a node's encoded Dewey
+		// number begins with its parent's, so one merge pass counts
+		// per-parent children.
 		min, max := -1, 0
 		i := 0
-		for _, p := range parents {
+		for p := 0; p < len(parents); p += size {
 			cnt := 0
-			for i < len(kids) && p.IsPrefixOf(kids[i]) {
+			for i < len(kids) && bytes.Equal(kids[i:i+size], parents[p:p+size]) {
 				cnt++
-				i++
+				i += size + 4
 			}
 			if min == -1 || cnt < min {
 				min = cnt
@@ -761,14 +781,16 @@ func (u *updater) computeEdges(pt string) ([]childEdge, error) {
 			}
 		}
 		if i != len(kids) {
-			return nil, fmt.Errorf("store: update: %d orphaned %s instances", len(kids)-i, ct)
+			return nil, fmt.Errorf("store: update: %d orphaned %s instances", (len(kids)-i)/(size+4), ct)
 		}
 		if min == -1 {
 			min = 0
 		}
-		out = append(out, childEdge{ct, kids[0], shape.Card{Min: min, Max: max}})
+		out = append(out, childEdge{ct, kids[:size+4], shape.Card{Min: min, Max: max}})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].first.Compare(out[j].first) < 0 })
+	// The children's numbers have one length, so byte order is document
+	// order.
+	slices.SortStableFunc(out, func(a, b childEdge) int { return bytes.Compare(a.first, b.first) })
 	return out, nil
 }
 
@@ -796,24 +818,11 @@ func (u *updater) rewriteBlob(key, val []byte) error {
 		old, ok := olds[string(k)]
 		delete(olds, string(k))
 		if !ok || !bytes.Equal(old, vals[i]) {
-			u.put(k, vals[i])
+			u.pending.put(k, vals[i])
 		}
 	}
 	for k := range olds {
-		u.del([]byte(k))
-	}
-	return nil
-}
-
-// putChunks writes a value's chunked records into the overlay.
-func (u *updater) putChunks(key, val []byte) error {
-	arena, recs, err := appendChunks(nil, nil, key, val)
-	if err != nil {
-		return err
-	}
-	keys, vals := appendRecords(nil, nil, arena, recs)
-	for i := range keys {
-		u.put(keys[i], vals[i])
+		u.pending.del([]byte(k))
 	}
 	return nil
 }

@@ -663,3 +663,44 @@ replace site.catgraph with <catgraph><edge from="category0" to="category0"/></ca
 	}
 	t.Logf("patch %d pages, drop + re-shred %d pages", patchPages, reshredPages)
 }
+
+// TestUpdateAllocs guards the allocations of a shape-keeping PATCH: the
+// serve benchmark's catgraph script — the category graph replaced by one
+// random edge per category — parsed and applied to XMark sf 0.05 in a
+// memory store. Before the overlay was one ordered arena and the
+// fragment was shredded straight from its scan (commit 60534df) it took
+// 3 890 allocations; the bound is 40 % of that.
+func TestUpdateAllocs(t *testing.T) {
+	doc := xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42})
+	st := store.OpenMemory()
+	defer st.Close()
+	shredInto(t, st, "d", doc.XML(false))
+	cats := len(doc.NodesOfType("site.categories.category"))
+	rng := rand.New(rand.NewSource(7))
+	ring := make([]string, 8)
+	for i := range ring {
+		var sb strings.Builder
+		sb.WriteString("replace site.catgraph with <catgraph>")
+		for j := 0; j < cats; j++ {
+			fmt.Fprintf(&sb, `<edge from="category%d" to="category%d"/>`, rng.Intn(cats), rng.Intn(cats))
+		}
+		sb.WriteString("</catgraph>")
+		ring[i] = sb.String()
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(16, func() {
+		ops, err := update.Parse(ring[i%len(ring)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		i++
+		if _, err := st.Update("d", ops, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const parent = 3890
+	t.Logf("%d categories: %.0f allocations per update", cats, allocs)
+	if allocs > 0.4*parent {
+		t.Errorf("catgraph update: %.0f allocations, want <= %.0f", allocs, 0.4*parent)
+	}
+}

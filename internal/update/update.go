@@ -246,14 +246,14 @@ func (p *parser) path() (string, error) {
 	return w, nil
 }
 
-// fragment consumes one well-formed XML element, parsed to find its end
+// fragment consumes one well-formed XML element, scanned to find its end
 // (so ";" and keywords inside the fragment are inert).
 func (p *parser) fragment() (string, error) {
 	p.skipSpace()
 	if p.pos >= len(p.src) || p.src[p.pos] != '<' {
 		return "", p.errf("expected an XML fragment")
 	}
-	_, n, err := xmltree.ParseElement(p.src[p.pos:])
+	n, err := xmltree.ParseElement(p.src[p.pos:])
 	if err != nil {
 		return "", p.errf("bad XML fragment: %v", err)
 	}

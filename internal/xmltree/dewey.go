@@ -127,11 +127,3 @@ func (d Dewey) Distance(o Dewey) int {
 	lca := d.CommonPrefixLen(o)
 	return (len(d) - lca) + (len(o) - lca)
 }
-
-// IsPrefixOf reports whether d is an ancestor-or-self number of o.
-func (d Dewey) IsPrefixOf(o Dewey) bool {
-	if len(d) > len(o) {
-		return false
-	}
-	return d.CommonPrefixLen(o) == len(d)
-}

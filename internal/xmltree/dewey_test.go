@@ -101,21 +101,6 @@ func TestDeweyDistancePaperExample(t *testing.T) {
 	}
 }
 
-func TestDeweyPrefix(t *testing.T) {
-	a, _ := ParseDewey("1.2")
-	b, _ := ParseDewey("1.2.3")
-	c, _ := ParseDewey("1.3")
-	if !a.IsPrefixOf(b) {
-		t.Error("1.2 should be a prefix of 1.2.3")
-	}
-	if !a.IsPrefixOf(a) {
-		t.Error("a number is a prefix of itself")
-	}
-	if a.IsPrefixOf(c) || b.IsPrefixOf(a) {
-		t.Error("bad prefix relations accepted")
-	}
-}
-
 // randomDewey generates numbers with bounded depth/width for quick checks.
 func randomDewey(r *rand.Rand) Dewey {
 	depth := 1 + r.Intn(6)

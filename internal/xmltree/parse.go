@@ -56,20 +56,28 @@ func Scan(r io.Reader, h Handler) error {
 	return newScanner(r).document(h, false)
 }
 
-// ParseElement parses the one element s begins with — after any
-// whitespace, comments, processing instructions and directives, but no
-// other character data — under Scan's rules, and returns it with the
-// length of s up to the end of its end tag. Nothing after that is read:
-// the update language delimits its XML fragments with it.
-func ParseElement(s string) (*Document, int, error) {
+// ParseElement finds the end of the one element s begins with — after
+// any whitespace, comments, processing instructions and directives, but
+// no other character data — under Scan's rules, and returns the length
+// of s up to the end of its end tag. It builds nothing, and nothing
+// after that end tag is read: the update language delimits its XML
+// fragments with it.
+func ParseElement(s string) (int, error) {
 	sc := newScanner(strings.NewReader(s))
-	b := NewBuilder()
-	if err := sc.document(builderHandler{b}, true); err != nil {
-		return nil, 0, err
+	if err := sc.document(discard{}, true); err != nil {
+		return 0, err
 	}
-	d, err := b.Document()
-	return d, sc.off + sc.pos, err
+	return sc.off + sc.pos, nil
 }
+
+// discard is the Handler that keeps nothing.
+type discard struct{}
+
+func (discard) Start(string)        {}
+func (discard) Attr(string, string) {}
+func (discard) Text(string)         {}
+func (discard) End()                {}
+func (discard) Err() error          { return nil }
 
 func checkName(name string) error {
 	if strings.Contains(name, TypeSep) {

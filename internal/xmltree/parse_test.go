@@ -452,7 +452,7 @@ func checkScan(t testing.TB, data []byte) {
 		return
 	}
 	wantN, wantErr := elementReference(string(data))
-	_, n, err := ParseElement(string(data))
+	n, err := ParseElement(string(data))
 	if (err == nil) != (wantErr == nil) || err == nil && n != wantN {
 		t.Fatalf("ParseElement(%q) = %d, %v; encoding/xml loop: %d, %v", data, n, err, wantN, wantErr)
 	}
