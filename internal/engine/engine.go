@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"xmorph/internal/core"
@@ -76,6 +78,20 @@ var (
 	metricUpdateNodesDel     = obs.Default.Counter("engine_update_nodes_deleted_total")
 	metricUpdateShapeChanges = obs.Default.Counter("engine_update_shape_changes_total")
 )
+
+// reading counts the Runs and Queries in flight in the process, across
+// engines, since they share its cores: each keeps one busy from start to
+// end. A whole-document Run renders on the cores the others leave idle
+// (idleProcs); with every core busy a split is an extra copy of the
+// output for no gain. Shreds and updates are not counted: they mostly
+// wait on fsync.
+var reading atomic.Int32
+
+// idleProcs is how many cores a Run may render on: its own, and the
+// ones the other reads in flight leave idle.
+func idleProcs() int {
+	return max(runtime.GOMAXPROCS(0)-int(reading.Load())+1, 1)
+}
 
 // Option configures an Engine at Open time; the configuration is
 // immutable afterwards.
@@ -346,13 +362,17 @@ var errNoWriter = errors.New("engine: Run needs a StreamTo writer")
 // pipeline over shredded data, streamed node by node in document order
 // (Section VII). Streamable guards (by the cached verdict) take the
 // one-pass scans, the rest the join-backed partners; the bytes are the
-// same either way. Cancellation is honored between stages; the span in
+// same either way. A streamed whole-document guard renders the document
+// element's kids on the cores the other Runs and Queries in flight leave
+// idle. Cancellation is honored between stages; the span in
 // opts traces load-shape, compile, load-doc, and stream children, each
 // annotated with the pages it read.
 func (e *Engine) Run(ctx context.Context, name, guardSrc string, opts RunOpts) (*RunResult, error) {
 	if opts.StreamTo == nil {
 		return nil, errNoWriter
 	}
+	reading.Add(1)
+	defer reading.Add(-1)
 	sp := opts.Span
 	pagesBefore := e.st.Stats().BlocksRead
 
@@ -391,7 +411,7 @@ func (e *Engine) Run(ctx context.Context, name, guardSrc string, opts RunOpts) (
 	start := time.Now()
 	if verdict.Streamable {
 		esp.Set("streamed", 1)
-		res.Streamed, err = stream.ExecuteTree(stream.FromDoc(doc), t, opts.StreamTo, opts.Indent, esp)
+		res.Streamed, err = stream.ExecuteTree(stream.FromDoc(doc), t, opts.StreamTo, opts.Indent, idleProcs(), esp)
 	} else {
 		metricStreamFallbacks.Inc()
 		res.Streamed, err = render.StreamTree(doc, t, untilLoadFails{opts.StreamTo, doc}, opts.Indent, esp)
@@ -460,6 +480,8 @@ type QueryResult struct {
 // the shape-aware guard cache; the span in opts traces compile,
 // load-doc, and the prune/render/query pipeline.
 func (e *Engine) Query(ctx context.Context, name, guardSrc, query string, opts QueryOpts) (*QueryResult, error) {
+	reading.Add(1)
+	defer reading.Add(-1)
 	sp := opts.Span
 	pagesBefore := e.st.Stats().BlocksRead
 	// One view per query: shape, document, and evaluation all read the

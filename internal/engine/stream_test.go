@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -45,6 +47,47 @@ func TestEngineStreamExecAuto(t *testing.T) {
 		}
 		wantPageIO(t, tr, "stream")
 	}
+}
+
+// TestEngineStreamSplit: a whole-document guard over a stored XMark
+// document renders the document element's six kid subtrees on every
+// core, writes the in-memory transform's bytes, compact and indented,
+// and its stream span says how the run was split: into six jobs on
+// min(GOMAXPROCS, 6) workers, or one job on one when there is one core.
+// With a read in flight on every other core, the run is not split.
+func TestEngineStreamSplit(t *testing.T) {
+	const guard = "CAST MUTATE site"
+	eng := newEngine(t)
+	xml := xmark.Generate(xmark.Config{Factor: 0.002, Seed: 1}).XML(false)
+	if _, err := eng.Shred(context.Background(), "main", strings.NewReader(xml), nil); err != nil {
+		t.Fatal(err)
+	}
+	want := transformed(t, guard, xml).Output
+	check := func(others int) {
+		t.Helper()
+		jobs, workers := 6, min(runtime.GOMAXPROCS(0)-others, 6)
+		if workers == 1 {
+			jobs = 1
+		}
+		for _, indent := range []bool{false, true} {
+			tr := obs.New("run")
+			got, res := runXML(t, eng, "main", guard, RunOpts{Span: tr.Root(), Indent: indent})
+			tr.Finish()
+			if exp := want.XML(indent); got != exp || res.Streamed != want.Size() {
+				t.Errorf("%d others, indent %v: %d bytes and %d nodes, want %d and %d", others, indent, len(got), res.Streamed, len(exp), want.Size())
+			}
+			for attr, n := range map[string]int{"jobs": jobs, "workers": workers} {
+				if v, ok := tr.Root().FindAttr(attr); !ok || v != strconv.Itoa(n) {
+					t.Errorf("%d others: stream span %s = %q, want %d", others, attr, v, n)
+				}
+			}
+		}
+	}
+	check(0)
+	others := runtime.GOMAXPROCS(0) - 1
+	reading.Add(int32(others))
+	defer reading.Add(-int32(others))
+	check(others)
 }
 
 // wantPageIO asserts the named emit span of a traced Run carries both

@@ -54,11 +54,14 @@ type sink interface {
 type walker struct {
 	src Partners
 	out sink
+	// top is the occurrence whose kids' emissions the walk stops between
+	// once out has failed: nil, the roots, for a whole walk.
+	top *plan.Node
 }
 
 // emit walks the whole tree. Roots are children of no vertex.
 func emit(t *plan.Tree, src Partners, out sink) {
-	w := &walker{src, out}
+	w := &walker{src: src, out: out}
 	var top Vertex
 	for _, x := range t.Roots {
 		w.children(x, &top)
@@ -82,7 +85,7 @@ func (w *walker) children(x *plan.Node, v *Vertex) {
 	for p := w.src.Seek(drive, v); p != nil; p = w.src.Next(drive) {
 		if len(drive.Reqs) == 0 || w.satisfies(drive, p) {
 			w.emission(x, p)
-			if x.Parent == nil && w.out.Err() != nil {
+			if x.Parent == w.top && w.out.Err() != nil {
 				return
 			}
 		}
@@ -225,6 +228,46 @@ func EmitXML(t *plan.Tree, src Partners, w io.Writer, indent bool) (nodes int, b
 	err = enc.Flush()
 	return enc.Nodes(), enc.Written(), err
 }
+
+// Emitter is the walk with the XML sink, driven one occurrence at a time
+// instead of over a whole tree, so that the emissions of one element's
+// kids can be rendered on other goroutines, each through an Emitter of
+// its own over its own partners and an xmltree.NewEncoderAt encoder, and
+// their bytes spliced back in document order (internal/stream does).
+type Emitter struct {
+	w    walker
+	sink byteSink
+}
+
+// NewEmitter returns an Emitter writing through enc with partners from
+// src.
+func NewEmitter(src Partners, enc *xmltree.Encoder) *Emitter {
+	e := &Emitter{sink: byteSink{enc: enc}}
+	e.w = walker{src: src, out: &e.sink}
+	return e
+}
+
+// Open starts the element of occurrence x rendering vertex v, as the walk
+// does before x's kids; its text waits for Text, a kid, or Close.
+func (e *Emitter) Open(x *plan.Node, v *Vertex) { e.sink.Open(x, v) }
+
+// Kids renders every emission of occurrence x below a parent whose kids
+// join from v, stopping between them once the encoder has failed.
+func (e *Emitter) Kids(x *plan.Node, v *Vertex) {
+	e.w.top = x.Parent
+	e.w.children(x, v)
+}
+
+// Text writes the open element's text, if it has any, after its
+// attributes: only child elements may follow it.
+func (e *Emitter) Text() {
+	if e.sink.text != nil {
+		e.sink.flush()
+	}
+}
+
+// Close ends the element Open started.
+func (e *Emitter) Close() { e.sink.Close() }
 
 // EmitTree walks the tree with partners from src into b: each root tree
 // of the output becomes a child of the element b has open, or a root of

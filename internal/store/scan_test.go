@@ -229,3 +229,45 @@ func TestViewDocAllocs(t *testing.T) {
 		t.Errorf("View.Doc allocates %.0f times, want <= 45 (half of the 90 it took when reads decoded pages)", allocs)
 	}
 }
+
+// TestViewDocBytes guards the bytes View.Doc allocates, which every query
+// pays too: the type registry's chunks are copied once, into one string
+// of its exact size, and split once, so what is left is that string, the
+// paths' string headers and the name-to-id map. When the chunks were
+// appended into a growing buffer and copied again into a string, opening
+// an XMark sf 0.05 document took 55 of the 78 KB a one-node Run
+// allocated.
+func TestViewDocBytes(t *testing.T) {
+	st := OpenMemory()
+	defer st.Close()
+	xml := xmark.Generate(xmark.Config{Factor: 0.005, Seed: 42}).XML(false)
+	if _, err := st.Shred("d", strings.NewReader(xml), nil); err != nil {
+		t.Fatal(err)
+	}
+	v := st.View()
+	defer v.Close()
+	doc, err := v.Doc("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := 0
+	for _, typ := range doc.Types() {
+		reg += len(typ) + 1
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := v.Doc("d"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	perOp := res.AllocedBytesPerOp()
+	t.Logf("View.Doc: %d bytes for %d types in a %d-byte registry", perOp, len(doc.Types()), reg)
+	// The registry once, a string header per path, the map at up to 64
+	// bytes an entry, and 4 KB for the rest: 34 KB here, where the
+	// growing buffer and its copy took 68 KB.
+	if limit := int64(reg + (16+64)*len(doc.Types()) + 4096); perOp > limit {
+		t.Errorf("View.Doc allocates %d bytes, want <= %d", perOp, limit)
+	}
+}

@@ -305,31 +305,60 @@ func appendRecords(keys, vals [][]byte, arena []byte, recs []chunk) ([][]byte, [
 	return keys, vals
 }
 
-// getBlob reassembles a chunked value through r.
+// getBlob reassembles a chunked value through r into a buffer of its
+// exact size.
 func getBlob(r reader, key []byte) ([]byte, bool, error) {
+	var parts [16][]byte
+	chunks, ok, err := blobChunks(r, key, parts[:0])
+	if err != nil || !ok {
+		return nil, ok, err
+	}
+	out := make([]byte, 0, chunksLen(chunks))
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out, true, nil
+}
+
+// blobChunks appends the chunks of the value under key to parts, each
+// read by a point Get: chunk 0, whose 2-byte header counts the chunks,
+// then the others. A Seek/Next pass would save the Gets their descents
+// but cross leaves, and each crossing starts the iterator's read-ahead,
+// which runs past the blob into unrelated pages. The chunks alias page
+// images: copy them before keeping them.
+func blobChunks(r reader, key []byte, parts [][]byte) ([][]byte, bool, error) {
 	ck := make([]byte, len(key)+2)
 	copy(ck, key)
 	first, ok, err := r.Get(ck)
 	if err != nil || !ok {
-		return nil, ok, err
+		return parts, ok, err
 	}
 	if len(first) < 2 {
-		return nil, false, fmt.Errorf("store: corrupt blob header")
+		return parts, false, fmt.Errorf("store: corrupt blob header")
 	}
 	n := int(binary.BigEndian.Uint16(first))
-	out := append([]byte(nil), first[2:]...)
+	parts = append(parts, first[2:])
 	for i := 1; i < n; i++ {
 		binary.BigEndian.PutUint16(ck[len(key):], uint16(i))
 		chunk, ok, err := r.Get(ck)
 		if err != nil {
-			return nil, false, err
+			return parts, false, err
 		}
 		if !ok {
-			return nil, false, fmt.Errorf("store: blob missing chunk %d of %d", i, n)
+			return parts, false, fmt.Errorf("store: blob missing chunk %d of %d", i, n)
 		}
-		out = append(out, chunk...)
+		parts = append(parts, chunk)
 	}
-	return out, true, nil
+	return parts, true, nil
+}
+
+// chunksLen is the length of the value chunks make up.
+func chunksLen(chunks [][]byte) int {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	return n
 }
 
 // docIDIn resolves a stored document's id through r.
@@ -390,19 +419,27 @@ func (s *Store) Shape(name string) (*shape.Shape, error) {
 	return v.Shape(name)
 }
 
-// typesIn loads the type registry (typeID = index) through r.
+// typesIn loads the type registry (typeID = index) through r: its chunks
+// are copied once, into the string the paths are split from.
 func typesIn(r reader, id uint32) ([]string, error) {
-	blob, ok, err := getBlob(r, blobKey('T', id))
+	var parts [16][]byte
+	chunks, ok, err := blobChunks(r, blobKey('T', id), parts[:0])
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("store: missing type registry for doc %d", id)
 	}
-	if len(blob) == 0 {
+	n := chunksLen(chunks)
+	if n == 0 {
 		return nil, nil
 	}
-	return strings.Split(string(blob), "\n"), nil
+	var b strings.Builder
+	b.Grow(n)
+	for _, c := range chunks {
+		b.Write(c)
+	}
+	return strings.Split(b.String(), "\n"), nil
 }
 
 // Doc is a lazy view over a stored document: type sequences load from the

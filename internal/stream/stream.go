@@ -4,9 +4,14 @@
 // joins, and output written straight to a writer. It holds only a
 // bounded set of forward cursors — one per down- or up-axis join — and
 // never materializes type sequences, closest.Grouped join graphs, or a
-// result tree, so peak memory is independent of document size and the
-// first output byte leaves before the first type sequence has been fully
-// read.
+// result tree, so its peak memory is bounded by a constant cap, not by
+// the document, and the first output byte leaves before the first type
+// sequence has been fully read.
+//
+// A whole-document transformation renders on several cores: when the
+// root is the document element, its element kids' subtrees render side
+// by side, on as many cores as the caller passes, and are spliced back
+// in document order from a capped pool of blocks (split.go).
 //
 // The invariant that makes one pass suffice: every rendered node's
 // parent instances arrive in document order with pairwise-disjoint
@@ -29,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 
 	"xmorph/internal/obs"
 	"xmorph/internal/plan"
@@ -69,33 +75,64 @@ type docSource struct{ d *store.Doc }
 func (s docSource) ScanType(t string) Cursor { return s.d.ScanType(t) }
 
 // Execute streams the composed target from src to w as compact XML: it
-// is ExecuteTree of tgt's execution tree without indentation.
+// is ExecuteTree of tgt's execution tree without indentation, on up to
+// GOMAXPROCS cores.
 func Execute(src Source, tgt *semantics.Target, w io.Writer, sp *obs.Span) (int, error) {
-	return ExecuteTree(src, plan.Build(tgt), w, false, sp)
+	return ExecuteTree(src, plan.Build(tgt), w, false, runtime.GOMAXPROCS(0), sp)
 }
 
 // ExecuteTree streams execution tree t from src to w in one pass,
 // returning the number of elements and attributes written. It fails
-// with ErrNotStreamable when the planner rejects the tree. When sp is
-// non-nil it records nodes, bytes, and cursor count; a nil span is
-// free. Write and storage errors — including the final buffered flush —
-// are surfaced on the returned error.
-func ExecuteTree(src Source, t *plan.Tree, w io.Writer, indent bool, sp *obs.Span) (int, error) {
-	if d := t.Decision(); !d.Streamable {
-		return 0, fmt.Errorf("%w: %s", ErrNotStreamable, d.Reason)
+// with ErrNotStreamable when the planner rejects the tree. A tree whose
+// root is the document element renders its root's element kids on up to
+// procs cores (split.go); any other tree, and every tree when procs is
+// 1, renders in one walk on the calling goroutine. When sp is non-nil it
+// records nodes, bytes, cursor count, the jobs and workers the run was
+// cut into (1 and 1 when it was not) and the most blocks it held at once
+// (0 when it was not); a nil span is free. Write and storage errors —
+// including the final buffered flush — are surfaced on the returned
+// error.
+func ExecuteTree(src Source, t *plan.Tree, w io.Writer, indent bool, procs int, sp *obs.Span) (int, error) {
+	var f figures
+	err := executeTree(src, t, w, indent, procs, &f)
+	if sp != nil {
+		sp.Set("nodes-out", int64(f.nodes))
+		sp.Set("bytes-out", f.bytes)
+		sp.Set("scans", int64(f.scans))
+		sp.Set("jobs", int64(f.jobs))
+		sp.Set("workers", int64(f.workers))
+		sp.Set("blocks", int64(f.held))
 	}
+	return f.nodes, err
+}
+
+// figures is what one ExecuteTree did: the figures its span records, and
+// the blocks a split failed to return to the pool, 0 unless it leaks.
+type figures struct {
+	nodes                int
+	bytes                int64
+	scans, jobs, workers int
+	held, out            int
+}
+
+// executeTree is ExecuteTree, reporting in f.
+func executeTree(src Source, t *plan.Tree, w io.Writer, indent bool, procs int, f *figures) error {
+	if d := t.Decision(); !d.Streamable {
+		return fmt.Errorf("%w: %s", ErrNotStreamable, d.Reason)
+	}
+	if r := splitRoot(t, procs); r != nil {
+		return executeSplit(src, t, r, w, indent, procs, f)
+	}
+	f.jobs, f.workers = 1, 1
 	s := OpenScans(src, t)
 	defer s.Close()
-	n, bytes, err := render.EmitXML(t, s, w, indent)
+	var err error
+	f.nodes, f.bytes, err = render.EmitXML(t, s, w, indent)
 	if err == nil {
 		err = s.Err()
 	}
-	if sp != nil {
-		sp.Set("nodes-out", int64(n))
-		sp.Set("bytes-out", bytes)
-		sp.Set("scans", int64(s.opened))
-	}
-	return n, err
+	f.scans = s.opened
+	return err
 }
 
 // Scans is the scan-backed render.Partners: per occurrence, one forward
@@ -132,14 +169,46 @@ func (sc *scan) advance() {
 func OpenScans(src Source, t *plan.Tree) *Scans {
 	s := &Scans{occ: make([]scan, len(t.Nodes))}
 	for _, x := range t.Nodes {
-		if x.Sourced && x.Axis != plan.AxisSelf {
-			sc := &s.occ[x.ID]
-			sc.c = src.ScanType(x.TN.Source)
-			sc.advance()
-			s.opened++
-		}
+		s.open(src, x)
 	}
 	return s
+}
+
+// open opens and primes x's cursor, if its join needs one.
+func (s *Scans) open(src Source, x *plan.Node) {
+	if x.Sourced && x.Axis != plan.AxisSelf {
+		sc := &s.occ[x.ID]
+		sc.c = src.ScanType(x.TN.Source)
+		sc.advance()
+		s.opened++
+	}
+}
+
+// openTree opens the cursors of x and of every occurrence below it,
+// requirement probes included: all that rendering x's emissions reads.
+func (s *Scans) openTree(src Source, x *plan.Node) {
+	s.open(src, x)
+	for _, k := range x.Reqs {
+		s.openTree(src, k)
+	}
+	for _, k := range x.Kids {
+		s.openTree(src, k)
+	}
+}
+
+// closeTree closes the cursors openTree(x) opened and forgets their
+// state, so the occurrences can be opened again.
+func (s *Scans) closeTree(x *plan.Node) {
+	if c := s.occ[x.ID].c; c != nil {
+		c.Close()
+		s.occ[x.ID] = scan{}
+	}
+	for _, k := range x.Reqs {
+		s.closeTree(k)
+	}
+	for _, k := range x.Kids {
+		s.closeTree(k)
+	}
 }
 
 // Close releases every cursor.

@@ -176,6 +176,56 @@ func TestEncoderWrites(t *testing.T) {
 	}
 }
 
+// TestEncoderSplice: a root's children encoded one run of siblings at a
+// time by NewEncoderAt encoders and spliced back write the bytes one
+// encoder writes, compact and indented, with or without the root's text
+// and attributes; an empty splice leaves a childless root self-closing.
+func TestEncoderSplice(t *testing.T) {
+	for _, src := range []string{
+		`<r k="1">t<a x="2"><b>u</b></a><a/><c>v</c></r>`,
+		`<r><a><b><c/></b></a><c>v</c><a>w</a></r>`,
+		`<r k="1"/>`,
+		`<r>t</r>`,
+	} {
+		d := MustParse(src)
+		root := d.Root()
+		for _, indent := range []bool{false, true} {
+			var out strings.Builder
+			e := NewEncoder(&out, indent)
+			e.Start(root.Name)
+			var kids []*Node
+			for _, k := range root.Children {
+				if k.Attr {
+					e.Attr(k.LocalName(), k.Value)
+				} else {
+					kids = append(kids, k)
+				}
+			}
+			e.Text(root.Value)
+			e.Splice(nil)
+			// Every child in a splice of its own, then all of them in one.
+			for _, group := range [][]*Node{kids[:min(1, len(kids))], kids[min(1, len(kids)):]} {
+				var part strings.Builder
+				pe := NewEncoderAt(&part, indent, 1)
+				for _, k := range group {
+					k.Replay(pe)
+				}
+				if err := pe.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				e.Splice([]byte(part.String()))
+			}
+			e.End()
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if want := d.XML(indent); out.String() != want {
+				t.Errorf("%s indent %v:\nspliced: %q\nwant:    %q", src, indent, out.String(), want)
+			}
+		}
+	}
+}
+
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

@@ -44,6 +44,10 @@ const block = 4 << 10
 // Events must arrive in document order with an element's attributes
 // before its text and children. Write errors stick: after the first one
 // nothing more is written, and Err and Flush report it.
+//
+// An element's children may be encoded elsewhere — on another goroutine,
+// by an encoder NewEncoderAt starts at the element's depth — and their
+// bytes handed to Splice, in order: the layout stays this type's.
 type Encoder struct {
 	w      io.Writer
 	b      []byte
@@ -70,6 +74,19 @@ func NewEncoder(w io.Writer, indent bool) *Encoder {
 	// Twice a block: the event that fills a block fits without regrowing it.
 	e := &Encoder{w: w, b: make([]byte, 0, 2*block), indent: indent}
 	e.open = e.stack[:0]
+	return e
+}
+
+// NewEncoderAt returns an encoder for child elements of an element open
+// depth levels deep in another encoder's document: it writes them laid
+// out as that encoder would, and its Flush adds no final newline, so its
+// bytes are what the other encoder's Splice takes. Only elements may
+// start at that depth.
+func NewEncoderAt(w io.Writer, indent bool, depth int) *Encoder {
+	e := NewEncoder(w, indent)
+	for i := 0; i < depth; i++ {
+		e.open = append(e.open, frame{elems: true})
+	}
 	return e
 }
 
@@ -170,11 +187,27 @@ func (e *Encoder) Written() int64 { return e.written }
 // Err returns the first write error, if any.
 func (e *Encoder) Err() error { return e.err }
 
+// Splice writes p, the bytes of a NewEncoderAt encoder at this encoder's
+// depth, as child elements of the current element: it completes the
+// element's start tag and marks it as having element children, as a
+// Start would. Empty p changes nothing.
+func (e *Encoder) Splice(p []byte) {
+	if len(p) == 0 {
+		return
+	}
+	e.content()
+	e.open[len(e.open)-1].elems = true
+	if len(e.b) > 0 {
+		e.write()
+	}
+	e.put(p)
+}
+
 // Flush ends the output (an indented document ends in a newline) and
 // writes what the block still holds. It returns the first error of the
 // whole encoding, including one only the final write surfaces.
 func (e *Encoder) Flush() error {
-	if e.indent && e.rooted {
+	if e.indent && e.rooted && len(e.open) == 0 {
 		e.b = append(e.b, '\n')
 	}
 	if len(e.b) > 0 {
@@ -206,18 +239,23 @@ func (e *Encoder) spill() {
 	}
 }
 
-// write hands the block to the writer and empties it; after an error it
-// only empties it. A short write without an error is io.ErrShortWrite.
+// write hands the block to the writer and empties it.
 func (e *Encoder) write() {
+	e.put(e.b)
+	e.b = e.b[:0]
+}
+
+// put hands p to the writer unless a write has failed. A short write
+// without an error is io.ErrShortWrite.
+func (e *Encoder) put(p []byte) {
 	if e.err == nil {
-		n, err := e.w.Write(e.b)
+		n, err := e.w.Write(p)
 		e.written += int64(n)
-		if err == nil && n < len(e.b) {
+		if err == nil && n < len(p) {
 			err = io.ErrShortWrite
 		}
 		e.err = err
 	}
-	e.b = e.b[:0]
 }
 
 // The contexts a byte is escaped in.

@@ -48,7 +48,7 @@ func (e *flworExpr) eval(ctx *context) (Sequence, error) {
 	if len(e.orderBy) > 0 {
 		sort.SliceStable(outs, func(a, b int) bool {
 			for k, spec := range e.orderBy {
-				c := compareItems(outs[a].keys[k], outs[b].keys[k])
+				c := orderItems(outs[a].keys[k], outs[b].keys[k])
 				if c == 0 {
 					continue
 				}
@@ -245,7 +245,7 @@ func (e *binaryExpr) eval(ctx *context) (Sequence, error) {
 		// General comparison: existential over atomized items.
 		for _, a := range lv {
 			for _, b := range rv {
-				if cmpSatisfies(e.op, compareItems(atomize(a), atomize(b))) {
+				if c, ok := compareItems(atomize(a), atomize(b)); ok && cmpSatisfies(e.op, c) || !ok && e.op == "!=" {
 					return Sequence{true}, nil
 				}
 			}
@@ -390,20 +390,42 @@ func atomize(i Item) Item {
 }
 
 // compareItems compares two atomized items, numerically when both parse as
-// numbers, else as strings.
-func compareItems(a, b Item) int {
+// numbers, else as strings. ok is false when a numeric comparison has a
+// NaN operand: NaN is unordered, unequal even to itself, so such a pair
+// satisfies only "!=".
+func compareItems(a, b Item) (c int, ok bool) {
 	af, aok := toFloat(a)
 	bf, bok := toFloat(b)
 	if aok && bok {
 		switch {
 		case af < bf:
-			return -1
+			return -1, true
 		case af > bf:
-			return 1
+			return 1, true
+		case af == bf:
+			return 0, true
 		}
-		return 0
+		return 0, false
 	}
-	return strings.Compare(stringValue(a), stringValue(b))
+	return strings.Compare(stringValue(a), stringValue(b)), true
+}
+
+// orderItems is order by's comparison: compareItems, with NaN keys equal
+// to each other and ahead of every number, so that the sort's order
+// stays a strict weak order.
+func orderItems(a, b Item) int {
+	if c, ok := compareItems(a, b); ok {
+		return c
+	}
+	af, _ := toFloat(a)
+	bf, _ := toFloat(b)
+	switch {
+	case math.IsNaN(af) && math.IsNaN(bf):
+		return 0
+	case math.IsNaN(af):
+		return -1
+	}
+	return 1
 }
 
 func toFloat(i Item) (float64, bool) {

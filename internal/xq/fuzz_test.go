@@ -41,6 +41,8 @@ func FuzzQuery(f *testing.F) {
 		`for $b in doc("lib.xml")//book where $b/@year > 2000 order by $b/title return <t>{string($b/title)}</t>`,
 		`count()`, `substring("abc", 2, 1)`, `concat()`, `distinct-values(doc("lib.xml")//author)`,
 		`some $x in (1, 2) satisfies $x = 2`, `doc("lib.xml")/book[1]/..`,
+		`"NaN" = 5`, `"NaN" != "NaN"`, `0 div 0 < 1`, `"INF" > "1e308"`, `"-Infinity" <= -1`,
+		`"-0" = 0`, `" 5 " = 5`, `for $x in ("3", "NaN", "-INF", "NaN", "1") order by $x descending return $x`,
 	} {
 		f.Add(seed)
 	}

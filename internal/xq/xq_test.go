@@ -109,6 +109,53 @@ func TestOrderByNumeric(t *testing.T) {
 	}
 }
 
+// TestNumericComparisonEdges: a numeric comparison with a NaN operand
+// satisfies only "!=", even against NaN; infinities, negative zero and
+// padded numbers compare as the numbers they parse as.
+func TestNumericComparisonEdges(t *testing.T) {
+	tests := []struct{ q, want string }{
+		{`"NaN" = 5`, "false"},
+		{`"NaN" != 5`, "true"},
+		{`"NaN" < 5`, "false"},
+		{`"NaN" >= 5`, "false"},
+		{`"NaN" = "NaN"`, "false"},
+		{`"NaN" != "NaN"`, "true"},
+		{`0 div 0 = 0 div 0`, "false"},
+		{`0 div 0 != 1`, "true"},
+		{`0 div 0 <= 1`, "false"},
+		{`("NaN", 5) = 5`, "true"},
+		{`"INF" > "1e308"`, "true"},
+		{`"+Inf" = 1 div 0`, "true"},
+		{`"-Infinity" < "-1e308"`, "true"},
+		{`"-INF" >= "-inf"`, "true"},
+		{`"-0" = 0`, "true"},
+		{`"-0" < 0`, "false"},
+		{`" 5 " = 5`, "true"},
+		{`" 5 " != "5"`, "false"},
+		{`"abc" != 5`, "true"},
+	}
+	for _, tt := range tests {
+		if got := q(t, tt.q); got != tt.want {
+			t.Errorf("%s = %s, want %s", tt.q, got, tt.want)
+		}
+	}
+}
+
+// TestOrderByNaN: NaN keys sort together, ahead of every number, in a
+// stable sort either way round.
+func TestOrderByNaN(t *testing.T) {
+	tests := []struct{ q, want string }{
+		{`for $x in ("3", "NaN", "-INF", "nan", "1", "INF") order by $x return $x`, "NaN nan -INF 1 3 INF"},
+		{`for $x in ("3", "NaN", "-INF", "nan", "1", "INF") order by $x descending return $x`, "INF 3 1 -INF NaN nan"},
+		{`for $x in (2, 0 div 0, 1, 0 div 0) order by $x return $x`, "NaN NaN 1 2"},
+	}
+	for _, tt := range tests {
+		if got := q(t, tt.q); got != tt.want {
+			t.Errorf("%s = %s, want %s", tt.q, got, tt.want)
+		}
+	}
+}
+
 func TestLetClause(t *testing.T) {
 	got := q(t, `let $books := doc("lib.xml")/book return count($books)`)
 	if got != "3" {
