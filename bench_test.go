@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -85,11 +86,8 @@ func (p prepared) dump(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	re, err := d.Reconstruct()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := re.WriteXML(io.Discard, false); err != nil {
+	e := xmltree.NewEncoder(io.Discard, false)
+	if err := errors.Join(d.Walk(e), e.Flush()); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -19,6 +20,7 @@ import (
 	"xmorph/internal/engine"
 	"xmorph/internal/gen/xmark"
 	"xmorph/internal/store"
+	"xmorph/internal/xmltree"
 )
 
 func main() {
@@ -66,11 +68,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	re, err := d.Reconstruct()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := re.WriteXML(io.Discard, false); err != nil {
+	e := xmltree.NewEncoder(io.Discard, false)
+	if err := errors.Join(d.Walk(e), e.Flush()); err != nil {
 		log.Fatal(err)
 	}
 	after = st.Stats()

@@ -12,6 +12,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -129,7 +130,8 @@ func (c *Config) runStored(path, name, guard string, monitor bool) (*storedRun, 
 // runBaseline measures the eXist-equivalent operation: read the stored
 // document in document order and serialize it (the paper notes eXist's
 // timing "is essentially that of reading the document from disk to a
-// String object").
+// String object"): the store's Walk streamed into an Encoder, no tree
+// built.
 func (c *Config) runBaseline(path, name string) (time.Duration, error) {
 	st, err := c.coldOpen(path)
 	if err != nil {
@@ -143,11 +145,8 @@ func (c *Config) runBaseline(path, name string) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	re, err := doc.Reconstruct()
-	if err != nil {
-		return 0, err
-	}
-	if err := re.WriteXML(io.Discard, false); err != nil {
+	e := xmltree.NewEncoder(io.Discard, false)
+	if err := errors.Join(doc.Walk(e), e.Flush()); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil

@@ -82,8 +82,8 @@ func TestAtomicDrop(t *testing.T) {
 		if _, err := v.Shape("d"); err != nil {
 			return fmt.Errorf("reader during Drop: %w", err)
 		}
-		if n := d.Size(); n != nodes {
-			return fmt.Errorf("reader during Drop saw %d of %d nodes", n, nodes)
+		if n, err := walkSize(d); n != nodes || err != nil {
+			return fmt.Errorf("reader during Drop saw %d of %d nodes (err %v)", n, nodes, err)
 		}
 		return nil
 	})
@@ -120,8 +120,8 @@ func TestAtomicUpdate(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("reader during Update: %w", err)
 		}
-		if n := d.Size(); n != 3001 && n != 1 {
-			return fmt.Errorf("reader during Update saw %d nodes, want 3001 or 1", n)
+		if n, err := walkSize(d); n != 3001 && n != 1 || err != nil {
+			return fmt.Errorf("reader during Update saw %d nodes (err %v), want 3001 or 1", n, err)
 		}
 		return nil
 	})

@@ -83,9 +83,9 @@ func TestMultipleMultiChunkSiblings(t *testing.T) {
 	}
 }
 
-// TestSizeCountsWithoutCaching: Doc.Size must count every vertex by
-// scanning header-chunk keys, without materializing or caching any type
-// sequence.
+// TestSizeCountsWithoutCaching: a Walk must count every vertex once,
+// however many chunks its value spans, without materializing or caching
+// any type sequence.
 func TestSizeCountsWithoutCaching(t *testing.T) {
 	s := OpenMemory()
 	defer s.Close()
@@ -99,22 +99,22 @@ func TestSizeCountsWithoutCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	// data, 2×book, 2×@id, 2×title = 7 vertices.
-	if got := doc.Size(); got != 7 {
-		t.Errorf("Size = %d, want 7", got)
+	if got, err := walkSize(doc); got != 7 || err != nil {
+		t.Errorf("Walk counted %d nodes (err %v), want 7", got, err)
 	}
 	doc.mu.Lock()
 	cached := len(doc.cache)
 	doc.mu.Unlock()
 	if cached != 0 {
-		t.Errorf("Size materialized %d type sequences", cached)
+		t.Errorf("Walk materialized %d type sequences", cached)
 	}
 	// And it must agree with full materialization.
 	n := 0
 	for _, typ := range doc.Types() {
 		n += len(doc.NodesOfType(typ))
 	}
-	if got := doc.Size(); got != n {
-		t.Errorf("Size = %d, materialized count = %d", got, n)
+	if got, _ := walkSize(doc); got != n {
+		t.Errorf("Walk counted %d nodes, materialized count = %d", got, n)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestBatchedShredRoundTripsParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Size() != want.Size() {
-		t.Fatalf("sizes differ: stored %d, parsed %d", doc.Size(), want.Size())
+	if n, err := walkSize(doc); n != want.Size() || err != nil {
+		t.Fatalf("sizes differ: stored %d (err %v), parsed %d", n, err, want.Size())
 	}
 	got, err := doc.Reconstruct()
 	if err != nil {

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"strings"
@@ -18,9 +19,11 @@ import (
 // checkShredAgainstParse is the ingest differential: the stored path and
 // the in-memory path read one input the same way. Shred accepts exactly
 // what xmltree.Parse accepts; an accepted document round-trips — every
-// node reachable through NodesOfType, the counts agreeing with ShredInfo
-// and the Size scan — reconstructs to the parsed tree's bytes, and its
-// stored shape is the shape inferred from the parsed tree.
+// node reachable through NodesOfType, the count agreeing with ShredInfo —
+// reconstructs to the parsed tree's bytes, streams through Walk into an
+// Encoder as the parsed tree serializes, compact and indented, and its
+// stored shape and the shape folded from its Walk are the shape inferred
+// from the parsed tree.
 func checkShredAgainstParse(t testing.TB, data []byte) {
 	t.Helper()
 	parsed, parseErr := xmltree.Parse(bytes.NewReader(data))
@@ -44,9 +47,6 @@ func checkShredAgainstParse(t testing.TB, data []byte) {
 	if nodes != info.Nodes {
 		t.Fatalf("NodesOfType found %d nodes, ShredInfo reported %d", nodes, info.Nodes)
 	}
-	if sz := d.Size(); sz != info.Nodes {
-		t.Fatalf("Size scan counted %d nodes, ShredInfo reported %d", sz, info.Nodes)
-	}
 	re, err := d.Reconstruct()
 	if err != nil {
 		t.Fatalf("stored document does not reconstruct: %v", err)
@@ -54,12 +54,30 @@ func checkShredAgainstParse(t testing.TB, data []byte) {
 	if got, want := re.XML(false), parsed.XML(false); got != want {
 		t.Fatalf("reconstruction differs from the parsed input:\nstored: %s\nparsed: %s", got, want)
 	}
+	for _, indent := range []bool{false, true} {
+		var b strings.Builder
+		e := xmltree.NewEncoder(&b, indent)
+		if err := errors.Join(d.Walk(e), e.Flush()); err != nil {
+			t.Fatalf("stored document does not stream: %v", err)
+		}
+		if got, want := b.String(), parsed.XML(indent); got != want {
+			t.Fatalf("streamed dump (indent %v) differs from the parsed input:\nstored: %s\nparsed: %s", indent, got, want)
+		}
+	}
 	stored, err := st.Shape("doc")
 	if err != nil {
 		t.Fatalf("Shape: %v", err)
 	}
-	if inferred := shape.FromDocument(parsed); store.HashShape(stored) != store.HashShape(inferred) {
+	inferred := shape.FromDocument(parsed)
+	if store.HashShape(stored) != store.HashShape(inferred) {
 		t.Fatalf("stored shape differs from the shape of the parsed input:\nstored:\n%s\nparsed:\n%s", stored, inferred)
+	}
+	folded, err := store.FoldShape(d)
+	if err != nil {
+		t.Fatalf("folding the walk: %v", err)
+	}
+	if store.HashShape(folded) != store.HashShape(inferred) {
+		t.Fatalf("shape folded from the walk differs from the shape of the parsed input:\nfolded:\n%s\nparsed:\n%s", folded, inferred)
 	}
 }
 

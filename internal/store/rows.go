@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -334,8 +333,8 @@ func (v *View) ShapeHash(name string) (uint64, bool, error) {
 // convertShapes rewrites the documents of a store written before the
 // shape became rows — each holding its shape as a chunked text record,
 // 'S' docID chunk, and the oldest of them no hash record — into rows and
-// a hash record. Each document's rows come from folding its stored node
-// records, the fold its shred ran, so the text is never parsed. The whole
+// a hash record. Each document's rows come from folding its Walk, the
+// fold its shred ran, so the text is never parsed. The whole
 // conversion is one transaction: a crash leaves the store in the old
 // format or the new one, and the next Open converts what is left. A store
 // with no 'S' record is neither written nor left with pages in its pool.
@@ -373,11 +372,11 @@ func (s *Store) convertShapes() error {
 				return err
 			}
 			reg := newTypeRegistry(types)
-			f, err := foldStored(&Doc{typeRegistry: reg, r: v.snap, id: id})
-			if err != nil {
+			var fh foldHandler
+			if err := (&Doc{typeRegistry: reg, r: v.snap, id: id}).Walk(&fh); err != nil {
 				return err
 			}
-			arena, recs, h, err := appendShapeRows(nil, nil, id, reg, f)
+			arena, recs, h, err := appendShapeRows(nil, nil, id, reg, &fh.f)
 			if err != nil {
 				return err
 			}
@@ -397,75 +396,35 @@ func (s *Store) convertShapes() error {
 	})
 }
 
-// foldStored folds a stored document's nodes in document order, as its
-// shred did: the type sequences merge on their Dewey keys, which compare
-// as bytes in document order, and a node closes every open node at or
-// below its depth before it opens.
-func foldStored(d *Doc) (*shape.Fold, error) {
-	var h scanHeap
-	defer func() {
-		for _, sc := range h {
-			sc.Close()
-		}
-	}()
-	for _, t := range d.types {
-		sc := d.ScanType(t)
-		if sc.Next() {
-			h = append(h, &typeHead{sc, t})
-			continue
-		}
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-	}
-	heap.Init(&h)
-	f := &shape.Fold{}
-	depth := 0
-	for len(h) > 0 {
-		top := h[0]
-		dd := len(top.DeweyKey()) / 4
-		for ; depth >= dd; depth-- {
-			f.Close()
-		}
-		if dd != depth+1 {
-			return nil, fmt.Errorf("%w: node of %s at depth %d under depth %d", ErrStorage, top.t, dd, depth)
-		}
-		f.Open(top.t)
-		depth++
-		if top.Next() {
-			heap.Fix(&h, 0)
-			continue
-		}
-		if err := top.Err(); err != nil {
-			return nil, err
-		}
-		heap.Pop(&h)
-	}
-	for ; depth > 0; depth-- {
-		f.Close()
-	}
-	return f, nil
+// foldHandler folds the nodes of a Walk as the shred did, keeping the
+// type path of each open element to name its children's types.
+type foldHandler struct {
+	f    shape.Fold
+	path []string
 }
 
-// typeHead is one type's scan in foldStored's merge, positioned on its
-// next node.
-type typeHead struct {
-	*TypeScan
-	t string
+func (h *foldHandler) Start(name string) {
+	h.path = append(h.path, h.child(name))
+	h.f.Open(h.path[len(h.path)-1])
 }
 
-// scanHeap orders type scans by their current node's Dewey key.
-type scanHeap []*typeHead
-
-func (h scanHeap) Len() int { return len(h) }
-func (h scanHeap) Less(i, j int) bool {
-	return string(h[i].DeweyKey()) < string(h[j].DeweyKey())
+func (h *foldHandler) Attr(name, _ string) {
+	h.f.Open(h.child("@" + name))
+	h.f.Close()
 }
-func (h scanHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *scanHeap) Push(x any)   { *h = append(*h, x.(*typeHead)) }
-func (h *scanHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+
+func (h *foldHandler) End() {
+	h.f.Close()
+	h.path = h.path[:len(h.path)-1]
+}
+
+func (h *foldHandler) Text(string) {}
+func (h *foldHandler) Err() error  { return nil }
+
+// child is the type of the open element's child named name.
+func (h *foldHandler) child(name string) string {
+	if len(h.path) == 0 {
+		return name
+	}
+	return h.path[len(h.path)-1] + xmltree.TypeSep + name
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"container/heap"
 	"encoding/binary"
 	"fmt"
 
@@ -162,4 +163,82 @@ func (s *TypeScan) close() {
 	if s.it != nil {
 		s.it.Close()
 	}
+}
+
+// Walk hands the stored document to h in document order, as the events
+// xmltree.Scan hands over for its serialization. It is the store's one
+// document-order walk: it merges the type scans on their Dewey keys,
+// which compare as bytes in document order, holding one node per type
+// and building nothing. An element's text waits for its attributes. A
+// node more than one level below the open element, or an attribute after
+// its element's content, is an ErrStorage error. The walk stops at the
+// first storage error or failure of h and returns it.
+func (d *Doc) Walk(h xmltree.Handler) error {
+	var q scanHeap
+	defer func() {
+		for _, sc := range q {
+			sc.Close()
+		}
+	}()
+	for _, t := range d.types {
+		sc := d.ScanType(t)
+		if sc.Next() {
+			q = append(q, sc)
+		} else if err := sc.Err(); err != nil {
+			return err
+		}
+	}
+	heap.Init(&q)
+	depth, tag, text := 0, false, "" // tag: the open element has shown only attributes
+	for len(q) > 0 {
+		top := q[0]
+		dd := len(top.key) / 4
+		if top.attr && tag && dd == depth+1 {
+			h.Attr(top.name[1:], string(top.cur))
+		} else {
+			if tag && text != "" {
+				h.Text(text)
+			}
+			for ; depth >= dd; depth-- {
+				h.End()
+			}
+			if dd != depth+1 || top.attr {
+				return fmt.Errorf("%w: node %s (%s) out of place under depth %d", ErrStorage, top.Dewey(), top.name, depth)
+			}
+			h.Start(top.name)
+			tag, text = true, string(top.cur)
+			depth++
+		}
+		if err := h.Err(); err != nil {
+			return err
+		}
+		if top.Next() {
+			heap.Fix(&q, 0)
+		} else if err := top.Err(); err != nil {
+			return err
+		} else {
+			heap.Pop(&q)
+		}
+	}
+	if tag && text != "" {
+		h.Text(text)
+	}
+	for ; depth > 0; depth-- {
+		h.End()
+	}
+	return h.Err()
+}
+
+// scanHeap orders type scans by their current node's Dewey key.
+type scanHeap []*TypeScan
+
+func (h scanHeap) Len() int           { return len(h) }
+func (h scanHeap) Less(i, j int) bool { return string(h[i].key) < string(h[j].key) }
+func (h scanHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *scanHeap) Push(x any)        { *h = append(*h, x.(*TypeScan)) }
+func (h *scanHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }

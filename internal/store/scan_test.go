@@ -2,7 +2,14 @@ package store
 
 import (
 	"errors"
+	"io"
+	"math"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"strings"
+	"sync"
 	"testing"
 
 	"xmorph/internal/gen/xmark"
@@ -88,7 +95,7 @@ func TestScanTypeChunkedValues(t *testing.T) {
 
 // TestScanTypeBrokenChunkChain: a long value missing a continuation
 // chunk is corruption — updates rewrite a value's chunks together — so
-// the scan, the materialized load and Reconstruct all report an
+// the scan, the materialized load, Walk and Reconstruct all report an
 // ErrStorage instead of serving the value cut short.
 func TestScanTypeBrokenChunkChain(t *testing.T) {
 	for _, missing := range []uint16{1, 3} { // a middle chunk, the last
@@ -124,8 +131,143 @@ func TestScanTypeBrokenChunkChain(t *testing.T) {
 		if _, err := doc.Reconstruct(); !errors.Is(err, ErrStorage) {
 			t.Errorf("chunk %d deleted: Reconstruct err = %v, want an ErrStorage", missing, err)
 		}
+		if _, err := walkSize(doc); !errors.Is(err, ErrStorage) {
+			t.Errorf("chunk %d deleted: Walk err = %v, want an ErrStorage", missing, err)
+		}
 		s.Close()
 	}
+}
+
+// nodeCounter is a Handler that counts the nodes it is handed: elements
+// and attributes.
+type nodeCounter int
+
+func (n *nodeCounter) Start(string)        { *n++ }
+func (n *nodeCounter) Attr(string, string) { *n++ }
+func (*nodeCounter) Text(string)           {}
+func (*nodeCounter) End()                  {}
+func (*nodeCounter) Err() error            { return nil }
+
+// walkSize counts the nodes d's Walk hands over before it ends.
+func walkSize(d *Doc) (int, error) {
+	var n nodeCounter
+	err := d.Walk(&n)
+	return int(n), err
+}
+
+// failingWriter takes n writes, then refuses every one.
+type failingWriter struct{ n int }
+
+var errRefused = errors.New("write refused")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errRefused
+	}
+	w.n--
+	return len(p), nil
+}
+
+// TestWalkFailures: Walk stops at the first fault and returns it. A node
+// record whose parent's is missing and a value's chunk chain that breaks
+// off after the walk has begun are ErrStorage errors; a handler that
+// fails — an Encoder whose writer refuses its second block — ends the
+// walk with the handler's error, long before it has read the document.
+func TestWalkFailures(t *testing.T) {
+	t.Run("missing parent", func(t *testing.T) {
+		s := OpenMemory()
+		defer s.Close()
+		if _, err := s.Shred("d", strings.NewReader(`<a><b><c>1</c></b><b/></a>`), nil); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := s.Doc("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.db.Delete(nodeKey(doc.id, doc.typeID["a.b"], xmltree.Dewey{1, 1}, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := walkSize(doc); !errors.Is(err, ErrStorage) {
+			t.Errorf("Walk err = %v, want an ErrStorage", err)
+		}
+		if _, err := doc.Reconstruct(); !errors.Is(err, ErrStorage) {
+			t.Errorf("Reconstruct err = %v, want an ErrStorage", err)
+		}
+	})
+
+	t.Run("chain breaks mid-walk", func(t *testing.T) {
+		s := OpenMemory()
+		defer s.Close()
+		big := strings.Repeat("lorem ipsum ", 400) // four chunks
+		if _, err := s.Shred("d", strings.NewReader("<doc><body>small</body><body>"+big+"</body></doc>"), nil); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := s.Doc("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.db.Delete(nodeKey(doc.id, doc.typeID["doc.body"], xmltree.Dewey{1, 2}, 2)); err != nil {
+			t.Fatal(err)
+		}
+		n, err := walkSize(doc)
+		if !errors.Is(err, ErrStorage) {
+			t.Errorf("Walk err = %v, want an ErrStorage", err)
+		}
+		if n != 2 {
+			t.Errorf("Walk handed over %d nodes before the break, want 2", n)
+		}
+	})
+
+	t.Run("handler fails", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "d.db")
+		s, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xml := xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42}).XML(false)
+		if _, err := s.Shred("d", strings.NewReader(xml), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Each dump opens the store cold and counts the blocks it reads.
+		pages := func(w io.Writer) (int64, error) {
+			s, err := Open(path, WithCachePages(4096))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			doc, err := s.Doc("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := s.Stats().BlocksRead
+			err = doc.Walk(xmltree.NewEncoder(w, false))
+			return s.Stats().BlocksRead - before, err
+		}
+		full, err := pages(io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Opening the walk positions a cursor on each type's first node,
+		// which reads the first leaf of every type's run: the blocks a
+		// walk that fails at its first block reads. One block later the
+		// walk has read a few leaves more, each crossing with its
+		// read-ahead window (8 leaves), and stopped.
+		first, err := pages(&failingWriter{n: 0})
+		if !errors.Is(err, errRefused) {
+			t.Fatalf("Walk err = %v, want the writer's", err)
+		}
+		cut, err := pages(&failingWriter{n: 1})
+		if !errors.Is(err, errRefused) {
+			t.Fatalf("Walk err = %v, want the writer's", err)
+		}
+		t.Logf("blocks read: %d by the full dump, %d and %d by dumps failing at their first and second block", full, first, cut)
+		if cut > first+32 || cut > full/3 {
+			t.Errorf("the dump failing at its second block read %d blocks, at its first %d, the full one %d", cut, first, full)
+		}
+	})
 }
 
 // TestScanTypeAttributes: attribute types scan like any other, and the
@@ -270,4 +412,91 @@ func TestViewDocBytes(t *testing.T) {
 	if limit := int64(reg + (16+64)*len(doc.Types()) + 4096); perOp > limit {
 		t.Errorf("View.Doc allocates %d bytes, want <= %d", perOp, limit)
 	}
+}
+
+// TestWalkPeakHeapFlat: the streamed dump holds one node per type and
+// builds nothing, so the heap it adds while it runs stays flat from
+// XMark sf 0.01 to sf 0.05, five times the nodes. Both stores stay live
+// throughout, so the collector marks the same heap in both measurements.
+// Reconstruct's sort over every materialized node grew by megabytes;
+// the slack covers the collector's timing (the walk's own growth is
+// under 100 KB).
+func TestWalkPeakHeapFlat(t *testing.T) {
+	const slack = 256 << 10
+	var peaks [2]uint64
+	var dumps [2]func()
+	for i, factor := range []float64{0.01, 0.05} {
+		s := OpenMemory(WithCachePages(4096))
+		defer s.Close()
+		xml := xmark.Generate(xmark.Config{Factor: factor, Seed: 42}).XML(false)
+		if _, err := s.Shred("d", strings.NewReader(xml), nil); err != nil {
+			t.Fatal(err)
+		}
+		v := s.View()
+		defer v.Close()
+		dumps[i] = func() {
+			doc, err := v.Doc("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := xmltree.NewEncoder(io.Discard, false)
+			if err := errors.Join(doc.Walk(e), e.Flush()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dumps[i]() // warm the page cache
+	}
+	for i, dump := range dumps {
+		peaks[i] = peakHeap(dump)
+	}
+	t.Logf("peak heap added: %d KB at sf 0.01, %d KB at sf 0.05", peaks[0]>>10, peaks[1]>>10)
+	if peaks[1] > peaks[0]+slack {
+		t.Errorf("peak heap grew from %d KB to %d KB, want at most %d KB more", peaks[0]>>10, peaks[1]>>10, slack>>10)
+	}
+}
+
+// peakHeap returns the most heap f keeps live above what was live
+// before it: the largest live heap any collection during f finds, under
+// a collector that runs every few dozen kilobytes. A collection also
+// counts what f allocates while it marks, so the least of five rounds is
+// taken. (internal/logical's peak-heap guard measures the same way.)
+func peakHeap(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(1))
+	least := uint64(math.MaxUint64)
+	for round := 0; round < 5; round++ {
+		least = min(least, peakRound(f))
+	}
+	return least
+}
+
+func peakRound(f func()) uint64 {
+	runtime.GC()
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(sample)
+	base, peak := sample[0].Value.Uint64(), uint64(0)
+	stop, started := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s := []metrics.Sample{{Name: sample[0].Name}}
+		close(started)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			metrics.Read(s)
+			peak = max(peak, s[0].Value.Uint64())
+			runtime.Gosched()
+		}
+	}()
+	<-started
+	for i := 0; i < 4; i++ {
+		f()
+	}
+	close(stop)
+	wg.Wait()
+	return max(peak, base) - base
 }

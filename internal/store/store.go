@@ -523,59 +523,16 @@ func (d *Doc) Err() error {
 	return d.err
 }
 
-// Size returns the total number of stored vertices across all types. It
-// counts header chunks in one key scan over the document's node range —
-// no values are decoded and nothing is materialized or cached.
-func (d *Doc) Size() int {
-	n := 0
-	_ = d.r.AscendPrefix(blobKey('N', d.id), func(k, v []byte) bool {
-		if _, chunk, ok := splitNodeKey(k); ok && chunk == 0 {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-// Reconstruct rebuilds the full document tree from the store in document
-// order — the work the eXist baseline performs when it dumps a stored
-// document (Section IX's comparison query). It merges every type sequence
-// by Dewey number and reattaches parentage.
+// Reconstruct rebuilds the full document tree from the store: its Walk
+// into a tree builder. A document whose every node was deleted has no
+// roots.
 func (d *Doc) Reconstruct() (*xmltree.Document, error) {
-	var all []*xmltree.Node
-	for _, t := range d.types {
-		all = append(all, d.NodesOfType(t)...)
-	}
-	if err := d.Err(); err != nil {
+	b := xmltree.NewBuilder()
+	if err := d.Walk(b.Handler()); err != nil {
 		return nil, err
 	}
-	if len(all) == 0 {
+	if b.Last() == nil {
 		return &xmltree.Document{}, nil
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Dewey.Compare(all[j].Dewey) < 0 })
-	b := xmltree.NewBuilder()
-	depth := 0
-	for _, n := range all {
-		for depth >= len(n.Dewey) {
-			b.End()
-			depth--
-		}
-		if len(n.Dewey) != depth+1 {
-			return nil, fmt.Errorf("store: reconstruct: node %s at depth %d under depth %d", n.Dewey, len(n.Dewey)-1, depth)
-		}
-		if n.Attr {
-			b.Attr(n.LocalName(), n.Value)
-			continue
-		}
-		b.Elem(n.Name)
-		if n.Value != "" {
-			b.Text(n.Value)
-		}
-		depth++
-	}
-	for depth > 0 {
-		b.End()
-		depth--
 	}
 	return b.Document()
 }

@@ -59,8 +59,8 @@ func TestShredAndLoadSequences(t *testing.T) {
 	if doc.NodesOfType("no.such.type") != nil {
 		t.Error("unknown type should be nil")
 	}
-	if doc.Size() != 13 {
-		t.Errorf("Size = %d, want 13", doc.Size())
+	if n, err := walkSize(doc); n != 13 || err != nil {
+		t.Errorf("Walk counted %d nodes (err %v), want 13", n, err)
 	}
 }
 

@@ -110,14 +110,17 @@ func (n *Node) Replay(h Handler) {
 // accumulated into the enclosing element's Value.
 func Parse(r io.Reader) (*Document, error) {
 	b := NewBuilder()
-	if err := Scan(r, builderHandler{b}); err != nil {
+	if err := Scan(r, b.Handler()); err != nil {
 		return nil, err
 	}
 	return b.Document()
 }
 
-// builderHandler is Builder under the Handler signatures (Builder's own
-// methods return the builder, for chaining).
+// Handler returns b under the Handler signatures (Builder's own methods
+// return the builder, for chaining), so a reader can build a tree from
+// its events.
+func (b *Builder) Handler() Handler { return builderHandler{b} }
+
 type builderHandler struct{ b *Builder }
 
 func (h builderHandler) Start(name string)       { h.b.Elem(name) }
