@@ -336,8 +336,8 @@ func BenchmarkHotpathCachedJoin(b *testing.B) {
 	sink := 0
 	for i := 0; i < b.N; i++ {
 		g := closest.GroupJoin(auctions, bidders, nil)
-		for _, a := range auctions {
-			sink += len(g.Of(a))
+		for i := range auctions {
+			sink += len(g.Of(i))
 		}
 	}
 	_ = sink
@@ -376,15 +376,17 @@ func BenchmarkHotpathLogical(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpathStream measures the streamed read path of a selective
-// and a whole-document guard (benchmark/'s bidders and identity classes)
-// over a stored XMark sf 0.05 document with an 8 192-page pool, guard
-// cache warm: through engine.Run into io.Discard, and as a streamed
-// format "xml" request to the xmorphd handler on a loopback server.
+// BenchmarkHotpathStream measures the read path of a whole-document and
+// a selective guard the planner streams and of one it renders through
+// closest joins (benchmark/'s identity, bidders and invert classes) over
+// a stored XMark sf 0.05 document with an 8 192-page pool, guard cache
+// warm: through engine.Run into io.Discard, and as a streamed format
+// "xml" request to the xmorphd handler on a loopback server.
 func BenchmarkHotpathStream(b *testing.B) {
 	guards := []struct{ name, guard string }{
 		{"identity", "CAST MUTATE site"},
 		{"bidders", "CAST MORPH open_auction [ bidder [ increase ] ]"},
+		{"invert", "CAST MORPH bidder [ open_auction [ itemref ] ]"},
 	}
 	p := prepare(b, "main", xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42}))
 	eng, err := engine.Open(p.path, engine.WithCachePages(8192))

@@ -7,11 +7,12 @@
 // those types). With rooted type paths this has a purely structural
 // characterization: v and w are closest if and only if their Dewey numbers
 // share a prefix exactly as long as the common label prefix of their type
-// paths — which is what lets the join run as a merge over two
-// document-ordered node sequences.
+// paths — which is what lets the join run as a merge over the Dewey keys
+// of two document-ordered type sequences.
 package closest
 
 import (
+	"bytes"
 	"strings"
 	"sync/atomic"
 
@@ -96,81 +97,95 @@ type Pair struct {
 // in document order. Every node in vs must have the same type, likewise ws
 // (the sequences come from the TypeToSequence table). It returns the
 // closest pairs ordered by (V, W) document order.
-//
-// The join predicate is structural: a pair is closest when the Dewey
-// numbers share a prefix of exactly typeLCP(typeof vs, typeof ws)
-// components, so the join is a single merge over the two sorted sequences
-// with a cross product inside each shared-prefix group — O(input + output).
 func Join(vs, ws []*xmltree.Node) []Pair {
 	var out []Pair
-	joinWith(vs, ws, func(v, w *xmltree.Node) { out = append(out, Pair{V: v, W: w}) })
+	JoinWithRec(vs, ws, nil, func(v, w *xmltree.Node) { out = append(out, Pair{V: v, W: w}) })
 	return out
 }
 
-// JoinWithRec streams the closest join, invoking fn for each pair grouped
-// by V in document order. It allocates no pair slice; the renderer uses it
-// to pipeline joins (Section VII's streaming evaluation). rec optionally
-// records statistics; a nil rec costs no extra allocations.
+// JoinWithRec streams the closest join of Join, invoking fn for each pair
+// grouped by V in document order: the key merge over the nodes' keys,
+// encoded on the stack while they fit, so that a small join allocates
+// nothing. rec optionally records statistics.
 func JoinWithRec(vs, ws []*xmltree.Node, rec *Recorder, fn func(v, w *xmltree.Node)) {
-	if rec == nil {
-		joinWith(vs, ws, fn)
-		return
-	}
+	var vb, wb [256]byte
+	vk, wk := xmltree.NodeSeq(vs, vb[:0]), xmltree.NodeSeq(ws, wb[:0])
 	pairs := 0
-	joinWith(vs, ws, func(v, w *xmltree.Node) {
+	merge(&vk, &wk, func(i, j int) {
 		pairs++
-		fn(v, w)
+		fn(vs[i], ws[j])
 	})
 	rec.record(len(vs), len(ws), pairs)
 }
 
-func joinWith(vs, ws []*xmltree.Node, fn func(v, w *xmltree.Node)) {
-	if len(vs) == 0 || len(ws) == 0 {
+// GroupJoin is Group over two node sequences: the partners of vs[i] are
+// ws[j] for each j in Of(i). rec may be nil.
+func GroupJoin(vs, ws []*xmltree.Node, rec *Recorder) *Grouped {
+	vk, wk := xmltree.NodeSeq(vs, nil), xmltree.NodeSeq(ws, nil)
+	return Group(&vk, &wk, rec)
+}
+
+// Group performs the closest join of Section VII between two type
+// sequences and groups its pairs by their left (parent) vertex.
+func Group(vs, ws *xmltree.Seq, rec *Recorder) *Grouped {
+	n := vs.Len()
+	g := &Grouped{offsets: make([]int32, n+1), kids: make([]int32, 0, max(n, ws.Len()))}
+	set := 0 // the parents whose group start is set
+	merge(vs, ws, func(i, j int) {
+		for ; set <= i; set++ {
+			g.offsets[set] = int32(len(g.kids))
+		}
+		g.kids = append(g.kids, int32(j))
+	})
+	for ; set <= n; set++ {
+		g.offsets[set] = int32(len(g.kids))
+	}
+	rec.record(n, ws.Len(), len(g.kids))
+	return g
+}
+
+// merge is the closest join: it calls pair(i, j) for every closest pair
+// of vs's vertex i and ws's vertex j, grouped by i and each group in j
+// order, both ascending.
+//
+// The join predicate is structural: a pair is closest when the Dewey
+// numbers share a prefix of exactly typeLCP(vs.Type, ws.Type) levels, so
+// the join is a single merge over the two key sequences comparing the
+// first KeySize(typeLCP) bytes of each key, with a cross product inside
+// each shared-prefix group: O(input + output). Two sequences of one type
+// are the same vertices, of which only the reflexive pairs are closest
+// (distance 0).
+func merge(vs, ws *xmltree.Seq, pair func(i, j int)) {
+	n, m := vs.Len(), ws.Len()
+	if n == 0 || m == 0 {
 		return
 	}
-	if vs[0].Type == ws[0].Type {
-		// Same type: only reflexive pairs are closest (distance 0).
-		// The sequences enumerate the same nodes.
-		for _, v := range vs {
-			fn(v, v)
+	if vs.Type == ws.Type {
+		for i := 0; i < n; i++ {
+			pair(i, i)
 		}
 		return
 	}
-	l := typeLCP(vs[0].Type, ws[0].Type)
+	l := xmltree.KeySize(typeLCP(vs.Type, ws.Type))
 	i, j := 0, 0
-	for i < len(vs) && j < len(ws) {
-		ki := prefixKey(vs[i].Dewey, l)
-		kj := prefixKey(ws[j].Dewey, l)
-		c := ki.Compare(kj)
-		switch {
+	for i < n && j < m {
+		p := vs.Key(i)[:l]
+		switch c := bytes.Compare(p, ws.Key(j)[:l]); {
 		case c < 0:
 			i++
 		case c > 0:
 			j++
 		default:
-			// Collect the group of vs and ws sharing this prefix and
-			// emit the cross product.
-			i2 := i
-			for i2 < len(vs) && prefixKey(vs[i2].Dewey, l).Equal(ki) {
-				i2++
-			}
-			j2 := j
-			for j2 < len(ws) && prefixKey(ws[j2].Dewey, l).Equal(ki) {
+			j2 := j + 1
+			for j2 < m && bytes.Equal(ws.Key(j2)[:l], p) {
 				j2++
 			}
-			for a := i; a < i2; a++ {
-				for b := j; b < j2; b++ {
-					fn(vs[a], ws[b])
+			for ; i < n && bytes.Equal(vs.Key(i)[:l], p); i++ {
+				for k := j; k < j2; k++ {
+					pair(i, k)
 				}
 			}
-			i, j = i2, j2
+			j = j2
 		}
 	}
-}
-
-func prefixKey(d xmltree.Dewey, l int) xmltree.Dewey {
-	if l > len(d) {
-		l = len(d)
-	}
-	return d[:l]
 }

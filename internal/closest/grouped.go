@@ -1,55 +1,29 @@
 package closest
 
-import "xmorph/internal/xmltree"
-
 // Grouped is a closest join grouped by its left (parent) input in a
-// CSR-style layout: all closest partners live in one contiguous kids
-// slice, and offsets — indexed by the parent node's Ord — bounds each
-// parent's group. Compared to a map[*Node][]*Node it costs two
-// allocations per join instead of one map plus one slice per parent, a
-// lookup is an array index instead of a hash probe, and iterating a
-// parent's partners walks contiguous memory. The renderer caches one
-// Grouped per (parent type, child type) edge.
-//
-// The layout relies on Ord increasing along a type sequence, which both
-// sources guarantee: xmltree.Document numbers vertices in document
-// order, and store.Doc numbers each type sequence 0..n-1 as it loads.
+// CSR-style layout: the partners of every parent lie in one contiguous
+// kids slice, as positions in the right (child) sequence, and offsets,
+// indexed by the parent's position in its own sequence, bound each
+// parent's group. A join costs two allocations, whatever its size; a
+// lookup is an array index, and iterating a parent's partners walks
+// contiguous memory.
 type Grouped struct {
-	// offsets has one entry per Ord in [0, maxParentOrd+1]; the partners
-	// of a parent p are kids[offsets[p.Ord]:offsets[p.Ord+1]]. Ords
-	// beyond the slice have no partners.
+	// offsets has one entry per parent and one more: the partners of
+	// parent i are kids[offsets[i]:offsets[i+1]].
 	offsets []int32
 	// kids holds every closest partner, grouped by parent, each group in
 	// document order.
-	kids []*xmltree.Node
+	kids []int32
 }
 
-// GroupJoin runs the closest join of vs and ws (see Join) and groups the
-// pairs by parent into a CSR index. rec may be nil.
-func GroupJoin(vs, ws []*xmltree.Node, rec *Recorder) *Grouped {
-	g := &Grouped{}
-	last := -1
-	JoinWithRec(vs, ws, rec, func(p, c *xmltree.Node) {
-		// Pairs arrive grouped by parent in ascending Ord; open empty
-		// groups for every Ord skipped since the previous parent.
-		for last < p.Ord {
-			g.offsets = append(g.offsets, int32(len(g.kids)))
-			last++
-		}
-		g.kids = append(g.kids, c)
-	})
-	g.offsets = append(g.offsets, int32(len(g.kids)))
-	return g
-}
-
-// Of returns v's closest partners in document order. The slice aliases
-// the shared kids array; callers must not modify it. Lookup is O(1) and
-// allocation-free.
-func (g *Grouped) Of(v *xmltree.Node) []*xmltree.Node {
-	if g == nil || v.Ord < 0 || v.Ord+1 >= len(g.offsets) {
+// Of returns the positions in the child sequence of the closest partners
+// of parent i, in document order. The slice aliases the shared kids
+// array; callers must not modify it. Lookup is O(1) and allocation-free.
+func (g *Grouped) Of(i int) []int32 {
+	if g == nil || i < 0 || i+1 >= len(g.offsets) {
 		return nil
 	}
-	return g.kids[g.offsets[v.Ord]:g.offsets[v.Ord+1]]
+	return g.kids[g.offsets[i]:g.offsets[i+1]]
 }
 
 // Pairs returns the total number of closest pairs in the join.

@@ -8,24 +8,25 @@ import (
 )
 
 // groupedEqualsMap checks Grouped against the reference grouping built
-// from the pair-list join.
+// from the naive closest predicate.
 func groupedEqualsMap(t *testing.T, vs, ws []*xmltree.Node) {
 	t.Helper()
 	g := GroupJoin(vs, ws, nil)
-	want := map[*xmltree.Node][]*xmltree.Node{}
-	for _, p := range Join(vs, ws) {
-		want[p.V] = append(want[p.V], p.W)
-	}
 	total := 0
-	for _, v := range vs {
-		got := g.Of(v)
-		exp := want[v]
+	for i, v := range vs {
+		var exp []int32
+		for j, w := range ws {
+			if IsClosest(v, w) {
+				exp = append(exp, int32(j))
+			}
+		}
+		got := g.Of(i)
 		if len(got) != len(exp) {
 			t.Fatalf("Of(%v) = %d partners, want %d", v.Dewey, len(got), len(exp))
 		}
-		for i := range got {
-			if got[i] != exp[i] {
-				t.Fatalf("Of(%v)[%d] = %v, want %v", v.Dewey, i, got[i].Dewey, exp[i].Dewey)
+		for k := range got {
+			if got[k] != exp[k] {
+				t.Fatalf("Of(%v)[%d] = %v, want %v", v.Dewey, k, ws[got[k]].Dewey, ws[exp[k]].Dewey)
 			}
 		}
 		total += len(got)
@@ -68,13 +69,13 @@ func TestGroupJoinEmptyInputs(t *testing.T) {
 	if g.Pairs() != 0 {
 		t.Error("empty right input produced pairs")
 	}
-	for _, b := range books {
-		if got := g.Of(b); got != nil {
+	for i := range books {
+		if got := g.Of(i); len(got) != 0 {
 			t.Errorf("Of on empty join = %v", got)
 		}
 	}
 	var nilG *Grouped
-	if nilG.Of(books[0]) != nil {
+	if nilG.Of(0) != nil {
 		t.Error("nil Grouped must return no partners")
 	}
 }
@@ -84,9 +85,9 @@ func TestGroupJoinReflexive(t *testing.T) {
 	d := xmltree.MustParse(fig1a)
 	books := d.NodesOfType("data.book")
 	g := GroupJoin(books, books, nil)
-	for _, b := range books {
-		got := g.Of(b)
-		if len(got) != 1 || got[0] != b {
+	for i, b := range books {
+		got := g.Of(i)
+		if len(got) != 1 || got[0] != int32(i) {
 			t.Errorf("reflexive Of(%v) = %v", b.Dewey, got)
 		}
 	}
@@ -116,8 +117,8 @@ func TestGroupJoinOfZeroAllocs(t *testing.T) {
 	g := GroupJoin(books, titles, nil)
 	sink := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		for _, b := range books {
-			sink += len(g.Of(b))
+		for i := range books {
+			sink += len(g.Of(i))
 		}
 	})
 	if allocs != 0 {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"xmorph/internal/core"
+	"xmorph/internal/gen/xmark"
 	"xmorph/internal/obs"
 	"xmorph/internal/plan"
 	"xmorph/internal/store"
@@ -363,5 +364,35 @@ func TestOneShotHelpers(t *testing.T) {
 	g, err := InferGuard(`for $a in doc("x")/author return $a/name`)
 	if err != nil || g != "MORPH author [ name ]" {
 		t.Errorf("infer = %q, err %v", g, err)
+	}
+}
+
+// TestJoinRunAllocs bounds the allocations of a Run the planner cannot
+// stream, benchmark/'s invert class, over an XMark sf 0.05 document with
+// the guard cache warm. Its closest joins run over type sequences held
+// as key and value arenas, a few allocations per type; when every
+// stored vertex became a heap node, a Run took 5 246.
+func TestJoinRunAllocs(t *testing.T) {
+	const guard = "CAST MORPH bidder [ open_auction [ itemref ] ]"
+	eng := newEngine(t)
+	ctx := context.Background()
+	xml := xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42}).XML(false)
+	if _, err := eng.Shred(ctx, "d", strings.NewReader(xml), nil); err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		res, err := eng.Run(ctx, "d", guard, RunOpts{StreamTo: io.Discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Plan.Streamable {
+			t.Fatal("the invert guard streamed: it no longer measures the joins")
+		}
+	}
+	run() // warm the guard cache
+	allocs := testing.AllocsPerRun(10, run)
+	t.Logf("invert Run: %.0f allocations", allocs)
+	if allocs > 500 {
+		t.Errorf("invert Run allocates %.0f times, want <= 500", allocs)
 	}
 }

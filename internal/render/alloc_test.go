@@ -3,51 +3,66 @@ package render
 import (
 	"testing"
 
-	"xmorph/internal/closest"
 	"xmorph/internal/guard"
+	"xmorph/internal/plan"
 	"xmorph/internal/semantics"
 	"xmorph/internal/shape"
 	"xmorph/internal/xmltree"
 )
 
-// TestClosestOfCachedEdgeZeroAllocs extends PR 1's alloc guards to the
-// CSR join cache: once an edge's join is cached, closestOf must be a
-// pure array lookup — no per-parent map entries, no slice headers, no
-// hashing. This is the bound behind the "render allocs/op reduced"
-// acceptance criterion.
-func TestClosestOfCachedEdgeZeroAllocs(t *testing.T) {
+// cachedEdge returns the join-backed partners of MORPH book [ title ]
+// over Figure 1(a), the title occurrence, and the book vertices, with
+// the book-to-title join already run by a first Seek.
+func cachedEdge(tb testing.TB) (Partners, *plan.Node, []Vertex) {
 	doc := xmltree.MustParse(fig1a)
-	r := &renderer{doc: doc, joins: map[joinKey]*closest.Grouped{}}
-	books := doc.NodesOfType("data.book")
-	// First call builds and caches the join.
-	if got := r.closestOf(books[0], "data.book.title"); len(got) != 1 {
-		t.Fatalf("closest titles of first book = %d", len(got))
+	p, err := semantics.Compile(guard.MustParse("MORPH book [ title ]"), shape.FromDocument(doc))
+	if err != nil {
+		tb.Fatal(err)
 	}
+	t := plan.Build(p.ComposedTarget())
+	src := JoinPartners(doc, t)
+	books := doc.SeqOfType("data.book")
+	vs := make([]Vertex, books.Len())
+	for i := range vs {
+		vs[i] = Vertex{Node: books.Node(i), Dewey: books.Key(i), Ord: i}
+	}
+	title := t.Roots[0].Kids[0]
+	if src.Seek(title, &vs[0]) == nil || src.Next(title) != nil {
+		tb.Fatal("the first book should have one closest title")
+	}
+	return src, title, vs
+}
+
+// TestClosestOfCachedEdgeZeroAllocs: once an occurrence's join has run,
+// enumerating a vertex's partners is an index into the occurrence's own
+// grouped join — no map probe, no hashing, no allocation.
+func TestClosestOfCachedEdgeZeroAllocs(t *testing.T) {
+	src, title, books := cachedEdge(t)
 	sink := 0
 	allocs := testing.AllocsPerRun(500, func() {
-		for _, b := range books {
-			sink += len(r.closestOf(b, "data.book.title"))
+		for i := range books {
+			for v := src.Seek(title, &books[i]); v != nil; v = src.Next(title) {
+				sink++
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("closestOf over a cached edge allocates %v per run, want 0", allocs)
+		t.Errorf("partners over a cached edge allocate %v per run, want 0", allocs)
 	}
 }
 
 // BenchmarkClosestOfCached measures the cached-edge lookup the renderer
-// performs once per emitted node; the hotpath suite records its
-// allocs/op next to BenchmarkClosestOfMapCache's.
+// performs once per emitted node.
 func BenchmarkClosestOfCached(b *testing.B) {
-	doc := xmltree.MustParse(fig1a)
-	r := &renderer{doc: doc, joins: map[joinKey]*closest.Grouped{}}
-	books := doc.NodesOfType("data.book")
-	r.closestOf(books[0], "data.book.title")
+	src, title, books := cachedEdge(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	sink := 0
 	for i := 0; i < b.N; i++ {
-		for _, v := range books {
-			sink += len(r.closestOf(v, "data.book.title"))
+		for j := range books {
+			for v := src.Seek(title, &books[j]); v != nil; v = src.Next(title) {
+				sink++
+			}
 		}
 	}
 	_ = sink

@@ -7,15 +7,17 @@ import (
 	"xmorph/internal/xmltree"
 )
 
-// Vertex is a source vertex in flight through the walk. Sources that hold
-// materialized nodes set Node and nothing else; a scan-backed source sets
-// Dewey and Value, which alias the scan's buffers or page images. Dewey
-// is the number as the store keys it, four big-endian bytes per level,
-// which compare as bytes in document order.
+// Vertex is a source vertex in flight through the walk. Dewey is its
+// Dewey key (xmltree.AppendKey), Value its text; both alias the source's
+// sequence, the scan's buffers or page images. A vertex of a
+// materialized document also has its Node, which carries the text
+// instead of Value. The join-backed partners set Ord, the vertex's place
+// in its type's sequence; the scan-backed ones do not read it.
 type Vertex struct {
 	Node  *xmltree.Node
 	Dewey []byte
 	Value []byte
+	Ord   int
 }
 
 // Partners answers the one question the walk asks of the data: which

@@ -6,10 +6,10 @@
 // There is one walk (emit.go) over the target's execution tree
 // (plan.Build). It is parameterised by where closest partners come from —
 // a Partners — and where output goes — a tree builder or an XML byte
-// encoder. This package supplies the join-backed Partners (sort-merge
-// closest joins over whole type sequences, cached per type pair) and the
-// entry points that pair it with each sink; internal/stream supplies the
-// scan-backed Partners.
+// encoder. This package supplies the join-backed Partners (closest joins
+// merged on the Dewey keys of whole type sequences, one per type pair)
+// and the entry points that pair it with each sink; internal/stream
+// supplies the scan-backed Partners.
 //
 // The join-backed read cost is linear in the size of the source type
 // sequences touched (each closest join is a single merge); the write cost
@@ -29,11 +29,12 @@ import (
 )
 
 // Source supplies document-ordered type sequences — the TypeToSequence
-// table of Section VIII. *xmltree.Document satisfies it (in memory), as
-// does *store.Doc (lazily reading sequences from the shredded store, so
-// the renderer touches only the types the target mentions).
+// table of Section VIII. *xmltree.Document satisfies it (in memory, each
+// vertex with its node), as does *store.Doc (lazily reading sequences
+// from the shredded store, so the renderer touches only the types the
+// target mentions).
 type Source interface {
-	NodesOfType(t string) []*xmltree.Node
+	SeqOfType(t string) *xmltree.Seq
 }
 
 // Render transforms doc into the arrangement described by tgt, preserving
@@ -106,10 +107,8 @@ type joinKey struct{ parent, child string }
 // renderer is the join-backed partner source.
 type renderer struct {
 	doc Source
-	// joins caches the grouped closest join for each (parent type, child
-	// type) pair in closest.Grouped's CSR layout: one contiguous partner
-	// slice plus offsets indexed by the parent's Ord — no per-parent map
-	// entries, and a cached lookup allocates nothing.
+	// joins holds the grouped closest join of each (parent type, child
+	// type) pair run so far, for the occurrences that share one.
 	joins map[joinKey]*closest.Grouped
 	// rec accumulates join statistics for tracing; nil when untraced.
 	rec *closest.Recorder
@@ -129,47 +128,67 @@ func (r *renderer) partners(t *plan.Tree) Partners {
 }
 
 // joinPartners enumerates each occurrence's partners from the renderer:
-// the whole type sequence at a root, the cached closest join below one.
+// its whole type sequence at a root, below one the partners the closest
+// join of its edge groups by the joined-from vertex's Ord.
 type joinPartners struct {
 	r   *renderer
 	run []nodeRun
 }
 
-// nodeRun is one occurrence's enumeration: the partners still to come and
-// the one handed out.
+// nodeRun is one occurrence's sequence and join, fetched on its first
+// Seek, and its enumeration: the partners still to come and the one
+// handed out.
 type nodeRun struct {
-	rest []*xmltree.Node
+	seq  *xmltree.Seq
+	join *closest.Grouped // nil at a root
+	next int              // at a root, the next vertex
+	rest []int32          // below one, the partners to come
 	at   Vertex
 }
 
 func (p *joinPartners) Seek(x *plan.Node, v *Vertex) *Vertex {
-	if v.Node == nil {
-		p.run[x.ID].rest = p.r.doc.NodesOfType(x.TN.Source)
+	r := &p.run[x.ID]
+	if r.seq == nil {
+		r.seq = p.r.doc.SeqOfType(x.TN.Source)
+		if x.Join != "" {
+			r.join = p.r.join(x.Join, x.TN.Source)
+		}
+	}
+	if r.join == nil {
+		r.next = 0
 	} else {
-		p.run[x.ID].rest = p.r.closestOf(v.Node, x.TN.Source)
+		r.rest = r.join.Of(v.Ord)
 	}
 	return p.Next(x)
 }
 
 func (p *joinPartners) Next(x *plan.Node) *Vertex {
 	r := &p.run[x.ID]
-	if len(r.rest) == 0 {
+	var i int
+	switch {
+	case r.join == nil && r.next < r.seq.Len():
+		i = r.next
+		r.next++
+	case r.join != nil && len(r.rest) > 0:
+		i = int(r.rest[0])
+		r.rest = r.rest[1:]
+	default:
 		return nil
 	}
-	r.at.Node, r.rest = r.rest[0], r.rest[1:]
+	r.at = Vertex{Node: r.seq.Node(i), Dewey: r.seq.Key(i), Value: r.seq.Value(i), Ord: i}
 	return &r.at
 }
 
-// closestOf returns the child-type nodes closest to v, from the cached
-// sort-merge join of the two full type sequences.
-func (r *renderer) closestOf(v *xmltree.Node, childType string) []*xmltree.Node {
-	key := joinKey{v.Type, childType}
+// join returns the closest join of the parent and child type sequences,
+// grouped by parent, running it on the edge's first use.
+func (r *renderer) join(parent, child string) *closest.Grouped {
+	key := joinKey{parent, child}
 	g, ok := r.joins[key]
 	if !ok {
-		g = closest.GroupJoin(r.doc.NodesOfType(v.Type), r.doc.NodesOfType(childType), r.rec)
+		g = closest.Group(r.doc.SeqOfType(parent), r.doc.SeqOfType(child), r.rec)
 		r.joins[key] = g
 	}
-	return g.Of(v)
+	return g
 }
 
 // annotate writes the join statistics and output size onto sp.

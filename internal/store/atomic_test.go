@@ -134,6 +134,54 @@ func TestAtomicUpdate(t *testing.T) {
 	t.Logf("%d reads during the Update", reads)
 }
 
+// TestAtomicRegistryDuringUpdate: Docs share one decoded type registry
+// per document while its stored bytes stay the same, and PATCHes that
+// each register a type change them under readers that keep opening
+// Docs. Every Doc must still hold exactly its own view's registry, and
+// find the nodes of the newest type it knows in that view.
+func TestAtomicRegistryDuringUpdate(t *testing.T) {
+	s := OpenMemory()
+	defer s.Close()
+	if _, err := s.Shred("d", strings.NewReader(books(50)), nil); err != nil {
+		t.Fatal(err)
+	}
+	err, reads := readWhile(t, func() error {
+		for i := 0; i < 20; i++ {
+			ops, err := update.Parse(fmt.Sprintf("insert <isbn%d>%d</isbn%d> into lib.book", i, i, i))
+			if err != nil {
+				return err
+			}
+			if _, err := s.Update("d", ops, nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, func() error {
+		v := s.View()
+		defer v.Close()
+		d, err := v.Doc("d")
+		if err != nil {
+			return fmt.Errorf("reader during Update: %w", err)
+		}
+		want, err := typesIn(v.snap, d.id)
+		if err != nil {
+			return err
+		}
+		if got := d.Types(); strings.Join(got, " ") != strings.Join(want, " ") {
+			return fmt.Errorf("Doc holds types %v, its view %v", got, want)
+		}
+		last := want[len(want)-1]
+		if n := d.SeqOfType(last).Len(); n == 0 || d.typeID[last] != uint32(len(want)-1) {
+			return fmt.Errorf("type %s: %d nodes, id %d of %d", last, n, d.typeID[last], len(want))
+		}
+		return d.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d reads during the Updates", reads)
+}
+
 // TestAtomicConcurrentUpdates: two writers each inserting 40 books into
 // one document, one Update at a time, leave all 81 books: no Update
 // builds its overlay on a state another one is about to replace.

@@ -103,7 +103,7 @@ func TestSizeCountsWithoutCaching(t *testing.T) {
 		t.Errorf("Walk counted %d nodes (err %v), want 7", got, err)
 	}
 	doc.mu.Lock()
-	cached := len(doc.cache)
+	cached := len(doc.seqs)
 	doc.mu.Unlock()
 	if cached != 0 {
 		t.Errorf("Walk materialized %d type sequences", cached)

@@ -12,22 +12,20 @@ import (
 
 // TypeScan is a forward-only pull cursor over one type's node sequence,
 // reading nodes straight from the kvstore iterator in Dewey (document)
-// order. Unlike NodesOfType it materializes nothing: the cursor holds
+// order. Unlike SeqOfType it copies nothing: the cursor holds
 // only the current node, its Dewey number as the key stores it and its
 // value in the page image or one reused buffer — the streaming
 // executor's storage primitive.
 //
-// The DeweyKey, Dewey and Value of the current position alias the page
-// image or the scan's buffers, and are valid only until the next call to
-// Next.
+// The DeweyKey and Value of the current position alias the page image
+// or the scan's buffer, and are valid only until the next call to Next.
 type TypeScan struct {
 	it     *kvstore.Iterator
 	prefix []byte
 	depth  int
-	key    []byte        // the current node's encoded Dewey number, in the page image
-	dewey  xmltree.Dewey // the buffer Dewey decodes key into, made on first use
-	val    []byte        // the reused buffer multi-chunk values are assembled in
-	cur    []byte        // the current value: a page slice or val
+	key    []byte // the current node's Dewey key, in the page image
+	val    []byte // the reused buffer multi-chunk values are assembled in
+	cur    []byte // the current value: a page slice or val
 	attr   bool
 	name   string
 	done   bool
@@ -70,7 +68,7 @@ func (s *TypeScan) Next() bool {
 		}
 		dw, chunk, _ := splitNodeKey(k)
 		v := s.it.Value()
-		if len(dw) != 4*s.depth || chunk != 0 || len(v) < 2 {
+		if len(dw) != xmltree.KeySize(s.depth) || chunk != 0 || len(v) < 2 {
 			// Malformed record or a stray continuation chunk: skip.
 			s.it.Next()
 			continue
@@ -114,20 +112,16 @@ func (s *TypeScan) continues(dw []byte, c int) bool {
 	return bytes.HasPrefix(k, s.prefix) && bytes.Equal(cdw, dw) && int(chunk) == c
 }
 
-// DeweyKey returns the current node's Dewey number as its key stores it:
-// four big-endian bytes per level, so comparing two as bytes orders them
-// as documents order nodes. It aliases the page image (retaining it pins
-// the page; it must never be written to).
+// DeweyKey returns the current node's Dewey key (xmltree.AppendKey). It
+// aliases the page image (retaining it pins the page; it must never be
+// written to).
 func (s *TypeScan) DeweyKey() []byte { return s.key }
 
-// Dewey decodes the current node's Dewey number into the scan's reused
-// buffer, valid only until Next.
+// Dewey decodes the current node's Dewey number.
 func (s *TypeScan) Dewey() xmltree.Dewey {
-	if s.dewey == nil {
-		s.dewey = make(xmltree.Dewey, s.depth)
-	}
-	decodeDewey(s.dewey, s.key)
-	return s.dewey
+	d := make(xmltree.Dewey, s.depth)
+	xmltree.DecodeKey(d, s.key)
+	return d
 }
 
 // Value returns the current node's text value, valid only until Next:
@@ -192,7 +186,7 @@ func (d *Doc) Walk(h xmltree.Handler) error {
 	depth, tag, text := 0, false, "" // tag: the open element has shown only attributes
 	for len(q) > 0 {
 		top := q[0]
-		dd := len(top.key) / 4
+		dd := xmltree.KeyDepth(top.key)
 		if top.attr && tag && dd == depth+1 {
 			h.Attr(top.name[1:], string(top.cur))
 		} else {

@@ -227,8 +227,8 @@ func newShredder(docID uint32, reg *typeRegistry, out func(tid uint32, key, valu
 func (sh *shredder) reroot(pd []byte, ord int) {
 	sh.open = append(sh.open[:0], frame{kids: ord - 1})
 	sh.path = sh.path[:0]
-	for i := 0; i < len(pd)/4; i++ {
-		sh.path = append(sh.path, ordinalAt(pd, i))
+	for i := 0; i < xmltree.KeyDepth(pd); i++ {
+		sh.path = append(sh.path, xmltree.KeyLevel(pd, i))
 	}
 }
 

@@ -53,6 +53,10 @@ type Store struct {
 	// commits. Readers never take it, and Syncs run outside it so that
 	// concurrent verbs still share group commits.
 	writeMu sync.Mutex
+	// regMu guards regs, each document's decoded type registry by docID
+	// (see registry).
+	regMu sync.Mutex
+	regs  map[uint32]*storedRegistry
 }
 
 // Sentinel errors, wrapped with the document's name by the verbs that
@@ -186,7 +190,7 @@ func (v *View) Shape(name string) (*shape.Shape, error) { return shapeIn(v.snap,
 // Doc opens a lazy document view frozen at the view's epoch; its node
 // sequences stay loadable (and consistent) for as long as the View is
 // open.
-func (v *View) Doc(name string) (*Doc, error) { return docIn(v.snap, name) }
+func (v *View) Doc(name string) (*Doc, error) { return v.s.docIn(v.snap, name) }
 
 func docKey(name string) []byte { return append([]byte{'D'}, name...) }
 
@@ -204,24 +208,21 @@ const (
 	nodeKeyChunk = 2 // the chunk index appendChunks appends
 
 	// A node at the deepest level the XML scan admits still fits a key.
-	_ = uint(kvstore.MaxKeySize - (nodeKeyHead + 4*xmltree.MaxDepth + nodeKeyChunk))
+	_ = uint(kvstore.MaxKeySize - (nodeKeyHead + xmltree.KeyLevelBytes*xmltree.MaxDepth + nodeKeyChunk))
 )
 
 // nodePrefix builds 'N' docID typeID dewey…: with no Dewey number the
 // prefix of a type's whole sequence, with a node's the prefix of its
 // records and of its subtree's in a descendant type.
 func nodePrefix(docID, typeID uint32, dewey xmltree.Dewey) []byte {
-	return appendNodePrefix(make([]byte, 0, nodeKeyHead+4*len(dewey)+nodeKeyChunk), docID, typeID, dewey)
+	return appendNodePrefix(make([]byte, 0, nodeKeyHead+xmltree.KeySize(len(dewey))+nodeKeyChunk), docID, typeID, dewey)
 }
 
 // appendNodePrefix appends nodePrefix(docID, typeID, dewey) to dst.
 func appendNodePrefix(dst []byte, docID, typeID uint32, dewey xmltree.Dewey) []byte {
 	dst = binary.BigEndian.AppendUint32(append(dst, 'N'), docID)
 	dst = binary.BigEndian.AppendUint32(dst, typeID)
-	for _, c := range dewey {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(c))
-	}
-	return dst
+	return xmltree.AppendKey(dst, dewey)
 }
 
 // nodeKey builds the key of one chunk of a node's record.
@@ -229,8 +230,8 @@ func nodeKey(docID, typeID uint32, dewey xmltree.Dewey, chunk uint16) []byte {
 	return binary.BigEndian.AppendUint16(nodePrefix(docID, typeID, dewey), chunk)
 }
 
-// splitNodeKey takes a node key apart into its still-encoded Dewey
-// number (a view into k, four bytes per level) and its chunk index; ok
+// splitNodeKey takes a node key apart into its Dewey key (a view into
+// k) and its chunk index; ok
 // is false for a key too short to be a node key.
 func splitNodeKey(k []byte) (dewey []byte, chunk uint16, ok bool) {
 	if len(k) < nodeKeyHead+nodeKeyChunk {
@@ -240,22 +241,12 @@ func splitNodeKey(k []byte) (dewey []byte, chunk uint16, ok bool) {
 	return k[nodeKeyHead:end], binary.BigEndian.Uint16(k[end:]), true
 }
 
-// ordinalAt reads level i (0 = root) of an encoded Dewey number.
-func ordinalAt(dewey []byte, i int) int { return int(binary.BigEndian.Uint32(dewey[4*i:])) }
-
 // withOrdinal returns a copy of node key k with level i of its Dewey
 // number set to v.
 func withOrdinal(k []byte, i, v int) []byte {
 	nk := append([]byte(nil), k...)
-	binary.BigEndian.PutUint32(nk[nodeKeyHead+4*i:], uint32(v))
+	xmltree.SetKeyLevel(nk[nodeKeyHead:], i, v)
 	return nk
-}
-
-// decodeDewey fills dst from an encoded Dewey number of the same depth.
-func decodeDewey(dst xmltree.Dewey, dewey []byte) {
-	for i := range dst {
-		dst[i] = ordinalAt(dewey, i)
-	}
 }
 
 // chunk is where one chunked record lies in an arena: its key at
@@ -419,27 +410,86 @@ func (s *Store) Shape(name string) (*shape.Shape, error) {
 	return v.Shape(name)
 }
 
-// typesIn loads the type registry (typeID = index) through r: its chunks
-// are copied once, into the string the paths are split from.
+// typesIn loads the type registry (typeID = index) through r.
 func typesIn(r reader, id uint32) ([]string, error) {
 	var parts [16][]byte
-	chunks, ok, err := blobChunks(r, blobKey('T', id), parts[:0])
+	chunks, err := registryChunks(r, id, parts[:0])
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("store: missing type registry for doc %d", id)
+	return splitTypes(joinChunks(chunks)), nil
+}
+
+// registryChunks appends the chunks of a document's type registry, read
+// through r, to parts. They alias page images.
+func registryChunks(r reader, id uint32, parts [][]byte) ([][]byte, error) {
+	chunks, ok, err := blobChunks(r, blobKey('T', id), parts)
+	if err == nil && !ok {
+		err = fmt.Errorf("store: missing type registry for doc %d", id)
 	}
-	n := chunksLen(chunks)
-	if n == 0 {
-		return nil, nil
-	}
+	return chunks, err
+}
+
+// joinChunks copies chunks once, into one string.
+func joinChunks(chunks [][]byte) string {
 	var b strings.Builder
-	b.Grow(n)
+	b.Grow(chunksLen(chunks))
 	for _, c := range chunks {
 		b.Write(c)
 	}
-	return strings.Split(b.String(), "\n"), nil
+	return b.String()
+}
+
+// splitTypes splits a type registry's record into its paths.
+func splitTypes(raw string) []string {
+	if raw == "" {
+		return nil
+	}
+	return strings.Split(raw, "\n")
+}
+
+// storedRegistry is a decoded type registry and the record it was
+// decoded from.
+type storedRegistry struct {
+	raw string
+	reg *typeRegistry
+}
+
+// registry returns the type registry of document id as r sees it. Every
+// Doc of a document shares one decoded registry, read-only, for as long
+// as the record it was decoded from stays byte for byte the same: a Doc
+// reads the record's chunks and compares them, and decodes them only
+// when they differ, the first time or after a write registered a type.
+// (An updater registers types in a copy of its own.)
+func (s *Store) registry(r reader, id uint32) (*typeRegistry, error) {
+	var parts [16][]byte
+	chunks, err := registryChunks(r, id, parts[:0])
+	if err != nil {
+		return nil, err
+	}
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	c := s.regs[id]
+	if c == nil || !chunksEqual(chunks, c.raw) {
+		raw := joinChunks(chunks)
+		c = &storedRegistry{raw: raw, reg: newTypeRegistry(splitTypes(raw))}
+		if s.regs == nil {
+			s.regs = map[uint32]*storedRegistry{}
+		}
+		s.regs[id] = c
+	}
+	return c.reg, nil
+}
+
+// chunksEqual reports whether chunks, joined, are raw.
+func chunksEqual(chunks [][]byte, raw string) bool {
+	for _, c := range chunks {
+		if len(c) > len(raw) || string(c) != raw[:len(c)] {
+			return false
+		}
+		raw = raw[len(c):]
+	}
+	return raw == ""
 }
 
 // Doc is a lazy view over a stored document: type sequences load from the
@@ -451,25 +501,25 @@ func typesIn(r reader, id uint32) ([]string, error) {
 // state), View.Doc binds to the view's pinned snapshot (every lazy load
 // answers from the view's epoch, for as long as the View stays open).
 type Doc struct {
-	*typeRegistry
-	r     reader
-	id    uint32
-	mu    sync.Mutex
-	cache map[string][]*xmltree.Node
-	err   error // the first error a load hit
+	*typeRegistry // shared with other Docs: read-only
+	r             reader
+	id            uint32
+	mu            sync.Mutex
+	seqs          map[string]*xmltree.Seq
+	err           error // the first error a load hit
 }
 
 // docIn opens a lazy document view reading through r.
-func docIn(r reader, name string) (*Doc, error) {
+func (s *Store) docIn(r reader, name string) (*Doc, error) {
 	id, err := docIDOf(r, name)
 	if err != nil {
 		return nil, err
 	}
-	types, err := typesIn(r, id)
+	reg, err := s.registry(r, id)
 	if err != nil {
 		return nil, err
 	}
-	return &Doc{typeRegistry: newTypeRegistry(types), r: r, id: id, cache: map[string][]*xmltree.Node{}}, nil
+	return &Doc{typeRegistry: reg, r: r, id: id}, nil
 }
 
 // Doc opens a lazy view of a stored document over the live store: each
@@ -478,44 +528,67 @@ func docIn(r reader, name string) (*Doc, error) {
 //
 // Deprecated: use View.Doc, which every caller in this module does;
 // kept only while the benchmark module calls it.
-func (s *Store) Doc(name string) (*Doc, error) { return docIn(s.db, name) }
+func (s *Store) Doc(name string) (*Doc, error) { return s.docIn(s.db, name) }
 
 // Types returns the document's type paths (typeID order).
 func (d *Doc) Types() []string { return d.types }
 
-// NodesOfType loads (and caches) the document-ordered node sequence of a
-// type: one ScanType pass, materialized. The nodes carry Dewey, Type,
-// Name, Value, and Attr — everything the closest join and renderer need;
-// tree links are not reconstructed. A load that hits a storage error
-// keeps the nodes read before it and records the error for Err. The
-// cache is locked because a Doc is a handle its holder may render from
-// on several goroutines; the engine opens one per request, so the lock
-// is uncontended there.
-func (d *Doc) NodesOfType(t string) []*xmltree.Node {
+// SeqOfType loads (and caches) the document-ordered sequence of a type:
+// one ScanType pass, its Dewey keys and values copied into the
+// sequence's arenas. A load that hits a storage error keeps the vertices
+// read before it and records the error for Err. The cache is locked
+// because a Doc is a handle its holder may render from on several
+// goroutines; the engine opens one per request, so the lock is
+// uncontended there.
+func (d *Doc) SeqOfType(t string) *xmltree.Seq {
 	d.mu.Lock()
-	ns, ok := d.cache[t]
+	s, ok := d.seqs[t]
 	d.mu.Unlock()
 	if ok {
-		return ns
+		return s
 	}
+	s = xmltree.NewSeq(t)
 	sc := d.ScanType(t)
 	for sc.Next() {
-		ns = append(ns, &xmltree.Node{Name: sc.name, Type: t, Dewey: sc.Dewey().Clone(),
-			Value: string(sc.Value()), Attr: sc.attr, Ord: len(ns)})
+		s.Append(sc.key, sc.cur)
 	}
 	err := sc.Err()
 	sc.Close()
 	d.mu.Lock()
-	d.cache[t] = ns
+	if d.seqs == nil {
+		d.seqs = map[string]*xmltree.Seq{}
+	}
+	d.seqs[t] = s
 	if err != nil && d.err == nil {
 		d.err = fmt.Errorf("store: loading type %s: %w", t, err)
 	}
 	d.mu.Unlock()
+	return s
+}
+
+// NodesOfType materializes SeqOfType(t): its nodes carry Dewey, Type,
+// Name, Value, Attr and, as Ord, their place in the sequence; tree links
+// are not reconstructed. A type with no vertices has no nodes.
+func (d *Doc) NodesOfType(t string) []*xmltree.Node {
+	s := d.SeqOfType(t)
+	if s.Len() == 0 {
+		return nil
+	}
+	name, depth := lastSegment(t), xmltree.TypeDepth(t)
+	slab := make([]xmltree.Node, s.Len())
+	deweys := make(xmltree.Dewey, s.Len()*depth)
+	ns := make([]*xmltree.Node, s.Len())
+	for i := range ns {
+		dw := deweys[i*depth : (i+1)*depth : (i+1)*depth]
+		xmltree.DecodeKey(dw, s.Key(i))
+		slab[i] = xmltree.Node{Name: name, Type: t, Dewey: dw, Value: string(s.Value(i)), Attr: name[0] == '@', Ord: i}
+		ns[i] = &slab[i]
+	}
 	return ns
 }
 
-// Err returns the first storage error a NodesOfType load hit. Such a
-// load returns a short sequence, so whatever was built from the Doc's
+// Err returns the first storage error a SeqOfType load hit. Such a load
+// returns a short sequence, so whatever was built from the Doc's
 // sequences is wrong whenever Err is non-nil.
 func (d *Doc) Err() error {
 	d.mu.Lock()
@@ -568,5 +641,8 @@ func (s *Store) removeID(id uint32, entry ...[]byte) error {
 	for _, k := range entry {
 		b.Delete(k)
 	}
+	s.regMu.Lock()
+	delete(s.regs, id)
+	s.regMu.Unlock()
 	return s.db.Apply(&b)
 }

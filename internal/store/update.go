@@ -242,7 +242,7 @@ func (u *updater) instances(t string) ([]byte, error) {
 	if !ok {
 		return nil, nil
 	}
-	size := 4 * xmltree.TypeDepth(t)
+	size := xmltree.KeySize(xmltree.TypeDepth(t))
 	var out []byte
 	err := u.scanPrefix(u.under(tid, nil), func(k, v []byte) bool {
 		if enc, chunk, ok := splitNodeKey(k); ok && chunk == 0 && len(enc) == size {
@@ -266,7 +266,7 @@ func (u *updater) targets(path string) ([][]byte, error) {
 	if len(enc) == 0 {
 		return nil, fmt.Errorf("path %q resolves to no nodes", path)
 	}
-	size := 4 * xmltree.TypeDepth(path)
+	size := xmltree.KeySize(xmltree.TypeDepth(path))
 	ds := make([][]byte, 0, len(enc)/size)
 	for at := 0; at < len(enc); at += size {
 		ds = append(ds, enc[at:at+size:at+size])
@@ -291,7 +291,7 @@ func (u *updater) below(t string, all bool) []uint32 {
 // the node whose encoded Dewey number is d; with no d, of the type's
 // whole sequence.
 func (u *updater) under(tid uint32, d []byte) []byte {
-	return append(appendNodePrefix(make([]byte, 0, nodeKeyHead+len(d)+4+nodeKeyChunk), u.id, tid, nil), d...)
+	return append(appendNodePrefix(make([]byte, 0, nodeKeyHead+len(d)+xmltree.KeyLevelBytes+nodeKeyChunk), u.id, tid, nil), d...)
 }
 
 func (u *updater) applyDelete(op update.Op) error {
@@ -389,8 +389,8 @@ func (u *updater) applyInsert(op update.Op) error {
 			kids, desc, types = u.below(parent, false), u.below(parent, true), len(u.types)
 		}
 		d := ds[i]
-		pd := d[:len(d)-4]
-		k := ordinalAt(d, len(pd)/4)
+		pd := d[:len(d)-xmltree.KeyLevelBytes]
+		k := xmltree.KeyLevel(d, xmltree.KeyDepth(pd))
 		ords, err := u.childOrds(kids, pd)
 		if err != nil {
 			return err
@@ -452,8 +452,8 @@ func (u *updater) applyReplace(op update.Op) error {
 	}
 	// A fragment takes each vacated slot: same parent, same ordinal.
 	for _, d := range ds {
-		pd := d[:len(d)-4]
-		if err := frag.insert(pd, ordinalAt(d, len(pd)/4)); err != nil {
+		pd := d[:len(d)-xmltree.KeyLevelBytes]
+		if err := frag.insert(pd, xmltree.KeyLevel(d, xmltree.KeyDepth(pd))); err != nil {
 			return err
 		}
 	}
@@ -467,8 +467,8 @@ func (u *updater) childOrds(kids []uint32, d []byte) ([]int, error) {
 	var out []int
 	for _, tid := range kids {
 		if err := u.scanPrefix(u.under(tid, d), func(k, v []byte) bool {
-			if enc, _, ok := splitNodeKey(k); ok && len(enc) == len(d)+4 {
-				out = append(out, ordinalAt(enc, len(d)/4))
+			if enc, _, ok := splitNodeKey(k); ok && len(enc) == len(d)+xmltree.KeyLevelBytes {
+				out = append(out, xmltree.KeyLevel(enc, xmltree.KeyDepth(d)))
 			}
 			return true
 		}); err != nil {
@@ -485,7 +485,7 @@ func (u *updater) childOrds(kids []uint32, d []byte) ([]int, error) {
 // Values move verbatim; relative order is preserved, so the shape is
 // unaffected.
 func (u *updater) shiftSiblings(desc []uint32, pd []byte, from int) error {
-	level := len(pd) / 4
+	level := xmltree.KeyDepth(pd)
 	type move struct{ key, val []byte }
 	var news []move
 	// Every old key is deleted before any new one is written: the two key
@@ -494,7 +494,7 @@ func (u *updater) shiftSiblings(desc []uint32, pd []byte, from int) error {
 	for _, tid := range desc {
 		if err := u.scanPrefix(u.under(tid, pd), func(k, v []byte) bool {
 			enc, _, _ := splitNodeKey(k)
-			if c := ordinalAt(enc, level); c >= from {
+			if c := xmltree.KeyLevel(enc, level); c >= from {
 				news = append(news, move{withOrdinal(k, level, c+1), append([]byte(nil), v...)})
 				u.pending.del(k)
 			}
@@ -748,7 +748,7 @@ func (u *updater) computeEdges(pt string) ([]childEdge, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := 4 * xmltree.TypeDepth(pt)
+	size := xmltree.KeySize(xmltree.TypeDepth(pt))
 	var out []childEdge
 	for _, tid := range u.below(pt, false) {
 		ct := u.types[tid]
@@ -766,12 +766,12 @@ func (u *updater) computeEdges(pt string) ([]childEdge, error) {
 		// number begins with its parent's, so one merge pass counts
 		// per-parent children.
 		min, max := -1, 0
-		i := 0
+		i, kid := 0, size+xmltree.KeyLevelBytes
 		for p := 0; p < len(parents); p += size {
 			cnt := 0
 			for i < len(kids) && bytes.Equal(kids[i:i+size], parents[p:p+size]) {
 				cnt++
-				i += size + 4
+				i += kid
 			}
 			if min == -1 || cnt < min {
 				min = cnt
@@ -781,12 +781,12 @@ func (u *updater) computeEdges(pt string) ([]childEdge, error) {
 			}
 		}
 		if i != len(kids) {
-			return nil, fmt.Errorf("store: update: %d orphaned %s instances", (len(kids)-i)/(size+4), ct)
+			return nil, fmt.Errorf("store: update: %d orphaned %s instances", (len(kids)-i)/kid, ct)
 		}
 		if min == -1 {
 			min = 0
 		}
-		out = append(out, childEdge{ct, kids[:size+4], shape.Card{Min: min, Max: max}})
+		out = append(out, childEdge{ct, kids[:kid], shape.Card{Min: min, Max: max}})
 	}
 	// The children's numbers have one length, so byte order is document
 	// order.

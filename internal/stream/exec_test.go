@@ -29,8 +29,13 @@ func compile(t *testing.T, guardSrc string, doc *xmltree.Document) *semantics.Ta
 }
 
 // TestExecuteRandomDocsMatchesRender is the byte-identity oracle over
-// random documents: for every guard the planner marks streamable, the
-// one-pass executor must produce exactly Render(...).XML(false).
+// random documents: for every guard, the join-backed renderer over the
+// document shredded into a store must produce exactly
+// Render(...).XML(false) of the parsed document, and for every guard the
+// planner marks streamable so must the one-pass executor. Two guards
+// never stream — an up-then-down invert, and a RESTRICT probe in a
+// store-backed tree — so the stored joins meet every shape of partner
+// enumeration.
 func TestExecuteRandomDocsMatchesRender(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	labels := []string{"a", "b", "c"}
@@ -42,8 +47,10 @@ func TestExecuteRandomDocsMatchesRender(t *testing.T) {
 		"CAST MORPH (RESTRICT a [ b ]) ",
 		"CAST-WIDENING MORPH (NEW w) [ a [ b ] ]",
 		"CAST MORPH root [ a ] | TRANSLATE a -> alpha",
+		"CAST MORPH b [ root [ c ] ]",
+		"CAST MORPH (RESTRICT b [ c ]) [ root [ a ] ]",
 	}
-	streamableTrials := 0
+	streamableTrials, storedTrials := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		b := xmltree.NewBuilder().Elem("root")
 		depth := 0
@@ -68,20 +75,30 @@ func TestExecuteRandomDocsMatchesRender(t *testing.T) {
 			b.End()
 		}
 		doc := b.MustDocument()
+		stored := shredded(t, doc)
 		for _, g := range guards {
 			p, err := semantics.Compile(guard.MustParse(g), shape.FromDocument(doc))
 			if err != nil {
 				continue // random doc may lack the types
 			}
 			tgt := p.ComposedTarget()
-			if !plan.Classify(tgt).Streamable {
-				continue
-			}
-			streamableTrials++
 			tree, err := render.Render(doc, tgt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			var joined strings.Builder
+			if _, err := render.StreamTree(stored, plan.Build(tgt), &joined, false, nil); err != nil {
+				t.Fatalf("trial %d guard %q: stored joins: %v", trial, g, err)
+			}
+			if joined.String() != tree.XML(false) {
+				t.Fatalf("trial %d guard %q:\nstored joins: %s\ntree:         %s",
+					trial, g, joined.String(), tree.XML(false))
+			}
+			storedTrials++
+			if !plan.Classify(tgt).Streamable {
+				continue
+			}
+			streamableTrials++
 			var sb strings.Builder
 			n, err := Execute(FromNodes(doc), tgt, &sb, nil)
 			if err != nil {
@@ -96,9 +113,28 @@ func TestExecuteRandomDocsMatchesRender(t *testing.T) {
 			}
 		}
 	}
-	if streamableTrials < 50 {
-		t.Fatalf("only %d streamable trials: battery too weak", streamableTrials)
+	if streamableTrials < 50 || storedTrials-streamableTrials < 50 {
+		t.Fatalf("only %d streamable and %d store-backed trials: battery too weak",
+			streamableTrials, storedTrials-streamableTrials)
 	}
+}
+
+// shredded returns doc shredded into a memory store, opened through a
+// view both stay open for the rest of the test.
+func shredded(t *testing.T, doc *xmltree.Document) *store.Doc {
+	t.Helper()
+	s := store.OpenMemory()
+	t.Cleanup(func() { s.Close() })
+	if _, err := s.Shred("d", strings.NewReader(doc.XML(false)), nil); err != nil {
+		t.Fatal(err)
+	}
+	v := s.View()
+	t.Cleanup(v.Close)
+	d, err := v.Doc("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // TestExecuteNotStreamable: the executor refuses store-backed targets

@@ -1,14 +1,9 @@
 package stream
 
-import (
-	"encoding/binary"
+import "xmorph/internal/xmltree"
 
-	"xmorph/internal/xmltree"
-)
-
-// NodeSource supplies materialized type sequences (render.Source's
-// shape); FromNodes adapts it, so the tests can run the executor over
-// in-memory documents.
+// NodeSource supplies materialized type sequences; FromNodes adapts it,
+// so the tests can run the executor over in-memory documents.
 type NodeSource interface {
 	NodesOfType(t string) []*xmltree.Node
 }
@@ -36,7 +31,7 @@ func (c *nodeCursor) Next() bool {
 	if c.idx >= len(c.nodes) {
 		return false
 	}
-	c.key = encodeDewey(c.key[:0], c.nodes[c.idx].Dewey)
+	c.key = xmltree.AppendKey(c.key[:0], c.nodes[c.idx].Dewey)
 	c.val = append(c.val[:0], c.nodes[c.idx].Value...)
 	return true
 }
@@ -44,12 +39,3 @@ func (c *nodeCursor) DeweyKey() []byte { return c.key }
 func (c *nodeCursor) Value() []byte    { return c.val }
 func (c *nodeCursor) Err() error       { return nil }
 func (c *nodeCursor) Close()           {}
-
-// encodeDewey appends d to dst as the store keys it: each level a
-// big-endian uint32.
-func encodeDewey(dst []byte, d xmltree.Dewey) []byte {
-	for _, c := range d {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(c))
-	}
-	return dst
-}

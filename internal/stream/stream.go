@@ -30,7 +30,6 @@
 package stream
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -41,6 +40,7 @@ import (
 	"xmorph/internal/render"
 	"xmorph/internal/semantics"
 	"xmorph/internal/store"
+	"xmorph/internal/xmltree"
 )
 
 // ErrNotStreamable reports an Execute call on a target the planner
@@ -48,8 +48,8 @@ import (
 var ErrNotStreamable = errors.New("stream: target is not streamable")
 
 // Cursor is a forward-only scan over one type's node sequence in Dewey
-// order. DeweyKey is the current node's Dewey number as the store keys
-// it, four big-endian bytes per level, so byte order is document order.
+// order. DeweyKey is the current node's Dewey key (xmltree.AppendKey), so
+// byte order is document order.
 // DeweyKey and Value may alias reused buffers or a store's immutable page
 // image: copy or encode them before Next, never write to them.
 type Cursor interface {
@@ -239,11 +239,11 @@ func (s *Scans) Seek(x *plan.Node, v *render.Vertex) *render.Vertex {
 	sc.from, sc.taken = v, false
 	switch x.Axis {
 	case plan.AxisDown:
-		for sc.valid && cmpPrefix(sc.at.Dewey, v.Dewey) < 0 {
+		for sc.valid && xmltree.CompareKeyPrefix(sc.at.Dewey, v.Dewey) < 0 {
 			sc.advance()
 		}
 	case plan.AxisUp:
-		for sc.valid && cmpPrefix(v.Dewey, sc.at.Dewey) > 0 {
+		for sc.valid && xmltree.CompareKeyPrefix(v.Dewey, sc.at.Dewey) > 0 {
 			sc.advance()
 		}
 	}
@@ -264,22 +264,15 @@ func (s *Scans) Next(x *plan.Node) *render.Vertex {
 		if sc.taken {
 			sc.advance()
 		}
-		sc.taken = sc.valid && cmpPrefix(sc.at.Dewey, sc.from.Dewey) == 0
+		sc.taken = sc.valid && xmltree.CompareKeyPrefix(sc.at.Dewey, sc.from.Dewey) == 0
 	case plan.AxisUp:
 		// The unique partner is the ancestor at the type's depth: the
 		// vertex whose Dewey number prefixes from's. The cursor stays on
 		// it for from's siblings.
-		sc.taken = !sc.taken && sc.valid && cmpPrefix(sc.from.Dewey, sc.at.Dewey) == 0
+		sc.taken = !sc.taken && sc.valid && xmltree.CompareKeyPrefix(sc.from.Dewey, sc.at.Dewey) == 0
 	}
 	if !sc.taken {
 		return nil
 	}
 	return &sc.at
 }
-
-// cmpPrefix compares encoded Dewey number d's first len(p) bytes against
-// encoded p: the result orders d's position relative to p's subtree (-1
-// before, 0 inside or at p, +1 past). d must be at least as deep as p.
-// Each level is a big-endian uint32, so byte order is numeric order and
-// nothing is decoded.
-func cmpPrefix(d, p []byte) int { return bytes.Compare(d[:len(p)], p) }

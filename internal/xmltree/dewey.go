@@ -10,6 +10,8 @@
 package xmltree
 
 import (
+	"bytes"
+	"encoding/binary"
 	"strconv"
 	"strings"
 )
@@ -127,3 +129,45 @@ func (d Dewey) Distance(o Dewey) int {
 	lca := d.CommonPrefixLen(o)
 	return (len(d) - lca) + (len(o) - lca)
 }
+
+// A Dewey key is a Dewey number as the store keys it and the executors
+// compare it: each level a big-endian uint32, so that comparing two keys
+// as bytes orders their nodes in document order, and a node's key is a
+// prefix of each of its descendants' keys. The functions below are the
+// format's one definition.
+
+// KeyLevelBytes is the width of one level of a Dewey key.
+const KeyLevelBytes = 4
+
+// KeySize is the length of the key of a node depth levels deep.
+func KeySize(depth int) int { return KeyLevelBytes * depth }
+
+// KeyDepth is the number of levels key k encodes.
+func KeyDepth(k []byte) int { return len(k) / KeyLevelBytes }
+
+// AppendKey appends the key of d to dst.
+func AppendKey(dst []byte, d Dewey) []byte {
+	for _, c := range d {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(c))
+	}
+	return dst
+}
+
+// KeyLevel reads level i (0 = root) of key k.
+func KeyLevel(k []byte, i int) int { return int(binary.BigEndian.Uint32(k[KeyLevelBytes*i:])) }
+
+// SetKeyLevel overwrites level i of key k with v.
+func SetKeyLevel(k []byte, i, v int) { binary.BigEndian.PutUint32(k[KeyLevelBytes*i:], uint32(v)) }
+
+// DecodeKey fills dst, as deep as k, with the number k encodes.
+func DecodeKey(dst Dewey, k []byte) {
+	for i := range dst {
+		dst[i] = KeyLevel(k, i)
+	}
+}
+
+// CompareKeyPrefix compares key d's first len(p) bytes against key p:
+// the result places d's node relative to p's subtree (-1 before it, 0
+// at p or inside, +1 past it). d must be at least as deep as p. Nothing
+// is decoded: byte order is numeric order level by level.
+func CompareKeyPrefix(d, p []byte) int { return bytes.Compare(d[:len(p)], p) }

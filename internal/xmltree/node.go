@@ -3,6 +3,7 @@ package xmltree
 import (
 	"sort"
 	"strings"
+	"sync"
 )
 
 // TypeSep separates path components in a rooted type name
@@ -100,6 +101,10 @@ type Document struct {
 	// byType maps each type path to its nodes in document order. This is
 	// the in-memory analogue of the TypeToSequence table of Section VIII.
 	byType map[string][]*Node
+	// seqs caches SeqOfType's sequences. Renderers may share one
+	// document across goroutines, so it is locked.
+	seqMu sync.Mutex
+	seqs  map[string]*Seq
 }
 
 // Root returns the first root, or nil for an empty document. Parsed XML
@@ -131,6 +136,23 @@ func (d *Document) Types() []string {
 // NodesOfType returns the document-order sequence of nodes with the exact
 // type path t. The returned slice is shared; callers must not modify it.
 func (d *Document) NodesOfType(t string) []*Node { return d.byType[t] }
+
+// SeqOfType returns the sequence of NodesOfType(t), its keys encoded on
+// first use and cached.
+func (d *Document) SeqOfType(t string) *Seq {
+	d.seqMu.Lock()
+	defer d.seqMu.Unlock()
+	s, ok := d.seqs[t]
+	if !ok {
+		seq := NodeSeq(d.byType[t], nil)
+		s = &seq
+		if d.seqs == nil {
+			d.seqs = map[string]*Seq{}
+		}
+		d.seqs[t] = s
+	}
+	return s
+}
 
 // HasType reports whether any vertex has type path t.
 func (d *Document) HasType(t string) bool { return len(d.byType[t]) > 0 }
@@ -188,6 +210,7 @@ func TypeParent(t string) string {
 func (d *Document) index() {
 	d.nodes = d.nodes[:0]
 	d.byType = make(map[string][]*Node)
+	d.seqs = nil
 	ord := 0
 	for _, r := range d.Roots {
 		r.Walk(func(n *Node) bool {
