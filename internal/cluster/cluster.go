@@ -386,7 +386,6 @@ func (c *Cluster) Stats() kvstore.Stats {
 		agg.CacheHits += st.CacheHits
 		agg.CacheMisses += st.CacheMisses
 		agg.Evictions += st.Evictions
-		agg.ReadAheads += st.ReadAheads
 		agg.WALBytes += st.WALBytes
 		agg.WALCommits += st.WALCommits
 		agg.Recoveries += st.Recoveries + recovered

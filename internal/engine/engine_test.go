@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"xmorph/internal/core"
 	"xmorph/internal/gen/xmark"
+	"xmorph/internal/kvstore"
 	"xmorph/internal/obs"
 	"xmorph/internal/plan"
 	"xmorph/internal/store"
@@ -395,4 +398,64 @@ func TestJoinRunAllocs(t *testing.T) {
 	if allocs > 500 {
 		t.Errorf("invert Run allocates %.0f times, want <= 500", allocs)
 	}
+}
+
+// TestColdRunReadsEachPageOnce: an identity Run over a stored XMark
+// sf 0.05 document, its store reopened cold with a pool a tenth of its
+// pages, reads each page about once, serial and split across cores.
+// It keeps a cursor open on every one of the document's 244 types, and
+// a scan fetches a leaf only when it crosses into it, so a leaf is used
+// as soon as it is read. When each crossing prefetched the next 8
+// leaves, the cursors evicted each other's prefetched leaves before
+// reaching them, and the Run read 2.4 times the file.
+func TestColdRunReadsEachPageOnce(t *testing.T) {
+	const guard = "CAST MUTATE site"
+	path := filepath.Join(t.TempDir(), "cold.db")
+	eng, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xml := xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42}).XML(false)
+	if _, err := eng.Shred(context.Background(), "d", strings.NewReader(xml), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := fi.Size() / kvstore.PageSize
+	// The split needs a second core; the serial Run counts the others busy.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	run := func(serial bool) {
+		eng, err := Open(path, WithCachePages(int(pages/10)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if serial {
+			others := int32(runtime.GOMAXPROCS(0) - 1)
+			reading.Add(others)
+			defer reading.Add(-others)
+		}
+		tr := obs.New("run")
+		before := eng.Stats().BlocksRead
+		if _, err := eng.Run(context.Background(), "d", guard, RunOpts{StreamTo: io.Discard, Span: tr.Root()}); err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		read := eng.Stats().BlocksRead - before
+		workers, _ := tr.Root().FindAttr("workers")
+		t.Logf("serial %v: %s workers read %d blocks of a %d-page file (%.2fx)", serial, workers, read, pages, float64(read)/float64(pages))
+		if split := workers != "1"; split == serial {
+			t.Fatalf("serial %v: the Run rendered on %s workers", serial, workers)
+		}
+		if float64(read) > 1.3*float64(pages) {
+			t.Errorf("serial %v: a cold identity Run read %d blocks of a %d-page file, want at most 1.3x", serial, read, pages)
+		}
+	}
+	run(true)
+	run(false)
 }

@@ -97,10 +97,6 @@ type DB struct {
 	hdrRoot   uint32
 	hdrNpages uint32
 
-	// readAhead is how many leaf pages a scan prefetches; 0 selects the
-	// no-prefetch reference path the in-package tests compare against.
-	readAhead int
-
 	// Operation counters, surfaced through Stats for the observability
 	// layer (updated atomically; the CLI may snapshot concurrently).
 	gets       int64
@@ -126,16 +122,8 @@ type Options struct {
 	FS VFS
 }
 
-// defaultReadAhead is how many leaf pages an ordered scan prefetches
-// into the buffer pool ahead of its cursor, following leaf sibling
-// pointers. Read-ahead triggers when a scan crosses from one leaf into the
-// next, so point lookups and scans that end inside their first leaf never
-// prefetch.
-const defaultReadAhead = 8
-
 // initState sets up the DB's maps, channels and tuning defaults.
 func (db *DB) initState() {
-	db.readAhead = defaultReadAhead
 	db.pins = make(map[uint64]int)
 	db.retained = make(map[uint32][]pageVersion)
 	db.repDirty = make(map[uint32]struct{})
@@ -314,8 +302,8 @@ func (n *node) serialize() ([]byte, error) {
 	binary.BigEndian.PutUint16(buf[1:], uint16(len(n.keys)))
 	off := 3
 	if n.typ == pageLeaf {
-		// The sibling pointer lives at a fixed offset so the read-ahead
-		// chain walk can follow it without decoding entries.
+		// The sibling pointer lives at a fixed offset, so the leaf
+		// chain can be followed without decoding entries.
 		binary.BigEndian.PutUint32(buf[off:], n.next)
 		off += 4
 	} else {
@@ -778,8 +766,7 @@ func (db *DB) finishInsert(id uint32, n *node, insertAt int) ([]byte, uint32, er
 		// later insert into the left half must reallocate rather than
 		// append over the right half. The new right leaf inherits the
 		// sibling pointer and the left leaf links to it (below, once its
-		// page id exists), keeping the scan read-ahead chain intact across
-		// splits.
+		// page id exists), keeping the leaf chain intact across splits.
 		left = &node{typ: pageLeaf, keys: n.keys[:mid:mid], vals: n.vals[:mid:mid]}
 		rightN = &node{typ: pageLeaf, next: n.next, keys: n.keys[mid:], vals: n.vals[mid:]}
 		promoted = n.keys[mid]

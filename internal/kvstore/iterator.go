@@ -26,9 +26,14 @@ import (
 // Snapshot.Seek / Snapshot.First borrow the caller's snapshot and never
 // close it.
 type Iterator struct {
-	snap   *Snapshot
-	owned  bool // close snap when the scan ends
-	stack  []frame
+	snap  *Snapshot
+	owned bool // close snap when the scan ends
+	// The internal pages on the cursor's root-to-leaf path, root first:
+	// the first len(frames) in place, so a scan of a tree that shallow
+	// allocates nothing for them, and the deeper ones in deep.
+	frames [3]frame
+	deep   []frame
+	depth  int
 	leaf   []byte // the image of the leaf the cursor is in
 	off    int    // the offset of the cursor entry's key-length field in leaf
 	left   int    // the entries from the cursor's to leaf's last
@@ -37,10 +42,6 @@ type Iterator struct {
 	key    []byte
 	val    []byte
 	valid  bool
-	// The read-ahead window: raAhead leaves past the cursor are prefetched;
-	// raNext follows the last of them (0: the chain ended or a walk stopped).
-	raAhead int
-	raNext  uint32
 }
 
 // frame is one internal page on the descent: its image, its child
@@ -177,20 +178,30 @@ func (db *DB) First() *Iterator { return db.Seek(nil) }
 // Seek positions an iterator at the smallest key >= target as of the
 // snapshot's epoch. The iterator borrows the snapshot: closing is the
 // caller's business, and multiple iterators may share one snapshot.
+//
+// Seek is small enough to inline, so an iterator a caller keeps to
+// itself stays on its stack.
 func (s *Snapshot) Seek(target []byte) *Iterator {
-	atomic.AddInt64(&s.db.seeks, 1)
 	it := &Iterator{snap: s}
+	it.seek(target)
+	return it
+}
+
+// seek descends from the snapshot's root to the leaf holding target.
+func (it *Iterator) seek(target []byte) {
+	s := it.snap
+	atomic.AddInt64(&s.db.seeks, 1)
 	var index [maxEntries]uint16 // stays on the stack
 	id := s.root
 	for {
 		buf, err := s.readPage(id)
 		if err != nil {
 			it.err = err
-			return it
+			return
 		}
 		v := pageView{buf: buf}
 		if v.offs, it.err = indexPage(buf, index[:0]); it.err != nil {
-			return it
+			return
 		}
 		if v.isLeaf() {
 			i, _ := v.search(target)
@@ -199,14 +210,12 @@ func (s *Snapshot) Seek(target []byte) *Iterator {
 				it.off = int(v.offs[i])
 			}
 			it.settle()
-			return it
-		}
-		if len(it.stack) == maxHeight {
-			it.err = errTooDeep
-			return it
+			return
 		}
 		i := v.childIndex(target)
-		it.stack = append(it.stack, frame{buf: buf, n: len(v.offs) + 1, idx: i})
+		if it.err = it.push(frame{buf: buf, n: len(v.offs) + 1, idx: i}); it.err != nil {
+			return
+		}
 		id = childAt(buf, i)
 	}
 }
@@ -230,11 +239,29 @@ func (it *Iterator) cross(id uint32) error {
 		it.leaf, it.off, it.left, it.inLeaf = buf, first, nkeys, true
 		return nil
 	}
-	if len(it.stack) == maxHeight {
+	return it.push(frame{buf: buf, n: nkeys + 1})
+}
+
+// push adds an internal page below the path's last.
+func (it *Iterator) push(f frame) error {
+	switch {
+	case it.depth == maxHeight:
 		return errTooDeep
+	case it.depth < len(it.frames):
+		it.frames[it.depth] = f
+	default:
+		it.deep = append(it.deep[:it.depth-len(it.frames)], f)
 	}
-	it.stack = append(it.stack, frame{buf: buf, n: nkeys + 1})
+	it.depth++
 	return nil
+}
+
+// top returns the path's last internal page; the path is not empty.
+func (it *Iterator) top() *frame {
+	if d := it.depth - 1; d < len(it.frames) {
+		return &it.frames[d]
+	}
+	return &it.deep[it.depth-1-len(it.frames)]
 }
 
 // entry loads the leaf entry at the cursor, checking its key-length and
@@ -267,20 +294,19 @@ func (it *Iterator) settle() {
 				return
 			}
 			it.inLeaf = false
-			if len(it.stack) > 0 {
-				it.stack[len(it.stack)-1].idx++
+			if it.depth > 0 {
+				it.top().idx++
 			}
 			continue
 		}
-		if len(it.stack) == 0 {
+		if it.depth == 0 {
 			it.valid = false
 			return
 		}
-		top := &it.stack[len(it.stack)-1]
+		top := it.top()
 		if top.idx >= top.n {
-			it.stack = it.stack[:len(it.stack)-1]
-			if len(it.stack) > 0 {
-				it.stack[len(it.stack)-1].idx++
+			if it.depth--; it.depth > 0 {
+				it.top().idx++
 			}
 			continue
 		}
@@ -288,44 +314,7 @@ func (it *Iterator) settle() {
 			it.valid = false
 			return
 		}
-		if it.inLeaf {
-			// The scan just crossed into a new leaf, so it is provably
-			// sequential: keep the next leaves along the sibling chain
-			// prefetched into the buffer pool ahead of the cursor. Seek's
-			// initial leaf never prefetches — a scan that ends inside
-			// its first leaf (point-ish lookups, early callback stops)
-			// reads nothing beyond its own root-to-leaf path. The chain
-			// walked is the *current* committed one — read-ahead is
-			// purely advisory (it only warms the pool), so a sibling
-			// pointer that moved since the snapshot's epoch costs at
-			// worst a useless prefetch, never a wrong result.
-			it.readAhead()
-		}
 	}
-}
-
-// readAhead keeps db.readAhead leaves past the cursor's new leaf
-// prefetched. The window slides: the leaf just entered was its first, so
-// only the leaves past its old end are walked — one per crossing in a
-// long scan. The first crossing, or one after the window ran out, walks
-// it from the new leaf's sibling.
-func (it *Iterator) readAhead() {
-	k := it.snap.db.readAhead
-	if k <= 0 || it.snap.peek {
-		return
-	}
-	from := it.raNext
-	if it.raAhead > 0 {
-		it.raAhead--
-	} else {
-		from = binary.BigEndian.Uint32(it.leaf[3:]) // the new leaf's sibling
-	}
-	if from == 0 {
-		return
-	}
-	walked, next := it.snap.db.pager.readAhead(from, k-it.raAhead, pageLeaf)
-	it.raAhead += walked
-	it.raNext = next
 }
 
 // maybeAutoClose releases an owned snapshot once the scan can make no

@@ -2,16 +2,21 @@
 // the storage substrate standing in for BerkeleyDB Java Edition in the
 // paper's architecture (Section VIII). It provides ordered iteration
 // (needed for the TypeToSequence scans of the renderer), a sharded buffer
-// pool with per-shard LRU eviction, scan read-ahead over leaf sibling
-// pointers, MVCC snapshot reads over copy-on-write page versions (see
-// mvcc.go), a group-committing write-ahead log that makes Sync a
-// crash-atomic commit shared between concurrent callers (see wal.go and
-// groupcommit.go), and block read/write counters that the benchmark
-// harness samples to regenerate the paper's vmstat figures (Figs. 11-12).
+// pool with per-shard LRU eviction, MVCC snapshot reads over
+// copy-on-write page versions (see mvcc.go), a group-committing
+// write-ahead log that makes Sync a crash-atomic commit shared between
+// concurrent callers (see wal.go and groupcommit.go), and block
+// read/write counters that the benchmark harness samples to regenerate
+// the paper's vmstat figures (Figs. 11-12).
+//
+// A scan reads each leaf when it crosses into it, through the pool, and
+// nothing ahead of it: a query keeps one cursor per type open at once,
+// and a leaf fetched ahead of its cursor is often evicted from a small
+// pool before the cursor reaches it. Leaves still carry sibling
+// pointers, as part of the page format.
 package kvstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -51,15 +56,14 @@ type Stats struct {
 	BlocksWritten int64
 	IONanos       int64
 	// CacheHits/CacheMisses count page lookups served from / missing the
-	// buffer pool; Evictions counts pages pushed out by LRU pressure. A
-	// read-ahead probe that fetches a page counts as a miss (and a block
-	// read), and the scan's subsequent touch of that page as a hit; a
-	// probe that finds the page already resident counts nothing.
+	// buffer pool; Evictions counts pages pushed out by LRU pressure.
 	CacheHits   int64
 	CacheMisses int64
 	Evictions   int64
-	// ReadAheads counts leaf pages fetched into the pool by scan
-	// read-ahead (a subset of CacheMisses/BlocksRead).
+	// ReadAheads is always 0: scans no longer prefetch.
+	//
+	// Deprecated: kept only while the benchmark module's trace reads
+	// it.
 	ReadAheads int64
 	// WALBytes counts bytes appended to the write-ahead log (file-backed
 	// stores only); WALCommits counts flush batches that completed the
@@ -128,8 +132,7 @@ type shard struct {
 //
 // Locking: each page id maps to exactly one shard and every access to a
 // page's cache entry happens under that shard's mutex; at most one shard
-// mutex is ever held at a time by readers (read-ahead walks the leaf
-// chain one page — one shard lock — at a time), so shard locks cannot
+// mutex is ever held at a time by readers, so shard locks cannot
 // deadlock. npages and all counters are atomics.
 //
 // Page buffers are immutable: install replaces a cache entry's buf
@@ -168,7 +171,6 @@ type pager struct {
 	hits         atomic.Int64
 	misses       atomic.Int64
 	evictions    atomic.Int64
-	readAheads   atomic.Int64
 	walBytes     atomic.Int64
 	walCommits   atomic.Int64
 	recoveries   atomic.Int64
@@ -315,45 +317,6 @@ func (p *pager) load(id uint32) (*cached, error) {
 	return &cached{id: id, buf: buf, epoch: p.epoch.Load()}, nil
 }
 
-// readAhead walks the leaf sibling chain starting at page id, pulling up
-// to k leaves into the pool ahead of a scan cursor; it returns the leaves
-// walked and the sibling after the last (0 if the walk stopped early).
-// Resident pages cost one map lookup; absent pages are fetched and
-// counted as ReadAheads (plus the usual miss/block-read). The walk stops
-// at the end of the chain, at a non-leaf page (possible only on
-// corruption), or on any I/O error — read-ahead is advisory, so errors
-// are left for the scan to rediscover and report. It locks one shard at
-// a time. The chain it follows is the *current* committed one; a
-// snapshot scan over an older epoch still benefits for every leaf the
-// two epochs share, and a stray prefetch only warms the pool.
-func (p *pager) readAhead(id uint32, k int, leafType byte) (walked int, next uint32) {
-	for ; walked < k && id != 0; walked++ {
-		if id >= p.npages.Load() {
-			return walked, 0
-		}
-		s := p.shardOf(id)
-		lockTimed(&s.mu, shardLockWait)
-		c, ok := s.cache[id]
-		if !ok {
-			var err error
-			p.misses.Add(1)
-			c, err = p.fetchLocked(s, id)
-			if err != nil {
-				s.mu.Unlock()
-				return walked, 0
-			}
-			p.readAheads.Add(1)
-		}
-		if c.buf[0] != leafType {
-			s.mu.Unlock()
-			return walked, 0
-		}
-		id = binary.BigEndian.Uint32(c.buf[3:7])
-		s.mu.Unlock()
-	}
-	return walked, id
-}
-
 // install publishes a committed page image into the pool, marking it
 // dirty for the next flush. The entry's buffer pointer is replaced —
 // never written through — so readers holding the previous buffer keep a
@@ -497,7 +460,6 @@ func (p *pager) stats() Stats {
 		CacheHits:     p.hits.Load(),
 		CacheMisses:   p.misses.Load(),
 		Evictions:     p.evictions.Load(),
-		ReadAheads:    p.readAheads.Load(),
 		WALBytes:      p.walBytes.Load(),
 		WALCommits:    p.walCommits.Load(),
 		Recoveries:    p.recoveries.Load(),

@@ -111,11 +111,11 @@ func TestLeafSiblingChainPersists(t *testing.T) {
 	}
 }
 
-// readAheadFixture builds a store file with three key prefixes so a
+// prefixFixture builds a store file with three key prefixes so a
 // prefix scan covers a strict middle slice of the tree, then closes it.
-func readAheadFixture(t *testing.T, perPrefix int) string {
+func prefixFixture(t *testing.T, perPrefix int) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "ra.db")
+	path := filepath.Join(t.TempDir(), "prefixes.db")
 	db, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -136,134 +136,17 @@ func readAheadFixture(t *testing.T, perPrefix int) string {
 	return path
 }
 
-// scanPrefix cold-opens the fixture with the given pool size (and, when
-// readAhead is false, scan prefetch switched off), runs one
-// AscendPrefix collecting the full key/value byte stream (stopping after
-// limit entries when limit > 0), and returns the stream plus the I/O
-// stats of just that scan.
-func scanPrefix(t *testing.T, path string, cachePages int, readAhead bool, prefix string, limit int) ([]byte, Stats) {
+// interleavedScans cold-opens the fixture with the given pool size,
+// advances one scan over "a/" and one over "c/" in lockstep to their
+// ends — as a query's cursors over several types do — and returns the
+// blocks they read and the keys they visited.
+func interleavedScans(t *testing.T, path string, cachePages int) (blocks int64, keys int) {
 	t.Helper()
 	db, err := Open(path, &Options{CachePages: cachePages})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if !readAhead {
-		db.readAhead = 0
-	}
-	before := db.Stats()
-	var stream []byte
-	seen := 0
-	err = db.AscendPrefix([]byte(prefix), func(k, v []byte) bool {
-		stream = append(stream, k...)
-		stream = append(stream, '=')
-		stream = append(stream, v...)
-		stream = append(stream, '\n')
-		seen++
-		return limit <= 0 || seen < limit
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := db.Stats()
-	return stream, Stats{
-		BlocksRead: after.BlocksRead - before.BlocksRead,
-		ReadAheads: after.ReadAheads - before.ReadAheads,
-	}
-}
-
-// TestReadAheadScanIdentical: a prefix scan with read-ahead enabled must
-// produce the byte-identical key/value sequence as with it disabled —
-// read-ahead only warms the pool, it never changes what a scan sees.
-func TestReadAheadScanIdentical(t *testing.T) {
-	path := readAheadFixture(t, 1500)
-	on, onStats := scanPrefix(t, path, 16, true, "b/", 0)
-	off, offStats := scanPrefix(t, path, 16, false, "b/", 0)
-	if !bytes.Equal(on, off) {
-		t.Fatalf("scan differs with read-ahead: %d vs %d bytes", len(on), len(off))
-	}
-	if onStats.ReadAheads == 0 {
-		t.Error("long scan with read-ahead enabled prefetched nothing")
-	}
-	if offStats.ReadAheads != 0 {
-		t.Errorf("readAhead = 0 still prefetched %d pages", offStats.ReadAheads)
-	}
-}
-
-// TestReadAheadBlocksReadBounds: read-ahead may overshoot the end of a
-// prefix range by at most the read-ahead depth — it must not drag in
-// arbitrary pages past the range. The disabled run is the oracle for how
-// many pages the range itself occupies.
-func TestReadAheadBlocksReadBounds(t *testing.T) {
-	path := readAheadFixture(t, 1500)
-	// The pool is large enough that nothing is evicted mid-scan: every
-	// page is read at most once, so the block counts compare exactly.
-	_, off := scanPrefix(t, path, 512, false, "b/", 0)
-	_, on := scanPrefix(t, path, 512, true, "b/", 0)
-	if on.BlocksRead > off.BlocksRead+defaultReadAhead {
-		t.Errorf("read-ahead scan read %d blocks, plain scan %d: overshoot > %d",
-			on.BlocksRead, off.BlocksRead, defaultReadAhead)
-	}
-}
-
-// TestReadAheadEarlyStop: a scan whose callback stops inside the first
-// leaf never crosses a leaf boundary, so it must not prefetch at all —
-// point-ish lookups pay zero read-ahead cost.
-func TestReadAheadEarlyStop(t *testing.T) {
-	path := readAheadFixture(t, 1500)
-	on, onStats := scanPrefix(t, path, 16, true, "b/", 1)
-	off, offStats := scanPrefix(t, path, 16, false, "b/", 1)
-	if !bytes.Equal(on, off) {
-		t.Fatal("early-stopped scan differs with read-ahead")
-	}
-	if onStats.ReadAheads != 0 {
-		t.Errorf("early stop inside first leaf prefetched %d pages", onStats.ReadAheads)
-	}
-	if onStats.BlocksRead != offStats.BlocksRead {
-		t.Errorf("early stop read %d blocks with read-ahead, %d without",
-			onStats.BlocksRead, offStats.BlocksRead)
-	}
-}
-
-// TestReadAheadStatsSubset: prefetched pages are counted inside the
-// regular miss/block accounting (ReadAheads ⊆ CacheMisses = BlocksRead),
-// so the vmstat-style figures stay consistent with read-ahead on.
-func TestReadAheadStatsSubset(t *testing.T) {
-	path := readAheadFixture(t, 1500)
-	db, err := Open(path, &Options{CachePages: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.AscendPrefix([]byte("b/"), func(k, v []byte) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	st := db.Stats()
-	if st.ReadAheads == 0 {
-		t.Fatal("no read-aheads recorded")
-	}
-	if st.ReadAheads > st.CacheMisses {
-		t.Errorf("ReadAheads %d > CacheMisses %d", st.ReadAheads, st.CacheMisses)
-	}
-	if st.CacheMisses != st.BlocksRead {
-		t.Errorf("CacheMisses %d != BlocksRead %d with read-ahead active", st.CacheMisses, st.BlocksRead)
-	}
-}
-
-// interleavedScans cold-opens the fixture with the given pool size and
-// read-ahead setting, advances one scan over "a/" and one over "c/" in
-// lockstep to their ends — as a query's cursors over several types do —
-// and returns the blocks read and the prefetched share.
-func interleavedScans(t *testing.T, path string, cachePages int, readAhead bool) Stats {
-	t.Helper()
-	db, err := Open(path, &Options{CachePages: cachePages})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if !readAhead {
-		db.readAhead = 0
-	}
 	snap := db.OpenSnapshot()
 	defer snap.Close()
 	before := db.Stats()
@@ -271,33 +154,37 @@ func interleavedScans(t *testing.T, path string, cachePages int, readAhead bool)
 	for a.Valid() && bytes.HasPrefix(a.Key(), []byte("a/")) || c.Valid() {
 		if a.Valid() && bytes.HasPrefix(a.Key(), []byte("a/")) {
 			a.Next()
+			keys++
 		}
 		if c.Valid() {
 			c.Next()
+			keys++
 		}
 	}
 	if a.Err() != nil || c.Err() != nil {
 		t.Fatal(a.Err(), c.Err())
 	}
-	after := db.Stats()
-	return Stats{BlocksRead: after.BlocksRead - before.BlocksRead, ReadAheads: after.ReadAheads - before.ReadAheads}
+	return db.Stats().BlocksRead - before.BlocksRead, keys
 }
 
-// TestReadAheadSlidesUnderEviction: two scans side by side on a pool far
-// smaller than their windows evict each other's prefetched leaves. The
-// read-ahead window slides — each crossing walks only the leaf entering
-// it — so every leaf is prefetched at most once: a leaf evicted before
-// its scan reached it is read again by the scan, not prefetched again by
-// every later crossing whose window still covers it. The prefetches
-// therefore stay within the pages the same scans read without
-// read-ahead, plus each scan's overshoot past its range.
-func TestReadAheadSlidesUnderEviction(t *testing.T) {
-	path := readAheadFixture(t, 1500)
-	off := interleavedScans(t, path, 16, false)
-	on := interleavedScans(t, path, 16, true)
-	t.Logf("blocks read: %d with read-ahead (%d prefetched), %d without", on.BlocksRead, on.ReadAheads, off.BlocksRead)
-	if on.ReadAheads > off.BlocksRead+2*defaultReadAhead {
-		t.Errorf("interleaved scans on a 16-page pool prefetched %d pages; without read-ahead they read %d: more than one prefetch per page plus an overshoot of %d",
-			on.ReadAheads, off.BlocksRead, 2*defaultReadAhead)
+// TestInterleavedScansReadEachLeafOnce: two scans side by side on a
+// 16-page pool, far smaller than their ranges, read each page once. A
+// scan fetches a leaf when it crosses into it and uses it at once, so
+// no leaf is evicted between its read and its use; the same scans over
+// a pool that holds the whole file read each page they touch exactly
+// once and give the count. The one page of slack allows for a leaf on
+// the boundary of two ranges, which both scans would read. When each
+// crossing prefetched the next 8 leaves, the scans evicted each other's
+// prefetched leaves and read them again.
+func TestInterleavedScansReadEachLeafOnce(t *testing.T) {
+	path := prefixFixture(t, 1500)
+	pages, keys := interleavedScans(t, path, 4096)
+	small, smallKeys := interleavedScans(t, path, 16)
+	t.Logf("blocks read: %d on a 16-page pool, %d pages touched", small, pages)
+	if smallKeys != keys || keys != 3000 {
+		t.Fatalf("the scans visited %d keys on a 16-page pool and %d on a large one, want 3000", smallKeys, keys)
+	}
+	if small > pages+1 {
+		t.Errorf("interleaved scans on a 16-page pool read %d blocks, want at most the %d pages they touch plus one", small, pages)
 	}
 }

@@ -20,6 +20,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -311,19 +312,25 @@ func getBlob(r reader, key []byte) ([]byte, bool, error) {
 	return out, true, nil
 }
 
-// blobChunks appends the chunks of the value under key to parts, each
-// read by a point Get: chunk 0, whose 2-byte header counts the chunks,
-// then the others. A Seek/Next pass would save the Gets their descents
-// but cross leaves, and each crossing starts the iterator's read-ahead,
-// which runs past the blob into unrelated pages. The chunks alias page
-// images: copy them before keeping them.
+// blobChunks appends the chunks of the value under key to parts, read
+// by one Seek/Next pass: chunk 0, whose 2-byte header counts the
+// chunks, then the others, which follow it in key order. The chunks
+// alias page images: copy them before keeping them. A snapshot's Seek
+// is inlined here, so its iterator stays on the stack.
 func blobChunks(r reader, key []byte, parts [][]byte) ([][]byte, bool, error) {
-	ck := make([]byte, len(key)+2)
-	copy(ck, key)
-	first, ok, err := r.Get(ck)
-	if err != nil || !ok {
-		return parts, ok, err
+	var it *kvstore.Iterator
+	if snap, ok := r.(*kvstore.Snapshot); ok {
+		it = snap.Seek(key)
+	} else {
+		it = r.Seek(key)
 	}
+	defer it.Close()
+	var buf [16]byte
+	ck := append(append(buf[:0], key...), 0, 0)
+	if !it.Valid() || !bytes.Equal(it.Key(), ck) {
+		return parts, false, it.Err()
+	}
+	first := it.Value()
 	if len(first) < 2 {
 		return parts, false, fmt.Errorf("store: corrupt blob header")
 	}
@@ -331,14 +338,13 @@ func blobChunks(r reader, key []byte, parts [][]byte) ([][]byte, bool, error) {
 	parts = append(parts, first[2:])
 	for i := 1; i < n; i++ {
 		binary.BigEndian.PutUint16(ck[len(key):], uint16(i))
-		chunk, ok, err := r.Get(ck)
-		if err != nil {
-			return parts, false, err
-		}
-		if !ok {
+		if it.Next(); !it.Valid() || !bytes.Equal(it.Key(), ck) {
+			if err := it.Err(); err != nil {
+				return parts, false, err
+			}
 			return parts, false, fmt.Errorf("store: blob missing chunk %d of %d", i, n)
 		}
-		parts = append(parts, chunk)
+		parts = append(parts, it.Value())
 	}
 	return parts, true, nil
 }

@@ -6,7 +6,9 @@ import "slices"
 // TypeToSequence table held flat. Every vertex of a rooted type is as
 // deep as the type, so their Dewey keys lie end to end in one arena,
 // KeySize(depth) bytes each. A sequence read from a store keeps the
-// values end to end in a second arena; one served from a materialized
+// values end to end in a second arena, made at the first non-empty
+// value, so a type whose values are all empty (an element with only
+// children) holds its keys alone; one served from a materialized
 // document keeps its nodes instead. A built Seq is read-only, and safe
 // to share between goroutines.
 type Seq struct {
@@ -16,7 +18,7 @@ type Seq struct {
 	width int
 	keys  []byte
 	vals  []byte
-	ends  []uint32 // vertex i's value is vals[ends[i-1]:ends[i]]
+	ends  []uint32 // vertex i's value is vals[ends[i-1]:ends[i]]; nil: all empty
 	nodes []*Node
 }
 
@@ -26,15 +28,23 @@ func NewSeq(t string) *Seq { return &Seq{Type: t, width: KeySize(TypeDepth(t))} 
 // Append adds a vertex after the last: key, KeySize(TypeDepth(s.Type))
 // bytes, and value are copied.
 func (s *Seq) Append(key, value []byte) {
-	if s.n == cap(s.ends) {
-		// Double: append grows a large slice by only a quarter, copying
-		// a long sequence's arenas many times over.
+	// The arenas double: append grows a large slice by only a quarter,
+	// copying a long sequence's arenas many times over.
+	if len(s.keys)+len(key) > cap(s.keys) {
 		s.keys = append(make([]byte, 0, 2*cap(s.keys)+64*len(key)), s.keys...)
-		s.ends = append(make([]uint32, 0, 2*cap(s.ends)+64), s.ends...)
 	}
 	s.keys = append(s.keys, key...)
-	s.vals = append(s.vals, value...)
-	s.ends = append(s.ends, uint32(len(s.vals)))
+	if s.ends == nil && len(value) > 0 {
+		// The vertices before this one all had empty values.
+		s.ends = make([]uint32, s.n, 2*s.n+64)
+	}
+	if s.ends != nil {
+		if len(s.ends) == cap(s.ends) {
+			s.ends = append(make([]uint32, 0, 2*cap(s.ends)+64), s.ends...)
+		}
+		s.vals = append(s.vals, value...)
+		s.ends = append(s.ends, uint32(len(s.vals)))
+	}
 	s.n++
 }
 
@@ -65,6 +75,7 @@ func (s *Seq) Key(i int) []byte {
 
 // Value is vertex i's text in a stored sequence, aliasing it (never
 // write to it), and nil in one of nodes, whose Node carries the text.
+// An empty value may be nil too.
 func (s *Seq) Value(i int) []byte {
 	if s.ends == nil {
 		return nil
