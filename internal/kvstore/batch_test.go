@@ -336,6 +336,53 @@ func TestPutBatchSplitHalvesDoNotAlias(t *testing.T) {
 	}
 }
 
+// TestSortedRunBeforeLargeEntriesPacks: a sorted batch that lands just
+// ahead of three 1.4 KB entries — a later document's records ahead of
+// the first document's registry chunks — fills its leaves. A leaf that
+// overflows with a third of a page or more after the insertion point
+// keeps the new key and hands those entries to a leaf of their own, so
+// the run goes on appending to a packed leaf; cutting before the new key
+// instead carries a large entry into every leaf of the run, which then
+// takes about half again as many pages.
+func TestSortedRunBeforeLargeEntriesPacks(t *testing.T) {
+	db := OpenMemory(nil)
+	big := bytes.Repeat([]byte("t"), 1400)
+	var keys, vals [][]byte
+	bytesIn := 0
+	for i := 0; i < 3; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("T%d", i)))
+		vals = append(vals, big)
+		bytesIn += 4 + 2 + len(big)
+	}
+	if err := db.PutBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	keys, vals = nil, nil
+	for i := 0; i < 3000; i++ {
+		k, v := []byte(fmt.Sprintf("N%06d", i)), []byte(fmt.Sprintf("value-%024d", i))
+		keys, vals = append(keys, k), append(vals, v)
+		bytesIn += 4 + len(k) + len(v)
+	}
+	if err := db.PutBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	leaves := 0
+	for id := uint32(1); id < db.pager.npages.Load(); id++ {
+		buf, err := db.pager.read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] == pageLeaf {
+			leaves++
+		}
+	}
+	want := (bytesIn+PageSize-1)/PageSize + 2
+	t.Logf("%d entry bytes in %d leaves", bytesIn, leaves)
+	if leaves > want {
+		t.Errorf("%d entry bytes took %d leaves, want at most %d", bytesIn, leaves, want)
+	}
+}
+
 // TestWriteTxnRandomizedModel: seeded transactions of every kind —
 // PutBatch with shuffled keys, single Puts, Deletes, and Applies mixing
 // puts and deletes — over mixed value

@@ -132,12 +132,15 @@ func (db *DB) initState() {
 
 // Open opens (or creates) a store file. Before anything is read, a
 // leftover write-ahead log from an interrupted commit is replayed
-// (complete) or discarded (incomplete), so the store always reopens to
-// its last committed state. Every Sync is a write-ahead-log commit:
-// page images and a commit record are fsynced to <path>.wal before any
-// in-place page write, and the log is emptied once the in-place writes
-// are on stable storage, so a crash or torn write at any point leaves
-// the store at its last committed state. Concurrent Syncs share one
+// (complete) or discarded (incomplete), and pages past the header's
+// page count, written by a commit that never became durable, are cut
+// off, so the store always reopens to its last committed state. Every
+// Sync is a write-ahead-log commit: the pages it allocated are written
+// in place and fsynced, then the images of the pages it overwrites and
+// a commit record are fsynced to <path>.wal before any of those is
+// written in place, and the log is emptied once the in-place writes are
+// on stable storage, so a crash or torn write at any point leaves the
+// store at its last committed state (wal.go). Concurrent Syncs share one
 // commit (groupcommit.go). Between Syncs dirty pages are pinned in the
 // buffer pool; each commit evicts the pool back to CachePages.
 func Open(path string, opts *Options) (*DB, error) {
@@ -154,6 +157,9 @@ func Open(path string, opts *Options) (*DB, error) {
 		return nil, fmt.Errorf("kvstore: open %s: %w", path, err)
 	}
 	replayed, err := recoverWAL(fs, path, f)
+	if err == nil {
+		err = cutToHeader(f)
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -165,6 +171,7 @@ func Open(path string, opts *Options) (*DB, error) {
 	}
 	p.fs = fs
 	p.walPath = walSuffix(path)
+	p.durable = p.npages.Load()
 	if replayed {
 		p.recoveries.Store(1)
 	}
@@ -734,25 +741,38 @@ func (n *node) grow(entry int) {
 //
 // insertAt is the index of the entry whose insertion caused the overflow
 // (-1 when unknown, e.g. internal cascades). When it lies at or past the
-// byte midpoint of a leaf, the split happens at the insertion point
-// instead: the prefix keys[0:insertAt] — exactly the entries that fit the
-// page before this insert — stay behind as a packed left leaf, and the
-// new key starts the right leaf. Under sorted insertion (the shredder's
-// per-type runs, or any PutBatch) every overflow is rightmost, so leaves
-// fill to ~100% instead of the ~55% that byte-balanced halves converge
-// to, cutting the file's page count — and with it shred page writes —
-// by about a third. Random workloads are unaffected: a mid-leaf insert
-// below the midpoint still splits balanced, and the insertion-point rule
-// never yields a left half under half a page.
+// byte midpoint of a leaf, the leaf splits at the insertion point
+// instead, so that a sorted run fills its leaves:
+//
+//   - by default the cut is before the new key: the prefix
+//     keys[0:insertAt] — exactly the entries that fit the page before
+//     this insert — stays behind as a packed left leaf, and the new key
+//     starts the right leaf. Under sorted insertion into an empty range
+//     (the shredder's per-type runs, or any PutBatch) every overflow is
+//     the leaf's last key, so leaves fill to ~100% instead of the ~55%
+//     that byte-balanced halves converge to. A few entries after the new
+//     key travel with the run, costing each of its leaves a little.
+//   - when at least a third of a page of entries follows the new key,
+//     the cut is after it: the new key stays in the left leaf, and the
+//     entries after it move alone to the right leaf. A sorted run that
+//     lands mid-tree — a later document's records, just ahead of an
+//     earlier document's 1.4 KB registry chunks — then appends to the
+//     left leaf from here on and fills it, where the default cut would
+//     carry those chunks into every leaf of the run.
+//
+// Random workloads are unaffected: a mid-leaf insert below the midpoint
+// still splits balanced, and neither insertion-point cut yields a left
+// half under half a page. The rule reads only the leaf, so a batch and
+// one Put per key build the same tree.
 func (db *DB) finishInsert(id uint32, n *node, insertAt int) ([]byte, uint32, error) {
 	if n.size() <= PageSize {
 		return nil, 0, db.writeNodeW(id, n)
 	}
 	mid := n.splitPoint()
-	if n.typ == pageLeaf &&
-		insertAt >= mid && insertAt > 0 && insertAt < len(n.keys) {
-		r := &node{typ: pageLeaf, keys: n.keys[insertAt:], vals: n.vals[insertAt:]}
-		if r.measure().size() <= PageSize {
+	if n.typ == pageLeaf && insertAt >= mid && insertAt > 0 && insertAt < len(n.keys) {
+		if cut := insertAt + 1; n.leafBytes(cut, len(n.keys)) >= PageSize/3 && n.leafBytes(0, cut) <= PageSize {
+			mid = cut
+		} else if n.leafBytes(insertAt, len(n.keys)) <= PageSize {
 			mid = insertAt
 		}
 	}
@@ -792,6 +812,16 @@ func (db *DB) finishInsert(id uint32, n *node, insertAt int) ([]byte, uint32, er
 		return nil, 0, err
 	}
 	return promoted, rightID, nil
+}
+
+// leafBytes returns the serialized size of a leaf of the entries
+// [from, to).
+func (n *node) leafBytes(from, to int) int {
+	sz := 7 // header + sibling pointer
+	for i := from; i < to; i++ {
+		sz += 4 + len(n.keys[i]) + len(n.vals[i])
+	}
+	return sz
 }
 
 // splitPoint returns the index at which the serialized left half first

@@ -12,8 +12,9 @@ import (
 // Sync no longer owns the tree lock (there is none to own) — it joins
 // the pending commit ticket. The first joiner to find no flush in
 // progress becomes the leader: it detaches the ticket, collects the
-// dirty set, and runs the full commit protocol (WAL append + one fsync,
-// in-place writes, data-file fsync, WAL reset) once for every member.
+// dirty set, and runs the full commit protocol (fresh pages in place +
+// data-file fsync, WAL append + one fsync, in-place writes, data-file
+// fsync, WAL reset; see wal.go) once for every member.
 // Callers that arrive while a flush is running accumulate on the next
 // ticket and park; when the running flush finishes it wakes everyone —
 // members of the finished ticket return its result, and one member of
@@ -173,33 +174,45 @@ func (db *DB) flushBatch() error {
 		return nil
 	}
 
-	if len(batch) > 0 {
-		if err := p.walCommit(batch, npages); err != nil {
+	// Pages the batch allocated past the durable page count never held
+	// committed data, so a torn write of one cannot damage the store:
+	// they go in place first, and only the rest go through the log (see
+	// wal.go). A store with no durable header yet logs every page.
+	logged, fresh := batch, batch[len(batch):]
+	if d := p.durable; d > 0 {
+		i := sort.Search(len(batch), func(i int) bool { return batch[i].id >= d })
+		logged, fresh = batch[:i], batch[i:]
+	}
+	if len(fresh) > 0 {
+		if err := p.writeRuns(fresh); err != nil {
+			return err
+		}
+		if err := fsyncTimed(p.file, fileFsyncTime); err != nil {
 			return err
 		}
 	}
-	for _, fp := range batch {
-		start := time.Now()
-		_, err := p.file.WriteAt(fp.buf, int64(fp.id)*PageSize)
-		p.ioNanos.Add(int64(time.Since(start)))
-		if err != nil {
-			return fmt.Errorf("kvstore: sync page %d: %w", fp.id, err)
+	// From here on the batch may become durable: a later flush must log
+	// every page below its count.
+	p.durable = npages
+	if len(logged) > 0 {
+		if err := p.walCommit(logged, npages); err != nil {
+			return err
 		}
-		p.writes.Add(1)
-		// Clear dirty only while the entry still holds the buffer we just
-		// wrote; a commit that superseded it mid-flush must stay dirty for
-		// the next batch (its image is in neither the WAL nor the file yet).
-		s := p.shardOf(fp.id)
-		lockTimed(&s.mu, shardLockWait)
-		if &fp.c.buf[0] == &fp.buf[0] {
-			fp.c.dirty = false
+		for _, fp := range logged {
+			start := time.Now()
+			_, err := p.file.WriteAt(fp.buf, int64(fp.id)*PageSize)
+			p.ioNanos.Add(int64(time.Since(start)))
+			if err != nil {
+				return fmt.Errorf("kvstore: sync page %d: %w", fp.id, err)
+			}
+			p.writes.Add(1)
+			p.written(fp)
 		}
-		s.mu.Unlock()
 	}
 	if err := fsyncTimed(p.file, fileFsyncTime); err != nil {
 		return err
 	}
-	if len(batch) > 0 {
+	if len(logged) > 0 {
 		if err := p.walReset(); err != nil {
 			return err
 		}
@@ -212,4 +225,52 @@ func (db *DB) flushBatch() error {
 		s.mu.Unlock()
 	}
 	return nil
+}
+
+// freshRun bounds the pages one in-place write of fresh pages carries,
+// and with it the buffer the pager keeps for them (256 KB).
+const freshRun = 64
+
+// writeRuns writes fresh pages (sorted by id) in place, one WriteAt per
+// run of consecutive ids of up to freshRun pages, copied into one buffer
+// the pager keeps (flushes are serialized).
+func (p *pager) writeRuns(pages []flushPage) error {
+	if p.runBuf == nil {
+		p.runBuf = make([]byte, freshRun*PageSize)
+	}
+	for len(pages) > 0 {
+		n := 1
+		for n < len(pages) && n < freshRun && pages[n].id == pages[0].id+uint32(n) {
+			n++
+		}
+		buf := p.runBuf[:n*PageSize]
+		for i, fp := range pages[:n] {
+			copy(buf[i*PageSize:], fp.buf)
+		}
+		start := time.Now()
+		_, err := p.file.WriteAt(buf, int64(pages[0].id)*PageSize)
+		p.ioNanos.Add(int64(time.Since(start)))
+		if err != nil {
+			return fmt.Errorf("kvstore: write pages %d-%d: %w", pages[0].id, pages[n-1].id, err)
+		}
+		p.writes.Add(int64(n))
+		for _, fp := range pages[:n] {
+			p.written(fp)
+		}
+		pages = pages[n:]
+	}
+	return nil
+}
+
+// written clears a flushed page's dirty flag, but only while its entry
+// still holds the buffer that was written: a commit that superseded it
+// mid-flush must stay dirty for the next batch (its image is in neither
+// the log nor the file yet).
+func (p *pager) written(fp flushPage) {
+	s := p.shardOf(fp.id)
+	lockTimed(&s.mu, shardLockWait)
+	if &fp.c.buf[0] == &fp.buf[0] {
+		fp.c.dirty = false
+	}
+	s.mu.Unlock()
 }

@@ -66,10 +66,13 @@ type Stats struct {
 	// it.
 	ReadAheads int64
 	// WALBytes counts bytes appended to the write-ahead log (file-backed
-	// stores only); WALCommits counts flush batches that completed the
-	// full log-then-in-place commit protocol. Recoveries is 1 when Open
-	// found a complete log from an interrupted commit and replayed it,
-	// else 0.
+	// stores only): the images of pages that overwrite durable ones, and
+	// the records around them. A page a commit allocates is written in
+	// place only, so it counts in BlocksWritten and not here. WALCommits
+	// counts flush batches that completed the log-then-in-place commit
+	// protocol, i.e. that logged at least one page. Recoveries is 1 when
+	// Open found a complete log from an interrupted commit and replayed
+	// it, else 0.
 	WALBytes   int64
 	WALCommits int64
 	Recoveries int64
@@ -159,11 +162,16 @@ type pager struct {
 
 	// Commit-protocol state: fs opens the write-ahead log lazily at
 	// walPath (the full <path>.wal name); walRec is the buffer walCommit
-	// encodes each page record into (flushes are serialized).
+	// encodes each page record into and runBuf the one writeRuns gathers
+	// fresh pages in (flushes are serialized). durable is the page count
+	// of the last commit that may be durable, 0 while the file has no
+	// durable header: pages at or past it skip the log.
 	fs      VFS
 	walPath string
 	wal     File
 	walRec  []byte
+	runBuf  []byte
+	durable uint32
 
 	reads        atomic.Int64
 	writes       atomic.Int64

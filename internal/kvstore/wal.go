@@ -9,17 +9,39 @@ import (
 
 // Write-ahead log: the commit protocol that makes Sync atomic.
 //
-// Every file-backed store keeps a sidecar log at <path>.wal. Sync first appends
-// every dirty page image to the log, each protected by a CRC, followed
-// by a commit record naming the batch size and the committed file length
-// — and fsyncs the log. Only then are the pages written in place in the
-// store file and fsynced, after which the log is truncated. Open replays
-// the log before reading anything: a log whose commit record (and every
-// page record it covers) checks out is re-applied to the store file — the
-// in-place phase may have been interrupted anywhere, including mid-page —
-// while a log that ends early or fails a checksum is discarded, because
-// the store file is untouched until the commit record is durable. Either
-// way the store reopens to exactly the last committed state.
+// Every file-backed store keeps a sidecar log at <path>.wal. A flush
+// batch splits its dirty pages at the durable page count, the count of
+// the last commit that may have reached stable storage:
+//
+//   - A fresh page, at or past that count, was allocated by the batch
+//     itself and never held committed data, so a torn write of it
+//     cannot damage the store. Fresh pages are written in place first,
+//     one write per run of consecutive page ids, and the store file is
+//     fsynced. Every page a commit allocates is fresh, so a shred writes
+//     most of its pages exactly once.
+//   - Every other page overwrites durable data: the header, internal
+//     pages, a leaf that gained entries. Their images go to the log,
+//     each protected by a CRC, followed by a commit record naming the
+//     batch size and the committed file length, and the log is fsynced.
+//     Only then are they written in place in the store file and fsynced,
+//     after which the log is truncated and fsynced.
+//
+// A batch with no fresh pages skips the first step. A file with no
+// durable header yet (a new store's first commit) counts every page as
+// logged, so its header never reaches the file before its commit record
+// is durable. There is no free list: once one exists, a reused page id
+// lies below the durable count and so goes through the log by this
+// rule.
+//
+// Open replays the log before reading anything: a log whose commit
+// record (and every page record it covers) checks out is re-applied to
+// the store file — the in-place phase may have been interrupted
+// anywhere, including mid-page — while a log that ends early or fails a
+// checksum is discarded, because the logged pages are untouched until
+// the commit record is durable. Open then cuts the file back to the page
+// count its header names (cutToHeader): pages past it, torn or whole,
+// belong to a commit whose record never became durable. Either way the
+// store reopens to exactly the last committed state.
 //
 // Layout (integers big-endian, CRC-32C):
 //
@@ -85,9 +107,10 @@ type walBatch struct {
 // parseWAL decodes the complete batches at the front of data, stopping
 // at the first malformed, checksum-failing, or incomplete record — the
 // crash tail. basePages is the store file's current page count; it
-// bounds each batch's committed length (a commit can grow the file by at
-// most its own batch, since every appended page is dirty at commit), so
-// a corrupt length cannot balloon replay. Everything after the last
+// bounds each batch's committed length (a commit's fresh pages are in
+// the file before its log is written, and a first commit logs every
+// page, so a batch grows the file by at most its own records), so a
+// corrupt length cannot balloon replay. Everything after the last
 // complete batch is discarded by the caller.
 func parseWAL(data []byte, basePages int64) []walBatch {
 	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
@@ -197,16 +220,51 @@ func recoverWAL(fs VFS, path string, db File) (bool, error) {
 	return len(batches) > 0, nil
 }
 
-// walCommit makes a flush batch durable in the log: header, one page
-// record each, commit record, fsync. Called by the group-commit leader
-// before any in-place write; the log was left empty by the previous
-// commit (or recovery), so the batch starts at offset 0. The page images
-// and the committed page count were captured together under the DB's
-// publishMu, so the batch is a consistent cut: a transaction's pages are
-// either all in the batch or all left for the next one, and npages never
-// exceeds what replay's growth bound allows. The single fsync here is
-// the durability point the whole group of committers shares (WALFsyncs
-// counts exactly these).
+// cutToHeader cuts the store file back to the page count its header
+// names, after replay: the pages past it were written in place by a
+// commit whose record never became durable, and the last of them may be
+// torn, leaving a size that is not a whole number of pages. A header
+// that is missing or implausible (bad magic, root 0 or not below the
+// count, fewer than two pages) cuts nothing, and Open rejects the file
+// as it is.
+func cutToHeader(db File) error {
+	size, err := db.Size()
+	if err != nil {
+		return err
+	}
+	if size < PageSize {
+		return nil
+	}
+	hdr := make([]byte, 16)
+	if _, err := db.ReadAt(hdr, 0); err != nil {
+		return fmt.Errorf("kvstore: read header: %w", err)
+	}
+	root := binary.BigEndian.Uint32(hdr[8:])
+	npages := binary.BigEndian.Uint32(hdr[12:])
+	keep := int64(npages) * PageSize
+	if string(hdr[:8]) != magic || root == 0 || root >= npages || npages < 2 || size <= keep {
+		return nil
+	}
+	if err := db.Truncate(keep); err != nil {
+		return fmt.Errorf("kvstore: cut uncommitted pages: %w", err)
+	}
+	if err := db.Sync(); err != nil {
+		return fmt.Errorf("kvstore: cut uncommitted pages: %w", err)
+	}
+	return nil
+}
+
+// walCommit makes a flush batch's logged pages durable in the log:
+// header, one page record each, commit record, fsync. Called by the
+// group-commit leader after the batch's fresh pages are on stable
+// storage and before any other in-place write; the log was left empty
+// by the previous commit (or recovery), so the batch starts at offset
+// 0. The page images and the committed page count were captured
+// together under the DB's publishMu, so the batch is a consistent cut:
+// a transaction's pages are either all in the batch or all left for the
+// next one, and npages never exceeds what replay's growth bound allows.
+// The single fsync here is the durability point the whole group of
+// committers shares (WALFsyncs counts exactly these).
 func (p *pager) walCommit(batch []flushPage, npages uint32) error {
 	if p.wal == nil {
 		w, err := p.fs.OpenFile(p.walPath, os.O_RDWR|os.O_CREATE, 0o644)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -282,5 +284,99 @@ func TestWALCorruptionDiscarded(t *testing.T) {
 			t.Fatalf("flip @%d: committed key lost: %q %v %v", pos, v, ok, err)
 		}
 		db.Close()
+	}
+}
+
+// TestFreshPagesCrashSweep crashes a commit that rewrites every leaf of
+// a store and splits a few of them, at every file mutation it makes,
+// with the crashing write torn at several lengths and with and without
+// the unsynced writes dropped. The split-off pages are fresh: they go in
+// place, and are fsynced, before the log is written. So the crash can
+// leave the store file longer than its header says, or not a whole
+// number of pages, and a log whose commit record is durable must find
+// them in the file; every reopen gives the state before the commit or
+// after it.
+func TestFreshPagesCrashSweep(t *testing.T) {
+	base, grown := map[string]string{}, map[string]string{}
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("k%04d", 2*i)
+		base[k] = strings.Repeat("a", 300)
+		grown[k] = strings.Repeat("b", 300)
+	}
+	for i := 0; i < 20; i++ {
+		grown[fmt.Sprintf("k%04d", 20*i+1)] = strings.Repeat("c", 300)
+	}
+	apply := func(db *DB, m map[string]string) error {
+		var b Batch
+		for k, v := range m {
+			b.Put([]byte(k), []byte(v))
+		}
+		return db.Apply(&b)
+	}
+	// run commits base, then grown with a crash armed at mutation crash
+	// (-1: none); it returns the mutation range of the second Sync.
+	run := func(fs *FaultFS, crash int64, tear int, drop bool) (int64, int64) {
+		db, err := Open("t.db", &Options{FS: fs, CachePages: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := apply(db, base); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		w0, before := fs.Writes(), db.Stats()
+		if crash >= 0 {
+			fs.CrashAfter(crash, tear, drop)
+		}
+		if err := apply(db, grown); err != nil {
+			t.Fatal(err)
+		}
+		err = db.Sync()
+		if crash >= 0 && !errors.Is(err, ErrCrashed) {
+			t.Fatalf("crash@%d: Sync = %v, want ErrCrashed", crash, err)
+		}
+		if crash < 0 {
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := db.Stats()
+			pages := after.BlocksWritten - before.BlocksWritten
+			logged := (after.WALBytes - before.WALBytes) / walPageRecSize
+			t.Logf("the commit writes %d pages, %d of them logged, in mutations %d to %d", pages, logged, w0, fs.Writes()-1)
+			if logged == pages || logged < 4 {
+				t.Fatalf("the commit logged %d of its %d pages: it has no fresh pages, or too few logged ones", logged, pages)
+			}
+		}
+		return w0, fs.Writes()
+	}
+	w0, w1 := run(NewFaultFS(), -1, 0, false)
+	for crash := w0; crash < w1; crash++ {
+		for _, tear := range []int{0, 100, PageSize, PageSize + PageSize/2} {
+			for _, drop := range []bool{false, true} {
+				name := fmt.Sprintf("crash@%d/tear=%d/drop=%v", crash, tear, drop)
+				fs := NewFaultFS()
+				run(fs, crash, tear, drop)
+				fs.ClearFaults()
+				db, err := Open("t.db", &Options{FS: fs})
+				if err != nil {
+					t.Fatalf("%s: reopen: %v", name, err)
+				}
+				got := map[string]string{}
+				if err := db.Ascend(nil, nil, func(k, v []byte) bool {
+					got[string(k)] = string(v)
+					return true
+				}); err != nil {
+					t.Fatalf("%s: scan: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, base) && !reflect.DeepEqual(got, grown) {
+					t.Fatalf("%s: reopened with %d keys, neither the old state (%d) nor the new (%d)", name, len(got), len(base), len(grown))
+				}
+				if err := db.Close(); err != nil {
+					t.Fatalf("%s: close: %v", name, err)
+				}
+			}
+		}
 	}
 }

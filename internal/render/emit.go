@@ -163,6 +163,15 @@ func (v *Vertex) text() string {
 	return string(v.Value)
 }
 
+// bytes is v's value as bytes to read, copying nothing: the node's own
+// string or the scan's buffer.
+func (v *Vertex) bytes() []byte {
+	if v.Node != nil {
+		return xmltree.Borrow(v.Node.Value)
+	}
+	return v.Value
+}
+
 func (s *treeSink) mark(v *Vertex) {
 	if v != nil {
 		s.b.Last().Src = v.Node
@@ -190,13 +199,7 @@ func (s *byteSink) Open(x *plan.Node, v *Vertex) {
 	s.text = v
 }
 
-func (s *byteSink) Attr(x *plan.Node, v *Vertex) {
-	if v.Node != nil {
-		s.enc.Attr(x.TN.Name, v.Node.Value)
-	} else {
-		s.enc.AttrBytes(x.TN.Name, v.Value)
-	}
-}
+func (s *byteSink) Attr(x *plan.Node, v *Vertex) { s.enc.Attr(x.TN.Name, v.bytes()) }
 
 func (s *byteSink) Close() {
 	if s.text != nil {
@@ -209,11 +212,7 @@ func (s *byteSink) Close() {
 func (s *byteSink) flush() {
 	v := s.text
 	s.text = nil
-	if v.Node != nil {
-		s.enc.Text(v.Node.Value)
-	} else {
-		s.enc.TextBytes(v.Value)
-	}
+	s.enc.Text(v.bytes())
 }
 
 func (s *byteSink) Err() error { return s.enc.Err() }

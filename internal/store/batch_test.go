@@ -268,8 +268,10 @@ func TestShredEpochs(t *testing.T) {
 }
 
 // TestShredAllocsPerNode guards the ingest path end to end on the XMark
-// sf 0.02 document: tokenizing, shredding and the PutBatch flushes must
-// stay under 4 allocations per shredded node.
+// sf 0.02 document: tokenizing, shredding and the PutBatch flushes make
+// 0.26 allocations per shredded node, the bound is that plus a quarter.
+// The handler borrowing each value from the scanner's buffer, where it
+// got a string of its own, took it from 0.9.
 func TestShredAllocsPerNode(t *testing.T) {
 	xml := xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42}).XML(false)
 	var nodes int
@@ -281,9 +283,9 @@ func TestShredAllocsPerNode(t *testing.T) {
 		nodes = info.Nodes
 	})
 	perNode := allocs / float64(nodes)
-	t.Logf("%d nodes, %.1f allocations per node", nodes, perNode)
-	if perNode > 4 {
-		t.Errorf("shred: %.1f allocations per node, want <= 4", perNode)
+	t.Logf("%d nodes, %.0f allocations, %.3f per node", nodes, allocs, perNode)
+	if perNode > 0.325 {
+		t.Errorf("shred: %.3f allocations per node, want <= 0.325", perNode)
 	}
 }
 
@@ -312,11 +314,15 @@ func TestShredBytesPerInputByte(t *testing.T) {
 
 // TestShredTreeLayoutPinned pins the B+tree a shred builds, which
 // TestStoredBytesPinned, looking at keys and values only, cannot see:
-// XMark sf 0.02 seed 42 shredded into a 128-page file store writes 412
-// pages, lands 29 674 keys through the leaf cursor, and leaves a store
+// XMark sf 0.02 seed 42 shredded into a 128-page file store writes 413
+// pages, lands 29 672 keys through the leaf cursor, and leaves a store
 // file of exactly these bytes. Those three were retaken when the shape
-// became rows (423 pages and 29 572 keys before); the records other than
-// the shape rows and the hash record hash as they did before it.
+// became rows (423 pages and 29 572 keys before), and again when a leaf
+// that overflows with a third of a page or more after the new key began
+// to keep the key and split after it (412 pages and 29 674 keys before:
+// the later flushes' runs land mid-tree, and a few of them now leave
+// the entries after them a leaf of their own); the records other than
+// the shape rows and the hash record hash as they did before either.
 func TestShredTreeLayoutPinned(t *testing.T) {
 	xml := xmark.Generate(xmark.Config{Factor: 0.02, Seed: 42}).XML(false)
 	path := filepath.Join(t.TempDir(), "layout.db")
@@ -334,16 +340,53 @@ func TestShredTreeLayoutPinned(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.BlocksWritten != 412 || stats.FastPathHits != 29674 {
-		t.Errorf("shred wrote %d pages with %d leaf-cursor hits, want 412 and 29674",
+	if stats.BlocksWritten != 413 || stats.FastPathHits != 29672 {
+		t.Errorf("shred wrote %d pages with %d leaf-cursor hits, want 413 and 29672",
 			stats.BlocksWritten, stats.FastPathHits)
 	}
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "1687552:2949ac51fcfad8874bcf938c9a01150bcd2752f72dfc1be2afe0056da92b3296"
+	const want = "1691648:d4ebbed8499e70d6902e999030c0798321b99308edfa95eb7a398121628d6aae"
 	if got := fmt.Sprintf("%d:%x", len(file), sha256.Sum256(file)); got != want {
 		t.Errorf("store file = %s, want %s", got, want)
+	}
+}
+
+// TestLaterDocumentsPacked holds later documents to the first one's
+// cost: six XMark sf 0.02 documents shredded into one file store. A
+// later document's node records land mid-tree, just ahead of the first
+// document's registry chunks, and its pages are almost all new ones, so
+// each later shred may write at most 1.1 times the pages of the first
+// (splits before the new key, which carry a 1.4 KB chunk into every
+// leaf of the run, take 1.45 times) and put at most 64 KB in the log
+// (logging every page puts 2.4 MB there).
+func TestLaterDocumentsPacked(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "later.db"), WithCachePages(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var first int64
+	for seed := int64(1); seed <= 6; seed++ {
+		xml := xmark.Generate(xmark.Config{Factor: 0.02, Seed: seed}).XML(false)
+		before := s.Stats()
+		if _, err := s.Shred(fmt.Sprintf("d%d", seed), strings.NewReader(xml), nil); err != nil {
+			t.Fatal(err)
+		}
+		after := s.Stats()
+		pages, logged := after.BlocksWritten-before.BlocksWritten, after.WALBytes-before.WALBytes
+		t.Logf("document %d: %d pages written, %d log bytes", seed, pages, logged)
+		if seed == 1 {
+			first = pages
+			continue
+		}
+		if float64(pages) > 1.1*float64(first) {
+			t.Errorf("document %d wrote %d pages, want <= 1.1 x the first's %d", seed, pages, first)
+		}
+		if logged > 64<<10 {
+			t.Errorf("document %d put %d bytes in the log, want <= 64 KB", seed, logged)
+		}
 	}
 }

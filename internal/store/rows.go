@@ -408,7 +408,7 @@ func (h *foldHandler) Start(name string) {
 	h.f.Open(h.path[len(h.path)-1])
 }
 
-func (h *foldHandler) Attr(name, _ string) {
+func (h *foldHandler) Attr(name string, _ []byte) {
 	h.f.Open(h.child("@" + name))
 	h.f.Close()
 }
@@ -418,7 +418,7 @@ func (h *foldHandler) End() {
 	h.path = h.path[:len(h.path)-1]
 }
 
-func (h *foldHandler) Text(string) {}
+func (h *foldHandler) Text([]byte) {}
 func (h *foldHandler) Err() error  { return nil }
 
 // child is the type of the open element's child named name.

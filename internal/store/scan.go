@@ -21,10 +21,11 @@ import (
 // or the scan's buffer, and are valid only until the next call to Next.
 type TypeScan struct {
 	it     *kvstore.Iterator
-	prefix []byte
+	prefix []byte // head[:], kept in the scan
+	head   [nodeKeyHead]byte
 	depth  int
 	key    []byte // the current node's Dewey key, in the page image
-	val    []byte // the reused buffer multi-chunk values are assembled in
+	val    []byte // the reused buffer multi-chunk values are assembled in, grown on first use
 	cur    []byte // the current value: a page slice or val
 	attr   bool
 	name   string
@@ -41,17 +42,11 @@ func (d *Doc) ScanType(t string) *TypeScan {
 	if !ok {
 		return &TypeScan{done: true}
 	}
-	prefix := nodePrefix(d.id, tid, nil)
-	depth := xmltree.TypeDepth(t)
 	name := lastSegment(t)
-	return &TypeScan{
-		it:     d.r.Seek(prefix),
-		prefix: prefix,
-		depth:  depth,
-		val:    make([]byte, 0, 64),
-		attr:   name[0] == '@',
-		name:   name,
-	}
+	s := &TypeScan{depth: xmltree.TypeDepth(t), attr: name[0] == '@', name: name}
+	s.prefix = appendNodePrefix(s.head[:0], d.id, tid, nil)
+	s.it = d.r.Seek(s.prefix)
+	return s
 }
 
 // Next advances to the next node of the type; it returns false at the
@@ -183,14 +178,18 @@ func (d *Doc) Walk(h xmltree.Handler) error {
 		}
 	}
 	heap.Init(&q)
-	depth, tag, text := 0, false, "" // tag: the open element has shown only attributes
+	// tag: the open element has shown only attributes. Its text waits in
+	// text, a copy: the element's scan moves on before the text is handed
+	// over, and a value of several chunks lives in the scan's buffer.
+	depth, tag := 0, false
+	var text []byte
 	for len(q) > 0 {
 		top := q[0]
 		dd := xmltree.KeyDepth(top.key)
 		if top.attr && tag && dd == depth+1 {
-			h.Attr(top.name[1:], string(top.cur))
+			h.Attr(top.name[1:], top.cur)
 		} else {
-			if tag && text != "" {
+			if tag && len(text) > 0 {
 				h.Text(text)
 			}
 			for ; depth >= dd; depth-- {
@@ -200,7 +199,7 @@ func (d *Doc) Walk(h xmltree.Handler) error {
 				return fmt.Errorf("%w: node %s (%s) out of place under depth %d", ErrStorage, top.Dewey(), top.name, depth)
 			}
 			h.Start(top.name)
-			tag, text = true, string(top.cur)
+			tag, text = true, append(text[:0], top.cur...)
 			depth++
 		}
 		if err := h.Err(); err != nil {
@@ -214,7 +213,7 @@ func (d *Doc) Walk(h xmltree.Handler) error {
 			heap.Pop(&q)
 		}
 	}
-	if tag && text != "" {
+	if tag && len(text) > 0 {
 		h.Text(text)
 	}
 	for ; depth > 0; depth-- {

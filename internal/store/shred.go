@@ -180,7 +180,6 @@ type shredder struct {
 	open  []frame
 	path  xmltree.Dewey
 	key   []byte // the record key being built
-	attr  []byte // the attribute value being written
 	nodes int
 	chars int
 	err   error
@@ -262,19 +261,18 @@ func (sh *shredder) Start(name string) {
 	sh.fold.Open(sh.paths[typ].path)
 }
 
-func (sh *shredder) Attr(name, value string) {
+func (sh *shredder) Attr(name string, value []byte) {
 	f := &sh.open[len(sh.open)-1]
 	f.kids++
 	typ := sh.child(f.typ, name, true)
 	sh.fold.Open(sh.paths[typ].path)
 	sh.fold.Close()
-	sh.attr = append(sh.attr[:0], value...)
-	sh.emit(typ, append(sh.path, f.kids), sh.attr)
+	sh.emit(typ, append(sh.path, f.kids), value)
 }
 
-func (sh *shredder) Text(s string) {
+func (sh *shredder) Text(b []byte) {
 	f := &sh.open[len(sh.open)-1]
-	f.value = append(f.value, s...)
+	f.value = append(f.value, b...)
 }
 
 func (sh *shredder) End() {

@@ -554,12 +554,12 @@ func (f *fragment) Start(name string) {
 	f.sh.Start(name)
 }
 
-func (f *fragment) Attr(name, value string) {
+func (f *fragment) Attr(name string, value []byte) {
 	f.enter(f.sh.child(f.sh.open[len(f.sh.open)-1].typ, name, true))
 	f.sh.Attr(name, value)
 }
 
-func (f *fragment) Text(s string) { f.sh.Text(s) }
+func (f *fragment) Text(b []byte) { f.sh.Text(b) }
 func (f *fragment) End()          { f.sh.End() }
 func (f *fragment) Err() error    { return f.sh.Err() }
 

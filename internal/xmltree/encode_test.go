@@ -196,12 +196,12 @@ func TestEncoderSplice(t *testing.T) {
 			var kids []*Node
 			for _, k := range root.Children {
 				if k.Attr {
-					e.Attr(k.LocalName(), k.Value)
+					e.Attr(k.LocalName(), Borrow(k.Value))
 				} else {
 					kids = append(kids, k)
 				}
 			}
-			e.Text(root.Value)
+			e.Text(Borrow(root.Value))
 			e.Splice(nil)
 			// Every child in a splice of its own, then all of them in one.
 			for _, group := range [][]*Node{kids[:min(1, len(kids))], kids[min(1, len(kids)):]} {

@@ -39,16 +39,16 @@ func TestIndentedSerialization(t *testing.T) {
 	}
 }
 
-// TestEncoderEscapes: string and byte values take the same escaper, and
-// only attribute values escape the double quote.
+// TestEncoderEscapes: only attribute values escape the double quote,
+// and a value handed over with Borrow is escaped as its copy is.
 func TestEncoderEscapes(t *testing.T) {
 	var b strings.Builder
 	e := NewEncoder(&b, false)
 	e.Start("a")
-	e.Attr("k", `a"b<c`)
-	e.AttrBytes("j", []byte(`a"b<c`))
-	e.Text(`1 < 2 & "q"`)
-	e.TextBytes([]byte(`1 > 2 & "q"`))
+	e.Attr("k", Borrow(`a"b<c`))
+	e.Attr("j", []byte(`a"b<c`))
+	e.Text(Borrow(`1 < 2 & "q"`))
+	e.Text([]byte(`1 > 2 & "q"`))
 	e.End()
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unsafe"
 )
 
 // MaxDepth bounds the level of any node: a root is level 1, a child
@@ -16,16 +17,23 @@ const MaxDepth = 125
 
 // Handler receives a document as events in document order: per element
 // Start, its attributes, then its text and child elements, End. Names
-// are local names without an attribute marker. A handler that fails
-// keeps the failure, reports it from Err, and stays safe to send the
-// rest of a balanced event sequence to.
+// are local names without an attribute marker. The bytes of an
+// attribute value or a run of text are borrowed: they are valid only
+// until the call returns, and the handler never writes to them — a
+// handler that keeps a value copies it. A handler that fails keeps the
+// failure, reports it from Err, and stays safe to send the rest of a
+// balanced event sequence to.
 type Handler interface {
 	Start(name string)
-	Attr(name, value string)
-	Text(s string)
+	Attr(name string, value []byte)
+	Text(b []byte)
 	End()
 	Err() error
 }
+
+// Borrow returns the bytes of s without copying them, for handing a
+// string to a Handler or an Encoder, which only read them.
+func Borrow(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // Scan reads one XML document from r and hands it to h. It is the
 // repository's only XML tokenizer, and the rules of ingest are stated
@@ -74,8 +82,8 @@ func ParseElement(s string) (int, error) {
 type discard struct{}
 
 func (discard) Start(string)        {}
-func (discard) Attr(string, string) {}
-func (discard) Text(string)         {}
+func (discard) Attr(string, []byte) {}
+func (discard) Text([]byte)         {}
 func (discard) End()                {}
 func (discard) Err() error          { return nil }
 
@@ -93,10 +101,10 @@ func (n *Node) Replay(h Handler) {
 	h.Start(n.Name)
 	for _, c := range n.Children {
 		if c.Attr {
-			h.Attr(c.LocalName(), c.Value)
+			h.Attr(c.LocalName(), Borrow(c.Value))
 		}
 	}
-	h.Text(n.Value)
+	h.Text(Borrow(n.Value))
 	for _, c := range n.Children {
 		if !c.Attr {
 			c.Replay(h)
@@ -123,11 +131,11 @@ func (b *Builder) Handler() Handler { return builderHandler{b} }
 
 type builderHandler struct{ b *Builder }
 
-func (h builderHandler) Start(name string)       { h.b.Elem(name) }
-func (h builderHandler) Attr(name, value string) { h.b.Attr(name, value) }
-func (h builderHandler) Text(s string)           { h.b.Text(s) }
-func (h builderHandler) End()                    { h.b.End() }
-func (h builderHandler) Err() error              { return h.b.err }
+func (h builderHandler) Start(name string)              { h.b.Elem(name) }
+func (h builderHandler) Attr(name string, value []byte) { h.b.Attr(name, string(value)) }
+func (h builderHandler) Text(b []byte)                  { h.b.Text(string(b)) }
+func (h builderHandler) End()                           { h.b.End() }
+func (h builderHandler) Err() error                     { return h.b.err }
 
 // ParseString parses an XML document held in a string.
 func ParseString(s string) (*Document, error) {

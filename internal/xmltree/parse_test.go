@@ -366,7 +366,7 @@ func scanReference(r io.Reader, h Handler) error {
 				if err := checkName(a.Name.Local); err != nil {
 					return err
 				}
-				h.Attr(a.Name.Local, a.Value)
+				h.Attr(a.Name.Local, []byte(a.Value))
 			}
 		case xml.EndElement:
 			if depth == 0 {
@@ -376,7 +376,7 @@ func scanReference(r io.Reader, h Handler) error {
 			h.End()
 		case xml.CharData:
 			if depth > 0 && len(bytes.TrimSpace(t)) > 0 {
-				h.Text(string(t))
+				h.Text(t)
 			}
 		}
 		if err := h.Err(); err != nil {
@@ -423,11 +423,13 @@ func elementReference(s string) (int, error) {
 // eventLog records the events a Handler receives.
 type eventLog struct{ events []string }
 
-func (l *eventLog) Start(name string)       { l.events = append(l.events, "<"+name) }
-func (l *eventLog) Attr(name, value string) { l.events = append(l.events, "@"+name+"="+value) }
-func (l *eventLog) Text(s string)           { l.events = append(l.events, "#"+s) }
-func (l *eventLog) End()                    { l.events = append(l.events, ">") }
-func (l *eventLog) Err() error              { return nil }
+func (l *eventLog) Start(name string) { l.events = append(l.events, "<"+name) }
+func (l *eventLog) Attr(name string, value []byte) {
+	l.events = append(l.events, "@"+name+"="+string(value))
+}
+func (l *eventLog) Text(b []byte) { l.events = append(l.events, "#"+string(b)) }
+func (l *eventLog) End()          { l.events = append(l.events, ">") }
+func (l *eventLog) Err() error    { return nil }
 
 // checkScan holds Scan to scanReference on one input: both accept it or
 // both reject it, and an accepted input gives both the same events —

@@ -11,10 +11,9 @@ import (
 )
 
 // The byte scanner behind Scan. It reads its input through one buffer,
-// boxes no tokens and builds nothing per tag but the strings it hands a
-// Handler: names are interned once per scan, character data and an
-// element's attribute values are decoded into one reused buffer and
-// become strings only as event arguments.
+// boxes no tokens and builds nothing per tag: names are interned once
+// per scan, and character data and an element's attribute values are
+// decoded into one reused buffer, which the Handler borrows.
 //
 // What it accepts, and every event it produces, is what the encoding/xml
 // token loop it replaced accepted and produced; the comments below name
@@ -263,7 +262,7 @@ func (s *scanner) startTag(h Handler) error {
 		if an.dotted {
 			return checkName(an.local)
 		}
-		h.Attr(an.local, string(s.val[a.from:a.to]))
+		h.Attr(an.local, s.val[a.from:a.to])
 	}
 	if empty {
 		s.close(h)
@@ -476,7 +475,7 @@ func (s *scanner) chars(h Handler, stop uint8) error {
 		return err
 	case blank:
 	case len(s.open) > 0:
-		h.Text(string(s.val))
+		h.Text(s.val)
 	case s.one && !s.rooted:
 		return s.syntax("text before the root element")
 	}

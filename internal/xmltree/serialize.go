@@ -110,36 +110,16 @@ func (e *Encoder) Start(name string) {
 }
 
 // Attr adds an attribute to the element just started.
-func (e *Encoder) Attr(name, value string) {
-	e.attrName(name)
-	e.b = append(escape(e.b, value, escAttr), '"')
-	e.spill()
-}
-
-// AttrBytes is Attr for a value held as bytes.
-func (e *Encoder) AttrBytes(name string, value []byte) {
-	e.attrName(name)
-	e.b = append(escape(e.b, value, escAttr), '"')
-	e.spill()
-}
-
-func (e *Encoder) attrName(name string) {
+func (e *Encoder) Attr(name string, value []byte) {
 	e.nodes++
 	e.b = append(append(append(e.b, ' '), name...), `="`...)
+	e.b = append(escape(e.b, value, escAttr), '"')
+	e.spill()
 }
 
 // Text writes the current element's character data; empty text writes
 // nothing (and leaves a childless element self-closing).
-func (e *Encoder) Text(s string) {
-	if s != "" {
-		e.content()
-		e.b = escape(e.b, s, escText)
-		e.spill()
-	}
-}
-
-// TextBytes is Text for character data held as bytes.
-func (e *Encoder) TextBytes(b []byte) {
+func (e *Encoder) Text(b []byte) {
 	if len(b) > 0 {
 		e.content()
 		e.b = escape(e.b, b, escText)
