@@ -45,10 +45,9 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	storePath := flag.String("store", "xmorph.db", "store file for shredded documents (a directory of per-shard files when -shards/-replicas select cluster mode)")
+	storePath := flag.String("store", "xmorph.db", "store file for shredded documents (a directory of per-shard files when -shards selects cluster mode)")
 	cache := flag.Int("cache", 256, "buffer pool size in pages (per shard in cluster mode)")
 	shards := flag.Int("shards", 1, "shard the store across N engines on a consistent-hash ring (>1 selects cluster mode)")
-	replicas := flag.Int("replicas", 0, "read replicas per shard fed by WAL shipping (>0 selects cluster mode)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
 	maxInflight := flag.Int("max-inflight", 0, "admitted concurrent requests (0 = GOMAXPROCS)")
 	maxBody := flag.Int64("max-body", 64<<20, "request body cap in bytes")
@@ -79,7 +78,7 @@ func main() {
 		SlowRingSize:       *slowRing,
 		AccessLog:          logger,
 	}
-	if err := run(*addr, *storePath, *cache, *shards, *replicas, *drain, cfg); err != nil {
+	if err := run(*addr, *storePath, *cache, *shards, *drain, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "xmorphd:", err)
 		os.Exit(1)
 	}
@@ -107,11 +106,11 @@ func openAccessLog(dest string) (*slog.Logger, func() error, error) {
 }
 
 // openBackend builds the verb surface the server fronts: a single
-// engine by default, a sharded cluster when -shards/-replicas ask for
-// one. The HTTP surface is identical either way — the handlers only
-// see engine.Backend.
-func openBackend(storePath string, cache, shards, replicas int) (engine.Backend, string, error) {
-	if shards <= 1 && replicas <= 0 {
+// engine by default, a sharded cluster when -shards asks for one. The
+// HTTP surface is identical either way — the handlers only see
+// engine.Backend.
+func openBackend(storePath string, cache, shards int) (engine.Backend, string, error) {
+	if shards <= 1 {
 		eng, err := engine.Open(storePath, engine.WithCachePages(cache))
 		if err != nil {
 			return nil, "", err
@@ -119,26 +118,25 @@ func openBackend(storePath string, cache, shards, replicas int) (engine.Backend,
 		return eng, storePath, nil
 	}
 	// Cluster mode: -store names a directory holding one file per shard
-	// leader (replicas are memory stores fed by WAL shipping).
+	// leader.
 	if err := os.MkdirAll(storePath, 0o755); err != nil {
 		return nil, "", err
 	}
 	cl, err := cluster.New(cluster.Config{
 		Shards:     shards,
-		Replicas:   replicas,
 		Dir:        storePath,
 		CachePages: cache,
 	})
 	if err != nil {
 		return nil, "", err
 	}
-	desc := fmt.Sprintf("%s (%d shards x %d replicas)", storePath, shards, replicas)
+	desc := fmt.Sprintf("%s (%d shards)", storePath, shards)
 	return cl, desc, nil
 }
 
-func run(addr, storePath string, cache, shards, replicas int,
+func run(addr, storePath string, cache, shards int,
 	drain time.Duration, cfg engine.ServerConfig) error {
-	eng, desc, err := openBackend(storePath, cache, shards, replicas)
+	eng, desc, err := openBackend(storePath, cache, shards)
 	if err != nil {
 		return err
 	}

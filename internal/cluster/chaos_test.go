@@ -74,12 +74,11 @@ func applyOp(b engine.Backend, op chaosOp, retry bool) error {
 
 // chaosCluster builds a 3-shard cluster whose leaders live on the given
 // per-shard FaultFS instances (durable, tiny cache to force real I/O).
-func chaosCluster(t *testing.T, fss []*kvstore.FaultFS, replicas int) *Cluster {
+func chaosCluster(t *testing.T, fss []*kvstore.FaultFS) *Cluster {
 	t.Helper()
 	c, err := New(Config{
-		Shards:   len(fss),
-		Replicas: replicas,
-		VNodes:   32,
+		Shards: len(fss),
+		VNodes: 32,
 		OpenLeader: func(i int) (*store.Store, error) {
 			// The reboot happens here, between the crashed leader's
 			// teardown and its reopen: RestartShard closes the old leader
@@ -129,7 +128,7 @@ func TestClusterChaosSweep(t *testing.T) {
 	for i := range rehearsalFS {
 		rehearsalFS[i] = kvstore.NewFaultFS()
 	}
-	rc := chaosCluster(t, rehearsalFS, 0)
+	rc := chaosCluster(t, rehearsalFS)
 	target := rc.ring.Lookup(docName(3)) // owns a drop + re-shred, the richest history
 	for _, op := range ops {
 		if err := applyOp(rc, op, false); err != nil {
@@ -157,7 +156,7 @@ func TestClusterChaosSweep(t *testing.T) {
 			for i := range fss {
 				fss[i] = kvstore.NewFaultFS()
 			}
-			c := chaosCluster(t, fss, 1)
+			c := chaosCluster(t, fss)
 			defer c.Close()
 			// Torn write + write-back loss: the most adversarial crash the
 			// WAL protocol claims to survive. The tear length varies with

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,8 +15,7 @@ import (
 
 // The differential oracle: every cluster verb is checked against a
 // single-engine control running the identical workload. The cluster is
-// pure routing — sharding and replication must never change a byte of
-// any answer.
+// pure routing — sharding must never change a byte of any answer.
 
 const diffGuard = "MORPH author [ name title ]"
 
@@ -40,9 +40,9 @@ func runXML(b engine.Backend, name, guard string) (string, error) {
 	return out.String(), err
 }
 
-func newTestCluster(t *testing.T, shards, replicas int) *Cluster {
+func newTestCluster(t *testing.T, shards int) *Cluster {
 	t.Helper()
-	c, err := New(Config{Shards: shards, Replicas: replicas, VNodes: 32})
+	c, err := New(Config{Shards: shards, VNodes: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func assertDocsMatch(t *testing.T, c *Cluster, ctl *engine.Engine) {
 
 func TestClusterDifferentialOracle(t *testing.T) {
 	ctx := context.Background()
-	c := newTestCluster(t, 3, 2)
+	c := newTestCluster(t, 3)
 	ctl := engine.OpenMemory()
 	defer ctl.Close()
 
@@ -193,13 +193,13 @@ func TestClusterDifferentialOracle(t *testing.T) {
 }
 
 // TestClusterUpdateDifferential: in-place updates routed through a
-// 2-shard cluster (with replicas, so the read-your-writes floor is live)
-// must leave every verb byte-identical to a single-engine control
-// running the same edit scripts — and to a drop + re-shred of the edited
-// document, via the control engine's own differential guarantee.
+// 2-shard cluster must leave every verb byte-identical to a
+// single-engine control running the same edit scripts — and to a drop +
+// re-shred of the edited document, via the control engine's own
+// differential guarantee.
 func TestClusterUpdateDifferential(t *testing.T) {
 	ctx := context.Background()
-	c := newTestCluster(t, 2, 1)
+	c := newTestCluster(t, 2)
 	ctl := engine.OpenMemory()
 	defer ctl.Close()
 
@@ -226,8 +226,7 @@ func TestClusterUpdateDifferential(t *testing.T) {
 				ci.Delta.Kind != ei.Delta.Kind {
 				t.Fatalf("update info diverges for %s: %+v vs %+v", docName(i), ci, ei)
 			}
-			// Immediately after the write: the floor must route replica
-			// reads correctly (stale replicas fall through to the leader).
+			// Immediately after the write, every read sees it.
 			assertVerbsMatch(t, c, ctl, docName(i))
 		}
 	}
@@ -243,7 +242,7 @@ func TestClusterUpdateDifferential(t *testing.T) {
 // differential once quiescent.
 func TestClusterConcurrentDifferential(t *testing.T) {
 	ctx := context.Background()
-	c := newTestCluster(t, 4, 1)
+	c := newTestCluster(t, 4)
 	ctl := engine.OpenMemory()
 	defer ctl.Close()
 
@@ -348,6 +347,8 @@ func TestRingDeterministicAndCovering(t *testing.T) {
 // 768-page pool (a second pass re-reads everything) but fit the
 // four-shard aggregate (the fullest shard holds five), so the same
 // per-leader budget turns the second pass's device reads into pool hits.
+// One engine given the four shards' total pool (3 072 pages) must do at
+// least as well: the gain is pool capacity, which -cache alone buys.
 // Placement is fixed by the ring seed; the counts are deterministic.
 func TestShardsPoolCapacityAggregates(t *testing.T) {
 	const docs = 16
@@ -356,35 +357,46 @@ func TestShardsPoolCapacityAggregates(t *testing.T) {
 		xmls[i] = xmark.Generate(xmark.Config{Factor: 0.005, Seed: int64(42 + i)}).XML(false)
 	}
 	ctx := context.Background()
-	secondPassReads := func(shards int) int64 {
-		c, err := New(Config{Shards: shards, Dir: t.TempDir(), CachePages: 768, VNodes: 64, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
+	secondPassReads := func(b engine.Backend) int64 {
+		defer b.Close()
 		for i, xml := range xmls {
-			if _, err := c.Shred(ctx, docName(i), strings.NewReader(xml), nil); err != nil {
+			if _, err := b.Shred(ctx, docName(i), strings.NewReader(xml), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		readAll := func() {
 			for i := range xmls {
-				if _, err := c.Run(ctx, docName(i), "CAST MUTATE site", engine.RunOpts{StreamTo: io.Discard}); err != nil {
+				if _, err := b.Run(ctx, docName(i), "CAST MUTATE site", engine.RunOpts{StreamTo: io.Discard}); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		readAll()
-		before := c.Stats().BlocksRead
+		before := b.Stats().BlocksRead
 		readAll()
-		return c.Stats().BlocksRead - before
+		return b.Stats().BlocksRead - before
 	}
-	one, four := secondPassReads(1), secondPassReads(4)
-	t.Logf("second-pass pages read: 1 shard %d, 4 shards %d", one, four)
+	shardReads := func(shards int) int64 {
+		c, err := New(Config{Shards: shards, Dir: t.TempDir(), CachePages: 768, VNodes: 64, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return secondPassReads(c)
+	}
+	one, four := shardReads(1), shardReads(4)
+	e, err := engine.Open(filepath.Join(t.TempDir(), "one.db"), engine.WithCachePages(4*768))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := secondPassReads(e)
+	t.Logf("second-pass pages read: 1 shard %d, 4 shards %d, 1 engine with a %d-page pool %d", one, four, 4*768, pooled)
 	if one == 0 {
 		t.Fatal("one shard re-read nothing: the document set no longer thrashes a 768-page pool")
 	}
 	if four*2 > one {
 		t.Errorf("4 shards re-read %d pages, 1 shard %d: want at most half", four, one)
+	}
+	if pooled > four {
+		t.Errorf("one engine with the aggregate pool re-read %d pages, 4 shards %d: want no more", pooled, four)
 	}
 }

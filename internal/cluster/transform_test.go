@@ -67,7 +67,7 @@ func TestRunMatchesTransform(t *testing.T) {
 	cases := transformCases(t)
 	single := engine.OpenMemory()
 	defer single.Close()
-	backends := map[string]engine.Backend{"engine": single, "cluster": newTestCluster(t, 2, 0)}
+	backends := map[string]engine.Backend{"engine": single, "cluster": newTestCluster(t, 2)}
 	for label, b := range backends {
 		for _, c := range cases {
 			if _, err := b.Shred(ctx, c.name, strings.NewReader(c.xml), nil); err != nil {

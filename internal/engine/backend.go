@@ -43,12 +43,11 @@ type Backend interface {
 var _ Backend = (*Engine)(nil)
 
 // New wraps an already-open store in an Engine. The cluster layer uses
-// it to front stores it manages itself (shard leaders it can crash and
-// reopen, replica stores fed by replication).
+// it to front the shard stores it manages itself, which it can crash
+// and reopen.
 func New(st *store.Store) *Engine {
 	return &Engine{st: st, cache: newGuardCache(guardCacheEntries)}
 }
 
-// Store exposes the engine's underlying store — the cluster layer needs
-// it for replication feeds and epoch floors.
+// Store exposes the engine's underlying store.
 func (e *Engine) Store() *store.Store { return e.st }

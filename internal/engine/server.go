@@ -702,8 +702,6 @@ func MirrorStoreStats(reg *obs.Registry, s kvstore.Stats) {
 	reg.Gauge("kvstore_sync_calls").Set(float64(s.SyncCalls))
 	reg.Gauge("kvstore_group_commits").Set(float64(s.GroupCommits))
 	reg.Gauge("kvstore_wal_commit_fsyncs").Set(float64(s.WALFsyncs))
-	reg.Gauge("kvstore_commit_lsn").Set(float64(s.CommitLSN))
-	reg.Gauge("kvstore_applied_lsn").Set(float64(s.AppliedLSN))
 }
 
 // sentCounter counts the bytes that reached w.

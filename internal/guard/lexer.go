@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind enumerates lexical token classes.
@@ -91,9 +92,10 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("guard: syntax error at offset %d: %s", e.Pos, e.Message)
 }
 
-// lex tokenizes a guard. Identifiers may contain letters, digits, '_', '.',
-// '@', and '-'; a '-' immediately followed by '>' terminates the identifier
-// so that "a->b" lexes as three tokens.
+// lex tokenizes a guard. Identifiers start with a letter, '_' or '@' and
+// may go on with letters, digits, '_', '.', '@', and '-' (letters and
+// digits in any script); a '-' immediately followed by '>' terminates the
+// identifier so that "a->b" lexes as three tokens.
 func lex(src string) ([]token, error) {
 	var toks []token
 	i := 0
@@ -135,10 +137,14 @@ func lex(src string) ([]token, error) {
 		case strings.HasPrefix(src[i:], "→"): // →
 			toks = append(toks, token{tokArrow, "->", i})
 			i += len("→")
-		case isIdentStart(rune(c)):
+		case identRune(src, i, true) > 0:
 			start := i
-			for i < n && isIdentPart(src, i) {
-				i++
+			for i < n {
+				w := identRune(src, i, false)
+				if w == 0 {
+					break
+				}
+				i += w
 			}
 			text := src[start:i]
 			if up := strings.ToUpper(text); keywords[up] {
@@ -147,28 +153,28 @@ func lex(src string) ([]token, error) {
 				toks = append(toks, token{tokIdent, text, start})
 			}
 		default:
-			return nil, &SyntaxError{Pos: i, Message: fmt.Sprintf("unexpected character %q", c), Source: src}
+			r, _ := utf8.DecodeRuneInString(src[i:])
+			return nil, &SyntaxError{Pos: i, Message: fmt.Sprintf("unexpected character %q", r), Source: src}
 		}
 	}
 	toks = append(toks, token{tokEOF, "", n})
 	return toks, nil
 }
 
-func isIdentStart(c rune) bool {
-	return unicode.IsLetter(c) || c == '_' || c == '@'
-}
-
-// isIdentPart reports whether the byte at src[i] continues an identifier.
-// '-' continues an identifier unless it starts an arrow.
-func isIdentPart(src string, i int) bool {
-	c := src[i]
+// identRune returns the byte width of the rune at src[i] when it may
+// begin (start) or continue an identifier, else 0. '-' continues an
+// identifier unless it starts an arrow.
+func identRune(src string, i int, start bool) int {
+	r, w := utf8.DecodeRuneInString(src[i:])
 	switch {
-	case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-		return true
-	case c == '_' || c == '.' || c == '@':
-		return true
-	case c == '-':
-		return i+1 >= len(src) || src[i+1] != '>'
+	case unicode.IsLetter(r) || r == '_' || r == '@':
+		return w
+	case start:
+		return 0
+	case unicode.IsDigit(r) || r == '.':
+		return w
+	case r == '-' && (i+1 >= len(src) || src[i+1] != '>'):
+		return w
 	}
-	return false
+	return 0
 }

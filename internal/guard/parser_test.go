@@ -5,31 +5,33 @@ import (
 	"testing"
 )
 
+// paperGuards are the guards that appear in the paper.
+var paperGuards = []string{
+	"MORPH author [ name book [ title ] ]",
+	"MORPH author [ title name publisher [ name ] ]",
+	"MORPH data [author [* book [** publisher [*]]]]",
+	"MUTATE book [ publisher [ name ] ]",
+	"MORPH author [name] | MUTATE (DROP name)",
+	"CAST-WIDENING (TYPE-FILL MUTATE author [ title ])",
+	"MUTATE name [ author ]",
+	"MUTATE data [ name author ]",
+	"MUTATE (DROP title [ book ])",
+	"MUTATE author [ CLONE title ]",
+	"MUTATE (NEW scribe) [ author ]",
+	"MORPH (RESTRICT name [ author ]) [ title ]",
+	"MORPH author [ name ] | TRANSLATE author -> writer",
+	"MUTATE site",
+	"MORPH author",
+	"MORPH author [title [year]]",
+	"MORPH dblp [author [title [year [pages] url]]]",
+	"MORPH CHILDREN author",
+	"MORPH DESCENDANTS book",
+	"COMPOSE MORPH author [ name ], MUTATE (DROP name)",
+}
+
 func TestParsePaperExamples(t *testing.T) {
 	// Every guard that appears in the paper must parse.
-	guards := []string{
-		"MORPH author [ name book [ title ] ]",
-		"MORPH author [ title name publisher [ name ] ]",
-		"MORPH data [author [* book [** publisher [*]]]]",
-		"MUTATE book [ publisher [ name ] ]",
-		"MORPH author [name] | MUTATE (DROP name)",
-		"CAST-WIDENING (TYPE-FILL MUTATE author [ title ])",
-		"MUTATE name [ author ]",
-		"MUTATE data [ name author ]",
-		"MUTATE (DROP title [ book ])",
-		"MUTATE author [ CLONE title ]",
-		"MUTATE (NEW scribe) [ author ]",
-		"MORPH (RESTRICT name [ author ]) [ title ]",
-		"MORPH author [ name ] | TRANSLATE author -> writer",
-		"MUTATE site",
-		"MORPH author",
-		"MORPH author [title [year]]",
-		"MORPH dblp [author [title [year [pages] url]]]",
-		"MORPH CHILDREN author",
-		"MORPH DESCENDANTS book",
-		"COMPOSE MORPH author [ name ], MUTATE (DROP name)",
-	}
-	for _, g := range guards {
+	for _, g := range paperGuards {
 		if _, err := Parse(g); err != nil {
 			t.Errorf("Parse(%q): %v", g, err)
 		}
@@ -200,26 +202,28 @@ func TestParseDottedLabels(t *testing.T) {
 	}
 }
 
+// badGuards must each fail to parse.
+var badGuards = []string{
+	"",
+	"MORPH",
+	"MORPH [",
+	"MORPH a [",
+	"MORPH a ]",
+	"MORPH a [ b",
+	"TRANSLATE a",
+	"TRANSLATE a ->",
+	"TRANSLATE -> b",
+	"NEW x",
+	"MORPH a | ",
+	"MORPH a extra ( ",
+	"MUTATE (DROP)",
+	"MORPH (a",
+	"CAST",
+	"MORPH a %",
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"MORPH",
-		"MORPH [",
-		"MORPH a [",
-		"MORPH a ]",
-		"MORPH a [ b",
-		"TRANSLATE a",
-		"TRANSLATE a ->",
-		"TRANSLATE -> b",
-		"NEW x",
-		"MORPH a | ",
-		"MORPH a extra ( ",
-		"MUTATE (DROP)",
-		"MORPH (a",
-		"CAST",
-		"MORPH a %",
-	}
-	for _, src := range bad {
+	for _, src := range badGuards {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		} else if !strings.Contains(err.Error(), "guard:") {

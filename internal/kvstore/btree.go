@@ -73,22 +73,9 @@ type DB struct {
 	gc     groupCommit
 	gcWait time.Duration
 
-	// Replication state (guarded by publishMu): registered commit
-	// subscribers, the page ids committed since the last replicated cut,
-	// and the cut sequence number. appliedLSN is set when this store is
-	// itself a follower applying batches. closed rejects operations after
-	// Close so a racing Sync cannot flush against released descriptors.
-	repSubs  []*CommitSub
-	repDirty map[uint32]struct{}
-	// epochShift rebases applied batch epochs past this store's own
-	// history; pinned at the first ApplyCommitBatch (repShifted).
-	epochShift uint64
-	repShifted bool
-	// commitLSN and appliedLSN are written under publishMu / writerMu but
-	// read lock-free (Stats, read-your-writes floors).
-	commitLSN  atomic.Uint64
-	appliedLSN atomic.Uint64
-	closed     atomic.Bool
+	// closed rejects operations after Close so a racing Sync cannot
+	// flush against released descriptors.
+	closed atomic.Bool
 
 	// Last header image written (or loaded): writeHeaderW skips the page
 	// write when root and page count are unchanged, so a transaction that
@@ -122,11 +109,13 @@ type Options struct {
 	FS VFS
 }
 
+// ErrClosed reports an operation against a DB after Close.
+var ErrClosed = errors.New("kvstore: database is closed")
+
 // initState sets up the DB's maps, channels and tuning defaults.
 func (db *DB) initState() {
 	db.pins = make(map[uint64]int)
 	db.retained = make(map[uint32][]pageVersion)
-	db.repDirty = make(map[uint32]struct{})
 	db.gc.wake = make(chan struct{})
 }
 
@@ -869,16 +858,13 @@ func (n *node) splitPoint() int {
 // Close is safe against in-flight group commits: it first marks the DB
 // closed so new Sync calls fail fast with ErrClosed, then runs one final
 // sync that joins (or leads) whatever commit ticket is pending — every
-// parked committer is flushed and woken before the descriptors go away —
-// and finally closes the replication subscriptions so follower apply
-// loops exit instead of blocking forever on Next. A second Close is a
-// no-op returning nil.
+// parked committer is flushed and woken before the descriptors go away.
+// A second Close is a no-op returning nil.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
 	}
 	syncErr := db.sync()
-	db.closeSubs()
 	closeErr := db.pager.close()
 	return errors.Join(syncErr, closeErr)
 }
@@ -895,8 +881,6 @@ func (db *DB) Stats() Stats {
 	s.SnapshotsOpen = db.snapshotsOpen.Load()
 	s.PagesRetained = db.retainedCount.Load()
 	s.PagesRetired = db.retiredPages.Load()
-	s.CommitLSN = int64(db.commitLSN.Load())
-	s.AppliedLSN = int64(db.appliedLSN.Load())
 	return s
 }
 

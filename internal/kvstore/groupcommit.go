@@ -146,20 +146,7 @@ func (db *DB) flushBatch() error {
 		s.mu.Unlock()
 	}
 	npages := p.npages.Load()
-	// Replication cut: the same publishMu section that fixes the flush
-	// batch fixes the replicated batch, so both describe one committed
-	// instant. Delivery happens after the lock drops — flushes are
-	// serialized, so subscriber queues still see ascending LSNs.
-	rb, subs, repErr := db.collectReplication()
 	db.publishMu.Unlock()
-	if repErr != nil {
-		return repErr
-	}
-	if rb != nil {
-		for _, sub := range subs {
-			sub.push(*rb)
-		}
-	}
 	sort.Slice(batch, func(i, j int) bool { return batch[i].id < batch[j].id })
 
 	if p.file == nil {

@@ -308,13 +308,6 @@ func (db *DB) commitWrite() error {
 			db.retain(pg.id, img, newEpoch)
 		}
 	}
-	// Replication: while subscribers are attached, remember which pages
-	// this commit rewrote so the next flush cut can ship their images.
-	if len(db.repSubs) > 0 {
-		for _, pg := range pages {
-			db.repDirty[pg.id] = struct{}{}
-		}
-	}
 	// Grow the page count before installing: installing a fresh page can
 	// evict another fresh page of this same commit, and the memory
 	// backend's eviction flush needs the backing slice grown already.

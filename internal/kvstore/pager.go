@@ -103,11 +103,6 @@ type Stats struct {
 	SyncCalls    int64
 	GroupCommits int64
 	WALFsyncs    int64
-	// Replication counters: CommitLSN is the last replicated flush cut
-	// this store emitted as a leader; AppliedLSN is the last batch it
-	// applied as a follower. Both stay 0 without replication.
-	CommitLSN  int64
-	AppliedLSN int64
 }
 
 // HitRatio is the buffer-pool hit ratio over page lookups, in [0, 1];
@@ -356,8 +351,7 @@ func (p *pager) install(id uint32, buf []byte, epoch uint64) {
 // for a clean victim and otherwise lets the shard exceed capacity until
 // the next Sync unpins everything and trims the shard (trimLocked). The
 // memory backend has no commit to wait for: a dirty victim is copied
-// into p.mem and dropped, which is how replicas, which never Sync, stay
-// within their pool.
+// into p.mem and dropped.
 func (p *pager) insertLocked(s *shard, c *cached) {
 	s.cache[c.id] = c
 	c.next = s.head
