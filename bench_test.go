@@ -221,12 +221,10 @@ func BenchmarkFig16(b *testing.B) {
 func BenchmarkTable1(b *testing.B) {
 	doc := xmark.Generate(xmark.Config{Factor: 0.005, Seed: 42})
 	sh := shape.FromDocument(doc)
-	types := sh.Types()
+	n := sh.NumTypes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		from := types[i%len(types)]
-		to := types[(i*7+3)%len(types)]
-		sh.PathCard(from, to)
+		sh.PathCard(i%n, (i*7+3)%n)
 	}
 }
 
@@ -622,4 +620,51 @@ func BenchmarkHotpathPutBatch(b *testing.B) {
 	}
 	b.Run("putbatch", func(b *testing.B) { run(b, true) })
 	b.Run("put", func(b *testing.B) { run(b, false) })
+}
+
+// compileGuards are BenchmarkHotpathCompile's cases: the identity
+// transformation, whose loss check compares every ordered pair of the
+// shape's 244 types, and a template of benchmark/'s fresh class, a guard
+// the guard cache has never seen and which names three types.
+var compileGuards = []struct{ name, guard string }{
+	{"mutate-site", "CAST MUTATE site"},
+	{"fresh", "CAST MORPH person [ emailaddress name ] | TRANSLATE person -> v1x0"},
+}
+
+// TestCompileAllocs bounds the allocations of BenchmarkHotpathCompile's
+// cases. Before the shape numbered its types and the loss check walked
+// them as integers they took 1 969 (mutate-site) and 1 199 (fresh); they
+// take 1 088 and 310.
+func TestCompileAllocs(t *testing.T) {
+	sh := shape.FromDocument(xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42}))
+	bounds := map[string]float64{"mutate-site": 1200, "fresh": 360}
+	for _, g := range compileGuards {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := core.Check(g.guard, sh, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations", g.name, allocs)
+		if allocs > bounds[g.name] {
+			t.Errorf("%s: compile made %.0f allocations, want at most %.0f", g.name, allocs, bounds[g.name])
+		}
+	}
+}
+
+// BenchmarkHotpathCompile measures core.Check — parse, compile and loss
+// check, what a guard-cache miss costs before any data is read — on the
+// adorned shape of XMark sf 0.05.
+func BenchmarkHotpathCompile(b *testing.B) {
+	sh := shape.FromDocument(xmark.Generate(xmark.Config{Factor: 0.05, Seed: 42}))
+	for _, g := range compileGuards {
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Check(g.guard, sh, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+		})
+	}
 }

@@ -106,7 +106,7 @@ func Table1() *Table {
 	for _, from := range types {
 		row := []string{short(from)}
 		for _, to := range types {
-			c, ok := sh.PathCard(from, to)
+			c, ok := sh.PathCardOf(from, to)
 			if !ok {
 				row = append(row, "-")
 			} else {

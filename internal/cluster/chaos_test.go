@@ -130,12 +130,14 @@ func TestClusterChaosSweep(t *testing.T) {
 	}
 	rc := chaosCluster(t, rehearsalFS)
 	target := rc.ring.Lookup(docName(3)) // owns a drop + re-shred, the richest history
+	// Opening the cluster wrote each new store's empty tree.
+	opened := rehearsalFS[target].Writes()
 	for _, op := range ops {
 		if err := applyOp(rc, op, false); err != nil {
 			t.Fatalf("rehearsal %v: %v", op, err)
 		}
 	}
-	writes := rehearsalFS[target].Writes()
+	writes := rehearsalFS[target].Writes() - opened
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,8 @@ func TestClusterChaosSweep(t *testing.T) {
 		t.Fatalf("target shard %d saw only %d mutations; workload too small for a sweep", target, writes)
 	}
 
-	// Sweep: crash the target shard's leader at every k-th mutation.
+	// Sweep: crash the target shard's leader at every k-th mutation of
+	// the workload.
 	k := writes / 12
 	if k < 1 {
 		k = 1
@@ -161,7 +164,7 @@ func TestClusterChaosSweep(t *testing.T) {
 			// Torn write + write-back loss: the most adversarial crash the
 			// WAL protocol claims to survive. The tear length varies with
 			// the index to sweep partial-page states too.
-			fss[target].CrashAfter(n, int(n%kvstore.PageSize), true)
+			fss[target].CrashAfter(fss[target].Writes()+n, int(n%kvstore.PageSize), true)
 
 			var failed []chaosOp
 			for _, op := range ops {

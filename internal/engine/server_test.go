@@ -333,6 +333,19 @@ func TestServerDepthBombIs400(t *testing.T) {
 	shredHTTP(t, ts.URL, "bomb") // the name is still free
 }
 
+// TestServerComposeBombIs400: a guard of a few hundred bytes whose
+// CLONE stages would compose to 65 537 target types is refused at
+// compile time as the client's error.
+func TestServerComposeBombIs400(t *testing.T) {
+	_, _, ts := newTestServer(t, ServerConfig{})
+	shredHTTP(t, ts.URL, "books")
+	g := "CAST " + strings.TrimSuffix(strings.Repeat("MORPH book [ title CLONE title ] | ", 16), " | ")
+	resp, data := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": "books", "guard": g})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "composes to more than") {
+		t.Errorf("status %d body %s, want a 400 naming the cap", resp.StatusCode, data)
+	}
+}
+
 func TestServerMetricsEndpoint(t *testing.T) {
 	_, _, ts := newTestServer(t, ServerConfig{})
 	shredHTTP(t, ts.URL, "books")

@@ -123,7 +123,8 @@ func (db *DB) initState() {
 // leftover write-ahead log from an interrupted commit is replayed
 // (complete) or discarded (incomplete), and pages past the header's
 // page count, written by a commit that never became durable, are cut
-// off, so the store always reopens to its last committed state. Every
+// off, so the store always reopens to its last committed state. A new
+// (empty) file gets the empty tree as a durable first commit. Every
 // Sync is a write-ahead-log commit: the pages it allocated are written
 // in place and fsynced, then the images of the pages it overwrites and
 // a commit record are fsynced to <path>.wal before any of those is
@@ -167,10 +168,23 @@ func Open(path string, opts *Options) (*DB, error) {
 	db := &DB{pager: p, path: path}
 	db.initState()
 	if p.npages.Load() == 0 {
-		if err := db.initialize(); err != nil {
+		// A new file: commit the empty tree to stable storage now, so
+		// the first document's pages lie past a durable header and skip
+		// the log like any later one's. Like a replay, this is Open's
+		// own work: the write counters start after it.
+		err := db.initialize()
+		if err == nil {
+			err = db.flushBatch()
+		}
+		if err != nil {
 			f.Close()
 			return nil, err
 		}
+		p.writes.Store(0)
+		p.ioNanos.Store(0)
+		p.walBytes.Store(0)
+		p.walCommits.Store(0)
+		p.walFsyncs.Store(0)
 	} else if err := db.loadHeader(); err != nil {
 		f.Close()
 		return nil, err

@@ -27,9 +27,12 @@ import (
 //     after which the log is truncated and fsynced.
 //
 // A batch with no fresh pages skips the first step. A file with no
-// durable header yet (a new store's first commit) counts every page as
-// logged, so its header never reaches the file before its commit record
-// is durable. There is no free list: once one exists, a reused page id
+// durable header yet counts every page as logged, so its header never
+// reaches the file before its commit record is durable; Open makes that
+// commit the empty tree's two pages when it creates the file, so a
+// crash there leaves an empty file or a log that replays the empty
+// tree: either way the store reopens empty.
+// There is no free list: once one exists, a reused page id
 // lies below the durable count and so goes through the log by this
 // rule.
 //

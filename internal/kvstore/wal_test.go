@@ -52,6 +52,75 @@ func TestDurableCommitProtocol(t *testing.T) {
 	}
 }
 
+// TestCreateIsDurable: Open commits a new file's empty tree before it
+// returns, so the first commit after it logs only the two pages that
+// were already there (header and root) and writes the rest in place, and
+// a crash anywhere in the creation — torn or not, with or without losing
+// unsynced data — reopens as an empty store that takes the next commit.
+func TestCreateIsDurable(t *testing.T) {
+	rehearsal := NewFaultFS()
+	db, err := Open("t.db", &Options{FS: rehearsal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	creation := rehearsal.Writes()
+	if creation == 0 {
+		t.Fatal("creating the store wrote nothing")
+	}
+	before := db.Stats()
+	val := bytes.Repeat([]byte("v"), 1000)
+	for i := 0; i < 200; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	after := db.Stats()
+	if logged, pages := after.WALBytes-before.WALBytes, after.BlocksWritten-before.BlocksWritten; logged > 2*(PageSize+64) || pages < 50 {
+		t.Errorf("first commit logged %d bytes for %d pages written, want at most two pages' records", logged, pages)
+	}
+	db.Close()
+
+	for idx := int64(0); idx < creation; idx++ {
+		for _, drop := range []bool{false, true} {
+			fs := NewFaultFS()
+			fs.CrashAfter(idx, int(idx)*100%PageSize, drop)
+			if db, err := Open("t.db", &Options{FS: fs}); err == nil {
+				db.Close()
+				t.Fatalf("idx %d: crash never fired", idx)
+			}
+			fs.ClearFaults()
+			db, err := Open("t.db", &Options{FS: fs})
+			if err != nil {
+				t.Fatalf("idx %d (drop %v): reopen: %v", idx, drop, err)
+			}
+			n := 0
+			if err := db.Ascend(nil, nil, func(k, v []byte) bool { n++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			if n != 0 {
+				t.Fatalf("idx %d (drop %v): %d keys in a store that was being created", idx, drop, n)
+			}
+			if err := db.Put([]byte("after"), []byte("1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db, err = Open("t.db", &Options{FS: fs})
+			if err != nil {
+				t.Fatalf("idx %d (drop %v): second reopen: %v", idx, drop, err)
+			}
+			if v, ok, err := db.Get([]byte("after")); err != nil || !ok || string(v) != "1" {
+				t.Fatalf("idx %d (drop %v): commit after the crash lost: %q %v %v", idx, drop, v, ok, err)
+			}
+			db.Close()
+		}
+	}
+}
+
 // TestDurableNoInPlaceWritesBetweenSyncs checks the pinning invariant the
 // commit protocol relies on: nothing touches the files between Syncs,
 // even when mutations overflow the buffer pool.
@@ -62,19 +131,20 @@ func TestDurableNoInPlaceWritesBetweenSyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	created := fs.Writes() // Open's commit of the empty tree
 	val := bytes.Repeat([]byte("v"), 1000)
 	for i := 0; i < 400; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), val); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := fs.Writes(); n != 0 {
+	if n := fs.Writes() - created; n != 0 {
 		t.Fatalf("%d file mutations before first Sync, want 0 (dirty pages must stay pinned)", n)
 	}
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if n := fs.Writes(); n == 0 {
+	if n := fs.Writes() - created; n == 0 {
 		t.Fatal("Sync performed no file mutations")
 	}
 	// Everything clean now: another Sync with no mutations must not

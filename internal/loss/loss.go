@@ -17,7 +17,9 @@
 package loss
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"xmorph/internal/guard"
@@ -168,10 +170,40 @@ func Analyze(p *semantics.Plan) *Report {
 }
 
 func analyzeStage(r *Report, idx int, sp *semantics.StagePlan) {
-	var sourced []*semantics.TNode
+	// Number the sourced target types and their ancestors, parents first,
+	// into a forest carrying their predicted edge cardinalities
+	// (Definition 7), and resolve each sourced type's input type id once:
+	// the pairwise loop below is quadratic in the number of types and runs
+	// on every guard compile, so a pair reads no map (the paper reports
+	// ~20 ms compiles on 471-type shapes). A type is
+	// numbered by its identity and placed by its parent link, as the
+	// renderer and Definition 7 see it.
+	var (
+		target  shape.Forest
+		ids     = map[*semantics.TNode]int{}
+		sourced []int // target ids of the sourced types, in preorder
+		srcIDs  []int // their input type ids, -1 when not an input type
+	)
+	var number func(n *semantics.TNode) int
+	number = func(n *semantics.TNode) int {
+		if id, ok := ids[n]; ok {
+			return id
+		}
+		parent := -1
+		if p := n.Parent(); p != nil {
+			parent = number(p)
+		}
+		ids[n] = target.Add(parent, n.EdgeCard(sp.Input))
+		return ids[n]
+	}
 	sp.Target.Walk(func(n *semantics.TNode) {
 		if n.Source != "" {
-			sourced = append(sourced, n)
+			src, ok := sp.Input.ID(n.Source)
+			if !ok {
+				src = -1
+			}
+			sourced = append(sourced, number(n))
+			srcIDs = append(srcIDs, src)
 		} else {
 			r.NonAdditive = false
 			r.Findings = append(r.Findings, Finding{
@@ -188,149 +220,52 @@ func analyzeStage(r *Report, idx int, sp *semantics.StagePlan) {
 
 	// Pairwise path-cardinality comparison (Theorems 1 and 2) over the
 	// retained types. Ordered pairs: the upward direction encodes "every a
-	// must sit below some b". Edge cardinalities, node depths, and source
-	// ancestor chains are precomputed — this loop is quadratic in the
-	// number of types and runs on every guard compile, so it must stay
-	// allocation-free per pair (the paper reports ~20 ms compiles on
-	// 471-type shapes).
-	edgeCards := make(map[*semantics.TNode]shape.Card, len(sourced))
-	depths := map[*semantics.TNode]int{}
-	for _, n := range sourced {
-		edgeCards[n] = n.EdgeCard(sp.Input)
-		d := 0
-		for p := n.Parent(); p != nil; p = p.Parent() {
-			if _, ok := edgeCards[p]; !ok {
-				edgeCards[p] = p.EdgeCard(sp.Input)
-			}
-			d++
-		}
-		depths[n] = d
+	// must sit below some b". PathCard gives a pair's cardinalities in
+	// both directions, so each unordered pair is visited once and the
+	// findings are put back in the order of their ordered pairs.
+	type pairFinding struct {
+		from, to int // indexes into sourced
+		f        Finding
 	}
-	src := newSrcIndex(sp.Input)
-	for _, a := range sourced {
-		for _, b := range sourced {
-			if a == b {
+	var found []pairFinding
+	check := func(i, j int, cardS, cardR shape.Card) {
+		add := func(k FindingKind) {
+			found = append(found, pairFinding{i, j, Finding{
+				Kind: k, Stage: idx,
+				FromType: sp.Input.Name(srcIDs[i]), ToType: sp.Input.Name(srcIDs[j]),
+				SrcCard: cardS, PredCard: cardR,
+			}})
+		}
+		if cardS.Min == 0 && cardR.Min > 0 {
+			r.Inclusive = false
+			add(NonInclusive)
+		}
+		if cardR.Max > cardS.Max {
+			r.NonAdditive = false
+			add(Additive)
+		}
+	}
+	for i := range sourced {
+		for j := i + 1; j < len(sourced); j++ {
+			if sourced[i] == sourced[j] || srcIDs[i] < 0 || srcIDs[j] < 0 {
 				continue
 			}
-			cardS, okS := src.pathCard(a.Source, b.Source)
-			if !okS {
+			srcIJ, srcJI, ok := sp.Input.PathCard(srcIDs[i], srcIDs[j])
+			if !ok {
 				continue // disconnected in the input
 			}
-			cardR, okR := targetPathCardFast(a, b, depths, edgeCards)
-			if !okR {
+			tgtIJ, tgtJI, ok := target.PathCard(sourced[i], sourced[j])
+			if !ok {
 				continue // disconnected in the target: no requirement
 			}
-			if cardS.Min == 0 && cardR.Min > 0 {
-				r.Inclusive = false
-				r.Findings = append(r.Findings, Finding{
-					Kind: NonInclusive, Stage: idx,
-					FromType: a.Source, ToType: b.Source,
-					SrcCard: cardS, PredCard: cardR,
-				})
-			}
-			if cardR.Max > cardS.Max {
-				r.NonAdditive = false
-				r.Findings = append(r.Findings, Finding{
-					Kind: Additive, Stage: idx,
-					FromType: a.Source, ToType: b.Source,
-					SrcCard: cardS, PredCard: cardR,
-				})
-			}
+			check(i, j, srcIJ, tgtIJ)
+			check(j, i, srcJI, tgtJI)
 		}
 	}
-}
-
-// targetPathCardFast computes the path cardinality between two target
-// types in the target forest, using precomputed predicted edge
-// cardinalities (Definition 7). The upward leg contributes 1..1 as in
-// Definition 6.
-func targetPathCardFast(a, b *semantics.TNode, depths map[*semantics.TNode]int, edgeCards map[*semantics.TNode]shape.Card) (shape.Card, bool) {
-	da, db := nodeDepth(a, depths), nodeDepth(b, depths)
-	c := shape.One
-	for db > da {
-		c = c.Mul(edgeCards[b])
-		b = b.Parent()
-		db--
+	slices.SortStableFunc(found, func(a, b pairFinding) int { return cmp.Or(a.from-b.from, a.to-b.to) })
+	for _, pf := range found {
+		r.Findings = append(r.Findings, pf.f)
 	}
-	for da > db {
-		a = a.Parent()
-		da--
-	}
-	for a != b {
-		if a == nil || b == nil {
-			return shape.Card{}, false
-		}
-		c = c.Mul(edgeCards[b])
-		a, b = a.Parent(), b.Parent()
-	}
-	if a == nil {
-		return shape.Card{}, false
-	}
-	return c, true
-}
-
-// srcIndex precomputes each input type's ancestor chain (self to root)
-// and the cardinality of its incoming edge, so pathCard needs no map
-// lookups per step.
-type srcIndex struct {
-	chain map[string][]string
-	into  map[string]shape.Card
-}
-
-func newSrcIndex(in *shape.Shape) *srcIndex {
-	idx := &srcIndex{chain: map[string][]string{}, into: map[string]shape.Card{}}
-	for _, t := range in.Types() {
-		var chain []string
-		for x := t; ; {
-			chain = append(chain, x)
-			p, ok := in.Parent(x)
-			if !ok {
-				break
-			}
-			if c, ok := in.Card(p, x); ok {
-				if _, seen := idx.into[x]; !seen {
-					idx.into[x] = c
-				}
-			}
-			x = p
-		}
-		idx.chain[t] = chain
-	}
-	return idx
-}
-
-// pathCard is Definition 6 over the precomputed chains: 1..1 up to the
-// LCA, then the product of incoming-edge cardinalities down to the target.
-func (idx *srcIndex) pathCard(from, to string) (shape.Card, bool) {
-	ca, cb := idx.chain[from], idx.chain[to]
-	if len(ca) == 0 || len(cb) == 0 {
-		return shape.Card{}, false
-	}
-	if ca[len(ca)-1] != cb[len(cb)-1] {
-		return shape.Card{}, false // different trees
-	}
-	i, j := len(ca)-1, len(cb)-1
-	for i > 0 && j > 0 && ca[i-1] == cb[j-1] {
-		i--
-		j--
-	}
-	// cb[j] is the LCA; multiply incoming cards below it on the to-side.
-	c := shape.One
-	for k := 0; k < j; k++ {
-		c = c.Mul(idx.into[cb[k]])
-	}
-	return c, true
-}
-
-func nodeDepth(n *semantics.TNode, depths map[*semantics.TNode]int) int {
-	if d, ok := depths[n]; ok {
-		return d
-	}
-	d := 0
-	for p := n.Parent(); p != nil; p = p.Parent() {
-		d++
-	}
-	return d
 }
 
 // CastError reports that a guard's verdict exceeds what its cast mode

@@ -19,6 +19,8 @@ type Plan struct {
 	Stages []*StagePlan
 	// Labels is the label-to-type report (Section VIII), in guard order.
 	Labels []LabelResolution
+	// composed is the stages' targets folded into one (ComposedTarget).
+	composed *Target
 }
 
 // StagePlan is one evaluated stage.
@@ -36,7 +38,8 @@ type StagePlan struct {
 
 // Compile evaluates the semantic function ξ of every stage against the
 // source shape, threading each stage's predicted output shape into the
-// next stage (COMPOSE pipes shapes, Section VI).
+// next stage (COMPOSE pipes shapes, Section VI), and composes the stage
+// targets into the one target the executors render.
 func Compile(prog *guard.Program, src *shape.Shape) (*Plan, error) {
 	plan := &Plan{Program: prog, Source: src}
 	in := src
@@ -67,6 +70,12 @@ func Compile(prog *guard.Program, src *shape.Shape) (*Plan, error) {
 		in = out
 	}
 	sort.SliceStable(plan.Labels, func(i, j int) bool { return plan.Labels[i].Pos < plan.Labels[j].Pos })
+	plan.composed = plan.Stages[0].Target
+	for _, sp := range plan.Stages[1:] {
+		if plan.composed = composeTargets(plan.composed, sp.Target); plan.composed == nil {
+			return nil, fmt.Errorf("semantics: the guard composes to more than %d target types", maxComposedTypes)
+		}
+	}
 	return plan, nil
 }
 
@@ -85,7 +94,7 @@ type evaluator struct {
 // resolution. With TYPE-FILL on, an unmatched label yields (nil, true, nil)
 // and the caller manufactures a filled type.
 func (ev *evaluator) resolveLabel(term *guard.Term) (types []string, filled bool, err error) {
-	cands := matchTypes(term.Label, ev.in.Types())
+	cands := matchTypes(term.Label, ev.in)
 	r := &LabelResolution{Label: term.Label, Pos: term.Pos, Candidates: cands, Types: cands}
 	ev.res[term] = r
 	if len(cands) == 0 {

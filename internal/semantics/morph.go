@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xmorph/internal/guard"
+	"xmorph/internal/shape"
 )
 
 // morph evaluates ξ[MORPH pattern]: the output shape is built from scratch
@@ -256,23 +257,21 @@ func dedupe(ss []string) []string {
 // fullTarget mirrors an entire input shape as a target (the starting point
 // of MUTATE and TRANSLATE): every input type becomes a sourced target type
 // in its original arrangement.
-func fullTarget(in interface {
-	Roots() []string
-	Children(string) []string
-}) (*Target, map[string]*TNode) {
+func fullTarget(in *shape.Shape) (*Target, map[string]*TNode) {
 	t := &Target{}
-	idx := map[string]*TNode{}
-	var build func(ty string) *TNode
-	build = func(ty string) *TNode {
-		n := NewLeaf(ty)
-		idx[ty] = n
-		for _, c := range in.Children(ty) {
-			n.Attach(build(c))
+	idx := make(map[string]*TNode, in.NumTypes())
+	var build func(id int) *TNode
+	build = func(id int) *TNode {
+		n := NewLeaf(in.Name(id))
+		idx[n.Source] = n
+		for _, k := range in.Kids(id) {
+			n.Attach(build(k))
 		}
 		return n
 	}
 	for _, r := range in.Roots() {
-		t.Roots = append(t.Roots, build(r))
+		id, _ := in.ID(r)
+		t.Roots = append(t.Roots, build(id))
 	}
 	return t, idx
 }

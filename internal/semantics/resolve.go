@@ -2,8 +2,10 @@ package semantics
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"xmorph/internal/shape"
 	"xmorph/internal/xmltree"
 )
 
@@ -77,13 +79,14 @@ func MatchLabel(label, typePath string) bool {
 }
 
 // matchTypes returns the sorted input types matching a label.
-func matchTypes(label string, types []string) []string {
+func matchTypes(label string, in *shape.Shape) []string {
 	var out []string
-	for _, t := range types {
-		if MatchLabel(label, t) {
+	for id := 0; id < in.NumTypes(); id++ {
+		if t := in.Name(id); MatchLabel(label, t) {
 			out = append(out, t)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

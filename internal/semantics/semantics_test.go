@@ -3,6 +3,7 @@ package semantics
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"xmorph/internal/guard"
 	"xmorph/internal/shape"
@@ -664,6 +665,39 @@ func TestComposedTargetMultiProducerExpansion(t *testing.T) {
 	}
 	if clones != 1 {
 		t.Errorf("clone mark lost in composition (%d):\n%s", clones, ct)
+	}
+}
+
+// cloneChain is a guard of n stages that each put a clone of b next to
+// b: the composed target doubles with every stage, to 2^n+1 types.
+func cloneChain(n int) string {
+	return "CAST " + strings.TrimSuffix(strings.Repeat("MORPH a [ b CLONE b ] | ", n), " | ")
+}
+
+// TestComposeBounded: Compile composes the stage targets once, and a
+// guard whose composed target would pass maxComposedTypes is refused at
+// compile time, quickly, without building what it describes — 16 stages
+// would compose to 65 537 types and 40 to about 10¹².
+func TestComposeBounded(t *testing.T) {
+	src := shape.FromDocument(xmltree.MustParse(`<a><b/></a>`))
+	p, err := Compile(guard.MustParse(cloneChain(14)), src)
+	if err != nil {
+		t.Fatalf("14 stages: %v", err)
+	}
+	n := 0
+	p.ComposedTarget().Walk(func(*TNode) { n++ })
+	if n != 1<<14+1 {
+		t.Errorf("14 stages composed to %d types, want %d", n, 1<<14+1)
+	}
+	for _, stages := range []int{16, 40} {
+		start := time.Now()
+		_, err := Compile(guard.MustParse(cloneChain(stages)), src)
+		if err == nil || !strings.Contains(err.Error(), "composes to more than") {
+			t.Errorf("%d stages: err = %v, want the composed-target cap", stages, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("%d stages refused after %v", stages, d)
+		}
 	}
 }
 

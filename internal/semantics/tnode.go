@@ -230,7 +230,7 @@ func (n *TNode) EdgeCard(src *shape.Shape) shape.Card {
 		if f == nil || pSrc == "" {
 			return shape.One
 		}
-		if c, ok := src.PathCard(pSrc, f.Source); ok {
+		if c, ok := src.PathCardOf(pSrc, f.Source); ok {
 			return c
 		}
 		return shape.One
@@ -242,13 +242,13 @@ func (n *TNode) EdgeCard(src *shape.Shape) shape.Card {
 			return shape.One
 		}
 		if f != nil {
-			if c, ok := src.PathCard(f.Source, n.Source); ok {
+			if c, ok := src.PathCardOf(f.Source, n.Source); ok {
 				return c
 			}
 		}
 		return shape.One
 	default:
-		if c, ok := src.PathCard(p.Source, n.Source); ok {
+		if c, ok := src.PathCardOf(p.Source, n.Source); ok {
 			return c
 		}
 		// Disconnected in the source: nothing will join.

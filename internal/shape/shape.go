@@ -5,12 +5,13 @@
 //
 // A shape is a DataGuide adorned with cardinalities: an edge t -> u with
 // cardinality n..m records that every node of type t has at least n and at
-// most m children of type u.
+// most m children of type u. Its types are numbered densely from 0, and
+// every per-type property is a slice indexed by that id.
 package shape
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"xmorph/internal/xmltree"
@@ -59,30 +60,97 @@ func (c Card) String() string {
 	return min + ".." + max
 }
 
-type edgeKey struct{ parent, child string }
+// Forest is a forest over dense ids, each with at most one incoming edge
+// and the cardinality on it. Shape keeps its types in one; the loss check
+// numbers a stage's target types into another, so that Definition 6 over
+// a source shape and over a predicted target is the same code. The zero
+// value is an empty forest.
+type Forest struct {
+	parent []int  // -1 at a root
+	into   []Card // the card of the one edge into a type; One at a root
+	depth  []int  // edges up to the root
+	// Type i's chain, chain[at[i] : at[i]+depth[i]+1], lists the ids from
+	// its root down to i; down at the same index k holds the cardinality
+	// of the path from the chain's type at depth k down to i, the product
+	// of into below it.
+	at    []int
+	chain []int
+	down  []Card
+}
 
-// Shape is an adorned shape: a forest over type names with cardinality-
-// labelled edges. The zero value is not usable; call New.
+// Add appends a type below parent (-1 for a root), the edge into it
+// carrying c, and returns its id. parent must be an id already added.
+func (f *Forest) Add(parent int, c Card) int {
+	id := len(f.parent)
+	f.parent = append(f.parent, parent)
+	f.into = append(f.into, c)
+	f.depth = append(f.depth, -1) // no chain yet
+	f.at = append(f.at, 0)
+	f.rechain(id)
+	return id
+}
+
+// rechain writes type id's chain, which extends its parent's: the
+// parent's chain must be current. A type that keeps its depth is
+// rewritten in place; one that moved gets a new chain appended, and its
+// old one stays behind in the arrays, unreferenced.
+func (f *Forest) rechain(id int) {
+	p, d := f.parent[id], 0
+	if p >= 0 {
+		d = f.depth[p] + 1
+	}
+	if d != f.depth[id] {
+		f.at[id], f.depth[id] = len(f.chain), d
+		for range d + 1 {
+			f.chain = append(f.chain, id)
+			f.down = append(f.down, One)
+		}
+	}
+	at := f.at[id]
+	if p >= 0 {
+		copy(f.chain[at:], f.chain[f.at[p]:f.at[p]+d])
+		for j, c := range f.down[f.at[p] : f.at[p]+d] {
+			f.down[at+j] = c.Mul(f.into[id])
+		}
+	}
+	f.chain[at+d], f.down[at+d] = id, One
+}
+
+// PathCard implements Definition 6 in both directions between types t
+// and u: the cardinality of the path from t to u and of the path from u
+// to t. A path's cardinality is the product of the edge cardinalities on
+// the downward leg from the least common ancestor to its end type; the
+// upward leg contributes 1..1. ok is false when t and u lie in different
+// trees. The two chains share their prefix down to the least common
+// ancestor, at whose depth both legs' products are stored, so the walk
+// is as long as the ancestor is deep and allocates nothing: the loss
+// check calls it for every pair of types.
+func (f *Forest) PathCard(t, u int) (tu, ut Card, ok bool) {
+	ct := f.chain[f.at[t] : f.at[t]+f.depth[t]+1]
+	cu := f.chain[f.at[u] : f.at[u]+f.depth[u]+1]
+	if ct[0] != cu[0] {
+		return Card{}, Card{}, false
+	}
+	k := 0
+	for k+1 < len(ct) && k+1 < len(cu) && ct[k+1] == cu[k+1] {
+		k++
+	}
+	return f.down[f.at[u]+k], f.down[f.at[t]+k], true
+}
+
+// Shape is an adorned shape: a forest of named types with cardinality-
+// labelled edges. Type ids are dense, in the order the types were added;
+// names are the only keys callers outside the package hold, and one map
+// turns them into ids. The zero value is not usable; call New.
 type Shape struct {
-	types    map[string]bool
-	parent   map[string]string // child -> parent; roots are absent
-	children map[string][]string
-	card     map[edgeKey]Card
+	f     Forest
+	names []string
+	kids  [][]int // child ids in sibling order
+	ids   map[string]int
 }
 
 // New returns an empty shape.
-func New() *Shape { return NewSized(0, 0) }
-
-// NewSized returns an empty shape with room for the given numbers of
-// types and edges (and as many parent types as edges).
-func NewSized(types, edges int) *Shape {
-	return &Shape{
-		types:    make(map[string]bool, types),
-		parent:   make(map[string]string, edges),
-		children: make(map[string][]string, edges),
-		card:     make(map[edgeKey]Card, edges),
-	}
-}
+func New() *Shape { return &Shape{ids: map[string]int{}} }
 
 // Fold infers an adorned shape from one pass over a document's nodes in
 // document order: Open at each element or attribute, Close when its
@@ -106,6 +174,7 @@ type Fold struct {
 
 type foldType struct {
 	name   string
+	id     int // index in order
 	parent *foldType
 	kids   []*foldType
 	closed int  // nodes of this type seen through to their Close
@@ -117,7 +186,7 @@ type foldType struct {
 func (f *Fold) Open(typ string) {
 	t := f.types[typ]
 	if t == nil {
-		t = &foldType{name: typ}
+		t = &foldType{name: typ, id: len(f.order)}
 		if len(f.open) > 0 {
 			t.parent = f.open[len(f.open)-1]
 			t.parent.kids = append(t.parent.kids, t)
@@ -167,14 +236,87 @@ func (f *Fold) Walk(fn func(typ, parent string, card Card)) {
 
 // Shape returns the shape of the nodes folded so far.
 func (f *Fold) Shape() *Shape {
-	s := New()
-	for _, t := range f.order {
-		s.AddType(t.name)
+	names := make([]string, len(f.order))
+	parent := make([]int, len(f.order))
+	into := make([]Card, len(f.order))
+	for i, t := range f.order {
+		names[i], parent[i], into[i] = t.name, -1, One
 		if t.parent != nil {
-			s.setEdge(t.parent.name, t.name, t.card)
+			parent[i], into[i] = t.parent.id, t.card
+		}
+	}
+	return build(names, parent, into)
+}
+
+// FromParents returns the shape whose type with id i is named names[i],
+// has parent type parent[i] (-1 for a root) and card into[i] on the edge
+// from it; a parent's children keep the order of their ids. It takes
+// ownership of the slices. It fails when the slices differ in length, a
+// parent id is out of range, or the result is not a forest of distinct
+// names (Validate).
+func FromParents(names []string, parent []int, into []Card) (*Shape, error) {
+	n := len(names)
+	if len(parent) != n || len(into) != n {
+		return nil, fmt.Errorf("shape: %d names, %d parents, %d cards", n, len(parent), len(into))
+	}
+	for i, p := range parent {
+		if p < -1 || p >= n {
+			return nil, fmt.Errorf("shape: type %s has parent id %d of %d types", names[i], p, n)
+		}
+	}
+	s := build(names, parent, into)
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// build assembles a shape over a forest of distinct names. A type whose
+// parents never reach a root (a cycle) is left without a chain, at depth
+// -1, which Validate reports.
+func build(names []string, parent []int, into []Card) *Shape {
+	n := len(names)
+	s := &Shape{
+		f:     Forest{parent: parent, into: into, depth: make([]int, n), at: make([]int, n)},
+		names: names,
+		kids:  make([][]int, n),
+		ids:   make(map[string]int, n),
+	}
+	for i := range s.f.depth {
+		s.f.depth[i] = -1 // no chain yet
+	}
+	// One backing array holds every child list, in sibling order.
+	count := make([]int, n)
+	for _, p := range parent {
+		if p >= 0 {
+			count[p]++
+		}
+	}
+	flat := make([]int, 0, n)
+	for i, c := range count {
+		s.kids[i] = flat[len(flat) : len(flat) : len(flat)+c]
+		flat = flat[:len(flat)+c]
+	}
+	for i, p := range parent {
+		s.ids[names[i]] = i
+		if p >= 0 {
+			s.kids[p] = append(s.kids[p], i)
+		}
+	}
+	for i, p := range parent {
+		if p < 0 {
+			s.rechain(i)
 		}
 	}
 	return s
+}
+
+// rechain sets the chains of id's subtree, from id's parent's.
+func (s *Shape) rechain(id int) {
+	s.f.rechain(id)
+	for _, k := range s.kids[id] {
+		s.rechain(k)
+	}
 }
 
 // FromDocument extracts the adorned shape of a document: one type per
@@ -198,9 +340,16 @@ func FromDocument(d *xmltree.Document) *Shape {
 }
 
 // AddType ensures t is a type of the shape (as a root until an edge is
-// added).
-func (s *Shape) AddType(t string) {
-	s.types[t] = true
+// added) and returns its id.
+func (s *Shape) AddType(t string) int {
+	if id, ok := s.ids[t]; ok {
+		return id
+	}
+	id := s.f.Add(-1, One)
+	s.names = append(s.names, t)
+	s.kids = append(s.kids, nil)
+	s.ids[t] = id
+	return id
 }
 
 // AddEdge adds (or replaces) the edge parent -> child with the given
@@ -210,263 +359,153 @@ func (s *Shape) AddEdge(parent, child string, c Card) error {
 	if parent == child {
 		return fmt.Errorf("shape: self edge on %s", parent)
 	}
-	if p, ok := s.parent[child]; ok && p != parent {
-		return fmt.Errorf("shape: type %s already has parent %s", child, p)
-	}
-	// Cycle check: parent must not be a descendant of child.
-	for a := parent; a != ""; a = s.parent[a] {
-		if a == child {
-			return fmt.Errorf("shape: edge %s -> %s would create a cycle", parent, child)
+	p, k := s.AddType(parent), s.AddType(child)
+	switch old := s.f.parent[k]; {
+	case old >= 0 && old != p:
+		return fmt.Errorf("shape: type %s already has parent %s", child, s.names[old])
+	case old < 0:
+		for a := p; a >= 0; a = s.f.parent[a] {
+			if a == k {
+				return fmt.Errorf("shape: edge %s -> %s would create a cycle", parent, child)
+			}
 		}
+		s.f.parent[k] = p
+		s.kids[p] = append(s.kids[p], k)
 	}
-	s.setEdge(parent, child, c)
+	s.f.into[k] = c
+	s.rechain(k)
 	return nil
 }
 
-func (s *Shape) setEdge(parent, child string, c Card) {
-	s.types[parent] = true
-	s.types[child] = true
-	if _, ok := s.parent[child]; !ok {
-		s.parent[child] = parent
-		s.children[parent] = append(s.children[parent], child)
-	}
-	s.card[edgeKey{parent, child}] = c
+// ID returns the id of type t, and whether t is a type of the shape.
+func (s *Shape) ID(t string) (int, bool) {
+	id, ok := s.ids[t]
+	return id, ok
 }
 
-// ReserveChildren makes room for n more child types of parent, so that
-// adding their edges allocates parent's child list once.
-func (s *Shape) ReserveChildren(parent string, n int) {
-	if kids := s.children[parent]; cap(kids)-len(kids) < n {
-		s.children[parent] = append(make([]string, 0, len(kids)+n), kids...)
-	}
-}
+// Name returns the name of the type with the given id.
+func (s *Shape) Name(id int) string { return s.names[id] }
 
-// RemoveSubtree deletes t and every descendant type from the shape.
-func (s *Shape) RemoveSubtree(t string) {
-	for _, c := range append([]string(nil), s.children[t]...) {
-		s.RemoveSubtree(c)
-	}
-	s.Detach(t)
-	delete(s.types, t)
-	delete(s.children, t)
-}
+// Kids returns the child ids of a type in sibling order. The slice is the
+// shape's own.
+func (s *Shape) Kids(id int) []int { return s.kids[id] }
 
-// Detach removes t's incoming edge, making it a root. It is a no-op for
-// roots and unknown types.
-func (s *Shape) Detach(t string) {
-	p, ok := s.parent[t]
-	if !ok {
-		return
-	}
-	delete(s.parent, t)
-	delete(s.card, edgeKey{p, t})
-	kids := s.children[p]
-	for i, k := range kids {
-		if k == t {
-			s.children[p] = append(kids[:i:i], kids[i+1:]...)
-			break
-		}
-	}
-}
+// PathCard is Definition 6 in both directions between the types with ids
+// t and u; see Forest.PathCard.
+func (s *Shape) PathCard(t, u int) (tu, ut Card, ok bool) { return s.f.PathCard(t, u) }
 
-// Reparent moves type u (with its subtree) below type t, implementing the
-// MUTATE re-parenting rule documented in DESIGN.md: if t lies inside u's
-// subtree, t is first spliced out to u's old parent so the move cannot
-// create a cycle.
-func (s *Shape) Reparent(t, u string, c Card) error {
-	if !s.types[t] || !s.types[u] {
-		return fmt.Errorf("shape: reparent with unknown type (%s -> %s)", t, u)
+// PathCardOf is Definition 6 from type from to type to, by name; false
+// when either is not a type of the shape or they lie in different trees.
+func (s *Shape) PathCardOf(from, to string) (Card, bool) {
+	t, okT := s.ids[from]
+	u, okU := s.ids[to]
+	if !okT || !okU {
+		return Card{}, false
 	}
-	if t == u {
-		return fmt.Errorf("shape: cannot reparent %s below itself", u)
-	}
-	if s.isAncestor(u, t) {
-		// Splice t out to u's old parent (or make it a root).
-		oldParent, hadParent := s.parent[u]
-		s.Detach(t)
-		if hadParent {
-			s.setEdge(oldParent, t, One)
-		}
-	}
-	s.Detach(u)
-	s.setEdge(t, u, c)
-	return nil
-}
-
-// isAncestor reports whether a is a proper ancestor of b.
-func (s *Shape) isAncestor(a, b string) bool {
-	for p, ok := s.parent[b]; ok; p, ok = s.parent[p] {
-		if p == a {
-			return true
-		}
-	}
-	return false
+	c, _, ok := s.f.PathCard(t, u)
+	return c, ok
 }
 
 // HasType reports whether t is a type of the shape.
-func (s *Shape) HasType(t string) bool { return s.types[t] }
+func (s *Shape) HasType(t string) bool {
+	_, ok := s.ids[t]
+	return ok
+}
 
 // Types returns the sorted set of types (Definition 3's types(S)).
 func (s *Shape) Types() []string {
-	ts := make([]string, 0, len(s.types))
-	for t := range s.types {
-		ts = append(ts, t)
-	}
-	sort.Strings(ts)
+	ts := slices.Clone(s.names)
+	slices.Sort(ts)
 	return ts
 }
 
 // NumTypes returns the number of types.
-func (s *Shape) NumTypes() int { return len(s.types) }
+func (s *Shape) NumTypes() int { return len(s.names) }
 
 // Roots returns the sorted types with no incoming edge (roots(S)).
 func (s *Shape) Roots() []string {
 	var rs []string
-	for t := range s.types {
-		if _, ok := s.parent[t]; !ok {
-			rs = append(rs, t)
+	for id, p := range s.f.parent {
+		if p < 0 {
+			rs = append(rs, s.names[id])
 		}
 	}
-	sort.Strings(rs)
+	slices.Sort(rs)
 	return rs
 }
 
 // Children returns the child types of t in insertion (document) order.
-func (s *Shape) Children(t string) []string { return s.children[t] }
+func (s *Shape) Children(t string) []string {
+	id, ok := s.ids[t]
+	if !ok || len(s.kids[id]) == 0 {
+		return nil
+	}
+	out := make([]string, len(s.kids[id]))
+	for i, k := range s.kids[id] {
+		out[i] = s.names[k]
+	}
+	return out
+}
 
 // Parent returns t's parent type and whether it has one.
 func (s *Shape) Parent(t string) (string, bool) {
-	p, ok := s.parent[t]
-	return p, ok
+	if id, ok := s.ids[t]; ok && s.f.parent[id] >= 0 {
+		return s.names[s.f.parent[id]], true
+	}
+	return "", false
 }
 
 // Card returns the cardinality on the edge parent -> child, and whether
 // that edge exists.
 func (s *Shape) Card(parent, child string) (Card, bool) {
-	c, ok := s.card[edgeKey{parent, child}]
-	return c, ok
-}
-
-// LCA returns the least common ancestor of t and u in the forest, or ""
-// when they are in different trees. A type is its own ancestor. The walk
-// is allocation-free: the information-loss analysis calls this for every
-// ordered pair of types.
-func (s *Shape) LCA(t, u string) string {
-	dt, du := s.depth(t), s.depth(u)
-	for dt > du {
-		t = s.parent[t]
-		dt--
-	}
-	for du > dt {
-		u = s.parent[u]
-		du--
-	}
-	for t != u {
-		pt, okT := s.parent[t]
-		pu, okU := s.parent[u]
-		if !okT || !okU {
-			return ""
-		}
-		t, u = pt, pu
-	}
-	return t
-}
-
-// depth counts edges from t up to its root.
-func (s *Shape) depth(t string) int {
-	d := 0
-	for {
-		p, ok := s.parent[t]
-		if !ok {
-			return d
-		}
-		t = p
-		d++
-	}
-}
-
-// PathCard implements Definition 6: the cardinality of the path between
-// types t and s, the product of edge cardinalities on the downward path
-// from their least common ancestor to s. The upward path from t
-// contributes 1..1. If t and s are in different trees the second return is
-// false.
-func (s *Shape) PathCard(t, target string) (Card, bool) {
-	if !s.types[t] || !s.types[target] {
+	p, okP := s.ids[parent]
+	k, okK := s.ids[child]
+	if !okP || !okK || s.f.parent[k] != p {
 		return Card{}, false
 	}
-	lca := s.LCA(t, target)
-	if lca == "" {
-		return Card{}, false
-	}
-	c := One
-	for x := target; x != lca; {
-		p := s.parent[x]
-		c = c.Mul(s.card[edgeKey{p, x}])
-		x = p
-	}
-	return c, true
+	return s.f.into[k], true
 }
 
-// Clone returns a deep copy of the shape.
-func (s *Shape) Clone() *Shape {
-	c := New()
-	for t := range s.types {
-		c.types[t] = true
-	}
-	for k, v := range s.parent {
-		c.parent[k] = v
-	}
-	for k, v := range s.children {
-		c.children[k] = append([]string(nil), v...)
-	}
-	for k, v := range s.card {
-		c.card[k] = v
-	}
-	return c
-}
-
-// Validate checks the forest conditions: every non-root has exactly one
-// recorded parent, parent/children maps agree, and there are no cycles.
+// Validate checks that the shape's slices describe one forest of
+// distinct names: every slice has an entry per type, the name map agrees
+// with the names, each non-root is listed once among
+// its parent's children and every listed child names that parent, and
+// each type's depth is one more than its parent's, which rules out a
+// cycle.
 func (s *Shape) Validate() error {
-	for child, p := range s.parent {
-		if !s.types[child] || !s.types[p] {
-			return fmt.Errorf("shape: edge %s -> %s references unknown type", p, child)
-		}
-		found := false
-		for _, c := range s.children[p] {
-			if c == child {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("shape: edge %s -> %s missing from children index", p, child)
-		}
-		if _, ok := s.card[edgeKey{p, child}]; !ok {
-			return fmt.Errorf("shape: edge %s -> %s missing cardinality", p, child)
-		}
+	n, f := len(s.names), &s.f
+	if len(f.parent) != n || len(f.into) != n || len(f.depth) != n || len(f.at) != n || len(s.kids) != n || len(s.ids) != n {
+		return fmt.Errorf("shape: %d names but %d parents, %d cards, %d depths, %d chains, %d child lists, %d ids",
+			n, len(f.parent), len(f.into), len(f.depth), len(f.at), len(s.kids), len(s.ids))
 	}
-	for p, kids := range s.children {
-		for _, c := range kids {
-			if s.parent[c] != p {
-				return fmt.Errorf("shape: children index lists %s under %s but parent is %s", c, p, s.parent[c])
+	listed, roots := 0, 0
+	for id, t := range s.names {
+		if got, ok := s.ids[t]; !ok || got != id {
+			return fmt.Errorf("shape: type %s has id %d, mapped to %d", t, id, got)
+		}
+		p, want := f.parent[id], 0
+		switch {
+		case p >= n || p < -1:
+			return fmt.Errorf("shape: type %s has parent id %d of %d types", t, p, n)
+		case p < 0:
+			roots++
+		case !slices.Contains(s.kids[p], id):
+			return fmt.Errorf("shape: edge %s -> %s missing from children index", s.names[p], t)
+		default:
+			want = f.depth[p] + 1
+		}
+		if f.depth[id] != want {
+			return fmt.Errorf("shape: type %s at depth %d, want %d", t, f.depth[id], want)
+		}
+		for _, k := range s.kids[id] {
+			if k < 0 || k >= n || f.parent[k] != id {
+				return fmt.Errorf("shape: children index lists id %d under %s", k, t)
 			}
 		}
+		listed += len(s.kids[id])
 	}
-	// Cycle detection: walking up from any type must terminate.
-	for t := range s.types {
-		seen := map[string]bool{}
-		for a := t; ; {
-			if seen[a] {
-				return fmt.Errorf("shape: cycle through %s", a)
-			}
-			seen[a] = true
-			p, ok := s.parent[a]
-			if !ok {
-				break
-			}
-			a = p
-		}
+	if listed+roots != n {
+		return fmt.Errorf("shape: %d roots and %d listed children over %d types", roots, listed, n)
 	}
 	return nil
 }
@@ -478,21 +517,21 @@ func (s *Shape) Validate() error {
 //	    data.author.name 1..1
 func (s *Shape) String() string {
 	var b strings.Builder
-	var walk func(t string, depth int)
-	walk = func(t string, depth int) {
+	var walk func(id, depth int)
+	walk = func(id, depth int) {
 		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(t)
-		if p, ok := s.parent[t]; ok {
+		b.WriteString(s.names[id])
+		if s.f.parent[id] >= 0 {
 			b.WriteString(" ")
-			b.WriteString(s.card[edgeKey{p, t}].String())
+			b.WriteString(s.f.into[id].String())
 		}
 		b.WriteString("\n")
-		for _, c := range s.children[t] {
-			walk(c, depth+1)
+		for _, k := range s.kids[id] {
+			walk(k, depth+1)
 		}
 	}
 	for _, r := range s.Roots() {
-		walk(r, 0)
+		walk(s.ids[r], 0)
 	}
 	return b.String()
 }

@@ -3,6 +3,7 @@ package shape
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -180,7 +181,7 @@ func TestPathCardTable1(t *testing.T) {
 		{title, name, One},
 	}
 	for _, tt := range tests {
-		got, ok := s.PathCard(tt.from, tt.to)
+		got, ok := s.PathCardOf(tt.from, tt.to)
 		if !ok {
 			t.Errorf("PathCard(%s, %s): no path", tt.from, tt.to)
 			continue
@@ -193,21 +194,8 @@ func TestPathCardTable1(t *testing.T) {
 
 func TestPathCardUnknownType(t *testing.T) {
 	s := shapeOf(t, fig1c)
-	if _, ok := s.PathCard("data", "nope"); ok {
+	if _, ok := s.PathCardOf("data", "nope"); ok {
 		t.Error("PathCard with unknown type should fail")
-	}
-}
-
-func TestLCA(t *testing.T) {
-	s := shapeOf(t, fig1c)
-	if got := s.LCA("data.author.name", "data.author.book.title"); got != "data.author" {
-		t.Errorf("LCA = %s, want data.author", got)
-	}
-	if got := s.LCA("data", "data.author.book"); got != "data" {
-		t.Errorf("LCA with ancestor = %s, want data", got)
-	}
-	if got := s.LCA("data.author", "data.author"); got != "data.author" {
-		t.Errorf("LCA with self = %s", got)
 	}
 }
 
@@ -215,10 +203,7 @@ func TestLCADifferentTrees(t *testing.T) {
 	s := New()
 	s.AddType("a")
 	s.AddType("b")
-	if got := s.LCA("a", "b"); got != "" {
-		t.Errorf("LCA across trees = %q, want empty", got)
-	}
-	if _, ok := s.PathCard("a", "b"); ok {
+	if _, ok := s.PathCardOf("a", "b"); ok {
 		t.Error("PathCard across trees should report no path")
 	}
 }
@@ -242,90 +227,23 @@ func TestAddEdgeRejectsSecondParentAndCycles(t *testing.T) {
 	}
 }
 
-func TestReparentSimpleMove(t *testing.T) {
-	// Figure 1(b) -> (a): MUTATE book [ publisher [ name ] ] moves
-	// publisher below book.
-	s := shapeOf(t, `<data>
-	  <publisher>
-	    <name>W</name>
-	    <book><title>X</title></book>
-	  </publisher>
-	</data>`)
-	if err := s.Reparent("data.publisher.book", "data.publisher", One); err != nil {
+// TestAddEdgeReplacesCard: replacing an edge's card moves every path
+// cardinality through it, below the edge as well.
+func TestAddEdgeReplacesCard(t *testing.T) {
+	s := New()
+	for _, e := range [][2]string{{"a", "a.b"}, {"a.b", "a.b.c"}} {
+		if err := s.AddEdge(e[0], e[1], Card{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddEdge("a", "a.b", Card{0, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("after reparent: %v", err)
-	}
-	if p, _ := s.Parent("data.publisher"); p != "data.publisher.book" {
-		t.Errorf("publisher parent = %s, want book", p)
-	}
-	// book was spliced out to publisher's old parent (data).
-	if p, _ := s.Parent("data.publisher.book"); p != "data" {
-		t.Errorf("book parent = %s, want data", p)
-	}
-	// name followed publisher.
-	if p, _ := s.Parent("data.publisher.name"); p != "data.publisher" {
-		t.Errorf("name parent = %s, want publisher", p)
-	}
-}
-
-func TestReparentSwap(t *testing.T) {
-	// MUTATE name [ author ]: swap author and its name child.
-	s := shapeOf(t, `<data><author><name>V</name><title>X</title></author></data>`)
-	if err := s.Reparent("data.author.name", "data.author", One); err != nil {
-		t.Fatal(err)
+	if c, ok := s.PathCardOf("a", "a.b.c"); !ok || c != (Card{0, 6}) {
+		t.Errorf("PathCard(a, a.b.c) = %s %v, want 0..6", c, ok)
 	}
 	if err := s.Validate(); err != nil {
-		t.Fatalf("after swap: %v", err)
-	}
-	if p, _ := s.Parent("data.author"); p != "data.author.name" {
-		t.Errorf("author parent = %s, want name", p)
-	}
-	if p, _ := s.Parent("data.author.name"); p != "data" {
-		t.Errorf("name parent = %s, want data", p)
-	}
-	// Other children stay below author.
-	if p, _ := s.Parent("data.author.title"); p != "data.author" {
-		t.Errorf("title parent = %s, want author", p)
-	}
-}
-
-func TestRemoveSubtree(t *testing.T) {
-	s := shapeOf(t, fig1c)
-	s.RemoveSubtree("data.author.book")
-	if s.HasType("data.author.book") || s.HasType("data.author.book.title") || s.HasType("data.author.book.publisher.name") {
-		t.Error("subtree types survived removal")
-	}
-	if !s.HasType("data.author.name") {
-		t.Error("sibling type removed")
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDetachMakesRoot(t *testing.T) {
-	s := shapeOf(t, fig1c)
-	s.Detach("data.author.book")
-	roots := s.Roots()
-	if len(roots) != 2 {
-		t.Fatalf("roots = %v, want 2 roots", roots)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	s := shapeOf(t, fig1c)
-	c := s.Clone()
-	c.RemoveSubtree("data.author.book")
-	if !s.HasType("data.author.book.title") {
-		t.Error("clone mutation leaked into original")
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
 }
 
@@ -342,10 +260,17 @@ func TestShapeString(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	s := shapeOf(t, fig1c)
-	// Corrupt: edge with missing card.
-	delete(s.card, edgeKey{"data.author", "data.author.name"})
+	// Corrupt: an edge missing from its parent's children.
+	a, n := s.ids["data.author"], s.ids["data.author.name"]
+	s.kids[a] = slices.DeleteFunc(slices.Clone(s.kids[a]), func(k int) bool { return k == n })
 	if err := s.Validate(); err == nil {
-		t.Error("Validate missed missing cardinality")
+		t.Error("Validate missed an edge missing from the children index")
+	}
+	// Corrupt: a cycle, data below its own descendant.
+	s = shapeOf(t, fig1c)
+	s.f.parent[s.ids["data"]] = n
+	if err := s.Validate(); err == nil {
+		t.Error("Validate missed a cycle")
 	}
 }
 
@@ -391,7 +316,7 @@ func TestPropertyExtractedShapesValid(t *testing.T) {
 	}
 }
 
-// TestPropertyPathCardLaws: pathCard(t,t) = 1..1; upward paths are 1..1;
+// TestPropertyPathCardLaws: PathCardOf(t,t) = 1..1; upward paths are 1..1;
 // path cardinality composes multiplicatively down any root-to-leaf chain.
 func TestPropertyPathCardLaws(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 150, Values: func(vals []reflect.Value, r *rand.Rand) {
@@ -400,12 +325,12 @@ func TestPropertyPathCardLaws(t *testing.T) {
 	if err := quick.Check(func(d *xmltree.Document) bool {
 		s := FromDocument(d)
 		for _, t1 := range s.Types() {
-			if c, ok := s.PathCard(t1, t1); !ok || c != One {
+			if c, ok := s.PathCardOf(t1, t1); !ok || c != One {
 				return false
 			}
 			// Upward to any ancestor: 1..1.
 			for p, ok := s.Parent(t1); ok; p, ok = s.Parent(p) {
-				if c, ok2 := s.PathCard(t1, p); !ok2 || c != One {
+				if c, ok2 := s.PathCardOf(t1, p); !ok2 || c != One {
 					return false
 				}
 			}
@@ -433,7 +358,7 @@ func TestPropertyPathCardLaws(t *testing.T) {
 			if len(chain) > 0 {
 				root := chain[0]
 				rp, _ := s.Parent(root)
-				if got, ok := s.PathCard(rp, t1); ok && got != chainCard {
+				if got, ok := s.PathCardOf(rp, t1); ok && got != chainCard {
 					return false
 				}
 			}

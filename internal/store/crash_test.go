@@ -89,7 +89,7 @@ type crashOracle struct {
 func recordCrashOracle(t *testing.T) crashOracle {
 	t.Helper()
 	fs := kvstore.NewFaultFS()
-	o := crashOracle{images: [][]byte{nil}} // nil = empty initial file
+	o := crashOracle{images: [][]byte{emptyStoreImage(t)}}
 	err := runCrashWorkload(fs, func() {
 		o.images = append(o.images, fs.FileBytes("crash.db"))
 	})
@@ -101,6 +101,20 @@ func recordCrashOracle(t *testing.T) crashOracle {
 		t.Fatal("oracle run performed no writes")
 	}
 	return o
+}
+
+// emptyStoreImage is the file Open leaves at a new path: the empty tree,
+// which it commits before it returns, so a crash before the first step's
+// commit reopens to exactly this.
+func emptyStoreImage(t *testing.T) []byte {
+	t.Helper()
+	fs := kvstore.NewFaultFS()
+	st, err := store.Open("crash.db", store.WithKVOptions(&kvstore.Options{CachePages: 16, FS: fs}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	return fs.FileBytes("crash.db")
 }
 
 // reopenAfterCrash clears the faults (the reboot) and reopens the store.

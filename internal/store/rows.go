@@ -250,16 +250,40 @@ func scanRows(r reader, id uint32, fn func(ptid uint32, val []byte) error) error
 	return err
 }
 
-// loadShape builds a document's shape from its rows in one prefix scan,
-// naming the types through the registry. Rows that do not describe a
-// forest of the registry's rooted type paths — a child filed under
-// another parent than its path's, a root with a parent, a type listed
-// twice, a row for a type no row lists, no roots row — are an ErrStorage
-// error.
+// loadShape builds a document's shape from its rows in one prefix scan.
+// Each type a row lists becomes a shape type, numbered in scan order — a
+// parent's children share its row, so they keep their sibling order —
+// and named through the registry; its parent's shape id is looked up by
+// registry id once every row is in. Rows that do not describe a forest
+// of the registry's rooted type paths — a child filed under another
+// parent than its path's, a root with a parent, a type listed twice, a
+// row for a type no row lists, no roots row — are an ErrStorage error.
 func loadShape(r reader, id uint32, types []string) (*shape.Shape, error) {
-	sh := shape.NewSized(len(types), len(types))
+	// sid maps a registry id to its shape id once a row lists the type;
+	// before that it is unseen, or onlyParent when a row has it as parent.
+	const unseen, onlyParent = -1, -2
+	sid := make([]int, len(types))
+	for i := range sid {
+		sid[i] = unseen
+	}
+	names := make([]string, 0, len(types))
+	ptids := make([]uint32, 0, len(types)) // each shape type's parent's registry id
+	into := make([]shape.Card, 0, len(types))
+	roots, edges, seen := -1, 0, 0
+	list := func(tid, ptid uint32, c shape.Card) {
+		switch sid[tid] {
+		case unseen:
+			seen++
+		case onlyParent:
+		default:
+			return // listed twice: the count below refuses the rows
+		}
+		sid[tid] = len(names)
+		names = append(names, types[tid])
+		ptids = append(ptids, ptid)
+		into = append(into, c)
+	}
 	var row []rowEdge
-	roots, edges := -1, 0
 	err := scanRows(r, id, func(ptid uint32, val []byte) error {
 		var err error
 		if row, err = decodeRow(row[:0], ptid, val, len(types)); err != nil {
@@ -268,27 +292,25 @@ func loadShape(r reader, id uint32, types []string) (*shape.Shape, error) {
 		if ptid == rootsRow {
 			roots = len(row)
 			for _, e := range row {
-				t := types[e.tid]
-				if xmltree.TypeParent(t) != "" {
+				if t := types[e.tid]; xmltree.TypeParent(t) != "" {
 					return fmt.Errorf("%w: shape row: root %s has a parent type", ErrStorage, t)
 				}
-				sh.AddType(t)
+				list(e.tid, rootsRow, shape.One)
 			}
 			return nil
 		}
 		if int(ptid) >= len(types) {
 			return fmt.Errorf("%w: shape row: parent typeID %d out of range", ErrStorage, ptid)
 		}
-		p := types[ptid]
-		sh.ReserveChildren(p, len(row))
+		if sid[ptid] == unseen {
+			sid[ptid] = onlyParent
+			seen++
+		}
 		for _, e := range row {
-			c := types[e.tid]
-			if xmltree.TypeParent(c) != p {
-				return fmt.Errorf("%w: shape row: %s filed under %s", ErrStorage, c, p)
+			if c := types[e.tid]; xmltree.TypeParent(c) != types[ptid] {
+				return fmt.Errorf("%w: shape row: %s filed under %s", ErrStorage, c, types[ptid])
 			}
-			if err := sh.AddEdge(p, c, e.card); err != nil {
-				return fmt.Errorf("%w: shape row: %v", ErrStorage, err)
-			}
+			list(e.tid, ptid, e.card)
 		}
 		edges += len(row)
 		return nil
@@ -298,11 +320,22 @@ func loadShape(r reader, id uint32, types []string) (*shape.Shape, error) {
 		return nil, err
 	case roots < 0:
 		return nil, fmt.Errorf("%w: document %d has no roots row", ErrStorage, id)
-	case sh.NumTypes() != roots+edges:
+	case seen != roots+edges:
 		// Every type is a root or the child of one edge exactly when no
 		// type is listed twice and every row's parent is listed.
 		return nil, fmt.Errorf("%w: shape rows of document %d list %d roots and %d edges over %d types",
-			ErrStorage, id, roots, edges, sh.NumTypes())
+			ErrStorage, id, roots, edges, seen)
+	}
+	parent := make([]int, len(names))
+	for i, p := range ptids {
+		parent[i] = -1
+		if p != rootsRow {
+			parent[i] = sid[p]
+		}
+	}
+	sh, err := shape.FromParents(names, parent, into)
+	if err != nil {
+		return nil, fmt.Errorf("%w: shape row: %v", ErrStorage, err)
 	}
 	return sh, nil
 }

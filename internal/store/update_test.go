@@ -570,7 +570,7 @@ func runUpdateCrashWorkload(fs *kvstore.FaultFS, commit func()) error {
 // either happened entirely or not at all, never partially.
 func TestCrashSweepUpdateWorkload(t *testing.T) {
 	fs := kvstore.NewFaultFS()
-	oracle := crashOracle{images: [][]byte{nil}}
+	oracle := crashOracle{images: [][]byte{emptyStoreImage(t)}}
 	if err := runUpdateCrashWorkload(fs, func() {
 		oracle.images = append(oracle.images, fs.FileBytes("crash.db"))
 	}); err != nil {
