@@ -346,6 +346,34 @@ func TestServerComposeBombIs400(t *testing.T) {
 	}
 }
 
+// TestServerCloneBombIs400: a one-stage guard whose CLONEs would copy
+// copies without end over a 41-node document is refused at compile time,
+// quickly, as the client's error, and the server answers the next query.
+func TestServerCloneBombIs400(t *testing.T) {
+	_, _, ts := newTestServer(t, ServerConfig{})
+	nested := "<root>" + strings.Repeat("<a><c>", 19) + "<a><c/></a>" + strings.Repeat("</c></a>", 19) + "</root>"
+	resp, err := http.Post(ts.URL+"/v1/docs/nested", "application/xml", strings.NewReader(nested))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("shred status %d", resp.StatusCode)
+	}
+	start := time.Now()
+	resp, data := postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": "nested", "guard": "CAST MUTATE a [ CLONE c ]"})
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("refused after %v", d)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "copies more than") {
+		t.Errorf("status %d body %s, want a 400 naming the stage copy bound", resp.StatusCode, data)
+	}
+	resp, data = postJSON(t, ts.URL+"/v1/query", map[string]any{"doc": "nested", "guard": "MUTATE root", "format": "xml"})
+	if resp.StatusCode != http.StatusOK || string(data) != nested {
+		t.Errorf("next query: status %d body %s, want %s", resp.StatusCode, data, nested)
+	}
+}
+
 func TestServerMetricsEndpoint(t *testing.T) {
 	_, _, ts := newTestServer(t, ServerConfig{})
 	shredHTTP(t, ts.URL, "books")

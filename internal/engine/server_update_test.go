@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -8,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"xmorph/internal/xmltree"
 )
 
 // TestServerRouteTable: the versioned API surface is enumerable as data,
@@ -219,4 +222,66 @@ func shapeHash(t *testing.T, eng *Engine) uint64 {
 		t.Fatalf("ShapeHash: ok=%v err=%v", ok, err)
 	}
 	return h
+}
+
+// nestedXML repeats labels at several depths (book inside author inside
+// book), so guards over it meet ambiguous labels and closest joins.
+const nestedXML = `<data><book><title>X</title><author><name>V</name><book><title>Y</title><author><name>U</name></author></book></author></book><book><title>Z</title></book></data>`
+
+// FuzzQueryRoute drives POST /v1/query with arbitrary fields over a
+// small stored document: no request is a server error, none changes the
+// document, and a 200 carries a body that parses (JSON, or the XML of a
+// format "xml" answer).
+func FuzzQueryRoute(f *testing.F) {
+	for _, s := range [][4]string{
+		{"d", "MORPH author [ name title ]", "", ""},
+		{"d", "CAST MORPH book [ title ]", "", "xml"},
+		{"d", "MUTATE data", "", "json"},
+		{"d", "CAST MUTATE author [ CLONE book ]", "", ""},
+		{"d", "CAST MORPH title [ name ] | TRANSLATE title -> t", "", "xml"},
+		{"d", "MORPH author [ name title ]", `for $a in doc("d")//author return string($a/name)`, ""},
+		{"d", "MORPH author", "count(", ""},
+		{"d", "MORPH ghost", "", ""},
+		{"missing", "MORPH author", "", ""},
+		{"d", "", "", ""},
+		{"d", "MORPH (", "", "xml"},
+	} {
+		f.Add(s[0], s[1], s[2], s[3])
+	}
+	ctx := context.Background()
+	eng := OpenMemory()
+	f.Cleanup(func() { eng.Close() })
+	if _, err := eng.Shred(ctx, "d", strings.NewReader(nestedXML), nil); err != nil {
+		f.Fatal(err)
+	}
+	var before string
+	h := NewServer(eng, ServerConfig{}).Handler()
+	f.Fuzz(func(t *testing.T, doc, guard, query, format string) {
+		body, err := json.Marshal(queryRequest{Doc: doc, Guard: guard, Query: query, Format: format})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("query %s: status %d: %s", body, rec.Code, rec.Body)
+		}
+		if got := reconstruct(t, eng, "d").XML(false); before == "" {
+			before = got
+		} else if got != before {
+			t.Fatalf("query %s (status %d) changed the document:\n%s\nto\n%s", body, rec.Code, before, got)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		if format == "xml" && query == "" {
+			// The answer is a forest when the target has several roots.
+			forest := "<answer>" + rec.Body.String() + "</answer>"
+			if _, err := xmltree.Parse(strings.NewReader(forest)); err != nil {
+				t.Fatalf("query %s: the XML answer does not parse: %v\n%s", body, err, rec.Body)
+			}
+		} else if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("query %s: the JSON answer does not parse:\n%s", body, rec.Body)
+		}
+	})
 }

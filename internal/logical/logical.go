@@ -314,8 +314,7 @@ func pruneNode(n *semantics.TNode, active [][]string) *semantics.TNode {
 		// suffixes across sibling subtrees.
 		next = append(append([][]string(nil), active...), consumed...)
 	}
-	cp := n.Copy()
-	cp.Kids = nil
+	cp := n.CopyNode()
 	for _, k := range n.Kids {
 		if kc := pruneNode(k, next); kc != nil {
 			cp.Attach(kc)

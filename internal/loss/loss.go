@@ -170,39 +170,28 @@ func Analyze(p *semantics.Plan) *Report {
 }
 
 func analyzeStage(r *Report, idx int, sp *semantics.StagePlan) {
-	// Number the sourced target types and their ancestors, parents first,
+	// Number the target types in preorder, each below its parent's id,
 	// into a forest carrying their predicted edge cardinalities
 	// (Definition 7), and resolve each sourced type's input type id once:
 	// the pairwise loop below is quadratic in the number of types and runs
 	// on every guard compile, so a pair reads no map (the paper reports
-	// ~20 ms compiles on 471-type shapes). A type is
-	// numbered by its identity and placed by its parent link, as the
-	// renderer and Definition 7 see it.
+	// ~20 ms compiles on 471-type shapes). The target is a tree, so each
+	// type is numbered once and placed by its parent, as the renderer and
+	// Definition 7 see it.
 	var (
 		target  shape.Forest
-		ids     = map[*semantics.TNode]int{}
 		sourced []int // target ids of the sourced types, in preorder
 		srcIDs  []int // their input type ids, -1 when not an input type
 	)
-	var number func(n *semantics.TNode) int
-	number = func(n *semantics.TNode) int {
-		if id, ok := ids[n]; ok {
-			return id
-		}
-		parent := -1
-		if p := n.Parent(); p != nil {
-			parent = number(p)
-		}
-		ids[n] = target.Add(parent, n.EdgeCard(sp.Input))
-		return ids[n]
-	}
-	sp.Target.Walk(func(n *semantics.TNode) {
+	var number func(n *semantics.TNode, parent int)
+	number = func(n *semantics.TNode, parent int) {
+		id := target.Add(parent, n.EdgeCard(sp.Input))
 		if n.Source != "" {
 			src, ok := sp.Input.ID(n.Source)
 			if !ok {
 				src = -1
 			}
-			sourced = append(sourced, number(n))
+			sourced = append(sourced, id)
 			srcIDs = append(srcIDs, src)
 		} else {
 			r.NonAdditive = false
@@ -216,38 +205,61 @@ func analyzeStage(r *Report, idx int, sp *semantics.StagePlan) {
 				Kind: RestrictFilter, Stage: idx, FromType: n.Source,
 			})
 		}
-	})
+		for _, k := range n.Kids {
+			number(k, id)
+		}
+	}
+	for _, root := range sp.Target.Roots {
+		number(root, -1)
+	}
 
 	// Pairwise path-cardinality comparison (Theorems 1 and 2) over the
 	// retained types. Ordered pairs: the upward direction encodes "every a
 	// must sit below some b". PathCard gives a pair's cardinalities in
 	// both directions, so each unordered pair is visited once and the
-	// findings are put back in the order of their ordered pairs.
+	// findings are put back in the order of their ordered pairs. Target
+	// types copied from one input type (a child closest to two parents, a
+	// CLONE below every context type) repeat their findings, as many as
+	// the square of the copies: a finding is listed once, at its first
+	// ordered pair.
 	type pairFinding struct {
 		from, to int // indexes into sourced
 		f        Finding
 	}
 	var found []pairFinding
-	check := func(i, j int, cardS, cardR shape.Card) {
-		add := func(k FindingKind) {
-			found = append(found, pairFinding{i, j, Finding{
-				Kind: k, Stage: idx,
-				FromType: sp.Input.Name(srcIDs[i]), ToType: sp.Input.Name(srcIDs[j]),
-				SrcCard: cardS, PredCard: cardR,
-			}})
+	type key struct {
+		kind      FindingKind
+		from, to  int // input type ids
+		src, pred shape.Card
+	}
+	at := map[key]int{} // a finding's index in found
+	add := func(k FindingKind, i, j int, cardS, cardR shape.Card) {
+		if x, ok := at[key{k, srcIDs[i], srcIDs[j], cardS, cardR}]; ok {
+			if pf := &found[x]; cmp.Or(i-pf.from, j-pf.to) < 0 {
+				pf.from, pf.to = i, j
+			}
+			return
 		}
+		at[key{k, srcIDs[i], srcIDs[j], cardS, cardR}] = len(found)
+		found = append(found, pairFinding{i, j, Finding{
+			Kind: k, Stage: idx,
+			FromType: sp.Input.Name(srcIDs[i]), ToType: sp.Input.Name(srcIDs[j]),
+			SrcCard: cardS, PredCard: cardR,
+		}})
+	}
+	check := func(i, j int, cardS, cardR shape.Card) {
 		if cardS.Min == 0 && cardR.Min > 0 {
 			r.Inclusive = false
-			add(NonInclusive)
+			add(NonInclusive, i, j, cardS, cardR)
 		}
 		if cardR.Max > cardS.Max {
 			r.NonAdditive = false
-			add(Additive)
+			add(Additive, i, j, cardS, cardR)
 		}
 	}
 	for i := range sourced {
 		for j := i + 1; j < len(sourced); j++ {
-			if sourced[i] == sourced[j] || srcIDs[i] < 0 || srcIDs[j] < 0 {
+			if srcIDs[i] < 0 || srcIDs[j] < 0 {
 				continue
 			}
 			srcIJ, srcJI, ok := sp.Input.PathCard(srcIDs[i], srcIDs[j])
@@ -262,7 +274,7 @@ func analyzeStage(r *Report, idx int, sp *semantics.StagePlan) {
 			check(j, i, srcJI, tgtJI)
 		}
 	}
-	slices.SortStableFunc(found, func(a, b pairFinding) int { return cmp.Or(a.from-b.from, a.to-b.to) })
+	slices.SortFunc(found, func(a, b pairFinding) int { return cmp.Or(a.from-b.from, a.to-b.to, int(a.f.Kind-b.f.Kind)) })
 	for _, pf := range found {
 		r.Findings = append(r.Findings, pf.f)
 	}

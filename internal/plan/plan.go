@@ -116,11 +116,9 @@ func (d Decision) String() string {
 	return "store-backed: " + d.Reason
 }
 
-// Node is one occurrence of a target node in the execution tree. The
-// tree mirrors the target with one Node per occurrence, not per TNode: a
-// TNode shared between two points of the target (label resolution and
-// CLONE reuse subtrees) joins along a different axis in each, so each
-// occurrence carries its own join and its own executor state.
+// Node is one target node laid out for execution: the target is a tree,
+// so each TNode has one place and at most one Node, which carries the
+// join from its parent there and its own executor state.
 type Node struct {
 	TN *semantics.TNode
 	// Parent is the occurrence this one renders under (for a requirement
@@ -209,7 +207,7 @@ func (t *Tree) node(tn *semantics.TNode, parent *Node, join string) *Node {
 // wrapper builds a manufactured occurrence. Requirements on manufactured
 // nodes are never checked, so none are built.
 func (t *Tree) wrapper(tn *semantics.TNode, parent *Node, join string) *Node {
-	first := firstSourced(tn)
+	first := tn.FirstSourcedChild()
 	if first == nil {
 		return t.fill(tn, parent)
 	}
@@ -267,15 +265,6 @@ func (x *Node) attrsFirst() {
 // isAttrType reports whether a rooted type path names an attribute type.
 func isAttrType(t string) bool {
 	return strings.HasPrefix(t[strings.LastIndex(t, xmltree.TypeSep)+1:], "@")
-}
-
-func firstSourced(tn *semantics.TNode) *semantics.TNode {
-	for _, k := range tn.Kids {
-		if k.Source != "" {
-			return k
-		}
-	}
-	return nil
 }
 
 // Classify derives the streamability verdict of a composed target.

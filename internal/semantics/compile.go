@@ -83,11 +83,29 @@ func Compile(prog *guard.Program, src *shape.Shape) (*Plan, error) {
 // last.
 func (p *Plan) Final() *StagePlan { return p.Stages[len(p.Stages)-1] }
 
+// maxStageCopies caps the types one stage copies to give a node another
+// place in its target (a closest child below a second parent, a CLONE
+// below each context node). A copy can hold earlier copies: "MUTATE a [
+// CLONE c ]" over five nested <a><c> pairs builds 11 412 types and over
+// six 495 047, and the loss check is quadratic in them. A stage that
+// copies nothing, as an identity guard over any shape, is not bounded.
+const maxStageCopies = 1 << 12
+
 // evaluator evaluates one stage against an input shape.
 type evaluator struct {
 	in       *shape.Shape
 	typeFill bool
 	res      map[*guard.Term]*LabelResolution
+	copied   int // types copied so far, bounded by maxStageCopies
+}
+
+// copyOf returns a copy of n's subtree for one more place in the target,
+// or an error once the stage has copied more than maxStageCopies types.
+func (ev *evaluator) copyOf(n *TNode) (*TNode, error) {
+	if ev.copied += n.size(); ev.copied > maxStageCopies {
+		return nil, fmt.Errorf("semantics: a stage copies more than %d target types", maxStageCopies)
+	}
+	return n.Copy(), nil
 }
 
 // resolveLabel matches a label term against the input types, recording the

@@ -71,14 +71,11 @@ func composeTargets(t1, t2 *Target) *Target {
 			// t1's requirements filter the same vertices in the composed
 			// render; t2's requirements are converted recursively.
 			for _, r := range t1n.Require {
-				rc := r.Copy()
-				rc.parent = out
-				out.Require = append(out.Require, rc)
+				out.addRequire(r.Copy())
 			}
 			for _, r := range n.Require {
 				for _, cr := range conv(r) {
-					cr.parent = out
-					out.Require = append(out.Require, cr)
+					out.addRequire(cr)
 				}
 			}
 			for _, k := range n.Kids {

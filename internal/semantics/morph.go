@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"xmorph/internal/guard"
-	"xmorph/internal/shape"
 )
 
 // morph evaluates ξ[MORPH pattern]: the output shape is built from scratch
@@ -87,30 +86,29 @@ func (ev *evaluator) attachKids(term *guard.Term, parents []*TNode) ([]*TNode, e
 			// label [*]: include the parent type's children from the
 			// input shape (one level).
 			for _, p := range parents {
-				if p.Source == "" {
-					continue
-				}
-				for _, ct := range ev.in.Children(p.Source) {
-					if p.hasKidSource(ct) {
-						continue
+				if id, ok := ev.in.ID(p.Source); ok {
+					for _, k := range ev.in.Kids(id) {
+						if ct := ev.in.Name(k); !p.hasKidSource(ct) {
+							p.Attach(NewLeaf(ct))
+						}
 					}
-					p.Attach(NewLeaf(ct))
 				}
 			}
 		case guard.TermDescendants:
 			// label [**]: include the parent type's entire input subtree.
 			for _, p := range parents {
-				if p.Source == "" {
-					continue
+				if id, ok := ev.in.ID(p.Source); ok {
+					ev.copySubtree(p, id)
 				}
-				ev.copySubtree(p, p.Source)
 			}
 		default:
 			cs, err := ev.expandMorph(kid)
 			if err != nil {
 				return nil, err
 			}
-			parents = ev.attachClosest(kid, parents, cs)
+			if parents, err = ev.attachClosest(kid, parents, cs); err != nil {
+				return nil, err
+			}
 			if len(parents) == 0 {
 				return nil, fmt.Errorf("semantics: no parent type is closest to pattern %q", kid.String())
 			}
@@ -121,60 +119,28 @@ func (ev *evaluator) attachKids(term *guard.Term, parents []*TNode) ([]*TNode, e
 
 // attachClosest attaches candidate child types to candidate parents,
 // keeping only closest (parent, child) type pairs, and returns the
-// surviving parents.
-func (ev *evaluator) attachClosest(kidTerm *guard.Term, parents []*TNode, kids []*TNode) []*TNode {
-	// Manufactured children (NEW / TYPE-FILL) attach to every parent; they
-	// have no source type to measure distance with.
-	if len(kids) > 0 && kids[0].Source == "" {
-		for i, p := range parents {
-			for _, c := range kids {
-				if i == 0 {
-					p.Attach(c)
-				} else {
-					p.Attach(c.Copy())
-				}
-			}
-		}
-		return parents
-	}
-	// Manufactured parents adopt every child candidate.
-	allManufactured := true
-	for _, p := range parents {
-		if p.Source != "" {
-			allManufactured = false
-			break
-		}
-	}
-	if allManufactured {
-		for i, p := range parents {
-			for _, c := range kids {
-				if i == 0 {
-					p.Attach(c)
-				} else {
-					p.Attach(c.Copy())
-				}
-			}
-		}
-		return parents
-	}
-
-	pTypes := make([]string, 0, len(parents))
+// surviving parents: the manufactured ones and those in a closest pair
+// (a pruned parent's earlier attachments go with it). A child goes below
+// the first parent it pairs with and a copy of it below every other, so
+// the target stays a tree. Manufactured children (NEW / TYPE-FILL) pair
+// with every parent, having no source type to measure distance with, and
+// so do children of parents that are all manufactured.
+func (ev *evaluator) attachClosest(kidTerm *guard.Term, parents []*TNode, kids []*TNode) ([]*TNode, error) {
+	pTypes, cTypes := make([]string, 0, len(parents)), make([]string, 0, len(kids))
 	for _, p := range parents {
 		if p.Source != "" {
 			pTypes = append(pTypes, p.Source)
 		}
 	}
-	cTypes := make([]string, 0, len(kids))
 	for _, c := range kids {
-		cTypes = append(cTypes, c.Source)
+		if c.Source != "" {
+			cTypes = append(cTypes, c.Source)
+		}
 	}
-	keptP, keptC, pairs := closestPairs(dedupe(pTypes), dedupe(cTypes))
-	if lbl := labelOf(kidTerm); lbl != nil {
+	everyPair := len(pTypes) == 0 || len(cTypes) < len(kids)
+	_, keptC, pairs := closestPairs(pTypes, cTypes)
+	if lbl := labelOf(kidTerm); lbl != nil && !everyPair {
 		ev.recordKept(lbl, keptC)
-	}
-	keptPSet := map[string]bool{}
-	for _, p := range keptP {
-		keptPSet[p] = true
 	}
 	pairSet := map[[2]string]bool{}
 	for _, pr := range pairs {
@@ -183,24 +149,25 @@ func (ev *evaluator) attachClosest(kidTerm *guard.Term, parents []*TNode, kids [
 
 	var survivors []*TNode
 	for _, p := range parents {
-		if p.Source != "" && !keptPSet[p.Source] {
-			continue // pruned parent; its earlier attachments go with it
-		}
-		survivors = append(survivors, p)
-		first := true
+		kept := p.Source == ""
 		for _, c := range kids {
-			if !pairSet[[2]string{p.Source, c.Source}] {
+			if !everyPair && !pairSet[[2]string{p.Source, c.Source}] {
 				continue
 			}
-			if first {
-				p.Attach(c)
-				first = false
-			} else {
-				p.Attach(c.Copy())
+			if c.parent != nil { // placed below an earlier parent
+				var err error
+				if c, err = ev.copyOf(c); err != nil {
+					return nil, err
+				}
 			}
+			p.Attach(c)
+			kept = true
+		}
+		if kept {
+			survivors = append(survivors, p)
 		}
 	}
-	return survivors
+	return survivors, nil
 }
 
 // hasKidSource reports whether n already has a child with the given source
@@ -214,17 +181,29 @@ func (n *TNode) hasKidSource(src string) bool {
 	return false
 }
 
-// copySubtree mirrors the input shape's subtree below srcType onto p,
+// copySubtree mirrors the input shape's subtree below type id onto p,
 // skipping types already present as explicit kids.
-func (ev *evaluator) copySubtree(p *TNode, srcType string) {
-	for _, ct := range ev.in.Children(srcType) {
-		if p.hasKidSource(ct) {
-			continue
+func (ev *evaluator) copySubtree(p *TNode, id int) {
+	for _, k := range ev.in.Kids(id) {
+		if ct := ev.in.Name(k); !p.hasKidSource(ct) {
+			c := NewLeaf(ct)
+			p.Attach(c)
+			ev.copySubtree(c, k)
 		}
-		c := NewLeaf(ct)
-		p.Attach(c)
-		ev.copySubtree(c, ct)
 	}
+}
+
+// identity mirrors the entire input shape as a target (the starting
+// point of MUTATE and TRANSLATE): each root type with its [**] copy.
+func (ev *evaluator) identity() *Target {
+	t := &Target{}
+	for _, r := range ev.in.Roots() {
+		n := NewLeaf(r)
+		id, _ := ev.in.ID(r)
+		ev.copySubtree(n, id)
+		t.Roots = append(t.Roots, n)
+	}
+	return t
 }
 
 // labelOf returns the label term inside a (possibly wrapped) term, or nil.
@@ -240,38 +219,4 @@ func labelOf(t *guard.Term) *guard.Term {
 		}
 	}
 	return nil
-}
-
-func dedupe(ss []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range ss {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// fullTarget mirrors an entire input shape as a target (the starting point
-// of MUTATE and TRANSLATE): every input type becomes a sourced target type
-// in its original arrangement.
-func fullTarget(in *shape.Shape) (*Target, map[string]*TNode) {
-	t := &Target{}
-	idx := make(map[string]*TNode, in.NumTypes())
-	var build func(id int) *TNode
-	build = func(id int) *TNode {
-		n := NewLeaf(in.Name(id))
-		idx[n.Source] = n
-		for _, k := range in.Kids(id) {
-			n.Attach(build(k))
-		}
-		return n
-	}
-	for _, r := range in.Roots() {
-		id, _ := in.ID(r)
-		t.Roots = append(t.Roots, build(id))
-	}
-	return t, idx
 }

@@ -12,7 +12,9 @@ import (
 // leaving the rest unchanged (Section III; re-parenting rule documented in
 // DESIGN.md).
 func (ev *evaluator) mutate(st *guard.Stage) (*Target, error) {
-	t, idx := fullTarget(ev.in)
+	t := ev.identity()
+	idx := make(map[string]*TNode, ev.in.NumTypes())
+	t.Walk(func(n *TNode) { idx[n.Source] = n })
 	m := &mutator{ev: ev, t: t, idx: idx}
 	for _, pat := range st.Patterns {
 		if _, err := m.apply(pat, nil); err != nil {
@@ -29,7 +31,7 @@ func (ev *evaluator) mutate(st *guard.Stage) (*Target, error) {
 // the matching types renamed (Section VI — the translation renames every
 // type sharing the matched base type, clones included).
 func (ev *evaluator) translate(st *guard.Stage) (*Target, error) {
-	t, _ := fullTarget(ev.in)
+	t := ev.identity()
 	for _, r := range st.Renames {
 		matched := false
 		t.Walk(func(n *TNode) {
@@ -95,7 +97,10 @@ func (m *mutator) apply(term *guard.Term, ctx []*TNode) ([]*TNode, error) {
 		var clones []*TNode
 		for _, p := range ctx {
 			for _, o := range ops {
-				c := o.Copy()
+				c, err := m.ev.copyOf(o)
+				if err != nil {
+					return nil, err
+				}
 				c.Walk(func(x *TNode) { x.Clone = true })
 				p.Attach(c)
 				clones = append(clones, c)
@@ -124,14 +129,11 @@ func (m *mutator) apply(term *guard.Term, ctx []*TNode) ([]*TNode, error) {
 			for _, n := range nodes {
 				_, kept, _ := closestPairs([]string{n.Source}, types)
 				for _, kt := range kept {
-					req := NewLeaf(kt)
-					req.Require = nil
-					reqKids, err := requireSubtree(kid, kt, m.ev)
+					req, err := requireTree(kid, kt, m.ev)
 					if err != nil {
 						return nil, err
 					}
-					req.Kids = reqKids
-					n.Require = append(n.Require, req)
+					n.addRequire(req)
 				}
 			}
 		}
@@ -189,7 +191,7 @@ func (m *mutator) resolveNodes(term *guard.Term, ctx []*TNode) ([]*TNode, error)
 			}
 		}
 		if len(ctxTypes) > 0 {
-			_, kept, _ := closestPairs(dedupe(ctxTypes), types)
+			_, kept, _ := closestPairs(ctxTypes, types)
 			m.ev.recordKept(term, kept)
 			types = kept
 		}
@@ -314,10 +316,10 @@ func (m *mutator) reparentClosest(nodes, ctx []*TNode) error {
 	return nil
 }
 
-// requireSubtree builds nested requirement nodes for a RESTRICT pattern
-// kid's own children.
-func requireSubtree(kid *guard.Term, parentType string, ev *evaluator) ([]*TNode, error) {
-	var out []*TNode
+// requireTree builds the requirement node of source type kt for a
+// RESTRICT pattern kid, its own children nested below it.
+func requireTree(kid *guard.Term, kt string, ev *evaluator) (*TNode, error) {
+	n := NewLeaf(kt)
 	for _, sub := range kid.Kids {
 		lbl := labelOf(sub)
 		if lbl == nil {
@@ -330,18 +332,16 @@ func requireSubtree(kid *guard.Term, parentType string, ev *evaluator) ([]*TNode
 		if filled {
 			continue
 		}
-		_, kept, _ := closestPairs([]string{parentType}, types)
-		for _, kt := range kept {
-			n := NewLeaf(kt)
-			kids, err := requireSubtree(sub, kt, ev)
+		_, kept, _ := closestPairs([]string{kt}, types)
+		for _, st := range kept {
+			k, err := requireTree(sub, st, ev)
 			if err != nil {
 				return nil, err
 			}
-			n.Kids = kids
-			out = append(out, n)
+			n.Attach(k)
 		}
 	}
-	return out, nil
+	return n, nil
 }
 
 // labelOrErr returns the term if it is a label (or unwraps to one), for

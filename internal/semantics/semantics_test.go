@@ -714,3 +714,38 @@ func TestMutateRestrictWithOuterKidsReparents(t *testing.T) {
 		t.Errorf("outer kid not reparented below restricted node:\n%s", tgt)
 	}
 }
+
+// nestedAC is <root> around n nested <a><c> pairs: "MUTATE a [ CLONE c ]"
+// clones every c type below every a type, and a clone of an outer c
+// holds the clones already made below the a types inside it.
+func nestedAC(n int) *shape.Shape {
+	return shape.FromDocument(xmltree.MustParse("<root>" + strings.Repeat("<a><c>", n) + strings.Repeat("</c></a>", n) + "</root>"))
+}
+
+// TestStageCopiesBounded: a stage that copies more than maxStageCopies
+// types is refused at compile time, quickly, without building what it
+// describes — five pairs would build 11 412 types and six 495 047.
+func TestStageCopiesBounded(t *testing.T) {
+	g := guard.MustParse("CAST MUTATE a [ CLONE c ]")
+	p, err := Compile(g, nestedAC(4))
+	if err != nil {
+		t.Fatalf("4 pairs: %v", err)
+	}
+	n := 0
+	p.Final().Target.Walk(func(*TNode) { n++ })
+	if n != 532 {
+		t.Errorf("4 pairs built %d types, want 532", n)
+	}
+	for _, pairs := range []int{5, 6, 20} {
+		src := nestedAC(pairs)
+		start := time.Now()
+		_, err := Compile(g, src)
+		d := time.Since(start)
+		if err == nil || !strings.Contains(err.Error(), "copies more than") {
+			t.Errorf("%d pairs: err = %v, want the stage copy bound", pairs, err)
+		}
+		if d > 50*time.Millisecond {
+			t.Errorf("%d pairs refused after %v", pairs, d)
+		}
+	}
+}

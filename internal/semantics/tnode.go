@@ -75,18 +75,42 @@ func (n *TNode) Detach() *TNode {
 // Parent returns the node's parent target type, nil at roots.
 func (n *TNode) Parent() *TNode { return n.parent }
 
+// addRequire appends a RESTRICT requirement to n; the requirement's
+// parent link names n, the node it constrains.
+func (n *TNode) addRequire(r *TNode) {
+	r.parent = n
+	n.Require = append(n.Require, r)
+}
+
 // Copy deep-copies the subtree (requirements included).
 func (n *TNode) Copy() *TNode {
-	c := &TNode{Name: n.Name, Source: n.Source, Clone: n.Clone, Fill: n.Fill}
+	c := n.CopyNode()
 	for _, k := range n.Kids {
 		c.Attach(k.Copy())
 	}
+	return c
+}
+
+// CopyNode copies n and its requirements, but not its kids.
+func (n *TNode) CopyNode() *TNode {
+	c := &TNode{Name: n.Name, Source: n.Source, Clone: n.Clone, Fill: n.Fill}
 	for _, r := range n.Require {
-		rc := r.Copy()
-		rc.parent = c
-		c.Require = append(c.Require, rc)
+		c.addRequire(r.Copy())
 	}
 	return c
+}
+
+// size counts the types of n's subtree, requirements included: what
+// Copy makes.
+func (n *TNode) size() int {
+	s := 1
+	for _, k := range n.Kids {
+		s += k.size()
+	}
+	for _, r := range n.Require {
+		s += r.size()
+	}
+	return s
 }
 
 // Walk visits the subtree in preorder (requirements excluded).
@@ -154,20 +178,15 @@ func (t *Target) detachNode(n *TNode) {
 // (or to the root list when n is a root). RESTRICT requirements of n are
 // discarded with it.
 func (t *Target) Remove(n *TNode) {
-	kids := append([]*TNode(nil), n.Kids...)
-	if n.parent != nil {
-		p := n.Detach()
-		for _, k := range kids {
-			k.parent = nil
+	p := n.parent
+	t.detachNode(n)
+	for _, k := range n.Kids {
+		k.parent = nil
+		if p == nil {
+			t.Roots = append(t.Roots, k)
+		} else {
 			p.Attach(k)
 		}
-		n.Kids = nil
-		return
-	}
-	t.detachNode(n)
-	for _, k := range kids {
-		k.parent = nil
-		t.Roots = append(t.Roots, k)
 	}
 	n.Kids = nil
 }
@@ -226,7 +245,7 @@ func (n *TNode) EdgeCard(src *shape.Shape) shape.Card {
 	switch {
 	case n.Source == "":
 		// Manufactured node: one per instance of its first sourced child.
-		f := n.firstSourcedChild()
+		f := n.FirstSourcedChild()
 		if f == nil || pSrc == "" {
 			return shape.One
 		}
@@ -237,7 +256,7 @@ func (n *TNode) EdgeCard(src *shape.Shape) shape.Card {
 	case p.Source == "":
 		// Child of a manufactured wrapper: the wrapper's first sourced
 		// child appears exactly once; siblings attach by closeness to it.
-		f := p.firstSourcedChild()
+		f := p.FirstSourcedChild()
 		if f == n {
 			return shape.One
 		}
@@ -265,7 +284,10 @@ func (n *TNode) nearestSource() string {
 	return ""
 }
 
-func (n *TNode) firstSourcedChild() *TNode {
+// FirstSourcedChild returns n's first kid with a source type, nil when
+// every kid is manufactured: the anchor a manufactured node
+// materializes once per instance of.
+func (n *TNode) FirstSourcedChild() *TNode {
 	for _, k := range n.Kids {
 		if k.Source != "" {
 			return k
